@@ -5,9 +5,9 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check fmt-check vet build test race fuzz-smoke serve-smoke crash-matrix-replicated crash-matrix-dedup bench-parallel bench-obs bench-gzip bench-entropy bench-dedup bench-qa bench-smoke bench-compare bench-compare-smoke
+.PHONY: check fmt-check vet build test race bench-test fuzz-smoke serve-smoke crash-matrix-replicated crash-matrix-dedup bench-parallel bench-obs bench-gzip bench-entropy bench-dedup bench-qa bench-smoke bench-compare bench-compare-smoke
 
-check: fmt-check vet build race fuzz-smoke serve-smoke bench-compare-smoke
+check: fmt-check vet build race bench-test fuzz-smoke serve-smoke bench-compare-smoke
 
 fmt-check:
 	@out="$$(gofmt -l .)"; \
@@ -26,6 +26,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# bench-test vets and tests the benchmark's own module (bench/), which
+# `go test ./...` at the root never reaches: its replay oracle re-derives
+# the checkpoint bytes stage by stage, so a change to ckpt or core that
+# breaks it fails here and not in the middle of a benchmark run.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz-smoke runs every fuzz target for FUZZTIME each — a cheap guard
 # that the decoders stay panic-free on adversarial input. Go allows one
@@ -72,9 +79,10 @@ crash-matrix-dedup:
 	$(GO) test ./internal/store -run '^TestCrashMatrixDedup$$|^TestCrashMatrixDedupGC$$' -v -count=1
 
 # bench-parallel runs the parallel-engine benchmarks that feed
-# BENCH_parallel.json (workers sweep + allocation counts).
+# BENCH_parallel.json (workers sweeps inside one array and across the
+# entries of a five-array checkpoint, plus allocation counts).
 bench-parallel:
-	$(GO) test -run xxx -bench 'ChunkedParallel|Alloc' -benchtime 3x .
+	$(GO) test -run xxx -bench 'ChunkedParallel|Alloc|CheckpointStreamClimate5' -benchtime 3x .
 
 # bench-obs measures the observability tax (no-op vs live registry) that
 # feeds BENCH_obs.json.
@@ -117,7 +125,7 @@ bench-qa:
 # bench-smoke executes every benchmark once — CI's guard that the bench
 # code itself keeps compiling and running.
 bench-smoke:
-	$(GO) test -run xxx -bench 'ChunkedParallel|Alloc|ParallelGzip|StreamingCheckpoint|Entropy|Dedup' -benchtime 1x .
+	$(GO) test -run xxx -bench 'ChunkedParallel|Alloc|CheckpointStreamClimate5|ParallelGzip|StreamingCheckpoint|Entropy|Dedup' -benchtime 1x .
 
 # bench-compare diffs two BENCH_*.json snapshots and fails on >15%
 # ns_per_op regressions:  make bench-compare OLD=old.json NEW=new.json

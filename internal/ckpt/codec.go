@@ -6,8 +6,9 @@
 // the decoded data into the registered arrays in place.
 //
 // Per the paper's §IV-D, per-array compression is embarrassingly parallel;
-// Checkpoint compresses registered arrays with a bounded worker pool and
-// reports the per-phase timing breakdown that the paper's Fig. 9 plots.
+// every checkpoint and restore keeps up to the manager's worker count of
+// registered arrays in flight (pipeline.go) and reports the per-phase
+// timing breakdown that the paper's Fig. 9 plots.
 package ckpt
 
 import (
@@ -64,8 +65,8 @@ type Encoded struct {
 }
 
 // Codec turns fields into bytes and back. Implementations must be safe for
-// concurrent use by multiple goroutines (Checkpoint encodes arrays in
-// parallel).
+// concurrent use by multiple goroutines (checkpoints encode, and restores
+// decode, several arrays at once).
 type Codec interface {
 	// Name identifies the codec in checkpoint headers and reports.
 	Name() string
@@ -80,10 +81,13 @@ type Codec interface {
 // StreamEncoder is an optional Codec extension for codecs that can emit
 // their payload incrementally. EncodeTo writes the exact bytes Encode
 // would have returned as Payload directly to w and returns the Encoded
-// accounting with Payload nil — CheckpointStream pipes the writes into
-// its segment framing, so the payload is never buffered whole.
-// Implementations may still buffer internally when their format demands
-// it (and must then leave Payload nil after writing it out).
+// accounting with Payload nil. For the entry at the head of the stream
+// CheckpointStream pipes the writes into its segment framing, so the
+// payload is never buffered whole; for an entry encoding behind the head
+// w is a spill the framing drains later. Writes must come from one
+// goroutine at a time. Implementations may still buffer internally when
+// their format demands it (and must then leave Payload nil after writing
+// it out).
 type StreamEncoder interface {
 	EncodeTo(w io.Writer, f *grid.Field) (*Encoded, error)
 }
@@ -297,11 +301,12 @@ func (c *FPC) Decode(payload []byte, shape []int) (*grid.Field, error) {
 // Lossy is the paper's wavelet-based lossy compressor (package core).
 type Lossy struct {
 	// Options configures the pipeline; use core.DefaultOptions as a start.
-	// Options.Workers bounds the intra-array parallelism: chunked arrays
-	// compress their slabs on a worker pool of that size and whole arrays
-	// shard large wavelet passes (0 = GOMAXPROCS, 1 = serial). When the
-	// manager already runs many arrays concurrently, set Workers to 1 to
-	// keep the total goroutine count at one per array.
+	// Options.Workers bounds the parallelism inside one array: chunked
+	// arrays compress their slabs on a worker pool of that size and whole
+	// arrays shard large wavelet passes (0 = GOMAXPROCS, 1 = serial). It
+	// multiplies with the manager's worker count, which is how many arrays
+	// are in flight; both draw on the same GOMAXPROCS threads, and the
+	// bytes written depend on neither.
 	Options core.Options
 	// ChunkExtent, when positive, compresses each array in slabs of that
 	// many leading-axis planes (core.CompressChunkedParallel), bounding

@@ -99,19 +99,18 @@ func (m *Manager) resetDelta() {
 	}
 }
 
-// deltaFor returns this checkpoint's per-variable delta slots, creating
-// missing ones up front so the parallel encode loop never writes the
-// map concurrently. nil when delta is off.
-func (m *Manager) deltaFor() map[string]*varDelta {
+// primeDelta creates this checkpoint's missing per-variable delta slots
+// up front, so the concurrent entry encodes only ever read the map. A
+// no-op when delta is off.
+func (m *Manager) primeDelta() {
 	if m.delta == nil {
-		return nil
+		return
 	}
 	for _, name := range m.names {
 		if m.delta[name] == nil {
 			m.delta[name] = &varDelta{}
 		}
 	}
-	return m.delta
 }
 
 // sumField fingerprints an array's raw float64 image in bounded blocks.

@@ -9,7 +9,6 @@ import (
 	"io"
 	"math"
 	"runtime"
-	"sync"
 	"time"
 
 	"lossyckpt/internal/core"
@@ -50,8 +49,10 @@ const (
 )
 
 // Manager registers an application's state arrays and writes/reads framed
-// checkpoint streams. A Manager is not safe for concurrent use; the
-// internal per-array compression is parallel but externally synchronous.
+// checkpoint streams. A Manager is not safe for concurrent use: each call
+// is externally synchronous. Inside a call, up to `workers` entries are
+// encoded or decoded at once by the entry pipeline (pipeline.go), and the
+// chunked codecs split one array further.
 type Manager struct {
 	codec   Codec
 	workers int
@@ -77,8 +78,9 @@ type Manager struct {
 	delta map[string]*varDelta
 }
 
-// NewManager returns a manager using the given codec. workers bounds the
-// parallel per-array compression; 0 means GOMAXPROCS.
+// NewManager returns a manager using the given codec. workers bounds how
+// many registered arrays a checkpoint or restore works on at once; 0 means
+// GOMAXPROCS.
 func NewManager(codec Codec, workers int) *Manager {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -185,11 +187,11 @@ func (r *Report) AggregateTimings() core.Timings {
 	return t
 }
 
-// Checkpoint compresses every registered array (in parallel, bounded by the
-// worker count) and writes one framed checkpoint stream to w. step is an
-// application-defined counter stored in the header (the paper restarts
-// NICAM at step 720; the counter lets restore resume time-dependent
-// forcing).
+// Checkpoint compresses every registered array (up to the worker count at
+// once, through the entry pipeline) and writes one framed checkpoint
+// stream to w. step is an application-defined counter stored in the header
+// (the paper restarts NICAM at step 720; the counter lets restore resume
+// time-dependent forcing).
 func (m *Manager) Checkpoint(w io.Writer, step int) (rep *Report, err error) {
 	start := time.Now()
 	if len(m.names) == 0 {
@@ -199,7 +201,6 @@ func (m *Manager) Checkpoint(w io.Writer, step int) (rep *Report, err error) {
 		return nil, fmt.Errorf("%w: negative step %d", ErrRegistered, step)
 	}
 
-	// Parallel encode, order-preserving.
 	encoded := make([]*Encoded, len(m.names))
 	if o := m.observer(); o != nil {
 		sp := o.StartSpan(MetricCheckpointSpan, "codec", m.codec.Name(), "step", fmt.Sprint(step))
@@ -219,70 +220,38 @@ func (m *Manager) Checkpoint(w io.Writer, step int) (rep *Report, err error) {
 			}
 		}()
 	}
-	errs := make([]error, len(m.names))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, m.workers)
-	named, _ := m.codec.(NamedEncoder)
-	deltas := m.deltaFor()
-	de, _ := m.codec.(DeltaEncoder)
-	for i, name := range m.names {
-		wg.Add(1)
-		go func(i int, name string, f *grid.Field) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			switch {
-			case deltas != nil:
-				encoded[i], errs[i] = m.encodeDelta(name, f, deltas[name], de)
-			case named != nil:
-				encoded[i], errs[i] = named.EncodeNamed(name, f)
-			default:
-				encoded[i], errs[i] = m.codec.Encode(f)
-			}
-		}(i, name, m.fields[name])
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("ckpt: encoding %q: %w", m.names[i], err)
-		}
-	}
 
-	// Frame and write.
-	var buf bytes.Buffer
-	writeU32(&buf, fileMagic)
-	writeU16(&buf, fileVersion)
-	writeString(&buf, m.codec.Name())
-	writeU64(&buf, uint64(step))
-	writeU32(&buf, uint32(len(m.names)))
+	buf := m.streamHeader(fileVersion, step)
 
 	rep = &Report{Codec: m.codec.Name(), Step: step}
+	m.primeDelta()
+	pipe := newEntryPipe(m.workers)
+	defer pipe.wait()
 	for i, name := range m.names {
 		f := m.fields[name]
-		var entry bytes.Buffer
-		writeString(&entry, name)
-		writeU16(&entry, uint16(f.Dims()))
-		for _, e := range f.Shape() {
-			writeU64(&entry, uint64(e))
-		}
-		writeU64(&entry, uint64(len(encoded[i].Payload)))
-		entry.Write(encoded[i].Payload)
-		writeU32(&buf, crc32.ChecksumIEEE(entry.Bytes()))
-		writeU64(&buf, uint64(entry.Len()))
-		buf.Write(entry.Bytes())
-
-		rep.Entries = append(rep.Entries, EntryReport{
-			Name:            name,
-			RawBytes:        encoded[i].RawBytes,
-			CompressedBytes: len(encoded[i].Payload),
-			Timings:         encoded[i].Timings,
-			Guarantee:       encoded[i].Guarantee,
-			Reused:          encoded[i].Reused,
-			SlabsReused:     encoded[i].SlabsReused,
+		err := pipe.start(func() (err error) {
+			encoded[i], err = m.encodeEntry(nil, name, f)
+			return err
+		}, nil, func(err error) error {
+			if err != nil {
+				return fmt.Errorf("ckpt: encoding %q: %w", name, err)
+			}
+			var entry bytes.Buffer
+			entry.Write(entryPrologue(name, f.Shape()))
+			writeU64(&entry, uint64(len(encoded[i].Payload)))
+			entry.Write(encoded[i].Payload)
+			writeU32(buf, crc32.ChecksumIEEE(entry.Bytes()))
+			writeU64(buf, uint64(entry.Len()))
+			buf.Write(entry.Bytes())
+			rep.addEntry(name, encoded[i], len(encoded[i].Payload))
+			return nil
 		})
-		rep.RawBytes += encoded[i].RawBytes
-		rep.CompressedBytes += len(encoded[i].Payload)
-		rep.addReuse(encoded[i])
+		if err != nil {
+			return nil, err
+		}
+	}
+	if err := pipe.flush(); err != nil {
+		return nil, err
 	}
 	if _, err := w.Write(buf.Bytes()); err != nil {
 		return nil, fmt.Errorf("ckpt: write: %w", err)
@@ -385,6 +354,29 @@ func readEntryFrame(br *byteReader, i int) (body []byte, crcOK bool, err error) 
 	return body, crc32.ChecksumIEEE(body) == wantCRC, nil
 }
 
+// readPrologue reads the name and shape that open an entry in both
+// stream versions (entryPrologue writes them), each bounded before it can
+// size an allocation.
+func readPrologue(br *byteReader, i int) (name string, shape []int, err error) {
+	name = br.str()
+	if br.err == nil && len(name) > maxNameLen {
+		return "", nil, fmt.Errorf("%w: entry %d name %d bytes exceeds cap", ErrFormat, i, len(name))
+	}
+	nd := int(br.u16())
+	if br.err != nil || nd == 0 || nd > grid.MaxDims {
+		return "", nil, fmt.Errorf("%w: entry %d metadata", ErrFormat, i)
+	}
+	shape = make([]int, nd)
+	for d := range shape {
+		e := br.u64()
+		if e == 0 || e > math.MaxInt32 {
+			return "", nil, fmt.Errorf("%w: entry %d extent %d", ErrFormat, i, e)
+		}
+		shape[d] = int(e)
+	}
+	return name, shape, nil
+}
+
 // parseEntryBody decodes one frame body into name, shape and payload.
 // The declared name length, dimensionality, extents and payload length
 // are all validated against their caps and against the bytes actually
@@ -393,21 +385,9 @@ func readEntryFrame(br *byteReader, i int) (body []byte, crcOK bool, err error) 
 func parseEntryBody(body []byte, i int) (*rawEntry, error) {
 	rd := bytes.NewReader(body)
 	er := newByteReader(rd)
-	name := er.str()
-	if er.err == nil && len(name) > maxNameLen {
-		return nil, fmt.Errorf("%w: entry %d name %d bytes exceeds cap", ErrFormat, i, len(name))
-	}
-	nd := int(er.u16())
-	if er.err != nil || nd == 0 || nd > grid.MaxDims {
-		return nil, fmt.Errorf("%w: entry %d metadata", ErrFormat, i)
-	}
-	shape := make([]int, nd)
-	for d := range shape {
-		e := er.u64()
-		if e == 0 || e > math.MaxInt32 {
-			return nil, fmt.Errorf("%w: entry %d extent %d", ErrFormat, i, e)
-		}
-		shape[d] = int(e)
+	name, shape, err := readPrologue(er, i)
+	if err != nil {
+		return nil, err
 	}
 	payloadLen := er.u64()
 	if er.err != nil {
@@ -426,113 +406,151 @@ func parseEntryBody(body []byte, i int) (*rawEntry, error) {
 	return &rawEntry{Name: name, Shape: shape, Payload: payload}, nil
 }
 
-// applyEntry validates one parsed entry against the registration,
-// decodes it, and copies the result into the registered field.
-func (m *Manager) applyEntry(ent *rawEntry, seen map[string]bool, rep *Report) error {
-	target, ok := m.fields[ent.Name]
-	if !ok {
-		return fmt.Errorf("%w: stream variable %q not registered", ErrMismatch, ent.Name)
+// encodeEntry encodes one registered array: under delta rules when delta
+// is on, else streaming into w when w is non-nil and the codec can, else
+// buffered into Encoded.Payload.
+func (m *Manager) encodeEntry(w io.Writer, name string, f *grid.Field) (*Encoded, error) {
+	if m.delta != nil {
+		// Delta mode trades the zero-buffer streaming encode for payload
+		// reuse: the entry is encoded (or served from cache) buffered.
+		de, _ := m.codec.(DeltaEncoder)
+		return m.encodeDelta(name, f, m.delta[name], de)
 	}
-	if seen[ent.Name] {
-		return fmt.Errorf("%w: duplicate variable %q", ErrFormat, ent.Name)
-	}
-	if target.Dims() != len(ent.Shape) {
-		return fmt.Errorf("%w: %q is %d-D in stream, %d-D registered", ErrMismatch, ent.Name, len(ent.Shape), target.Dims())
-	}
-	for d, e := range ent.Shape {
-		if target.Extent(d) != e {
-			return fmt.Errorf("%w: %q shape %v in stream, %v registered", ErrMismatch, ent.Name, ent.Shape, target.Shape())
+	if w != nil {
+		switch c := m.codec.(type) {
+		case NamedStreamEncoder:
+			return c.EncodeNamedTo(w, name, f)
+		case StreamEncoder:
+			return c.EncodeTo(w, f)
 		}
 	}
-	decoded, err := m.codec.Decode(ent.Payload, ent.Shape)
-	if err != nil {
-		return fmt.Errorf("ckpt: decoding %q: %w", ent.Name, err)
-	}
-	seen[ent.Name] = true
-	copy(target.Data(), decoded.Data())
+	return m.encodePlain(name, f)
+}
 
-	rep.Entries = append(rep.Entries, EntryReport{
-		Name:            ent.Name,
-		RawBytes:        target.Bytes(),
-		CompressedBytes: len(ent.Payload),
-		Guarantee:       entryGuarantee(ent.Payload),
+// streamHeader serializes the fixed prefix readStreamHeader parses.
+func (m *Manager) streamHeader(version, step int) *bytes.Buffer {
+	var buf bytes.Buffer
+	writeU32(&buf, fileMagic)
+	writeU16(&buf, uint16(version))
+	writeString(&buf, m.codec.Name())
+	writeU64(&buf, uint64(step))
+	writeU32(&buf, uint32(len(m.names)))
+	return &buf
+}
+
+// entryPrologue serializes the name and shape that open an entry, in both
+// stream versions.
+func entryPrologue(name string, shape []int) []byte {
+	var pro bytes.Buffer
+	writeString(&pro, name)
+	writeU16(&pro, uint16(len(shape)))
+	for _, e := range shape {
+		writeU64(&pro, uint64(e))
+	}
+	return pro.Bytes()
+}
+
+// addEntry appends one written entry's accounting to the report.
+func (r *Report) addEntry(name string, enc *Encoded, compressed int) {
+	r.Entries = append(r.Entries, EntryReport{
+		Name:            name,
+		RawBytes:        enc.RawBytes,
+		CompressedBytes: compressed,
+		Timings:         enc.Timings,
+		Guarantee:       enc.Guarantee,
+		Reused:          enc.Reused,
+		SlabsReused:     enc.SlabsReused,
 	})
-	rep.RawBytes += target.Bytes()
-	rep.CompressedBytes += len(ent.Payload)
-	return nil
+	r.RawBytes += enc.RawBytes
+	r.CompressedBytes += compressed
+	r.addReuse(enc)
+}
+
+// restoreScan is the entry scan Restore and RestorePartial run: an entry
+// is claimed for the registered array of its name and shape, decoded into
+// it, and reported in stream order. A name belongs to the first intact
+// entry that carries it, so no two decode jobs share an array.
+func (m *Manager) restoreScan(rep *Report, lenient bool) *entryScan {
+	claimed := make(map[string]bool, len(m.names))
+	return &entryScan{
+		codec:   m.codec,
+		workers: m.workers,
+		lenient: lenient,
+		claim: func(ent *rawEntry) (*grid.Field, error) {
+			target, ok := m.fields[ent.Name]
+			if !ok {
+				return nil, fmt.Errorf("%w: stream variable %q not registered", ErrMismatch, ent.Name)
+			}
+			if claimed[ent.Name] {
+				return nil, fmt.Errorf("%w: duplicate variable %q", ErrFormat, ent.Name)
+			}
+			if target.Dims() != len(ent.Shape) {
+				return nil, fmt.Errorf("%w: %q is %d-D in stream, %d-D registered", ErrMismatch, ent.Name, len(ent.Shape), target.Dims())
+			}
+			for d, e := range ent.Shape {
+				if target.Extent(d) != e {
+					return nil, fmt.Errorf("%w: %q shape %v in stream, %v registered", ErrMismatch, ent.Name, ent.Shape, target.Shape())
+				}
+			}
+			claimed[ent.Name] = true
+			return target, nil
+		},
+		land: func(ent *rawEntry, f *grid.Field) {
+			rep.Entries = append(rep.Entries, EntryReport{
+				Name:            ent.Name,
+				RawBytes:        f.Bytes(),
+				CompressedBytes: len(ent.Payload),
+				Guarantee:       entryGuarantee(ent.Payload),
+			})
+			rep.RawBytes += f.Bytes()
+			rep.CompressedBytes += len(ent.Payload)
+		},
+	}
 }
 
 // Restore reads a checkpoint stream and copies the decoded arrays into the
 // registered fields in place. The stream's codec name must match the
 // manager's codec, and every registered variable must be present with a
-// matching shape. It returns the report and the stored step counter.
-func (m *Manager) Restore(r io.Reader) (rep *Report, err error) {
-	start := time.Now()
-	// Even a failed restore may have overwritten some arrays; the delta
-	// baseline no longer describes the live state either way.
-	m.resetDelta()
-	if o := m.observer(); o != nil {
-		sp := o.StartSpan(MetricRestoreSpan, "codec", m.codec.Name(), "mode", "full")
-		defer func() { sp.EndErr(err) }()
-	}
-	if op, owned := m.opFor("ckpt.restore", "codec", m.codec.Name(), "mode", "full"); op != nil {
-		defer func() {
-			fillRestore(op, rep, nil)
-			if owned {
-				op.End(err)
-			}
-		}()
-	}
-	br := newByteReader(r)
-	hdr, err := readStreamHeader(br)
-	if err != nil {
-		return nil, err
-	}
-	if hdr.Codec != m.codec.Name() {
-		return nil, fmt.Errorf("%w: stream codec %q, manager codec %q", ErrMismatch, hdr.Codec, m.codec.Name())
-	}
-	if hdr.Count != len(m.names) {
-		return nil, fmt.Errorf("%w: stream has %d variables, %d registered", ErrMismatch, hdr.Count, len(m.names))
-	}
-
-	rep = &Report{Codec: hdr.Codec, Step: hdr.Step}
-	seen := make(map[string]bool, hdr.Count)
-	for i := 0; i < hdr.Count; i++ {
-		ent, err := readEntry(br, hdr.Version, i)
-		if err != nil {
-			return nil, err
-		}
-		if err := m.applyEntry(ent, seen, rep); err != nil {
-			return nil, err
-		}
-	}
-	rep.Wall = time.Since(start)
-	return rep, nil
+// matching shape. It returns the report and the stored step counter. Up
+// to the worker count of arrays decode at once, so after an error the
+// registered state may hold arrays from beyond the entry that failed.
+func (m *Manager) Restore(r io.Reader) (*Report, error) {
+	rep, _, err := m.restore(r, false)
+	return rep, err
 }
 
 // RestorePartial reads a possibly torn or corrupted checkpoint stream
 // and restores every registered array whose frame verifies: frames with
 // failing CRCs or unparseable bodies are skipped (the outer framing
-// keeps the parse resynchronized), and a torn tail ends the scan. It
-// returns the report of what was restored plus the names of registered
-// variables that were not. The header itself must be intact; with it
-// gone there is nothing to verify against. Arrays restore in stream
-// order, so on error the registered state may hold a mix of restored
-// and untouched arrays — callers decide whether a partial state is
-// usable.
-func (m *Manager) RestorePartial(r io.Reader) (rep *Report, skipped []string, err error) {
+// keeps the parse resynchronized), as are mismatched, duplicate and
+// undecodable entries, and a torn tail ends the scan. It returns the
+// report of what was restored, in stream order, plus the names of
+// registered variables that were not — callers decide whether a partial
+// state is usable. The header itself must be intact; with it gone there
+// is nothing to verify against.
+func (m *Manager) RestorePartial(r io.Reader) (*Report, []string, error) {
+	return m.restore(r, true)
+}
+
+func (m *Manager) restore(r io.Reader, partial bool) (rep *Report, skipped []string, err error) {
 	start := time.Now()
+	// Even a failed restore may have overwritten some arrays; the delta
+	// baseline no longer describes the live state either way.
 	m.resetDelta()
+	mode := "full"
+	if partial {
+		mode = "partial"
+	}
 	if o := m.observer(); o != nil {
-		sp := o.StartSpan(MetricRestoreSpan, "codec", m.codec.Name(), "mode", "partial")
+		sp := o.StartSpan(MetricRestoreSpan, "codec", m.codec.Name(), "mode", mode)
 		defer func() {
 			sp.EndErr(err)
-			if err == nil {
-				m.recordRestore(o, rep, skipped, true)
+			if err == nil && partial {
+				recordPartialRestore(o, rep, skipped)
 			}
 		}()
 	}
-	if op, owned := m.opFor("ckpt.restore", "codec", m.codec.Name(), "mode", "partial"); op != nil {
+	if op, owned := m.opFor("ckpt.restore", "codec", m.codec.Name(), "mode", mode); op != nil {
 		defer func() {
 			fillRestore(op, rep, skipped)
 			if owned {
@@ -548,28 +566,27 @@ func (m *Manager) RestorePartial(r io.Reader) (rep *Report, skipped []string, er
 	if hdr.Codec != m.codec.Name() {
 		return nil, nil, fmt.Errorf("%w: stream codec %q, manager codec %q", ErrMismatch, hdr.Codec, m.codec.Name())
 	}
+	if !partial && hdr.Count != len(m.names) {
+		return nil, nil, fmt.Errorf("%w: stream has %d variables, %d registered", ErrMismatch, hdr.Count, len(m.names))
+	}
 
 	rep = &Report{Codec: hdr.Codec, Step: hdr.Step}
-	seen := make(map[string]bool, hdr.Count)
-	for i := 0; i < hdr.Count; i++ {
-		ent, err := readEntry(br, hdr.Version, i)
-		if errors.Is(err, errEntryDamaged) {
-			continue // damaged entry: skip, the framing keeps the scan aligned
-		}
-		if err != nil {
-			break // torn tail: nothing beyond this point is framed
-		}
-		// Mismatched or duplicate entries are skipped rather than fatal:
-		// partial recovery salvages what it can.
-		_ = m.applyEntry(ent, seen, rep)
+	if _, err := m.restoreScan(rep, partial).run(br, hdr); err != nil {
+		return nil, nil, err
 	}
-	for _, name := range m.names {
-		if !seen[name] {
-			skipped = append(skipped, name)
+	if partial {
+		restored := make(map[string]bool, len(rep.Entries))
+		for _, e := range rep.Entries {
+			restored[e.Name] = true
 		}
-	}
-	if len(rep.Entries) == 0 {
-		return nil, skipped, fmt.Errorf("%w: no frame verified", ErrFormat)
+		for _, name := range m.names {
+			if !restored[name] {
+				skipped = append(skipped, name)
+			}
+		}
+		if len(rep.Entries) == 0 {
+			return nil, skipped, fmt.Errorf("%w: no frame verified", ErrFormat)
+		}
 	}
 	rep.Wall = time.Since(start)
 	return rep, skipped, nil
@@ -605,9 +622,9 @@ func writeString(buf *bytes.Buffer, s string) {
 // stream runs dry.
 func readExactly(r io.Reader, n uint64) ([]byte, error) {
 	const chunk = 1 << 20
-	out := make([]byte, 0, minU64(n, chunk))
+	out := make([]byte, 0, min(n, chunk))
 	for uint64(len(out)) < n {
-		take := minU64(n-uint64(len(out)), chunk)
+		take := min(n-uint64(len(out)), chunk)
 		buf := make([]byte, take)
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return nil, err
@@ -615,13 +632,6 @@ func readExactly(r io.Reader, n uint64) ([]byte, error) {
 		out = append(out, buf...)
 	}
 	return out, nil
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 type byteReader struct {

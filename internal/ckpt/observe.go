@@ -93,12 +93,10 @@ func (m *Manager) recordCheckpoint(o *obs.Registry, rep *Report, encoded []*Enco
 	}
 }
 
-// recordRestore folds one completed full or partial restore.
-func (m *Manager) recordRestore(o *obs.Registry, rep *Report, skipped []string, partial bool) {
-	if partial {
-		o.Counter(MetricPartialRestores).Inc()
-		o.Counter(MetricSkippedVars).Add(float64(len(skipped)))
-		o.Event("ckpt.partial_restore",
-			"restored", len(rep.Entries), "skipped", len(skipped), "step", fmt.Sprint(rep.Step))
-	}
+// recordPartialRestore folds one completed partial restore.
+func recordPartialRestore(o *obs.Registry, rep *Report, skipped []string) {
+	o.Counter(MetricPartialRestores).Inc()
+	o.Counter(MetricSkippedVars).Add(float64(len(skipped)))
+	o.Event("ckpt.partial_restore",
+		"restored", len(rep.Entries), "skipped", len(skipped), "step", fmt.Sprint(rep.Step))
 }

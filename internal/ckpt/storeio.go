@@ -205,8 +205,8 @@ type LoadedCheckpoint struct {
 // registration: variables, shapes and the codec are discovered from the
 // stream. Like RestoreLatest it walks generations newest-to-oldest,
 // preferring a fully verified load, then falls back to frame-level
-// partial recovery. workers bounds lossy decode parallelism (0 =
-// GOMAXPROCS).
+// partial recovery. workers bounds decode parallelism, across entries
+// and inside one (0 = GOMAXPROCS).
 func LoadLatest(st store.Target, workers int) (lc *LoadedCheckpoint, err error) {
 	return LoadLatestCtx(context.Background(), st, workers)
 }
@@ -276,56 +276,52 @@ func LoadLatestCtx(ctx context.Context, st store.Target, workers int) (lc *Loade
 	return nil, fmt.Errorf("%w: %d generations tried: %v", ErrStoreEmpty, len(gens), errors.Join(failures...))
 }
 
+// decoderFor builds the codec a registration-free reader decodes with.
+// workers reaches the codecs that decode one array on several goroutines.
+func decoderFor(name string, workers int) (Codec, error) {
+	codec, err := CodecByName(name)
+	switch c := codec.(type) {
+	case *Lossy:
+		c.Options.Workers = workers
+	case *Guard:
+		c.Options.Workers = workers
+	}
+	return codec, err
+}
+
 // loadStream decodes a checkpoint stream with no registration. In
 // lenient mode damaged frames are skipped and a torn tail ends the
-// scan; in strict mode any damage is fatal.
+// scan; in strict mode any damage is fatal. workers bounds the entries
+// decoded at once, for every codec, and the decode inside one array.
 func loadStream(r io.Reader, workers int, lenient bool) (*LoadedCheckpoint, error) {
 	br := newByteReader(r)
 	hdr, err := readStreamHeader(br)
 	if err != nil {
 		return nil, err
 	}
-	codec, err := CodecByName(hdr.Codec)
+	codec, err := decoderFor(hdr.Codec, workers)
 	if err != nil {
 		return nil, err
 	}
-	if lossy, ok := codec.(*Lossy); ok {
-		lossy.Options.Workers = workers
-	}
 
 	lc := &LoadedCheckpoint{Step: hdr.Step, Codec: hdr.Codec}
-	seen := make(map[string]bool, hdr.Count)
-	for i := 0; i < hdr.Count; i++ {
-		ent, err := readEntry(br, hdr.Version, i)
-		if err != nil {
-			if !lenient {
-				return nil, err
-			}
-			if errors.Is(err, errEntryDamaged) {
-				lc.SkippedFrames++
-				continue
-			}
-			lc.SkippedFrames += hdr.Count - i
-			break // torn tail: nothing beyond this point is framed
-		}
-		if seen[ent.Name] {
-			if !lenient {
+	claimed := make(map[string]bool, hdr.Count)
+	scan := entryScan{
+		codec: codec, workers: workers, lenient: lenient,
+		claim: func(ent *rawEntry) (*grid.Field, error) {
+			if claimed[ent.Name] {
 				return nil, fmt.Errorf("%w: duplicate variable %q", ErrFormat, ent.Name)
 			}
-			lc.SkippedFrames++
-			continue
-		}
-		f, err := codec.Decode(ent.Payload, ent.Shape)
-		if err != nil {
-			if !lenient {
-				return nil, fmt.Errorf("ckpt: decoding %q: %w", ent.Name, err)
-			}
-			lc.SkippedFrames++
-			continue
-		}
-		seen[ent.Name] = true
-		lc.Fields = append(lc.Fields, LoadedField{
-			Name: ent.Name, Field: f, Guarantee: entryGuarantee(ent.Payload)})
+			claimed[ent.Name] = true
+			return nil, nil
+		},
+		land: func(ent *rawEntry, f *grid.Field) {
+			lc.Fields = append(lc.Fields, LoadedField{
+				Name: ent.Name, Field: f, Guarantee: entryGuarantee(ent.Payload)})
+		},
+	}
+	if lc.SkippedFrames, err = scan.run(br, hdr); err != nil {
+		return nil, err
 	}
 	lc.Partial = lc.SkippedFrames > 0
 	if len(lc.Fields) == 0 {

@@ -2,10 +2,11 @@
 // Checkpoint assembles the whole framed stream in memory before the
 // writer sees its first byte — peak memory is O(total payload). v2
 // frames each entry's payload in bounded segments with the length and
-// CRC trailing instead of leading, so CheckpointStream can pipe codec
-// output straight through to the writer and peak memory drops to the
-// codec's own working set (O(workers × chunk) for the chunked lossy
-// pipeline). Readers accept both versions through readEntry.
+// CRC trailing instead of leading, so CheckpointStream can pipe the head
+// entry's codec output straight through to the writer: peak memory drops
+// to the codec's own working set (O(workers × chunk) for the chunked
+// lossy pipeline) plus what entries encoding behind the head have spilled
+// (pipeline.go). Readers accept both versions through readEntry.
 //
 // v2 entry layout (all integers little-endian):
 //
@@ -24,7 +25,6 @@
 package ckpt
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -34,40 +34,18 @@ import (
 	"math"
 	"time"
 
-	"lossyckpt/internal/grid"
 	"lossyckpt/internal/store"
 )
 
 // readEntryV2 reads one v2 segmented entry. The prologue is re-serialized
 // to feed the CRC exactly as the writer hashed it.
 func readEntryV2(br *byteReader, i int) (*rawEntry, error) {
-	name := br.str()
-	if br.err == nil && len(name) > maxNameLen {
-		return nil, fmt.Errorf("%w: entry %d name %d bytes exceeds cap", ErrFormat, i, len(name))
-	}
-	nd := int(br.u16())
-	if br.err != nil || nd == 0 || nd > grid.MaxDims {
-		return nil, fmt.Errorf("%w: entry %d metadata", ErrFormat, i)
-	}
-	shape := make([]int, nd)
-	for d := range shape {
-		e := br.u64()
-		if e == 0 || e > math.MaxInt32 {
-			return nil, fmt.Errorf("%w: entry %d extent %d", ErrFormat, i, e)
-		}
-		shape[d] = int(e)
-	}
-	if br.err != nil {
-		return nil, fmt.Errorf("%w: entry %d prologue: %v", ErrFormat, i, br.err)
+	name, shape, err := readPrologue(br, i)
+	if err != nil {
+		return nil, err
 	}
 	crc := crc32.NewIEEE()
-	var pro bytes.Buffer
-	writeString(&pro, name)
-	writeU16(&pro, uint16(nd))
-	for _, e := range shape {
-		writeU64(&pro, uint64(e))
-	}
-	crc.Write(pro.Bytes())
+	crc.Write(entryPrologue(name, shape))
 
 	var payload []byte
 	for {
@@ -100,24 +78,28 @@ func readEntryV2(br *byteReader, i int) (*rawEntry, error) {
 }
 
 // streamSegment bounds the segment size CheckpointStream frames payload
-// bytes into — also the only per-entry buffer the writer side keeps.
+// bytes into — the only buffer the head entry's framing keeps, and the
+// block size entries behind it spill in.
 const streamSegment = 256 << 10
 
 // CheckpointStream compresses every registered array and writes one v2
-// checkpoint stream to w without ever buffering a whole payload: codecs
-// implementing StreamEncoder pipe their output straight into the
-// segment framing (the chunked lossy pipeline overlaps compression with
-// the write), others fall back to buffered Encode per entry. Entries are
-// written serially in registration order — the parallelism lives inside
-// the streaming codecs, where it bounds memory instead of multiplying it.
+// checkpoint stream to w without the writer side ever buffering a whole
+// payload: codecs implementing StreamEncoder pipe their output straight
+// into the segment framing (the chunked lossy pipeline overlaps
+// compression with the write), others encode buffered per entry. Up to
+// the manager's worker count of entries encode at once (pipeline.go): the
+// head of the stream writes through, the ones behind it spill at most
+// workers-1 compressed payloads, and the bytes written do not depend on
+// the worker count.
 func (m *Manager) CheckpointStream(w io.Writer, step int) (rep *Report, err error) {
 	return m.CheckpointStreamCtx(context.Background(), w, step)
 }
 
 // CheckpointStreamCtx is CheckpointStream bound to a request context:
-// cancellation is observed before each entry and between writes inside
-// an entry, so a deadline expiring mid-checkpoint stops producing bytes
-// promptly — the store side then aborts its payload cleanly.
+// cancellation is observed before each entry reaches the stream and at
+// every write inside one, so a deadline expiring mid-checkpoint stops
+// producing bytes promptly — the store side then aborts its payload
+// cleanly.
 func (m *Manager) CheckpointStreamCtx(ctx context.Context, w io.Writer, step int) (rep *Report, err error) {
 	start := time.Now()
 	if w = ctxWriter(ctx, w); ctx.Done() != nil {
@@ -153,87 +135,73 @@ func (m *Manager) CheckpointStreamCtx(ctx context.Context, w io.Writer, step int
 	}
 
 	cw := &countingWriter{w: w}
-	var hdrBuf bytes.Buffer
-	writeU32(&hdrBuf, fileMagic)
-	writeU16(&hdrBuf, fileVersionStream)
-	writeString(&hdrBuf, m.codec.Name())
-	writeU64(&hdrBuf, uint64(step))
-	writeU32(&hdrBuf, uint32(len(m.names)))
-	if _, err := cw.Write(hdrBuf.Bytes()); err != nil {
+	if _, err := cw.Write(m.streamHeader(fileVersionStream, step).Bytes()); err != nil {
 		return nil, fmt.Errorf("ckpt: write: %w", err)
 	}
 
 	rep = &Report{Codec: m.codec.Name(), Step: step}
-	namedStreamer, _ := m.codec.(NamedStreamEncoder)
-	streamer, _ := m.codec.(StreamEncoder)
-	named, _ := m.codec.(NamedEncoder)
-	deltas := m.deltaFor()
-	de, _ := m.codec.(DeltaEncoder)
+	m.primeDelta()
+	// Once this call is on its way out, encoders still spilling behind the
+	// head stop at their next write; wait then keeps every goroutine, and
+	// every write to w, inside the call.
+	stop := make(chan struct{})
+	pipe := newEntryPipe(m.workers)
+	defer func() {
+		close(stop)
+		pipe.wait()
+	}()
 	for i, name := range m.names {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, fmt.Errorf("ckpt: checkpoint: %w", cerr)
-		}
 		f := m.fields[name]
-		var pro bytes.Buffer
-		writeString(&pro, name)
-		writeU16(&pro, uint16(f.Dims()))
-		for _, e := range f.Shape() {
-			writeU64(&pro, uint64(e))
-		}
-		crc := crc32.NewIEEE()
-		crc.Write(pro.Bytes())
-		if _, err := cw.Write(pro.Bytes()); err != nil {
-			return nil, fmt.Errorf("ckpt: write: %w", err)
-		}
-		sw := newSegmentWriter(cw, crc)
-
-		var enc *Encoded
-		var eerr error
-		switch {
-		case deltas != nil:
-			// Delta mode trades the zero-buffer streaming encode for
-			// per-entry payload reuse: the entry is encoded (or served)
-			// buffered, then streamed out through the segment framing.
-			enc, eerr = m.encodeDelta(name, f, deltas[name], de)
-		case namedStreamer != nil:
-			enc, eerr = namedStreamer.EncodeNamedTo(sw, name, f)
-		case streamer != nil:
-			enc, eerr = streamer.EncodeTo(sw, f)
-		case named != nil:
-			enc, eerr = named.EncodeNamed(name, f)
-		default:
-			enc, eerr = m.codec.Encode(f)
-		}
-		if eerr != nil {
-			return nil, fmt.Errorf("ckpt: encoding %q: %w", name, eerr)
-		}
-		if enc.Payload != nil {
-			// Buffered fallback: the payload exists in memory; stream it out
-			// through the same segment framing.
-			if _, err := sw.Write(enc.Payload); err != nil {
-				return nil, fmt.Errorf("ckpt: write: %w", err)
+		out := &spillWriter{stop: stop}
+		var sw *segmentWriter
+		err := pipe.start(func() (err error) {
+			encoded[i], err = m.encodeEntry(out, name, f)
+			return err
+		}, func() error {
+			// Head of the stream: prologue out, then whatever the encoder
+			// spilled so far, then the encoder writing straight through.
+			if cerr := ctx.Err(); cerr != nil {
+				return fmt.Errorf("ckpt: checkpoint: %w", cerr)
 			}
-		}
-		if err := sw.finish(); err != nil {
-			return nil, fmt.Errorf("ckpt: write: %w", err)
-		}
-		encoded[i] = enc
-
-		rep.Entries = append(rep.Entries, EntryReport{
-			Name:            name,
-			RawBytes:        enc.RawBytes,
-			CompressedBytes: int(sw.n),
-			Timings:         enc.Timings,
-			Guarantee:       enc.Guarantee,
-			Reused:          enc.Reused,
-			SlabsReused:     enc.SlabsReused,
+			pro := entryPrologue(name, f.Shape())
+			crc := crc32.NewIEEE()
+			crc.Write(pro)
+			if _, err := cw.Write(pro); err != nil {
+				return fmt.Errorf("ckpt: write: %w", err)
+			}
+			sw = newSegmentWriter(cw, crc)
+			if err := out.promote(sw); err != nil {
+				// Spilled bytes are the encoder's writes, deferred: they
+				// fail as those would have.
+				return fmt.Errorf("ckpt: encoding %q: %w", name, err)
+			}
+			return nil
+		}, func(err error) error {
+			if err != nil {
+				return fmt.Errorf("ckpt: encoding %q: %w", name, err)
+			}
+			if payload := encoded[i].Payload; payload != nil {
+				// Buffered encode (delta, or a codec that cannot stream):
+				// the payload exists in memory; frame it from there.
+				if _, err := sw.Write(payload); err != nil {
+					return fmt.Errorf("ckpt: write: %w", err)
+				}
+			}
+			if err := sw.finish(); err != nil {
+				return fmt.Errorf("ckpt: write: %w", err)
+			}
+			rep.addEntry(name, encoded[i], int(sw.n))
+			// Breadcrumb for kill-mid-checkpoint replay: the furthest entry
+			// written and the stream bytes produced so far.
+			jop.Progress("entry:"+name, int64(cw.n))
+			return nil
 		})
-		rep.RawBytes += enc.RawBytes
-		rep.CompressedBytes += int(sw.n)
-		rep.addReuse(enc)
-		// Breadcrumb for kill-mid-checkpoint replay: the furthest entry
-		// written and the stream bytes produced so far.
-		jop.Progress("entry:"+name, int64(cw.n))
+		if err != nil {
+			return nil, err
+		}
+	}
+	if err := pipe.flush(); err != nil {
+		return nil, err
 	}
 	rep.FileBytes = cw.n
 	rep.Wall = time.Since(start)

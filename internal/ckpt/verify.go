@@ -71,9 +71,9 @@ func InspectStream(data []byte) (*StreamInfo, error) {
 
 // VerifyStream audits one checkpoint stream end to end: framing and
 // per-frame CRCs always, guard envelope CRCs and annotations when
-// present, and — with decode set — a full decode of every entry. It is
-// the verification callback store.Scrub uses to re-audit retained
-// generations beyond the store's own size+CRC check.
+// present, and — with decode set — a full decode of every entry, up to
+// workers at once. It is the verification callback store.Scrub uses to
+// re-audit retained generations beyond the store's own size+CRC check.
 func VerifyStream(data []byte, decode bool, workers int) error {
 	info, err := InspectStream(data)
 	if err != nil {
@@ -82,28 +82,17 @@ func VerifyStream(data []byte, decode bool, workers int) error {
 	if !decode {
 		return nil
 	}
-	codec, err := CodecByName(info.Codec)
+	codec, err := decoderFor(info.Codec, workers)
 	if err != nil {
 		return err
-	}
-	if lossy, ok := codec.(*Lossy); ok {
-		lossy.Options.Workers = workers
 	}
 	br := newByteReader(bytes.NewReader(data))
 	hdr, err := readStreamHeader(br)
 	if err != nil {
 		return err
 	}
-	for i := 0; i < hdr.Count; i++ {
-		ent, err := readEntry(br, hdr.Version, i)
-		if err != nil {
-			return err
-		}
-		if _, err := codec.Decode(ent.Payload, ent.Shape); err != nil {
-			return fmt.Errorf("ckpt: decoding %q: %w", ent.Name, err)
-		}
-	}
-	return nil
+	_, err = (&entryScan{codec: codec, workers: workers}).run(br, hdr)
+	return err
 }
 
 // StoreVerifier adapts VerifyStream to store.ScrubOptions.Verify.

@@ -138,8 +138,9 @@ type Codec = ckpt.Codec
 // Report aggregates one Checkpoint or Restore operation.
 type Report = ckpt.Report
 
-// NewManager returns a manager using the given codec; workers bounds the
-// parallel per-array compression (0 = GOMAXPROCS).
+// NewManager returns a manager using the given codec; workers bounds how
+// many registered arrays a checkpoint or restore works on at once (0 =
+// GOMAXPROCS).
 func NewManager(codec Codec, workers int) *Manager { return ckpt.NewManager(codec, workers) }
 
 // NewLossyCodec returns the paper's wavelet-based lossy codec with default

@@ -1,10 +1,12 @@
 // Benchmarks for the intra-array parallel compression engine (ISSUE PR 1):
 // a workers sweep over the chunked pipeline on the paper's NICAM array and
-// a 16×-larger variant, plus allocation counts on the pooled hot paths.
+// a 16×-larger variant, plus allocation counts on the pooled hot paths, and
+// the entry pipeline's workers sweep over a five-array checkpoint.
 // `make bench-parallel` distills these into BENCH_parallel.json.
 package lossyckpt
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -12,8 +14,11 @@ import (
 	"runtime"
 	"testing"
 
+	"lossyckpt/internal/ckpt"
+	"lossyckpt/internal/climate"
 	"lossyckpt/internal/core"
 	"lossyckpt/internal/grid"
+	"lossyckpt/internal/guard"
 	"lossyckpt/internal/gzipio"
 	"lossyckpt/internal/obs"
 	"lossyckpt/internal/obs/journal"
@@ -111,6 +116,68 @@ func BenchmarkChunkedParallelDecompress(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkCheckpointStreamClimate5 sweeps the entry pipeline's worker
+// count over the paper's checkpoint — the climate model's five 1156×82×2
+// arrays — streamed into memory and restored from it, under the lossy
+// codec and under guard PSNR ≥ 80. workers=1 is the serial entry loop;
+// every row writes the same bytes.
+func BenchmarkCheckpointStreamClimate5(b *testing.B) {
+	model, err := climate.New(climate.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	model.StepN(3)
+	sweep := []int{1, 2}
+	if p := runtime.GOMAXPROCS(0); p > 2 {
+		sweep = append(sweep, p)
+	}
+	codecs := []struct {
+		name string
+		new  func() ckpt.Codec
+	}{
+		{"lossy", func() ckpt.Codec { return ckpt.NewLossy() }},
+		{"guard", func() ckpt.Codec { return ckpt.NewGuard(guard.Policy{PSNRFloor: 80}) }},
+	}
+	for _, c := range codecs {
+		for _, workers := range sweep {
+			m := ckpt.NewManager(c.new(), workers)
+			raw := 0
+			for _, nf := range model.Fields() {
+				if err := m.Register(nf.Name, nf.Field.Clone()); err != nil {
+					b.Fatal(err)
+				}
+				raw += nf.Field.Bytes()
+			}
+			var stream bytes.Buffer
+			b.Run(fmt.Sprintf("%s/save/workers=%d", c.name, workers), func(b *testing.B) {
+				b.SetBytes(int64(raw))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					stream.Reset()
+					if _, err := m.CheckpointStream(&stream, i); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run(fmt.Sprintf("%s/restore/workers=%d", c.name, workers), func(b *testing.B) {
+				if stream.Len() == 0 {
+					if _, err := m.CheckpointStream(&stream, 0); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.SetBytes(int64(raw))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := m.Restore(bytes.NewReader(stream.Bytes())); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 
