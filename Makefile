@@ -80,9 +80,10 @@ crash-matrix-dedup:
 
 # bench-parallel runs the parallel-engine benchmarks that feed
 # BENCH_parallel.json (workers sweeps inside one array and across the
-# entries of a five-array checkpoint, plus allocation counts).
+# entries of a five-array checkpoint, the guard ladder on a bounded and an
+# escalating variable, the division walk, plus allocation counts).
 bench-parallel:
-	$(GO) test -run xxx -bench 'ChunkedParallel|Alloc|CheckpointStreamClimate5' -benchtime 3x .
+	$(GO) test -run xxx -bench 'ChunkedParallel|Alloc|CheckpointStreamClimate5|GuardEncodeClimate|ChooseDivisions' -benchtime 3x . ./internal/quant
 
 # bench-obs measures the observability tax (no-op vs live registry) that
 # feeds BENCH_obs.json.
@@ -125,7 +126,7 @@ bench-qa:
 # bench-smoke executes every benchmark once — CI's guard that the bench
 # code itself keeps compiling and running.
 bench-smoke:
-	$(GO) test -run xxx -bench 'ChunkedParallel|Alloc|CheckpointStreamClimate5|ParallelGzip|StreamingCheckpoint|Entropy|Dedup' -benchtime 1x .
+	$(GO) test -run xxx -bench 'ChunkedParallel|Alloc|CheckpointStreamClimate5|GuardEncodeClimate|ChooseDivisions|ParallelGzip|StreamingCheckpoint|Entropy|Dedup' -benchtime 1x . ./internal/quant
 
 # bench-compare diffs two BENCH_*.json snapshots and fails on >15%
 # ns_per_op regressions:  make bench-compare OLD=old.json NEW=new.json

@@ -292,67 +292,106 @@ func (o Options) legacyEntropy() bool {
 	return o.EntropyCodec == entropy.Gzip && !o.Shuffle
 }
 
-// Compress runs the full pipeline over the field. The input field is not
-// modified.
+// Compress runs the full pipeline over the field: the three steps below in
+// a row. The input field is not modified.
 func Compress(f *grid.Field, opts Options) (*Result, error) {
-	start := time.Now()
+	s, err := Transform(f, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer s.Release()
+	res, err := s.Quantize(opts)
+	if err == nil {
+		err = s.Encode()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// Stages is one array between the steps of Compress: transformed once,
+// quantized under any number of option sets that differ in stage 2 only,
+// and the latest of those encoded if it is worth a stream. internal/guard
+// decides its ladder on it; Release hands the scratch back.
+type Stages struct {
+	plan    *wavelet.Plan
+	work    *grid.Field  // the transformed copy
+	bufs    [3]*floatBuf // work copy, high pool, low band
+	nbufs   int
+	groups  [][]float64 // high-frequency pools of the latest Quantize: one, or one per band
+	quants  []*quant.Quantization
+	res     *Result
+	opts    Options
+	high    []float64
+	low     []float64 // gathered by the first Encode
+	obs     *obs.Registry
+	start   time.Time
+	timings Timings // work not yet reported in a Result
+}
+
+// floats returns pooled scratch that lives until Release.
+func (s *Stages) floats(n int) []float64 {
+	b := getFloats(n)
+	s.bufs[s.nbufs] = b
+	s.nbufs++
+	return b.s
+}
+
+// Transform is stage 1, on a copy: callers keep their data.
+func Transform(f *grid.Field, opts Options) (*Stages, error) {
+	s := &Stages{obs: opts.observer(), start: time.Now()}
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	res := &Result{RawBytes: f.Bytes()}
+	if max := wavelet.MaxLevels(f.Shape()); opts.Levels > max {
+		return nil, fmt.Errorf("%w: %d levels exceeds max %d for shape %v", ErrOptions, opts.Levels, max, f.Shape())
+	}
+	var err error
+	if s.plan, err = wavelet.NewPlan(f.Shape(), opts.Levels, opts.Scheme); err != nil {
+		return nil, err
+	}
+	work := s.floats(f.Len())
+	copy(work, f.Data())
+	if s.work, err = grid.FromSlice(work, f.Shape()...); err != nil {
+		return nil, err
+	}
+	if err := s.plan.TransformWorkers(s.work, opts.Workers); err != nil {
+		return nil, err
+	}
+	s.timings.Wavelet = time.Since(s.start)
+	return s, nil
+}
 
-	// Stage 1: wavelet transform (on a copy; callers keep their data).
+// Quantize is stage 2 under opts: it gathers the high-frequency
+// coefficients afresh — pooled across all bands (the paper's method) or per
+// sub-band — and quantizes them. The Result holds what the quantizer decided
+// and its error (MaxCoeffError) but no stream: enough for an analytic verdict.
+func (s *Stages) Quantize(opts Options) (*Result, error) {
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
 	t0 := time.Now()
-	levels := opts.Levels
-	if max := wavelet.MaxLevels(f.Shape()); levels > max {
-		return nil, fmt.Errorf("%w: %d levels exceeds max %d for shape %v", ErrOptions, levels, max, f.Shape())
-	}
-	plan, err := wavelet.NewPlan(f.Shape(), levels, opts.Scheme)
-	if err != nil {
-		return nil, err
-	}
-	// The working copy, the gathered high pool and the low band are scratch
-	// that dies with this call; all three come from the shared pool.
-	workBuf := getFloats(f.Len())
-	defer workBuf.put()
-	copy(workBuf.s, f.Data())
-	work, err := grid.FromSlice(workBuf.s, f.Shape()...)
-	if err != nil {
-		return nil, err
-	}
-	if err := plan.TransformWorkers(work, opts.Workers); err != nil {
-		return nil, err
-	}
-	res.Timings.Wavelet = time.Since(t0)
-
-	// Stage 2: quantize the high-frequency coefficients — pooled across
-	// all bands (the paper's method) or separately per sub-band.
-	t0 = time.Now()
-	qcfg := quant.Config{
-		Method:         opts.Method,
-		Divisions:      opts.Divisions,
-		SpikeDivisions: opts.SpikeDivisions,
-		LogScale:       opts.LogQuant,
-	}
-	var highGroups [][]float64
+	defer func() { s.timings.Quantize += time.Since(t0) }()
 	if opts.PerBandQuant {
-		all, err := plan.GatherBands(work)
+		all, err := s.plan.GatherBands(s.work)
 		if err != nil {
 			return nil, err
 		}
 		// Bands() lists high bands first, the low band last; drop the low.
-		highGroups = all[:len(all)-1]
+		s.groups = all[:len(all)-1]
 	} else {
-		highBuf := getFloats(plan.HighCount())
-		defer highBuf.put()
-		high, err := plan.GatherHigh(work, highBuf.s)
+		if s.high == nil {
+			s.high = s.floats(s.plan.HighCount())
+		}
+		high, err := s.plan.GatherHigh(s.work, s.high)
 		if err != nil {
 			return nil, err
 		}
-		highGroups = [][]float64{high}
+		s.groups = [][]float64{high}
 	}
 	if opts.ZeroThreshold > 0 && !opts.LosslessBands {
-		for _, g := range highGroups {
+		for _, g := range s.groups {
 			for i, v := range g {
 				if v <= opts.ZeroThreshold && v >= -opts.ZeroThreshold {
 					g[i] = 0
@@ -360,85 +399,97 @@ func Compress(f *grid.Field, opts Options) (*Result, error) {
 			}
 		}
 	}
-	quants := make([]*quant.Quantization, len(highGroups))
-	for i, g := range highGroups {
+	res := &Result{RawBytes: s.work.Bytes()}
+	s.res, s.opts, s.quants = nil, opts, make([]*quant.Quantization, len(s.groups))
+	qcfg := quant.Config{
+		Method:         opts.Method,
+		Divisions:      opts.Divisions,
+		SpikeDivisions: opts.SpikeDivisions,
+		LogScale:       opts.LogQuant,
+	}
+	scratch := getFloats(s.plan.HighCount()) // the quantizer's compacted pool
+	defer scratch.put()
+	for i, g := range s.groups {
 		res.NumHigh += len(g)
 		var q *quant.Quantization
-		if opts.LosslessBands {
+		var e float64
+		var err error
+		switch {
+		case opts.LosslessBands:
 			q = quant.PassthroughAll(len(g))
-		} else if opts.ErrorBound > 0 {
-			n, chosen, err := quant.ChooseDivisions(g, opts.ErrorBound, opts.Method, opts.SpikeDivisions)
+		case opts.ErrorBound > 0:
+			var n int
+			n, q, e, err = quant.ChooseDivisionsMeasured(g, opts.ErrorBound, opts.Method, opts.SpikeDivisions, scratch.s)
 			if err == quant.ErrBoundUnreachable {
-				res.BoundUnreachable = true
-			} else if err != nil {
-				return nil, err
+				res.BoundUnreachable, err = true, nil
 			}
-			q = chosen
-			if n > res.EffectiveDivisions {
-				res.EffectiveDivisions = n
-			}
-		} else {
-			var err error
-			q, err = quant.Quantize(g, qcfg)
-			if err != nil {
-				return nil, err
-			}
+			res.EffectiveDivisions = max(res.EffectiveDivisions, n)
+		default:
+			q, e, err = quant.QuantizeMeasured(g, qcfg, scratch.s)
 			res.EffectiveDivisions = opts.Divisions
 		}
-		res.NumQuantized += q.NumQuantized
-		res.SpikePartitions += q.SpikePartitions
-		if q.NumQuantized > 0 {
-			e, err := quant.MaxQuantizationError(g, q)
-			if err != nil {
-				return nil, err
-			}
-			if e > res.MaxCoeffError {
-				res.MaxCoeffError = e
-			}
-		}
-		quants[i] = q
-	}
-	res.Timings.Quantize = time.Since(t0)
-
-	// Stage 3: encode.
-	t0 = time.Now()
-	bands := make([]*encode.EncodedBand, len(highGroups))
-	for i, g := range highGroups {
-		band, err := encode.Encode(g, quants[i])
 		if err != nil {
 			return nil, err
 		}
+		res.NumQuantized += q.NumQuantized
+		res.SpikePartitions += q.SpikePartitions
+		res.MaxCoeffError = max(res.MaxCoeffError, e)
+		s.quants[i] = q
+	}
+	s.res = res
+	return res, nil
+}
+
+// Encode is stages 3–4 for the latest Quantize, filling in the Result that
+// call returned. It reports every stage since the last Encode, abandoned
+// quantizations included, as one compression. Encoding twice is a no-op.
+func (s *Stages) Encode() error {
+	res, opts := s.res, s.opts
+	if res == nil {
+		return fmt.Errorf("core: Encode without a quantization")
+	}
+	if res.Data != nil {
+		return nil
+	}
+	// Stage 3: encode.
+	t0 := time.Now()
+	bands := make([]*encode.EncodedBand, len(s.groups))
+	for i, g := range s.groups {
+		band, err := encode.Encode(g, s.quants[i])
+		if err != nil {
+			return err
+		}
 		bands[i] = band
 	}
-	res.Timings.Encode = time.Since(t0)
+	s.timings.Encode = time.Since(t0)
 
 	// Stage 4a: format.
 	t0 = time.Now()
-	lowBuf := getFloats(plan.LowCount())
-	defer lowBuf.put()
-	low, err := plan.GatherLow(work, lowBuf.s)
-	if err != nil {
-		return nil, err
+	if s.low == nil {
+		var err error
+		if s.low, err = s.plan.GatherLow(s.work, s.floats(s.plan.LowCount())); err != nil {
+			return err
+		}
 	}
 	arch := &container.Archive{
 		Params: container.Params{
 			Scheme:         opts.Scheme,
 			Method:         opts.Method,
-			Levels:         levels,
+			Levels:         opts.Levels,
 			Divisions:      opts.Divisions,
 			SpikeDivisions: opts.SpikeDivisions,
 			PerBand:        opts.PerBandQuant,
 		},
-		Shape: f.Shape(),
-		Low:   low,
+		Shape: s.work.Shape(),
+		Low:   s.low,
 		Bands: bands,
 	}
 	formatted, err := arch.Bytes()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	res.FormattedBytes = len(formatted)
-	res.Timings.Format = time.Since(t0)
+	s.timings.Format = time.Since(t0)
 
 	// Stage 4b/4c: the entropy coder. The default configuration (gzip, no
 	// shuffle) goes straight through gzipio and stays byte-identical to
@@ -450,36 +501,47 @@ func Compress(f *grid.Field, opts Options) (*Result, error) {
 			gz, err = gzipio.CompressParallel(formatted, opts.GzipLevel, opts.GzipFormat, gzipio.ParallelOptions{
 				BlockSize: opts.GzipBlock,
 				Workers:   opts.Workers,
-				Observer:  opts.observer(),
+				Observer:  s.obs,
 			})
 		} else {
 			gz, err = gzipio.CompressFormat(formatted, opts.GzipLevel, opts.GzipMode, opts.TmpDir, opts.GzipFormat)
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
-		res.Timings.TempWrite = gz.TempWrite
-		res.Timings.Gzip = gz.Gzip
+		s.timings.TempWrite = gz.TempWrite
+		s.timings.Gzip = gz.Gzip
 		res.Data = gz.Compressed
 	} else {
 		ent, err := entropy.Compress(formatted, opts.entropyParams())
 		if err != nil {
-			return nil, err
+			return err
 		}
-		res.Timings.Gzip = ent.CodeTime
+		s.timings.Gzip = ent.CodeTime
 		res.Data = ent.Compressed
 	}
 	res.CompressedBytes = len(res.Data)
-	res.Timings.Total = time.Since(start)
-	res.Timings.CPUTotal = res.Timings.Total
-	if o := opts.observer(); o != nil {
-		recordStageSeconds(o, res.Timings)
+	s.timings.Total = time.Since(s.start)
+	s.timings.CPUTotal = s.timings.Total
+	res.Timings, s.quants = s.timings, nil
+	s.timings, s.start = Timings{}, time.Now()
+	if s.obs != nil {
+		recordStageSeconds(s.obs, res.Timings)
 		if !opts.chunkInternal {
-			recordCompressOp(o, "single", res.RawBytes, res.CompressedBytes, res.Timings)
-			entropy.RecordSelection(o, opts.entropyParams().Label(), opts.VarName)
+			recordCompressOp(s.obs, "single", res.RawBytes, res.CompressedBytes, res.Timings)
+			entropy.RecordSelection(s.obs, opts.entropyParams().Label(), opts.VarName)
 		}
 	}
-	return res, nil
+	return nil
+}
+
+// Release returns the scratch to the pool and reports the planning that no
+// stream paid for (a ladder that abandoned every rung it quantized).
+func (s *Stages) Release() {
+	recordStageSeconds(s.obs, s.timings)
+	for ; s.nbufs > 0; s.nbufs-- { // last taken first: the pool hands them back in the order the next array asks
+		s.bufs[s.nbufs-1].put()
+	}
 }
 
 // Decompress inverts the pipeline, reconstructing the (lossy) field from a

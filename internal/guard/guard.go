@@ -10,6 +10,11 @@
 //  3. lossless_bands    per-band lossless passthrough (wavelet kept)
 //  4. lossless          whole-variable gzip-only, bit exact
 //
+// The three lossy rungs differ in stage 2 only, so a variable is transformed
+// once (core.Stages), each rung is quantized and judged, and stages 3–4 run
+// for the rung that ships. The analytic verdict needs the coefficient error
+// alone; decode verification builds the stream of every rung it measures.
+//
 // The final rung needs no verification, so the ladder can never ship a
 // silent violation: a variable either provably meets its declared bound
 // or is marked lossless-fallback in its annotation. Tao et al. ("Improving
@@ -132,8 +137,9 @@ type Policy struct {
 	BackoffCap time.Duration
 	// Sleep is swappable for tests (nil = time.Sleep).
 	Sleep func(time.Duration)
-	// PerVar overrides the bound fields (MaxAbs/MaxRel/PSNRFloor/Verify)
-	// for specific variables by name; unset fields inherit the base.
+	// PerVar overrides MaxAbs, MaxRel, PSNRFloor, Verify, MaxAttempts and
+	// MaxDuration by variable name. A zero field inherits the base, so an
+	// override can tighten VerifyAnalytic to VerifyDecode, never the reverse.
 	PerVar map[string]Policy
 	// Observer receives guard metrics; nil falls back to obs.Default().
 	Observer *obs.Registry
@@ -143,7 +149,7 @@ type Policy struct {
 func (p Policy) Enforced() bool { return p.MaxAbs > 0 || p.MaxRel > 0 || p.PSNRFloor > 0 }
 
 // ForVar resolves the effective policy for a named variable: the base
-// with any per-variable override's non-zero bound fields applied.
+// with the non-zero overridable fields of its PerVar entry applied.
 func (p Policy) ForVar(name string) Policy {
 	o, ok := p.PerVar[name]
 	if !ok {
@@ -214,15 +220,15 @@ type Outcome struct {
 	RawBytes int
 }
 
-// rung is one step of the degradation ladder.
+// rung is one step of the degradation ladder: the base options with stage 2
+// changed. ok is false when the rung cannot help (the coefficient target is
+// already below arithmetic noise, or the base method is what it would
+// switch to).
 type rung struct {
 	name string
 	mode Mode
-	// build returns the compression options for this rung, or ok=false
-	// when the rung cannot help (e.g. the coefficient target is already
-	// below arithmetic noise, or the base method is what the rung would
-	// switch to).
-	build func() (core.Options, bool)
+	opts core.Options
+	ok   bool
 }
 
 // Encode compresses one variable under the policy. The name selects
@@ -273,24 +279,15 @@ func Encode(name string, f *grid.Field, base core.Options, pol Policy) (*Outcome
 	if pol.Verify == VerifyAnalytic {
 		coeffTarget = (effAbs - slack) / amp
 	}
+	bounded, bands := base, base
+	bounded.ErrorBound = coeffTarget
+	bands.ErrorBound, bands.LosslessBands = 0, true
+	simple := bounded
+	simple.Method = quant.Simple
 	ladder := []rung{
-		{"choose_divisions", Bounded, func() (core.Options, bool) {
-			opts := base
-			opts.ErrorBound = coeffTarget
-			return opts, coeffTarget > 0
-		}},
-		{"simple_method", Bounded, func() (core.Options, bool) {
-			opts := base
-			opts.ErrorBound = coeffTarget
-			opts.Method = quant.Simple
-			return opts, coeffTarget > 0 && base.Method != quant.Simple
-		}},
-		{"lossless_bands", LosslessBands, func() (core.Options, bool) {
-			opts := base
-			opts.ErrorBound = 0
-			opts.LosslessBands = true
-			return opts, true
-		}},
+		{"choose_divisions", Bounded, bounded, coeffTarget > 0},
+		{"simple_method", Bounded, simple, coeffTarget > 0 && base.Method != quant.Simple},
+		{"lossless_bands", LosslessBands, bands, true},
 	}
 
 	// Non-finite values poison the wavelet transform's neighbours (Inf−Inf
@@ -300,6 +297,23 @@ func Encode(name string, f *grid.Field, base core.Options, pol Policy) (*Outcome
 	// to the bit-exact rung either way.
 	skipLossy := !finite
 	violations := 0
+	var st *core.Stages // transformed at the first lossy attempt, shared by all
+	defer func() {
+		if st != nil {
+			st.Release()
+		}
+	}()
+	attempt := func(opts core.Options) (res *core.Result, err error) {
+		if st == nil {
+			if st, err = core.Transform(f, opts); err != nil {
+				return nil, err
+			}
+		}
+		if res, err = st.Quantize(opts); err == nil && pol.Verify == VerifyDecode {
+			err = st.Encode()
+		}
+		return res, err
+	}
 	for _, r := range ladder {
 		if skipLossy {
 			escalate(o, name, r.name, "non-finite data")
@@ -313,22 +327,24 @@ func Encode(name string, f *grid.Field, base core.Options, pol Policy) (*Outcome
 			ann.Escalations++
 			continue
 		}
-		opts, ok := r.build()
-		if !ok {
+		if !r.ok {
 			escalate(o, name, r.name, "rung not applicable")
 			ann.Escalations++
 			continue
 		}
 		ann.Attempts++
-		res, err := core.Compress(f, opts)
+		res, err := attempt(r.opts)
 		if err != nil {
 			return nil, fmt.Errorf("guard: rung %s: %w", r.name, err)
 		}
-		v, err := verify(f, res, opts, pol, rng, amp, slack)
+		v, err := verify(f, res, r.opts, pol, rng, amp, slack)
 		if err != nil {
 			return nil, fmt.Errorf("guard: verify %s: %w", r.name, err)
 		}
 		if v.ok {
+			if err := st.Encode(); err != nil {
+				return nil, fmt.Errorf("guard: rung %s: %w", r.name, err)
+			}
 			ann.Mode = r.mode
 			ann.AchievedMaxAbs, ann.AchievedMaxRel, ann.AchievedPSNR = v.maxAbs, v.maxRel, v.psnr
 			record(o, name, ann)

@@ -4,12 +4,15 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
 	"lossyckpt/internal/core"
 	"lossyckpt/internal/grid"
 	"lossyckpt/internal/obs"
+	"lossyckpt/internal/obs/journal"
 	"lossyckpt/internal/quant"
 	"lossyckpt/internal/stats"
 	"lossyckpt/internal/wavelet"
@@ -323,6 +326,125 @@ func TestGuardMetrics(t *testing.T) {
 		if !found[want] {
 			t.Errorf("metric %s not recorded (have %v)", want, found)
 		}
+	}
+	t.Run("analytic ladder", testGuardMetricsAnalyticLadder)
+}
+
+// Under analytic verification a ladder that abandons two rungs builds one
+// stream, and the telemetry says so — one compression, each of its stages
+// reported once with the abandoned rungs' planning under "quantize" — while
+// the guard's own trail (escalations by step, violations, journal notes,
+// final mode) reads as it always did.
+func testGuardMetricsAnalyticLadder(t *testing.T) {
+	j, err := journal.Open(filepath.Join(t.TempDir(), "run.jsonl"), journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer journal.SetDefault(journal.SetDefault(j))
+
+	reg := obs.NewRegistry()
+	f := makeField(t, "noise", 17)
+	base := core.DefaultOptions()
+	base.Observer = reg
+	out, err := Encode("rho", f, base, Policy{MaxAbs: 1e-6, Observer: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ann := out.Annotation; ann.Mode != LosslessBands || ann.Attempts != 3 || ann.Escalations != 2 {
+		t.Fatalf("want two abandoned rungs and lossless bands, got %+v", ann)
+	}
+	inner, err := InnerPayload(out.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	counter := func(name string, labels ...string) float64 { return reg.Counter(name, labels...).Value() }
+	for _, c := range []struct {
+		what string
+		got  float64
+		want float64
+	}{
+		{"compress operations", counter(core.MetricCompressOps, "kind", "single"), 1},
+		{"raw bytes", counter(core.MetricCompressRawBytes), float64(f.Bytes())},
+		{"compressed bytes", counter(core.MetricCompressOutBytes), float64(len(inner))},
+		{"wall observations", float64(reg.Histogram(core.MetricCompressWall, obs.DurationBuckets).Count()), 1},
+		{"escalations at choose_divisions", counter(MetricEscalations, "step", "choose_divisions"), 1},
+		{"escalations at simple_method", counter(MetricEscalations, "step", "simple_method"), 1},
+		{"escalations at lossless_bands", counter(MetricEscalations, "step", "lossless_bands"), 0},
+		{"violations", counter(MetricViolations), 2},
+		{"lossless-bands encodes", counter(MetricEncodes, "mode", "lossless-bands"), 1},
+		{"final mode", reg.Gauge(MetricFinalMode, "var", "rho").Value(), float64(LosslessBands)},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: %g, want %g", c.what, c.got, c.want)
+		}
+	}
+	// The stages of the one compression sum to its CPU time, so none was
+	// reported twice and the planning of the abandoned rungs is in there.
+	sum := 0.0
+	for _, stage := range []string{"wavelet", "quantize", "encode", "format", "gzip", "other"} {
+		v := counter(core.MetricStageSeconds, "stage", stage)
+		if v <= 0 && stage != "other" {
+			t.Errorf("stage %s: no time recorded", stage)
+		}
+		sum += v
+	}
+	if cpu := counter(core.MetricCompressCPU); math.Abs(sum-cpu) > 1e-9*cpu {
+		t.Errorf("stage seconds sum to %g, the one compression took %g", sum, cpu)
+	}
+
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := journal.ReadAll(j.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var steps []string
+	for _, r := range recs {
+		if r.Op == "guard.escalate" && r.Attrs["var"] == "rho" {
+			steps = append(steps, r.Attrs["step"]+": "+r.Attrs["why"])
+		}
+	}
+	if want := []string{"choose_divisions: bound violated", "simple_method: bound violated"}; !slices.Equal(steps, want) {
+		t.Errorf("journal notes %q, want %q", steps, want)
+	}
+}
+
+// TestGuardPerVarZeroValueRule: every overridable field of a PerVar entry
+// applies when non-zero and inherits the base when zero — which is why an
+// override cannot turn a base VerifyDecode back into VerifyAnalytic.
+func TestGuardPerVarZeroValueRule(t *testing.T) {
+	base := Policy{MaxAbs: 1, MaxRel: 0.5, PSNRFloor: 40, Verify: VerifyDecode,
+		MaxAttempts: 5, MaxDuration: time.Second, BackoffBase: time.Millisecond}
+	for _, tc := range []struct {
+		name     string
+		override Policy
+		want     Policy
+	}{
+		{"empty override inherits everything", Policy{}, base},
+		{"max-abs", Policy{MaxAbs: 1e-3}, func() Policy { p := base; p.MaxAbs = 1e-3; return p }()},
+		{"max-rel", Policy{MaxRel: 1e-4}, func() Policy { p := base; p.MaxRel = 1e-4; return p }()},
+		{"psnr floor", Policy{PSNRFloor: 90}, func() Policy { p := base; p.PSNRFloor = 90; return p }()},
+		{"attempt budget", Policy{MaxAttempts: 2}, func() Policy { p := base; p.MaxAttempts = 2; return p }()},
+		{"time budget", Policy{MaxDuration: time.Minute}, func() Policy { p := base; p.MaxDuration = time.Minute; return p }()},
+		{"analytic is the zero value and cannot override decode", Policy{Verify: VerifyAnalytic}, base},
+		{"backoff is not overridable", Policy{BackoffBase: time.Hour, BackoffCap: time.Hour}, base},
+	} {
+		pol := base
+		pol.PerVar = map[string]Policy{"v": tc.override}
+		got := pol.ForVar("v")
+		if got.PerVar != nil {
+			t.Errorf("%s: resolved policy still carries overrides", tc.name)
+		}
+		if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", tc.want) {
+			t.Errorf("%s:\n got  %+v\n want %+v", tc.name, got, tc.want)
+		}
+	}
+	// The direction that does work: an analytic base, a paranoid variable.
+	pol := Policy{MaxAbs: 1, PerVar: map[string]Policy{"v": {Verify: VerifyDecode}}}
+	if pol.ForVar("v").Verify != VerifyDecode || pol.ForVar("w").Verify != VerifyAnalytic {
+		t.Errorf("analytic base with a decode override resolved to %v / %v", pol.ForVar("v").Verify, pol.ForVar("w").Verify)
 	}
 }
 

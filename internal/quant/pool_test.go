@@ -1,0 +1,341 @@
+package quant
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+)
+
+// refQuantize is Quantize as it stood before the pool was compacted: the
+// selection passes followed by one fused pass through the selector. It is
+// the reference the shared tally is held to.
+func refQuantize(values []float64, cfg Config) (*Quantization, error) {
+	cfg, err := cfg.validate()
+	if err != nil {
+		return nil, err
+	}
+	q := &Quantization{
+		Averages: make([]float64, cfg.Divisions),
+		Mask:     make([]bool, len(values)),
+	}
+	if len(values) == 0 {
+		q.Codes = []uint8{}
+		return q, nil
+	}
+	sel := selectAll(values)
+	if cfg.Method == Proposed && sel.nSel > 0 {
+		sel = spikeSelect(values, cfg.SpikeDivisions, sel)
+		q.SpikePartitions = sel.nSpiked
+	}
+	if sel.nSel == 0 {
+		q.Codes = []uint8{}
+		return q, nil
+	}
+	part := makePartitioner(sel.lo, sel.hi, cfg.Divisions, cfg.LogScale)
+	sums := make([]float64, cfg.Divisions)
+	counts := make([]int, cfg.Divisions)
+	q.Codes = make([]uint8, 0, sel.nSel)
+	for i, v := range values {
+		if !isFinite(v) || !sel.selector(v) {
+			continue
+		}
+		pi := part.index(part.warp(v))
+		sums[pi] += v
+		counts[pi]++
+		q.Mask[i] = true
+		q.Codes = append(q.Codes, uint8(pi))
+	}
+	for i := range sums {
+		if counts[i] > 0 {
+			q.Averages[i] = sums[i] / float64(counts[i])
+		}
+	}
+	q.NumQuantized = len(q.Codes)
+	return q, nil
+}
+
+// refChooseDivisions is ChooseDivisions as it stood before candidates were
+// evaluated on the pool: a full quantization and an error scan per
+// candidate, the downward "refinement" that always stopped at its first
+// try included.
+func refChooseDivisions(values []float64, bound float64, method Method, spikeDivisions int) (int, *Quantization, error) {
+	if bound < 0 || math.IsNaN(bound) {
+		return 0, nil, fmt.Errorf("%w: error bound %g", ErrConfig, bound)
+	}
+	try := func(n int) (*Quantization, float64, error) {
+		q, err := refQuantize(values, Config{Method: method, Divisions: n, SpikeDivisions: spikeDivisions})
+		if err != nil {
+			return nil, 0, err
+		}
+		e, err := MaxQuantizationError(values, q)
+		return q, e, err
+	}
+	q1, e1, err := try(1)
+	if err != nil {
+		return 0, nil, err
+	}
+	if e1 <= bound {
+		return 1, q1, nil
+	}
+	if bound == 0 {
+		qc, ec, err := try(MaxDivisions)
+		if err != nil {
+			return 0, nil, err
+		}
+		if ec == 0 {
+			return MaxDivisions, qc, nil
+		}
+		return MaxDivisions, qc, ErrBoundUnreachable
+	}
+	var best *Quantization
+	for n := 2; n <= MaxDivisions; n *= 2 {
+		q, e, err := try(n)
+		if err != nil {
+			return 0, nil, err
+		}
+		best = q
+		if e <= bound {
+			for m := n / 2; m > 0; m-- {
+				qm, em, err := try(m)
+				if err != nil {
+					return 0, nil, err
+				}
+				if em <= bound {
+					best = qm
+					continue
+				}
+				break
+			}
+			return len(best.Averages), best, nil
+		}
+		if n == 128 {
+			q, e, err := try(MaxDivisions)
+			if err != nil {
+				return 0, nil, err
+			}
+			if e <= bound {
+				return MaxDivisions, q, nil
+			}
+			return MaxDivisions, q, ErrBoundUnreachable
+		}
+	}
+	return len(best.Averages), best, nil
+}
+
+// propertyPools is the corpus of the pool properties: every shape of
+// input that takes a different path through selection or partitioning.
+func propertyPools(rng *rand.Rand) map[string][]float64 {
+	nan, inf := math.NaN(), math.Inf(1)
+	pools := map[string][]float64{
+		"empty":          {},
+		"single":         {42},
+		"constant":       {3.25, 3.25, 3.25, 3.25, 3.25},
+		"all non-finite": {nan, inf, -inf, nan},
+		"signed zeros":   {0, math.Copysign(0, -1), 0, math.Copysign(0, -1)},
+		"huge":           {math.MaxFloat64, -math.MaxFloat64, math.MaxFloat64, 1, -1},
+	}
+	gauss := make([]float64, 4000)
+	heavy := make([]float64, 4000)
+	few := make([]float64, 3000)
+	denormal := make([]float64, 2000)
+	holes := make([]float64, 3000)
+	uniform := make([]float64, 2560)
+	for i := range gauss {
+		gauss[i] = rng.NormFloat64() * 1e-3
+		heavy[i] = rng.NormFloat64() * math.Exp(6*rng.NormFloat64())
+	}
+	for i := range few {
+		few[i] = float64(rng.Intn(7)) * 1000.5
+	}
+	for i := range denormal {
+		denormal[i] = float64(rng.Intn(4096)-2048) * math.SmallestNonzeroFloat64
+	}
+	for i := range holes {
+		holes[i] = rng.NormFloat64()
+		switch rng.Intn(40) {
+		case 0:
+			holes[i] = nan
+		case 1:
+			holes[i] = inf
+		case 2:
+			holes[i] = -inf
+		}
+	}
+	for i := range uniform { // every histogram partition is spiked
+		uniform[i] = float64(i % 256)
+	}
+	pools["gaussian"], pools["heavy-tailed"], pools["few distinct"] = gauss, heavy, few
+	pools["denormal"], pools["non-finite holes"], pools["uniform"] = denormal, holes, uniform
+	return pools
+}
+
+var bothMethods = []Method{Simple, Proposed}
+
+// TestCandidateEvaluationMatchesScan: the one-pass evaluation of a division
+// count is MaxQuantizationError of the full quantization, bit for bit, and
+// the quantization the pool materialises is the reference one — linear and
+// log partitions, scratch given or not.
+func TestCandidateEvaluationMatchesScan(t *testing.T) {
+	for name, values := range propertyPools(rand.New(rand.NewSource(1))) {
+		orig := append([]float64(nil), values...)
+		scratch := make([]float64, len(values))
+		for _, method := range bothMethods {
+			for _, logScale := range []bool{false, true} {
+				sel := selectPool(values, method, DefaultSpikeDivisions, nil)
+				var tl tally
+				codes := make([]uint8, len(sel.vals))
+				for _, n := range []int{1, 2, 3, 4, 8, 16, 32, 64, 100, 128, 255} {
+					cfg := Config{Method: method, Divisions: n, LogScale: logScale}
+					want, err := refQuantize(values, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantErr, err := MaxQuantizationError(values, want)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := sel.evaluate(n, logScale, &tl, codes); math.Float64bits(got) != math.Float64bits(wantErr) {
+						t.Errorf("%s/%v/log=%v n=%d: one-pass error %g, scan %g", name, method, logScale, n, got, wantErr)
+					}
+					got, gotErr, err := QuantizeMeasured(values, cfg, scratch)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) || math.Float64bits(gotErr) != math.Float64bits(wantErr) {
+						t.Errorf("%s/%v/log=%v n=%d: quantization differs from the reference (error %g, want %g)",
+							name, method, logScale, n, gotErr, wantErr)
+					}
+				}
+			}
+		}
+		for i := range values { // by bits: the pools hold NaNs
+			if math.Float64bits(values[i]) != math.Float64bits(orig[i]) {
+				t.Fatalf("%s: input modified at %d", name, i)
+			}
+		}
+	}
+}
+
+// TestChooseDivisionsMatchesReference: same n, same error and the same
+// Quantization as the per-candidate full scan, for both methods and bounds
+// from exactness to anything-goes.
+func TestChooseDivisionsMatchesReference(t *testing.T) {
+	bounds := []float64{0, 1e-300, 1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1}
+	calls := 0
+	for seed := int64(1); seed <= 4; seed++ {
+		for name, values := range propertyPools(rand.New(rand.NewSource(seed))) {
+			rng := finiteRange(values)
+			scratch := make([]float64, len(values))
+			for _, method := range bothMethods {
+				for _, b := range bounds {
+					for _, bound := range []float64{b, b * rng} {
+						calls++
+						wantN, wantQ, wantErr := refChooseDivisions(values, bound, method, DefaultSpikeDivisions)
+						gotN, gotQ, gotE, gotErr := ChooseDivisionsMeasured(values, bound, method, DefaultSpikeDivisions, scratch)
+						if gotN != wantN || !errors.Is(gotErr, wantErr) || !reflect.DeepEqual(gotQ, wantQ) {
+							t.Fatalf("seed %d %s/%v bound %g: got n=%d err=%v, want n=%d err=%v (quantizations equal: %v)",
+								seed, name, method, bound, gotN, gotErr, wantN, wantErr, reflect.DeepEqual(gotQ, wantQ))
+						}
+						scan, err := MaxQuantizationError(values, wantQ)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if math.Float64bits(gotE) != math.Float64bits(scan) {
+							t.Fatalf("seed %d %s/%v bound %g: reported error %g, scan %g", seed, name, method, bound, gotE, scan)
+						}
+						n, q, err := ChooseDivisions(values, bound, method, DefaultSpikeDivisions)
+						if n != wantN || !errors.Is(err, wantErr) || !reflect.DeepEqual(q, wantQ) {
+							t.Fatalf("seed %d %s/%v bound %g: ChooseDivisions differs from its measured form", seed, name, method, bound)
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d calls compared", calls)
+	if _, _, err := ChooseDivisions([]float64{1, 2}, 0.1, Method(7), 64); !errors.Is(err, ErrConfig) {
+		t.Errorf("unknown method: err = %v, want ErrConfig", err)
+	}
+	if _, _, err := ChooseDivisions([]float64{1, 2}, 0.1, Proposed, -1); !errors.Is(err, ErrConfig) {
+		t.Errorf("negative spike divisions: err = %v, want ErrConfig", err)
+	}
+}
+
+// finiteRange is the range of the finite values (0 when there are none or
+// it overflows), to scale the relative bounds by.
+func finiteRange(values []float64) float64 {
+	sel := selectAll(values)
+	if sel.nSel == 0 || math.IsInf(sel.hi-sel.lo, 0) {
+		return 0
+	}
+	return sel.hi - sel.lo
+}
+
+// TestCandidateEvaluationAllocatesNothing pins what makes a candidate
+// cheap: no mask, no codes, no tables.
+func TestCandidateEvaluationAllocatesNothing(t *testing.T) {
+	values := propertyPools(rand.New(rand.NewSource(3)))["gaussian"]
+	sel := selectPool(values, Proposed, DefaultSpikeDivisions, nil)
+	codes := make([]uint8, len(sel.vals))
+	if a := testing.AllocsPerRun(20, func() { var tl tally; sel.evaluate(128, false, &tl, codes) }); a != 0 {
+		t.Errorf("candidate evaluation allocates %.0f times per run, want 0", a)
+	}
+}
+
+// BenchmarkChooseDivisions times the three ways a bounded quantization of
+// a checkpoint-sized high band (the paper's 1156×82×2 array has ~166k
+// coefficients) can end: the walk reaches the bound at n = 128 (eight
+// candidates), never reaches it (nine, shipped at the cap), or n = 1
+// already meets it (one).
+func BenchmarkChooseDivisions(b *testing.B) {
+	rng := rand.New(rand.NewSource(2015))
+	values := make([]float64, 165886)
+	for i := range values {
+		values[i] = rng.NormFloat64() * 1e-2
+		if rng.Intn(50) == 0 {
+			values[i] *= 40 // the tail the spike detector leaves alone
+		}
+	}
+	scratch := make([]float64, len(values))
+	// The bounds that n = 128 and n = 1 meet exactly: their own errors.
+	_, e128, err := QuantizeMeasured(values, Config{Method: Proposed, Divisions: 128}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, e1, err := QuantizeMeasured(values, Config{Method: Proposed, Divisions: 1}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, row := range []struct {
+		name  string
+		bound float64
+		wantN int
+	}{
+		{"reached_at_128", e128, 128},
+		{"unreachable", 1e-12, MaxDivisions},
+		{"n1_fast_path", e1, 1},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			b.SetBytes(int64(8 * len(values)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				n, _, _, err := ChooseDivisionsMeasured(values, row.bound, Proposed, DefaultSpikeDivisions, scratch)
+				if n != row.wantN || (err != nil && !errors.Is(err, ErrBoundUnreachable)) {
+					b.Fatalf("n = %d (want %d), err = %v", n, row.wantN, err)
+				}
+			}
+		})
+		b.Run(row.name+"/reference", func(b *testing.B) {
+			b.SetBytes(int64(8 * len(values)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if n, _, _ := refChooseDivisions(values, row.bound, Proposed, DefaultSpikeDivisions); n != row.wantN {
+					b.Fatalf("n = %d, want %d", n, row.wantN)
+				}
+			}
+		})
+	}
+}

@@ -25,8 +25,12 @@
 // Non-finite values (NaN, ±Inf) are never quantized; they pass through via
 // the bitmap in both methods so decompression is exact for them.
 //
-// All passes are O(len(values)), preserving the paper's O(n) overall
-// complexity claim (§III).
+// Cost: selecting the pool is two passes over the input (range, spike
+// histogram) and one that compacts the selected values; each division
+// number tried after that is one allocation-free pass over the compacted
+// pool. ChooseDivisions tries at most nine and builds mask, codes and table
+// for the winner only. Every pass is O(len(values)), preserving the paper's
+// O(n) overall complexity claim (§III).
 package quant
 
 import (
@@ -157,69 +161,120 @@ func (q *Quantization) Passthrough(values []float64, dst []float64) ([]float64, 
 // array) and returns the quantization mapping. The input slice is not
 // modified.
 func Quantize(values []float64, cfg Config) (*Quantization, error) {
+	q, _, err := QuantizeMeasured(values, cfg, nil)
+	return q, err
+}
+
+// QuantizeMeasured is Quantize that also returns MaxQuantizationError of
+// the result, without the scan. scratch, when large enough, holds the
+// compacted pool during the call; it must not overlap values.
+func QuantizeMeasured(values []float64, cfg Config, scratch []float64) (*Quantization, float64, error) {
 	cfg, err := cfg.validate()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	q := &Quantization{
-		Averages: make([]float64, cfg.Divisions),
-		Mask:     make([]bool, len(values)),
-	}
-	if len(values) == 0 {
-		q.Codes = []uint8{}
-		return q, nil
-	}
+	sel := selectPool(values, cfg.Method, cfg.SpikeDivisions, scratch)
+	var t tally
+	codes := make([]uint8, len(sel.vals))
+	e := sel.evaluate(cfg.Divisions, cfg.LogScale, &t, codes)
+	return sel.quantization(cfg.Divisions, &t, codes), e, nil
+}
 
-	// A selection decides which values are subject to quantization and
-	// carries the pool's range, computed as a side effect of the selection
-	// passes so the quantizer itself never re-scans for min/max.
-	var sel selection
-	if cfg.Method == Proposed {
-		sel = spikeSelect(values, cfg.SpikeDivisions)
-		q.SpikePartitions = sel.nSpiked
-	} else {
-		sel = selectAll(values)
+// selectPool is the part of a quantization that does not depend on the
+// division number: which values are selected, their range, the mask, and
+// the selected values compacted in input order, so that a pass at some n
+// walks a dense slice instead of re-deciding the selection.
+func selectPool(values []float64, method Method, spikeDivisions int, scratch []float64) selection {
+	sel := selectAll(values)
+	if method == Proposed && sel.nSel > 0 {
+		sel = spikeSelect(values, spikeDivisions, sel)
 	}
-	if sel.nSel == 0 {
-		q.Codes = []uint8{}
-		return q, nil
+	sel.mask = make([]bool, len(values))
+	if sel.nSel == len(values) { // everything is selected: the pool is the input
+		sel.vals = values
+		for i := range sel.mask {
+			sel.mask[i] = true
+		}
+		return sel
 	}
-
-	part := makePartitioner(sel.lo, sel.hi, cfg.Divisions, cfg.LogScale)
-
-	// Single fused pass over the pool: per-partition sums and counts, the
-	// mask and the code stream together. The partition index of a value is
-	// computed once; the averages only depend on the sums, so the codes can
-	// be emitted before the table exists.
-	sums := make([]float64, cfg.Divisions)
-	counts := make([]int, cfg.Divisions)
-	q.Codes = make([]uint8, 0, sel.nSel)
+	if cap(scratch) < sel.nSel {
+		scratch = make([]float64, 0, sel.nSel)
+	}
+	sel.vals = scratch[:0]
 	for i, v := range values {
-		if !isFinite(v) || !sel.selector(v) {
+		if isFinite(v) && sel.selector(v) {
+			sel.mask[i] = true
+			sel.vals = append(sel.vals, v)
+		}
+	}
+	return sel
+}
+
+// tally is what a pass at n divisions collects per partition: sum (then
+// mean), count, minimum and maximum. It lives on the caller's stack.
+type tally struct {
+	sums, mins, maxs [MaxDivisions]float64
+	counts           [MaxDivisions]int
+}
+
+// evaluate partitions the pool into n divisions in one allocation-free
+// pass, the only place a value's code and a partition's mean are computed:
+// codes[i] is the code of vals[i], t.sums[:n] the means (zero where empty).
+// It returns the largest |v − mean|: v − mean is monotone in v, so within a
+// partition it peaks at the minimum or the maximum, and the result equals
+// MaxQuantizationError of the quantization bit for bit.
+func (s *selection) evaluate(n int, logScale bool, t *tally, codes []uint8) (maxErr float64) {
+	part := makePartitioner(s.lo, s.hi, n, logScale)
+	for i := 0; i < n; i++ {
+		t.sums[i], t.counts[i], t.mins[i], t.maxs[i] = 0, 0, math.Inf(1), math.Inf(-1)
+	}
+	for i, v := range s.vals {
+		pi := part.index(part.warp(v))
+		codes[i] = uint8(pi)
+		t.sums[pi] += v
+		t.counts[pi]++
+		if v < t.mins[pi] {
+			t.mins[pi] = v
+		}
+		if v > t.maxs[pi] {
+			t.maxs[pi] = v
+		}
+	}
+	for i := 0; i < n; i++ {
+		if t.counts[i] == 0 {
 			continue
 		}
-		pi := part.index(v)
-		sums[pi] += v
-		counts[pi]++
-		q.Mask[i] = true
-		q.Codes = append(q.Codes, uint8(pi))
-	}
-	for i := range sums {
-		if counts[i] > 0 {
-			q.Averages[i] = sums[i] / float64(counts[i])
+		t.sums[i] /= float64(t.counts[i])
+		for _, v := range [2]float64{t.mins[i], t.maxs[i]} {
+			if e := math.Abs(v - t.sums[i]); e > maxErr { // a NaN mean counts for nothing, as in the scan
+				maxErr = e
+			}
 		}
 	}
-	q.NumQuantized = len(q.Codes)
-	return q, nil
+	return maxErr
+}
+
+// quantization materialises what the last evaluate(n, …, t, codes) found.
+func (s *selection) quantization(n int, t *tally, codes []uint8) *Quantization {
+	return &Quantization{
+		Averages:        append(make([]float64, 0, n), t.sums[:n]...),
+		Codes:           codes,
+		Mask:            s.mask,
+		NumQuantized:    len(codes),
+		SpikePartitions: s.nSpiked,
+	}
 }
 
 // selection is the outcome of the pool-selection stage: which values are
-// quantized, how many there are, and their exact [lo, hi] range.
+// quantized, how many there are, and their exact [lo, hi] range; selectPool
+// adds the mask and the compacted values.
 type selection struct {
 	selector func(float64) bool
 	lo, hi   float64
 	nSel     int
 	nSpiked  int
+	vals     []float64
+	mask     []bool
 }
 
 // selectAll selects every finite value (the Simple method), computing the
@@ -298,37 +353,43 @@ func Apply(values []float64, cfg Config) ([]float64, *Quantization, error) {
 // partitioner maps a value in [lo,hi] to one of n partitions — equal-width
 // in linear space (the paper's scheme) or in symmetric-log (asinh) space.
 type partitioner struct {
-	lo, hi float64 // warped bounds
-	n      int
-	log    bool
-	scale  float64
+	lo, width float64 // warped lower bound and range (0 when lo == hi)
+	n         int
+	fn        float64 // float64(n)
+	log       bool
+	scale     float64
 }
 
 func makePartitioner(lo, hi float64, n int, logScale bool) partitioner {
-	p := partitioner{n: n, log: logScale}
+	p := partitioner{n: n, fn: float64(n), log: logScale}
 	if logScale {
 		p.scale = math.Max(math.Abs(lo), math.Abs(hi)) / 1e4
 		if p.scale == 0 || math.IsNaN(p.scale) || math.IsInf(p.scale, 0) {
 			p.scale = 1
 		}
 	}
-	p.lo, p.hi = p.warp(lo), p.warp(hi)
+	p.lo = p.warp(lo)
+	if hi := p.warp(hi); hi != p.lo {
+		p.width = hi - p.lo
+	}
 	return p
 }
 
 // warp maps a raw value into partitioning space.
-func (p partitioner) warp(v float64) float64 {
+func (p *partitioner) warp(v float64) float64 {
 	if !p.log {
 		return v
 	}
 	return math.Asinh(v / p.scale)
 }
 
-func (p partitioner) index(v float64) int {
-	if p.hi == p.lo {
+// index maps a warped value to its partition. It and warp are each small
+// enough to inline into the per-value passes; together they are not.
+func (p *partitioner) index(w float64) int {
+	if p.width == 0 {
 		return 0
 	}
-	i := int(float64(p.n) * (p.warp(v) - p.lo) / (p.hi - p.lo))
+	i := int(p.fn * (w - p.lo) / p.width)
 	if i < 0 {
 		i = 0
 	}
@@ -342,28 +403,12 @@ func (p partitioner) index(v float64) int {
 // the values that fall into spiked partitions (Ndiv[i] ≥ Ntotal/d, paper
 // Eq. 4). The histogram pass also tracks each partition's min/max, so the
 // selected pool's range comes out of the same scan instead of a third pass
-// over the data.
-func spikeSelect(values []float64, d int) selection {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	total := 0
-	for _, v := range values {
-		if !isFinite(v) {
-			continue
-		}
-		total++
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	if total == 0 {
-		return selection{selector: func(float64) bool { return false }}
-	}
+// over the data. all is selectAll(values) and holds at least one value.
+func spikeSelect(values []float64, d int, all selection) selection {
+	total := all.nSel
 	// Spike detection stays linear, matching the paper's Fig. 4. The
 	// per-partition extrema ride along in the same pass.
-	part := makePartitioner(lo, hi, d, false)
+	part := makePartitioner(all.lo, all.hi, d, false)
 	counts := make([]int, d)
 	pmin := make([]float64, d)
 	pmax := make([]float64, d)
@@ -445,89 +490,44 @@ func MaxQuantizationError(values []float64, q *Quantization) (float64, error) {
 }
 
 // ChooseDivisions implements the paper's proposed future capability of
-// "controlling the errors by specifying a value": it returns a small
-// (near-minimal) division number n in [1, MaxDivisions] whose quantization
-// keeps the maximum absolute error ≤ bound, along with the resulting
-// quantization. The error guarantee is strict; minimality is approximate
-// because the max error is not exactly monotone in n (partition means
-// shift as partitions split). If even n = MaxDivisions exceeds the bound,
-// it returns MaxDivisions and the corresponding quantization together with
-// ErrBoundUnreachable.
+// "controlling the errors by specifying a value": it returns the first of
+// n = 1, 2, 4, …, 128, MaxDivisions whose quantization keeps the maximum
+// absolute error ≤ bound, with that quantization. The guarantee is the
+// error, not minimality: the max error is only approximately monotone in n
+// (partition means shift as partitions split). n = 1 is exact for empty,
+// all-non-finite and constant pools; a zero bound is met at the cap or not
+// at all, so only 1 and the cap are tried. If even the cap exceeds the
+// bound it is returned with its quantization and ErrBoundUnreachable.
 func ChooseDivisions(values []float64, bound float64, method Method, spikeDivisions int) (int, *Quantization, error) {
+	n, q, _, err := ChooseDivisionsMeasured(values, bound, method, spikeDivisions, nil)
+	return n, q, err
+}
+
+// ChooseDivisionsMeasured is ChooseDivisions that also returns the error of
+// the quantization it chose; scratch is as in QuantizeMeasured.
+func ChooseDivisionsMeasured(values []float64, bound float64, method Method, spikeDivisions int, scratch []float64) (int, *Quantization, float64, error) {
 	if bound < 0 || math.IsNaN(bound) {
-		return 0, nil, fmt.Errorf("%w: error bound %g", ErrConfig, bound)
+		return 0, nil, 0, fmt.Errorf("%w: error bound %g", ErrConfig, bound)
 	}
-	// Max error is monotonically non-increasing in n only approximately
-	// (partition means shift), so binary search could mis-step; n ≤ 255
-	// makes a linear-doubling scan affordable and exact.
-	try := func(n int) (*Quantization, float64, error) {
-		q, err := Quantize(values, Config{Method: method, Divisions: n, SpikeDivisions: spikeDivisions})
-		if err != nil {
-			return nil, 0, err
-		}
-		e, err := MaxQuantizationError(values, q)
-		return q, e, err
-	}
-	// Deterministic fast paths. A single partition is already exact for
-	// empty, all-non-finite (everything passes through) and constant
-	// pools — every quantized value equals the one partition mean — and
-	// n = 1 is minimal, so return it without scanning.
-	q1, e1, err := try(1)
+	cfg, err := Config{Method: method, Divisions: 1, SpikeDivisions: spikeDivisions}.validate()
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, 0, err
 	}
-	if e1 <= bound {
-		return 1, q1, nil
-	}
-	// A zero bound demands an exact quantization. The max error does not
-	// creep toward zero as n grows, so the doubling scan would walk all
-	// the way to the cap only to fail; test the cap directly instead:
-	// either MaxDivisions partitions reproduce every pool value exactly
-	// (at most MaxDivisions distinct finite values) or no n can.
-	if bound == 0 {
-		qc, ec, err := try(MaxDivisions)
-		if err != nil {
-			return 0, nil, err
+	sel := selectPool(values, cfg.Method, cfg.SpikeDivisions, scratch)
+	var t tally
+	codes := make([]uint8, len(sel.vals))
+	for n := 1; ; n *= 2 {
+		if n > 128 || (bound == 0 && n > 1) { // doubling again would overshoot the cap
+			n = MaxDivisions
 		}
-		if ec == 0 {
-			return MaxDivisions, qc, nil
+		e := sel.evaluate(n, false, &t, codes)
+		if e > bound && n == MaxDivisions {
+			err = ErrBoundUnreachable
 		}
-		return MaxDivisions, qc, ErrBoundUnreachable
-	}
-	var best *Quantization
-	for n := 2; n <= MaxDivisions; n *= 2 {
-		q, e, err := try(n)
-		if err != nil {
-			return 0, nil, err
-		}
-		best = q
-		if e <= bound {
-			// Refine downward linearly between n/2 and n.
-			for m := n / 2; m > 0; m-- {
-				qm, em, err := try(m)
-				if err != nil {
-					return 0, nil, err
-				}
-				if em <= bound {
-					best = qm
-					continue
-				}
-				break
-			}
-			return len(best.Averages), best, nil
-		}
-		if n == 128 { // next doubling would overshoot 255; test the cap
-			q, e, err := try(MaxDivisions)
-			if err != nil {
-				return 0, nil, err
-			}
-			if e <= bound {
-				return MaxDivisions, q, nil
-			}
-			return MaxDivisions, q, ErrBoundUnreachable
+		if e <= bound || n == MaxDivisions {
+			return n, sel.quantization(n, &t, codes), e, err
 		}
 	}
-	return len(best.Averages), best, nil
 }
 
 // ErrBoundUnreachable reports that no division number within MaxDivisions

@@ -181,6 +181,42 @@ func BenchmarkCheckpointStreamClimate5(b *testing.B) {
 	}
 }
 
+// BenchmarkGuardEncodeClimate times guard.Encode under PSNR ≥ 80 on the two
+// kinds of variable BenchmarkCheckpointStreamClimate5's guard rows mix: one
+// the first rung's division walk bounds (temperature), and one that
+// abandons both quantizing rungs and ships lossless bands (wind_u) — the
+// ladder decides each rung on coefficients and builds one stream.
+func BenchmarkGuardEncodeClimate(b *testing.B) {
+	model, err := climate.New(climate.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	model.StepN(3)
+	for _, row := range []struct {
+		name, field string
+		mode        guard.Mode
+		escalations int
+	}{
+		{"bounded", "temperature", guard.Bounded, 0},
+		{"escalating", "wind_u", guard.LosslessBands, 2},
+	} {
+		f := model.Field(row.field)
+		b.Run(row.name, func(b *testing.B) {
+			b.SetBytes(int64(f.Bytes()))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out, err := guard.Encode(row.field, f, core.DefaultOptions(), guard.Policy{PSNRFloor: 80})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if ann := out.Annotation; ann.Mode != row.mode || ann.Escalations != row.escalations {
+					b.Fatalf("%s shipped %v after %d escalations, want %v after %d", row.field, ann.Mode, ann.Escalations, row.mode, row.escalations)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkChunkedParallelObs measures the observability tax on the
 // chunked-parallel hot path: /noop runs with no observer anywhere (the
 // default — instrumentation reduces to one nil check per record site),
