@@ -24,8 +24,12 @@ build:
 test:
 	$(GO) test ./...
 
+# The second line repeats the tests in which the shards of a wavelet pass
+# write one buffer at once: the race detector only sees interleavings that
+# happen.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'KernelsMatchLaneReference|WorkersBitIdentical' ./internal/wavelet
 
 # bench-test vets and tests the benchmark's own module (bench/), which
 # `go test ./...` at the root never reaches: its replay oracle re-derives
@@ -47,6 +51,7 @@ fuzz-smoke:
 	$(GO) test ./internal/fpc -run='^Fuzz' -fuzz='^FuzzDecompress$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/fpc -run='^Fuzz' -fuzz='^FuzzRoundTrip$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/container -run='^Fuzz' -fuzz='^FuzzFromBytes$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/wavelet -run='^Fuzz' -fuzz='^FuzzTransformIdentity$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^Fuzz' -fuzz='^FuzzDecompress$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^Fuzz' -fuzz='^FuzzDecompressChunked$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^Fuzz' -fuzz='^FuzzDecompressChunkedParallel$$' -fuzztime=$(FUZZTIME)
@@ -80,10 +85,13 @@ crash-matrix-dedup:
 
 # bench-parallel runs the parallel-engine benchmarks that feed
 # BENCH_parallel.json (workers sweeps inside one array and across the
-# entries of a five-array checkpoint, the guard ladder on a bounded and an
-# escalating variable, the division walk, plus allocation counts).
+# entries of a five-array checkpoint, the 24 MB tuned stream, the guard
+# ladder on a bounded and an escalating variable, the division walk, plus
+# allocation counts) and the stage-1 kernels against the lane walk they
+# replaced, at one and at two CPUs (the workers=0 rows shard at GOMAXPROCS).
 bench-parallel:
-	$(GO) test -run xxx -bench 'ChunkedParallel|Alloc|CheckpointStreamClimate5|GuardEncodeClimate|ChooseDivisions' -benchtime 3x . ./internal/quant
+	$(GO) test -run xxx -bench 'ChunkedParallel|Alloc|CheckpointStream(Climate5|Big24)|GuardEncodeClimate|ChooseDivisions' -benchtime 3x . ./internal/quant
+	$(GO) test -run xxx -bench 'Transform' -benchtime 200x -cpu 1,2 ./internal/wavelet
 
 # bench-obs measures the observability tax (no-op vs live registry) that
 # feeds BENCH_obs.json.
@@ -126,7 +134,7 @@ bench-qa:
 # bench-smoke executes every benchmark once — CI's guard that the bench
 # code itself keeps compiling and running.
 bench-smoke:
-	$(GO) test -run xxx -bench 'ChunkedParallel|Alloc|CheckpointStreamClimate5|GuardEncodeClimate|ChooseDivisions|ParallelGzip|StreamingCheckpoint|Entropy|Dedup' -benchtime 1x . ./internal/quant
+	$(GO) test -run xxx -bench 'ChunkedParallel|Alloc|CheckpointStream(Climate5|Big24)|GuardEncodeClimate|ChooseDivisions|ParallelGzip|StreamingCheckpoint|Entropy|Dedup|Transform' -benchtime 1x . ./internal/quant ./internal/wavelet
 
 # bench-compare diffs two BENCH_*.json snapshots and fails on >15%
 # ns_per_op regressions:  make bench-compare OLD=old.json NEW=new.json

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"time"
 
 	"lossyckpt/internal/core"
@@ -331,6 +332,7 @@ type rawEntry struct {
 	Name    string
 	Shape   []int
 	Payload []byte
+	buf     *[]byte // where a v2 Payload lives until release (stream.go)
 }
 
 // readEntryFrame reads entry i's outer frame (CRC, length, body) and
@@ -617,21 +619,26 @@ func writeString(buf *bytes.Buffer, s string) {
 	buf.WriteString(s)
 }
 
-// readExactly reads exactly n bytes, growing the buffer in bounded chunks
-// so a forged length field cannot force a huge allocation before the
-// stream runs dry.
+// readExactly reads exactly n bytes.
 func readExactly(r io.Reader, n uint64) ([]byte, error) {
+	return appendExactly(nil, r, n)
+}
+
+// appendExactly appends exactly n bytes off r to buf, growing it in bounded
+// steps so a forged length field cannot force a huge allocation before the
+// stream runs dry.
+func appendExactly(buf []byte, r io.Reader, n uint64) ([]byte, error) {
 	const chunk = 1 << 20
-	out := make([]byte, 0, min(n, chunk))
-	for uint64(len(out)) < n {
-		take := min(n-uint64(len(out)), chunk)
-		buf := make([]byte, take)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
+	for n > 0 {
+		take := int(min(n, chunk))
+		buf = slices.Grow(buf, take)
+		if _, err := io.ReadFull(r, buf[len(buf):len(buf)+take]); err != nil {
+			return buf, err
 		}
-		out = append(out, buf...)
+		buf = buf[:len(buf)+take]
+		n -= uint64(take)
 	}
-	return out, nil
+	return buf, nil
 }
 
 type byteReader struct {

@@ -212,6 +212,7 @@ func (s *entryScan) run(br *byteReader, hdr *streamHeader) (skipped int, err err
 			into, err = s.claim(ent)
 		}
 		if err != nil {
+			ent.release()
 			if !s.lenient {
 				// Entries before this one fail first, as they would have
 				// in a serial scan.
@@ -237,6 +238,8 @@ func (s *entryScan) run(br *byteReader, hdr *streamHeader) (skipped int, err err
 			}
 			return nil
 		}, nil, func(err error) error {
+			// The decode has returned and land is the payload's last reader.
+			defer ent.release()
 			switch {
 			case err != nil && s.lenient:
 				skipped++
@@ -248,6 +251,8 @@ func (s *entryScan) run(br *byteReader, hdr *streamHeader) (skipped int, err err
 			return nil
 		})
 		if err != nil {
+			// An older entry failed; this one's job never started.
+			ent.release()
 			return 0, err
 		}
 	}

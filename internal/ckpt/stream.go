@@ -32,13 +32,16 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"sync"
 	"time"
 
 	"lossyckpt/internal/store"
 )
 
 // readEntryV2 reads one v2 segmented entry. The prologue is re-serialized
-// to feed the CRC exactly as the writer hashed it.
+// to feed the CRC exactly as the writer hashed it. The payload is assembled
+// in a recycled buffer: whoever gets the entry releases it once nothing reads
+// the payload any more.
 func readEntryV2(br *byteReader, i int) (*rawEntry, error) {
 	name, shape, err := readPrologue(br, i)
 	if err != nil {
@@ -47,34 +50,57 @@ func readEntryV2(br *byteReader, i int) (*rawEntry, error) {
 	crc := crc32.NewIEEE()
 	crc.Write(entryPrologue(name, shape))
 
-	var payload []byte
+	ent := &rawEntry{Name: name, Shape: shape, buf: payloadBufs.Get().(*[]byte)}
+	payload := (*ent.buf)[:0]
+	fail := func(err error) (*rawEntry, error) {
+		ent.Payload = payload
+		ent.release()
+		return nil, err
+	}
 	for {
 		segLen := br.u32()
 		if br.err != nil {
-			return nil, fmt.Errorf("%w: entry %d segment header: %v", ErrFormat, i, br.err)
+			return fail(fmt.Errorf("%w: entry %d segment header: %v", ErrFormat, i, br.err))
 		}
 		if segLen == 0 {
 			break
 		}
 		if uint64(len(payload))+uint64(segLen) > maxPayloadLen {
-			return nil, fmt.Errorf("%w: entry %d payload exceeds cap", ErrFormat, i)
+			return fail(fmt.Errorf("%w: entry %d payload exceeds cap", ErrFormat, i))
 		}
-		seg, err := readExactly(br, uint64(segLen))
-		if err != nil {
-			return nil, fmt.Errorf("%w: entry %d segment: %v", ErrFormat, i, err)
+		seg := len(payload)
+		if payload, err = appendExactly(payload, br, uint64(segLen)); err != nil {
+			return fail(fmt.Errorf("%w: entry %d segment: %v", ErrFormat, i, err))
 		}
-		crc.Write(seg)
-		payload = append(payload, seg...)
+		crc.Write(payload[seg:])
 	}
 	wantLen := br.u64()
 	wantCRC := br.u32()
 	if br.err != nil {
-		return nil, fmt.Errorf("%w: entry %d trailer: %v", ErrFormat, i, br.err)
+		return fail(fmt.Errorf("%w: entry %d trailer: %v", ErrFormat, i, br.err))
 	}
 	if wantLen != uint64(len(payload)) || wantCRC != crc.Sum32() {
-		return nil, fmt.Errorf("%w: entry %d trailer mismatch", errEntryDamaged, i)
+		return fail(fmt.Errorf("%w: entry %d trailer mismatch", errEntryDamaged, i))
 	}
-	return &rawEntry{Name: name, Shape: shape, Payload: payload}, nil
+	ent.Payload = payload
+	return ent, nil
+}
+
+// payloadBufs recycles the buffers v2 payloads are read into, across the
+// entries of a restore and across restores: a restore reads the same few
+// payload sizes every time, and growing a fresh slice to each of them by
+// segment-sized appends copied every payload about twice.
+var payloadBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// release hands the payload's buffer back for the next entry to be read
+// into. Nothing may read Payload afterwards. A nil entry, or a v1 one, has
+// nothing to hand back.
+func (e *rawEntry) release() {
+	if e != nil && e.buf != nil {
+		*e.buf = e.Payload[:0]
+		payloadBufs.Put(e.buf)
+		e.buf, e.Payload = nil, nil
+	}
 }
 
 // streamSegment bounds the segment size CheckpointStream frames payload

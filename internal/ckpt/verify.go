@@ -65,6 +65,7 @@ func InspectStream(data []byte) (*StreamInfo, error) {
 		}
 		se.Entropy = core.IdentifyEntropy(inner)
 		info.Entries = append(info.Entries, se)
+		ent.release()
 	}
 	return info, nil
 }

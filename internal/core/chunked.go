@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"lossyckpt/internal/entropy"
@@ -308,23 +309,19 @@ func IdentifyEntropy(data []byte) string {
 	return entropy.Identify(data)
 }
 
-// decodeChunkInto decompresses one chunk payload, validates its shape and
-// copies it into the chunk's (disjoint) plane range of f.
+// decodeChunkInto decompresses one chunk payload straight into the chunk's
+// (disjoint) plane range of f, once its shape is seen to be that range's.
 func decodeChunkInto(f *grid.Field, shape []int, planeElems, c int, fr chunkFrame, workers int) error {
-	slab, err := decompressWorkers(fr.payload, workers)
-	if err != nil {
-		return fmt.Errorf("core: chunk %d: %w", c, err)
-	}
-	if slab.Dims() != len(shape) || slab.Extent(0) != fr.ext {
-		return fmt.Errorf("%w: chunk %d shape %v at plane %d", ErrChunked, c, slab.Shape(), fr.plane)
-	}
-	for d := 1; d < len(shape); d++ {
-		if slab.Extent(d) != shape[d] {
-			return fmt.Errorf("%w: chunk %d shape %v", ErrChunked, c, slab.Shape())
+	_, err := decodeTo(fr.payload, workers, func(got ...int) (*grid.Field, error) {
+		if got[0] != fr.ext || !slices.Equal(got[1:], shape[1:]) {
+			return nil, fmt.Errorf("%w: chunk %d shape %v at plane %d", ErrChunked, c, got, fr.plane)
 		}
+		return slabAt(f, shape, planeElems, fr.plane, fr.ext)
+	})
+	if err != nil && !errors.Is(err, ErrChunked) {
+		err = fmt.Errorf("core: chunk %d: %w", c, err)
 	}
-	copy(f.Data()[fr.plane*planeElems:], slab.Data())
-	return nil
+	return err
 }
 
 // DecompressChunked reconstructs the field from a CompressChunked stream,

@@ -189,7 +189,7 @@ func DecompressAnyParallel(data []byte, workers int) (*grid.Field, error) {
 		return DecompressChunkedParallel(data, workers)
 	}
 	start := time.Now()
-	f, err := decompressWorkers(data, workers)
+	f, err := decodeTo(data, workers, grid.New)
 	if err == nil {
 		recordDecompressOp(obs.Default(), "single", f.Bytes(), time.Since(start))
 	}

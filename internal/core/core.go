@@ -316,8 +316,8 @@ func Compress(f *grid.Field, opts Options) (*Result, error) {
 // decides its ladder on it; Release hands the scratch back.
 type Stages struct {
 	plan    *wavelet.Plan
-	work    *grid.Field  // the transformed copy
-	bufs    [3]*floatBuf // work copy, high pool, low band
+	work    *grid.Field      // the transformed copy
+	bufs    [3]*grid.Scratch // work copy, high pool, low band
 	nbufs   int
 	groups  [][]float64 // high-frequency pools of the latest Quantize: one, or one per band
 	quants  []*quant.Quantization
@@ -332,13 +332,13 @@ type Stages struct {
 
 // floats returns pooled scratch that lives until Release.
 func (s *Stages) floats(n int) []float64 {
-	b := getFloats(n)
+	b := grid.GetScratch(n)
 	s.bufs[s.nbufs] = b
 	s.nbufs++
-	return b.s
+	return b.S
 }
 
-// Transform is stage 1, on a copy: callers keep their data.
+// Transform is stage 1, out of place: callers keep their data.
 func Transform(f *grid.Field, opts Options) (*Stages, error) {
 	s := &Stages{obs: opts.observer(), start: time.Now()}
 	if err := opts.validate(); err != nil {
@@ -351,12 +351,10 @@ func Transform(f *grid.Field, opts Options) (*Stages, error) {
 	if s.plan, err = wavelet.NewPlan(f.Shape(), opts.Levels, opts.Scheme); err != nil {
 		return nil, err
 	}
-	work := s.floats(f.Len())
-	copy(work, f.Data())
-	if s.work, err = grid.FromSlice(work, f.Shape()...); err != nil {
+	if s.work, err = grid.FromSlice(s.floats(f.Len()), f.Shape()...); err != nil {
 		return nil, err
 	}
-	if err := s.plan.TransformWorkers(s.work, opts.Workers); err != nil {
+	if err := s.plan.TransformTo(s.work, f, opts.Workers); err != nil {
 		return nil, err
 	}
 	s.timings.Wavelet = time.Since(s.start)
@@ -407,8 +405,8 @@ func (s *Stages) Quantize(opts Options) (*Result, error) {
 		SpikeDivisions: opts.SpikeDivisions,
 		LogScale:       opts.LogQuant,
 	}
-	scratch := getFloats(s.plan.HighCount()) // the quantizer's compacted pool
-	defer scratch.put()
+	scratch := grid.GetScratch(s.plan.HighCount()) // the quantizer's compacted pool
+	defer scratch.Put()
 	for i, g := range s.groups {
 		res.NumHigh += len(g)
 		var q *quant.Quantization
@@ -419,13 +417,13 @@ func (s *Stages) Quantize(opts Options) (*Result, error) {
 			q = quant.PassthroughAll(len(g))
 		case opts.ErrorBound > 0:
 			var n int
-			n, q, e, err = quant.ChooseDivisionsMeasured(g, opts.ErrorBound, opts.Method, opts.SpikeDivisions, scratch.s)
+			n, q, e, err = quant.ChooseDivisionsMeasured(g, opts.ErrorBound, opts.Method, opts.SpikeDivisions, scratch.S)
 			if err == quant.ErrBoundUnreachable {
 				res.BoundUnreachable, err = true, nil
 			}
 			res.EffectiveDivisions = max(res.EffectiveDivisions, n)
 		default:
-			q, e, err = quant.QuantizeMeasured(g, qcfg, scratch.s)
+			q, e, err = quant.QuantizeMeasured(g, qcfg, scratch.S)
 			res.EffectiveDivisions = opts.Divisions
 		}
 		if err != nil {
@@ -540,27 +538,28 @@ func (s *Stages) Encode() error {
 func (s *Stages) Release() {
 	recordStageSeconds(s.obs, s.timings)
 	for ; s.nbufs > 0; s.nbufs-- { // last taken first: the pool hands them back in the order the next array asks
-		s.bufs[s.nbufs-1].put()
+		s.bufs[s.nbufs-1].Put()
 	}
 }
 
 // Decompress inverts the pipeline, reconstructing the (lossy) field from a
 // stream produced by Compress. Large wavelet inverse passes run on
-// GOMAXPROCS goroutines; use decompressWorkers via DecompressAnyParallel
-// to bound that.
+// GOMAXPROCS goroutines; DecompressAnyParallel bounds that.
 func Decompress(data []byte) (*grid.Field, error) {
 	start := time.Now()
-	f, err := decompressWorkers(data, 0)
+	f, err := decodeTo(data, 0, grid.New)
 	if err == nil {
 		recordDecompressOp(obs.Default(), "single", f.Bytes(), time.Since(start))
 	}
 	return f, err
 }
 
-// decompressWorkers is Decompress with an explicit wavelet parallelism
-// bound (0 = GOMAXPROCS, 1 = serial). The reconstruction is identical for
-// every worker count.
-func decompressWorkers(data []byte, workers int) (*grid.Field, error) {
+// decodeTo inverts the pipeline into the field dest supplies for the stream's
+// shape (grid.New for a fresh one), on up to workers goroutines (0 =
+// GOMAXPROCS, 1 = serial; same result for every count). dest is asked once the
+// coefficients have decoded cleanly, so refusing the shape, or any failure
+// before that, leaves nothing written: the inverse's last pass fills the field.
+func decodeTo(data []byte, workers int, dest func(shape ...int) (*grid.Field, error)) (*grid.Field, error) {
 	// The entropy layer sniffs the envelope and dispatches to the right
 	// codec; legacy payloads (raw gzip/zlib, including multi-member
 	// GzipBlock streams) fall through to the DEFLATE decoders bit-exactly
@@ -580,7 +579,10 @@ func decompressWorkers(data []byte, workers int) (*grid.Field, error) {
 	if len(arch.Low) != plan.LowCount() {
 		return nil, fmt.Errorf("%w: low band has %d values, plan needs %d", container.ErrFormat, len(arch.Low), plan.LowCount())
 	}
-	f, err := grid.New(arch.Shape...)
+	// The coefficients are assembled in scratch and dropped once inverted.
+	coefBuf := grid.GetScratch(plan.LowCount() + plan.HighCount())
+	defer coefBuf.Put()
+	coef, err := grid.FromSlice(coefBuf.S, arch.Shape...)
 	if err != nil {
 		return nil, err
 	}
@@ -603,7 +605,7 @@ func decompressWorkers(data []byte, workers int) (*grid.Field, error) {
 			groups[i] = decoded
 		}
 		groups[len(meta)-1] = arch.Low
-		if err := plan.ScatterBands(f, groups); err != nil {
+		if err := plan.ScatterBands(coef, groups); err != nil {
 			return nil, err
 		}
 	} else {
@@ -614,22 +616,24 @@ func decompressWorkers(data []byte, workers int) (*grid.Field, error) {
 		if band.N != plan.HighCount() {
 			return nil, fmt.Errorf("%w: high band has %d values, plan needs %d", container.ErrFormat, band.N, plan.HighCount())
 		}
-		// The decoded high pool is scratch: it is scattered into f and
-		// dropped, so it comes from the shared buffer pool.
-		highBuf := getFloats(band.N)
-		defer highBuf.put()
-		high, err := band.Decode(highBuf.s[:0])
+		highBuf := grid.GetScratch(band.N)
+		defer highBuf.Put()
+		high, err := band.Decode(highBuf.S[:0])
 		if err != nil {
 			return nil, err
 		}
-		if err := plan.ScatterLow(f, arch.Low); err != nil {
+		if err := plan.ScatterLow(coef, arch.Low); err != nil {
 			return nil, err
 		}
-		if err := plan.ScatterHigh(f, high); err != nil {
+		if err := plan.ScatterHigh(coef, high); err != nil {
 			return nil, err
 		}
 	}
-	if err := plan.InverseWorkers(f, workers); err != nil {
+	f, err := dest(arch.Shape...)
+	if err != nil {
+		return nil, err
+	}
+	if err := plan.InverseTo(f, coef, workers); err != nil {
 		return nil, err
 	}
 	return f, nil

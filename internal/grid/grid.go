@@ -5,9 +5,9 @@
 // with its shape. Scientific checkpoint data in the reproduced paper
 // (Sasaki et al., IPDPS 2015) consists of 1D/2D/3D arrays of physical
 // quantities such as pressure, temperature and wind velocity; Field models
-// exactly that: a flat backing slice plus shape/stride bookkeeping, with
-// helpers for axis iteration that the wavelet transform needs and a compact
-// binary serialization used by the checkpoint container.
+// exactly that: a flat backing slice plus shape/stride bookkeeping, a compact
+// binary serialization used by the checkpoint container, and the pool the
+// pipeline's field-sized scratch comes from.
 package grid
 
 import (
@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 )
 
 // MaxDims is the largest number of dimensions a Field may have. The paper
@@ -249,66 +250,27 @@ func (f *Field) String() string {
 // occupies: 8 bytes per element.
 func (f *Field) Bytes() int { return 8 * len(f.data) }
 
-// Lane describes one 1-D line through a field along a given axis: the flat
-// offset of its first element and the stride between consecutive elements.
-// The wavelet transform walks fields lane-by-lane.
-type Lane struct {
-	Start  int // flat offset of element 0
-	Stride int // distance between consecutive elements
-	Len    int // number of elements
+// Scratch is a pooled float64 buffer for the field-sized temporaries of the
+// compression hot path: the transformed copy of an array, the wavelet passes'
+// second buffer, the gathered band pools. All are dead once a stream (or a
+// reconstructed field) exists, and checkpointing asks for the same few sizes
+// every interval. The slice sits behind a pointer so that Put does not allocate.
+type Scratch struct{ S []float64 }
+
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+
+// GetScratch returns a pooled buffer with len(S) == n, contents unspecified.
+func GetScratch(n int) *Scratch {
+	b := scratchPool.Get().(*Scratch)
+	if cap(b.S) < n {
+		b.S = make([]float64, n)
+	}
+	b.S = b.S[:n]
+	return b
 }
 
-// Lanes returns every 1-D lane along the given axis, in deterministic order.
-// A D-dimensional field with N total elements has N/extent(axis) lanes.
-func (f *Field) Lanes(axis int) []Lane {
-	if axis < 0 || axis >= len(f.shape) {
-		panic(fmt.Sprintf("grid: axis %d out of range for %d-D field", axis, len(f.shape)))
-	}
-	count := len(f.data) / f.shape[axis]
-	lanes := make([]Lane, 0, count)
-	// Iterate over all index tuples with the chosen axis fixed at 0.
-	idx := make([]int, len(f.shape))
-	for {
-		off := 0
-		for d, i := range idx {
-			off += i * f.stride[d]
-		}
-		lanes = append(lanes, Lane{Start: off, Stride: f.stride[axis], Len: f.shape[axis]})
-		// Advance idx, skipping the transform axis.
-		d := len(f.shape) - 1
-		for d >= 0 {
-			if d == axis {
-				d--
-				continue
-			}
-			idx[d]++
-			if idx[d] < f.shape[d] {
-				break
-			}
-			idx[d] = 0
-			d--
-		}
-		if d < 0 {
-			break
-		}
-	}
-	return lanes
-}
-
-// Gather copies the lane's elements out of data into dst, which must have
-// length lane.Len.
-func (l Lane) Gather(data, dst []float64) {
-	for i := 0; i < l.Len; i++ {
-		dst[i] = data[l.Start+i*l.Stride]
-	}
-}
-
-// Scatter copies src (length lane.Len) back into data along the lane.
-func (l Lane) Scatter(data, src []float64) {
-	for i := 0; i < l.Len; i++ {
-		data[l.Start+i*l.Stride] = src[i]
-	}
-}
+// Put hands the buffer back; the caller must not touch S afterwards.
+func (b *Scratch) Put() { scratchPool.Put(b) }
 
 // --- Serialization -----------------------------------------------------
 //

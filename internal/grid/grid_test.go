@@ -167,85 +167,21 @@ func TestFillApply(t *testing.T) {
 	}
 }
 
-func TestLanes1D(t *testing.T) {
-	f := MustNew(6)
-	lanes := f.Lanes(0)
-	if len(lanes) != 1 {
-		t.Fatalf("1D field has %d lanes, want 1", len(lanes))
+func TestScratchSizedAndReusable(t *testing.T) {
+	a := GetScratch(100)
+	if len(a.S) != 100 {
+		t.Fatalf("len = %d, want 100", len(a.S))
 	}
-	l := lanes[0]
-	if l.Start != 0 || l.Stride != 1 || l.Len != 6 {
-		t.Errorf("lane = %+v, want {0,1,6}", l)
-	}
-}
-
-func TestLanes2D(t *testing.T) {
-	f := MustNew(3, 4) // 3 rows of 4
-	rows := f.Lanes(1) // along x: 3 lanes of length 4, stride 1
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(rows))
-	}
-	for i, l := range rows {
-		if l.Start != i*4 || l.Stride != 1 || l.Len != 4 {
-			t.Errorf("row %d = %+v", i, l)
+	a.Put()
+	for _, n := range []int{0, 7, 100, 1000} {
+		b := GetScratch(n)
+		if len(b.S) != n {
+			t.Fatalf("len = %d, want %d", len(b.S), n)
 		}
-	}
-	cols := f.Lanes(0) // along y: 4 lanes of length 3, stride 4
-	if len(cols) != 4 {
-		t.Fatalf("cols = %d, want 4", len(cols))
-	}
-	for i, l := range cols {
-		if l.Start != i || l.Stride != 4 || l.Len != 3 {
-			t.Errorf("col %d = %+v", i, l)
+		for i := range b.S {
+			b.S[i] = 1 // the whole length is writable
 		}
-	}
-}
-
-func TestLanes3DCoverEveryElementOnce(t *testing.T) {
-	f := MustNew(3, 4, 5)
-	for axis := 0; axis < 3; axis++ {
-		seen := make([]int, f.Len())
-		for _, l := range f.Lanes(axis) {
-			for i := 0; i < l.Len; i++ {
-				seen[l.Start+i*l.Stride]++
-			}
-		}
-		for off, c := range seen {
-			if c != 1 {
-				t.Fatalf("axis %d: offset %d visited %d times", axis, off, c)
-			}
-		}
-	}
-}
-
-func TestLaneGatherScatterRoundTrip(t *testing.T) {
-	f := MustNew(4, 6)
-	rng := rand.New(rand.NewSource(1))
-	for i := range f.Data() {
-		f.Data()[i] = rng.NormFloat64()
-	}
-	orig := f.Clone()
-	buf := make([]float64, 4)
-	for _, l := range f.Lanes(0) {
-		l.Gather(f.Data(), buf)
-		l.Scatter(f.Data(), buf)
-	}
-	if !f.Equal(orig) {
-		t.Error("gather/scatter round trip modified data")
-	}
-}
-
-func TestLanesPanicsOnBadAxis(t *testing.T) {
-	f := MustNew(2, 2)
-	for _, axis := range []int{-1, 2} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Lanes(%d) did not panic", axis)
-				}
-			}()
-			f.Lanes(axis)
-		}()
+		b.Put()
 	}
 }
 
@@ -324,36 +260,6 @@ func TestQuickSerializeRoundTrip(t *testing.T) {
 			return false
 		}
 		return f.Equal(g)
-	}
-	if err := quick.Check(fn, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: for any small 2D shape, every element is covered exactly once by
-// the lanes of each axis.
-func TestQuickLanesPartition(t *testing.T) {
-	fn := func(a, b uint8) bool {
-		h, w := int(a%16)+1, int(b%16)+1
-		f := MustNew(h, w)
-		for axis := 0; axis < 2; axis++ {
-			seen := make([]bool, f.Len())
-			for _, l := range f.Lanes(axis) {
-				for i := 0; i < l.Len; i++ {
-					off := l.Start + i*l.Stride
-					if seen[off] {
-						return false
-					}
-					seen[off] = true
-				}
-			}
-			for _, s := range seen {
-				if !s {
-					return false
-				}
-			}
-		}
-		return true
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

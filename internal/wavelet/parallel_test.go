@@ -8,11 +8,12 @@ import (
 // TestTransformWorkersBitIdentical shards multi-row passes across
 // goroutines; the lanes are computed identically regardless of sharding, so
 // the transformed (and inverted) fields must be bit-exact for every worker
-// count. The shapes cross the parallel cutoff (2^15 elements) so the
-// sharded path actually runs.
+// count. The plan's cutoff is lowered to 2^15 elements so that the sharded
+// path runs on shapes a test can afford; kernels_test.go shards the small and
+// odd ones.
 func TestTransformWorkersBitIdentical(t *testing.T) {
 	shapes := [][]int{
-		{256, 160},   // 40960 elements, above cutoff
+		{256, 160},   // 40960 elements, above the lowered cutoff
 		{64, 32, 20}, // 3D, above cutoff
 		{1 << 16},    // 1D: single lane per axis, exercises serial fallback
 		{130, 18},    // below cutoff: serial fallback, still must match
@@ -24,6 +25,7 @@ func TestTransformWorkersBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			plan.cutoff = 1 << 15
 			want := f.Clone()
 			if err := plan.TransformWorkers(want, 1); err != nil {
 				t.Fatal(err)

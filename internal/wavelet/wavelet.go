@@ -15,9 +15,10 @@
 // dimensions (≤ grid.MaxDims), any number of decomposition levels (Mallat
 // layout: each level recursively transforms the low band of the previous
 // one), odd extents (the trailing unpaired element is carried into the low
-// band verbatim), and pluggable per-lane kernels (the paper's Haar plus a
+// band verbatim), and pluggable kernels (the paper's Haar plus a
 // CDF(5/3)-style lifting kernel as an "improved algorithm" extension,
-// cf. the paper's future work in §VI).
+// cf. the paper's future work in §VI). kernels.go holds the axis passes,
+// bands.go the walks between the transformed layout and the band pools.
 //
 // Floating-point caveat: with IEEE doubles the Haar round trip
 // a = L+H, b = L−H is exact only when a+b and a−b round without error; in
@@ -29,13 +30,11 @@ package wavelet
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"lossyckpt/internal/grid"
 )
 
-// Scheme selects the per-lane wavelet kernel.
+// Scheme selects the wavelet kernel.
 type Scheme int
 
 const (
@@ -108,11 +107,14 @@ func MaxLevels(shape []int) int {
 // and safe for concurrent use.
 type Plan struct {
 	shape  []int
+	stride []int // row-major, in elements
 	levels int
 	scheme Scheme
 	// ext[k] holds the active extents entering level k (ext[0] == shape);
 	// ext[levels] is the final low-band box.
 	ext [][]int
+	// cutoff is parallelCutoff, except in tests that shard small shapes.
+	cutoff int
 }
 
 // NewPlan validates the shape/levels pair and precomputes per-level extents.
@@ -130,6 +132,12 @@ func NewPlan(shape []int, levels int, scheme Scheme) (*Plan, error) {
 		shape:  append([]int(nil), shape...),
 		levels: levels,
 		scheme: scheme,
+		cutoff: parallelCutoff,
+	}
+	p.stride = make([]int, len(shape))
+	for d, acc := len(shape)-1, 1; d >= 0; d-- {
+		p.stride[d] = acc
+		acc *= shape[d]
 	}
 	p.ext = make([][]int, levels+1)
 	cur := append([]int(nil), shape...)
@@ -198,380 +206,60 @@ func (p *Plan) matches(f *grid.Field) error {
 	return nil
 }
 
-// parallelCutoff is the number of elements an axis pass must touch before
-// it is sharded across goroutines; below it the goroutine fan-out costs
-// more than the arithmetic it saves.
-const parallelCutoff = 1 << 15
-
-// laneScratch pools the per-goroutine gather/scatter buffers of the axis
-// passes so repeated transforms allocate nothing on the hot path.
-var laneScratch = sync.Pool{New: func() any { return new(scratch) }}
-
-type scratch struct{ src, dst []float64 }
-
-func getScratch(n int) *scratch {
-	s := laneScratch.Get().(*scratch)
-	if cap(s.src) < n {
-		s.src = make([]float64, n)
-		s.dst = make([]float64, n)
-	}
-	s.src = s.src[:n]
-	s.dst = s.dst[:n]
-	return s
-}
-
-// Transform applies the planned forward transform to f in place. Large
-// axis passes are sharded across GOMAXPROCS goroutines (lanes along one
-// axis are independent); use TransformWorkers to bound or disable that.
-func (p *Plan) Transform(f *grid.Field) error {
-	return p.TransformWorkers(f, 0)
-}
+// Transform applies the planned forward transform to f in place. Passes of
+// parallelCutoff elements or more are sharded across GOMAXPROCS goroutines
+// (lanes along one axis are independent); TransformWorkers bounds that.
+func (p *Plan) Transform(f *grid.Field) error { return p.TransformTo(f, f, 0) }
 
 // TransformWorkers is Transform with an explicit parallelism bound:
 // workers 0 means GOMAXPROCS, 1 forces the serial path. The result is
-// bit-identical for every worker count — lanes are disjoint and each lane
-// is computed exactly as in the serial path.
+// bit-identical for every worker count — every output element is one fixed
+// expression of the pass's input, whichever shard computes it.
 func (p *Plan) TransformWorkers(f *grid.Field, workers int) error {
-	if err := p.matches(f); err != nil {
-		return err
-	}
-	for k := 0; k < p.levels; k++ {
-		act := p.ext[k]
-		for axis := range p.shape {
-			if act[axis] < 2 {
-				continue // nothing to pair along this axis at this depth
-			}
-			p.axisPass(f, act, axis, workers, true)
-		}
-	}
-	return nil
+	return p.TransformTo(f, f, workers)
+}
+
+// TransformTo writes the forward transform of src into dst, which may be
+// src itself; a distinct src is only read.
+func (p *Plan) TransformTo(dst, src *grid.Field, workers int) error {
+	return p.run(dst, src, workers, false)
 }
 
 // Inverse applies the planned inverse transform to f in place, undoing
-// Transform (up to floating-point rounding; see the package comment). Like
-// Transform it parallelizes large axis passes; see InverseWorkers.
-func (p *Plan) Inverse(f *grid.Field) error {
-	return p.InverseWorkers(f, 0)
-}
+// Transform (up to floating-point rounding; see the package comment).
+func (p *Plan) Inverse(f *grid.Field) error { return p.InverseTo(f, f, 0) }
 
 // InverseWorkers is Inverse with an explicit parallelism bound (0 =
 // GOMAXPROCS, 1 = serial). Bit-identical for every worker count.
-func (p *Plan) InverseWorkers(f *grid.Field, workers int) error {
-	if err := p.matches(f); err != nil {
+func (p *Plan) InverseWorkers(f *grid.Field, workers int) error { return p.InverseTo(f, f, workers) }
+
+// InverseTo reconstructs the coefficients in coef into dst, which may be
+// coef itself. With more than one level a distinct coef is left holding the
+// partly inverted low box.
+func (p *Plan) InverseTo(dst, coef *grid.Field, workers int) error {
+	return p.run(dst, coef, workers, true)
+}
+
+// run transforms src into dst level by level: forward from the whole field
+// down, each level's low box in place in dst; inverse from the deepest box
+// up, in place in src until the last level lands in dst.
+func (p *Plan) run(dst, src *grid.Field, workers int, inverse bool) error {
+	if err := p.matches(dst); err != nil {
 		return err
 	}
-	for k := p.levels - 1; k >= 0; k-- {
-		act := p.ext[k]
-		for axis := len(p.shape) - 1; axis >= 0; axis-- {
-			if act[axis] < 2 {
-				continue
-			}
-			p.axisPass(f, act, axis, workers, false)
-		}
-	}
-	return nil
-}
-
-// axisPass runs one forward or inverse wavelet pass along axis over the
-// active box act, sharding the independent lanes across workers when the
-// pass is large enough to amortize the fan-out.
-func (p *Plan) axisPass(f *grid.Field, act []int, axis, workers int, forward bool) {
-	lanes := 1
-	for d, e := range act {
-		if d != axis {
-			lanes *= e
-		}
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > lanes {
-		workers = lanes
-	}
-	if workers < 2 || lanes*act[axis] < parallelCutoff {
-		p.axisPassRange(f, act, axis, 0, lanes, forward)
-		return
-	}
-	var wg sync.WaitGroup
-	per := (lanes + workers - 1) / workers
-	for lo := 0; lo < lanes; lo += per {
-		hi := lo + per
-		if hi > lanes {
-			hi = lanes
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			p.axisPassRange(f, act, axis, lo, hi, forward)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// axisPassRange processes the lanes with ordinals [lo, hi) of one axis
-// pass. Lane ordinals enumerate the index tuples over act with the pass
-// axis fixed at 0, last dimension fastest — the same order the old serial
-// walk used. Distinct ordinals touch disjoint elements, so concurrent
-// ranges never race.
-func (p *Plan) axisPassRange(f *grid.Field, act []int, axis, lo, hi int, forward bool) {
-	n := act[axis]
-	sc := getScratch(n)
-	defer laneScratch.Put(sc)
-	data := f.Data()
-	stride := f.Stride(axis)
-
-	// Decode the starting ordinal into a multi-index once, then advance it
-	// incrementally like the serial walk did.
-	idx := make([]int, len(act))
-	ord := lo
-	for d := len(act) - 1; d >= 0; d-- {
-		if d == axis {
-			continue
-		}
-		idx[d] = ord % act[d]
-		ord /= act[d]
-	}
-	for o := lo; o < hi; o++ {
-		off := 0
-		for d, i := range idx {
-			off += i * f.Stride(d)
-		}
-		l := grid.Lane{Start: off, Stride: stride, Len: n}
-		l.Gather(data, sc.src)
-		if forward {
-			forwardLane(p.scheme, sc.src, sc.dst)
-		} else {
-			inverseLane(p.scheme, sc.src, sc.dst)
-		}
-		l.Scatter(data, sc.dst)
-		for d := len(act) - 1; d >= 0; d-- {
-			if d == axis {
-				continue
-			}
-			idx[d]++
-			if idx[d] < act[d] {
-				break
-			}
-			idx[d] = 0
-		}
-	}
-}
-
-// forwardLane transforms one gathered lane src into dst laid out as
-// [L(0..nl) | H(0..nh)] where nl = ceil(m/2), nh = floor(m/2); an odd
-// trailing element is carried into the last low slot verbatim.
-func forwardLane(s Scheme, src, dst []float64) {
-	m := len(src)
-	nh := m / 2
-	nl := m - nh
-	switch s {
-	case Haar:
-		for i := 0; i < nh; i++ {
-			a, b := src[2*i], src[2*i+1]
-			dst[i] = (a + b) / 2
-			dst[nl+i] = (a - b) / 2
-		}
-	case CDF53:
-		// Lifting on the gathered lane: predict odds from even neighbours,
-		// then update evens from the predicted details. Symmetric extension
-		// at the boundaries.
-		// detail: d[i] = a[2i+1] − (a[2i] + a[2i+2]) / 2
-		// smooth: s[i] = a[2i] + (d[i−1] + d[i]) / 4
-		for i := 0; i < nh; i++ {
-			left := src[2*i]
-			right := left
-			if 2*i+2 < m {
-				right = src[2*i+2]
-			}
-			dst[nl+i] = src[2*i+1] - (left+right)/2
-		}
-		for i := 0; i < nl; i++ {
-			var dl, dr float64
-			if i > 0 {
-				dl = dst[nl+i-1]
-			} else if nh > 0 {
-				dl = dst[nl]
-			}
-			if i < nh {
-				dr = dst[nl+i]
-			} else if nh > 0 {
-				dr = dst[nl+nh-1]
-			}
-			dst[i] = src[2*i] + (dl+dr)/4
-		}
-		return
-	}
-	if nl > nh { // odd length: carry the unpaired trailing element
-		dst[nl-1] = src[m-1]
-	}
-}
-
-// inverseLane undoes forwardLane: src is [L | H], dst is the interleaved
-// original lane.
-func inverseLane(s Scheme, src, dst []float64) {
-	m := len(src)
-	nh := m / 2
-	nl := m - nh
-	switch s {
-	case Haar:
-		for i := 0; i < nh; i++ {
-			l, h := src[i], src[nl+i]
-			dst[2*i] = l + h
-			dst[2*i+1] = l - h
-		}
-	case CDF53:
-		// Undo update, then undo predict, mirroring forwardLane exactly.
-		for i := 0; i < nl; i++ {
-			var dl, dr float64
-			if i > 0 {
-				dl = src[nl+i-1]
-			} else if nh > 0 {
-				dl = src[nl]
-			}
-			if i < nh {
-				dr = src[nl+i]
-			} else if nh > 0 {
-				dr = src[nl+nh-1]
-			}
-			dst[2*i] = src[i] - (dl+dr)/4
-		}
-		for i := 0; i < nh; i++ {
-			left := dst[2*i]
-			right := left
-			if 2*i+2 < m {
-				right = dst[2*i+2]
-			}
-			dst[2*i+1] = src[nl+i] + (left+right)/2
-		}
-		return
-	}
-	if nl > nh {
-		dst[m-1] = src[nl-1]
-	}
-}
-
-// inLowBox reports whether the multi-index idx lies inside the final
-// low-band box of the plan.
-func (p *Plan) inLowBox(idx []int) bool {
-	low := p.ext[p.levels]
-	for d, i := range idx {
-		if i >= low[d] {
-			return false
-		}
-	}
-	return true
-}
-
-// GatherHigh copies every high-frequency value of the transformed field f
-// into dst in deterministic (flat row-major) order and returns the slice.
-// If dst is nil or too small a new slice is allocated. The returned slice
-// has length p.HighCount().
-func (p *Plan) GatherHigh(f *grid.Field, dst []float64) ([]float64, error) {
-	if err := p.matches(f); err != nil {
-		return nil, err
-	}
-	n := p.HighCount()
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	}
-	dst = dst[:n]
-	k := 0
-	p.visitHigh(func(off int) {
-		dst[k] = f.Data()[off]
-		k++
-	})
-	return dst, nil
-}
-
-// ScatterHigh writes src (length p.HighCount(), same order as GatherHigh)
-// back into the high-frequency positions of f.
-func (p *Plan) ScatterHigh(f *grid.Field, src []float64) error {
-	if err := p.matches(f); err != nil {
+	if err := p.matches(src); err != nil {
 		return err
 	}
-	if len(src) != p.HighCount() {
-		return fmt.Errorf("wavelet: ScatterHigh got %d values, want %d", len(src), p.HighCount())
+	tmp := grid.GetScratch(dst.Len())
+	defer tmp.Put()
+	for k := p.levels - 1; inverse && k > 0; k-- {
+		p.level(src.Data(), src.Data(), tmp.S, k, workers, true)
 	}
-	k := 0
-	p.visitHigh(func(off int) {
-		f.Data()[off] = src[k]
-		k++
-	})
+	p.level(dst.Data(), src.Data(), tmp.S, 0, workers, inverse)
+	for k := 1; !inverse && k < p.levels; k++ {
+		p.level(dst.Data(), dst.Data(), tmp.S, k, workers, false)
+	}
 	return nil
-}
-
-// GatherLow copies the final low band (row-major order within the low box)
-// into dst and returns it; it allocates when dst is too small.
-func (p *Plan) GatherLow(f *grid.Field, dst []float64) ([]float64, error) {
-	if err := p.matches(f); err != nil {
-		return nil, err
-	}
-	n := p.LowCount()
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	}
-	dst = dst[:n]
-	k := 0
-	p.visitLow(func(off int) {
-		dst[k] = f.Data()[off]
-		k++
-	})
-	return dst, nil
-}
-
-// ScatterLow writes src (length p.LowCount(), same order as GatherLow) back
-// into the low-band positions of f.
-func (p *Plan) ScatterLow(f *grid.Field, src []float64) error {
-	if err := p.matches(f); err != nil {
-		return err
-	}
-	if len(src) != p.LowCount() {
-		return fmt.Errorf("wavelet: ScatterLow got %d values, want %d", len(src), p.LowCount())
-	}
-	k := 0
-	p.visitLow(func(off int) {
-		f.Data()[off] = src[k]
-		k++
-	})
-	return nil
-}
-
-// visitHigh calls fn with the flat offset of every high-frequency element,
-// in increasing flat order.
-func (p *Plan) visitHigh(fn func(off int)) {
-	p.visit(func(off int, low bool) {
-		if !low {
-			fn(off)
-		}
-	})
-}
-
-// visitLow calls fn with the flat offset of every low-band element, in
-// increasing flat order.
-func (p *Plan) visitLow(fn func(off int)) {
-	p.visit(func(off int, low bool) {
-		if low {
-			fn(off)
-		}
-	})
-}
-
-func (p *Plan) visit(fn func(off int, low bool)) {
-	idx := make([]int, len(p.shape))
-	total := 1
-	for _, e := range p.shape {
-		total *= e
-	}
-	for off := 0; off < total; off++ {
-		fn(off, p.inLowBox(idx))
-		for d := len(p.shape) - 1; d >= 0; d-- {
-			idx[d]++
-			if idx[d] < p.shape[d] {
-				break
-			}
-			idx[d] = 0
-		}
-	}
 }
 
 // BandID identifies one sub-band of a single decomposition level: a bitmask

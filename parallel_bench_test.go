@@ -22,6 +22,7 @@ import (
 	"lossyckpt/internal/gzipio"
 	"lossyckpt/internal/obs"
 	"lossyckpt/internal/obs/journal"
+	"lossyckpt/internal/tune"
 )
 
 // parallelChunkExtent slices the leading axis into ~128-plane slabs — large
@@ -179,6 +180,46 @@ func BenchmarkCheckpointStreamClimate5(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkCheckpointStreamBig24 is the end-to-end benchmark's
+// big24_tuned_stream configuration in memory: one 18496×82×2 array (~24 MB)
+// in 128-plane slabs, the tuner choosing stage 4, streamed into a buffer and
+// restored from it at GOMAXPROCS workers. Sixteen field-sized wavelet
+// transforms a direction make stage 1 its largest stage.
+func BenchmarkCheckpointStreamBig24(b *testing.B) {
+	codec := ckpt.NewLossy()
+	codec.ChunkExtent = parallelChunkExtent
+	codec.Tuner = tune.New(tune.Config{})
+	m := ckpt.NewManager(codec, 0)
+	f := syntheticClimate(b, 16*1156, 82, 2)
+	if err := m.Register("field", f); err != nil {
+		b.Fatal(err)
+	}
+	var stream bytes.Buffer
+	save := func(step int) {
+		stream.Reset()
+		if _, err := m.CheckpointStream(&stream, step); err != nil {
+			b.Fatal(err)
+		}
+	}
+	save(0) // the tuner settles on its pick before anything is timed
+	b.Run("save", func(b *testing.B) {
+		b.SetBytes(int64(f.Bytes()))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			save(i + 1)
+		}
+	})
+	b.Run("restore", func(b *testing.B) {
+		b.SetBytes(int64(f.Bytes()))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := m.Restore(bytes.NewReader(stream.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkGuardEncodeClimate times guard.Encode under PSNR ≥ 80 on the two
