@@ -24,12 +24,14 @@ build:
 test:
 	$(GO) test ./...
 
-# The second line repeats the tests in which the shards of a wavelet pass
-# write one buffer at once: the race detector only sees interleavings that
-# happen.
+# The later lines repeat the tests in which goroutines share one buffer —
+# the shards of a wavelet pass, and a dedup read hashing one chunk while it
+# reads the next into the same generation: the race detector only sees
+# interleavings that happen.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'KernelsMatchLaneReference|WorkersBitIdentical' ./internal/wavelet
+	$(GO) test -race -count=10 -run 'DedupRead' ./internal/store
 
 # bench-test vets and tests the benchmark's own module (bench/), which
 # `go test ./...` at the root never reaches: its replay oracle re-derives
@@ -56,6 +58,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run='^Fuzz' -fuzz='^FuzzDecompressChunked$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^Fuzz' -fuzz='^FuzzDecompressChunkedParallel$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/gzipio -run='^Fuzz' -fuzz='^FuzzDecompressMembers$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/gzipio -run='^Fuzz' -fuzz='^FuzzInflateDifferential$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/entropy -run='^Fuzz' -fuzz='^FuzzLZ4RoundTrip$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/entropy -run='^Fuzz' -fuzz='^FuzzLZ4Decompress$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/entropy -run='^Fuzz' -fuzz='^FuzzDecompressAny$$' -fuzztime=$(FUZZTIME)
@@ -100,9 +103,11 @@ bench-obs:
 
 # bench-gzip runs the block-parallel DEFLATE and streaming-checkpoint
 # benchmarks that feed BENCH_gzip.json (serial vs parallel compress,
-# block-size sweep, both decoders, buffered vs streaming checkpoint).
+# block-size sweep, both decoders, buffered vs streaming checkpoint), and
+# the inflater beside compress/gzip's reader on three restore payloads.
 bench-gzip:
 	$(GO) test -run xxx -bench 'ParallelGzip|StreamingCheckpoint' -benchtime 3x .
+	$(GO) test -run xxx -bench 'Inflate' -benchtime 50x .
 
 # bench-entropy runs the pluggable-entropy-stage benchmarks that feed
 # BENCH_entropy.json (lz4 vs gzip compress/decompress, the byte-shuffle
@@ -112,7 +117,8 @@ bench-entropy:
 
 # bench-dedup runs the delta-checkpoint + chunk-dedup benchmarks that
 # feed BENCH_dedup.json (mutation-fraction sweep with committed physical
-# bytes and elided compression CPU, plus the raw chunker throughput).
+# bytes and elided compression CPU, the raw chunker throughput, and the
+# restore of the 16 MiB sparse array from a dedup store).
 bench-dedup:
 	$(GO) test -run xxx -bench 'Dedup' -benchtime 3x .
 
@@ -134,7 +140,7 @@ bench-qa:
 # bench-smoke executes every benchmark once — CI's guard that the bench
 # code itself keeps compiling and running.
 bench-smoke:
-	$(GO) test -run xxx -bench 'ChunkedParallel|Alloc|CheckpointStream(Climate5|Big24)|GuardEncodeClimate|ChooseDivisions|ParallelGzip|StreamingCheckpoint|Entropy|Dedup|Transform' -benchtime 1x . ./internal/quant ./internal/wavelet
+	$(GO) test -run xxx -bench 'ChunkedParallel|Alloc|CheckpointStream(Climate5|Big24)|GuardEncodeClimate|ChooseDivisions|ParallelGzip|StreamingCheckpoint|Inflate|Entropy|Dedup|Transform' -benchtime 1x . ./internal/quant ./internal/wavelet
 
 # bench-compare diffs two BENCH_*.json snapshots and fails on >15%
 # ns_per_op regressions:  make bench-compare OLD=old.json NEW=new.json

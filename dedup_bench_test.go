@@ -120,6 +120,41 @@ func BenchmarkDedupChunker(b *testing.B) {
 	}
 }
 
+// BenchmarkRestoreDedupSparse16 is the read side of the benchmark's
+// sparse16_delta_dedup workload: a 16 MiB array in 64 delta slabs, saved once
+// into a dedup store of 4/16/64 KiB chunks, then restored from it over and
+// over — recipe, some five hundred chunk files read and hashed, one v1 frame,
+// 64 slabs inflated and inverted.
+func BenchmarkRestoreDedupSparse16(b *testing.B) {
+	const elems, slabs = 1 << 21, 64
+	app, err := faultsim.NewSparseApp(faultsim.SparseConfig{Elems: elems, MutateFraction: 0.01, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	codec := ckpt.NewLossy()
+	codec.ChunkExtent = elems / slabs
+	mgr := ckpt.NewManager(codec, 0)
+	mgr.SetDelta(true)
+	if err := mgr.Register("state", app.Field()); err != nil {
+		b.Fatal(err)
+	}
+	st, err := store.Open(b.TempDir(), store.Options{Keep: 4, Dedup: true, DedupChunk: dedupBenchChunk})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, _, err := mgr.CheckpointTo(st, app.StepCount()); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(8 * elems)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mgr.RestoreLatest(st); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestDedupBenchTargets is the acceptance check behind the benchmark:
 // at 1% mutation the steady-state re-checkpoint must commit ≥10× fewer
 // physical bytes and spend ≥10× less compression CPU than the full

@@ -1,11 +1,14 @@
 // Benchmarks for the block-parallel DEFLATE engine and the streaming
 // checkpoint pipeline (ISSUE PR 5): serial CompressFormat vs pigz-style
 // CompressParallel over worker and block-size sweeps, both decoders, and
-// buffered Checkpoint vs CheckpointStream on the 24 MB nicam16x array.
-// `make bench-gzip` distills these into BENCH_gzip.json.
+// buffered Checkpoint vs CheckpointStream on the 24 MB nicam16x array —
+// and, since PR 15, the slice-to-slice inflater beside the compress/gzip
+// reader it replaced. `make bench-gzip` distills these into BENCH_gzip.json.
 package lossyckpt
 
 import (
+	"bytes"
+	"compress/gzip"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -13,6 +16,8 @@ import (
 	"testing"
 
 	"lossyckpt/internal/ckpt"
+	"lossyckpt/internal/core"
+	"lossyckpt/internal/faultsim"
 	"lossyckpt/internal/grid"
 	"lossyckpt/internal/gzipio"
 )
@@ -97,6 +102,78 @@ func BenchmarkParallelGzip(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkInflate sets the repository's inflater beside the standard
+// library's reader on what a restore inflates: one of the 64 slabs of the
+// sparse 16 MiB array, a whole climate field, and that field's formatted
+// bytes as a Huffman-only member (all literals, no matches: the table
+// lookup alone). MB/s counts inflated bytes; the inflate rows decode into
+// a buffer kept from the iteration before, as core does.
+func BenchmarkInflate(b *testing.B) {
+	app, err := faultsim.NewSparseApp(faultsim.SparseConfig{Elems: 1 << 21, MutateFraction: 0.01, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	slab, err := grid.FromSlice(app.Field().Data()[:1<<15], 1<<15)
+	if err != nil {
+		b.Fatal(err)
+	}
+	stream := func(f *grid.Field) []byte {
+		res, err := core.Compress(f, core.DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res.Data
+	}
+	climate := stream(syntheticClimate(b, 1156, 82, 2))
+	formatted, err := gzipio.Decompress(climate)
+	if err != nil {
+		b.Fatal(err)
+	}
+	literals, err := gzipio.CompressFormat(formatted, gzip.HuffmanOnly, gzipio.InMemory, "", gzipio.FormatGzip)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{
+		{"sparse16-slab", stream(slab)},
+		{"climate-field", climate},
+		{"huffman-only", literals.Compressed},
+	} {
+		want, err := gzipio.Decompress(c.data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name+"/inflate", func(b *testing.B) {
+			b.SetBytes(int64(len(want)))
+			b.ReportAllocs()
+			var buf []byte
+			for i := 0; i < b.N; i++ {
+				if buf, err = gzipio.DecompressTo(buf[:0], c.data, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if !bytes.Equal(buf, want) {
+				b.Fatal("inflated bytes differ")
+			}
+		})
+		b.Run(c.name+"/stdlib", func(b *testing.B) {
+			b.SetBytes(int64(len(want)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				zr, err := gzip.NewReader(bytes.NewReader(c.data))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := io.ReadAll(zr); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkStreamingCheckpoint compares the buffered checkpoint (whole

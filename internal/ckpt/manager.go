@@ -313,26 +313,31 @@ func readEntry(br *byteReader, version, i int) (*rawEntry, error) {
 	if version >= fileVersionStream {
 		return readEntryV2(br, i)
 	}
-	body, crcOK, err := readEntryFrame(br, i)
+	frame, crcOK, err := readEntryFrame(br, i)
 	if err != nil {
 		return nil, err
 	}
 	if !crcOK {
+		frame.release()
 		return nil, fmt.Errorf("%w: entry %d checksum mismatch", errEntryDamaged, i)
 	}
-	ent, err := parseEntryBody(body, i)
+	ent, err := parseEntryBody(frame.Payload, i)
 	if err != nil {
+		frame.release()
 		return nil, fmt.Errorf("%w: %v", errEntryDamaged, err)
 	}
+	ent.buf = frame.buf
 	return ent, nil
 }
 
-// rawEntry is one parsed checkpoint frame before decoding.
+// rawEntry is one parsed checkpoint frame before decoding. Payload is a view:
+// of the stream itself when that is in memory, else of buf. Either way it is
+// dead once the scan that produced the entry returns.
 type rawEntry struct {
 	Name    string
 	Shape   []int
 	Payload []byte
-	buf     *[]byte // where a v2 Payload lives until release (stream.go)
+	buf     *[]byte // the recycled buffer Payload lies in, until release (stream.go)
 }
 
 // readEntryFrame reads entry i's outer frame (CRC, length, body) and
@@ -340,7 +345,7 @@ type rawEntry struct {
 // implausible length — returns ErrFormat; a CRC mismatch on a intact
 // frame comes back as crcOK=false with a nil error so partial recovery
 // can skip the frame and keep resynchronizing on the outer framing.
-func readEntryFrame(br *byteReader, i int) (body []byte, crcOK bool, err error) {
+func readEntryFrame(br *byteReader, i int) (frame *rawEntry, crcOK bool, err error) {
 	wantCRC := br.u32()
 	entryLen := br.u64()
 	if br.err != nil {
@@ -349,11 +354,20 @@ func readEntryFrame(br *byteReader, i int) (body []byte, crcOK bool, err error) 
 	if entryLen > maxPayloadLen {
 		return nil, false, fmt.Errorf("%w: entry %d implausibly large (%d bytes)", ErrFormat, i, entryLen)
 	}
-	body, rerr := readExactly(br, entryLen)
-	if rerr != nil {
-		return nil, false, fmt.Errorf("%w: entry %d body: %v", ErrFormat, i, rerr)
+	// The body, as Payload: a view of a stream in memory, and off a reader
+	// read into a recycled buffer under appendExactly's growth rule.
+	frame = &rawEntry{}
+	if frame.Payload = br.view(entryLen); frame.Payload == nil {
+		frame.buf = payloadBufs.Get().(*[]byte)
+		var rerr error
+		frame.Payload, rerr = appendExactly((*frame.buf)[:0], br, entryLen)
+		*frame.buf = frame.Payload[:0]
+		if rerr != nil {
+			frame.release()
+			return nil, false, fmt.Errorf("%w: entry %d body: %v", ErrFormat, i, rerr)
+		}
 	}
-	return body, crc32.ChecksumIEEE(body) == wantCRC, nil
+	return frame, crc32.ChecksumIEEE(frame.Payload) == wantCRC, nil
 }
 
 // readPrologue reads the name and shape that open an entry in both
@@ -379,14 +393,13 @@ func readPrologue(br *byteReader, i int) (name string, shape []int, err error) {
 	return name, shape, nil
 }
 
-// parseEntryBody decodes one frame body into name, shape and payload.
-// The declared name length, dimensionality, extents and payload length
-// are all validated against their caps and against the bytes actually
-// remaining, so corrupt metadata returns ErrFormat instead of
-// attempting a huge allocation.
+// parseEntryBody decodes one frame body into name, shape and payload, the
+// payload a view of the body. The declared name length, dimensionality,
+// extents and payload length are all validated against their caps and
+// against the bytes actually remaining, so corrupt metadata returns
+// ErrFormat and sizes nothing.
 func parseEntryBody(body []byte, i int) (*rawEntry, error) {
-	rd := bytes.NewReader(body)
-	er := newByteReader(rd)
+	er := &byteReader{b: body}
 	name, shape, err := readPrologue(er, i)
 	if err != nil {
 		return nil, err
@@ -395,15 +408,12 @@ func parseEntryBody(body []byte, i int) (*rawEntry, error) {
 	if er.err != nil {
 		return nil, fmt.Errorf("%w: entry %d payload length", ErrFormat, i)
 	}
-	if payloadLen > uint64(rd.Len()) {
-		return nil, fmt.Errorf("%w: entry %d declares %d payload bytes, %d remain", ErrFormat, i, payloadLen, rd.Len())
+	if payloadLen > uint64(len(er.b)) {
+		return nil, fmt.Errorf("%w: entry %d declares %d payload bytes, %d remain", ErrFormat, i, payloadLen, len(er.b))
 	}
-	payload := make([]byte, payloadLen)
-	if _, err := io.ReadFull(er, payload); err != nil {
-		return nil, fmt.Errorf("%w: entry %d payload: %v", ErrFormat, i, err)
-	}
-	if rd.Len() != 0 {
-		return nil, fmt.Errorf("%w: entry %d has %d trailing bytes", ErrFormat, i, rd.Len())
+	payload := er.view(payloadLen)
+	if len(er.b) != 0 {
+		return nil, fmt.Errorf("%w: entry %d has %d trailing bytes", ErrFormat, i, len(er.b))
 	}
 	return &rawEntry{Name: name, Shape: shape, Payload: payload}, nil
 }
@@ -517,7 +527,7 @@ func (m *Manager) restoreScan(rep *Report, lenient bool) *entryScan {
 // to the worker count of arrays decode at once, so after an error the
 // registered state may hold arrays from beyond the entry that failed.
 func (m *Manager) Restore(r io.Reader) (*Report, error) {
-	rep, _, err := m.restore(r, false)
+	rep, _, err := m.restore(newByteReader(r), false)
 	return rep, err
 }
 
@@ -531,10 +541,10 @@ func (m *Manager) Restore(r io.Reader) (*Report, error) {
 // state is usable. The header itself must be intact; with it gone there
 // is nothing to verify against.
 func (m *Manager) RestorePartial(r io.Reader) (*Report, []string, error) {
-	return m.restore(r, true)
+	return m.restore(newByteReader(r), true)
 }
 
-func (m *Manager) restore(r io.Reader, partial bool) (rep *Report, skipped []string, err error) {
+func (m *Manager) restore(br *byteReader, partial bool) (rep *Report, skipped []string, err error) {
 	start := time.Now()
 	// Even a failed restore may have overwritten some arrays; the delta
 	// baseline no longer describes the live state either way.
@@ -560,7 +570,6 @@ func (m *Manager) restore(r io.Reader, partial bool) (rep *Report, skipped []str
 			}
 		}()
 	}
-	br := newByteReader(r)
 	hdr, err := readStreamHeader(br)
 	if err != nil {
 		return nil, nil, err
@@ -619,11 +628,6 @@ func writeString(buf *bytes.Buffer, s string) {
 	buf.WriteString(s)
 }
 
-// readExactly reads exactly n bytes.
-func readExactly(r io.Reader, n uint64) ([]byte, error) {
-	return appendExactly(nil, r, n)
-}
-
 // appendExactly appends exactly n bytes off r to buf, growing it in bounded
 // steps so a forged length field cannot force a huge allocation before the
 // stream runs dry.
@@ -641,25 +645,54 @@ func appendExactly(buf []byte, r io.Reader, n uint64) ([]byte, error) {
 	return buf, nil
 }
 
+// byteReader is the one scanner of checkpoint streams, over either source:
+// an io.Reader, or — r nil — a stream in memory, b the part of it not yet
+// read, out of which view hands sub-slices instead of copies.
 type byteReader struct {
 	r   io.Reader
+	b   []byte
 	err error
+	num [8]byte // where take reads a fixed-width integer off r
 }
 
 func newByteReader(r io.Reader) *byteReader { return &byteReader{r: r} }
 
-func (b *byteReader) Read(p []byte) (int, error) { return b.r.Read(p) }
+func (b *byteReader) Read(p []byte) (n int, err error) {
+	if b.r != nil {
+		return b.r.Read(p)
+	}
+	n = copy(p, b.b)
+	if b.b = b.b[n:]; n < len(p) {
+		err = io.EOF
+	}
+	return n, err
+}
 
+// view returns the next n bytes of a stream in memory without copying them,
+// or nil — nothing consumed — off a reader or when fewer are left.
+func (b *byteReader) view(n uint64) (v []byte) {
+	if b.r == nil && n <= uint64(len(b.b)) {
+		v, b.b = b.b[:n:n], b.b[n:]
+	}
+	return v
+}
+
+// take returns the next n bytes, good until the next take.
 func (b *byteReader) take(n int) []byte {
 	if b.err != nil {
 		return nil
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(b.r, buf); err != nil {
-		b.err = err
-		return nil
+	buf := b.view(uint64(n))
+	if buf == nil {
+		if buf = b.num[:]; n > len(buf) {
+			buf = make([]byte, n)
+		}
+		if _, err := io.ReadFull(b, buf[:n]); err != nil {
+			b.err = err
+			return nil
+		}
 	}
-	return buf
+	return buf[:n]
 }
 
 func (b *byteReader) u16() uint16 {

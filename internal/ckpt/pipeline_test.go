@@ -239,9 +239,45 @@ func errString(err error) string {
 	return err.Error()
 }
 
-func readEveryWay(t *testing.T, codec Codec, data []byte, workers int) restoreOutcome {
+// scribblePooled overwrites every recycled entry buffer this goroutine can
+// reach with garbage, as the next restore to draw them would.
+func scribblePooled() {
+	var held []*[]byte
+	for i := 0; i < 64; i++ {
+		b := payloadBufs.Get().(*[]byte)
+		whole := (*b)[:cap(*b)]
+		for j := range whole {
+			whole[j] = 0xA5
+		}
+		held = append(held, b)
+	}
+	for _, b := range held {
+		payloadBufs.Put(b)
+	}
+}
+
+// readEveryWay reads one stream with every reader, off an io.Reader or — as
+// RestoreLatest, LoadLatest and VerifyStream read a generation — in memory.
+// The moment a read returns, the stream's bytes and the recycled buffers are
+// overwritten: whatever the outcome still refers to of either shows up as a
+// difference between the two sources.
+func readEveryWay(t *testing.T, codec Codec, data []byte, workers int, inMemory bool) restoreOutcome {
 	t.Helper()
 	var out restoreOutcome
+	var live []byte
+	source := func() *byteReader {
+		if !inMemory {
+			return newByteReader(bytes.NewReader(data))
+		}
+		live = append([]byte(nil), data...)
+		return &byteReader{b: live}
+	}
+	settle := func() {
+		for i := range live {
+			live[i] = 0xA5
+		}
+		scribblePooled()
+	}
 	fresh := func() (*Manager, map[string]*grid.Field) {
 		m := NewManager(codec, workers)
 		fields := registerSample(t, m)
@@ -259,7 +295,8 @@ func readEveryWay(t *testing.T, codec Codec, data []byte, workers int) restoreOu
 	}
 
 	m, fields := fresh()
-	rep, err := m.Restore(bytes.NewReader(data))
+	rep, _, err := m.restore(source(), false)
+	settle()
 	out.Strict, out.StrictErr = strip(rep), errString(err)
 	if err == nil {
 		// A failed strict restore leaves an unspecified mix behind.
@@ -267,19 +304,23 @@ func readEveryWay(t *testing.T, codec Codec, data []byte, workers int) restoreOu
 	}
 
 	m, fields = fresh()
-	rep, out.Skipped, err = m.RestorePartial(bytes.NewReader(data))
+	rep, out.Skipped, err = m.restore(source(), true)
+	settle()
 	out.Partial, out.PartialErr, out.PartialFields = strip(rep), errString(err), snapshot(fields)
 
-	out.Load, err = loadStream(bytes.NewReader(data), workers, false)
+	out.Load, err = loadStream(source(), workers, false)
+	settle()
 	out.LoadErr = errString(err)
-	out.Lenient, err = loadStream(bytes.NewReader(data), workers, true)
+	out.Lenient, err = loadStream(source(), workers, true)
+	settle()
 	out.LenientErr = errString(err)
 	return out
 }
 
 // TestRestoreIndependentOfWorkers reads intact, damaged, torn and forged
-// streams with one decode job at a time and with eight: fields, reports,
-// skipped lists and errors must be the same.
+// streams with one decode job at a time and with eight, off a reader and in
+// memory: fields, reports, skipped lists, guarantee annotations and errors
+// must be the same all four ways.
 func TestRestoreIndependentOfWorkers(t *testing.T) {
 	type fixture struct {
 		name string
@@ -324,10 +365,16 @@ func TestRestoreIndependentOfWorkers(t *testing.T) {
 
 		var decodeFailures, duplicates int
 		for _, fx := range fixtures {
-			serial := readEveryWay(t, codec, fx.data, 1)
-			wide := readEveryWay(t, codec, fx.data, 8)
-			if !reflect.DeepEqual(serial, wide) {
-				t.Errorf("%s/%s: workers=8 read differs from workers=1\n%+v\nwant\n%+v", codecName, fx.name, wide, serial)
+			serial := readEveryWay(t, codec, fx.data, 1, false)
+			for _, other := range []struct {
+				how      string
+				workers  int
+				inMemory bool
+			}{{"workers=8", 8, false}, {"in memory, workers=1", 1, true}, {"in memory, workers=8", 8, true}} {
+				got := readEveryWay(t, codec, fx.data, other.workers, other.inMemory)
+				if !reflect.DeepEqual(serial, got) {
+					t.Errorf("%s/%s: read %s differs from a reader at workers=1\n%+v\nwant\n%+v", codecName, fx.name, other.how, got, serial)
+				}
 			}
 			if strings.Contains(serial.StrictErr, "ckpt: decoding") {
 				decodeFailures++

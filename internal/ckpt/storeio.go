@@ -8,7 +8,6 @@
 package ckpt
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -122,7 +121,7 @@ func (m *Manager) RestoreLatest(st store.Target) (sr *StoreRestore, err error) {
 			m.recordFallback(o, g.Seq, "unverified")
 			continue
 		}
-		rep, err := m.Restore(bytes.NewReader(data))
+		rep, _, err := m.restore(&byteReader{b: data}, false)
 		if err != nil {
 			failures = append(failures, fmt.Errorf("gen %d: %w", g.Seq, err))
 			m.recordFallback(o, g.Seq, "restore_error")
@@ -143,7 +142,7 @@ func (m *Manager) RestoreLatest(st store.Target) (sr *StoreRestore, err error) {
 		if err != nil {
 			continue
 		}
-		rep, skipped, err := m.RestorePartial(bytes.NewReader(data))
+		rep, skipped, err := m.restore(&byteReader{b: data}, true)
 		if err != nil {
 			failures = append(failures, fmt.Errorf("gen %d partial: %w", g.Seq, err))
 			continue
@@ -244,7 +243,7 @@ func LoadLatestCtx(ctx context.Context, st store.Target, workers int) (lc *Loade
 		if !verified && !lenient {
 			return nil, store.ErrCorrupt
 		}
-		lc, err := loadStream(bytes.NewReader(data), workers, lenient)
+		lc, err := loadStream(&byteReader{b: data}, workers, lenient)
 		if err != nil {
 			return nil, err
 		}
@@ -293,8 +292,7 @@ func decoderFor(name string, workers int) (Codec, error) {
 // lenient mode damaged frames are skipped and a torn tail ends the
 // scan; in strict mode any damage is fatal. workers bounds the entries
 // decoded at once, for every codec, and the decode inside one array.
-func loadStream(r io.Reader, workers int, lenient bool) (*LoadedCheckpoint, error) {
-	br := newByteReader(r)
+func loadStream(br *byteReader, workers int, lenient bool) (*LoadedCheckpoint, error) {
 	hdr, err := readStreamHeader(br)
 	if err != nil {
 		return nil, err

@@ -53,7 +53,7 @@ func readEntryV2(br *byteReader, i int) (*rawEntry, error) {
 	ent := &rawEntry{Name: name, Shape: shape, buf: payloadBufs.Get().(*[]byte)}
 	payload := (*ent.buf)[:0]
 	fail := func(err error) (*rawEntry, error) {
-		ent.Payload = payload
+		*ent.buf = payload[:0]
 		ent.release()
 		return nil, err
 	}
@@ -82,22 +82,22 @@ func readEntryV2(br *byteReader, i int) (*rawEntry, error) {
 	if wantLen != uint64(len(payload)) || wantCRC != crc.Sum32() {
 		return fail(fmt.Errorf("%w: entry %d trailer mismatch", errEntryDamaged, i))
 	}
-	ent.Payload = payload
+	ent.Payload, *ent.buf = payload, payload[:0]
 	return ent, nil
 }
 
-// payloadBufs recycles the buffers v2 payloads are read into, across the
-// entries of a restore and across restores: a restore reads the same few
-// payload sizes every time, and growing a fresh slice to each of them by
-// segment-sized appends copied every payload about twice.
+// payloadBufs recycles the buffers entries are read into — v2 payloads,
+// whose segments have to be joined, and v1 frames that come off a reader —
+// across the entries of a restore and across restores: a restore reads the
+// same few sizes every time, and growing a fresh slice to each of them by
+// bounded appends copied every payload about twice.
 var payloadBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// release hands the payload's buffer back for the next entry to be read
-// into. Nothing may read Payload afterwards. A nil entry, or a v1 one, has
-// nothing to hand back.
+// release hands the entry's buffer back for the next entry to be read into.
+// Nothing may read Payload afterwards. A nil entry, or one that is a view of
+// a stream in memory, has nothing to hand back.
 func (e *rawEntry) release() {
 	if e != nil && e.buf != nil {
-		*e.buf = e.Payload[:0]
 		payloadBufs.Put(e.buf)
 		e.buf, e.Payload = nil, nil
 	}

@@ -200,7 +200,7 @@ func TestStreamPartialRestore(t *testing.T) {
 		}
 	}
 
-	lc, err := loadStream(bytes.NewReader(mut), 1, true)
+	lc, err := loadStream(newByteReader(bytes.NewReader(mut)), 1, true)
 	if err != nil {
 		t.Fatalf("lenient load: %v", err)
 	}

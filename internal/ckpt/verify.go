@@ -1,7 +1,6 @@
 package ckpt
 
 import (
-	"bytes"
 	"fmt"
 
 	"lossyckpt/internal/core"
@@ -35,7 +34,7 @@ type StreamInfo struct {
 // annotations. Any damage is an error (use loadStream's lenient mode for
 // salvage semantics).
 func InspectStream(data []byte) (*StreamInfo, error) {
-	br := newByteReader(bytes.NewReader(data))
+	br := &byteReader{b: data}
 	hdr, err := readStreamHeader(br)
 	if err != nil {
 		return nil, err
@@ -87,7 +86,7 @@ func VerifyStream(data []byte, decode bool, workers int) error {
 	if err != nil {
 		return err
 	}
-	br := newByteReader(bytes.NewReader(data))
+	br := &byteReader{b: data}
 	hdr, err := readStreamHeader(br)
 	if err != nil {
 		return err

@@ -175,18 +175,6 @@ func (a *Archive) SerializedSize() int {
 	return n
 }
 
-// ReadArchive deserializes an archive produced by WriteTo, verifying the
-// trailing checksum.
-func ReadArchive(r io.Reader) (*Archive, error) {
-	// Buffer everything so the CRC can be validated. Containers are sized
-	// like checkpoints (MBs), so this is acceptable.
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
-	}
-	return FromBytes(raw)
-}
-
 // FromBytes deserializes an archive from a byte slice, verifying the
 // trailing checksum.
 func FromBytes(raw []byte) (*Archive, error) {

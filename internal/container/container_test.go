@@ -114,13 +114,13 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadArchiveFromReader(t *testing.T) {
+func TestWriteToMatchesBytes(t *testing.T) {
 	a := sampleArchive(t, 2)
 	var buf bytes.Buffer
 	if _, err := a.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	b, err := ReadArchive(&buf)
+	b, err := FromBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,6 +27,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"lossyckpt/internal/container"
@@ -554,6 +555,9 @@ func Decompress(data []byte) (*grid.Field, error) {
 	return f, err
 }
 
+// formattedBufs recycles the stage-4 output of decodeTo.
+var formattedBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // decodeTo inverts the pipeline into the field dest supplies for the stream's
 // shape (grid.New for a fresh one), on up to workers goroutines (0 =
 // GOMAXPROCS, 1 = serial; same result for every count). dest is asked once the
@@ -564,10 +568,15 @@ func decodeTo(data []byte, workers int, dest func(shape ...int) (*grid.Field, er
 	// codec; legacy payloads (raw gzip/zlib, including multi-member
 	// GzipBlock streams) fall through to the DEFLATE decoders bit-exactly
 	// as before, inflating members on the same worker bound.
-	formatted, err := entropy.Decompress(data, workers)
+	// The formatted bytes live only until the archive is parsed out of them:
+	// each decoding goroutine inflates into the buffer the one before it left.
+	buf := formattedBufs.Get().(*[]byte)
+	defer formattedBufs.Put(buf)
+	formatted, err := entropy.DecompressTo(*buf, data, workers)
 	if err != nil {
 		return nil, err
 	}
+	*buf = formatted
 	arch, err := container.FromBytes(formatted)
 	if err != nil {
 		return nil, err

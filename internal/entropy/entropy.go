@@ -139,9 +139,10 @@ type Codec interface {
 	Name() string
 	// Compress encodes data using the codec-relevant fields of p.
 	Compress(data []byte, p Params) ([]byte, error)
-	// Decompress decodes a payload produced by Compress. workers bounds
+	// Decompress decodes a payload produced by Compress into dst's
+	// capacity where it can, growing it where it must. workers bounds
 	// parallel decode where the format supports it.
-	Decompress(data []byte, workers int) ([]byte, error)
+	Decompress(dst, data []byte, workers int) ([]byte, error)
 }
 
 // ByID returns the codec registered for id.
@@ -181,11 +182,8 @@ func (gzipCodec) Compress(data []byte, p Params) ([]byte, error) {
 	return res.Compressed, nil
 }
 
-func (gzipCodec) Decompress(data []byte, workers int) ([]byte, error) {
-	if len(data) >= 2 && data[0] == 0x1f && data[1] == 0x8b {
-		return gzipio.DecompressMembersParallel(data, workers)
-	}
-	return gzipio.DecompressAuto(data)
+func (gzipCodec) Decompress(dst, data []byte, workers int) ([]byte, error) {
+	return gzipio.DecompressTo(dst[:0], data, workers)
 }
 
 // lz4Codec adapts the LZ4-class block coder to the Codec interface.
@@ -198,8 +196,8 @@ func (lz4Codec) Compress(data []byte, p Params) ([]byte, error) {
 	return lz4Compress(data), nil
 }
 
-func (lz4Codec) Decompress(data []byte, workers int) ([]byte, error) {
-	return lz4Decompress(data)
+func (lz4Codec) Decompress(dst, data []byte, workers int) ([]byte, error) {
+	return lz4Decompress(dst, data)
 }
 
 // Result carries the envelope-wrapped stream and the coding time, the
@@ -262,18 +260,26 @@ func parseEnvelope(data []byte) (id ID, shuffled bool, stride int, payload []byt
 // pre-PR-6 payloads: raw gzip or zlib, decoded through the gzip codec
 // bit-exactly as before. workers bounds parallel member decode.
 func Decompress(data []byte, workers int) ([]byte, error) {
+	return DecompressTo(nil, data, workers)
+}
+
+// DecompressTo is Decompress into a buffer the caller keeps: the codec
+// writes over dst (from its start) and grows it as decoded bytes arrive, so
+// a caller decoding payload after payload hands back what it got last time.
+// The result may or may not share dst's array.
+func DecompressTo(dst, data []byte, workers int) ([]byte, error) {
 	id, shuffled, stride, payload, ok, err := parseEnvelope(data)
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
-		return gzipCodec{}.Decompress(data, workers)
+		return gzipCodec{}.Decompress(dst, data, workers)
 	}
 	c, err := ByID(id)
 	if err != nil {
 		return nil, err
 	}
-	out, err := c.Decompress(payload, workers)
+	out, err := c.Decompress(dst, payload, workers)
 	if err != nil {
 		return nil, fmt.Errorf("entropy: %s: %w", c.Name(), err)
 	}

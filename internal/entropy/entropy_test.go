@@ -43,7 +43,7 @@ func corpus() map[string][]byte {
 func TestLZ4RoundTrip(t *testing.T) {
 	for name, data := range corpus() {
 		comp := lz4Compress(data)
-		back, err := lz4Decompress(comp)
+		back, err := lz4Decompress(nil, comp)
 		if err != nil {
 			t.Fatalf("%s: decompress: %v", name, err)
 		}
@@ -82,7 +82,7 @@ func TestLZ4DecompressRejectsCorrupt(t *testing.T) {
 		"far offset":      {8, 0x41, 'a', 0xff, 0xff},
 	}
 	for name, data := range cases {
-		if _, err := lz4Decompress(data); err == nil {
+		if _, err := lz4Decompress(nil, data); err == nil {
 			t.Errorf("%s: corrupt input decoded without error", name)
 		}
 	}
@@ -92,7 +92,7 @@ func TestLZ4TruncationAlwaysErrors(t *testing.T) {
 	data := bytes.Repeat([]byte("abcdefgh123"), 2000)
 	comp := lz4Compress(data)
 	for cut := 1; cut < len(comp); cut += 37 {
-		if back, err := lz4Decompress(comp[:cut]); err == nil && bytes.Equal(back, data) {
+		if back, err := lz4Decompress(nil, comp[:cut]); err == nil && bytes.Equal(back, data) {
 			t.Fatalf("truncation at %d/%d still produced the full output", cut, len(comp))
 		}
 	}
@@ -166,6 +166,20 @@ func TestCompressDecompressAllParams(t *testing.T) {
 				}
 				if !bytes.Equal(back, data) {
 					t.Fatalf("%s %s workers=%d: round trip mismatch", name, p.Label(), workers)
+				}
+			}
+			// A recycled buffer, dirty and of any size, changes nothing, and
+			// a codec that decodes one stream straight into a buffer with
+			// room for it leaves the result there.
+			for _, size := range []int{len(data) + 512, len(data) / 2} {
+				dst := bytes.Repeat([]byte{0xa5}, size)
+				back, err := DecompressTo(dst, res.Compressed, 1)
+				if err != nil || !bytes.Equal(back, data) {
+					t.Fatalf("%s %s into %d bytes: round trip mismatch (err %v)", name, p.Label(), size, err)
+				}
+				inPlace := !p.Shuffle && p.GzipBlock == 0 && size > len(data) && len(data) > 0
+				if inPlace && &back[0] != &dst[0] {
+					t.Errorf("%s %s: decoded beside a buffer of %d bytes that had room for %d", name, p.Label(), size, len(data))
 				}
 			}
 		}

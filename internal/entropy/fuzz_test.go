@@ -16,7 +16,7 @@ func FuzzLZ4RoundTrip(f *testing.F) {
 		if len(comp) > lz4CompressBound(len(data)) {
 			t.Fatalf("output %d exceeds bound %d", len(comp), lz4CompressBound(len(data)))
 		}
-		back, err := lz4Decompress(comp)
+		back, err := lz4Decompress(nil, comp)
 		if err != nil {
 			t.Fatalf("own output rejected: %v", err)
 		}
@@ -35,7 +35,7 @@ func FuzzLZ4Decompress(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Add([]byte{8, 0x41, 'a', 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		out, err := lz4Decompress(data)
+		out, err := lz4Decompress(nil, data)
 		if err != nil {
 			return
 		}

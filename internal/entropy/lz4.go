@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -194,11 +195,12 @@ func lz4AppendExt(out []byte, v int) []byte {
 	return append(out, byte(v))
 }
 
-// lz4Decompress decodes a stream produced by lz4Compress. Malformed
+// lz4Decompress decodes a stream produced by lz4Compress over dst (from its
+// start), growing it to the declared length where it is smaller. Malformed
 // input — truncated streams, forged lengths, out-of-window offsets —
 // returns ErrCorrupt; the output allocation is bounded by the declared
 // length, which itself is capped relative to the input size.
-func lz4Decompress(data []byte) ([]byte, error) {
+func lz4Decompress(dst, data []byte) ([]byte, error) {
 	un, k := binary.Uvarint(data)
 	if k <= 0 {
 		return nil, fmt.Errorf("%w: bad length header", ErrCorrupt)
@@ -214,7 +216,7 @@ func lz4Decompress(data []byte) ([]byte, error) {
 		}
 		return []byte{}, nil
 	}
-	out := make([]byte, 0, n)
+	out := slices.Grow(dst[:0], n)
 	pos := 0
 	readExt := func(base int) (int, error) {
 		if base < 15 {

@@ -59,33 +59,28 @@ func CompressFormat(data []byte, level int, mode Mode, tmpDir string, format For
 // DecompressAuto inflates either framing, sniffing the two-byte magic
 // (gzip: 0x1f 0x8b; zlib: 0x78 …). Both framings may be multi-member:
 // gzip streams concatenate RFC 1952 members (what CompressParallel and
-// `cat a.gz b.gz` produce) and are consumed member by member; zlib
-// streams likewise decode back-to-back concatenations. Trailing bytes
-// that are not another member are an error.
+// `cat a.gz b.gz` produce) and zlib streams likewise decode back-to-back
+// concatenations. Trailing bytes that are not another member are an error.
 func DecompressAuto(data []byte) ([]byte, error) {
+	return decompress(nil, data, sniff(data))
+}
+
+// sniff tells gzip framing by its magic; anything else is tried as zlib.
+func sniff(data []byte) Format {
 	if len(data) >= 2 && data[0] == 0x1f && data[1] == 0x8b {
-		return Decompress(data)
+		return FormatGzip
 	}
-	// bytes.Reader implements io.ByteReader, so the flate decoder reads
-	// exactly the stream's bytes and r lands on the next member boundary.
-	r := bytes.NewReader(data)
-	var out bytes.Buffer
-	for {
-		zr, err := zlib.NewReader(r)
-		if err != nil {
-			return nil, fmt.Errorf("gzipio: open zlib: %w", err)
-		}
-		if _, err := out.ReadFrom(zr); err != nil {
-			zr.Close()
-			return nil, fmt.Errorf("gzipio: inflate zlib: %w", err)
-		}
-		if err := zr.Close(); err != nil {
-			return nil, fmt.Errorf("gzipio: verify zlib: %w", err)
-		}
-		if r.Len() == 0 {
-			return out.Bytes(), nil
-		}
+	return FormatZlib
+}
+
+// decompress is inflateStream with the error named and the partial output
+// dropped.
+func decompress(dst, data []byte, format Format) ([]byte, error) {
+	out, err := inflateStream(dst, data, format)
+	if err != nil {
+		return nil, fmt.Errorf("gzipio: inflate %v: %w", format, err)
 	}
+	return out, nil
 }
 
 // Mode selects how the DEFLATE stage is executed.
@@ -266,17 +261,5 @@ const Default = gzip.DefaultCompression
 // Decompress inflates a gzip stream produced by Compress (or any gzip
 // stream).
 func Decompress(data []byte) ([]byte, error) {
-	zr, err := gzip.NewReader(bytes.NewReader(data))
-	if err != nil {
-		return nil, fmt.Errorf("gzipio: open: %w", err)
-	}
-	defer zr.Close()
-	out, err := io.ReadAll(zr)
-	if err != nil {
-		return nil, fmt.Errorf("gzipio: inflate: %w", err)
-	}
-	if err := zr.Close(); err != nil {
-		return nil, fmt.Errorf("gzipio: verify: %w", err)
-	}
-	return out, nil
+	return decompress(nil, data, FormatGzip)
 }

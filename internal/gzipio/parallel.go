@@ -31,6 +31,7 @@ import (
 	"hash/adler32"
 	"hash/crc32"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -97,11 +98,6 @@ const (
 	memberOverhead  = memberHeaderLen + memberTrailer
 	memberLenOff    = 16
 )
-
-// maxDeflateRatio bounds DEFLATE expansion (1032:1, the format's hard
-// limit) so declared-size lies in member trailers cannot force huge
-// allocations before inflation runs dry.
-const maxDeflateRatio = 1032
 
 // CompressParallel is CompressFormat(mode=InMemory) with the DEFLATE
 // stage sharded over a bounded worker pool. The output is byte-identical
@@ -338,9 +334,17 @@ func splitMembers(data []byte) (members [][]byte, ok bool) {
 // serial DecompressAuto — the function accepts everything DecompressAuto
 // does. workers 0 means GOMAXPROCS.
 func DecompressMembersParallel(data []byte, workers int) ([]byte, error) {
+	return DecompressTo(nil, data, workers)
+}
+
+// DecompressTo is DecompressMembersParallel appending to dst: a caller that
+// decodes stream after stream hands the same buffer back and pays for its
+// growth once. A stream without the member layout inflates straight into
+// dst; members inflated side by side are copied there in order.
+func DecompressTo(dst, data []byte, workers int) ([]byte, error) {
 	members, ok := splitMembers(data)
 	if !ok {
-		return DecompressAuto(data)
+		return decompress(dst, data, sniff(data))
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -363,7 +367,7 @@ func DecompressMembersParallel(data []byte, workers int) ([]byte, error) {
 				if m >= len(members) {
 					return
 				}
-				outs[m], errs[m] = inflateMember(members[m])
+				outs[m], errs[m] = inflateStream(nil, members[m], FormatGzip)
 			}
 		}()
 	}
@@ -373,43 +377,18 @@ func DecompressMembersParallel(data []byte, workers int) ([]byte, error) {
 			return nil, fmt.Errorf("gzipio: member %d: %w", m, err)
 		}
 	}
-
 	total := 0
 	for _, o := range outs {
 		total += len(o)
 	}
-	out := make([]byte, 0, total)
+	dst = slices.Grow(dst, total)
 	for _, o := range outs {
-		out = append(out, o...)
+		dst = append(dst, o...)
 	}
 	if o := obs.Default(); o != nil {
 		o.Counter(MetricParallelOps, "op", "decompress").Inc()
 		o.Counter(MetricMembers, "op", "decompress").Add(float64(len(members)))
 		o.Counter(MetricBlockSeconds, "op", "decompress").Add(time.Since(start).Seconds())
 	}
-	return out, nil
-}
-
-// inflateMember decodes one gzip member, using its ISIZE trailer as a
-// capacity hint capped by the DEFLATE expansion bound so a lying trailer
-// cannot force a huge allocation.
-func inflateMember(member []byte) ([]byte, error) {
-	hint := uint64(binary.LittleEndian.Uint32(member[len(member)-4:]))
-	if bound := uint64(len(member)) * maxDeflateRatio; hint > bound {
-		hint = bound
-	}
-	zr, err := gzip.NewReader(bytes.NewReader(member))
-	if err != nil {
-		return nil, err
-	}
-	defer zr.Close()
-	buf := bytes.NewBuffer(make([]byte, 0, hint))
-	if _, err := buf.ReadFrom(zr); err != nil {
-		return nil, err
-	}
-	// Close reports any CRC-32/ISIZE mismatch the trailer check found.
-	if err := zr.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return dst, nil
 }

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -90,8 +91,8 @@ type Backend interface {
 	Init() error
 	// BeginPayload starts writing generation seq's payload.
 	BeginPayload(seq uint64) (PayloadWriter, error)
-	// ReadPayload returns generation seq's bytes.
-	ReadPayload(seq uint64) ([]byte, error)
+	// ReadPayload appends generation seq's bytes to dst (see readFileFS).
+	ReadPayload(seq uint64, dst []byte) ([]byte, error)
 	// RemovePayload deletes generation seq's payload (best effort).
 	RemovePayload(seq uint64) error
 	// ListPayloads returns the committed-visible payload sequence
@@ -121,8 +122,8 @@ type Backend interface {
 	// replaces it). Unreferenced chunks are garbage, not corruption: GC
 	// collects them.
 	WriteChunk(name string, data []byte) error
-	// ReadChunk returns a chunk's bytes.
-	ReadChunk(name string) ([]byte, error)
+	// ReadChunk appends a chunk's bytes to dst (see readFileFS).
+	ReadChunk(name string, dst []byte) ([]byte, error)
 	// RemoveChunk deletes a chunk (best effort).
 	RemoveChunk(name string) error
 	// ListChunks returns the chunk names present, sorted.
@@ -300,8 +301,8 @@ func (w *posixWriter) Commit() error {
 
 func (w *posixWriter) Abort() { w.cw.abort() }
 
-func (b *posixBackend) ReadPayload(seq uint64) ([]byte, error) {
-	return readFileFS(b.fs, b.genPath(seq))
+func (b *posixBackend) ReadPayload(seq uint64, dst []byte) ([]byte, error) {
+	return readFileFS(b.fs, b.genPath(seq), dst)
 }
 
 func (b *posixBackend) RemovePayload(seq uint64) error {
@@ -324,7 +325,7 @@ func (b *posixBackend) ListPayloads() ([]uint64, error) {
 }
 
 func (b *posixBackend) ReadManifest() ([]byte, error) {
-	return readFileFS(b.fs, filepath.Join(b.dir, manifestName))
+	return readFileFS(b.fs, filepath.Join(b.dir, manifestName), nil)
 }
 
 // WriteManifest persists the manifest image via temp+fsync+rename — the
@@ -441,8 +442,8 @@ func (b *posixBackend) WriteChunk(name string, data []byte) error {
 	return b.rt("syncdir", func() error { return b.fs.SyncDir(cdir) })
 }
 
-func (b *posixBackend) ReadChunk(name string) ([]byte, error) {
-	return readFileFS(b.fs, b.chunkPath(name))
+func (b *posixBackend) ReadChunk(name string, dst []byte) ([]byte, error) {
+	return readFileFS(b.fs, b.chunkPath(name), dst)
 }
 
 func (b *posixBackend) RemoveChunk(name string) error {
@@ -478,19 +479,45 @@ func (b *posixBackend) QuarantinedPayloads() ([][]byte, error) {
 	}
 	var out [][]byte
 	for _, name := range names {
-		if data, rerr := readFileFS(b.fs, filepath.Join(qdir, name)); rerr == nil {
+		if data, rerr := readFileFS(b.fs, filepath.Join(qdir, name), nil); rerr == nil {
 			out = append(out, data)
 		}
 	}
 	return out, nil
 }
 
-// readFileFS slurps one file through an FS.
-func readFileFS(fsys FS, path string) ([]byte, error) {
+// fileRoom returns, as a dst for readFileFS, buf's end with the room that reads
+// a file of n bytes in place: the n bytes and the one more it takes to see that
+// the file ends there. A buffer made by fileRoom(nil, total) has that room for
+// files of total bytes read one behind the other; any other is regrown first.
+func fileRoom(buf []byte, n int) []byte {
+	if cap(buf)-len(buf) <= n {
+		buf = append(make([]byte, 0, len(buf)+n+1), buf...)
+	}
+	return buf[len(buf) : len(buf) : len(buf)+n+1]
+}
+
+// readFileFS appends one file, read through an FS, to dst. The bytes land in
+// dst's spare capacity, which grows only when bytes arrive that do not fit; a
+// caller that knows the size to expect passes fileRoom's dst and the file is
+// read in place, once.
+func readFileFS(fsys FS, path string, dst []byte) ([]byte, error) {
 	f, err := fsys.Open(path)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	defer f.Close()
-	return io.ReadAll(f)
+	for {
+		if len(dst) == cap(dst) {
+			dst = slices.Grow(dst, 512)
+		}
+		n, err := f.Read(dst[len(dst):cap(dst)])
+		dst = dst[:len(dst)+n]
+		if err == io.EOF {
+			return dst, nil
+		}
+		if err != nil {
+			return dst, err
+		}
+	}
 }

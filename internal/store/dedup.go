@@ -27,8 +27,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"sort"
 	"strconv"
+	"sync/atomic"
 
 	"lossyckpt/internal/cas"
 	"lossyckpt/internal/obs/journal"
@@ -83,7 +85,7 @@ func (s *Store) loadDedupLocked() {
 		if !g.Dedup() {
 			continue
 		}
-		raw, err := s.b.ReadPayload(g.Seq)
+		raw, err := s.b.ReadPayload(g.Seq, nil)
 		if err != nil {
 			safeToSweep = false
 			continue
@@ -253,28 +255,66 @@ func (s *Store) commitDedupLocked(seq uint64, step int, expireAt int64, feed fun
 // verifying prefix of the payload, so frame-level partial recovery can
 // still mine it — and err is reserved for a missing payload object.
 func (s *Store) readDedupLocked(gen Generation) (data []byte, verified bool, err error) {
-	raw, err := s.b.ReadPayload(gen.Seq)
+	raw, err := s.b.ReadPayload(gen.Seq, fileRoom(nil, int(s.dd.recipeBytes[gen.Seq])))
 	if err != nil {
 		return nil, false, fmt.Errorf("store: read gen %d: %w", gen.Seq, err)
 	}
-	rec, derr := cas.DecodeRecipe(raw)
-	if derr != nil {
-		return nil, false, nil
-	}
-	out := make([]byte, 0, rec.Size)
-	complete := true
-	for _, ref := range rec.Chunks {
-		cdata, cerr := s.b.ReadChunk(ref.Hash.String())
-		if cerr != nil || uint32(len(cdata)) != ref.Len || cas.Sum(cdata) != ref.Hash {
-			complete = false
-			break
-		}
-		out = append(out, cdata...)
-	}
-	verified = complete &&
+	out, reason := s.assembleLocked(raw)
+	verified = reason == "" &&
 		uint64(len(out)) == gen.Size &&
 		crc32.ChecksumIEEE(out) == gen.CRC
 	return out, verified, nil
+}
+
+// assembleLocked resolves a recipe image into the payload it describes: one
+// buffer of the size the recipe declares, every chunk file read straight
+// into its range of it. It returns the chunks that verify ahead of the first
+// that does not — unreadable, of the wrong length, or not hashing to its
+// address — and which layer failed: "recipe", "chunk", or "" for none.
+//
+// Chunk i is hashed on a second goroutine while chunk i+1 is read. Every
+// file operation stays on this one, in recipe order; after a chunk that
+// fails its hash, at most the next one has been read as well.
+func (s *Store) assembleLocked(raw []byte) (data []byte, reason string) {
+	rec, derr := cas.DecodeRecipe(raw)
+	if derr != nil {
+		return nil, "recipe"
+	}
+	out := fileRoom(nil, int(rec.Size)) // the chunks' lengths add up to it (DecodeRecipe)
+	type read struct {
+		chunk []byte
+		want  cas.Hash
+		off   int64
+	}
+	reads := make(chan read) // unbuffered: the hasher is at most one chunk behind
+	var bad atomic.Int64     // where the first chunk whose hash failed starts
+	bad.Store(math.MaxInt64)
+	hashed := make(chan struct{})
+	go func() {
+		defer close(hashed)
+		for r := range reads {
+			if cas.Sum(r.chunk) != r.want {
+				bad.CompareAndSwap(math.MaxInt64, r.off)
+			}
+		}
+	}()
+	for _, ref := range rec.Chunks {
+		if bad.Load() != math.MaxInt64 {
+			break
+		}
+		chunk, cerr := s.b.ReadChunk(ref.Hash.String(), fileRoom(out, int(ref.Len)))
+		if cerr != nil || uint32(len(chunk)) != ref.Len {
+			break
+		}
+		reads <- read{chunk, ref.Hash, int64(len(out))}
+		out = out[:len(out)+len(chunk)]
+	}
+	close(reads)
+	<-hashed
+	if out = out[:min(int64(len(out)), bad.Load())]; uint64(len(out)) < rec.Size {
+		reason = "chunk"
+	}
+	return out, reason
 }
 
 // releaseGenLocked removes a generation's payload and, for dedup
@@ -347,7 +387,7 @@ func (s *Store) gcLocked() (rep *GCReport, err error) {
 		if !g.Dedup() {
 			continue
 		}
-		raw, rerr := s.b.ReadPayload(g.Seq)
+		raw, rerr := s.b.ReadPayload(g.Seq, nil)
 		if rerr != nil {
 			// An indexed recipe we cannot read means chunk liveness is
 			// unknown; sweeping now could destroy live data. Fail the
@@ -418,26 +458,17 @@ func (s *Store) dedupActiveLocked() bool {
 // damage through its own reasons ("recipe", "chunk") so the quarantine
 // record names the failing layer.
 func (s *Store) scrubResolveLocked(g Generation) (data []byte, reason string, missing bool) {
-	raw, err := s.b.ReadPayload(g.Seq)
+	raw, err := s.b.ReadPayload(g.Seq, nil)
 	if err != nil {
 		return nil, "", true
 	}
 	if !g.Dedup() {
 		return raw, "", false
 	}
-	rec, derr := cas.DecodeRecipe(raw)
-	if derr != nil {
-		return nil, "recipe", false
+	if data, reason = s.assembleLocked(raw); reason != "" {
+		data = nil
 	}
-	out := make([]byte, 0, rec.Size)
-	for _, ref := range rec.Chunks {
-		cdata, cerr := s.b.ReadChunk(ref.Hash.String())
-		if cerr != nil || uint32(len(cdata)) != ref.Len || cas.Sum(cdata) != ref.Hash {
-			return nil, "chunk", false
-		}
-		out = append(out, cdata...)
-	}
-	return out, "", false
+	return data, reason, false
 }
 
 // DedupStats is the store's dedup accounting surface (CLI inspect,
@@ -543,7 +574,7 @@ func (s *Store) FsckDedup() (*DedupFsckReport, error) {
 			continue
 		}
 		rep.DedupGens++
-		raw, err := s.b.ReadPayload(g.Seq)
+		raw, err := s.b.ReadPayload(g.Seq, nil)
 		if err != nil {
 			rep.Issues = append(rep.Issues, DedupFsckIssue{Kind: "recipe", Seq: g.Seq, Detail: err.Error()})
 			continue
@@ -560,7 +591,7 @@ func (s *Store) FsckDedup() (*DedupFsckReport, error) {
 			}
 			checked[ref.Hash] = true
 			rep.ChunksChecked++
-			cdata, cerr := s.b.ReadChunk(ref.Hash.String())
+			cdata, cerr := s.b.ReadChunk(ref.Hash.String(), nil)
 			switch {
 			case cerr != nil:
 				rep.Issues = append(rep.Issues, DedupFsckIssue{Kind: "missing", Seq: g.Seq, Hash: ref.Hash.String(), Detail: cerr.Error()})

@@ -92,8 +92,8 @@ func (w *objectWriter) Write(p []byte) (int, error) { return w.cw.Write(p) }
 func (w *objectWriter) Commit() error               { return w.cw.seal() }
 func (w *objectWriter) Abort()                      { w.cw.abort() }
 
-func (b *objectBackend) ReadPayload(seq uint64) ([]byte, error) {
-	return readFileFS(b.fs, b.key(genName(seq)))
+func (b *objectBackend) ReadPayload(seq uint64, dst []byte) ([]byte, error) {
+	return readFileFS(b.fs, b.key(genName(seq)), dst)
 }
 
 func (b *objectBackend) RemovePayload(seq uint64) error {
@@ -121,9 +121,9 @@ func (b *objectBackend) ListPayloads() ([]uint64, error) {
 // crash anywhere in the pointer swap still recovers either the old or
 // the new index, never a torn mix.
 func (b *objectBackend) ReadManifest() ([]byte, error) {
-	if praw, err := readFileFS(b.fs, b.key(pointerName)); err == nil {
+	if praw, err := readFileFS(b.fs, b.key(pointerName), nil); err == nil {
 		if v, perr := DecodePointer(praw); perr == nil {
-			if mraw, rerr := readFileFS(b.fs, b.key(manifestKey(v))); rerr == nil {
+			if mraw, rerr := readFileFS(b.fs, b.key(manifestKey(v)), nil); rerr == nil {
 				if _, _, derr := DecodeManifest(mraw); derr == nil {
 					if v > b.ver {
 						b.ver = v
@@ -146,7 +146,7 @@ func (b *objectBackend) ReadManifest() ([]byte, error) {
 	}
 	sort.Slice(vers, func(i, j int) bool { return vers[i] > vers[j] })
 	for _, v := range vers {
-		mraw, rerr := readFileFS(b.fs, b.key(manifestKey(v)))
+		mraw, rerr := readFileFS(b.fs, b.key(manifestKey(v)), nil)
 		if rerr != nil {
 			continue
 		}
@@ -249,8 +249,8 @@ func (b *objectBackend) WriteChunk(name string, data []byte) error {
 	return cw.seal()
 }
 
-func (b *objectBackend) ReadChunk(name string) ([]byte, error) {
-	return readFileFS(b.fs, b.key(objChunkPrefix+name))
+func (b *objectBackend) ReadChunk(name string, dst []byte) ([]byte, error) {
+	return readFileFS(b.fs, b.key(objChunkPrefix+name), dst)
 }
 
 func (b *objectBackend) RemoveChunk(name string) error {
@@ -282,7 +282,7 @@ func (b *objectBackend) QuarantinedPayloads() ([][]byte, error) {
 		if !strings.HasPrefix(name, objQuarantinePrefix) {
 			continue
 		}
-		if data, rerr := readFileFS(b.fs, b.key(name)); rerr == nil {
+		if data, rerr := readFileFS(b.fs, b.key(name), nil); rerr == nil {
 			out = append(out, data)
 		}
 	}
@@ -293,7 +293,7 @@ func (b *objectBackend) QuarantinedPayloads() ([][]byte, error) {
 // deletes the original — the flat-namespace equivalent of the posix
 // backend's quarantine/ rename, with the same never-overwrite suffixing.
 func (b *objectBackend) Quarantine(seq uint64) (string, error) {
-	data, err := b.ReadPayload(seq)
+	data, err := b.ReadPayload(seq, nil)
 	if err != nil {
 		return "", err
 	}

@@ -593,7 +593,7 @@ func (s *Store) putDedupLocked(seq uint64, payload []byte) ([]cas.Ref, int64, er
 		// quarantined recipe keeps that hash referenced. Verify the durable
 		// copy and rewrite anything that does not check out.
 		if s.dd.idx.Has(h) {
-			if cdata, cerr := s.b.ReadChunk(h.String()); cerr == nil && cas.Sum(cdata) == h {
+			if cdata, cerr := s.b.ReadChunk(h.String(), nil); cerr == nil && cas.Sum(cdata) == h {
 				staged[h] = true
 				continue
 			}
@@ -685,7 +685,10 @@ func (s *Store) ReadGenerationRaw(seq uint64) (data []byte, verified bool, err e
 			return nil, false, err
 		}
 	} else {
-		data, err = s.b.ReadPayload(seq)
+		// The manifest says how long the file should be: read it in place,
+		// trusting the figure for no more than a first allocation of bounded
+		// size.
+		data, err = s.b.ReadPayload(seq, fileRoom(nil, int(min(gen.Size, 64<<20))))
 		if err != nil {
 			return nil, false, fmt.Errorf("store: read gen %d: %w", seq, err)
 		}
@@ -737,7 +740,7 @@ func (s *Store) rescan(minNext uint64) error {
 	var gens []Generation
 	var maxSeq uint64
 	for _, seq := range seqs {
-		data, err := s.b.ReadPayload(seq)
+		data, err := s.b.ReadPayload(seq, nil)
 		if err != nil {
 			continue // unreadable generation: skip, don't fail recovery
 		}
