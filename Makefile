@@ -26,12 +26,14 @@ test:
 
 # The later lines repeat the tests in which goroutines share one buffer —
 # the shards of a wavelet pass, and a dedup read hashing one chunk while it
-# reads the next into the same generation: the race detector only sees
-# interleavings that happen.
+# reads the next into the same generation — or recycle one state, as DEFLATE
+# streams encoded side by side do: the race detector only sees interleavings
+# that happen.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'KernelsMatchLaneReference|WorkersBitIdentical' ./internal/wavelet
 	$(GO) test -race -count=10 -run 'DedupRead' ./internal/store
+	$(GO) test -race -count=10 -run 'DeflateDependsOnInputAlone|ByteStableAcrossWorkers' ./internal/gzipio
 
 # bench-test vets and tests the benchmark's own module (bench/), which
 # `go test ./...` at the root never reaches: its replay oracle re-derives
@@ -59,6 +61,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run='^Fuzz' -fuzz='^FuzzDecompressChunkedParallel$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/gzipio -run='^Fuzz' -fuzz='^FuzzDecompressMembers$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/gzipio -run='^Fuzz' -fuzz='^FuzzInflateDifferential$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/gzipio -run='^Fuzz' -fuzz='^FuzzDeflateRoundTrip$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/entropy -run='^Fuzz' -fuzz='^FuzzLZ4RoundTrip$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/entropy -run='^Fuzz' -fuzz='^FuzzLZ4Decompress$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/entropy -run='^Fuzz' -fuzz='^FuzzDecompressAny$$' -fuzztime=$(FUZZTIME)
@@ -103,11 +106,13 @@ bench-obs:
 
 # bench-gzip runs the block-parallel DEFLATE and streaming-checkpoint
 # benchmarks that feed BENCH_gzip.json (serial vs parallel compress,
-# block-size sweep, both decoders, buffered vs streaming checkpoint), and
-# the inflater beside compress/gzip's reader on three restore payloads.
+# block-size sweep, both decoders, buffered vs streaming checkpoint), the
+# inflater beside compress/gzip's reader on three restore payloads and the
+# encoder beside its writer on three save payloads.
 bench-gzip:
 	$(GO) test -run xxx -bench 'ParallelGzip|StreamingCheckpoint' -benchtime 3x .
 	$(GO) test -run xxx -bench 'Inflate' -benchtime 50x .
+	$(GO) test -run xxx -bench 'Deflate' -benchtime 20x .
 
 # bench-entropy runs the pluggable-entropy-stage benchmarks that feed
 # BENCH_entropy.json (lz4 vs gzip compress/decompress, the byte-shuffle
@@ -140,7 +145,7 @@ bench-qa:
 # bench-smoke executes every benchmark once — CI's guard that the bench
 # code itself keeps compiling and running.
 bench-smoke:
-	$(GO) test -run xxx -bench 'ChunkedParallel|Alloc|CheckpointStream(Climate5|Big24)|GuardEncodeClimate|ChooseDivisions|ParallelGzip|StreamingCheckpoint|Inflate|Entropy|Dedup|Transform' -benchtime 1x . ./internal/quant ./internal/wavelet
+	$(GO) test -run xxx -bench 'ChunkedParallel|Alloc|CheckpointStream(Climate5|Big24)|GuardEncodeClimate|ChooseDivisions|ParallelGzip|StreamingCheckpoint|Inflate|Deflate|Entropy|Dedup|Transform' -benchtime 1x . ./internal/quant ./internal/wavelet
 
 # bench-compare diffs two BENCH_*.json snapshots and fails on >15%
 # ns_per_op regressions:  make bench-compare OLD=old.json NEW=new.json

@@ -2,8 +2,9 @@
 // checkpoint pipeline (ISSUE PR 5): serial CompressFormat vs pigz-style
 // CompressParallel over worker and block-size sweeps, both decoders, and
 // buffered Checkpoint vs CheckpointStream on the 24 MB nicam16x array —
-// and, since PR 15, the slice-to-slice inflater beside the compress/gzip
-// reader it replaced. `make bench-gzip` distills these into BENCH_gzip.json.
+// and, since PRs 15 and 16, the slice-to-slice inflater and encoder beside
+// the compress/gzip reader and writer they replaced. `make bench-gzip`
+// distills these into BENCH_gzip.json.
 package lossyckpt
 
 import (
@@ -16,6 +17,7 @@ import (
 	"testing"
 
 	"lossyckpt/internal/ckpt"
+	"lossyckpt/internal/container"
 	"lossyckpt/internal/core"
 	"lossyckpt/internal/faultsim"
 	"lossyckpt/internal/grid"
@@ -172,6 +174,69 @@ func BenchmarkInflate(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkDeflate is BenchmarkInflate's mirror: the repository's encoder
+// beside the standard library's writer at the level they share as default, on
+// what a save deflates — a climate field's formatted bytes, the field's raw
+// float image (the gzip codec's input), and the formatted stream's one-byte
+// quantization codes alone. MB/s counts input bytes; out-bytes is the gzip
+// member's size. Both write into a buffer kept from the iteration before.
+func BenchmarkDeflate(b *testing.B) {
+	f := syntheticClimate(b, 1156, 82, 2)
+	res, err := core.Compress(f, core.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	formatted, err := gzipio.Decompress(res.Data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	arch, err := container.FromBytes(formatted)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{
+		{"formatted-stream", formatted},
+		{"float-image", floatImage(f)},
+		{"codes-section", arch.Band().Codes},
+	} {
+		b.Run(c.name+"/deflate", func(b *testing.B) {
+			b.SetBytes(int64(len(c.data)))
+			b.ReportAllocs()
+			var out bytes.Buffer
+			for i := 0; i < b.N; i++ {
+				out.Reset()
+				if err := gzipio.CompressTo(&out, c.data, gzipio.Default, gzipio.FormatGzip); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(out.Len()), "out-bytes")
+		})
+		b.Run(c.name+"/stdlib", func(b *testing.B) {
+			b.SetBytes(int64(len(c.data)))
+			b.ReportAllocs()
+			var out bytes.Buffer
+			zw, err := gzip.NewWriterLevel(&out, gzip.DefaultCompression)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < b.N; i++ {
+				out.Reset()
+				zw.Reset(&out)
+				if _, err := zw.Write(c.data); err != nil {
+					b.Fatal(err)
+				}
+				if err := zw.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(out.Len()), "out-bytes")
 		})
 	}
 }

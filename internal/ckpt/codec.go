@@ -12,10 +12,12 @@
 package ckpt
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"time"
+	"unsafe"
 
 	"lossyckpt/internal/core"
 	"lossyckpt/internal/entropy"
@@ -150,7 +152,7 @@ func (None) Decode(payload []byte, shape []int) (*grid.Field, error) {
 // (the stream then carries the self-describing entropy envelope and the
 // codec names itself "lz4").
 type Gzip struct {
-	// Level is a compress/gzip level; use gzipio.Default normally.
+	// Level is a gzipio level (-2…9); use gzipio.Default normally.
 	Level int
 	// Mode selects in-memory or temp-file operation.
 	Mode gzipio.Mode
@@ -218,10 +220,10 @@ func (g *Gzip) Encode(f *grid.Field) (*Encoded, error) {
 	return &Encoded{Payload: res.Data, RawBytes: res.RawBytes, Timings: res.Timings}, nil
 }
 
-// EncodeTo implements StreamEncoder. In-memory legacy mode compresses
-// straight onto w through a pooled DEFLATE writer, feeding the float
-// image in bounded blocks; temp-file mode and the enveloped entropy
-// configurations buffer per entry and stream the result out.
+// EncodeTo implements StreamEncoder. In-memory legacy mode compresses the
+// float image straight onto w, a few DEFLATE blocks at a time — the bytes
+// Encode returns, never held whole; temp-file mode and the enveloped
+// entropy configurations buffer per entry and stream the result out.
 func (g *Gzip) EncodeTo(w io.Writer, f *grid.Field) (*Encoded, error) {
 	if g.Mode != gzipio.InMemory || !g.legacy() {
 		enc, err := g.Encode(f)
@@ -235,23 +237,23 @@ func (g *Gzip) EncodeTo(w io.Writer, f *grid.Field) (*Encoded, error) {
 		return enc, nil
 	}
 	start := time.Now()
-	zw, err := gzipio.AcquireWriter(gzipio.FormatGzip, g.Level, w)
-	if err != nil {
+	if err := gzipio.CompressTo(w, floatImage(f.Data()), g.Level, gzipio.FormatGzip); err != nil {
 		return nil, err
 	}
-	if err := writeFloatBlocks(zw, f.Data()); err != nil {
-		zw.Close()
-		return nil, err
-	}
-	if err := zw.Close(); err != nil {
-		return nil, err
-	}
-	gzipio.ReleaseWriter(gzipio.FormatGzip, g.Level, zw)
 	el := time.Since(start)
 	return &Encoded{
 		RawBytes: f.Bytes(),
 		Timings:  core.Timings{Gzip: el, Total: el, CPUTotal: el},
 	}, nil
+}
+
+// floatImage is the little-endian byte image of fs, to be read only: on a
+// little-endian host the slice's own memory, elsewhere a copy.
+func floatImage(fs []float64) []byte {
+	if len(fs) == 0 || binary.NativeEndian.Uint16([]byte{1, 0}) != 1 {
+		return floatsToBytes(fs)
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&fs[0])), 8*len(fs))
 }
 
 // Decode implements Codec.

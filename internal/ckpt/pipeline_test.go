@@ -17,6 +17,7 @@ import (
 
 	"lossyckpt/internal/climate"
 	"lossyckpt/internal/core"
+	"lossyckpt/internal/entropy"
 	"lossyckpt/internal/grid"
 	"lossyckpt/internal/guard"
 )
@@ -82,40 +83,74 @@ func describe(rep *Report) string {
 	return b.String()
 }
 
-// TestStreamGoldenClimate5 pins the v2 stream of the five climate arrays
-// under the lossy codec to the bytes the serial writer produced before
-// entries were pipelined, for every worker count — and pins that those
-// bytes still restore.
+// inflatedEntries parses a checkpoint stream and inflates every entry's
+// payload: the formatted bytes stage 4 was handed, by variable.
+func inflatedEntries(t *testing.T, stream []byte) map[string][]byte {
+	t.Helper()
+	br := newByteReader(bytes.NewReader(stream))
+	hdr, err := readStreamHeader(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]byte{}
+	for i := 0; i < hdr.Count; i++ {
+		ent, err := readEntry(br, hdr.Version, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out[ent.Name], err = entropy.Decompress(ent.Payload, 1); err != nil {
+			t.Fatalf("%s: %v", ent.Name, err)
+		}
+		ent.release()
+	}
+	return out
+}
+
+// TestStreamGoldenClimate5 holds the v2 stream of the five climate arrays
+// under the lossy codec to two files. climate5_lossy_v2.ckpt is what the
+// serial writer produced when stage 4 was compress/flate (PR 12) and is only
+// ever read: it must restore, and to the same fields bit for bit, whatever
+// writes streams today. climate5_lossy_v2_deflate.ckpt is what gzipio's own
+// encoder writes, pinned for every worker count; its entries inflate to the
+// bytes the old ones do, so stages 1-3 and the formatted stream have not moved.
 func TestStreamGoldenClimate5(t *testing.T) {
-	path := filepath.Join("testdata", "golden", "climate5_lossy_v2.ckpt")
 	names, fields := climate5(t, 24)
+	written := filepath.Join("testdata", "golden", "climate5_lossy_v2_deflate.ckpt")
 	if *updateGolden {
 		var buf bytes.Buffer
 		if _, err := managerOver(t, NewLossy(), 1, names, fields).CheckpointStream(&buf, 720); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(written, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	golden, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	var streams [2][]byte
+	var restored [2][]*grid.Field
+	for k, path := range []string{filepath.Join("testdata", "golden", "climate5_lossy_v2.ckpt"), written} {
+		var err error
+		if streams[k], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range fields {
+			restored[k] = append(restored[k], grid.MustNew(f.Shape()...))
+		}
+		rep, err := managerOver(t, NewLossy(), 8, names, restored[k]).Restore(bytes.NewReader(streams[k]))
+		if err != nil {
+			t.Fatalf("%s no longer restores: %v", path, err)
+		}
+		if rep.Step != 720 || len(rep.Entries) != len(names) {
+			t.Fatalf("%s: restore report %+v", path, rep)
+		}
 	}
-
-	back := make([]*grid.Field, len(fields))
-	for i, f := range fields {
-		back[i] = grid.MustNew(f.Shape()...)
-	}
-	rep, err := managerOver(t, NewLossy(), 8, names, back).Restore(bytes.NewReader(golden))
-	if err != nil {
-		t.Fatalf("golden stream no longer restores: %v", err)
-	}
-	if rep.Step != 720 || len(rep.Entries) != len(names) {
-		t.Fatalf("golden restore report %+v", rep)
+	then, now := inflatedEntries(t, streams[0]), inflatedEntries(t, streams[1])
+	for i, name := range names {
+		if !reflect.DeepEqual(restored[0][i].Data(), restored[1][i].Data()) {
+			t.Errorf("%s: the two golden streams restore to different fields", name)
+		}
+		if !bytes.Equal(then[name], now[name]) {
+			t.Errorf("%s: the two golden streams inflate to different formatted bytes (%d and %d)", name, len(then[name]), len(now[name]))
+		}
 	}
 
 	// The compressor's arithmetic may be fused differently on other
@@ -129,8 +164,8 @@ func TestStreamGoldenClimate5(t *testing.T) {
 		if _, err := managerOver(t, NewLossy(), workers, names, fields).CheckpointStream(&buf, 720); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(buf.Bytes(), golden) {
-			t.Errorf("workers=%d: stream (%d bytes) differs from the golden stream (%d bytes)", workers, buf.Len(), len(golden))
+		if !bytes.Equal(buf.Bytes(), streams[1]) {
+			t.Errorf("workers=%d: stream (%d bytes) differs from the golden stream (%d bytes)", workers, buf.Len(), len(streams[1]))
 		}
 	}
 }

@@ -90,13 +90,16 @@ func CompressChunkedTo(w io.Writer, f *grid.Field, opts Options, chunkExtent int
 		go func() {
 			defer wg.Done()
 			for {
-				c := int(next.Add(1)) - 1
-				if c >= nChunks {
-					return
-				}
+				// The token comes first: a worker that held chunk c while the
+				// others took every token for chunks behind it would leave the
+				// writer waiting for c and all of them waiting for the writer.
 				select {
 				case tokens <- struct{}{}:
 				case <-done:
+					return
+				}
+				c := int(next.Add(1)) - 1
+				if c >= nChunks {
 					return
 				}
 				start := c * chunkExtent

@@ -1,10 +1,10 @@
 // Package entropy makes the pipeline's final stage pluggable. The paper
-// hard-wires gzip (§III-D) and measures it at ~85% of compress wall time
-// (ROADMAP item 4); this package fronts that stage with a Codec
-// interface — the existing gzipio DEFLATE engine and a pure-Go LZ4-class
-// coder (lz4.go) — plus an optional byte-shuffle pre-pass (shuffle.go),
-// so the autotuner (internal/tune) can trade ratio for throughput per
-// variable.
+// hard-wires gzip (§III-D), the largest single stage of its compression time
+// (Fig. 9-10) and of this repository's until gzipio got its own encoder;
+// this package fronts that stage with a Codec interface — the gzipio
+// DEFLATE engine and a pure-Go LZ4-class coder (lz4.go) — plus an optional
+// byte-shuffle pre-pass (shuffle.go), so the autotuner (internal/tune) can
+// trade ratio for throughput per variable.
 //
 // # Envelope
 //

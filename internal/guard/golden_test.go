@@ -3,8 +3,10 @@ package guard
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -55,16 +57,20 @@ func climate5(t testing.TB) (names []string, fields []*grid.Field) {
 }
 
 // TestEncodeGoldenClimate5 pins guard.Encode — envelope and inner stream,
-// so rung, attempts, escalations and achieved figures too — to what the
-// encoder shipped when every rung was a whole core.Compress (PR 12), for
-// the five climate fields under three policies, two of them again over
-// clipped coefficients, and both verifiers. The promise is checked by an
+// so rung, attempts, escalations and achieved figures too — for the five
+// climate fields under three policies, two of them again over clipped
+// coefficients, and both verifiers. Two files hold it. climate5_guard.sha256
+// has the payloads' digests as the encoder writes them today, recorded by
+// -update-golden. climate5_guard_fields.sha256 has the digests of the fields
+// the payloads decoded to when every rung was a whole core.Compress through
+// compress/flate (PRs 12-15); it is never rewritten, so a payload may change
+// its DEFLATE bytes but not what it restores to. The promise is checked by an
 // independent decode on every architecture; the bytes where the digests
 // were recorded.
 func TestEncodeGoldenClimate5(t *testing.T) {
 	path := filepath.Join("testdata", "golden", "climate5_guard.sha256")
 	names, fields := climate5(t)
-	var got strings.Builder
+	var got, gotFields strings.Builder
 	modes := map[Mode]int{}
 	for _, gp := range goldenPolicies {
 		for _, vm := range []VerifyMode{VerifyAnalytic, VerifyDecode} {
@@ -86,6 +92,11 @@ func TestEncodeGoldenClimate5(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%v/%s: decode: %v", gp.name, vm, names[i], err)
 				}
+				img := make([]byte, 8*back.Len())
+				for k, v := range back.Data() {
+					binary.LittleEndian.PutUint64(img[8*k:], math.Float64bits(v))
+				}
+				fmt.Fprintf(&gotFields, "%s %v %s %x\n", gp.name, vm, names[i], sha256.Sum256(img))
 				maxAbs, _ := stats.MaxAbsError(f.Data(), back.Data())
 				maxRel, _ := stats.MaxRelError(f.Data(), back.Data())
 				psnr, _ := stats.PSNR(f.Data(), back.Data())
@@ -131,17 +142,22 @@ func TestEncodeGoldenClimate5(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden digests recorded on amd64, running on %s", runtime.GOARCH)
 	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantLines, gotLines := strings.Split(string(want), "\n"), strings.Split(got.String(), "\n")
-	if len(wantLines) != len(gotLines) {
-		t.Fatalf("%d digest lines, golden has %d", len(gotLines), len(wantLines))
-	}
-	for i := range wantLines {
-		if wantLines[i] != gotLines[i] {
-			t.Errorf("payload differs from the golden encoder's:\n got  %s\n want %s", gotLines[i], wantLines[i])
+	for _, c := range []struct{ path, got, what string }{
+		{path, got.String(), "payload differs from the golden encoder's"},
+		{filepath.Join("testdata", "golden", "climate5_guard_fields.sha256"), gotFields.String(), "payload decodes to another field than the compress/flate-era encoder's did"},
+	} {
+		want, err := os.ReadFile(c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantLines, gotLines := strings.Split(string(want), "\n"), strings.Split(c.got, "\n")
+		if len(wantLines) != len(gotLines) {
+			t.Fatalf("%s: %d digest lines, golden has %d", c.path, len(gotLines), len(wantLines))
+		}
+		for i := range wantLines {
+			if wantLines[i] != gotLines[i] {
+				t.Errorf("%s:\n got  %s\n want %s", c.what, gotLines[i], wantLines[i])
+			}
 		}
 	}
 }

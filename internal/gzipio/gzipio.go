@@ -1,6 +1,8 @@
 // Package gzipio implements the final gzip stage of the compressor of
 // Sasaki et al. (IPDPS 2015, §III-D): after the wavelet/quantize/encode
-// stages format their output, the whole stream is DEFLATE-compressed.
+// stages format their output, the whole stream is DEFLATE-compressed — by
+// the package's own encoder (deflate.go) and, on the way back, its own
+// decoder (inflate.go); compress/* is imported by the tests alone.
 //
 // Two modes reproduce the paper's implementation detail (§IV-D): the
 // paper's prototype wrote the formatted output to a temporary file and ran
@@ -12,14 +14,12 @@
 package gzipio
 
 import (
-	"bytes"
-	"compress/flate"
-	"compress/gzip"
-	"compress/zlib"
+	"encoding/binary"
 	"fmt"
+	"hash/adler32"
+	"hash/crc32"
 	"io"
 	"os"
-	"sync"
 	"time"
 )
 
@@ -120,10 +120,11 @@ type Result struct {
 	Gzip time.Duration
 }
 
-// Compress runs the DEFLATE stage over data in gzip framing. level is a
-// compress/gzip level (gzip.DefaultCompression if 0 is passed is NOT
-// implied; pass gzip.DefaultCompression explicitly or use Default). tmpDir
-// is used only in TempFile mode; empty means os.TempDir().
+// Compress runs the DEFLATE stage over data in gzip framing. level is the
+// encoder's effort on zlib's scale: 1…9 try more match candidates as they
+// rise, 0 stores, -2 codes literals only, and -1 (Default) is 6; anything
+// else is an error. tmpDir is used only in TempFile mode; empty means
+// os.TempDir().
 func Compress(data []byte, level int, mode Mode, tmpDir string) (Result, error) {
 	return compress(data, level, mode, tmpDir, FormatGzip)
 }
@@ -161,102 +162,50 @@ func compress(data []byte, level int, mode Mode, tmpDir string, format Format) (
 	}
 
 	start := time.Now()
-	var buf bytes.Buffer
-	zw, pool, err := getDeflateWriter(format, level, &buf)
+	out, err := appendMember(nil, src, level, format, nil)
 	if err != nil {
-		return res, fmt.Errorf("gzipio: %w", err)
+		return res, err
 	}
-	if _, err := zw.Write(src); err != nil {
-		return res, fmt.Errorf("gzipio: compress: %w", err)
-	}
-	if err := zw.Close(); err != nil {
-		return res, fmt.Errorf("gzipio: close: %w", err)
-	}
-	pool.Put(zw)
 	res.Gzip = time.Since(start)
-	res.Compressed = buf.Bytes()
+	res.Compressed = out
 	return res, nil
 }
 
-// resetWriter is the common surface of gzip.Writer and zlib.Writer that
-// pooling needs: both carry large DEFLATE state (hundreds of KB) that Reset
-// makes reusable across compressions.
-type resetWriter interface {
-	io.WriteCloser
-	Reset(io.Writer)
-}
-
-// formatFlate is an internal pool key for raw (headerless) DEFLATE
-// writers, the per-block compressor of the parallel engine. It is not a
-// valid Format for CompressFormat.
-const formatFlate Format = -1
-
-// deflatePools caches per-(format, level) sync.Pools of DEFLATE writers so
-// the hot compression path stops allocating a fresh ~800 KB flate state on
-// every call. A writer Put back after Close is reusable after Reset.
-// Keying by both format and level matters: a flate state carries the level
-// it was constructed with (Reset preserves it), so mixed-level callers
-// sharing one pool would either thrash (discarding mismatched writers) or
-// silently compress at the wrong level.
-var deflatePools sync.Map // struct{format Format; level int} -> *sync.Pool
-
-func deflatePool(format Format, level int) *sync.Pool {
-	key := struct {
-		format Format
-		level  int
-	}{format, level}
-	p, ok := deflatePools.Load(key)
-	if !ok {
-		p, _ = deflatePools.LoadOrStore(key, &sync.Pool{})
+// appendMember appends data to dst as one gzip member or zlib stream:
+// header, DEFLATE blocks (deflate.go), checksum. A sink is deflateRaw's.
+func appendMember(dst, data []byte, level int, format Format, sink io.Writer) ([]byte, error) {
+	if format == FormatGzip {
+		dst = append(dst, 0x1f, 0x8b, 8, 0, 0, 0, 0, 0, xfl(level), 0xff) // no flags, no time, OS unknown
+	} else {
+		dst = append(dst, zlibHeader(level)...)
 	}
-	return p.(*sync.Pool)
-}
-
-func getDeflateWriter(format Format, level int, dst io.Writer) (resetWriter, *sync.Pool, error) {
-	pool := deflatePool(format, level)
-	if w, ok := pool.Get().(resetWriter); ok {
-		w.Reset(dst)
-		return w, pool, nil
-	}
-	var w resetWriter
-	var err error
-	switch format {
-	case formatFlate:
-		w, err = flate.NewWriter(dst, level)
-	case FormatZlib:
-		w, err = zlib.NewWriterLevel(dst, level)
-	default:
-		w, err = gzip.NewWriterLevel(dst, level)
-	}
+	dst, err := deflateRaw(dst, data, level, true, sink)
 	if err != nil {
-		return nil, nil, err
+		return dst, err
 	}
-	return w, pool, nil
+	if format == FormatGzip {
+		dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(data))
+		return binary.LittleEndian.AppendUint32(dst, uint32(len(data))), nil
+	}
+	return binary.BigEndian.AppendUint32(dst, adler32.Checksum(data)), nil
 }
 
-// AcquireWriter returns a pooled DEFLATE writer for (format, level),
-// reset to write into dst. After Close, hand it back with ReleaseWriter
-// so the ~800 KB flate state is reused. Callers that abandon a writer
-// mid-stream must not release it.
-func AcquireWriter(format Format, level int, dst io.Writer) (io.WriteCloser, error) {
+// CompressTo writes what CompressFormat(mode=InMemory) returns to w, a few
+// blocks at a time: the compressed stream is never held whole.
+func CompressTo(w io.Writer, data []byte, level int, format Format) error {
 	if format != FormatGzip && format != FormatZlib {
-		return nil, fmt.Errorf("gzipio: unknown format %d", int(format))
+		return fmt.Errorf("gzipio: unknown format %d", int(format))
 	}
-	w, _, err := getDeflateWriter(format, level, dst)
-	return w, err
-}
-
-// ReleaseWriter returns a closed writer obtained from AcquireWriter to
-// its (format, level) pool.
-func ReleaseWriter(format Format, level int, w io.WriteCloser) {
-	if rw, ok := w.(resetWriter); ok {
-		deflatePool(format, level).Put(rw)
+	tail, err := appendMember(nil, data, level, format, w)
+	if err == nil {
+		_, err = w.Write(tail)
 	}
+	return err
 }
 
 // Default is the gzip level used throughout this repository, matching the
 // gzip command-line default (-6).
-const Default = gzip.DefaultCompression
+const Default = -1
 
 // Decompress inflates a gzip stream produced by Compress (or any gzip
 // stream).

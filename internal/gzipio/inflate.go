@@ -439,6 +439,13 @@ func (d *inflater) huffman(buf []byte, op, base int, lt *[1 << litBits]uint32, d
 		if e < 1<<16 || dist > op-base {
 			return buf, op, ErrCorrupt
 		}
+		// A short match from eight bytes back or more is one move of eight bytes:
+		// there is room for maxMatch, and what lands past its end is overwritten.
+		if length <= 8 && dist >= 8 {
+			binary.LittleEndian.PutUint64(buf[op:], binary.LittleEndian.Uint64(buf[op-dist:]))
+			op += length
+			continue
+		}
 		// A pass copies from the match's start up to the write position: all of
 		// the match unless it overlaps itself, and then twice as much next time.
 		for from := op - dist; length > 0; {

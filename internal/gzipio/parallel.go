@@ -23,9 +23,6 @@
 package gzipio
 
 import (
-	"bytes"
-	"compress/flate"
-	"compress/gzip"
 	"encoding/binary"
 	"fmt"
 	"hash/adler32"
@@ -167,16 +164,12 @@ func CompressParallel(data []byte, level int, format Format, po ParallelOptions)
 	}
 	var out []byte
 	if format == FormatZlib {
-		tail, err := flateFinalTail(level)
-		if err != nil {
-			return Result{}, err
-		}
-		out = make([]byte, 0, 2+total+len(tail)+4)
+		out = make([]byte, 0, 2+total+2+4)
 		out = append(out, zlibHeader(level)...)
 		for _, b := range blocks {
 			out = append(out, b...)
 		}
-		out = append(out, tail...)
+		out = append(out, 0x03, 0x00) // a final block of nothing closes the flushed ones
 		out = binary.BigEndian.AppendUint32(out, adler32.Checksum(data))
 	} else {
 		out = make([]byte, 0, total)
@@ -196,22 +189,7 @@ func CompressParallel(data []byte, level int, format Format, po ParallelOptions)
 // gzipMember compresses one block into a self-contained gzip member with
 // the LK length subfield.
 func gzipMember(block []byte, level int) ([]byte, error) {
-	var payload bytes.Buffer
-	fw, pool, err := getDeflateWriter(formatFlate, level, &payload)
-	if err != nil {
-		return nil, fmt.Errorf("gzipio: flate: %w", err)
-	}
-	if _, err := fw.Write(block); err != nil {
-		return nil, fmt.Errorf("gzipio: block compress: %w", err)
-	}
-	if err := fw.Close(); err != nil {
-		return nil, fmt.Errorf("gzipio: block close: %w", err)
-	}
-	pool.Put(fw)
-
-	memberLen := memberOverhead + payload.Len()
-	out := make([]byte, 0, memberLen)
-	out = append(out,
+	out := append(make([]byte, 0, memberOverhead+len(block)/2),
 		0x1f, 0x8b, // magic
 		8,          // CM: DEFLATE
 		0x04,       // FLG: FEXTRA only
@@ -220,21 +198,24 @@ func gzipMember(block []byte, level int) ([]byte, error) {
 		0xff, // OS: unknown
 		8, 0, // XLEN
 		'L', 'K', 4, 0, // subfield id + length
+		0, 0, 0, 0, // the member's length, known once it is written
 	)
-	out = binary.LittleEndian.AppendUint32(out, uint32(memberLen))
-	out = append(out, payload.Bytes()...)
+	out, err := deflateRaw(out, block, level, true, nil)
+	if err != nil {
+		return nil, err
+	}
 	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(block))
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(block)))
+	binary.LittleEndian.PutUint32(out[memberLenOff:], uint32(len(out)))
 	return out, nil
 }
 
-// xfl mirrors the stdlib gzip XFL convention: 2 for maximum compression,
-// 4 for fastest.
+// xfl is the gzip XFL convention: 2 for maximum compression, 4 for fastest.
 func xfl(level int) byte {
 	switch level {
-	case gzip.BestCompression:
+	case 9:
 		return 2
-	case gzip.BestSpeed, gzip.HuffmanOnly:
+	case 1, -2:
 		return 4
 	default:
 		return 0
@@ -244,26 +225,11 @@ func xfl(level int) byte {
 // zlibBlock compresses one block into a raw DEFLATE fragment terminated
 // by a sync flush: byte-aligned, non-final, safe to concatenate.
 func zlibBlock(block []byte, level int) ([]byte, error) {
-	var payload bytes.Buffer
-	fw, pool, err := getDeflateWriter(formatFlate, level, &payload)
-	if err != nil {
-		return nil, fmt.Errorf("gzipio: flate: %w", err)
-	}
-	if _, err := fw.Write(block); err != nil {
-		return nil, fmt.Errorf("gzipio: block compress: %w", err)
-	}
-	if err := fw.(*flate.Writer).Flush(); err != nil {
-		return nil, fmt.Errorf("gzipio: block flush: %w", err)
-	}
-	// The writer was flushed, not closed; Reset on reuse discards the
-	// open stream state, so pooling it back is safe.
-	pool.Put(fw)
-	return payload.Bytes(), nil
+	return deflateRaw(make([]byte, 0, len(block)/2), block, level, false, nil)
 }
 
-// zlibHeader builds the RFC 1950 two-byte header exactly as compress/zlib
-// writes it for the given level (CMF 0x78, FLEVEL by level band, FCHECK
-// mod-31 correction).
+// zlibHeader builds the RFC 1950 two-byte header for the given level (CMF
+// 0x78, FLEVEL by level band as zlib sets it, FCHECK mod-31 correction).
 func zlibHeader(level int) []byte {
 	h := [2]byte{0x78, 0}
 	switch level {
@@ -278,28 +244,6 @@ func zlibHeader(level int) []byte {
 	}
 	h[1] += uint8(31 - (uint16(h[0])<<8+uint16(h[1]))%31)
 	return h[:]
-}
-
-// flateTails caches, per level, the bytes a flate.Writer emits when
-// closing an empty stream: one final empty block, the terminator the
-// assembled zlib stream needs after the flushed (non-final) blocks.
-var flateTails sync.Map // int -> []byte
-
-func flateFinalTail(level int) ([]byte, error) {
-	if t, ok := flateTails.Load(level); ok {
-		return t.([]byte), nil
-	}
-	var buf bytes.Buffer
-	fw, err := flate.NewWriter(&buf, level)
-	if err != nil {
-		return nil, fmt.Errorf("gzipio: flate: %w", err)
-	}
-	if err := fw.Close(); err != nil {
-		return nil, fmt.Errorf("gzipio: flate close: %w", err)
-	}
-	tail := append([]byte(nil), buf.Bytes()...)
-	flateTails.Store(level, tail)
-	return tail, nil
 }
 
 // splitMembers scans a gzip stream for the crafted member layout and

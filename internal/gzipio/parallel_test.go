@@ -269,89 +269,6 @@ func TestDecompressAutoZeroLengthAndSingleBlock(t *testing.T) {
 	}
 }
 
-// TestWriterPoolKeyedByFormatAndLevel is the mixed-level regression
-// test: interleaved compressions at different levels and formats must
-// produce exactly the bytes a fresh writer at that (format, level)
-// produces — a pool shared across keys would reuse a writer carrying
-// the wrong flate parameters.
-func TestWriterPoolKeyedByFormatAndLevel(t *testing.T) {
-	data := testPayload(128<<10, 8)
-	type key struct {
-		format Format
-		level  int
-	}
-	keys := []key{
-		{FormatGzip, gzip.BestSpeed},
-		{FormatGzip, gzip.BestCompression},
-		{FormatZlib, gzip.BestSpeed},
-		{FormatZlib, gzip.BestCompression},
-	}
-	// Reference bytes from writers that never saw the pool.
-	fresh := make(map[key][]byte)
-	for _, k := range keys {
-		var buf bytes.Buffer
-		var w io.WriteCloser
-		var err error
-		if k.format == FormatZlib {
-			w, err = zlib.NewWriterLevel(&buf, k.level)
-		} else {
-			w, err = gzip.NewWriterLevel(&buf, k.level)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.Write(data)
-		w.Close()
-		fresh[k] = append([]byte(nil), buf.Bytes()...)
-	}
-	// Interleave all keys repeatedly so pooled writers are reused across
-	// calls; every reuse must stay at its own level.
-	for round := 0; round < 3; round++ {
-		for _, k := range keys {
-			res, err := CompressFormat(data, k.level, InMemory, "", k.format)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(res.Compressed, fresh[k]) {
-				t.Fatalf("round %d %v level %d: pooled output differs from fresh writer", round, k.format, k.level)
-			}
-		}
-	}
-	// Differently-leveled outputs must actually differ, or the check
-	// above proves nothing.
-	if bytes.Equal(fresh[keys[0]], fresh[keys[1]]) {
-		t.Fatal("test payload compresses identically at levels 1 and 9; pick a different payload")
-	}
-}
-
-// TestAcquireReleaseWriter covers the exported pooled-writer surface.
-func TestAcquireReleaseWriter(t *testing.T) {
-	data := testPayload(64<<10, 9)
-	for _, format := range []Format{FormatGzip, FormatZlib} {
-		for i := 0; i < 2; i++ { // second round reuses the pooled state
-			var buf bytes.Buffer
-			w, err := AcquireWriter(format, Default, &buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := w.Write(data); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
-			ReleaseWriter(format, Default, w)
-			out, err := DecompressAuto(buf.Bytes())
-			if err != nil || !bytes.Equal(out, data) {
-				t.Fatalf("%v round %d: %v", format, i, err)
-			}
-		}
-	}
-	if _, err := AcquireWriter(Format(9), Default, io.Discard); err == nil {
-		t.Error("AcquireWriter accepted an unknown format")
-	}
-}
-
 // TestDecompressMembersParallelRejectsDamage spot-checks the decoder's
 // error paths (the fuzz target explores these adversarially).
 func TestDecompressMembersParallelRejectsDamage(t *testing.T) {

@@ -217,33 +217,7 @@ func (t *Tuner) probe(varName string, rawBytes int, sample []byte) *decision {
 	if len(sample) > t.cfg.ProbeBytes {
 		sample = sample[:t.cfg.ProbeBytes]
 	}
-	cands := []Setting{
-		{Codec: entropy.Gzip},
-		{Codec: entropy.Gzip, Shuffle: true},
-		{Codec: entropy.LZ4},
-		{Codec: entropy.LZ4, Shuffle: true},
-	}
-	probed := make([]candidate, 0, len(cands))
-	for _, s := range cands {
-		p := entropy.Params{
-			Codec:     s.Codec,
-			Shuffle:   s.Shuffle,
-			GzipLevel: t.cfg.GzipLevel,
-			Observer:  t.cfg.Observer,
-		}
-		start := time.Now()
-		res, err := entropy.Compress(sample, p)
-		if err != nil {
-			continue // a failing candidate is simply not selectable
-		}
-		secs := time.Since(start).Seconds()
-		t.cfg.Observer.Counter(MetricProbes, "codec", s.Label()).Inc()
-		ratio := 1.0
-		if len(sample) > 0 {
-			ratio = float64(len(res.Compressed)) / float64(len(sample))
-		}
-		probed = append(probed, candidate{setting: s, seconds: secs, ratio: ratio})
-	}
+	probed := t.measure(sample)
 	if len(probed) == 0 {
 		// Nothing measurable (empty sample or all candidates failed):
 		// fall back to the repository default.
@@ -272,6 +246,35 @@ func (t *Tuner) probe(varName string, rawBytes int, sample []byte) *decision {
 		bps = float64(maxInt(len(sample), 1)) / best.seconds
 	}
 	return &decision{setting: sel, probeBytesPerSec: bps}
+}
+
+// measure codes the sample under every candidate setting.
+func (t *Tuner) measure(sample []byte) []candidate {
+	cands := []Setting{
+		{Codec: entropy.Gzip},
+		{Codec: entropy.Gzip, Shuffle: true},
+		{Codec: entropy.LZ4},
+		{Codec: entropy.LZ4, Shuffle: true},
+	}
+	probed := make([]candidate, 0, len(cands))
+	for _, s := range cands {
+		p := entropy.Params{
+			Codec:     s.Codec,
+			Shuffle:   s.Shuffle,
+			GzipLevel: t.cfg.GzipLevel,
+			Observer:  t.cfg.Observer,
+		}
+		start := time.Now()
+		res, err := entropy.Compress(sample, p)
+		if err != nil {
+			continue // a failing candidate is simply not selectable
+		}
+		secs := time.Since(start).Seconds()
+		t.cfg.Observer.Counter(MetricProbes, "codec", s.Label()).Inc()
+		ratio := float64(len(res.Compressed)) / float64(len(sample))
+		probed = append(probed, candidate{setting: s, seconds: secs, ratio: ratio})
+	}
+	return probed
 }
 
 // cost scores one candidate for the full variable under the objective.

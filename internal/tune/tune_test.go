@@ -2,6 +2,7 @@ package tune
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -50,6 +51,45 @@ func TestThroughputObjectivePicksLZ4(t *testing.T) {
 	s := tn.Decide("v", 64<<20, sample)
 	if s.Codec != entropy.LZ4 {
 		t.Fatalf("throughput objective picked %s, want lz4", s.Label())
+	}
+}
+
+// TestBalancedPickOnBig24IsLZ4Shuffle pins the decision the 24 MB streamed
+// benchmark workload rests on: for doubles that are a smooth field plus
+// 0.05-sigma noise, the Balanced objective takes lz4+shuffle. The four
+// candidates' costs are logged, so that the margin shows the day a faster
+// DEFLATE stage narrows it.
+func TestBalancedPickOnBig24IsLZ4Shuffle(t *testing.T) {
+	const raw = 16 * 1156 * 82 * 2 * 8
+	rng := rand.New(rand.NewSource(24))
+	sample := make([]byte, 0, 256<<10)
+	for i := 0; len(sample) < cap(sample); i++ {
+		x, z, c := float64(i/164)/(16*1156), float64(i/2%82)/82, float64(i%2)
+		v := 250 + 20*math.Sin(2*math.Pi*x) + 20*math.Sin(4*math.Pi*z) + 7.5*c + 0.05*rng.NormFloat64()
+		sample = binary.LittleEndian.AppendUint64(sample, math.Float64bits(v))
+	}
+	// A probe is one timing of a quarter megabyte; beside other tests it is
+	// preempted now and then, so each candidate keeps the fastest of five.
+	tn := New(Config{Observer: obs.NewRegistry()})
+	cands := tn.measure(sample)
+	for round := 0; round < 4; round++ {
+		for i, c := range tn.measure(sample) {
+			cands[i].seconds = min(cands[i].seconds, c.seconds)
+		}
+	}
+	best := cands[0]
+	for _, c := range cands {
+		t.Logf("%-13s %6.1f MB/s, ratio %.3f: balanced cost %6.1f ms for the %d MB variable",
+			c.setting.Label(), float64(len(sample))/c.seconds/1e6, c.ratio, 1e3*tn.cost(c, raw, len(sample)), raw>>20)
+		if tn.cost(c, raw, len(sample)) < tn.cost(best, raw, len(sample)) {
+			best = c
+		}
+	}
+	if raceEnabled {
+		t.Skip("speeds measured under the race detector do not rank as they do without it")
+	}
+	if s := best.setting; s.Codec != entropy.LZ4 || !s.Shuffle {
+		t.Errorf("balanced objective picks %s for the big24 sample, want lz4+shuffle", s.Label())
 	}
 }
 
