@@ -28,12 +28,14 @@ test:
 # the shards of a wavelet pass, and a dedup read hashing one chunk while it
 # reads the next into the same generation — or recycle one state, as DEFLATE
 # streams encoded side by side do: the race detector only sees interleavings
-# that happen.
+# that happen. The last line quantizes in Scratches recycled through one
+# pool by four goroutines.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'KernelsMatchLaneReference|WorkersBitIdentical' ./internal/wavelet
 	$(GO) test -race -count=10 -run 'DedupRead' ./internal/store
 	$(GO) test -race -count=10 -run 'DeflateDependsOnInputAlone|ByteStableAcrossWorkers' ./internal/gzipio
+	$(GO) test -race -count=10 -run 'QuantizeDependsOnInputAlone' ./internal/quant
 
 # bench-test vets and tests the benchmark's own module (bench/), which
 # `go test ./...` at the root never reaches: its replay oracle re-derives
@@ -92,11 +94,13 @@ crash-matrix-dedup:
 # bench-parallel runs the parallel-engine benchmarks that feed
 # BENCH_parallel.json (workers sweeps inside one array and across the
 # entries of a five-array checkpoint, the 24 MB tuned stream, the guard
-# ladder on a bounded and an escalating variable, the division walk, plus
-# allocation counts) and the stage-1 kernels against the lane walk they
+# ladder on a bounded and an escalating variable, the division walk, stage 2
+# on a slab and a field and stage 3's decode beside the passes they replaced,
+# plus allocation counts) and the stage-1 kernels against the lane walk they
 # replaced, at one and at two CPUs (the workers=0 rows shard at GOMAXPROCS).
 bench-parallel:
 	$(GO) test -run xxx -bench 'ChunkedParallel|Alloc|CheckpointStream(Climate5|Big24)|GuardEncodeClimate|ChooseDivisions' -benchtime 3x . ./internal/quant
+	$(GO) test -run xxx -bench 'QuantizeSlab|DecodeBand' -benchtime 200x ./internal/quant ./internal/encode
 	$(GO) test -run xxx -bench 'Transform' -benchtime 200x -cpu 1,2 ./internal/wavelet
 
 # bench-obs measures the observability tax (no-op vs live registry) that
@@ -145,7 +149,7 @@ bench-qa:
 # bench-smoke executes every benchmark once — CI's guard that the bench
 # code itself keeps compiling and running.
 bench-smoke:
-	$(GO) test -run xxx -bench 'ChunkedParallel|Alloc|CheckpointStream(Climate5|Big24)|GuardEncodeClimate|ChooseDivisions|ParallelGzip|StreamingCheckpoint|Inflate|Deflate|Entropy|Dedup|Transform' -benchtime 1x . ./internal/quant ./internal/wavelet
+	$(GO) test -run xxx -bench 'ChunkedParallel|Alloc|CheckpointStream(Climate5|Big24)|GuardEncodeClimate|ChooseDivisions|QuantizeSlab|DecodeBand|ParallelGzip|StreamingCheckpoint|Inflate|Deflate|Entropy|Dedup|Transform' -benchtime 1x . ./internal/quant ./internal/encode ./internal/wavelet
 
 # bench-compare diffs two BENCH_*.json snapshots and fails on >15%
 # ns_per_op regressions:  make bench-compare OLD=old.json NEW=new.json

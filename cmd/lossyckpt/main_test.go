@@ -1,12 +1,14 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"lossyckpt/internal/core"
 	"lossyckpt/internal/grid"
 )
 
@@ -121,6 +123,17 @@ func TestCompressFlagsValidation(t *testing.T) {
 		if err := run(args); err == nil {
 			t.Errorf("args %v accepted", args)
 		}
+	}
+	// -d is a 16-bit header field and the size of three tables: beyond it is
+	// refused up front, not truncated into the header or allocated.
+	for _, d := range []string{"70000", "1000000000", "0", "-3"} {
+		err := run([]string{"compress", "-in", grd, "-out", filepath.Join(dir, "d.lkc"), "-d", d})
+		if !errors.Is(err, core.ErrOptions) {
+			t.Errorf("compress -d %s: err = %v, want core.ErrOptions", d, err)
+		}
+	}
+	if err := run([]string{"compress", "-in", grd, "-out", filepath.Join(dir, "d.lkc"), "-d", "65535"}); err != nil {
+		t.Errorf("compress -d 65535: %v", err)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 var ErrFormat = errors.New("bitpack: malformed serialized bitmap")
 
 // Bitmap is a fixed-length sequence of bits. The zero value is an empty
-// bitmap; use New or FromBools for a sized one.
+// bitmap; use New or FromWords for a sized one.
 type Bitmap struct {
 	n     int
 	words []uint64
@@ -31,16 +31,20 @@ func New(n int) *Bitmap {
 	return &Bitmap{n: n, words: make([]uint64, (n+63)/64)}
 }
 
-// FromBools packs a []bool into a Bitmap.
-func FromBools(b []bool) *Bitmap {
-	m := New(len(b))
-	for i, v := range b {
-		if v {
-			m.Set(i, true)
-		}
+// FromWords wraps words as a bitmap of n bits, bit i at words[i/64]>>(i%64),
+// without copying: the caller hands the slice over. Bits beyond n are cleared.
+func FromWords(n int, words []uint64) *Bitmap {
+	if n < 0 || len(words) != (n+63)/64 {
+		panic(fmt.Sprintf("bitpack: %d words for %d bits", len(words), n))
 	}
+	m := &Bitmap{n: n, words: words}
+	m.trimTail()
 	return m
 }
+
+// Words returns the packed words, bit i at Words()[i/64]>>(i%64) and the bits
+// beyond Len clear. The slice is the bitmap's own: read it, do not write it.
+func (m *Bitmap) Words() []uint64 { return m.words }
 
 // Len returns the number of bits.
 func (m *Bitmap) Len() int { return m.n }
@@ -77,15 +81,6 @@ func (m *Bitmap) Count() int {
 // AllTrue reports whether every bit is set. An empty bitmap is all-true.
 func (m *Bitmap) AllTrue() bool { return m.Count() == m.n }
 
-// Bools unpacks the bitmap into a []bool.
-func (m *Bitmap) Bools() []bool {
-	out := make([]bool, m.n)
-	for i := range out {
-		out[i] = m.Get(i)
-	}
-	return out
-}
-
 // Equal reports whether two bitmaps have identical length and contents.
 func (m *Bitmap) Equal(o *Bitmap) bool {
 	if m.n != o.n {
@@ -115,30 +110,27 @@ const (
 	flagAllFalse = 2
 )
 
+// AppendTo appends the serialized bitmap to dst and returns the extended
+// slice.
+func (m *Bitmap) AppendTo(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(m.n))
+	switch count := m.Count(); {
+	case count == m.n:
+		return append(dst, flagAllTrue)
+	case count == 0:
+		return append(dst, flagAllFalse)
+	}
+	dst = append(dst, flagPacked)
+	for _, word := range m.words {
+		dst = binary.LittleEndian.AppendUint64(dst, word)
+	}
+	return dst
+}
+
 // WriteTo serializes the bitmap. It implements io.WriterTo.
 func (m *Bitmap) WriteTo(w io.Writer) (int64, error) {
-	var hdr [9]byte
-	binary.LittleEndian.PutUint64(hdr[0:], uint64(m.n))
-	count := m.Count()
-	switch {
-	case count == m.n:
-		hdr[8] = flagAllTrue
-	case count == 0:
-		hdr[8] = flagAllFalse
-	default:
-		hdr[8] = flagPacked
-	}
-	n, err := w.Write(hdr[:])
-	total := int64(n)
-	if err != nil || hdr[8] != flagPacked {
-		return total, err
-	}
-	buf := make([]byte, 8*len(m.words))
-	for i, word := range m.words {
-		binary.LittleEndian.PutUint64(buf[8*i:], word)
-	}
-	n, err = w.Write(buf)
-	return total + int64(n), err
+	n, err := w.Write(m.AppendTo(make([]byte, 0, m.SerializedSize())))
+	return int64(n), err
 }
 
 // Read deserializes a bitmap written by WriteTo, with a permissive size

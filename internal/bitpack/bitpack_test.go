@@ -198,3 +198,70 @@ func TestQuickRoundTrips(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// FromBools packs a []bool into a Bitmap one Set at a time: the reference
+// the word-level constructors are held to.
+func FromBools(b []bool) *Bitmap {
+	m := New(len(b))
+	for i, v := range b {
+		if v {
+			m.Set(i, true)
+		}
+	}
+	return m
+}
+
+// Bools unpacks the bitmap into a []bool.
+func (m *Bitmap) Bools() []bool {
+	out := make([]bool, m.n)
+	for i := range out {
+		out[i] = m.Get(i)
+	}
+	return out
+}
+
+// TestFromWordsMatchesSets: wrapping words is the bitmap a Set per bit builds,
+// stray bits beyond the length are dropped, and AppendTo writes WriteTo's
+// bytes after whatever dst held — every tail length, all three flags.
+func TestFromWordsMatchesSets(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for n := 0; n <= 130; n++ {
+		for _, fill := range []string{"random", "ones", "zeros"} {
+			b := make([]bool, n)
+			words := make([]uint64, (n+63)/64)
+			for i := range b {
+				b[i] = fill == "ones" || (fill == "random" && rng.Intn(2) == 0)
+				if b[i] {
+					words[i/64] |= 1 << (i % 64)
+				}
+			}
+			if n%64 != 0 {
+				words[len(words)-1] |= ^uint64(0) << (n % 64) // stray tail bits
+			}
+			want := FromBools(b)
+			got := FromWords(n, words)
+			if !got.Equal(want) || got.Count() != want.Count() || got.Len() != n {
+				t.Fatalf("n=%d %s: FromWords differs from the bit-by-bit bitmap", n, fill)
+			}
+			for i, w := range got.Words() {
+				if w != want.words[i] {
+					t.Fatalf("n=%d %s: word %d = %#x, want %#x", n, fill, i, w, want.words[i])
+				}
+			}
+			var buf bytes.Buffer
+			if _, err := want.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			out := got.AppendTo([]byte("xy"))
+			if string(out[:2]) != "xy" || !bytes.Equal(out[2:], buf.Bytes()) || len(out)-2 != got.SerializedSize() {
+				t.Fatalf("n=%d %s: AppendTo wrote %x, WriteTo %x", n, fill, out[2:], buf.Bytes())
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("FromWords with a wrong word count did not panic")
+		}
+	}()
+	FromWords(65, make([]uint64, 1))
+}

@@ -16,13 +16,13 @@
 package container
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"lossyckpt/internal/bitpack"
 	"lossyckpt/internal/encode"
@@ -48,7 +48,7 @@ const (
 // stream: every float section (low band, averages, passthrough) stores
 // 8-byte little-endian float64 words. The entropy stage's byte-shuffle
 // pre-pass uses this as its lane stride; exposing it here, next to
-// writeFloats, keeps the two from drifting apart silently (a layout
+// appendFloats, keeps the two from drifting apart silently (a layout
 // regression test pins both).
 func PackedWidth() int { return 8 }
 
@@ -89,16 +89,20 @@ func (a *Archive) Band() *encode.EncodedBand {
 // WriteTo serializes the archive, implementing io.WriterTo. The stream ends
 // with a CRC-32 of all preceding bytes.
 func (a *Archive) WriteTo(w io.Writer) (int64, error) {
-	buf, err := a.encode()
+	buf, err := a.Bytes()
 	if err != nil {
 		return 0, err
 	}
-	n, err := w.Write(buf.Bytes())
+	n, err := w.Write(buf)
 	return int64(n), err
 }
 
-// encode builds the serialized stream in a buffer sized exactly once.
-func (a *Archive) encode() (*bytes.Buffer, error) {
+// Bytes serializes the archive to a fresh byte slice of exactly its size.
+func (a *Archive) Bytes() ([]byte, error) { return a.AppendTo(nil) }
+
+// AppendTo appends the serialized archive to dst and returns the extended
+// slice, growing dst at most once.
+func (a *Archive) AppendTo(dst []byte) ([]byte, error) {
 	if len(a.Bands) == 0 {
 		return nil, fmt.Errorf("%w: no band sections", ErrFormat)
 	}
@@ -110,53 +114,56 @@ func (a *Archive) encode() (*bytes.Buffer, error) {
 			return nil, err
 		}
 	}
-	var buf bytes.Buffer
-	buf.Grow(a.SerializedSize())
+	dst = slices.Grow(dst, a.SerializedSize())
+	start := len(dst)
+	le := binary.LittleEndian
 
 	// Header.
-	writeU32(&buf, magic)
-	writeU16(&buf, version)
-	writeU16(&buf, uint16(a.Params.Scheme))
-	writeU16(&buf, uint16(a.Params.Method))
-	writeU16(&buf, uint16(a.Params.Levels))
-	writeU16(&buf, uint16(a.Params.Divisions))
-	writeU16(&buf, uint16(a.Params.SpikeDivisions))
+	dst = le.AppendUint32(dst, magic)
+	dst = le.AppendUint16(dst, version)
+	dst = le.AppendUint16(dst, uint16(a.Params.Scheme))
+	dst = le.AppendUint16(dst, uint16(a.Params.Method))
+	dst = le.AppendUint16(dst, uint16(a.Params.Levels))
+	dst = le.AppendUint16(dst, uint16(a.Params.Divisions))
+	dst = le.AppendUint16(dst, uint16(a.Params.SpikeDivisions))
 	var flags uint16
 	if a.Params.PerBand {
 		flags |= 1
 	}
-	writeU16(&buf, flags)
-	writeU16(&buf, uint16(len(a.Shape)))
+	dst = le.AppendUint16(dst, flags)
+	dst = le.AppendUint16(dst, uint16(len(a.Shape)))
 	for _, e := range a.Shape {
-		writeU64(&buf, uint64(e))
+		dst = le.AppendUint64(dst, uint64(e))
 	}
 
 	// Sections, each length-prefixed.
-	writeFloats(&buf, a.Low)
-	writeU16(&buf, uint16(len(a.Bands)))
+	dst = appendFloats(dst, a.Low)
+	dst = le.AppendUint16(dst, uint16(len(a.Bands)))
 	for _, b := range a.Bands {
-		writeFloats(&buf, b.Averages)
-		writeBytes(&buf, b.Codes)
-		writeU64(&buf, uint64(b.N))
-		if _, err := b.Bitmap.WriteTo(&buf); err != nil {
-			return nil, err
-		}
-		writeFloats(&buf, b.Passthrough)
+		dst = appendFloats(dst, b.Averages)
+		dst = le.AppendUint64(dst, uint64(len(b.Codes)))
+		dst = append(dst, b.Codes...)
+		dst = le.AppendUint64(dst, uint64(b.N))
+		dst = b.Bitmap.AppendTo(dst)
+		dst = appendFloats(dst, b.Passthrough)
 	}
 
 	// Trailer.
-	crc := crc32.ChecksumIEEE(buf.Bytes())
-	writeU32(&buf, crc)
-	return &buf, nil
+	return le.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:])), nil
 }
 
-// Bytes serializes the archive to a fresh byte slice.
-func (a *Archive) Bytes() ([]byte, error) {
-	buf, err := a.encode()
-	if err != nil {
-		return nil, err
+// appendFloats appends a length-prefixed section of PackedWidth-byte
+// little-endian doubles.
+func appendFloats(dst []byte, fs []float64) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(fs)))
+	n := len(dst)
+	dst = slices.Grow(dst, 8*len(fs))[:n+8*len(fs)]
+	out := dst[n:]
+	for _, f := range fs {
+		binary.LittleEndian.PutUint64(out, math.Float64bits(f))
+		out = out[8:]
 	}
-	return buf.Bytes(), nil
+	return dst
 }
 
 // SerializedSize returns the exact number of bytes WriteTo produces.
@@ -273,39 +280,7 @@ func FromBytes(raw []byte) (*Archive, error) {
 	return &a, nil
 }
 
-// --- little-endian helpers ----------------------------------------------
-
-func writeU16(buf *bytes.Buffer, v uint16) {
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], v)
-	buf.Write(b[:])
-}
-
-func writeU32(buf *bytes.Buffer, v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	buf.Write(b[:])
-}
-
-func writeU64(buf *bytes.Buffer, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	buf.Write(b[:])
-}
-
-func writeFloats(buf *bytes.Buffer, fs []float64) {
-	writeU64(buf, uint64(len(fs)))
-	var b [8]byte
-	for _, f := range fs {
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
-		buf.Write(b[:])
-	}
-}
-
-func writeBytes(buf *bytes.Buffer, bs []byte) {
-	writeU64(buf, uint64(len(bs)))
-	buf.Write(bs)
-}
+// --- little-endian reader -----------------------------------------------
 
 // sliceReader is a cursor over a byte slice that records the first error
 // and also satisfies io.Reader for bitpack.Read.
@@ -378,7 +353,8 @@ func (r *sliceReader) floats() []float64 {
 	b := r.take(int(n) * 8)
 	out := make([]float64, n)
 	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b))
+		b = b[8:]
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package container
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"math/rand"
@@ -180,10 +181,7 @@ func TestBadMagicAndVersion(t *testing.T) {
 }
 
 func appendCRC(body []byte) []byte {
-	var buf bytes.Buffer
-	buf.Write(body)
-	writeU32(&buf, crc32IEEE(body))
-	return buf.Bytes()
+	return binary.LittleEndian.AppendUint32(body[:len(body):len(body)], crc32IEEE(body))
 }
 
 func TestNilBandRejected(t *testing.T) {

@@ -1,8 +1,11 @@
 package container
 
 import (
+	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"math"
+	"math/rand"
 	"testing"
 
 	"lossyckpt/internal/bitpack"
@@ -67,5 +70,125 @@ func TestPackedWidthPinsFloatLayout(t *testing.T) {
 	a.Low = append(a.Low, 42)
 	if diff := a.SerializedSize() - sizeWith; diff != w {
 		t.Fatalf("one extra low float costs %d bytes, want PackedWidth()=%d", diff, w)
+	}
+}
+
+// referenceBytes is the serializer as it stood before the bulk stores: one
+// bytes.Buffer write per field, per float and per bitmap word. It is the
+// layout AppendTo is held to, byte by byte.
+func referenceBytes(a *Archive) []byte {
+	var buf bytes.Buffer
+	u16 := func(v uint16) { _ = binary.Write(&buf, binary.LittleEndian, v) }
+	u32 := func(v uint32) { _ = binary.Write(&buf, binary.LittleEndian, v) }
+	u64 := func(v uint64) { _ = binary.Write(&buf, binary.LittleEndian, v) }
+	floats := func(fs []float64) {
+		u64(uint64(len(fs)))
+		for _, f := range fs {
+			u64(math.Float64bits(f))
+		}
+	}
+	u32(magic)
+	u16(version)
+	u16(uint16(a.Params.Scheme))
+	u16(uint16(a.Params.Method))
+	u16(uint16(a.Params.Levels))
+	u16(uint16(a.Params.Divisions))
+	u16(uint16(a.Params.SpikeDivisions))
+	var flags uint16
+	if a.Params.PerBand {
+		flags |= 1
+	}
+	u16(flags)
+	u16(uint16(len(a.Shape)))
+	for _, e := range a.Shape {
+		u64(uint64(e))
+	}
+	floats(a.Low)
+	u16(uint16(len(a.Bands)))
+	for _, b := range a.Bands {
+		floats(b.Averages)
+		u64(uint64(len(b.Codes)))
+		buf.Write(b.Codes)
+		u64(uint64(b.N))
+		u64(uint64(b.Bitmap.Len()))
+		switch b.Bitmap.Count() {
+		case b.Bitmap.Len():
+			buf.WriteByte(1)
+		case 0:
+			buf.WriteByte(2)
+		default:
+			buf.WriteByte(0)
+			for w := 0; w < (b.N+63)/64; w++ {
+				var word uint64
+				for i := w * 64; i < min(w*64+64, b.N); i++ {
+					if b.Bitmap.Get(i) {
+						word |= 1 << (i % 64)
+					}
+				}
+				u64(word)
+			}
+		}
+		floats(b.Passthrough)
+	}
+	u32(crc32.ChecksumIEEE(buf.Bytes()))
+	return buf.Bytes()
+}
+
+// layoutBand makes a band of n values, each a code with probability p.
+func layoutBand(n int, p float64, rng *rand.Rand) *encode.EncodedBand {
+	b := &encode.EncodedBand{N: n, Bitmap: bitpack.New(n), Averages: []float64{math.Copysign(0, -1), math.NaN(), 1e-300, rng.NormFloat64()}}
+	for i := 0; i < n; i++ {
+		if rng.Float64() < p {
+			b.Bitmap.Set(i, true)
+			b.Codes = append(b.Codes, uint8(rng.Intn(len(b.Averages))))
+		} else {
+			b.Passthrough = append(b.Passthrough, rng.NormFloat64())
+		}
+	}
+	return b
+}
+
+// TestBytesMatchesReferenceWriter: pooled, per-band, all-true, all-false and
+// empty archives serialize to the reference writer's bytes, parse back, and
+// AppendTo writes the same after whatever its destination held.
+func TestBytesMatchesReferenceWriter(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	low := make([]float64, 37)
+	for i := range low {
+		low[i] = rng.NormFloat64()
+	}
+	params := Params{Scheme: wavelet.Haar, Method: quant.Proposed, Levels: 2, Divisions: 128, SpikeDivisions: 65535}
+	perBand := params
+	perBand.PerBand = true
+	for name, a := range map[string]*Archive{
+		"pooled":            {Params: params, Shape: []int{10, 20}, Low: low, Bands: []*encode.EncodedBand{layoutBand(163, 0.8, rng)}},
+		"pooled word-sized": {Params: params, Shape: []int{16, 16}, Low: low, Bands: []*encode.EncodedBand{layoutBand(128, 0.5, rng)}},
+		"per-band": {Params: perBand, Shape: []int{4, 5, 6}, Low: low, Bands: []*encode.EncodedBand{
+			layoutBand(70, 0.9, rng), layoutBand(1, 0, rng), layoutBand(64, 1, rng), layoutBand(200, 0.1, rng)}},
+		"all-true":          {Params: params, Shape: []int{9}, Low: low, Bands: []*encode.EncodedBand{layoutBand(99, 1, rng)}},
+		"all-false":         {Params: params, Shape: []int{9}, Low: low[:1], Bands: []*encode.EncodedBand{layoutBand(99, 0, rng)}},
+		"empty passthrough": {Params: params, Shape: []int{1}, Low: nil, Bands: []*encode.EncodedBand{layoutBand(0, 1, rng)}},
+	} {
+		want := referenceBytes(a)
+		got, err := a.Bytes()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: Bytes differs from the reference writer (%d vs %d bytes)", name, len(got), len(want))
+		}
+		if len(got) != a.SerializedSize() {
+			t.Errorf("%s: %d bytes, SerializedSize %d", name, len(got), a.SerializedSize())
+		}
+		appended, err := a.AppendTo([]byte("prefix"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if string(appended[:6]) != "prefix" || !bytes.Equal(appended[6:], want) {
+			t.Errorf("%s: AppendTo after a prefix differs from the reference writer", name)
+		}
+		if _, err := FromBytes(got); err != nil {
+			t.Errorf("%s: does not parse back: %v", name, err)
+		}
 	}
 }

@@ -241,8 +241,8 @@ func (o Options) validate() error {
 	if o.Divisions < 1 || o.Divisions > quant.MaxDivisions {
 		return fmt.Errorf("%w: divisions %d", ErrOptions, o.Divisions)
 	}
-	if o.SpikeDivisions < 1 {
-		return fmt.Errorf("%w: spike divisions %d", ErrOptions, o.SpikeDivisions)
+	if o.SpikeDivisions < 1 || o.SpikeDivisions > quant.MaxSpikeDivisions {
+		return fmt.Errorf("%w: spike divisions %d (want 1..%d)", ErrOptions, o.SpikeDivisions, quant.MaxSpikeDivisions)
 	}
 	if o.ZeroThreshold < 0 || o.ZeroThreshold != o.ZeroThreshold {
 		return fmt.Errorf("%w: zero threshold %g", ErrOptions, o.ZeroThreshold)
@@ -322,6 +322,7 @@ type Stages struct {
 	nbufs   int
 	groups  [][]float64 // high-frequency pools of the latest Quantize: one, or one per band
 	quants  []*quant.Quantization
+	qbufs   []*quant.Scratch // what each group's quantization lives in, until Release
 	res     *Result
 	opts    Options
 	high    []float64
@@ -406,8 +407,9 @@ func (s *Stages) Quantize(opts Options) (*Result, error) {
 		SpikeDivisions: opts.SpikeDivisions,
 		LogScale:       opts.LogQuant,
 	}
-	scratch := grid.GetScratch(s.plan.HighCount()) // the quantizer's compacted pool
-	defer scratch.Put()
+	for len(s.qbufs) < len(s.groups) {
+		s.qbufs = append(s.qbufs, quant.GetScratch())
+	}
 	for i, g := range s.groups {
 		res.NumHigh += len(g)
 		var q *quant.Quantization
@@ -418,13 +420,13 @@ func (s *Stages) Quantize(opts Options) (*Result, error) {
 			q = quant.PassthroughAll(len(g))
 		case opts.ErrorBound > 0:
 			var n int
-			n, q, e, err = quant.ChooseDivisionsMeasured(g, opts.ErrorBound, opts.Method, opts.SpikeDivisions, scratch.S)
+			n, q, e, err = quant.ChooseDivisionsMeasured(g, opts.ErrorBound, opts.Method, opts.SpikeDivisions, s.qbufs[i])
 			if err == quant.ErrBoundUnreachable {
 				res.BoundUnreachable, err = true, nil
 			}
 			res.EffectiveDivisions = max(res.EffectiveDivisions, n)
 		default:
-			q, e, err = quant.QuantizeMeasured(g, qcfg, scratch.S)
+			q, e, err = quant.QuantizeMeasured(g, qcfg, s.qbufs[i])
 			res.EffectiveDivisions = opts.Divisions
 		}
 		if err != nil {
@@ -483,10 +485,13 @@ func (s *Stages) Encode() error {
 		Low:   s.low,
 		Bands: bands,
 	}
-	formatted, err := arch.Bytes()
+	buf := formattedBufs.Get().(*[]byte) // dead once the entropy coder has read it
+	defer formattedBufs.Put(buf)
+	formatted, err := arch.AppendTo((*buf)[:0])
 	if err != nil {
 		return err
 	}
+	*buf = formatted
 	res.FormattedBytes = len(formatted)
 	s.timings.Format = time.Since(t0)
 
@@ -541,6 +546,10 @@ func (s *Stages) Release() {
 	for ; s.nbufs > 0; s.nbufs-- { // last taken first: the pool hands them back in the order the next array asks
 		s.bufs[s.nbufs-1].Put()
 	}
+	for _, b := range s.qbufs {
+		b.Put()
+	}
+	s.qbufs = nil
 }
 
 // Decompress inverts the pipeline, reconstructing the (lossy) field from a
@@ -555,7 +564,8 @@ func Decompress(data []byte) (*grid.Field, error) {
 	return f, err
 }
 
-// formattedBufs recycles the stage-4 output of decodeTo.
+// formattedBufs recycles the formatted container: the stage-4a output of
+// Stages.Encode and the stage-4 output of decodeTo.
 var formattedBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // decodeTo inverts the pipeline into the field dest supplies for the stream's

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -160,11 +161,23 @@ func TestOptionValidation(t *testing.T) {
 		func() Options { o := DefaultOptions(); o.Divisions = 300; return o }(),
 		func() Options { o := DefaultOptions(); o.Levels = 99; return o }(),
 		func() Options { o := DefaultOptions(); o.SpikeDivisions = -1; return o }(),
+		func() Options { o := DefaultOptions(); o.SpikeDivisions = quant.MaxSpikeDivisions + 1; return o }(),
+		func() Options { o := DefaultOptions(); o.SpikeDivisions = 1_000_000_000; return o }(),
 	}
 	for i, o := range bad {
-		if _, err := Compress(f, o); err == nil {
-			t.Errorf("bad options %d accepted", i)
+		if _, err := Compress(f, o); !errors.Is(err, ErrOptions) {
+			t.Errorf("bad options %d: err = %v, want ErrOptions", i, err)
 		}
+	}
+	// The cap itself is usable and survives the 16-bit header field.
+	o := DefaultOptions()
+	o.SpikeDivisions = quant.MaxSpikeDivisions
+	res, err := Compress(f, o)
+	if err != nil {
+		t.Fatalf("d = %d: %v", o.SpikeDivisions, err)
+	}
+	if _, err := Decompress(res.Data); err != nil {
+		t.Errorf("d = %d: %v", o.SpikeDivisions, err)
 	}
 }
 

@@ -8,11 +8,19 @@
 // Encoding is lossless with respect to the quantized stream: decoding an
 // EncodedBand reproduces exactly the dequantized values (table averages at
 // quantized positions, original values elsewhere).
+//
+// Cost: none going in — the quantizer's split pass already wrote the codes,
+// the bitmap words and the passthrough values where the format wants them, so
+// Encode checks lengths and wraps the same memory. Coming back, Decode reads
+// the bitmap a word at a time and each code once: runs of codes are table
+// lookups, runs of passthrough values are copies.
 package encode
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"lossyckpt/internal/bitpack"
 	"lossyckpt/internal/quant"
@@ -39,20 +47,24 @@ type EncodedBand struct {
 }
 
 // Encode assembles an EncodedBand from the raw high-frequency values and
-// their quantization.
+// their quantization. The quantizer already wrote every piece where it ends
+// up, so this checks the lengths and wraps them: O(1), no copy — the band
+// shares the quantization's memory, and with nothing quantized its
+// passthrough is values itself.
 func Encode(values []float64, q *quant.Quantization) (*EncodedBand, error) {
-	if len(values) != len(q.Mask) {
-		return nil, fmt.Errorf("encode: %d values but mask of %d", len(values), len(q.Mask))
+	if len(values) != q.Bitmap.Len() {
+		return nil, fmt.Errorf("encode: %d values but bitmap of %d", len(values), q.Bitmap.Len())
 	}
-	// The mask bookkeeping tells us the passthrough count up front; size
-	// the slice once instead of letting append grow it repeatedly.
-	pass, err := q.Passthrough(values, make([]float64, 0, len(values)-q.NumQuantized))
-	if err != nil {
-		return nil, err
+	pass := q.Passthrough
+	if q.NumQuantized == 0 {
+		pass = values
+	}
+	if len(pass) != len(values)-q.NumQuantized {
+		return nil, fmt.Errorf("encode: %d passthrough values, %d of %d quantized", len(pass), q.NumQuantized, len(values))
 	}
 	return &EncodedBand{
 		N:           len(values),
-		Bitmap:      bitpack.FromBools(q.Mask),
+		Bitmap:      q.Bitmap,
 		Codes:       q.Codes,
 		Averages:    q.Averages,
 		Passthrough: pass,
@@ -61,6 +73,18 @@ func Encode(values []float64, q *quant.Quantization) (*EncodedBand, error) {
 
 // Validate checks the band's internal consistency without decoding it.
 func (e *EncodedBand) Validate() error {
+	if err := e.validateCounts(); err != nil {
+		return err
+	}
+	var top uint8
+	for _, c := range e.Codes {
+		top = max(top, c)
+	}
+	return e.checkTopCode(top)
+}
+
+// validateCounts is the part of Validate that does not read the codes.
+func (e *EncodedBand) validateCounts() error {
 	if e.Bitmap == nil {
 		return fmt.Errorf("%w: nil bitmap", ErrCorrupt)
 	}
@@ -74,36 +98,52 @@ func (e *EncodedBand) Validate() error {
 	if e.N-nq != len(e.Passthrough) {
 		return fmt.Errorf("%w: bitmap leaves %d passthrough values, have %d", ErrCorrupt, e.N-nq, len(e.Passthrough))
 	}
-	for i, c := range e.Codes {
-		if int(c) >= len(e.Averages) {
-			return fmt.Errorf("%w: code[%d]=%d out of range (%d averages)", ErrCorrupt, i, c, len(e.Averages))
-		}
+	return nil
+}
+
+// checkTopCode reports the band's largest code when the table is too short
+// for it.
+func (e *EncodedBand) checkTopCode(top uint8) error {
+	if len(e.Codes) > 0 && int(top) >= len(e.Averages) {
+		return fmt.Errorf("%w: code %d out of range (%d averages)", ErrCorrupt, top, len(e.Averages))
 	}
 	return nil
 }
 
 // Decode reconstructs the (lossy) high-frequency value stream, appending to
-// dst and returning it.
+// dst and returning it. It walks the bitmap by runs — a run of clear bits is
+// a copy from the passthrough, a run of set bits a loop over as many codes —
+// and checks the codes' range as it reads them, so a band that parsed clean is
+// not scanned a second time and a forged one is an error all the same.
 func (e *EncodedBand) Decode(dst []float64) ([]float64, error) {
-	if err := e.Validate(); err != nil {
+	if err := e.validateCounts(); err != nil {
 		return nil, err
 	}
-	if cap(dst)-len(dst) < e.N {
-		grown := make([]float64, len(dst), len(dst)+e.N)
-		copy(grown, dst)
-		dst = grown
-	}
-	ci, pi := 0, 0
-	for i := 0; i < e.N; i++ {
-		if e.Bitmap.Get(i) {
-			dst = append(dst, e.Averages[e.Codes[ci]])
-			ci++
-		} else {
-			dst = append(dst, e.Passthrough[pi])
-			pi++
+	dst = slices.Grow(dst, e.N)
+	out := dst[len(dst) : len(dst)+e.N]
+	var table [256]float64 // any code indexes it; one past the averages is caught below
+	copy(table[:], e.Averages)
+	codes, pass := e.Codes, e.Passthrough
+	var top uint8
+	for w, word := range e.Bitmap.Words() {
+		chunk := out[w*64 : min(w*64+64, e.N)]
+		for j := 0; j < len(chunk); {
+			zeros := min(bits.TrailingZeros64(word>>j), len(chunk)-j)
+			pass = pass[copy(chunk[j:j+zeros], pass):]
+			j += zeros
+			ones := bits.TrailingZeros64(^(word >> j))
+			for i, c := range codes[:ones] {
+				chunk[j+i] = table[c]
+				top = max(top, c)
+			}
+			codes = codes[ones:]
+			j += ones
 		}
 	}
-	return dst, nil
+	if err := e.checkTopCode(top); err != nil {
+		return nil, err
+	}
+	return dst[:len(dst)+e.N], nil
 }
 
 // PayloadBytes returns the serialized payload size in bytes, before any

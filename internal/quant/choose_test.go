@@ -117,8 +117,8 @@ func TestPassthroughAll(t *testing.T) {
 	if q.NumQuantized != 0 || len(q.Codes) != 0 || len(q.Averages) != 0 {
 		t.Fatalf("PassthroughAll not empty: %+v", q)
 	}
-	if len(q.Mask) != len(values) {
-		t.Fatalf("mask length %d, want %d", len(q.Mask), len(values))
+	if q.Bitmap.Len() != len(values) || q.Bitmap.Count() != 0 {
+		t.Fatalf("bitmap of %d bits, %d set; want %d, none set", q.Bitmap.Len(), q.Bitmap.Count(), len(values))
 	}
 	e, err := MaxQuantizationError(values, q)
 	if err != nil {
@@ -127,11 +127,7 @@ func TestPassthroughAll(t *testing.T) {
 	if e != 0 {
 		t.Errorf("passthrough error %g, want 0", e)
 	}
-	pt, err := q.Passthrough(values, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pt) != len(values) {
-		t.Errorf("passthrough carried %d values, want %d", len(pt), len(values))
+	if q.Passthrough != nil {
+		t.Errorf("passthrough of %d values from a quantization that saw none", len(q.Passthrough))
 	}
 }

@@ -2,128 +2,10 @@ package quant
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 )
-
-// refQuantize is Quantize as it stood before the pool was compacted: the
-// selection passes followed by one fused pass through the selector. It is
-// the reference the shared tally is held to.
-func refQuantize(values []float64, cfg Config) (*Quantization, error) {
-	cfg, err := cfg.validate()
-	if err != nil {
-		return nil, err
-	}
-	q := &Quantization{
-		Averages: make([]float64, cfg.Divisions),
-		Mask:     make([]bool, len(values)),
-	}
-	if len(values) == 0 {
-		q.Codes = []uint8{}
-		return q, nil
-	}
-	sel := selectAll(values)
-	if cfg.Method == Proposed && sel.nSel > 0 {
-		sel = spikeSelect(values, cfg.SpikeDivisions, sel)
-		q.SpikePartitions = sel.nSpiked
-	}
-	if sel.nSel == 0 {
-		q.Codes = []uint8{}
-		return q, nil
-	}
-	part := makePartitioner(sel.lo, sel.hi, cfg.Divisions, cfg.LogScale)
-	sums := make([]float64, cfg.Divisions)
-	counts := make([]int, cfg.Divisions)
-	q.Codes = make([]uint8, 0, sel.nSel)
-	for i, v := range values {
-		if !isFinite(v) || !sel.selector(v) {
-			continue
-		}
-		pi := part.index(part.warp(v))
-		sums[pi] += v
-		counts[pi]++
-		q.Mask[i] = true
-		q.Codes = append(q.Codes, uint8(pi))
-	}
-	for i := range sums {
-		if counts[i] > 0 {
-			q.Averages[i] = sums[i] / float64(counts[i])
-		}
-	}
-	q.NumQuantized = len(q.Codes)
-	return q, nil
-}
-
-// refChooseDivisions is ChooseDivisions as it stood before candidates were
-// evaluated on the pool: a full quantization and an error scan per
-// candidate, the downward "refinement" that always stopped at its first
-// try included.
-func refChooseDivisions(values []float64, bound float64, method Method, spikeDivisions int) (int, *Quantization, error) {
-	if bound < 0 || math.IsNaN(bound) {
-		return 0, nil, fmt.Errorf("%w: error bound %g", ErrConfig, bound)
-	}
-	try := func(n int) (*Quantization, float64, error) {
-		q, err := refQuantize(values, Config{Method: method, Divisions: n, SpikeDivisions: spikeDivisions})
-		if err != nil {
-			return nil, 0, err
-		}
-		e, err := MaxQuantizationError(values, q)
-		return q, e, err
-	}
-	q1, e1, err := try(1)
-	if err != nil {
-		return 0, nil, err
-	}
-	if e1 <= bound {
-		return 1, q1, nil
-	}
-	if bound == 0 {
-		qc, ec, err := try(MaxDivisions)
-		if err != nil {
-			return 0, nil, err
-		}
-		if ec == 0 {
-			return MaxDivisions, qc, nil
-		}
-		return MaxDivisions, qc, ErrBoundUnreachable
-	}
-	var best *Quantization
-	for n := 2; n <= MaxDivisions; n *= 2 {
-		q, e, err := try(n)
-		if err != nil {
-			return 0, nil, err
-		}
-		best = q
-		if e <= bound {
-			for m := n / 2; m > 0; m-- {
-				qm, em, err := try(m)
-				if err != nil {
-					return 0, nil, err
-				}
-				if em <= bound {
-					best = qm
-					continue
-				}
-				break
-			}
-			return len(best.Averages), best, nil
-		}
-		if n == 128 {
-			q, e, err := try(MaxDivisions)
-			if err != nil {
-				return 0, nil, err
-			}
-			if e <= bound {
-				return MaxDivisions, q, nil
-			}
-			return MaxDivisions, q, ErrBoundUnreachable
-		}
-	}
-	return len(best.Averages), best, nil
-}
 
 // propertyPools is the corpus of the pool properties: every shape of
 // input that takes a different path through selection or partitioning.
@@ -176,37 +58,36 @@ var bothMethods = []Method{Simple, Proposed}
 
 // TestCandidateEvaluationMatchesScan: the one-pass evaluation of a division
 // count is MaxQuantizationError of the full quantization, bit for bit, and
-// the quantization the pool materialises is the reference one — linear and
-// log partitions, scratch given or not.
+// the quantization the pool materialises is the oracle's — linear and log
+// partitions, in a Scratch reused from pool to pool.
 func TestCandidateEvaluationMatchesScan(t *testing.T) {
+	scratch := new(Scratch)
 	for name, values := range propertyPools(rand.New(rand.NewSource(1))) {
 		orig := append([]float64(nil), values...)
-		scratch := make([]float64, len(values))
 		for _, method := range bothMethods {
 			for _, logScale := range []bool{false, true} {
 				sel := selectPool(values, method, DefaultSpikeDivisions, nil)
 				var tl tally
-				codes := make([]uint8, len(sel.vals))
 				for _, n := range []int{1, 2, 3, 4, 8, 16, 32, 64, 100, 128, 255} {
 					cfg := Config{Method: method, Divisions: n, LogScale: logScale}
 					want, err := refQuantize(values, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					wantErr, err := MaxQuantizationError(values, want)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got := sel.evaluate(n, logScale, &tl, codes); math.Float64bits(got) != math.Float64bits(wantErr) {
+					wantErr := refMaxError(values, want)
+					if got := sel.evaluate(n, logScale, &tl); math.Float64bits(got) != math.Float64bits(wantErr) {
 						t.Errorf("%s/%v/log=%v n=%d: one-pass error %g, scan %g", name, method, logScale, n, got, wantErr)
 					}
 					got, gotErr, err := QuantizeMeasured(values, cfg, scratch)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(got, want) || math.Float64bits(gotErr) != math.Float64bits(wantErr) {
-						t.Errorf("%s/%v/log=%v n=%d: quantization differs from the reference (error %g, want %g)",
-							name, method, logScale, n, gotErr, wantErr)
+					if d := diffQuantization(values, got, want); d != "" || math.Float64bits(gotErr) != math.Float64bits(wantErr) {
+						t.Errorf("%s/%v/log=%v n=%d: quantization differs from the reference: %s (error %g, want %g)",
+							name, method, logScale, n, d, gotErr, wantErr)
+					}
+					if scan, err := MaxQuantizationError(values, got); err != nil || math.Float64bits(scan) != math.Float64bits(wantErr) {
+						t.Errorf("%s/%v/log=%v n=%d: MaxQuantizationError %g (%v), the mask scan %g", name, method, logScale, n, scan, err, wantErr)
 					}
 				}
 			}
@@ -225,29 +106,25 @@ func TestCandidateEvaluationMatchesScan(t *testing.T) {
 func TestChooseDivisionsMatchesReference(t *testing.T) {
 	bounds := []float64{0, 1e-300, 1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1}
 	calls := 0
+	scratch := new(Scratch)
 	for seed := int64(1); seed <= 4; seed++ {
 		for name, values := range propertyPools(rand.New(rand.NewSource(seed))) {
 			rng := finiteRange(values)
-			scratch := make([]float64, len(values))
 			for _, method := range bothMethods {
 				for _, b := range bounds {
 					for _, bound := range []float64{b, b * rng} {
 						calls++
 						wantN, wantQ, wantErr := refChooseDivisions(values, bound, method, DefaultSpikeDivisions)
 						gotN, gotQ, gotE, gotErr := ChooseDivisionsMeasured(values, bound, method, DefaultSpikeDivisions, scratch)
-						if gotN != wantN || !errors.Is(gotErr, wantErr) || !reflect.DeepEqual(gotQ, wantQ) {
-							t.Fatalf("seed %d %s/%v bound %g: got n=%d err=%v, want n=%d err=%v (quantizations equal: %v)",
-								seed, name, method, bound, gotN, gotErr, wantN, wantErr, reflect.DeepEqual(gotQ, wantQ))
+						if d := diffQuantization(values, gotQ, wantQ); gotN != wantN || !errors.Is(gotErr, wantErr) || d != "" {
+							t.Fatalf("seed %d %s/%v bound %g: got n=%d err=%v, want n=%d err=%v (quantization: %s)",
+								seed, name, method, bound, gotN, gotErr, wantN, wantErr, d)
 						}
-						scan, err := MaxQuantizationError(values, wantQ)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if math.Float64bits(gotE) != math.Float64bits(scan) {
+						if scan := refMaxError(values, wantQ); math.Float64bits(gotE) != math.Float64bits(scan) {
 							t.Fatalf("seed %d %s/%v bound %g: reported error %g, scan %g", seed, name, method, bound, gotE, scan)
 						}
 						n, q, err := ChooseDivisions(values, bound, method, DefaultSpikeDivisions)
-						if n != wantN || !errors.Is(err, wantErr) || !reflect.DeepEqual(q, wantQ) {
+						if n != wantN || !errors.Is(err, wantErr) || diffQuantization(values, q, wantQ) != "" {
 							t.Fatalf("seed %d %s/%v bound %g: ChooseDivisions differs from its measured form", seed, name, method, bound)
 						}
 					}
@@ -279,8 +156,7 @@ func finiteRange(values []float64) float64 {
 func TestCandidateEvaluationAllocatesNothing(t *testing.T) {
 	values := propertyPools(rand.New(rand.NewSource(3)))["gaussian"]
 	sel := selectPool(values, Proposed, DefaultSpikeDivisions, nil)
-	codes := make([]uint8, len(sel.vals))
-	if a := testing.AllocsPerRun(20, func() { var tl tally; sel.evaluate(128, false, &tl, codes) }); a != 0 {
+	if a := testing.AllocsPerRun(20, func() { var tl tally; sel.evaluate(128, false, &tl) }); a != 0 {
 		t.Errorf("candidate evaluation allocates %.0f times per run, want 0", a)
 	}
 }
@@ -299,7 +175,7 @@ func BenchmarkChooseDivisions(b *testing.B) {
 			values[i] *= 40 // the tail the spike detector leaves alone
 		}
 	}
-	scratch := make([]float64, len(values))
+	scratch := new(Scratch)
 	// The bounds that n = 128 and n = 1 meet exactly: their own errors.
 	_, e128, err := QuantizeMeasured(values, Config{Method: Proposed, Divisions: 128}, nil)
 	if err != nil {

@@ -25,18 +25,30 @@
 // Non-finite values (NaN, ±Inf) are never quantized; they pass through via
 // the bitmap in both methods so decompression is exact for them.
 //
-// Cost: selecting the pool is two passes over the input (range, spike
-// histogram) and one that compacts the selected values; each division
-// number tried after that is one allocation-free pass over the compacted
-// pool. ChooseDivisions tries at most nine and builds mask, codes and table
-// for the winner only. Every pass is O(len(values)), preserving the paper's
-// O(n) overall complexity claim (§III).
+// Cost: a quantization reads its input three times and decides each value
+// once. The range pass reads the values and keeps min, max and the finite
+// count. The histogram pass (Proposed) reads them again, counts each
+// partition and writes the value's partition index, two bytes, beside it. The
+// split pass reads values and indexes, looks the index up in the spiked
+// table — no second division — and writes, 64 values to a word, the bitmap,
+// the passthrough values and the selected values packed dense; the selected
+// range is then read off the dense pool. Each division number tried after
+// that is one allocation-free pass over the dense pool that writes the
+// codes; ChooseDivisions tries at most nine. When every value is selected
+// the pool is the input and nothing is split; when none is, the passthrough
+// is. Every pass is O(len(values)), preserving the paper's O(n) overall
+// complexity claim (§III).
 package quant
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
+	"sync"
+
+	"lossyckpt/internal/bitpack"
 )
 
 // Method selects the quantization algorithm.
@@ -82,11 +94,12 @@ const MaxDivisions = 255
 // detection (§IV-A: "The parameter d is set to be 64").
 const DefaultSpikeDivisions = 64
 
+// MaxSpikeDivisions is the largest allowed d: the container header stores it
+// in 16 bits, and a value's partition index is cached in as many.
+const MaxSpikeDivisions = math.MaxUint16
+
 // Errors returned by this package.
-var (
-	ErrConfig = errors.New("quant: invalid configuration")
-	ErrCodes  = errors.New("quant: corrupt code stream")
-)
+var ErrConfig = errors.New("quant: invalid configuration")
 
 // Config parameterizes a quantization.
 type Config struct {
@@ -117,8 +130,8 @@ func (c Config) validate() (Config, error) {
 	if c.SpikeDivisions == 0 {
 		c.SpikeDivisions = DefaultSpikeDivisions
 	}
-	if c.SpikeDivisions < 1 {
-		return c, fmt.Errorf("%w: spike divisions %d", ErrConfig, c.SpikeDivisions)
+	if c.SpikeDivisions < 1 || c.SpikeDivisions > MaxSpikeDivisions {
+		return c, fmt.Errorf("%w: spike divisions %d (want 1..%d)", ErrConfig, c.SpikeDivisions, MaxSpikeDivisions)
 	}
 	return c, nil
 }
@@ -133,28 +146,56 @@ type Quantization struct {
 	// Codes holds one byte per quantized value, in input order (skipping
 	// passthrough values).
 	Codes []uint8
-	// Mask has one entry per input value: true when the value was replaced
-	// by a code, false when it passes through losslessly.
-	Mask []bool
-	// NumQuantized is the number of true entries in Mask (== len(Codes)).
+	// Bitmap has one bit per input value: set when the value was replaced
+	// by a code, clear when it passes through losslessly.
+	Bitmap *bitpack.Bitmap
+	// Passthrough holds the values that were not quantized, in input order;
+	// the encoder stores them verbatim. When nothing was quantized the
+	// passthrough stream is the input itself and no copy is made: Quantize
+	// leaves a view of its input here, PassthroughAll, which never saw one,
+	// leaves nil.
+	Passthrough []float64
+	// NumQuantized is the number of set bits in Bitmap (== len(Codes)).
 	NumQuantized int
 	// SpikePartitions is the number of histogram partitions selected as
 	// spiked (Proposed only; equals SpikeDivisions' selected count).
 	SpikePartitions int
 }
 
-// Passthrough appends the values that were not quantized (in input order)
-// to dst and returns it. These must be stored verbatim by the encoder.
-func (q *Quantization) Passthrough(values []float64, dst []float64) ([]float64, error) {
-	if len(values) != len(q.Mask) {
-		return nil, fmt.Errorf("quant: passthrough over %d values, mask has %d", len(values), len(q.Mask))
+// Scratch is the working memory of one quantization: partition indexes,
+// histogram, bitmap words, the two halves of the split, the codes and the
+// result. The Quantization made with it is part of it and views of it, good
+// until the Scratch is used or Put again. Every element a result shows is
+// written by the call that made it, so nothing depends on what a recycled
+// Scratch held.
+type Scratch struct {
+	bins   []uint16
+	counts []int
+	spiked []uint8
+	words  []uint64
+	pool   []float64
+	pass   []float64
+	codes  []uint8
+	avgs   [MaxDivisions]float64
+	q      Quantization
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+
+// GetScratch returns a pooled Scratch.
+func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
+
+// Put hands the scratch back; the caller must be done with every
+// Quantization made with it.
+func (sc *Scratch) Put() { scratchPool.Put(sc) }
+
+// sized returns s with length n, reallocated when too small; the contents
+// are unspecified.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	for i, v := range values {
-		if !q.Mask[i] {
-			dst = append(dst, v)
-		}
-	}
-	return dst, nil
+	return s[:n]
 }
 
 // Quantize analyzes values (the pooled high-frequency coefficients of one
@@ -166,48 +207,172 @@ func Quantize(values []float64, cfg Config) (*Quantization, error) {
 }
 
 // QuantizeMeasured is Quantize that also returns MaxQuantizationError of
-// the result, without the scan. scratch, when large enough, holds the
-// compacted pool during the call; it must not overlap values.
-func QuantizeMeasured(values []float64, cfg Config, scratch []float64) (*Quantization, float64, error) {
+// the result, without the scan. It works in sc and the result aliases sc as
+// Scratch describes; with a nil sc the result owns its memory.
+func QuantizeMeasured(values []float64, cfg Config, sc *Scratch) (*Quantization, float64, error) {
 	cfg, err := cfg.validate()
 	if err != nil {
 		return nil, 0, err
 	}
-	sel := selectPool(values, cfg.Method, cfg.SpikeDivisions, scratch)
+	sel := selectPool(values, cfg.Method, cfg.SpikeDivisions, sc)
 	var t tally
-	codes := make([]uint8, len(sel.vals))
-	e := sel.evaluate(cfg.Divisions, cfg.LogScale, &t, codes)
-	return sel.quantization(cfg.Divisions, &t, codes), e, nil
+	e := sel.evaluate(cfg.Divisions, cfg.LogScale, &t)
+	return sel.quantization(cfg.Divisions, &t), e, nil
 }
 
-// selectPool is the part of a quantization that does not depend on the
-// division number: which values are selected, their range, the mask, and
-// the selected values compacted in input order, so that a pass at some n
-// walks a dense slice instead of re-deciding the selection.
-func selectPool(values []float64, method Method, spikeDivisions int, scratch []float64) selection {
+// selection is the part of a quantization that does not depend on the
+// division number: which values are quantized (bitmap), the rest (pass), and
+// the quantized ones packed dense in input order (vals) with their exact
+// [lo, hi] range, so that a pass at some n walks a dense slice instead of
+// re-deciding the selection. sc is the memory all of it lives in, and where
+// such a pass leaves its codes.
+type selection struct {
+	lo, hi  float64
+	nSel    int
+	nSpiked int
+	vals    []float64
+	pass    []float64
+	bitmap  *bitpack.Bitmap
+	sc      *Scratch
+	lent    bool // sc is the package pool's, not the caller's
+}
+
+// selectPool decides every value once. Simple is Proposed over a histogram
+// of one partition, which holds every finite value and so is spiked.
+func selectPool(values []float64, method Method, d int, sc *Scratch) selection {
 	sel := selectAll(values)
-	if method == Proposed && sel.nSel > 0 {
-		sel = spikeSelect(values, spikeDivisions, sel)
+	if sel.sc, sel.lent = sc, sc == nil; sel.lent {
+		sel.sc = GetScratch()
+		sc = sel.sc
 	}
-	sel.mask = make([]bool, len(values))
-	if sel.nSel == len(values) { // everything is selected: the pool is the input
+	sc.words = sized(sc.words, (len(values)+63)/64)
+	if method == Simple {
+		d = 1
+	}
+	if sel.nSel > 0 && (method == Proposed || sel.nSel < len(values)) {
+		nSpiked := sel.histogram(values, d)
+		if method == Proposed {
+			sel.nSpiked = nSpiked
+		}
+	}
+	switch sel.nSel {
+	case 0: // nothing finite: the passthrough is the input
+		clear(sc.words)
+		sel.pass = values
+	case len(values): // everything is selected: the pool is the input, with selectAll's range
+		for i := range sc.words {
+			sc.words[i] = ^uint64(0)
+		}
 		sel.vals = values
-		for i := range sel.mask {
-			sel.mask[i] = true
-		}
-		return sel
+	default:
+		sel.split(values)
 	}
-	if cap(scratch) < sel.nSel {
-		scratch = make([]float64, 0, sel.nSel)
-	}
-	sel.vals = scratch[:0]
-	for i, v := range values {
-		if isFinite(v) && sel.selector(v) {
-			sel.mask[i] = true
-			sel.vals = append(sel.vals, v)
-		}
-	}
+	sel.bitmap = bitpack.FromWords(len(values), sc.words)
+	sc.codes = sized(sc.codes, sel.nSel)
 	return sel
+}
+
+// selectAll counts the finite values and finds their range. A NaN fails both
+// comparisons by itself and an infinity is turned away after passing one, so
+// the finiteness test runs only when an extreme is about to move; the count
+// comes from the exponent bits, all ones in a non-finite value alone.
+func selectAll(values []float64) selection {
+	lo, hi := math.Inf(1), math.Inf(-1)
+	nonFinite := 0
+	for _, v := range values {
+		if v < lo && isFinite(v) {
+			lo = v
+		}
+		if v > hi && isFinite(v) {
+			hi = v
+		}
+		nonFinite += int((math.Float64bits(v)>>52&0x7ff + 1) >> 11)
+	}
+	return selection{lo: lo, hi: hi, nSel: len(values) - nonFinite}
+}
+
+// isFinite: v−v is 0 for every finite v and NaN for NaN and ±Inf.
+func isFinite(v float64) bool { return v-v == 0 }
+
+// histogram is the spike detection of paper Eq. 4 over the finite values,
+// whose range and count s holds on entry: d equal-width partitions of
+// [lo, hi], spiked where Ndiv[i] ≥ Ntotal/d. It leaves in sc.bins each
+// value's partition (d for a non-finite value) and in sc.spiked, per
+// partition, 1 where selected (never the d-th), sets s.nSel to the number of
+// values selected and returns the number of spiked partitions. Detection stays
+// linear, matching the paper's Fig. 4.
+func (s *selection) histogram(values []float64, d int) (nSpiked int) {
+	sc := s.sc
+	sc.bins, sc.counts, sc.spiked = sized(sc.bins, len(values)), sized(sc.counts, d+1), sized(sc.spiked, d+1)
+	bins, counts, spiked := sc.bins, sc.counts, sc.spiked
+	clear(counts)
+	clear(spiked)
+	part := makePartitioner(s.lo, s.hi, d, false)
+	for i, v := range values {
+		b := d
+		if isFinite(v) {
+			b = part.index(v)
+		}
+		bins[i] = uint16(b)
+		counts[b]++
+	}
+	total := s.nSel
+	s.nSel = 0
+	// Ndiv[i] ≥ Ntotal/d, computed without integer truncation:
+	// d*Ndiv[i] ≥ Ntotal.
+	for i, c := range counts[:d] {
+		if c > 0 && c*d >= total {
+			spiked[i] = 1
+			nSpiked++
+			s.nSel += c
+		}
+	}
+	return nSpiked
+}
+
+// split reads each value's fate off its cached partition and writes it where
+// it ends up: the value to the dense pool or to the passthrough, and a bit
+// to the bitmap, 64 values to a word. The selected range is then that of the
+// dense pool.
+func (s *selection) split(values []float64) {
+	sc, nPass := s.sc, len(values)-s.nSel
+	// A slot of slack each: splitWord stores to both cursors and advances one.
+	sc.pool, sc.pass = sized(sc.pool, s.nSel+1), sized(sc.pass, nPass+1)
+	pc := 0 // values selected so far
+	for w := range sc.words {
+		lo, hi := w*64, min(w*64+64, len(values))
+		sc.words[w] = splitWord(values[lo:hi], sc.bins[lo:hi], sc.spiked, sc.pool[pc:], sc.pass[lo-pc:])
+		pc += bits.OnesCount64(sc.words[w])
+	}
+	s.vals, s.pass = sc.pool[:s.nSel], sc.pass[:nPass]
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, v := range s.vals {
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	s.lo, s.hi = lo, hi
+}
+
+// splitWord splits up to 64 values whose partitions are bins: value j goes to
+// the front of pool if spiked[bins[j]] is 1 and to the front of pass if 0, in
+// order, and bit j of the word returned says which. It is its own function so
+// that the loop's cursors and the word stay in registers.
+//
+//go:noinline
+func splitWord(values []float64, bins []uint16, spiked []uint8, pool, pass []float64) (word uint64) {
+	pc := 0
+	bins = bins[:len(values)]
+	for j, v := range values {
+		k := uint64(spiked[bins[j]])
+		word |= k << (j & 63)
+		pool[pc], pass[j-pc] = v, v
+		pc += int(k)
+	}
+	return word
 }
 
 // tally is what a pass at n divisions collects per partition: sum (then
@@ -219,12 +384,13 @@ type tally struct {
 
 // evaluate partitions the pool into n divisions in one allocation-free
 // pass, the only place a value's code and a partition's mean are computed:
-// codes[i] is the code of vals[i], t.sums[:n] the means (zero where empty).
+// sc.codes[i] is the code of vals[i], t.sums[:n] the means (zero where empty).
 // It returns the largest |v − mean|: v − mean is monotone in v, so within a
 // partition it peaks at the minimum or the maximum, and the result equals
 // MaxQuantizationError of the quantization bit for bit.
-func (s *selection) evaluate(n int, logScale bool, t *tally, codes []uint8) (maxErr float64) {
+func (s *selection) evaluate(n int, logScale bool, t *tally) (maxErr float64) {
 	part := makePartitioner(s.lo, s.hi, n, logScale)
+	codes := s.sc.codes
 	for i := 0; i < n; i++ {
 		t.sums[i], t.counts[i], t.mins[i], t.maxs[i] = 0, 0, math.Inf(1), math.Inf(-1)
 	}
@@ -254,100 +420,30 @@ func (s *selection) evaluate(n int, logScale bool, t *tally, codes []uint8) (max
 	return maxErr
 }
 
-// quantization materialises what the last evaluate(n, …, t, codes) found.
-func (s *selection) quantization(n int, t *tally, codes []uint8) *Quantization {
-	return &Quantization{
-		Averages:        append(make([]float64, 0, n), t.sums[:n]...),
-		Codes:           codes,
-		Mask:            s.mask,
-		NumQuantized:    len(codes),
+// quantization materialises what the last evaluate(n, …, t) found. In a
+// Scratch the caller gave, the result is part of it. In a lent one, the result
+// takes the buffers it is made of with it and the rest — the partition indexes
+// and the dense pool, most of the memory — goes back for the next call.
+func (s *selection) quantization(n int, t *tally) *Quantization {
+	sc := s.sc
+	avgs := sc.avgs[:n:n]
+	copy(avgs, t.sums[:n])
+	sc.q = Quantization{
+		Averages:        avgs,
+		Codes:           sc.codes,
+		Bitmap:          s.bitmap,
+		Passthrough:     s.pass,
+		NumQuantized:    s.nSel,
 		SpikePartitions: s.nSpiked,
 	}
-}
-
-// selection is the outcome of the pool-selection stage: which values are
-// quantized, how many there are, and their exact [lo, hi] range; selectPool
-// adds the mask and the compacted values.
-type selection struct {
-	selector func(float64) bool
-	lo, hi   float64
-	nSel     int
-	nSpiked  int
-	vals     []float64
-	mask     []bool
-}
-
-// selectAll selects every finite value (the Simple method), computing the
-// range in the same pass.
-func selectAll(values []float64) selection {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	n := 0
-	for _, v := range values {
-		if !isFinite(v) {
-			continue
-		}
-		n++
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
+	if !s.lent {
+		return &sc.q
 	}
-	return selection{selector: func(float64) bool { return true }, lo: lo, hi: hi, nSel: n}
-}
-
-// Dequantize reconstructs the value stream from a quantization: quantized
-// positions are filled from Averages[Codes], passthrough positions from the
-// passthrough slice, both consumed in order. The result has len(mask)
-// elements and is appended to dst.
-func Dequantize(mask []bool, codes []uint8, averages, passthrough []float64, dst []float64) ([]float64, error) {
-	nq := 0
-	for _, m := range mask {
-		if m {
-			nq++
-		}
-	}
-	if nq != len(codes) {
-		return nil, fmt.Errorf("%w: mask marks %d quantized values, have %d codes", ErrCodes, nq, len(codes))
-	}
-	if len(mask)-nq != len(passthrough) {
-		return nil, fmt.Errorf("%w: mask leaves %d passthrough values, have %d", ErrCodes, len(mask)-nq, len(passthrough))
-	}
-	ci, pi := 0, 0
-	for _, m := range mask {
-		if m {
-			c := codes[ci]
-			ci++
-			if int(c) >= len(averages) {
-				return nil, fmt.Errorf("%w: code %d out of range (%d averages)", ErrCodes, c, len(averages))
-			}
-			dst = append(dst, averages[c])
-		} else {
-			dst = append(dst, passthrough[pi])
-			pi++
-		}
-	}
-	return dst, nil
-}
-
-// Apply is a convenience that quantizes and immediately reconstructs,
-// returning the lossy version of values. It is what the compressor's error
-// analysis uses.
-func Apply(values []float64, cfg Config) ([]float64, *Quantization, error) {
-	q, err := Quantize(values, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	pass, err := q.Passthrough(values, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	out, err := Dequantize(q.Mask, q.Codes, q.Averages, pass, make([]float64, 0, len(values)))
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, q, nil
+	q := sc.q
+	q.Averages = slices.Clone(avgs)
+	sc.words, sc.pass, sc.codes, sc.q = nil, nil, nil, Quantization{}
+	sc.Put()
+	return &q
 }
 
 // partitioner maps a value in [lo,hi] to one of n partitions — equal-width
@@ -399,59 +495,6 @@ func (p *partitioner) index(w float64) int {
 	return i
 }
 
-// spikeSelect histograms the finite values into d partitions and selects
-// the values that fall into spiked partitions (Ndiv[i] ≥ Ntotal/d, paper
-// Eq. 4). The histogram pass also tracks each partition's min/max, so the
-// selected pool's range comes out of the same scan instead of a third pass
-// over the data. all is selectAll(values) and holds at least one value.
-func spikeSelect(values []float64, d int, all selection) selection {
-	total := all.nSel
-	// Spike detection stays linear, matching the paper's Fig. 4. The
-	// per-partition extrema ride along in the same pass.
-	part := makePartitioner(all.lo, all.hi, d, false)
-	counts := make([]int, d)
-	pmin := make([]float64, d)
-	pmax := make([]float64, d)
-	for i := range pmin {
-		pmin[i] = math.Inf(1)
-		pmax[i] = math.Inf(-1)
-	}
-	for _, v := range values {
-		if !isFinite(v) {
-			continue
-		}
-		i := part.index(v)
-		counts[i]++
-		if v < pmin[i] {
-			pmin[i] = v
-		}
-		if v > pmax[i] {
-			pmax[i] = v
-		}
-	}
-	spiked := make([]bool, d)
-	sel := selection{lo: math.Inf(1), hi: math.Inf(-1)}
-	// Ndiv[i] ≥ Ntotal/d, computed without integer truncation:
-	// d*Ndiv[i] ≥ Ntotal.
-	for i, c := range counts {
-		if c > 0 && c*d >= total {
-			spiked[i] = true
-			sel.nSpiked++
-			sel.nSel += c
-			if pmin[i] < sel.lo {
-				sel.lo = pmin[i]
-			}
-			if pmax[i] > sel.hi {
-				sel.hi = pmax[i]
-			}
-		}
-	}
-	sel.selector = func(v float64) bool { return spiked[part.index(v)] }
-	return sel
-}
-
-func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-
 // PassthroughAll returns the quantization that selects nothing: every one
 // of the n values is carried verbatim by the passthrough stream and the
 // code stream is empty, so the quantization error is exactly zero. It is
@@ -461,7 +504,7 @@ func PassthroughAll(n int) *Quantization {
 	return &Quantization{
 		Averages: []float64{},
 		Codes:    []uint8{},
-		Mask:     make([]bool, n),
+		Bitmap:   bitpack.New(n),
 	}
 }
 
@@ -471,19 +514,19 @@ func PassthroughAll(n int) *Quantization {
 // introduces over the given values: max |v − Averages[code(v)]| over
 // quantized values. Passthrough values contribute zero.
 func MaxQuantizationError(values []float64, q *Quantization) (float64, error) {
-	if len(values) != len(q.Mask) {
-		return 0, fmt.Errorf("quant: %d values, mask has %d", len(values), len(q.Mask))
+	if len(values) != q.Bitmap.Len() {
+		return 0, fmt.Errorf("quant: %d values, bitmap has %d", len(values), q.Bitmap.Len())
 	}
 	maxErr := 0.0
 	ci := 0
-	for i, v := range values {
-		if !q.Mask[i] {
-			continue
-		}
-		e := math.Abs(v - q.Averages[q.Codes[ci]])
-		ci++
-		if e > maxErr {
-			maxErr = e
+	for w, word := range q.Bitmap.Words() {
+		chunk := values[w*64:]
+		for ; word != 0; word &= word - 1 {
+			e := math.Abs(chunk[bits.TrailingZeros64(word)] - q.Averages[q.Codes[ci]])
+			ci++
+			if e > maxErr {
+				maxErr = e
+			}
 		}
 	}
 	return maxErr, nil
@@ -504,8 +547,8 @@ func ChooseDivisions(values []float64, bound float64, method Method, spikeDivisi
 }
 
 // ChooseDivisionsMeasured is ChooseDivisions that also returns the error of
-// the quantization it chose; scratch is as in QuantizeMeasured.
-func ChooseDivisionsMeasured(values []float64, bound float64, method Method, spikeDivisions int, scratch []float64) (int, *Quantization, float64, error) {
+// the quantization it chose; sc is as in QuantizeMeasured.
+func ChooseDivisionsMeasured(values []float64, bound float64, method Method, spikeDivisions int, sc *Scratch) (int, *Quantization, float64, error) {
 	if bound < 0 || math.IsNaN(bound) {
 		return 0, nil, 0, fmt.Errorf("%w: error bound %g", ErrConfig, bound)
 	}
@@ -513,19 +556,18 @@ func ChooseDivisionsMeasured(values []float64, bound float64, method Method, spi
 	if err != nil {
 		return 0, nil, 0, err
 	}
-	sel := selectPool(values, cfg.Method, cfg.SpikeDivisions, scratch)
+	sel := selectPool(values, cfg.Method, cfg.SpikeDivisions, sc)
 	var t tally
-	codes := make([]uint8, len(sel.vals))
 	for n := 1; ; n *= 2 {
 		if n > 128 || (bound == 0 && n > 1) { // doubling again would overshoot the cap
 			n = MaxDivisions
 		}
-		e := sel.evaluate(n, false, &t, codes)
+		e := sel.evaluate(n, false, &t)
 		if e > bound && n == MaxDivisions {
 			err = ErrBoundUnreachable
 		}
 		if e <= bound || n == MaxDivisions {
-			return n, sel.quantization(n, &t, codes), e, err
+			return n, sel.quantization(n, &t), e, err
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -74,7 +75,7 @@ func TestProposedQuantizesOnlySpike(t *testing.T) {
 		t.Fatalf("proposed quantized %d of %d values; expected a strict subset", q.NumQuantized, len(vals))
 	}
 	for i, v := range vals {
-		if !q.Mask[i] && out[i] != v {
+		if !q.Bitmap.Get(i) && out[i] != v {
 			t.Errorf("passthrough value %d changed: %g -> %g", i, v, out[i])
 		}
 	}
@@ -143,14 +144,11 @@ func TestDequantizeRoundTripStructure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pass, err := q.Passthrough(vals, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pass := q.Passthrough
 		if len(pass)+len(q.Codes) != len(vals) {
 			t.Fatalf("%v: passthrough %d + codes %d != %d", m, len(pass), len(q.Codes), len(vals))
 		}
-		out, err := Dequantize(q.Mask, q.Codes, q.Averages, pass, nil)
+		out, err := Dequantize(q.Mask(), q.Codes, q.Averages, pass, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,10 +162,10 @@ func TestDequantizeRoundTripStructure(t *testing.T) {
 			avgs[a] = true
 		}
 		for i, v := range out {
-			if q.Mask[i] && !avgs[v] {
+			if q.Bitmap.Get(i) && !avgs[v] {
 				t.Fatalf("%v: quantized value %d = %g is not a table average", m, i, v)
 			}
-			if !q.Mask[i] && v != vals[i] {
+			if !q.Bitmap.Get(i) && v != vals[i] {
 				t.Fatalf("%v: passthrough value %d changed", m, i)
 			}
 		}
@@ -181,7 +179,7 @@ func TestNonFiniteValuesPassThrough(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if q.Mask[1] || q.Mask[3] || q.Mask[5] {
+		if q.Bitmap.Get(1) || q.Bitmap.Get(3) || q.Bitmap.Get(5) {
 			t.Errorf("%v: non-finite value was quantized", m)
 		}
 		if !math.IsNaN(out[1]) || !math.IsInf(out[3], 1) || !math.IsInf(out[5], -1) {
@@ -214,7 +212,7 @@ func TestEmptyInput(t *testing.T) {
 		if len(q.Codes) != 0 || q.NumQuantized != 0 {
 			t.Errorf("%v: empty input produced codes", m)
 		}
-		out, err := Dequantize(q.Mask, q.Codes, q.Averages, nil, nil)
+		out, err := Dequantize(q.Mask(), q.Codes, q.Averages, nil, nil)
 		if err != nil || len(out) != 0 {
 			t.Errorf("%v: dequantize empty failed: %v %v", m, out, err)
 		}
@@ -238,11 +236,17 @@ func TestConfigValidation(t *testing.T) {
 		{Method: Simple, Divisions: -3},
 		{Method: Method(7), Divisions: 4},
 		{Method: Proposed, Divisions: 4, SpikeDivisions: -1},
+		{Method: Proposed, Divisions: 4, SpikeDivisions: MaxSpikeDivisions + 1},
+		{Method: Simple, Divisions: 4, SpikeDivisions: 1_000_000_000},
 	}
 	for _, c := range bad {
-		if _, err := Quantize([]float64{1, 2}, c); err == nil {
-			t.Errorf("config %+v: expected error", c)
+		if _, err := Quantize([]float64{1, 2}, c); !errors.Is(err, ErrConfig) {
+			t.Errorf("config %+v: err = %v, want ErrConfig", c, err)
 		}
+	}
+	// The header field's width is the cap, and it is usable.
+	if _, err := Quantize(spikyData(1000, 6), Config{Method: Proposed, Divisions: 4, SpikeDivisions: MaxSpikeDivisions}); err != nil {
+		t.Errorf("d = %d: %v", MaxSpikeDivisions, err)
 	}
 	// d defaults to 64.
 	q, err := Quantize(spikyData(1000, 6), Config{Method: Proposed, Divisions: 4})
@@ -390,7 +394,7 @@ func TestQuickRoundTripStructure(t *testing.T) {
 			return false
 		}
 		for i := range vals {
-			if !q.Mask[i] && out[i] != vals[i] {
+			if !q.Bitmap.Get(i) && out[i] != vals[i] {
 				return false
 			}
 		}
@@ -412,7 +416,7 @@ func TestLogScaleRoundTripStructure(t *testing.T) {
 			t.Fatalf("%v: wrong output length", m)
 		}
 		for i := range vals {
-			if !q.Mask[i] && out[i] != vals[i] {
+			if !q.Bitmap.Get(i) && out[i] != vals[i] {
 				t.Errorf("%v: passthrough changed under log scale", m)
 			}
 		}
