@@ -26,14 +26,15 @@ test:
 
 # The later lines repeat the tests in which goroutines share one buffer —
 # the shards of a wavelet pass, and a dedup read hashing one chunk while it
-# reads the next into the same generation — or recycle one state, as DEFLATE
+# reads the next into the same generation, a dedup commit hashing one batch of
+# chunk views while it cuts the next — or recycle one state, as DEFLATE
 # streams encoded side by side do: the race detector only sees interleavings
 # that happen. The last line quantizes in Scratches recycled through one
 # pool by four goroutines.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'KernelsMatchLaneReference|WorkersBitIdentical' ./internal/wavelet
-	$(GO) test -race -count=10 -run 'DedupRead' ./internal/store
+	$(GO) test -race -count=10 -run 'DedupRead|DedupCommitHashesBeside' ./internal/store
 	$(GO) test -race -count=10 -run 'DeflateDependsOnInputAlone|ByteStableAcrossWorkers' ./internal/gzipio
 	$(GO) test -race -count=10 -run 'QuantizeDependsOnInputAlone' ./internal/quant
 
@@ -126,8 +127,8 @@ bench-entropy:
 
 # bench-dedup runs the delta-checkpoint + chunk-dedup benchmarks that
 # feed BENCH_dedup.json (mutation-fraction sweep with committed physical
-# bytes and elided compression CPU, the raw chunker throughput, and the
-# restore of the 16 MiB sparse array from a dedup store).
+# bytes and elided compression CPU, the raw chunker throughput, and the save
+# and the restore of the 16 MiB sparse array into and from a dedup store).
 bench-dedup:
 	$(GO) test -run xxx -bench 'Dedup' -benchtime 3x .
 

@@ -8,6 +8,13 @@
 // The package is pure — no filesystem, no store dependency — so the
 // chunk math can be fuzzed and property-tested in isolation and reused
 // verbatim by every backend.
+//
+// Chunks are views. The cutter copies only a chunk that spans two Write
+// calls; every other chunk reaches emit as a sub-slice of the slice being
+// written, and Split's chunks are sub-slices of its input. A view lent to
+// emit lives until the Write or Flush call that emitted it returns: emit may
+// collect the chunks of one call (the store hashes them in batches on a
+// second goroutine) but must have finished with them when the call does.
 package cas
 
 import (
@@ -120,76 +127,102 @@ var gearTable = func() [256]uint64 {
 type Chunker struct {
 	cfg  Config
 	mask uint64
-	buf  []byte
 	emit func(chunk []byte) error
+	// buf is the head of a chunk begun in an earlier Write, h the gear hash
+	// over it (meaningful once buf holds Min bytes). spare is the buffer the
+	// next carried chunk is assembled in: a chunk emitted out of buf must stay
+	// readable until the Write that emitted it returns, and that Write may
+	// yet have a tail of its own to carry.
+	buf, spare []byte
+	h          uint64
 }
 
-// NewChunker builds a streaming cutter delivering chunks to emit. The
-// chunk slice passed to emit is only valid during the call.
+// NewChunker builds a streaming cutter delivering chunks to emit. A chunk
+// passed to emit is a view (see the package comment): valid until the Write
+// or Flush call that emitted it returns, and not after.
 func NewChunker(cfg Config, emit func(chunk []byte) error) (*Chunker, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Chunker{
-		cfg:  cfg,
-		mask: uint64(cfg.Avg - 1),
-		buf:  make([]byte, 0, cfg.Max),
-		emit: emit,
-	}, nil
+	return &Chunker{cfg: cfg, mask: uint64(cfg.Avg - 1), emit: emit}, nil
+}
+
+// warm returns the gear hash over the 64 bytes (fewer under a smaller Min)
+// that precede position Min of a chunk, so that the boundary decision at
+// Min already has full context.
+func (c *Chunker) warm(chunk []byte) (h uint64) {
+	for _, b := range chunk[max(c.cfg.Min-64, 0):c.cfg.Min] {
+		h = h<<1 + gearTable[b]
+	}
+	return h
+}
+
+// scan carries the hash over d, testing before each byte whether the chunk
+// ends ahead of it. It returns the index of the first byte past the cut, or
+// -1 with every byte of d absorbed.
+func (c *Chunker) scan(h uint64, d []byte) (uint64, int) {
+	for i, b := range d {
+		if h&c.mask == 0 {
+			return h, i
+		}
+		h = h<<1 + gearTable[b]
+	}
+	return h, -1
 }
 
 // Write implements io.Writer, emitting every complete chunk found in
 // the stream so far.
 func (c *Chunker) Write(p []byte) (int, error) {
 	written := len(p)
-	for len(p) > 0 {
-		take := c.cfg.Max - len(c.buf)
-		if take > len(p) {
-			take = len(p)
-		}
-		c.buf = append(c.buf, p[:take]...)
-		p = p[take:]
-		for {
-			cut := c.cut()
-			if cut == 0 {
-				break
+	lo, hi := c.cfg.Min, c.cfg.Max
+	if len(c.buf) > 0 {
+		// A chunk is under way in buf. Bring it up to Min, where the hash
+		// starts; then look for its end in p.
+		if n := len(c.buf); n < lo {
+			take := min(lo-n, len(p))
+			c.buf = append(c.buf, p[:take]...)
+			if p = p[take:]; len(c.buf) < lo {
+				return written, nil
 			}
-			if err := c.emit(c.buf[:cut]); err != nil {
-				return 0, err
-			}
-			c.buf = append(c.buf[:0], c.buf[cut:]...)
+			c.h = c.warm(c.buf)
 		}
+		room := min(hi-len(c.buf), len(p))
+		h, cut := c.scan(c.h, p[:room])
+		switch {
+		case cut >= 0:
+		case len(c.buf)+room == hi:
+			cut = room
+		default:
+			c.buf, c.h = append(c.buf, p...), h
+			return written, nil
+		}
+		chunk := append(c.buf, p[:cut]...)
+		c.buf, c.spare = c.spare[:0], chunk
+		if err := c.emit(chunk); err != nil {
+			return 0, err
+		}
+		p = p[cut:]
 	}
+	for len(p) >= lo {
+		lim := min(len(p), hi)
+		h, cut := c.scan(c.warm(p), p[lo:lim])
+		switch {
+		case cut >= 0:
+			cut += lo
+		case lim == hi:
+			cut = hi
+		default:
+			c.buf, c.h = append(c.buf, p...), h
+			return written, nil
+		}
+		if err := c.emit(p[:cut]); err != nil {
+			return 0, err
+		}
+		p = p[cut:]
+	}
+	c.buf = append(c.buf, p...)
 	return written, nil
-}
-
-// cut finds the first content-defined cut point in the buffered bytes,
-// or 0 when the buffer holds no complete chunk yet.
-func (c *Chunker) cut() int {
-	if len(c.buf) < c.cfg.Min {
-		return 0
-	}
-	var h uint64
-	// Warm the hash over the window before Min so the boundary decision
-	// at Min already has full context.
-	warm := c.cfg.Min - 64
-	if warm < 0 {
-		warm = 0
-	}
-	for i := warm; i < c.cfg.Min; i++ {
-		h = h<<1 + gearTable[c.buf[i]]
-	}
-	for i := c.cfg.Min; i < len(c.buf); i++ {
-		if h&c.mask == 0 {
-			return i
-		}
-		h = h<<1 + gearTable[c.buf[i]]
-	}
-	if len(c.buf) >= c.cfg.Max {
-		return c.cfg.Max
-	}
-	return 0
 }
 
 // Flush emits the final partial chunk, if any. The chunker is reusable
@@ -199,18 +232,18 @@ func (c *Chunker) Flush() error {
 		return nil
 	}
 	chunk := c.buf
-	c.buf = c.buf[:0]
+	c.buf, c.spare = c.spare[:0], chunk
 	return c.emit(chunk)
 }
 
 var _ io.Writer = (*Chunker)(nil)
 
-// Split cuts data into content-defined chunks in one call — the
-// convenience used by tests and by PutGeneration's buffered path.
+// Split cuts data into content-defined chunks in one call. The chunks are
+// views of data.
 func Split(cfg Config, data []byte) ([][]byte, error) {
 	var out [][]byte
 	ch, err := NewChunker(cfg, func(chunk []byte) error {
-		out = append(out, append([]byte(nil), chunk...))
+		out = append(out, chunk)
 		return nil
 	})
 	if err != nil {
@@ -219,8 +252,8 @@ func Split(cfg Config, data []byte) ([][]byte, error) {
 	if _, err := ch.Write(data); err != nil {
 		return nil, err
 	}
-	if err := ch.Flush(); err != nil {
-		return nil, err
+	if n := len(ch.buf); n > 0 {
+		out = append(out, data[len(data)-n:]) // what Flush would emit, where it lies
 	}
 	return out, nil
 }

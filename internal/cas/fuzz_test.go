@@ -3,6 +3,7 @@ package cas
 import (
 	"bytes"
 	"hash/crc32"
+	"math/rand"
 	"testing"
 )
 
@@ -31,15 +32,19 @@ func FuzzDecodeRecipe(f *testing.F) {
 }
 
 // FuzzChunker: arbitrary input with arbitrary (valid) bounds must chunk
-// into pieces that respect the bounds and reassemble exactly.
+// into pieces that respect the bounds and reassemble exactly; and fed in
+// arbitrary Write calls — single bytes, splits inside the warm-up window —
+// the in-place cutter emits the reference cutter's chunks, none of them
+// disturbed before the call that emitted it returns.
 func FuzzChunker(f *testing.F) {
-	f.Add([]byte("hello world"), uint8(2))
-	f.Add(make([]byte, 100000), uint8(4))
-	f.Fuzz(func(t *testing.T, data []byte, avgLog uint8) {
+	f.Add([]byte("hello world"), uint8(2), int64(0))
+	f.Add(make([]byte, 100000), uint8(4), int64(1))
+	f.Add(randomBytes(3, 9000), uint8(5), int64(2))
+	f.Fuzz(func(t *testing.T, data []byte, avgLog uint8, splitSeed int64) {
 		avg := 1 << (4 + avgLog%8) // 16B .. 2KiB averages
 		cfg := Config{Min: avg / 4, Avg: avg, Max: avg * 4}
-		if cfg.Min == 0 {
-			cfg.Min = 1
+		if avgLog >= 128 {
+			cfg.Min, cfg.Max = avg, avg
 		}
 		chunks, err := Split(cfg, data)
 		if err != nil {
@@ -55,5 +60,11 @@ func FuzzChunker(f *testing.F) {
 		if !bytes.Equal(back, data) {
 			t.Fatal("chunks do not reassemble input")
 		}
+		rng := rand.New(rand.NewSource(splitSeed))
+		mode := 2
+		if len(data) < 4<<10 {
+			mode = int(uint64(splitSeed) % 3)
+		}
+		checkChunkerAgainstReference(t, cfg, data, writeSplits(rng, cfg, len(data), mode))
 	})
 }

@@ -12,12 +12,10 @@
 package ckpt
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"time"
-	"unsafe"
 
 	"lossyckpt/internal/core"
 	"lossyckpt/internal/entropy"
@@ -237,7 +235,7 @@ func (g *Gzip) EncodeTo(w io.Writer, f *grid.Field) (*Encoded, error) {
 		return enc, nil
 	}
 	start := time.Now()
-	if err := gzipio.CompressTo(w, floatImage(f.Data()), g.Level, gzipio.FormatGzip); err != nil {
+	if err := gzipio.CompressTo(w, grid.FloatBytes(f.Data()), g.Level, gzipio.FormatGzip); err != nil {
 		return nil, err
 	}
 	el := time.Since(start)
@@ -245,15 +243,6 @@ func (g *Gzip) EncodeTo(w io.Writer, f *grid.Field) (*Encoded, error) {
 		RawBytes: f.Bytes(),
 		Timings:  core.Timings{Gzip: el, Total: el, CPUTotal: el},
 	}, nil
-}
-
-// floatImage is the little-endian byte image of fs, to be read only: on a
-// little-endian host the slice's own memory, elsewhere a copy.
-func floatImage(fs []float64) []byte {
-	if len(fs) == 0 || binary.NativeEndian.Uint16([]byte{1, 0}) != 1 {
-		return floatsToBytes(fs)
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&fs[0])), 8*len(fs))
 }
 
 // Decode implements Codec.

@@ -18,8 +18,6 @@ package ckpt
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
-	"math"
 
 	"lossyckpt/internal/core"
 	"lossyckpt/internal/grid"
@@ -113,27 +111,6 @@ func (m *Manager) primeDelta() {
 	}
 }
 
-// sumField fingerprints an array's raw float64 image in bounded blocks.
-func sumField(f *grid.Field) [sha256.Size]byte {
-	h := sha256.New()
-	var buf [4096]byte
-	data := f.Data()
-	for len(data) > 0 {
-		n := len(buf) / 8
-		if n > len(data) {
-			n = len(data)
-		}
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(data[i]))
-		}
-		h.Write(buf[:8*n])
-		data = data[n:]
-	}
-	var out [sha256.Size]byte
-	h.Sum(out[:0])
-	return out
-}
-
 // encodeDelta encodes one variable under delta rules. vd must be this
 // variable's slot (non-nil); de is the codec's DeltaEncoder extension
 // or nil. Exactly one goroutine touches one vd, so no locking.
@@ -143,7 +120,7 @@ func (m *Manager) encodeDelta(name string, f *grid.Field, vd *varDelta, de Delta
 		// whole-variable fingerprint would just hash everything twice.
 		return de.EncodeNamedDelta(name, f, &vd.slabs)
 	}
-	sum := sumField(f)
+	sum := sha256.Sum256(grid.FloatBytes(f.Data())) // the array hashed where it lies
 	if vd.have && vd.sum == sum {
 		// Unchanged variable: re-emit the cached encoding. The copy keeps
 		// callers from sharing Timings mutations with the cache.

@@ -1,7 +1,6 @@
 package ckpt
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -194,12 +193,31 @@ func (r *Report) AggregateTimings() core.Timings {
 // (the paper restarts NICAM at step 720; the counter lets restore resume
 // time-dependent forcing).
 func (m *Manager) Checkpoint(w io.Writer, step int) (rep *Report, err error) {
+	rep, parts, err := m.checkpointParts(step)
+	if err != nil {
+		return nil, err
+	}
+	for _, part := range parts {
+		if _, err := w.Write(part); err != nil {
+			return nil, fmt.Errorf("ckpt: write: %w", err)
+		}
+	}
+	return rep, nil
+}
+
+// checkpointParts encodes every registered array and returns the v1 stream
+// as the slices it consists of, in order: the stream header, then per entry
+// its framing — CRC, length, prologue, payload length — and its payload, the
+// codec's own slice. Nothing is joined; a writer or a store takes the parts
+// one after the other. The CRC leads the frame, so every entry is encoded
+// before the first part exists, and an encode error returns none.
+func (m *Manager) checkpointParts(step int) (rep *Report, parts [][]byte, err error) {
 	start := time.Now()
 	if len(m.names) == 0 {
-		return nil, fmt.Errorf("%w: no fields registered", ErrRegistered)
+		return nil, nil, fmt.Errorf("%w: no fields registered", ErrRegistered)
 	}
 	if step < 0 {
-		return nil, fmt.Errorf("%w: negative step %d", ErrRegistered, step)
+		return nil, nil, fmt.Errorf("%w: negative step %d", ErrRegistered, step)
 	}
 
 	encoded := make([]*Encoded, len(m.names))
@@ -222,9 +240,8 @@ func (m *Manager) Checkpoint(w io.Writer, step int) (rep *Report, err error) {
 		}()
 	}
 
-	buf := m.streamHeader(fileVersion, step)
-
-	rep = &Report{Codec: m.codec.Name(), Step: step}
+	parts = append(make([][]byte, 0, 1+2*len(m.names)), m.streamHeader(fileVersion, step))
+	rep = &Report{Codec: m.codec.Name(), Step: step, FileBytes: len(parts[0])}
 	m.primeDelta()
 	pipe := newEntryPipe(m.workers)
 	defer pipe.wait()
@@ -237,29 +254,29 @@ func (m *Manager) Checkpoint(w io.Writer, step int) (rep *Report, err error) {
 			if err != nil {
 				return fmt.Errorf("ckpt: encoding %q: %w", name, err)
 			}
-			var entry bytes.Buffer
-			entry.Write(entryPrologue(name, f.Shape()))
-			writeU64(&entry, uint64(len(encoded[i].Payload)))
-			entry.Write(encoded[i].Payload)
-			writeU32(buf, crc32.ChecksumIEEE(entry.Bytes()))
-			writeU64(buf, uint64(entry.Len()))
-			buf.Write(entry.Bytes())
-			rep.addEntry(name, encoded[i], len(encoded[i].Payload))
+			payload := encoded[i].Payload
+			// The frame is CRC ‖ length ‖ body, the body prologue ‖ payload
+			// length ‖ payload: everything but the payload is laid out here,
+			// behind 12 bytes left for the CRC and length that cover it.
+			head := entryPrologue(make([]byte, 12, 64), name, f.Shape())
+			head = binary.LittleEndian.AppendUint64(head, uint64(len(payload)))
+			crc := crc32.Update(crc32.ChecksumIEEE(head[12:]), crc32.IEEETable, payload)
+			binary.LittleEndian.PutUint32(head[0:], crc)
+			binary.LittleEndian.PutUint64(head[4:], uint64(len(head)-12+len(payload)))
+			parts = append(parts, head, payload)
+			rep.FileBytes += len(head) + len(payload)
+			rep.addEntry(name, encoded[i], len(payload))
 			return nil
 		})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	if err := pipe.flush(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if _, err := w.Write(buf.Bytes()); err != nil {
-		return nil, fmt.Errorf("ckpt: write: %w", err)
-	}
-	rep.FileBytes = buf.Len()
 	rep.Wall = time.Since(start)
-	return rep, nil
+	return rep, parts, nil
 }
 
 // streamHeader is the parsed fixed prefix of a checkpoint stream.
@@ -440,26 +457,28 @@ func (m *Manager) encodeEntry(w io.Writer, name string, f *grid.Field) (*Encoded
 }
 
 // streamHeader serializes the fixed prefix readStreamHeader parses.
-func (m *Manager) streamHeader(version, step int) *bytes.Buffer {
-	var buf bytes.Buffer
-	writeU32(&buf, fileMagic)
-	writeU16(&buf, uint16(version))
-	writeString(&buf, m.codec.Name())
-	writeU64(&buf, uint64(step))
-	writeU32(&buf, uint32(len(m.names)))
-	return &buf
+func (m *Manager) streamHeader(version, step int) []byte {
+	buf := binary.LittleEndian.AppendUint32(nil, fileMagic)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(version))
+	buf = appendString(buf, m.codec.Name())
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(step))
+	return binary.LittleEndian.AppendUint32(buf, uint32(len(m.names)))
 }
 
-// entryPrologue serializes the name and shape that open an entry, in both
+// entryPrologue appends the name and shape that open an entry, in both
 // stream versions.
-func entryPrologue(name string, shape []int) []byte {
-	var pro bytes.Buffer
-	writeString(&pro, name)
-	writeU16(&pro, uint16(len(shape)))
+func entryPrologue(dst []byte, name string, shape []int) []byte {
+	dst = appendString(dst, name)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(shape)))
 	for _, e := range shape {
-		writeU64(&pro, uint64(e))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(e))
 	}
-	return pro.Bytes()
+	return dst
+}
+
+// appendString appends s behind its 16-bit length.
+func appendString(dst []byte, s string) []byte {
+	return append(binary.LittleEndian.AppendUint16(dst, uint16(len(s))), s...)
 }
 
 // addEntry appends one written entry's accounting to the report.
@@ -604,29 +623,6 @@ func (m *Manager) restore(br *byteReader, partial bool) (rep *Report, skipped []
 }
 
 // --- binary helpers ---------------------------------------------------------
-
-func writeU16(buf *bytes.Buffer, v uint16) {
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], v)
-	buf.Write(b[:])
-}
-
-func writeU32(buf *bytes.Buffer, v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	buf.Write(b[:])
-}
-
-func writeU64(buf *bytes.Buffer, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	buf.Write(b[:])
-}
-
-func writeString(buf *bytes.Buffer, s string) {
-	writeU16(buf, uint16(len(s)))
-	buf.WriteString(s)
-}
 
 // appendExactly appends exactly n bytes off r to buf, growing it in bounded
 // steps so a forged length field cannot force a huge allocation before the

@@ -246,7 +246,7 @@ func frameV2(codec string, step int, ents []*rawEntry) []byte {
 	writeU64(&buf, uint64(step))
 	writeU32(&buf, uint32(len(ents)))
 	for _, ent := range ents {
-		pro := entryPrologue(ent.Name, ent.Shape)
+		pro := entryPrologue(nil, ent.Name, ent.Shape)
 		crc := crc32.NewIEEE()
 		crc.Write(pro)
 		buf.Write(pro)

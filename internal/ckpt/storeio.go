@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 
 	"lossyckpt/internal/grid"
 	"lossyckpt/internal/guard"
@@ -50,12 +49,14 @@ func (m *Manager) CheckpointToCtx(ctx context.Context, st store.Target, step int
 			op.End(err)
 		}()
 	}
-	gen, err = st.CommitFuncCtx(ctx, step, func(w io.Writer) error {
-		var cerr error
-		rep, cerr = m.Checkpoint(w, step)
-		return cerr
-	})
+	// Every entry is encoded before the store sees a byte — an encode error
+	// touches no store — and the stream is committed as the slices it
+	// consists of, the payloads the codecs' own.
+	rep, parts, err := m.checkpointParts(step)
 	if err != nil {
+		return nil, store.Generation{}, err
+	}
+	if gen, err = st.CommitCtx(ctx, step, parts...); err != nil {
 		return nil, store.Generation{}, err
 	}
 	return rep, gen, nil

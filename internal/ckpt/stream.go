@@ -48,7 +48,7 @@ func readEntryV2(br *byteReader, i int) (*rawEntry, error) {
 		return nil, err
 	}
 	crc := crc32.NewIEEE()
-	crc.Write(entryPrologue(name, shape))
+	crc.Write(entryPrologue(nil, name, shape))
 
 	ent := &rawEntry{Name: name, Shape: shape, buf: payloadBufs.Get().(*[]byte)}
 	payload := (*ent.buf)[:0]
@@ -161,7 +161,7 @@ func (m *Manager) CheckpointStreamCtx(ctx context.Context, w io.Writer, step int
 	}
 
 	cw := &countingWriter{w: w}
-	if _, err := cw.Write(m.streamHeader(fileVersionStream, step).Bytes()); err != nil {
+	if _, err := cw.Write(m.streamHeader(fileVersionStream, step)); err != nil {
 		return nil, fmt.Errorf("ckpt: write: %w", err)
 	}
 
@@ -189,7 +189,7 @@ func (m *Manager) CheckpointStreamCtx(ctx context.Context, w io.Writer, step int
 			if cerr := ctx.Err(); cerr != nil {
 				return fmt.Errorf("ckpt: checkpoint: %w", cerr)
 			}
-			pro := entryPrologue(name, f.Shape())
+			pro := entryPrologue(nil, name, f.Shape())
 			crc := crc32.NewIEEE()
 			crc.Write(pro)
 			if _, err := cw.Write(pro); err != nil {
@@ -311,7 +311,9 @@ func newSegmentWriter(w io.Writer, crc hash.Hash32) *segmentWriter {
 	return &segmentWriter{w: w, crc: crc, buf: make([]byte, 0, streamSegment)}
 }
 
-// Write implements io.Writer.
+// Write implements io.Writer. Segment boundaries fall every streamSegment
+// payload bytes however the bytes arrive; a full segment that lies in p goes
+// out from there, only what does not fill one is staged.
 func (s *segmentWriter) Write(p []byte) (int, error) {
 	if s.err != nil {
 		return 0, s.err
@@ -319,10 +321,14 @@ func (s *segmentWriter) Write(p []byte) (int, error) {
 	s.crc.Write(p)
 	s.n += uint64(len(p))
 	for rest := p; len(rest) > 0; {
-		take := streamSegment - len(s.buf)
-		if take > len(rest) {
-			take = len(rest)
+		if len(s.buf) == 0 && len(rest) >= streamSegment {
+			if err := s.segment(rest[:streamSegment]); err != nil {
+				return 0, err
+			}
+			rest = rest[streamSegment:]
+			continue
 		}
+		take := min(streamSegment-len(s.buf), len(rest))
 		s.buf = append(s.buf, rest[:take]...)
 		rest = rest[take:]
 		if len(s.buf) == streamSegment {
@@ -334,23 +340,24 @@ func (s *segmentWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// flush emits the buffered bytes as one length-prefixed segment.
+// segment emits seg as one length-prefixed segment.
+func (s *segmentWriter) segment(seg []byte) error {
+	var hdr [4]byte
+	binary.LittleEndian.PutUint32(hdr[:], uint32(len(seg)))
+	if _, s.err = s.w.Write(hdr[:]); s.err == nil {
+		_, s.err = s.w.Write(seg)
+	}
+	return s.err
+}
+
+// flush emits the staged bytes, if any, as one segment.
 func (s *segmentWriter) flush() error {
 	if len(s.buf) == 0 {
 		return nil
 	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(s.buf)))
-	if _, err := s.w.Write(hdr[:]); err != nil {
-		s.err = err
-		return err
-	}
-	if _, err := s.w.Write(s.buf); err != nil {
-		s.err = err
-		return err
-	}
+	err := s.segment(s.buf)
 	s.buf = s.buf[:0]
-	return nil
+	return err
 }
 
 // finish flushes the tail segment and writes the terminator and trailer,

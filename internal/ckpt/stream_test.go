@@ -325,9 +325,9 @@ func TestCheckpointStreamToStore(t *testing.T) {
 }
 
 // heapPeakWriter samples HeapAlloc at every Write: for the buffered path
-// the single Write happens while the whole frame and every payload are
-// live, for the streaming path writes happen continuously, so the
-// samples bracket each path's true peak without a racy sampler.
+// the writes happen while every payload is live, for the streaming path
+// writes happen continuously, so the samples bracket each path's true peak
+// without a racy sampler.
 type heapPeakWriter struct {
 	peak uint64
 }
@@ -341,11 +341,12 @@ func (h *heapPeakWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestCheckpointStreamPeakHeap is the acceptance check for the streaming
-// pipeline's memory bound: on the paper's 24 MB nicam16x array
-// (18496×82×2 float64), buffered Checkpoint holds the payload plus the
-// assembled frame (≥ 2× raw) while CheckpointStream stays within a few
-// bounded segment buffers above the registered field itself.
+// TestCheckpointStreamPeakHeap is the acceptance check for both writers'
+// memory bounds, in absolute terms: on the paper's 24 MB nicam16x array
+// (18496×82×2 float64, stored verbatim so the payload is the array's size),
+// buffered Checkpoint holds the field and the payload once — no staged entry,
+// no assembled stream — while CheckpointStream stays within a few bounded
+// segment buffers above the registered field itself.
 func TestCheckpointStreamPeakHeap(t *testing.T) {
 	f := smoothField(18496, 82, 2)
 	raw := uint64(f.Bytes())
@@ -370,18 +371,16 @@ func TestCheckpointStreamPeakHeap(t *testing.T) {
 
 	t.Logf("raw %d MiB, buffered peak %d MiB, streamed peak %d MiB",
 		raw>>20, bw.peak>>20, sw.peak>>20)
-	// Sanity: the buffered path really does hold payload + frame on top
-	// of the live field. Without this the comparison below proves nothing.
-	if bw.peak < 2*raw {
-		t.Fatalf("buffered peak %d below 2x raw %d; test lost sensitivity", bw.peak, raw)
-	}
 	// The streaming bound: the live field plus O(segment) buffers. 8 MiB
 	// of slack covers the runtime's floating garbage between GCs.
 	if sw.peak > raw+(8<<20) {
 		t.Errorf("streamed peak %d MiB exceeds field + 8 MiB (field %d MiB)", sw.peak>>20, raw>>20)
 	}
-	if sw.peak > bw.peak/2 {
-		t.Errorf("streamed peak %d not under half the buffered peak %d", sw.peak, bw.peak)
+	// The buffered bound: the field and its payload, each once. A copy of
+	// the payload made to frame it (there were two) lands a field's size
+	// above this.
+	if payload := raw; bw.peak > raw+payload+(8<<20) {
+		t.Errorf("buffered peak %d MiB exceeds field + payload + 8 MiB (%d MiB each)", bw.peak>>20, raw>>20)
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -77,27 +76,6 @@ func (c *SlabCache) matches(shape []int, chunkExtent int, opts Options, nChunks 
 		}
 	}
 	return true
-}
-
-// sumSlab fingerprints a slab's raw float64 bytes without materializing
-// the whole byte image: the hash streams over bounded blocks.
-func sumSlab(data []float64) [sha256.Size]byte {
-	h := sha256.New()
-	var buf [4096]byte
-	for len(data) > 0 {
-		n := len(buf) / 8
-		if n > len(data) {
-			n = len(data)
-		}
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(data[i]))
-		}
-		h.Write(buf[:8*n])
-		data = data[n:]
-	}
-	var out [sha256.Size]byte
-	h.Sum(out[:0])
-	return out
 }
 
 // CompressChunkedDelta is CompressChunkedParallel with slab-level reuse:
@@ -165,7 +143,7 @@ func CompressChunkedDelta(f *grid.Field, opts Options, chunkExtent int, cache *S
 					errs[c] = err
 					continue
 				}
-				sums[c] = sumSlab(slab.Data())
+				sums[c] = sha256.Sum256(grid.FloatBytes(slab.Data())) // the slab hashed where it lies
 				// Reading cache.slabs concurrently is safe: the cache is
 				// only written after the fan-out completes.
 				if ent := cache.slabs[c]; ent.res != nil && ent.sum == sums[c] {

@@ -17,6 +17,7 @@ import (
 	"io"
 	"math"
 	"sync"
+	"unsafe"
 )
 
 // MaxDims is the largest number of dimensions a Field may have. The paper
@@ -249,6 +250,23 @@ func (f *Field) String() string {
 // Bytes returns the number of bytes the raw (uncompressed) field data
 // occupies: 8 bytes per element.
 func (f *Field) Bytes() int { return 8 * len(f.data) }
+
+// FloatBytes is the little-endian byte image of fs — the bytes every stream
+// and fingerprint in this repository defines a float64 array by — to be read
+// only: on a little-endian host the slice's own memory, elsewhere a copy.
+func FloatBytes(fs []float64) []byte {
+	if len(fs) == 0 {
+		return nil
+	}
+	if binary.NativeEndian.Uint16([]byte{1, 0}) == 1 {
+		return unsafe.Slice((*byte)(unsafe.Pointer(&fs[0])), 8*len(fs))
+	}
+	out := make([]byte, 8*len(fs))
+	for i, f := range fs {
+		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(f))
+	}
+	return out
+}
 
 // Scratch is a pooled float64 buffer for the field-sized temporaries of the
 // compression hot path: the transformed copy of an array, the wavelet passes'

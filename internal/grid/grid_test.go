@@ -2,6 +2,8 @@ package grid
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -263,5 +265,48 @@ func TestQuickSerializeRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// stagedFingerprint is the fingerprint the delta caches took before they
+// hashed FloatBytes: the array copied element by element through a 4 KiB
+// block into a streaming SHA-256.
+func stagedFingerprint(data []float64) [sha256.Size]byte {
+	h := sha256.New()
+	var buf [4096]byte
+	for len(data) > 0 {
+		n := len(buf) / 8
+		if n > len(data) {
+			n = len(data)
+		}
+		for i := 0; i < n; i++ {
+			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(data[i]))
+		}
+		h.Write(buf[:8*n])
+		data = data[n:]
+	}
+	var out [sha256.Size]byte
+	h.Sum(out[:0])
+	return out
+}
+
+// TestFloatBytesFingerprintUnchanged: SHA-256 of the byte view is the digest
+// the staged copy gave, at lengths around the old 512-element block and for a
+// slab — a slab cache filled by either recognizes the other's arrays.
+func TestFloatBytesFingerprintUnchanged(t *testing.T) {
+	for _, n := range []int{0, 1, 511, 512, 513, 1156 * 82 * 2} {
+		data := make([]float64, n)
+		for i := range data {
+			data[i] = math.Sin(float64(i)) * math.Exp(float64(i%37))
+		}
+		if n > 2 {
+			data[1], data[2] = math.NaN(), math.Inf(-1)
+		}
+		if got, want := sha256.Sum256(FloatBytes(data)), stagedFingerprint(data); got != want {
+			t.Errorf("n=%d: digest of the view %x, staged %x", n, got[:4], want[:4])
+		}
+		if len(FloatBytes(data)) != 8*n {
+			t.Errorf("n=%d: view has %d bytes", n, len(FloatBytes(data)))
+		}
 	}
 }

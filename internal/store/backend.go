@@ -143,7 +143,8 @@ type retrier func(op string, fn func() error) error
 // chunkedWriter is the shared low-level payload writer: it batches
 // writes into commitChunk-sized retried operations against one open
 // file and seals with the sync-before-close protocol. Both backends
-// build their PayloadWriters on it.
+// build their PayloadWriters on it. Only bytes that do not fill a block
+// are staged in buf; a whole block goes to the file from where it lies.
 type chunkedWriter struct {
 	fs   FS
 	rt   retrier
@@ -162,19 +163,42 @@ func newChunkedWriter(fs FS, rt retrier, path string) (*chunkedWriter, error) {
 	}); err != nil {
 		return nil, fmt.Errorf("store: create %s: %w", path, err)
 	}
-	return &chunkedWriter{fs: fs, rt: rt, f: f, path: path, buf: make([]byte, 0, commitChunk)}, nil
+	return &chunkedWriter{fs: fs, rt: rt, f: f, path: path}, nil
 }
 
-// Write implements io.Writer with commitChunk batching.
+// writeDurable creates path holding data, durably: the writes a
+// chunkedWriter would make of it — commitChunk-sized blocks, then the rest —
+// and the seal, with no staging of an image the caller already holds whole.
+func writeDurable(fs FS, rt retrier, path string, data []byte) error {
+	w, err := newChunkedWriter(fs, rt, path)
+	if err != nil {
+		return err
+	}
+	for len(data) > 0 {
+		n := min(len(data), commitChunk)
+		if err := w.writeBlock(data[:n]); err != nil {
+			return err
+		}
+		data = data[n:]
+	}
+	return w.seal()
+}
+
+// Write implements io.Writer with commitChunk batching: the file sees the
+// same write sizes in the same order however the bytes arrive.
 func (w *chunkedWriter) Write(p []byte) (int, error) {
 	if w.err != nil {
 		return 0, w.err
 	}
 	for rest := p; len(rest) > 0; {
-		take := commitChunk - len(w.buf)
-		if take > len(rest) {
-			take = len(rest)
+		if len(w.buf) == 0 && len(rest) >= commitChunk {
+			if err := w.writeBlock(rest[:commitChunk]); err != nil {
+				return 0, err
+			}
+			rest = rest[commitChunk:]
+			continue
 		}
+		take := min(commitChunk-len(w.buf), len(rest))
 		w.buf = append(w.buf, rest[:take]...)
 		rest = rest[take:]
 		if len(w.buf) == commitChunk {
@@ -186,22 +210,27 @@ func (w *chunkedWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// flush writes the buffered chunk through the retry policy.
-func (w *chunkedWriter) flush() error {
-	if len(w.buf) == 0 {
-		return nil
-	}
-	chunk := w.buf
+// writeBlock is one write to the file through the retry policy.
+func (w *chunkedWriter) writeBlock(block []byte) error {
 	if err := w.rt("write", func() error {
-		_, werr := w.f.Write(chunk)
+		_, werr := w.f.Write(block)
 		return werr
 	}); err != nil {
 		w.discard()
 		w.err = fmt.Errorf("store: write %s: %w", w.path, err)
 		return w.err
 	}
-	w.buf = w.buf[:0]
 	return nil
+}
+
+// flush writes the staged bytes, if any.
+func (w *chunkedWriter) flush() error {
+	if len(w.buf) == 0 {
+		return nil
+	}
+	err := w.writeBlock(w.buf)
+	w.buf = w.buf[:0]
+	return err
 }
 
 // seal flushes the tail, fsyncs and closes the file — the
@@ -332,14 +361,7 @@ func (b *posixBackend) ReadManifest() ([]byte, error) {
 // rename is the commit point of every posix store mutation.
 func (b *posixBackend) WriteManifest(data []byte) error {
 	path := filepath.Join(b.dir, manifestName)
-	cw, err := newChunkedWriter(b.fs, b.rt, path+tmpSuffix)
-	if err != nil {
-		return err
-	}
-	if _, err := cw.Write(data); err != nil {
-		return err
-	}
-	if err := cw.seal(); err != nil {
+	if err := writeDurable(b.fs, b.rt, path+tmpSuffix, data); err != nil {
 		return err
 	}
 	if err := b.rt("rename", func() error { return b.fs.Rename(path+tmpSuffix, path) }); err != nil {
@@ -425,14 +447,7 @@ func (b *posixBackend) WriteChunk(name string, data []byte) error {
 		return err
 	}
 	final := b.chunkPath(name)
-	cw, err := newChunkedWriter(b.fs, b.rt, final+tmpSuffix)
-	if err != nil {
-		return err
-	}
-	if _, err := cw.Write(data); err != nil {
-		return err
-	}
-	if err := cw.seal(); err != nil {
+	if err := writeDurable(b.fs, b.rt, final+tmpSuffix, data); err != nil {
 		return err
 	}
 	if err := b.rt("rename", func() error { return b.fs.Rename(final+tmpSuffix, final) }); err != nil {

@@ -16,6 +16,15 @@
 // unindexed recipe — garbage, never corruption — collected by the next
 // Open (orphan-chunk sweep) or GC pass.
 //
+// A commit cuts the stream where it lies and hashes beside the cutter
+// (dedupWriter): the chunker emits views of the bytes being written, they
+// are SHA-256'd on a second goroutine in batches of hashBatchBytes while
+// the committing goroutine cuts on, and every view is settled — hashed,
+// looked up, written if new — before the Write that lent it returns. What
+// stays on the committing goroutine, in stream order: the ledger lookup,
+// WriteChunk, the recipe, the manifest — every backend operation, so a
+// fault plan counts the operations it always counted.
+//
 // Reference counts live in an in-memory ledger (cas.Index) rebuilt at
 // Open from the recipes of indexed and quarantined generations, kept
 // current across commits and prunes, and reconstructed from scratch by
@@ -30,6 +39,7 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"sync"
 	"sync/atomic"
 
 	"lossyckpt/internal/cas"
@@ -124,6 +134,120 @@ func (s *Store) loadDedupLocked() {
 	}
 }
 
+// hashBatchBytes is how many chunk bytes the cutter collects before it hands
+// them to a hashing goroutine. The size is what makes the hand-off pay: at
+// one chunk per hand-off (16 KiB) waking the hasher costs what hashing
+// beside the cutter saves.
+const hashBatchBytes = 256 << 10
+
+// chunkBatch is a run of consecutive chunks — views the chunker emitted —
+// whose addresses are computed together, off the committing goroutine.
+type chunkBatch struct {
+	chunks [][]byte
+	sums   []cas.Hash
+	bytes  int
+	hashed sync.WaitGroup
+}
+
+// dedupWriter is the sink of a dedup commit: it cuts the stream into chunks,
+// has them hashed a batch at a time on a second goroutine while it cuts on,
+// and writes the chunks the ledger does not hold. The chunks are views of the
+// slice being written and of the chunker's carried buffer, both reused once
+// Write returns, so every Write ends by settling what it emitted.
+type dedupWriter struct {
+	s           *Store
+	chunker     *cas.Chunker
+	cur, flying *chunkBatch // being collected; being hashed
+	err         error       // the first failure; nothing is written after it
+
+	refs      []cas.Ref
+	newChunks []cas.Hash
+	staged    map[cas.Hash]bool
+	reused    int
+	newBytes  int64
+}
+
+func (w *dedupWriter) emit(chunk []byte) error {
+	if w.cur == nil {
+		w.cur = &chunkBatch{chunks: make([][]byte, 0, 32)} // a batch of 16 KiB chunks, with room
+	}
+	w.cur.chunks = append(w.cur.chunks, chunk)
+	if w.cur.bytes += len(chunk); w.cur.bytes >= hashBatchBytes {
+		w.launch()
+	}
+	return w.err
+}
+
+// launch starts hashing the collected batch and, beside that, lands the
+// batch launched before it.
+func (w *dedupWriter) launch() {
+	b := w.cur
+	w.cur = nil
+	b.sums = make([]cas.Hash, len(b.chunks))
+	b.hashed.Add(1)
+	go func() {
+		defer b.hashed.Done()
+		for i, chunk := range b.chunks {
+			b.sums[i] = cas.Sum(chunk)
+		}
+	}()
+	prev := w.flying
+	w.flying = b
+	w.land(prev)
+}
+
+// land waits for b's hashes and takes its chunks in stream order: a
+// reference each, and a durable chunk file for those neither the ledger nor
+// this commit holds yet. After a failure it only waits.
+func (w *dedupWriter) land(b *chunkBatch) {
+	if b == nil {
+		return
+	}
+	b.hashed.Wait()
+	for i, chunk := range b.chunks {
+		if w.err != nil {
+			return
+		}
+		h := b.sums[i]
+		w.refs = append(w.refs, cas.Ref{Hash: h, Len: uint32(len(chunk))})
+		if w.s.dd.idx.Has(h) || w.staged[h] {
+			w.reused++
+			continue
+		}
+		if w.err = w.s.b.WriteChunk(h.String(), chunk); w.err != nil {
+			return
+		}
+		w.staged[h] = true
+		w.newChunks = append(w.newChunks, h)
+		w.newBytes += int64(len(chunk))
+	}
+}
+
+// settle lands everything emitted so far.
+func (w *dedupWriter) settle() error {
+	if w.cur != nil {
+		w.launch()
+	}
+	w.land(w.flying)
+	w.flying = nil
+	return w.err
+}
+
+// Write implements io.Writer.
+func (w *dedupWriter) Write(p []byte) (int, error) {
+	_, _ = w.chunker.Write(p) // fails only with emit's error, which settle returns
+	if err := w.settle(); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+// finish cuts and lands the stream's last chunk.
+func (w *dedupWriter) finish() error {
+	_ = w.chunker.Flush() // as in Write
+	return w.settle()
+}
+
 // commitDedupLocked is the dedup commit core, the counterpart of the
 // plain path in commitAtLocked: chunk the logical stream, write only
 // the chunks the ledger does not hold, commit the recipe as the
@@ -131,40 +255,19 @@ func (s *Store) loadDedupLocked() {
 // commit point. The caller holds s.mu.
 func (s *Store) commitDedupLocked(seq uint64, step int, expireAt int64, feed func(io.Writer) error, jop *journal.Op) (gen Generation, err error) {
 	ctx := s.retryCtx()
-	var (
-		refs      []cas.Ref
-		newChunks []cas.Hash
-		staged    = make(map[cas.Hash]bool)
-		reused    int
-		newBytes  int64
-	)
-	chunker, err := cas.NewChunker(s.dd.cfg, func(chunk []byte) error {
-		h := cas.Sum(chunk)
-		refs = append(refs, cas.Ref{Hash: h, Len: uint32(len(chunk))})
-		if s.dd.idx.Has(h) || staged[h] {
-			reused++
-			return nil
-		}
-		if werr := s.b.WriteChunk(h.String(), chunk); werr != nil {
-			return werr
-		}
-		staged[h] = true
-		newChunks = append(newChunks, h)
-		newBytes += int64(len(chunk))
-		return nil
-	})
-	if err != nil {
+	dw := &dedupWriter{s: s, staged: make(map[cas.Hash]bool)}
+	if dw.chunker, err = cas.NewChunker(s.dd.cfg, dw.emit); err != nil {
 		return Generation{}, fmt.Errorf("store: commit gen %d: %w", seq, err)
 	}
 	// A failed or cancelled commit removes the chunks it wrote: they are
 	// referenced by nothing durable, and eager cleanup keeps the error
 	// path litter-free (a crash instead leaves them for the open sweep).
 	abort := func() {
-		for _, h := range newChunks {
+		for _, h := range dw.newChunks {
 			s.b.RemoveChunk(h.String())
 		}
 	}
-	cw := &countingWriter{w: chunker}
+	cw := &countingWriter{w: dw}
 	var sink io.Writer = cw
 	if ctx.Done() != nil {
 		sink = ctxFailWriter{ctx: ctx, w: cw}
@@ -173,7 +276,7 @@ func (s *Store) commitDedupLocked(seq uint64, step int, expireAt int64, feed fun
 		abort()
 		return Generation{}, fmt.Errorf("store: commit gen %d: stream: %w", seq, err)
 	}
-	if err := chunker.Flush(); err != nil {
+	if err := dw.finish(); err != nil {
 		abort()
 		return Generation{}, fmt.Errorf("store: commit gen %d: stream: %w", seq, err)
 	}
@@ -181,6 +284,7 @@ func (s *Store) commitDedupLocked(seq uint64, step int, expireAt int64, feed fun
 		abort()
 		return Generation{}, fmt.Errorf("store: commit gen %d: %w", seq, cerr)
 	}
+	refs, newChunks, reused, newBytes := dw.refs, dw.newChunks, dw.reused, dw.newBytes
 	jop.Progress("chunks_durable", newBytes)
 
 	rec := &cas.Recipe{Size: cw.n, CRC: cw.crc, Chunks: refs}

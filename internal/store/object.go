@@ -170,24 +170,10 @@ func (b *objectBackend) ReadManifest() ([]byte, error) {
 // as a recovery fallback; older ones are garbage-collected.
 func (b *objectBackend) WriteManifest(data []byte) error {
 	v := b.ver + 1
-	mw, err := newChunkedWriter(b.fs, b.rt, b.key(manifestKey(v)))
-	if err != nil {
+	if err := writeDurable(b.fs, b.rt, b.key(manifestKey(v)), data); err != nil {
 		return err
 	}
-	if _, err := mw.Write(data); err != nil {
-		return err
-	}
-	if err := mw.seal(); err != nil {
-		return err
-	}
-	pw, err := newChunkedWriter(b.fs, b.rt, b.key(pointerName))
-	if err != nil {
-		return err
-	}
-	if _, err := pw.Write(EncodePointer(v)); err != nil {
-		return err
-	}
-	if err := pw.seal(); err != nil {
+	if err := writeDurable(b.fs, b.rt, b.key(pointerName), EncodePointer(v)); err != nil {
 		return err
 	}
 	prev := b.ver
@@ -239,14 +225,7 @@ const objChunkPrefix = "chunk-"
 // committed recipe references (the recipe always commits after its
 // chunks), and a later writer of the same name truncates it away.
 func (b *objectBackend) WriteChunk(name string, data []byte) error {
-	cw, err := newChunkedWriter(b.fs, b.rt, b.key(objChunkPrefix+name))
-	if err != nil {
-		return err
-	}
-	if _, err := cw.Write(data); err != nil {
-		return err
-	}
-	return cw.seal()
+	return writeDurable(b.fs, b.rt, b.key(objChunkPrefix+name), data)
 }
 
 func (b *objectBackend) ReadChunk(name string, dst []byte) ([]byte, error) {
@@ -308,14 +287,7 @@ func (b *objectBackend) Quarantine(seq uint64) (string, error) {
 	for i := 1; taken[name]; i++ {
 		name = fmt.Sprintf("%s.%d", base, i)
 	}
-	qw, err := newChunkedWriter(b.fs, b.rt, b.key(name))
-	if err != nil {
-		return "", err
-	}
-	if _, err := qw.Write(data); err != nil {
-		return "", err
-	}
-	if err := qw.seal(); err != nil {
+	if err := writeDurable(b.fs, b.rt, b.key(name), data); err != nil {
 		return "", err
 	}
 	if err := b.fs.Remove(b.key(genName(seq))); err != nil {

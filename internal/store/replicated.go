@@ -299,8 +299,9 @@ func (r *ReplicatedStore) Commit(step int, payload []byte) (Generation, error) {
 // CommitCtx is Commit bound to a request context: the coordinator's
 // context reaches every replica's retry ladder, so cancellation aborts
 // the fan-out between attempts instead of sleeping out N backoff
-// budgets.
-func (r *ReplicatedStore) CommitCtx(ctx context.Context, step int, payload []byte) (Generation, error) {
+// budgets. Every replica reads the same parts, stragglers still after the
+// quorum has answered: the caller must leave them unmodified.
+func (r *ReplicatedStore) CommitCtx(ctx context.Context, step int, parts ...[]byte) (Generation, error) {
 	if step < 0 {
 		return Generation{}, fmt.Errorf("store: negative step %d", step)
 	}
@@ -321,28 +322,11 @@ func (r *ReplicatedStore) CommitCtx(ctx context.Context, step int, payload []byt
 	for _, idx := range live {
 		idx, st := idx, r.replicas[idx].st
 		r.enqueueLocked(idx, func() {
-			gen, err := st.commitStreamAt(ctx, seq, step, exp, func(w io.Writer) error {
-				_, werr := w.Write(payload)
-				return werr
-			})
+			gen, err := st.commitStreamAt(ctx, seq, step, exp, feedParts(parts))
 			results <- commitRes{idx: idx, gen: gen, err: err}
 		})
 	}
 	return r.collectQuorumLocked("commit", seq, results, len(live))
-}
-
-// CommitFunc buffers write's output and replicates it as one generation.
-func (r *ReplicatedStore) CommitFunc(step int, write func(io.Writer) error) (Generation, error) {
-	return r.CommitFuncCtx(context.Background(), step, write)
-}
-
-// CommitFuncCtx is CommitFunc bound to a request context.
-func (r *ReplicatedStore) CommitFuncCtx(ctx context.Context, step int, write func(io.Writer) error) (Generation, error) {
-	var buf payloadBuffer
-	if err := write(&buf); err != nil {
-		return Generation{}, err
-	}
-	return r.CommitCtx(ctx, step, buf.b)
 }
 
 // now resolves the coordinator's wall clock.

@@ -289,8 +289,11 @@ func (s *Store) Commit(step int, payload []byte) (gen Generation, err error) {
 
 // CommitCtx is Commit bound to a request context: cancellation aborts
 // the commit between retry attempts and backoff sleeps. The previous
-// latest generation stays indexed on abort.
-func (s *Store) CommitCtx(ctx context.Context, step int, payload []byte) (gen Generation, err error) {
+// latest generation stays indexed on abort. The payload is the parts in
+// order, fed to the backend as they are, never joined — a writer that has
+// framing and bodies in separate slices (ckpt.Manager.CheckpointTo) commits
+// them so.
+func (s *Store) CommitCtx(ctx context.Context, step int, parts ...[]byte) (gen Generation, err error) {
 	if step < 0 {
 		return Generation{}, fmt.Errorf("store: negative step %d", step)
 	}
@@ -302,18 +305,36 @@ func (s *Store) CommitCtx(ctx context.Context, step int, payload []byte) (gen Ge
 	s.opCtx = ctx
 	defer func() { s.opCtx = nil }()
 	if o := s.observer(); o != nil {
-		sp := o.StartSpan(MetricCommitSpan, "step", fmt.Sprint(step), "bytes", fmt.Sprint(len(payload)))
+		size := partsLen(parts)
+		sp := o.StartSpan(MetricCommitSpan, "step", fmt.Sprint(step), "bytes", fmt.Sprint(size))
 		defer func() {
 			sp.EndErr(err)
 			if err == nil {
-				o.Counter(MetricCommitBytes).Add(float64(len(payload)))
+				o.Counter(MetricCommitBytes).Add(float64(size))
 			}
 		}()
 	}
-	return s.commitAtLocked(s.nextSeqLocked(), step, s.expireStamp(), func(w io.Writer) error {
-		_, werr := w.Write(payload)
-		return werr
-	})
+	return s.commitAtLocked(s.nextSeqLocked(), step, s.expireStamp(), feedParts(parts))
+}
+
+// feedParts is the producer of a payload held in memory: each part written
+// once, in order.
+func feedParts(parts [][]byte) func(io.Writer) error {
+	return func(w io.Writer) error {
+		for _, p := range parts {
+			if _, err := w.Write(p); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+func partsLen(parts [][]byte) (n int) {
+	for _, p := range parts {
+		n += len(p)
+	}
+	return n
 }
 
 // CommitAt commits payload under a caller-chosen sequence number — the
@@ -321,10 +342,7 @@ func (s *Store) CommitCtx(ctx context.Context, step int, payload []byte) (gen Ge
 // across N replicas. seq must be at least the store's NextSeq (a lower
 // seq means this replica has already seen newer state: ErrSeqConflict).
 func (s *Store) CommitAt(seq uint64, step int, payload []byte) (gen Generation, err error) {
-	return s.CommitStreamAt(seq, step, func(w io.Writer) error {
-		_, werr := w.Write(payload)
-		return werr
-	})
+	return s.CommitStreamAt(seq, step, feedParts([][]byte{payload}))
 }
 
 // countingWriter accumulates the size and CRC of everything written
@@ -438,21 +456,6 @@ func (s *Store) commitAtLocked(seq uint64, step int, expireAt int64, feed func(i
 	return gen, nil
 }
 
-// CommitFunc buffers write's output and commits it as one generation —
-// the bridge for writers like ckpt.Manager.Checkpoint.
-func (s *Store) CommitFunc(step int, write func(io.Writer) error) (Generation, error) {
-	return s.CommitFuncCtx(context.Background(), step, write)
-}
-
-// CommitFuncCtx is CommitFunc bound to a request context.
-func (s *Store) CommitFuncCtx(ctx context.Context, step int, write func(io.Writer) error) (Generation, error) {
-	var buf payloadBuffer
-	if err := write(&buf); err != nil {
-		return Generation{}, err
-	}
-	return s.CommitCtx(ctx, step, buf.b)
-}
-
 // now resolves the store's wall clock.
 func (s *Store) now() time.Time {
 	if s.opts.Now != nil {
@@ -480,13 +483,6 @@ func (s *Store) expireStamp() int64 {
 		return 0
 	}
 	return s.now().Add(s.opts.TTL).Unix()
-}
-
-type payloadBuffer struct{ b []byte }
-
-func (p *payloadBuffer) Write(q []byte) (int, error) {
-	p.b = append(p.b, q...)
-	return len(q), nil
 }
 
 // PutGeneration installs an externally known generation record plus its

@@ -2,8 +2,8 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -278,22 +278,16 @@ func TestOpenSweepsLeftovers(t *testing.T) {
 	}
 }
 
-func TestCommitFuncAndChunkedPayload(t *testing.T) {
+func TestCommitPartsAndChunkedPayload(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, Options{})
 	// Payload larger than one commit chunk exercises the chunked write
 	// loop.
 	want := payload(3, commitChunk+commitChunk/2)
-	gen, err := s.CommitFunc(3, func(w io.Writer) error {
-		half := len(want) / 2
-		if _, err := w.Write(want[:half]); err != nil {
-			return err
-		}
-		_, err := w.Write(want[half:])
-		return err
-	})
+	half := len(want) / 2
+	gen, err := s.CommitCtx(context.Background(), 3, want[:half], want[half:])
 	if err != nil {
-		t.Fatalf("CommitFunc: %v", err)
+		t.Fatalf("CommitCtx: %v", err)
 	}
 	got, err := s.ReadGeneration(gen.Seq)
 	if err != nil || !bytes.Equal(got, want) {

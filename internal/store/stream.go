@@ -6,9 +6,9 @@ import (
 	"io"
 )
 
-// stream.go adds the streaming half of the commit protocol. Commit and
-// CommitFunc need the whole payload in memory before the store sees its
-// first byte; CommitStream hands the producer an io.Writer that feeds the
+// stream.go adds the streaming half of the commit protocol. Commit needs
+// the whole payload in memory before the store sees its first byte;
+// CommitStream hands the producer an io.Writer that feeds the
 // backend's PayloadWriter directly, so a pipeline like
 // core.CompressChunkedTo overlaps compression with store I/O and the
 // store-side memory bound drops to one commitChunk buffer. The durability

@@ -28,12 +28,11 @@ type Target interface {
 	// Commit adds payload as the next generation.
 	Commit(step int, payload []byte) (Generation, error)
 	// CommitCtx is Commit bound to a request context: cancellation
-	// aborts between retry attempts and backoff sleeps.
-	CommitCtx(ctx context.Context, step int, payload []byte) (Generation, error)
-	// CommitFunc buffers write's output and commits it as one generation.
-	CommitFunc(step int, write func(io.Writer) error) (Generation, error)
-	// CommitFuncCtx is CommitFunc bound to a request context.
-	CommitFuncCtx(ctx context.Context, step int, write func(io.Writer) error) (Generation, error)
+	// aborts between retry attempts and backoff sleeps. The payload is the
+	// parts in order; they are read where they lie, possibly after the
+	// call returns (a replicated target's stragglers), so the caller must
+	// not modify them afterwards.
+	CommitCtx(ctx context.Context, step int, parts ...[]byte) (Generation, error)
 	// CommitStream commits the bytes write produces without buffering
 	// them.
 	CommitStream(step int, write func(io.Writer) error) (Generation, error)
