@@ -5,7 +5,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check fmt-check vet build test race bench-test fuzz-smoke serve-smoke crash-matrix-replicated crash-matrix-dedup bench-parallel bench-obs bench-gzip bench-entropy bench-dedup bench-qa bench-smoke bench-compare bench-compare-smoke
+.PHONY: check fmt-check vet build test race loc bench-test fuzz-smoke serve-smoke crash-matrix-replicated crash-matrix-dedup bench-parallel bench-obs bench-gzip bench-entropy bench-dedup bench-qa bench-smoke bench-compare bench-compare-smoke
 
 check: fmt-check vet build race bench-test fuzz-smoke serve-smoke bench-compare-smoke
 
@@ -29,14 +29,22 @@ test:
 # reads the next into the same generation, a dedup commit hashing one batch of
 # chunk views while it cuts the next — or recycle one state, as DEFLATE
 # streams encoded side by side do: the race detector only sees interleavings
-# that happen. The last line quantizes in Scratches recycled through one
-# pool by four goroutines.
+# that happen. The quant line quantizes in Scratches recycled through one
+# pool by four goroutines; the last one runs the chunked engine's pool beside
+# its consumer, with a slab cache, a failing slab, a failing writer and a
+# writer that rewrites the slabs not yet started.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'KernelsMatchLaneReference|WorkersBitIdentical' ./internal/wavelet
 	$(GO) test -race -count=10 -run 'DedupRead|DedupCommitHashesBeside' ./internal/store
 	$(GO) test -race -count=10 -run 'DeflateDependsOnInputAlone|ByteStableAcrossWorkers' ./internal/gzipio
 	$(GO) test -race -count=10 -run 'QuantizeDependsOnInputAlone' ./internal/quant
+	$(GO) test -race -count=10 -run 'Engine|ChunkedParallelByteIdentical|CompressChunkedDeltaByteIdentical' ./internal/core
+
+# loc prints the non-test Go line count per package and in total (bench/
+# excluded): the figure ROADMAP.md quotes and a simplification PR is held to.
+loc:
+	@sh scripts/loc.sh
 
 # bench-test vets and tests the benchmark's own module (bench/), which
 # `go test ./...` at the root never reaches: its replay oracle re-derives
@@ -159,11 +167,9 @@ NEW ?= $(OLD)
 bench-compare:
 	$(GO) run ./cmd/benchdiff $(OLD) $(NEW)
 
-# bench-compare-smoke self-diffs the checked-in snapshots — a cheap guard
-# that the tool keeps parsing them and a zero delta keeps exiting 0.
+# bench-compare-smoke self-diffs the checked-in snapshots, all five pairs in
+# one invocation — a cheap guard that the tool keeps parsing them and a zero
+# delta keeps exiting 0.
+SNAPSHOTS = BENCH_parallel.json BENCH_obs.json BENCH_gzip.json BENCH_entropy.json BENCH_dedup.json
 bench-compare-smoke:
-	$(GO) run ./cmd/benchdiff BENCH_parallel.json BENCH_parallel.json
-	$(GO) run ./cmd/benchdiff BENCH_obs.json BENCH_obs.json
-	$(GO) run ./cmd/benchdiff BENCH_gzip.json BENCH_gzip.json
-	$(GO) run ./cmd/benchdiff BENCH_entropy.json BENCH_entropy.json
-	$(GO) run ./cmd/benchdiff BENCH_dedup.json BENCH_dedup.json
+	$(GO) run ./cmd/benchdiff $(foreach s,$(SNAPSHOTS),$(s) $(s))

@@ -71,10 +71,8 @@ package main
 
 import (
 	"bytes"
-	"encoding/binary"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -262,12 +260,12 @@ func cmdCompress(args []string) error {
 	opts.Shuffle = *shuffle
 	opts.VarName = varNameFromPath(*in)
 	if *autotune {
-		setting := tune.New(tune.Config{}).Decide(opts.VarName, fld.Bytes(), floatSample(fld.Data(), 256<<10))
+		setting := tune.New(tune.Config{}).Decide(opts.VarName, fld.Bytes(), tune.Sample(fld.Data()))
 		opts = setting.Apply(opts)
 		fmt.Printf("autotune: selected %s\n", setting.Label())
 	}
 	if *chunk > 0 {
-		res, err := core.CompressChunkedParallel(fld, opts, *chunk)
+		res, err := core.CompressChunked(fld, opts, *chunk)
 		if err != nil {
 			return err
 		}
@@ -421,21 +419,6 @@ func cmdDiff(args []string) error {
 func varNameFromPath(path string) string {
 	base := filepath.Base(path)
 	return strings.TrimSuffix(base, filepath.Ext(base))
-}
-
-// floatSample serializes at most maxBytes of a field's leading values as
-// the autotuner's probe sample (little-endian, matching the entropy
-// stage's byte image).
-func floatSample(data []float64, maxBytes int) []byte {
-	n := len(data)
-	if n*8 > maxBytes {
-		n = maxBytes / 8
-	}
-	buf := make([]byte, 8*n)
-	for i, v := range data[:n] {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-	}
-	return buf
 }
 
 // storeFlags carries the store-topology flags shared by save, restore

@@ -12,6 +12,7 @@
 package ckpt
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -78,26 +79,36 @@ type Codec interface {
 	Lossless() bool
 }
 
-// StreamEncoder is an optional Codec extension for codecs that can emit
-// their payload incrementally. EncodeTo writes the exact bytes Encode
-// would have returned as Payload directly to w and returns the Encoded
-// accounting with Payload nil. For the entry at the head of the stream
-// CheckpointStream pipes the writes into its segment framing, so the
-// payload is never buffered whole; for an entry encoding behind the head
-// w is a spill the framing drains later. Writes must come from one
-// goroutine at a time. Implementations may still buffer internally when
-// their format demands it (and must then leave Payload nil after writing
-// it out).
-type StreamEncoder interface {
-	EncodeTo(w io.Writer, f *grid.Field) (*Encoded, error)
+// Entry is one array on its way through a codec: what Codec.Encode gets,
+// plus what the manager knows about where the bytes go and what came before.
+type Entry struct {
+	// Name is the variable's registered name: it keys per-variable policy
+	// and tuning and labels telemetry. Empty for a bare Encode.
+	Name  string
+	Field *grid.Field
+	// W, when non-nil, is where a codec that produces its payload piece by
+	// piece writes it — the exact bytes a buffered encode returns — leaving
+	// Encoded.Payload nil. At the head of a stream CheckpointStream pipes the
+	// writes into its segment framing, so the payload is never buffered
+	// whole; behind the head W is a spill the framing drains later. Writes
+	// must come from one goroutine at a time. A codec whose format has it
+	// build the payload in memory anyway returns it as Payload instead and
+	// leaves W alone; never both.
+	W io.Writer
+	// Slabs, when non-nil, is this variable's slab cache from the previous
+	// checkpoint, for a buffered encode (W nil) by a codec that compresses
+	// in slabs: clean slabs re-emit their cached frame. Such a codec reports
+	// Encoded.SlabsTotal > 0; the payload is what it would be without.
+	Slabs *core.SlabCache
 }
 
-// NamedStreamEncoder combines both extensions: a streaming encode that
-// also knows which variable it is encoding. CheckpointStream prefers it
-// over StreamEncoder so per-variable concerns (the autotuner, telemetry
-// labels) reach the streaming path.
-type NamedStreamEncoder interface {
-	EncodeNamedTo(w io.Writer, name string, f *grid.Field) (*Encoded, error)
+// EntryEncoder is the one optional Codec extension: a codec that cares
+// which variable it encodes, can write its payload out as it is produced,
+// or can reuse slab-level work between checkpoints implements it, and the
+// manager calls it instead of Encode. EncodeEntry(Entry{Field: f}) is
+// Encode(f). Implementations must be safe for concurrent use, like Codec.
+type EntryEncoder interface {
+	EncodeEntry(e Entry) (*Encoded, error)
 }
 
 // --- None ------------------------------------------------------------------
@@ -113,20 +124,20 @@ func (None) Name() string { return "none" }
 func (None) Lossless() bool { return true }
 
 // Encode implements Codec.
-func (None) Encode(f *grid.Field) (*Encoded, error) {
-	return &Encoded{
-		Payload:  floatsToBytes(f.Data()),
-		RawBytes: f.Bytes(),
-	}, nil
-}
+func (c None) Encode(f *grid.Field) (*Encoded, error) { return c.EncodeEntry(Entry{Field: f}) }
 
-// EncodeTo implements StreamEncoder: the float image goes out in bounded
-// blocks, never materialized whole.
-func (None) EncodeTo(w io.Writer, f *grid.Field) (*Encoded, error) {
-	if err := writeFloatBlocks(w, f.Data()); err != nil {
+// EncodeEntry implements EntryEncoder. A writer reads the float image where
+// it lies. A returned Payload is a copy: a replicated commit's straggler may
+// still read it after the checkpoint call has returned and the application
+// is mutating the array again.
+func (None) EncodeEntry(e Entry) (*Encoded, error) {
+	enc := &Encoded{RawBytes: e.Field.Bytes()}
+	if image := grid.FloatBytes(e.Field.Data()); e.W == nil {
+		enc.Payload = bytes.Clone(image)
+	} else if _, err := e.W.Write(image); err != nil {
 		return nil, err
 	}
-	return &Encoded{RawBytes: f.Bytes()}, nil
+	return enc, nil
 }
 
 // Decode implements Codec.
@@ -138,7 +149,7 @@ func (None) Decode(payload []byte, shape []int) (*grid.Field, error) {
 	if len(payload) != 8*f.Len() {
 		return nil, fmt.Errorf("%w: none codec payload %d bytes, shape %v needs %d", ErrCodec, len(payload), shape, 8*f.Len())
 	}
-	bytesToFloatsInto(payload, f.Data())
+	grid.PutFloatBytes(f.Data(), payload)
 	return f, nil
 }
 
@@ -193,10 +204,20 @@ func (*Gzip) Lossless() bool { return true }
 func (g *Gzip) legacy() bool { return g.Entropy == entropy.Gzip && !g.Shuffle }
 
 // Encode implements Codec.
-func (g *Gzip) Encode(f *grid.Field) (*Encoded, error) {
-	if !g.legacy() {
-		start := time.Now()
-		res, err := entropy.Compress(floatsToBytes(f.Data()), entropy.Params{
+func (g *Gzip) Encode(f *grid.Field) (*Encoded, error) { return g.EncodeEntry(Entry{Field: f}) }
+
+// EncodeEntry implements EntryEncoder. Every configuration reads the float
+// image where it lies. In-memory legacy mode compresses it straight onto a
+// writer, a few DEFLATE blocks at a time — the bytes a buffered encode
+// returns, never held whole; temp-file mode and the enveloped entropy
+// configurations build the payload in memory and return it.
+func (g *Gzip) EncodeEntry(e Entry) (*Encoded, error) {
+	f := e.Field
+	enc := &Encoded{RawBytes: f.Bytes()}
+	start := time.Now()
+	switch {
+	case !g.legacy():
+		res, err := entropy.Compress(grid.FloatBytes(f.Data()), entropy.Params{
 			Codec:     g.Entropy,
 			Shuffle:   g.Shuffle,
 			GzipLevel: g.Level,
@@ -205,44 +226,21 @@ func (g *Gzip) Encode(f *grid.Field) (*Encoded, error) {
 			return nil, err
 		}
 		el := time.Since(start)
-		return &Encoded{
-			Payload:  res.Compressed,
-			RawBytes: f.Bytes(),
-			Timings:  core.Timings{Gzip: res.CodeTime, Total: el, CPUTotal: el},
-		}, nil
-	}
-	res, err := core.CompressGzipOnly(f, g.Level, g.Mode, g.TmpDir)
-	if err != nil {
-		return nil, err
-	}
-	return &Encoded{Payload: res.Data, RawBytes: res.RawBytes, Timings: res.Timings}, nil
-}
-
-// EncodeTo implements StreamEncoder. In-memory legacy mode compresses the
-// float image straight onto w, a few DEFLATE blocks at a time — the bytes
-// Encode returns, never held whole; temp-file mode and the enveloped
-// entropy configurations buffer per entry and stream the result out.
-func (g *Gzip) EncodeTo(w io.Writer, f *grid.Field) (*Encoded, error) {
-	if g.Mode != gzipio.InMemory || !g.legacy() {
-		enc, err := g.Encode(f)
+		enc.Payload, enc.Timings = res.Compressed, core.Timings{Gzip: res.CodeTime, Total: el, CPUTotal: el}
+	case e.W != nil && g.Mode == gzipio.InMemory:
+		if err := gzipio.CompressTo(e.W, grid.FloatBytes(f.Data()), g.Level, gzipio.FormatGzip); err != nil {
+			return nil, err
+		}
+		el := time.Since(start)
+		enc.Timings = core.Timings{Gzip: el, Total: el, CPUTotal: el}
+	default:
+		res, err := core.CompressGzipOnly(f, g.Level, g.Mode, g.TmpDir)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := w.Write(enc.Payload); err != nil {
-			return nil, err
-		}
-		enc.Payload = nil
-		return enc, nil
+		enc.Payload, enc.Timings = res.Data, res.Timings
 	}
-	start := time.Now()
-	if err := gzipio.CompressTo(w, grid.FloatBytes(f.Data()), g.Level, gzipio.FormatGzip); err != nil {
-		return nil, err
-	}
-	el := time.Since(start)
-	return &Encoded{
-		RawBytes: f.Bytes(),
-		Timings:  core.Timings{Gzip: el, Total: el, CPUTotal: el},
-	}, nil
+	return enc, nil
 }
 
 // Decode implements Codec.
@@ -300,8 +298,8 @@ type Lossy struct {
 	// bytes written depend on neither.
 	Options core.Options
 	// ChunkExtent, when positive, compresses each array in slabs of that
-	// many leading-axis planes (core.CompressChunkedParallel), bounding
-	// peak memory for very large arrays. Zero compresses whole arrays.
+	// many leading-axis planes (core's chunked engine), bounding peak memory
+	// for very large arrays. Zero compresses whole arrays.
 	ChunkExtent int
 	// Tuner, when set, picks the entropy-stage configuration (codec,
 	// shuffle, gzip block size) per variable from probe measurements and
@@ -311,35 +309,15 @@ type Lossy struct {
 	Tuner *tune.Tuner
 }
 
-// tuneSampleBytes bounds the probe sample handed to the tuner (the
-// leading slice of the raw float image).
-const tuneSampleBytes = 256 << 10
-
-// optionsFor resolves the effective pipeline options for one variable:
-// the tuned entropy setting overlaid on the base options, labeled for
-// telemetry.
-func (c *Lossy) optionsFor(name string, f *grid.Field) core.Options {
-	opts := c.Options
-	opts.VarName = name
-	if c.Tuner == nil {
-		return opts
+// tunedOptions resolves the effective pipeline options for one variable:
+// the tuner's entropy setting, when there is a tuner, overlaid on the base
+// options, labeled for telemetry.
+func tunedOptions(opts core.Options, t *tune.Tuner, name string, f *grid.Field) core.Options {
+	if t != nil {
+		opts = t.Decide(name, f.Bytes(), tune.Sample(f.Data())).Apply(opts)
 	}
-	n := f.Len()
-	if n*8 > tuneSampleBytes {
-		n = tuneSampleBytes / 8
-	}
-	setting := c.Tuner.Decide(name, f.Bytes(), floatsToBytes(f.Data()[:n]))
-	opts = setting.Apply(opts)
 	opts.VarName = name
 	return opts
-}
-
-// feedback reports one real encode's entropy-stage timing back to the
-// tuner, closing the online loop.
-func (c *Lossy) feedback(name string, enc *Encoded) {
-	if c.Tuner != nil && enc != nil {
-		c.Tuner.Observe(name, enc.RawBytes, enc.Timings.Gzip.Seconds())
-	}
 }
 
 // NewLossy returns a Lossy codec with the paper's default configuration.
@@ -352,74 +330,54 @@ func (*Lossy) Name() string { return "lossy" }
 func (*Lossy) Lossless() bool { return false }
 
 // Encode implements Codec.
-func (c *Lossy) Encode(f *grid.Field) (*Encoded, error) {
-	return c.EncodeNamed("", f)
+func (c *Lossy) Encode(f *grid.Field) (*Encoded, error) { return c.EncodeEntry(Entry{Field: f}) }
+
+// EncodeNamed is Encode with the variable name, which keys the tuner's
+// per-variable decisions and the entropy-selection telemetry.
+func (c *Lossy) EncodeNamed(name string, f *grid.Field) (*Encoded, error) {
+	return c.EncodeEntry(Entry{Name: name, Field: f})
 }
 
-// EncodeNamed implements NamedEncoder: the variable name keys the
-// tuner's per-variable decisions and the entropy-selection telemetry.
-func (c *Lossy) EncodeNamed(name string, f *grid.Field) (*Encoded, error) {
-	opts := c.optionsFor(name, f)
+// EncodeEntry implements EntryEncoder: the one place the lossy codec calls
+// the pipeline. With ChunkExtent set and a writer this is the full overlap
+// the streaming checkpoint exists for — slabs compress on a bounded worker
+// pool while finished frames stream into W (core.CompressChunkedTo), peak
+// memory O(workers × chunk) instead of O(array); buffered, the slabs go
+// through the entry's slab cache, if it has one. Whole-array mode compresses
+// in memory and returns the payload.
+func (c *Lossy) EncodeEntry(e Entry) (*Encoded, error) {
+	opts := tunedOptions(c.Options, c.Tuner, e.Name, e.Field)
 	var enc *Encoded
-	if c.ChunkExtent > 0 {
-		res, err := core.CompressChunkedParallel(f, opts, c.ChunkExtent)
+	switch {
+	case c.ChunkExtent > 0:
+		var res *core.ChunkedResult
+		var err error
+		if e.W != nil {
+			res, err = core.CompressChunkedTo(e.W, e.Field, opts, c.ChunkExtent)
+		} else {
+			res, err = core.CompressChunkedDelta(e.Field, opts, c.ChunkExtent, e.Slabs)
+		}
 		if err != nil {
 			return nil, err
 		}
 		enc = &Encoded{Payload: res.Data, RawBytes: res.RawBytes, Timings: res.Timings, ChunkTimings: res.PerChunk}
-	} else {
-		res, err := core.Compress(f, opts)
+		if e.W == nil && e.Slabs != nil {
+			enc.SlabsReused, enc.SlabsTotal = res.SlabsReused, res.Chunks
+		}
+	default:
+		res, err := core.Compress(e.Field, opts)
 		if err != nil {
 			return nil, err
 		}
 		enc = &Encoded{Payload: res.Data, RawBytes: res.RawBytes, Timings: res.Timings}
 	}
-	c.annotate(enc, opts)
-	c.feedback(name, enc)
-	return enc, nil
-}
-
-// annotate records the resolved pipeline decisions on the accounting —
-// what the journal's wide events report per entry.
-func (c *Lossy) annotate(enc *Encoded, opts core.Options) {
+	// The resolved pipeline decisions, for the journal's wide events, and
+	// the entropy stage's real timing back to the tuner: the online loop.
 	enc.EntropyLabel = entropy.Params{Codec: opts.EntropyCodec, Shuffle: opts.Shuffle}.Label()
 	enc.Divisions = opts.Divisions
-}
-
-// EncodeTo implements StreamEncoder. With ChunkExtent set this is the
-// full pipeline overlap the streaming checkpoint exists for: slabs
-// compress on a bounded worker pool while finished frames stream into
-// w (core.CompressChunkedTo), so peak memory is O(workers × chunk)
-// instead of O(array). Whole-array mode compresses buffered and streams
-// the result out.
-func (c *Lossy) EncodeTo(w io.Writer, f *grid.Field) (*Encoded, error) {
-	return c.EncodeNamedTo(w, "", f)
-}
-
-// EncodeNamedTo implements NamedStreamEncoder: the streaming encode with
-// the variable name available, so the tuner steers the streaming path
-// too.
-func (c *Lossy) EncodeNamedTo(w io.Writer, name string, f *grid.Field) (*Encoded, error) {
-	opts := c.optionsFor(name, f)
-	var enc *Encoded
-	if c.ChunkExtent > 0 {
-		res, err := core.CompressChunkedTo(w, f, opts, c.ChunkExtent)
-		if err != nil {
-			return nil, err
-		}
-		enc = &Encoded{RawBytes: res.RawBytes, Timings: res.Timings, ChunkTimings: res.PerChunk}
-	} else {
-		res, err := core.Compress(f, opts)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := w.Write(res.Data); err != nil {
-			return nil, err
-		}
-		enc = &Encoded{RawBytes: res.RawBytes, Timings: res.Timings}
+	if c.Tuner != nil {
+		c.Tuner.Observe(e.Name, enc.RawBytes, enc.Timings.Gzip.Seconds())
 	}
-	c.annotate(enc, opts)
-	c.feedback(name, enc)
 	return enc, nil
 }
 

@@ -1,11 +1,12 @@
 // delta.go is the manager half of delta checkpointing. With
-// Manager.SetDelta(true), each checkpoint fingerprints every registered
-// array against the previous checkpoint and skips the compression work
-// that cannot have changed:
+// Manager.SetDelta(true), each checkpoint carries every registered array's
+// state from the previous one and skips the compression work that cannot
+// have changed:
 //
-//   - codecs implementing DeltaEncoder (the chunked lossy pipeline)
-//     reuse per-slab compressed frames through a core.SlabCache, so
-//     compression CPU scales with the mutated fraction of each array;
+//   - a codec that compresses in slabs (the chunked lossy pipeline) is
+//     handed the variable's core.SlabCache (Entry.Slabs) and reuses
+//     per-slab compressed frames, so compression CPU scales with the
+//     mutated fraction of each array; it says so in Encoded.SlabsTotal;
 //   - every other codec gets whole-variable reuse — an unchanged array
 //     re-emits its cached compressed payload without encoding at all.
 //
@@ -18,54 +19,15 @@ package ckpt
 
 import (
 	"crypto/sha256"
+	"io"
 
 	"lossyckpt/internal/core"
 	"lossyckpt/internal/grid"
 )
 
-// DeltaEncoder is an optional Codec extension for codecs that can reuse
-// slab-level compression work between checkpoints of the same variable.
-type DeltaEncoder interface {
-	// DeltaCapable reports whether this configuration actually supports
-	// slab reuse (e.g. the lossy codec only in chunked mode). When false
-	// the manager falls back to whole-variable reuse.
-	DeltaCapable() bool
-	// EncodeNamedDelta is EncodeNamed with a slab cache carried between
-	// calls: clean slabs re-emit their cached frame, dirty slabs run the
-	// pipeline. The payload must be byte-identical to EncodeNamed's.
-	EncodeNamedDelta(name string, f *grid.Field, cache *core.SlabCache) (*Encoded, error)
-}
-
-// DeltaCapable implements DeltaEncoder: slab reuse requires the chunked
-// engine — whole-array streams have no per-slab frames to reuse.
-func (c *Lossy) DeltaCapable() bool { return c.ChunkExtent > 0 }
-
-// EncodeNamedDelta implements DeltaEncoder.
-func (c *Lossy) EncodeNamedDelta(name string, f *grid.Field, cache *core.SlabCache) (*Encoded, error) {
-	if c.ChunkExtent <= 0 {
-		return c.EncodeNamed(name, f)
-	}
-	opts := c.optionsFor(name, f)
-	res, err := core.CompressChunkedDelta(f, opts, c.ChunkExtent, cache)
-	if err != nil {
-		return nil, err
-	}
-	enc := &Encoded{
-		Payload:      res.Data,
-		RawBytes:     res.RawBytes,
-		Timings:      res.Timings,
-		ChunkTimings: res.PerChunk,
-		SlabsReused:  res.SlabsReused,
-		SlabsTotal:   res.Chunks,
-	}
-	c.annotate(enc, opts)
-	c.feedback(name, enc)
-	return enc, nil
-}
-
-// varDelta is one variable's carried-over state: the slab cache for
-// DeltaEncoder codecs, or the whole-array fingerprint plus cached
-// encoding for everything else.
+// varDelta is one variable's carried-over state: the slab cache for a
+// codec that compresses in slabs, or the whole-array fingerprint plus
+// cached encoding for everything else.
 type varDelta struct {
 	slabs core.SlabCache
 	sum   [sha256.Size]byte
@@ -111,38 +73,49 @@ func (m *Manager) primeDelta() {
 	}
 }
 
-// encodeDelta encodes one variable under delta rules. vd must be this
-// variable's slot (non-nil); de is the codec's DeltaEncoder extension
-// or nil. Exactly one goroutine touches one vd, so no locking.
-func (m *Manager) encodeDelta(name string, f *grid.Field, vd *varDelta, de DeltaEncoder) (*Encoded, error) {
-	if de != nil && de.DeltaCapable() {
-		// Slab-level reuse: the cache fingerprints per slab, a
-		// whole-variable fingerprint would just hash everything twice.
-		return de.EncodeNamedDelta(name, f, &vd.slabs)
+// encodeEntry encodes one registered array: streaming into w when w is
+// non-nil and the codec can, else buffered into Encoded.Payload; under delta
+// rules when delta is on. Delta mode trades the zero-buffer streaming encode
+// for payload reuse: the entry is encoded, or served from cache, buffered.
+//
+// The whole-array fingerprint is taken only where a whole-array encoding is
+// held to compare it with, or has just been made to keep: a codec that
+// used the slab cache fingerprinted per slab, and hashing the array again
+// would read it twice. Exactly one goroutine touches one varDelta, so no
+// locking.
+func (m *Manager) encodeEntry(w io.Writer, name string, f *grid.Field) (*Encoded, error) {
+	e := Entry{Name: name, Field: f, W: w}
+	vd := m.delta[name]
+	var sum [sha256.Size]byte
+	if vd != nil {
+		e.W, e.Slabs = nil, &vd.slabs
+		if vd.have {
+			if sum = sha256.Sum256(grid.FloatBytes(f.Data())); sum == vd.sum { // the array hashed where it lies
+				// Unchanged variable: re-emit the cached encoding. The copy
+				// keeps callers from sharing Timings mutations with the cache.
+				enc := *vd.enc
+				enc.Reused = true
+				return &enc, nil
+			}
+		}
 	}
-	sum := sha256.Sum256(grid.FloatBytes(f.Data())) // the array hashed where it lies
-	if vd.have && vd.sum == sum {
-		// Unchanged variable: re-emit the cached encoding. The copy keeps
-		// callers from sharing Timings mutations with the cache.
-		enc := *vd.enc
-		enc.Reused = true
-		return &enc, nil
+	var enc *Encoded
+	var err error
+	if ee, ok := m.codec.(EntryEncoder); ok {
+		enc, err = ee.EncodeEntry(e)
+	} else {
+		enc, err = m.codec.Encode(f)
 	}
-	enc, err := m.encodePlain(name, f)
-	if err != nil {
-		return nil, err
+	if err != nil || vd == nil || enc.SlabsTotal > 0 {
+		return enc, err
 	}
-	if enc.Payload == nil {
-		// Whole-entry reuse needs the payload bytes; a codec that only
-		// streams cannot be cached. Serve the encode, skip the cache.
-		return enc, nil
+	if !vd.have {
+		sum = sha256.Sum256(grid.FloatBytes(f.Data()))
 	}
 	cached := *enc
 	cached.Timings = core.Timings{}
 	cached.ChunkTimings = nil
-	vd.sum = sum
-	vd.enc = &cached
-	vd.have = true
+	vd.sum, vd.enc, vd.have = sum, &cached, true
 	return enc, nil
 }
 
@@ -155,12 +128,4 @@ func (r *Report) addReuse(enc *Encoded) {
 	if enc.SlabsTotal > 0 {
 		r.DeltaSlabsCompressed += enc.SlabsTotal - enc.SlabsReused
 	}
-}
-
-// encodePlain is the non-delta single-variable encode (buffered).
-func (m *Manager) encodePlain(name string, f *grid.Field) (*Encoded, error) {
-	if named, ok := m.codec.(NamedEncoder); ok {
-		return named.EncodeNamed(name, f)
-	}
-	return m.codec.Encode(f)
 }

@@ -92,9 +92,9 @@ func TestGzipShuffleCodecRoundTrip(t *testing.T) {
 }
 
 // TestTunedLossyCheckpoint: a tuner-equipped lossy codec checkpoints and
-// restores through both the buffered (NamedEncoder) and streaming
-// (NamedStreamEncoder) paths, and the tuner records decisions per
-// variable.
+// restores through both the buffered and the streaming checkpoint (one
+// EncodeEntry, with and without a writer), and the tuner records decisions
+// per variable.
 func TestTunedLossyCheckpoint(t *testing.T) {
 	reg := obs.NewRegistry()
 	codec := NewLossy()

@@ -54,8 +54,8 @@ func referenceCheckpoint(t *testing.T, codec Codec, names []string, fields []*gr
 	for i, name := range names {
 		var enc *Encoded
 		var err error
-		if named, ok := codec.(NamedEncoder); ok {
-			enc, err = named.EncodeNamed(name, fields[i])
+		if ee, ok := codec.(EntryEncoder); ok {
+			enc, err = ee.EncodeEntry(Entry{Name: name, Field: fields[i]})
 		} else {
 			enc, err = codec.Encode(fields[i])
 		}

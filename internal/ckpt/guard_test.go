@@ -274,7 +274,7 @@ func TestEntryGuaranteeSniff(t *testing.T) {
 	}
 	c := NewGuard(guard.Policy{MaxAbs: 1e-2})
 	f := smoothField(16, 16)
-	enc, err := c.EncodeNamed("x", f)
+	enc, err := c.EncodeEntry(Entry{Name: "x", Field: f})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,5 +287,3 @@ func TestEntryGuaranteeSniff(t *testing.T) {
 		t.Fatalf("corrupt envelope sniffed as %+v", g)
 	}
 }
-
-var _ NamedEncoder = (*Guard)(nil)

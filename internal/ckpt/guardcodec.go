@@ -7,15 +7,6 @@ import (
 	"lossyckpt/internal/tune"
 )
 
-// NamedEncoder is an optional Codec extension: codecs that care which
-// variable they are encoding (the guard applies per-variable policy
-// overrides and labels its telemetry) implement it, and the manager
-// prefers it over Encode when present. Implementations must be safe for
-// concurrent use, like Codec.
-type NamedEncoder interface {
-	EncodeNamed(name string, f *grid.Field) (*Encoded, error)
-}
-
 // Guard wraps the lossy pipeline in internal/guard's bounded-error
 // enforcement: every entry's payload is a guard envelope carrying the
 // guarantee it ships with, and violations degrade down the ladder to
@@ -48,23 +39,13 @@ func (*Guard) Name() string { return "guard" }
 func (*Guard) Lossless() bool { return false }
 
 // Encode implements Codec (no variable name: base policy only).
-func (c *Guard) Encode(f *grid.Field) (*Encoded, error) {
-	return c.EncodeNamed("", f)
-}
+func (c *Guard) Encode(f *grid.Field) (*Encoded, error) { return c.EncodeEntry(Entry{Field: f}) }
 
-// EncodeNamed implements NamedEncoder.
-func (c *Guard) EncodeNamed(name string, f *grid.Field) (*Encoded, error) {
-	opts := c.Options
-	opts.VarName = name
-	if c.Tuner != nil {
-		n := f.Len()
-		if n*8 > tuneSampleBytes {
-			n = tuneSampleBytes / 8
-		}
-		opts = c.Tuner.Decide(name, f.Bytes(), floatsToBytes(f.Data()[:n])).Apply(opts)
-		opts.VarName = name
-	}
-	out, err := guard.Encode(name, f, opts, c.Policy)
+// EncodeEntry implements EntryEncoder: the name selects the per-variable
+// policy override and labels the telemetry. The envelope leads with what the
+// ladder decided last, so the payload is built in memory and returned.
+func (c *Guard) EncodeEntry(e Entry) (*Encoded, error) {
+	out, err := guard.Encode(e.Name, e.Field, tunedOptions(c.Options, c.Tuner, e.Name, e.Field), c.Policy)
 	if err != nil {
 		return nil, err
 	}

@@ -435,27 +435,6 @@ func parseEntryBody(body []byte, i int) (*rawEntry, error) {
 	return &rawEntry{Name: name, Shape: shape, Payload: payload}, nil
 }
 
-// encodeEntry encodes one registered array: under delta rules when delta
-// is on, else streaming into w when w is non-nil and the codec can, else
-// buffered into Encoded.Payload.
-func (m *Manager) encodeEntry(w io.Writer, name string, f *grid.Field) (*Encoded, error) {
-	if m.delta != nil {
-		// Delta mode trades the zero-buffer streaming encode for payload
-		// reuse: the entry is encoded (or served from cache) buffered.
-		de, _ := m.codec.(DeltaEncoder)
-		return m.encodeDelta(name, f, m.delta[name], de)
-	}
-	if w != nil {
-		switch c := m.codec.(type) {
-		case NamedStreamEncoder:
-			return c.EncodeNamedTo(w, name, f)
-		case StreamEncoder:
-			return c.EncodeTo(w, f)
-		}
-	}
-	return m.encodePlain(name, f)
-}
-
 // streamHeader serializes the fixed prefix readStreamHeader parses.
 func (m *Manager) streamHeader(version, step int) []byte {
 	buf := binary.LittleEndian.AppendUint32(nil, fileMagic)
@@ -722,20 +701,4 @@ func (b *byteReader) str() string {
 	}
 	d := b.take(int(n))
 	return string(d)
-}
-
-// floatsToBytes serializes a float64 slice to little-endian bytes.
-func floatsToBytes(fs []float64) []byte {
-	out := make([]byte, 8*len(fs))
-	for i, f := range fs {
-		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(f))
-	}
-	return out
-}
-
-// bytesToFloatsInto fills dst from little-endian bytes.
-func bytesToFloatsInto(b []byte, dst []float64) {
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
 }

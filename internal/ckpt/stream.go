@@ -31,7 +31,6 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
-	"math"
 	"sync"
 	"time"
 
@@ -110,9 +109,9 @@ const streamSegment = 256 << 10
 
 // CheckpointStream compresses every registered array and writes one v2
 // checkpoint stream to w without the writer side ever buffering a whole
-// payload: codecs implementing StreamEncoder pipe their output straight
-// into the segment framing (the chunked lossy pipeline overlaps
-// compression with the write), others encode buffered per entry. Up to
+// payload: codecs that write an entry out as they produce it (Entry.W) pipe
+// their output straight into the segment framing (the chunked lossy pipeline
+// overlaps compression with the write), others encode buffered per entry. Up to
 // the manager's worker count of entries encode at once (pipeline.go): the
 // head of the stream writes through, the ones behind it spill at most
 // workers-1 compressed payloads, and the bytes written do not depend on
@@ -391,27 +390,4 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	n, err := c.w.Write(p)
 	c.n += n
 	return n, err
-}
-
-// writeFloatBlocks streams a float64 slice as little-endian bytes in
-// bounded blocks (256 KiB), so raw-payload codecs never materialize the
-// full byte image of an array.
-func writeFloatBlocks(w io.Writer, data []float64) error {
-	const blockFloats = 32 << 10 // 256 KiB per block
-	buf := make([]byte, 8*blockFloats)
-	for off := 0; off < len(data); off += blockFloats {
-		end := off + blockFloats
-		if end > len(data) {
-			end = len(data)
-		}
-		blk := data[off:end]
-		b := buf[:8*len(blk)]
-		for i, v := range blk {
-			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
-		}
-		if _, err := w.Write(b); err != nil {
-			return err
-		}
-	}
-	return nil
 }

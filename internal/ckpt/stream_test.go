@@ -13,8 +13,9 @@ import (
 )
 
 // streamCodecs are the codec configurations the v2 format tests sweep:
-// both StreamEncoder implementations (none, gzip, lossy chunked and
-// whole-array) and the buffered fallbacks (fpc, guard).
+// the ones that write an entry's payload out as they produce it (none, gzip,
+// lossy chunked) and the ones that return it whole (lossy whole-array, fpc,
+// guard).
 func streamCodecs() map[string]Codec {
 	chunked := NewLossy()
 	chunked.ChunkExtent = 16
@@ -400,7 +401,7 @@ func TestCheckpointStreamValidation(t *testing.T) {
 
 // TestStreamChunkedLossyUsesStreamingPath pins that the chunked lossy
 // codec's v2 payload is the exact chunked stream the buffered codec
-// produces — i.e. EncodeTo streamed the same frames CompressChunked
+// produces — i.e. EncodeEntry streamed the same frames CompressChunked
 // would have buffered.
 func TestStreamChunkedLossyUsesStreamingPath(t *testing.T) {
 	lossy := NewLossy()
@@ -412,12 +413,12 @@ func TestStreamChunkedLossyUsesStreamingPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer
-	enc, err := lossy.EncodeTo(&got, f)
+	enc, err := lossy.EncodeEntry(Entry{Field: f, W: &got})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if enc.Payload != nil {
-		t.Error("streaming EncodeTo returned a buffered payload")
+		t.Error("streaming EncodeEntry returned a buffered payload")
 	}
 	if !bytes.Equal(got.Bytes(), want.Data) {
 		t.Errorf("streamed payload differs from buffered chunked stream (%d vs %d bytes)",
@@ -457,26 +458,19 @@ func TestGzipEncodeToBoundedMemory(t *testing.T) {
 	for round := 0; round < 2; round++ { // the first leaves the encoder's recycled state grown
 		w := &matchWriter{want: want.Payload}
 		runtime.ReadMemStats(&before)
-		enc, err := g.EncodeTo(w, f)
+		enc, err := g.EncodeEntry(Entry{Field: f, W: w})
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if enc.Payload != nil || enc.RawBytes != f.Bytes() {
-			t.Errorf("EncodeTo reported %d payload bytes held, %d raw", len(enc.Payload), enc.RawBytes)
+			t.Errorf("EncodeEntry reported %d payload bytes held, %d raw", len(enc.Payload), enc.RawBytes)
 		}
 		if w.differs || w.off != len(want.Payload) {
-			t.Errorf("EncodeTo wrote %d bytes, Encode returns %d; differing: %v", w.off, len(want.Payload), w.differs)
+			t.Errorf("EncodeEntry wrote %d bytes, Encode returns %d; differing: %v", w.off, len(want.Payload), w.differs)
 		}
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > 2<<20 {
-		t.Errorf("EncodeTo allocated %d bytes for a %d-byte field, want under 2 MiB", got, f.Bytes())
+		t.Errorf("EncodeEntry allocated %d bytes for a %d-byte field, want under 2 MiB", got, f.Bytes())
 	}
 }
-
-// Interface conformance for the streaming codecs.
-var (
-	_ StreamEncoder = None{}
-	_ StreamEncoder = (*Gzip)(nil)
-	_ StreamEncoder = (*Lossy)(nil)
-)

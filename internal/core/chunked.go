@@ -4,7 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"lossyckpt/internal/entropy"
@@ -12,26 +15,15 @@ import (
 	"lossyckpt/internal/obs"
 )
 
-// recordChunkedCompress records the operation-level series for one
-// completed chunked compression (serial or parallel). The per-chunk stage
-// seconds were already folded in by the chunk-internal Compress calls.
-func recordChunkedCompress(opts Options, res *ChunkedResult) {
-	o := opts.observer()
-	if o == nil {
-		return
-	}
-	recordCompressOp(o, "chunked", res.RawBytes, res.StreamBytes, res.Timings)
-	o.Counter(MetricCompressChunks).Add(float64(res.Chunks))
-	entropy.RecordSelection(o, opts.entropyParams().Label(), opts.VarName)
-}
-
-// The paper stresses that compression must be "not only fast but also
-// scalable to checkpoint size" (§II-A) and that its O(n) pipeline keeps
-// its advantage "with larger checkpoint sizes" (§IV-D). Chunked
-// compression operationalizes that: the array is split along axis 0 into
-// slabs, each slab runs through the full pipeline independently, and the
-// output frames the per-chunk streams. Peak additional memory is one slab
-// instead of one array, and chunks decompress independently.
+// chunked.go is the chunked stream: its layout, its parser and the one
+// decoder. The paper stresses that compression must be "not only fast but
+// also scalable to checkpoint size" (§II-A) and that its O(n) pipeline keeps
+// its advantage "with larger checkpoint sizes" (§IV-D). Chunked compression
+// operationalizes that: the array is split along axis 0 into slabs, each slab
+// runs through the full pipeline independently (chunked_engine.go), and the
+// output frames the per-chunk streams. Slabs are independent in both
+// directions, so a bounded pool compresses or decodes them side by side, and
+// neither the bytes written nor the field reconstructed depend on its size.
 //
 // Chunked layout (little-endian):
 //
@@ -51,55 +43,7 @@ const (
 	chunkedVersion = 1
 )
 
-// ChunkedResult aggregates a chunked compression.
-type ChunkedResult struct {
-	// Data is the framed multi-chunk stream. CompressChunkedTo streams the
-	// frames to its writer instead of buffering them, so Data is nil there;
-	// StreamBytes carries the size either way.
-	Data []byte
-	// StreamBytes is the total framed stream length, header and per-chunk
-	// frames included — len(Data) for the buffered paths, the byte count
-	// written to w for CompressChunkedTo.
-	StreamBytes int
-	// Chunks is the number of slabs.
-	Chunks int
-	// RawBytes and CompressedBytes sum over chunks (CompressedBytes
-	// excludes the small framing overhead; StreamBytes includes it).
-	RawBytes        int
-	CompressedBytes int
-	// Timings aggregates the per-chunk phase breakdowns. The named phases
-	// and CPUTotal sum over chunks; Total is the wall-clock duration of
-	// the whole chunked compression. Under CompressChunkedParallel the
-	// summed CPUTotal exceeds the wall-clock Total — their ratio is the
-	// achieved parallel speedup. (Before the parallel engine existed,
-	// Total was the per-chunk sum; that quantity is now CPUTotal.)
-	Timings Timings
-	// Workers is the worker-pool size the compression actually used
-	// (1 for the serial CompressChunked path).
-	Workers int
-	// MaxCoeffError is the largest per-chunk Result.MaxCoeffError — the
-	// worst quantization error across every slab, usable the same way as
-	// the single-array field.
-	MaxCoeffError float64
-	// PerChunk holds each chunk's own phase breakdown in chunk order —
-	// the per-chunk waterfall the flight-recorder journal attaches to
-	// checkpoint wide events. Identical across the serial, parallel and
-	// streaming paths (chunks are folded in deterministic order).
-	PerChunk []Timings
-	// SlabsReused counts slabs whose compressed frame came from a
-	// SlabCache instead of the pipeline (CompressChunkedDelta only; zero
-	// elsewhere). Reused slabs contribute bytes and quality stats to the
-	// aggregate but no phase CPU.
-	SlabsReused int
-}
-
-// CompressionRatePct returns cr (Eq. 5) in percent, framing included.
-func (r *ChunkedResult) CompressionRatePct() float64 {
-	return 100 * float64(r.StreamBytes) / float64(r.RawBytes)
-}
-
-// chunkedHeader frames the stream prefix shared by the serial and parallel
-// compressors.
+// chunkedHeader frames the stream prefix.
 func chunkedHeader(shape []int, nChunks int) []byte {
 	hdr := make([]byte, 0, 64)
 	hdr = append32(hdr, chunkedMagic)
@@ -119,77 +63,6 @@ func slabAt(f *grid.Field, shape []int, planeElems, start, ext int) (*grid.Field
 	return grid.FromSlice(f.Data()[start*planeElems:(start+ext)*planeElems], slabShape...)
 }
 
-// addChunk folds one chunk's accounting into the aggregate: phases and
-// CPUTotal sum; the caller sets the wall-clock Total at the end.
-func (r *ChunkedResult) addChunk(cres *Result) {
-	r.Chunks++
-	r.CompressedBytes += cres.CompressedBytes
-	r.Timings.Wavelet += cres.Timings.Wavelet
-	r.Timings.Quantize += cres.Timings.Quantize
-	r.Timings.Encode += cres.Timings.Encode
-	r.Timings.Format += cres.Timings.Format
-	r.Timings.TempWrite += cres.Timings.TempWrite
-	r.Timings.Gzip += cres.Timings.Gzip
-	r.Timings.CPUTotal += cres.Timings.Total
-	r.PerChunk = append(r.PerChunk, cres.Timings)
-	if cres.MaxCoeffError > r.MaxCoeffError {
-		r.MaxCoeffError = cres.MaxCoeffError
-	}
-}
-
-// CompressChunked splits the field into slabs of chunkExtent planes along
-// axis 0 and compresses each independently with the same options. The
-// trailing slab may be smaller; every slab must satisfy the wavelet level
-// constraint, so chunkExtent must be ≥ 2^levels. Chunks are processed one
-// at a time on the calling goroutine; CompressChunkedParallel produces a
-// byte-identical stream using all cores.
-func CompressChunked(f *grid.Field, opts Options, chunkExtent int) (*ChunkedResult, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	if chunkExtent < 1 {
-		return nil, fmt.Errorf("%w: chunk extent %d", ErrOptions, chunkExtent)
-	}
-	wall := time.Now()
-	shape := f.Shape()
-	planeElems := f.Len() / shape[0]
-
-	res := &ChunkedResult{RawBytes: f.Bytes(), Workers: 1}
-	nChunks := (shape[0] + chunkExtent - 1) / chunkExtent
-	out := append([]byte(nil), chunkedHeader(shape, nChunks)...)
-
-	// Per-chunk Compress calls keep recording stage seconds (that is how
-	// the per-stage CPU counters aggregate), but the operation-level
-	// series are recorded once below for the whole chunked compression.
-	opts.chunkInternal = true
-
-	for start := 0; start < shape[0]; start += chunkExtent {
-		ext := chunkExtent
-		if rem := shape[0] - start; rem < ext {
-			ext = rem
-		}
-		slab, err := slabAt(f, shape, planeElems, start, ext)
-		if err != nil {
-			return nil, err
-		}
-		cres, err := Compress(slab, opts)
-		if err != nil {
-			return nil, fmt.Errorf("core: chunk at plane %d: %w", start, err)
-		}
-		var frame [12]byte
-		binary.LittleEndian.PutUint32(frame[0:], uint32(ext))
-		binary.LittleEndian.PutUint64(frame[4:], uint64(len(cres.Data)))
-		out = append(out, frame[:]...)
-		out = append(out, cres.Data...)
-		res.addChunk(cres)
-	}
-	res.Data = out
-	res.StreamBytes = len(out)
-	res.Timings.Total = time.Since(wall)
-	recordChunkedCompress(opts, res)
-	return res, nil
-}
-
 // chunkFrame is one parsed chunk of a chunked stream: its leading-axis
 // extent, starting plane, and compressed payload (aliasing the input).
 type chunkFrame struct {
@@ -198,11 +71,10 @@ type chunkFrame struct {
 	payload []byte
 }
 
-// parseChunked validates the framing of a CompressChunked stream and
-// returns the array shape plus every chunk's frame. Payload slices alias
-// data. Parsing is cheap (header and length fields only) — payload
-// decompression is left to the caller so it can run serially or on a
-// worker pool.
+// parseChunked validates the framing of a chunked stream and returns the
+// array shape plus every chunk's frame. Payload slices alias data. Parsing
+// is cheap (header and length fields only); the payloads are decoded on the
+// pool.
 func parseChunked(data []byte) (shape []int, frames []chunkFrame, err error) {
 	pos := 0
 	need := func(n int) ([]byte, error) {
@@ -324,10 +196,21 @@ func decodeChunkInto(f *grid.Field, shape []int, planeElems, c int, fr chunkFram
 	return err
 }
 
-// DecompressChunked reconstructs the field from a CompressChunked stream,
-// decoding chunks one at a time on the calling goroutine.
-func DecompressChunked(data []byte) (*grid.Field, error) {
+// DecompressAnyParallel is the decoder: it reconstructs the field from a
+// plain Compress stream or a chunked one, told apart by the leading magic, on
+// up to workers goroutines (0 = GOMAXPROCS, 1 = serial). A chunked stream's
+// payloads decode on the pool straight into their disjoint plane ranges of the
+// output; a plain stream bounds the wavelet inverse instead. The
+// reconstruction is identical for every worker count.
+func DecompressAnyParallel(data []byte, workers int) (*grid.Field, error) {
 	start := time.Now()
+	if len(data) < 4 || binary.LittleEndian.Uint32(data) != chunkedMagic {
+		f, err := decodeTo(data, workers, grid.New)
+		if err == nil {
+			recordDecompressOp(obs.Default(), "single", f.Bytes(), time.Since(start))
+		}
+		return f, err
+	}
 	shape, frames, err := parseChunked(data)
 	if err != nil {
 		return nil, err
@@ -337,22 +220,36 @@ func DecompressChunked(data []byte) (*grid.Field, error) {
 		return nil, err
 	}
 	planeElems := f.Len() / shape[0]
-	for c, fr := range frames {
-		if err := decodeChunkInto(f, shape, planeElems, c, fr, 0); err != nil {
+	pool := workers
+	if pool <= 0 {
+		pool = runtime.GOMAXPROCS(0)
+	}
+	// Chunks side by side already use the pool; only a pool of one leaves
+	// the caller's count to the wavelet inverse inside each chunk.
+	inner := workers
+	if pool = min(pool, len(frames)); pool > 1 {
+		inner = 1
+	}
+	errs := make([]error, len(frames))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < pool; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for c := int(next.Add(1)) - 1; c < len(frames); c = int(next.Add(1)) - 1 {
+				errs[c] = decodeChunkInto(f, shape, planeElems, c, frames[c], inner)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
 			return nil, err
 		}
 	}
 	recordDecompressOp(obs.Default(), "chunked", f.Bytes(), time.Since(start))
 	return f, nil
-}
-
-// DecompressAny decodes either a plain Compress stream or a chunked
-// CompressChunked stream, sniffing the leading magic bytes.
-func DecompressAny(data []byte) (*grid.Field, error) {
-	if len(data) >= 4 && binary.LittleEndian.Uint32(data) == chunkedMagic {
-		return DecompressChunked(data)
-	}
-	return Decompress(data)
 }
 
 func append16(b []byte, v uint16) []byte {

@@ -22,8 +22,8 @@ func frameStream(shape []int, frames []chunkFrame) []byte {
 	return out
 }
 
-// TestChunkedDecodeInPlaceMatchesPerSlab: every chunked decoder reconstructs
-// each slab straight into its plane range of the output; the result must be
+// TestChunkedDecodeInPlaceMatchesPerSlab: the decoder reconstructs each
+// slab straight into its plane range of the output; the result must be
 // what decoding each payload on its own and copying it there gives, bit for
 // bit, for every worker count.
 func TestChunkedDecodeInPlaceMatchesPerSlab(t *testing.T) {
@@ -75,11 +75,11 @@ func TestChunkedDecodeInPlaceMatchesPerSlab(t *testing.T) {
 				}
 			}
 		}
-		got, err := DecompressChunked(res.Data)
-		check("DecompressChunked", got, err)
+		got, err := Decompress(res.Data)
+		check("Decompress", got, err)
 		for _, workers := range []int{1, 2, 8} {
-			got, err := DecompressChunkedParallel(res.Data, workers)
-			check("DecompressChunkedParallel", got, err)
+			got, err := DecompressAnyParallel(res.Data, workers)
+			check("DecompressAnyParallel", got, err)
 		}
 	}
 }
@@ -125,12 +125,12 @@ func TestChunkedDecodeRefusesSlabShapeBeforeWriting(t *testing.T) {
 		}
 
 		stream := frameStream(shape, bad)
-		if _, err := DecompressChunked(stream); !errors.Is(err, ErrChunked) {
-			t.Errorf("%s slab: DecompressChunked = %v, want ErrChunked", name, err)
+		if _, err := Decompress(stream); !errors.Is(err, ErrChunked) {
+			t.Errorf("%s slab: Decompress = %v, want ErrChunked", name, err)
 		}
 		for _, workers := range []int{1, 2, 8} {
-			if _, err := DecompressChunkedParallel(stream, workers); !errors.Is(err, ErrChunked) {
-				t.Errorf("%s slab: DecompressChunkedParallel(%d) = %v, want ErrChunked", name, workers, err)
+			if _, err := DecompressAnyParallel(stream, workers); !errors.Is(err, ErrChunked) {
+				t.Errorf("%s slab: DecompressAnyParallel(%d) = %v, want ErrChunked", name, workers, err)
 			}
 		}
 	}

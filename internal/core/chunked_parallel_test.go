@@ -43,8 +43,9 @@ func parallelWorkerSweep() []int {
 }
 
 // TestChunkedParallelByteIdentical is the engine's core guarantee: for any
-// shape (1D/2D/3D, odd trailing slabs included) and any worker count, the
-// parallel stream is byte-for-byte the serial CompressChunked stream.
+// shape (1D/2D/3D, odd trailing slabs, fewer chunks than workers) and any
+// worker count, every exported entry point's stream is byte-for-byte the
+// serial oracle's (chunked_oracle_test.go).
 func TestChunkedParallelByteIdentical(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -60,55 +61,29 @@ func TestChunkedParallelByteIdentical(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			f := tc.field
-			serial, err := CompressChunked(f, DefaultOptions(), tc.chunk)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range parallelWorkerSweep() {
-				opts := DefaultOptions()
-				opts.Workers = workers
-				par, err := CompressChunkedParallel(f, opts, tc.chunk)
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				if !bytes.Equal(serial.Data, par.Data) {
-					t.Fatalf("workers=%d: parallel stream differs from serial (%d vs %d bytes)",
-						workers, len(par.Data), len(serial.Data))
-				}
-				if par.Chunks != serial.Chunks {
-					t.Errorf("workers=%d: %d chunks, serial had %d", workers, par.Chunks, serial.Chunks)
-				}
-				if par.CompressedBytes != serial.CompressedBytes {
-					t.Errorf("workers=%d: compressed bytes %d vs %d", workers, par.CompressedBytes, serial.CompressedBytes)
-				}
-			}
+			checkEntryPoints(t, tc.field, DefaultOptions(), tc.chunk)
 		})
 	}
 }
 
 // TestDecompressChunkedParallelMatchesSerial checks the decode side: the
-// parallel decoder reconstructs bit-identical fields for every worker
-// count, including via the sniffing DecompressAnyParallel entry point.
+// decoder reconstructs bit-identical fields for every worker count, through
+// Decompress as through DecompressAnyParallel.
 func TestDecompressChunkedParallelMatchesSerial(t *testing.T) {
 	f := smooth3D(130, 20, 2, 47)
 	res, err := CompressChunked(f, DefaultOptions(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := DecompressChunked(res.Data)
+	want, err := DecompressAnyParallel(res.Data, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range parallelWorkerSweep() {
-		got, err := DecompressChunkedParallel(res.Data, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !want.Equal(got) {
-			t.Fatalf("workers=%d: parallel reconstruction differs", workers)
-		}
-		got, err = DecompressAnyParallel(res.Data, workers)
+	if got, err := Decompress(res.Data); err != nil || !want.Equal(got) {
+		t.Fatalf("Decompress of a chunked stream: %v, equal=%v", err, err == nil && want.Equal(got))
+	}
+	for _, workers := range append(parallelWorkerSweep(), 0, 64) {
+		got, err := DecompressAnyParallel(res.Data, workers)
 		if err != nil {
 			t.Fatalf("any workers=%d: %v", workers, err)
 		}
@@ -140,7 +115,7 @@ func TestChunkedParallelTimings(t *testing.T) {
 	f := smooth3D(128, 20, 2, 48)
 	opts := DefaultOptions()
 	opts.Workers = 2
-	res, err := CompressChunkedParallel(f, opts, 16)
+	res, err := CompressChunked(f, opts, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,10 +133,10 @@ func TestChunkedParallelTimings(t *testing.T) {
 	if phases > res.Timings.CPUTotal {
 		t.Errorf("summed phases %v exceed CPUTotal %v", phases, res.Timings.CPUTotal)
 	}
-	// Serial path: CPUTotal is the per-chunk sum and the wall clock covers
-	// it, so Total >= CPUTotal cannot be asserted strictly (framing rides
-	// on top) — but both must still be positive and Workers must be 1.
-	sres, err := CompressChunked(f, DefaultOptions(), 16)
+	// Serial is a pool of one: CPUTotal is the per-chunk sum and the wall
+	// clock covers it.
+	opts.Workers = 1
+	sres, err := CompressChunked(f, opts, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +174,7 @@ func TestTimingsOtherClampedUnderParallel(t *testing.T) {
 	for _, workers := range parallelWorkerSweep() {
 		opts := DefaultOptions()
 		opts.Workers = workers
-		res, err := CompressChunkedParallel(f, opts, 16)
+		res, err := CompressChunked(f, opts, 16)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -217,8 +192,8 @@ func TestCompressWorkersOptionValidation(t *testing.T) {
 	if _, err := Compress(f, opts); err == nil {
 		t.Error("negative Workers accepted by Compress")
 	}
-	if _, err := CompressChunkedParallel(f, opts, 8); err == nil {
-		t.Error("negative Workers accepted by CompressChunkedParallel")
+	if _, err := CompressChunked(f, opts, 8); err == nil {
+		t.Error("negative Workers accepted by CompressChunked")
 	}
 }
 

@@ -20,7 +20,7 @@ func TestChunkedRoundTrip(t *testing.T) {
 		if res.Chunks != wantChunks {
 			t.Errorf("chunk %d: %d chunks, want %d", chunk, res.Chunks, wantChunks)
 		}
-		g, err := DecompressChunked(res.Data)
+		g, err := Decompress(res.Data)
 		if err != nil {
 			t.Fatalf("chunk %d: decompress: %v", chunk, err)
 		}
@@ -50,7 +50,7 @@ func TestChunkedMatchesUnchunkedQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunked, err := DecompressChunked(res.Data)
+	chunked, err := Decompress(res.Data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,24 +85,24 @@ func TestChunkedDecompressErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecompressChunked(nil); err == nil {
+	if _, err := Decompress(nil); err == nil {
 		t.Error("nil input accepted")
 	}
-	if _, err := DecompressChunked([]byte("garbage stream")); err == nil {
+	if _, err := Decompress([]byte("garbage stream")); err == nil {
 		t.Error("garbage accepted")
 	}
 	for _, cut := range []int{3, 10, len(res.Data) / 2, len(res.Data) - 1} {
-		if _, err := DecompressChunked(res.Data[:cut]); err == nil {
+		if _, err := Decompress(res.Data[:cut]); err == nil {
 			t.Errorf("truncation to %d accepted", cut)
 		}
 	}
 	mut := append([]byte(nil), res.Data...)
 	mut[len(mut)/2] ^= 0xFF
-	if _, err := DecompressChunked(mut); err == nil {
+	if _, err := Decompress(mut); err == nil {
 		t.Error("corruption accepted")
 	}
 	trailing := append(append([]byte(nil), res.Data...), 0xAB)
-	if _, err := DecompressChunked(trailing); err == nil {
+	if _, err := Decompress(trailing); err == nil {
 		t.Error("trailing garbage accepted")
 	}
 }
@@ -113,7 +113,7 @@ func TestChunked1D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := DecompressChunked(res.Data)
+	g, err := Decompress(res.Data)
 	if err != nil {
 		t.Fatal(err)
 	}

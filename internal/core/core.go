@@ -82,7 +82,7 @@ type Options struct {
 	// zero value, entropy.Gzip, keeps the paper's DEFLATE stage and — with
 	// Shuffle off — produces the exact legacy byte stream, no envelope.
 	// Any other selection wraps the payload in the self-describing entropy
-	// envelope, which Decompress/DecompressAny consume transparently.
+	// envelope, which Decompress consumes transparently.
 	// entropy.LZ4 trades compression ratio for >4× stage-4 throughput.
 	EntropyCodec entropy.ID
 	// Shuffle runs the byte-lane transpose pre-pass over the formatted
@@ -111,8 +111,8 @@ type Options struct {
 	LogQuant bool
 	// Workers bounds the intra-array parallelism of the pipeline: the
 	// wavelet transform shards large axis passes over this many goroutines,
-	// and CompressChunkedParallel / DecompressChunkedParallel use it as the
-	// chunk worker-pool size. 0 means GOMAXPROCS; 1 forces the serial path.
+	// and a chunked compression uses it as the chunk worker-pool size. 0
+	// means GOMAXPROCS; 1 forces the serial path.
 	// The compressed output is byte-identical for every worker count.
 	Workers int
 	// ErrorBound, when positive, overrides Divisions: the pipeline picks
@@ -553,16 +553,9 @@ func (s *Stages) Release() {
 }
 
 // Decompress inverts the pipeline, reconstructing the (lossy) field from a
-// stream produced by Compress. Large wavelet inverse passes run on
-// GOMAXPROCS goroutines; DecompressAnyParallel bounds that.
-func Decompress(data []byte) (*grid.Field, error) {
-	start := time.Now()
-	f, err := decodeTo(data, 0, grid.New)
-	if err == nil {
-		recordDecompressOp(obs.Default(), "single", f.Bytes(), time.Since(start))
-	}
-	return f, err
-}
+// stream produced by Compress or by a chunked compression:
+// DecompressAnyParallel on GOMAXPROCS goroutines.
+func Decompress(data []byte) (*grid.Field, error) { return DecompressAnyParallel(data, 0) }
 
 // formattedBufs recycles the formatted container: the stage-4a output of
 // Stages.Encode and the stage-4 output of decodeTo.
@@ -681,10 +674,8 @@ func CompressGzipOnly(f *grid.Field, level int, mode gzipio.Mode, tmpDir string)
 	start := time.Now()
 	res := &Result{RawBytes: f.Bytes()}
 
-	t0 := time.Now()
-	raw := floatBytes(f.Data())
+	raw := grid.FloatBytes(f.Data()) // read where it lies: DEFLATE only reads it
 	res.FormattedBytes = len(raw)
-	res.Timings.Format = time.Since(t0)
 
 	gz, err := gzipio.Compress(raw, level, mode, tmpDir)
 	if err != nil {
@@ -718,6 +709,6 @@ func DecompressGzipOnly(data []byte, shape ...int) (*grid.Field, error) {
 	if len(raw) != 8*f.Len() {
 		return nil, fmt.Errorf("core: gzip payload is %d bytes, shape %v needs %d", len(raw), shape, 8*f.Len())
 	}
-	bytesToFloats(raw, f.Data())
+	grid.PutFloatBytes(f.Data(), raw)
 	return f, nil
 }

@@ -17,7 +17,7 @@ func compressedSample(t *testing.T, chunk int) []byte {
 	opts := DefaultOptions()
 	opts.Workers = 1
 	if chunk > 0 {
-		res, err := CompressChunkedParallel(f, opts, chunk)
+		res, err := CompressChunked(f, opts, chunk)
 		if err != nil {
 			t.Fatal(err)
 		}

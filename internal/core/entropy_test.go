@@ -44,9 +44,8 @@ func TestEntropyCodecRoundTrip(t *testing.T) {
 			t.Fatalf("%s shuffle=%v: non-default selection produced a bare gzip stream", opts.EntropyCodec, opts.Shuffle)
 		}
 		for name, dec := range map[string]func([]byte) (interface{ Data() []float64 }, error){
-			"Decompress":    func(d []byte) (interface{ Data() []float64 }, error) { return Decompress(d) },
-			"DecompressAny": func(d []byte) (interface{ Data() []float64 }, error) { return DecompressAny(d) },
-			"AnyParallel":   func(d []byte) (interface{ Data() []float64 }, error) { return DecompressAnyParallel(d, 2) },
+			"Decompress":  func(d []byte) (interface{ Data() []float64 }, error) { return Decompress(d) },
+			"AnyParallel": func(d []byte) (interface{ Data() []float64 }, error) { return DecompressAnyParallel(d, 2) },
 		} {
 			g, err := dec(res.Data)
 			if err != nil {
@@ -122,7 +121,7 @@ func TestEntropyChunkedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := DecompressAny(cres.Data)
+	g, err := Decompress(cres.Data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,16 +37,16 @@ func FuzzDecompressChunked(f *testing.F) {
 		f.Add(res.Data[:len(res.Data)-3])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		out, err := DecompressChunked(data)
+		out, err := DecompressAnyParallel(data, 1)
 		if err == nil && out == nil {
 			t.Fatal("nil field without error")
 		}
 	})
 }
 
-// FuzzDecompressChunkedParallel differentially checks the parallel decoder
-// against the serial one: for arbitrary input both must agree on whether
-// the stream is valid, and on the reconstructed field when it is.
+// FuzzDecompressChunkedParallel differentially checks the decoder on a pool
+// against itself on one goroutine: for arbitrary input both must agree on
+// whether the stream is valid, and on the reconstructed field when it is.
 func FuzzDecompressChunkedParallel(f *testing.F) {
 	f.Add([]byte{})
 	fld := smooth3D(24, 8, 2, 97)
@@ -58,8 +58,8 @@ func FuzzDecompressChunkedParallel(f *testing.F) {
 		f.Add(mut)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		serial, serialErr := DecompressChunked(data)
-		par, parErr := DecompressChunkedParallel(data, 3)
+		serial, serialErr := DecompressAnyParallel(data, 1)
+		par, parErr := DecompressAnyParallel(data, 3)
 		if (serialErr == nil) != (parErr == nil) {
 			t.Fatalf("error disagreement: serial %v, parallel %v", serialErr, parErr)
 		}

@@ -8,7 +8,7 @@ import (
 
 // observe.go folds the pipeline's Timings accounting into the obs layer.
 // Per-stage CPU is recorded by every Compress call — including the
-// chunk-internal calls a chunked-parallel compression fans out — so the
+// chunk-internal calls a chunked compression fans out — so the
 // stage counters aggregate per-worker CPU correctly (each worker's adds
 // are atomic). Operation-level series (counts, bytes, wall clock) are
 // recorded only by the top-level call, suppressed on chunk-internal ones
@@ -28,10 +28,12 @@ const (
 	MetricDecompressOps    = "lossyckpt_decompress_operations_total"
 	MetricDecompressWall   = "lossyckpt_decompress_wall_seconds"
 	MetricDecompressBytes  = "lossyckpt_decompress_raw_bytes_total"
-	// Streaming-pipeline series (CompressChunkedTo): time the ordered
-	// writer spends stalled waiting for the next in-order chunk, time
-	// spent writing to the destination, and a gauge of compressed chunks
-	// in flight between the workers and the writer.
+	// Chunk-pipeline series, recorded by every chunked compression
+	// (compressChunks): time the ordered consumer spends stalled waiting for
+	// the next in-order chunk, time spent handing pieces to the destination
+	// (≈ 0 for a buffered compression, which only collects them), and a
+	// gauge of compressed chunks in flight between the workers and the
+	// consumer.
 	MetricStreamStallSeconds = "lossyckpt_stream_stall_seconds_total"
 	MetricStreamWriteSeconds = "lossyckpt_stream_write_seconds_total"
 	MetricStreamInflight     = "lossyckpt_stream_inflight_chunks"

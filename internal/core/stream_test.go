@@ -5,22 +5,21 @@ import (
 	"errors"
 	"testing"
 
+	"lossyckpt/internal/grid"
 	"lossyckpt/internal/gzipio"
 	"lossyckpt/internal/stats"
 )
 
-// TestCompressChunkedToByteIdentical pins the streaming pipeline's core
-// contract: the bytes reaching the writer are exactly the buffered
-// CompressChunked stream, for every worker count and for ragged trailing
-// chunks.
+// TestCompressChunkedToByteIdentical pins the streaming entry point's core
+// contract: the bytes reaching the writer are exactly the oracle's, as are
+// every other entry point's, for every worker count (0 = GOMAXPROCS and
+// more workers than chunks included) and for ragged trailing chunks.
 func TestCompressChunkedToByteIdentical(t *testing.T) {
 	f := smooth3D(130, 20, 2, 7) // 130 planes: uneven trailing chunk
 	for _, chunk := range []int{2, 32, 130} {
-		want, err := CompressChunked(f, DefaultOptions(), chunk)
-		if err != nil {
-			t.Fatalf("chunk %d: buffered: %v", chunk, err)
-		}
-		for _, workers := range []int{0, 1, 2, 3, 8} {
+		checkEntryPoints(t, f, DefaultOptions(), chunk)
+		want := refCompressChunked(t, f, DefaultOptions(), chunk)
+		for _, workers := range []int{0, 3, 8} {
 			opts := DefaultOptions()
 			opts.Workers = workers
 			var buf bytes.Buffer
@@ -28,49 +27,25 @@ func TestCompressChunkedToByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("chunk %d workers %d: %v", chunk, workers, err)
 			}
-			if !bytes.Equal(buf.Bytes(), want.Data) {
-				t.Fatalf("chunk %d workers %d: stream differs from buffered (%d vs %d bytes)",
-					chunk, workers, buf.Len(), len(want.Data))
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Fatalf("chunk %d workers %d: stream differs from the oracle (%d vs %d bytes)",
+					chunk, workers, buf.Len(), len(want))
 			}
-			if res.Data != nil {
-				t.Errorf("chunk %d workers %d: streaming result buffered Data", chunk, workers)
-			}
-			if res.StreamBytes != buf.Len() {
-				t.Errorf("chunk %d workers %d: StreamBytes %d, wrote %d", chunk, workers, res.StreamBytes, buf.Len())
-			}
-			if res.Chunks != want.Chunks {
-				t.Errorf("chunk %d workers %d: %d chunks, want %d", chunk, workers, res.Chunks, want.Chunks)
-			}
-			if res.CompressionRatePct() != want.CompressionRatePct() {
-				t.Errorf("chunk %d workers %d: cr %.3f%%, want %.3f%%",
-					chunk, workers, res.CompressionRatePct(), want.CompressionRatePct())
+			if got := 100 * float64(len(want)) / float64(f.Bytes()); res.CompressionRatePct() != got {
+				t.Errorf("chunk %d workers %d: cr %.3f%%, want %.3f%%", chunk, workers, res.CompressionRatePct(), got)
 			}
 		}
 	}
 }
 
-// errAfterWriter fails on the write after n successful ones, exercising
-// the pipeline's early-exit path (workers must drain, not leak).
-type errAfterWriter struct {
-	n int
-}
-
 var errSink = errors.New("sink failed")
-
-func (w *errAfterWriter) Write(p []byte) (int, error) {
-	if w.n <= 0 {
-		return 0, errSink
-	}
-	w.n--
-	return len(p), nil
-}
 
 func TestCompressChunkedToWriterError(t *testing.T) {
 	f := smooth3D(64, 16, 2, 9)
 	opts := DefaultOptions()
 	opts.Workers = 3
 	for _, ok := range []int{0, 1, 3} {
-		_, err := CompressChunkedTo(&errAfterWriter{n: ok}, f, opts, 8)
+		_, err := CompressChunkedTo(&countingWriter{failAt: ok + 1}, f, opts, 8)
 		if !errors.Is(err, errSink) {
 			t.Fatalf("after %d writes: error %v, want sink failure", ok, err)
 		}
@@ -118,7 +93,7 @@ func TestGzipBlockRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v workers %d: decompress: %v", format, workers, err)
 			}
-			if !bytes.Equal(floatBytes(g.Data()), floatBytes(wantField.Data())) {
+			if !bytes.Equal(grid.FloatBytes(g.Data()), grid.FloatBytes(wantField.Data())) {
 				t.Errorf("%v workers %d: reconstruction differs from serial-stage pipeline", format, workers)
 			}
 			s, _ := stats.Compare(f.Data(), g.Data())

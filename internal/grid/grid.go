@@ -251,6 +251,9 @@ func (f *Field) String() string {
 // occupies: 8 bytes per element.
 func (f *Field) Bytes() int { return 8 * len(f.data) }
 
+// littleEndian: the host lays a float64 out the way the streams do.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
 // FloatBytes is the little-endian byte image of fs — the bytes every stream
 // and fingerprint in this repository defines a float64 array by — to be read
 // only: on a little-endian host the slice's own memory, elsewhere a copy.
@@ -258,7 +261,7 @@ func FloatBytes(fs []float64) []byte {
 	if len(fs) == 0 {
 		return nil
 	}
-	if binary.NativeEndian.Uint16([]byte{1, 0}) == 1 {
+	if littleEndian {
 		return unsafe.Slice((*byte)(unsafe.Pointer(&fs[0])), 8*len(fs))
 	}
 	out := make([]byte, 8*len(fs))
@@ -266,6 +269,18 @@ func FloatBytes(fs []float64) []byte {
 		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(f))
 	}
 	return out
+}
+
+// PutFloatBytes is the inverse: it fills dst from its little-endian byte
+// image b, which must hold 8*len(dst) bytes.
+func PutFloatBytes(dst []float64, b []byte) {
+	if littleEndian {
+		copy(FloatBytes(dst), b[:8*len(dst)])
+		return
+	}
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
 }
 
 // Scratch is a pooled float64 buffer for the field-sized temporaries of the

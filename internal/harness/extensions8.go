@@ -1,9 +1,7 @@
 package harness
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -12,21 +10,6 @@ import (
 	"lossyckpt/internal/quant"
 	"lossyckpt/internal/tune"
 )
-
-// floatBytes serializes at most maxBytes of a float64 slice as the
-// little-endian byte image the entropy stage sees — the autotuner's
-// probe sample.
-func floatBytes(data []float64, maxBytes int) []byte {
-	n := len(data)
-	if n*8 > maxBytes {
-		n = maxBytes / 8
-	}
-	buf := make([]byte, 8*n)
-	for i, v := range data[:n] {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-	}
-	return buf
-}
 
 // EntropyStage is experiment X14: the paper's §IV-D attributes most of
 // the compression time to the entropy stage; this runner sweeps the
@@ -145,7 +128,7 @@ func EntropyStage(cfg Config) (*Table, error) {
 	if cfg.Autotune {
 		objectives = append(objectives, tune.Throughput, tune.Ratio)
 	}
-	sample := floatBytes(temp.Data(), 256<<10)
+	sample := tune.Sample(temp.Data())
 	for _, obj := range objectives {
 		tn := tune.New(tune.Config{Objective: obj})
 		setting := tn.Decide("temperature", temp.Bytes(), sample)

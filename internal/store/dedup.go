@@ -313,31 +313,18 @@ func (s *Store) commitDedupLocked(seq uint64, step int, expireAt int64, feed fun
 		ExpireAt: expireAt,
 		Flags:    GenFlagDedup,
 	}
-	next := manifest{NextSeq: seq + 1, Gens: append(s.generationsLocked(), gen)}
-	var dropped []Generation
-	if s.opts.Keep > 0 && len(next.Gens) > s.opts.Keep {
-		cut := len(next.Gens) - s.opts.Keep
-		dropped = append(dropped, next.Gens[:cut]...)
-		next.Gens = append([]Generation(nil), next.Gens[cut:]...)
-	}
-	if err := s.writeManifest(next); err != nil {
+	if err := s.indexLocked(gen, func() {
+		s.dd.idx.Add(refs)
+		s.dd.recipes[seq] = refs
+		s.dd.recipeBytes[seq] = int64(len(raw))
+	}); err != nil {
 		// The recipe object is durable but unindexed: garbage the next
 		// sweep collects. The chunks are removed now — nothing indexed
 		// references them.
 		abort()
-		return Generation{}, fmt.Errorf("store: commit gen %d: manifest: %w", seq, err)
-	}
-	s.man = next
-	s.dd.idx.Add(refs)
-	s.dd.recipes[seq] = refs
-	s.dd.recipeBytes[seq] = int64(len(raw))
-	for _, g := range dropped {
-		s.releaseGenLocked(g)
+		return Generation{}, err
 	}
 	if o := s.observer(); o != nil {
-		if len(dropped) > 0 {
-			o.Counter(MetricPrunedGens).Add(float64(len(dropped)))
-		}
 		o.Counter(MetricDedupChunksNew).Add(float64(len(newChunks)))
 		o.Counter(MetricDedupChunksReused).Add(float64(reused))
 		o.Counter(MetricDedupLogicalBytes).Add(float64(cw.n))

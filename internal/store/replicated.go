@@ -317,45 +317,16 @@ func (r *ReplicatedStore) CommitCtx(ctx context.Context, step int, parts ...[]by
 	// Seq and expiry are coordinator-assigned so every replica records
 	// the identical generation and quorum voting stays byte-exact.
 	seq := r.nextSeqLocked()
-	exp := r.expireStamp()
+	exp := r.opts.expireStamp()
 	results := make(chan commitRes, len(live))
 	for _, idx := range live {
 		idx, st := idx, r.replicas[idx].st
 		r.enqueueLocked(idx, func() {
-			gen, err := st.commitStreamAt(ctx, seq, step, exp, feedParts(parts))
+			gen, err := st.commit(ctx, seq, step, exp, -1, feedParts(parts))
 			results <- commitRes{idx: idx, gen: gen, err: err}
 		})
 	}
 	return r.collectQuorumLocked("commit", seq, results, len(live))
-}
-
-// now resolves the coordinator's wall clock.
-func (r *ReplicatedStore) now() time.Time {
-	if r.opts.Now != nil {
-		return r.opts.Now()
-	}
-	return time.Now()
-}
-
-// expireStamp returns the expiry second for a generation committed now
-// (0 when TTL retention is off).
-func (r *ReplicatedStore) expireStamp() int64 {
-	if r.opts.TTL <= 0 {
-		return 0
-	}
-	return r.now().Add(r.opts.TTL).Unix()
-}
-
-// ttlSkewSeconds resolves the clock-skew tolerance for expiry checks.
-func (r *ReplicatedStore) ttlSkewSeconds() int64 {
-	switch {
-	case r.opts.TTLSkew > 0:
-		return int64(r.opts.TTLSkew / time.Second)
-	case r.opts.TTLSkew < 0:
-		return 0
-	default:
-		return 30
-	}
 }
 
 // fanoutWriter tees a producer's stream into one pipe per replica. A
@@ -410,7 +381,7 @@ func (r *ReplicatedStore) CommitStreamCtx(ctx context.Context, step int, write f
 		return Generation{}, r.quorumFailure("commit", fmt.Errorf("%d live replicas < quorum %d", len(live), r.w))
 	}
 	seq := r.nextSeqLocked()
-	exp := r.expireStamp()
+	exp := r.opts.expireStamp()
 	results := make(chan commitRes, len(live))
 	pws := make([]*io.PipeWriter, len(live))
 	for i, idx := range live {
@@ -418,7 +389,7 @@ func (r *ReplicatedStore) CommitStreamCtx(ctx context.Context, step int, write f
 		pws[i] = pw
 		idx, st := idx, r.replicas[idx].st
 		r.enqueueLocked(idx, func() {
-			gen, err := st.commitStreamAt(ctx, seq, step, exp, func(w io.Writer) error {
+			gen, err := st.commit(ctx, seq, step, exp, -1, func(w io.Writer) error {
 				_, cerr := io.Copy(w, pr)
 				return cerr
 			})
@@ -803,7 +774,7 @@ func (r *ReplicatedStore) Scrub(opts ScrubOptions) (rep *ScrubReport, err error)
 			// Expired generations are exempt — replica-local TTL pruning is
 			// about to remove them everywhere, and re-materializing a copy
 			// one replica already pruned would ping-pong against it.
-			nowU, skew := r.now().Unix(), r.ttlSkewSeconds()
+			nowU, skew := r.opts.now().Unix(), r.opts.ttlSkewSeconds()
 			for seq, want := range agreed {
 				if want.Expired(nowU, skew) {
 					continue

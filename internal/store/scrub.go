@@ -192,8 +192,8 @@ func (s *Store) Scrub(opts ScrubOptions) (rep *ScrubReport, err error) {
 	// survives, and the skew tolerance keeps replicas with disagreeing
 	// clocks from prune/repair ping-pong.
 	if n := len(survivors); n > 0 {
-		nowU := s.now().Unix()
-		skew := s.ttlSkewSeconds()
+		nowU := s.opts.now().Unix()
+		skew := s.opts.ttlSkewSeconds()
 		kept := survivors[:0]
 		for i, g := range survivors {
 			if i < n-1 && g.Expired(nowU, skew) {

@@ -294,27 +294,59 @@ func (s *Store) Commit(step int, payload []byte) (gen Generation, err error) {
 // framing and bodies in separate slices (ckpt.Manager.CheckpointTo) commits
 // them so.
 func (s *Store) CommitCtx(ctx context.Context, step int, parts ...[]byte) (gen Generation, err error) {
+	return s.commit(ctx, autoSeq, step, 0, partsLen(parts), feedParts(parts))
+}
+
+// autoSeq asks commit for the store's next sequence number and an expiry
+// stamped now.
+const autoSeq = ^uint64(0)
+
+// commit is the one way into a commit body, behind every exported Commit*
+// and the replicated coordinator: argument and context checks, the lock,
+// the request context the retry loop observes, the sequence number, the
+// commit span (size labels it; negative: not known up front). A coordinator
+// passes the
+// sequence number AND the expiry stamp, so a replicated commit records
+// byte-identical metadata on every replica (an expiry computed per replica
+// would break quorum record voting); a seq behind the store's own is
+// ErrSeqConflict.
+func (s *Store) commit(ctx context.Context, seq uint64, step int, expireAt int64, size int, feed func(io.Writer) error) (gen Generation, err error) {
 	if step < 0 {
 		return Generation{}, fmt.Errorf("store: negative step %d", step)
 	}
+	if seq == 0 {
+		return Generation{}, fmt.Errorf("%w: sequence numbers are 1-based", ErrSeqConflict)
+	}
 	if err := ctx.Err(); err != nil {
-		return Generation{}, fmt.Errorf("store: commit: %w", err)
+		if seq == autoSeq {
+			return Generation{}, fmt.Errorf("store: commit: %w", err)
+		}
+		return Generation{}, fmt.Errorf("store: commit gen %d: %w", seq, err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.opCtx = ctx
 	defer func() { s.opCtx = nil }()
+	switch next := s.nextSeqLocked(); {
+	case seq == autoSeq:
+		seq, expireAt = next, s.opts.expireStamp()
+	case seq < next:
+		return Generation{}, fmt.Errorf("%w: commit at %d but store is at %d", ErrSeqConflict, seq, next)
+	}
 	if o := s.observer(); o != nil {
-		size := partsLen(parts)
-		sp := o.StartSpan(MetricCommitSpan, "step", fmt.Sprint(step), "bytes", fmt.Sprint(size))
+		bytesLabel := "streamed"
+		if size >= 0 {
+			bytesLabel = fmt.Sprint(size)
+		}
+		sp := o.StartSpan(MetricCommitSpan, "step", fmt.Sprint(step), "bytes", bytesLabel)
 		defer func() {
 			sp.EndErr(err)
 			if err == nil {
-				o.Counter(MetricCommitBytes).Add(float64(size))
+				o.Counter(MetricCommitBytes).Add(float64(gen.Size))
 			}
 		}()
 	}
-	return s.commitAtLocked(s.nextSeqLocked(), step, s.expireStamp(), feedParts(parts))
+	return s.commitAtLocked(seq, step, expireAt, feed)
 }
 
 // feedParts is the producer of a payload held in memory: each part written
@@ -429,10 +461,22 @@ func (s *Store) commitAtLocked(seq uint64, step int, expireAt int64, feed func(i
 		CRC:      cw.crc,
 		ExpireAt: expireAt,
 	}
-	// The manifest update is the commit point: before it, the store
-	// still indexes the previous latest; after it, the new generation is
-	// the latest-good.
-	next := manifest{NextSeq: seq + 1, Gens: append(s.generationsLocked(), gen)}
+	if err := s.indexLocked(gen, nil); err != nil {
+		return Generation{}, err
+	}
+	jop.SetBytes(int64(cw.n), int64(cw.n))
+	return gen, nil
+}
+
+// indexLocked is the tail both commit bodies share: gen's record appended,
+// the Keep ring applied, the manifest written — the commit point: before it
+// the store still indexes the previous latest, after it gen is the
+// latest-good — and adopted, then what fell off the ring released. adopted,
+// if not nil, runs between the two: what must be on the books before a
+// release (a dedup commit's chunk references, or a chunk it shares with a
+// dropped generation would go).
+func (s *Store) indexLocked(gen Generation, adopted func()) error {
+	next := manifest{NextSeq: gen.Seq + 1, Gens: append(s.generationsLocked(), gen)}
 	var dropped []Generation
 	if s.opts.Keep > 0 && len(next.Gens) > s.opts.Keep {
 		cut := len(next.Gens) - s.opts.Keep
@@ -440,10 +484,12 @@ func (s *Store) commitAtLocked(seq uint64, step int, expireAt int64, feed func(i
 		next.Gens = append([]Generation(nil), next.Gens[cut:]...)
 	}
 	if err := s.writeManifest(next); err != nil {
-		return Generation{}, fmt.Errorf("store: commit gen %d: manifest: %w", seq, err)
+		return fmt.Errorf("store: commit gen %d: manifest: %w", gen.Seq, err)
 	}
 	s.man = next
-
+	if adopted != nil {
+		adopted()
+	}
 	// Prune outside the ring, best effort: a leftover file is garbage,
 	// not corruption, and the next Open sweeps unindexed generations too.
 	for _, g := range dropped {
@@ -452,24 +498,23 @@ func (s *Store) commitAtLocked(seq uint64, step int, expireAt int64, feed func(i
 	if o := s.observer(); o != nil && len(dropped) > 0 {
 		o.Counter(MetricPrunedGens).Add(float64(len(dropped)))
 	}
-	jop.SetBytes(int64(cw.n), int64(cw.n))
-	return gen, nil
+	return nil
 }
 
-// now resolves the store's wall clock.
-func (s *Store) now() time.Time {
-	if s.opts.Now != nil {
-		return s.opts.Now()
+// now resolves the wall clock.
+func (o Options) now() time.Time {
+	if o.Now != nil {
+		return o.Now()
 	}
 	return time.Now()
 }
 
 // ttlSkewSeconds resolves the clock-skew tolerance for expiry checks.
-func (s *Store) ttlSkewSeconds() int64 {
+func (o Options) ttlSkewSeconds() int64 {
 	switch {
-	case s.opts.TTLSkew > 0:
-		return int64(s.opts.TTLSkew / time.Second)
-	case s.opts.TTLSkew < 0:
+	case o.TTLSkew > 0:
+		return int64(o.TTLSkew / time.Second)
+	case o.TTLSkew < 0:
 		return 0
 	default:
 		return 30
@@ -478,11 +523,11 @@ func (s *Store) ttlSkewSeconds() int64 {
 
 // expireStamp returns the expiry second for a generation committed now
 // (0 when TTL retention is off).
-func (s *Store) expireStamp() int64 {
-	if s.opts.TTL <= 0 {
+func (o Options) expireStamp() int64 {
+	if o.TTL <= 0 {
 		return 0
 	}
-	return s.now().Add(s.opts.TTL).Unix()
+	return o.now().Add(o.TTL).Unix()
 }
 
 // PutGeneration installs an externally known generation record plus its

@@ -2,7 +2,6 @@ package store
 
 import (
 	"context"
-	"fmt"
 	"io"
 )
 
@@ -31,26 +30,7 @@ func (s *Store) CommitStream(step int, write func(io.Writer) error) (gen Generat
 // sleeps, the partial payload is removed, and the previous latest
 // generation stays indexed.
 func (s *Store) CommitStreamCtx(ctx context.Context, step int, write func(io.Writer) error) (gen Generation, err error) {
-	if step < 0 {
-		return Generation{}, fmt.Errorf("store: negative step %d", step)
-	}
-	if err := ctx.Err(); err != nil {
-		return Generation{}, fmt.Errorf("store: commit: %w", err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.opCtx = ctx
-	defer func() { s.opCtx = nil }()
-	if o := s.observer(); o != nil {
-		sp := o.StartSpan(MetricCommitSpan, "step", fmt.Sprint(step), "bytes", "streamed")
-		defer func() {
-			sp.EndErr(err)
-			if err == nil {
-				o.Counter(MetricCommitBytes).Add(float64(gen.Size))
-			}
-		}()
-	}
-	return s.commitAtLocked(s.nextSeqLocked(), step, s.expireStamp(), write)
+	return s.commit(ctx, autoSeq, step, 0, -1, write)
 }
 
 // CommitStreamAt is CommitStream with a caller-chosen sequence number —
@@ -58,38 +38,5 @@ func (s *Store) CommitStreamCtx(ctx context.Context, step int, write func(io.Wri
 // assigns one seq across N replicas. seq below the store's NextSeq means
 // this replica has already seen newer state: ErrSeqConflict.
 func (s *Store) CommitStreamAt(seq uint64, step int, write func(io.Writer) error) (Generation, error) {
-	return s.commitStreamAt(context.Background(), seq, step, s.expireStamp(), write)
-}
-
-// commitStreamAt is the coordinator-facing commit core: the sequence
-// number AND the expiry stamp arrive from the caller, so a replicated
-// commit records byte-identical metadata on every replica (an expiry
-// computed per replica would break quorum record voting).
-func (s *Store) commitStreamAt(ctx context.Context, seq uint64, step int, expireAt int64, write func(io.Writer) error) (gen Generation, err error) {
-	if step < 0 {
-		return Generation{}, fmt.Errorf("store: negative step %d", step)
-	}
-	if seq == 0 {
-		return Generation{}, fmt.Errorf("%w: sequence numbers are 1-based", ErrSeqConflict)
-	}
-	if err := ctx.Err(); err != nil {
-		return Generation{}, fmt.Errorf("store: commit gen %d: %w", seq, err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.opCtx = ctx
-	defer func() { s.opCtx = nil }()
-	if seq < s.nextSeqLocked() {
-		return Generation{}, fmt.Errorf("%w: commit at %d but store is at %d", ErrSeqConflict, seq, s.nextSeqLocked())
-	}
-	if o := s.observer(); o != nil {
-		sp := o.StartSpan(MetricCommitSpan, "step", fmt.Sprint(step), "bytes", "streamed")
-		defer func() {
-			sp.EndErr(err)
-			if err == nil {
-				o.Counter(MetricCommitBytes).Add(float64(gen.Size))
-			}
-		}()
-	}
-	return s.commitAtLocked(seq, step, expireAt, write)
+	return s.commit(context.Background(), seq, step, s.opts.expireStamp(), -1, write)
 }

@@ -20,6 +20,7 @@ import (
 
 	"lossyckpt/internal/core"
 	"lossyckpt/internal/entropy"
+	"lossyckpt/internal/grid"
 	"lossyckpt/internal/gzipio"
 	"lossyckpt/internal/obs"
 	"lossyckpt/internal/obs/journal"
@@ -174,6 +175,16 @@ type candidate struct {
 	setting Setting
 	seconds float64
 	ratio   float64 // compressed/raw on the sample
+}
+
+// SampleBytes bounds the probe sample Sample takes off an array.
+const SampleBytes = 256 << 10
+
+// Sample is the probe sample of one array for Decide: the byte image of its
+// leading SampleBytes, read where it lies (grid.FloatBytes), so taking one
+// for a decision the tuner has cached costs nothing.
+func Sample(data []float64) []byte {
+	return grid.FloatBytes(data[:min(len(data), SampleBytes/8)])
 }
 
 // Decide returns the entropy setting for one variable. sample should be

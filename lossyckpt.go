@@ -247,8 +247,10 @@ func NewGuardCodec(pol GuardPolicy) Codec { return ckpt.NewGuard(pol) }
 type ChunkedResult = core.ChunkedResult
 
 // CompressChunked compresses the field in slabs of chunkExtent planes
-// along axis 0, bounding peak memory for very large arrays; each slab is
-// an independent stream inside one framed output.
+// along axis 0 on a pool of opts.Workers goroutines (0 = all cores, 1 =
+// serial), bounding peak memory for very large arrays; each slab is an
+// independent stream inside one framed output, the same bytes for every
+// worker count.
 func CompressChunked(f *Field, opts Options, chunkExtent int) (*ChunkedResult, error) {
 	return core.CompressChunked(f, opts, chunkExtent)
 }
@@ -263,8 +265,8 @@ func CompressChunkedTo(w io.Writer, f *Field, opts Options, chunkExtent int) (*C
 }
 
 // DecompressAny decodes either a Compress stream or a CompressChunked
-// stream, sniffing the framing.
-func DecompressAny(data []byte) (*Field, error) { return core.DecompressAny(data) }
+// stream, sniffing the framing: the one decoder, as Decompress is.
+func DecompressAny(data []byte) (*Field, error) { return core.Decompress(data) }
 
 // PSNR returns the peak signal-to-noise ratio in decibels between an
 // original and a reconstructed field — the metric the later SZ/ZFP

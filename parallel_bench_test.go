@@ -78,7 +78,7 @@ func benchmarkChunkedParallel(b *testing.B, f *grid.Field) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.CompressChunkedParallel(f, opts, parallelChunkExtent); err != nil {
+				if _, err := core.CompressChunked(f, opts, parallelChunkExtent); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -112,7 +112,7 @@ func BenchmarkChunkedParallelDecompress(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.DecompressChunkedParallel(res.Data, workers); err != nil {
+				if _, err := core.DecompressAnyParallel(res.Data, workers); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -275,7 +275,7 @@ func BenchmarkChunkedParallelObs(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.CompressChunkedParallel(f, opts, parallelChunkExtent); err != nil {
+			if _, err := core.CompressChunked(f, opts, parallelChunkExtent); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -298,7 +298,7 @@ func BenchmarkChunkedParallelJournal(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			op := j.Begin("ckpt.checkpoint", "codec", "lossy", "mode", "chunked")
-			res, err := core.CompressChunkedParallel(f, opts, parallelChunkExtent)
+			res, err := core.CompressChunked(f, opts, parallelChunkExtent)
 			if err != nil {
 				op.End(err)
 				b.Fatal(err)
