@@ -30,9 +30,12 @@ test:
 # chunk views while it cuts the next — or recycle one state, as DEFLATE
 # streams encoded side by side do: the race detector only sees interleavings
 # that happen. The quant line quantizes in Scratches recycled through one
-# pool by four goroutines; the last one runs the chunked engine's pool beside
+# pool by four goroutines; the core line runs the chunked engine's pool beside
 # its consumer, with a slab cache, a failing slab, a failing writer and a
-# writer that rewrites the slabs not yet started.
+# writer that rewrites the slabs not yet started. The last line is the
+# replicated fan-out, one coordinator for both commit shapes: per-replica
+# chains, the producer's pipes, stragglers that outlive the quorum's answer, a
+# replica that dies mid-stream, and an inline repair beside them.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'KernelsMatchLaneReference|WorkersBitIdentical' ./internal/wavelet
@@ -40,6 +43,7 @@ race:
 	$(GO) test -race -count=10 -run 'DeflateDependsOnInputAlone|ByteStableAcrossWorkers' ./internal/gzipio
 	$(GO) test -race -count=10 -run 'QuantizeDependsOnInputAlone' ./internal/quant
 	$(GO) test -race -count=10 -run 'Engine|ChunkedParallelByteIdentical|CompressChunkedDeltaByteIdentical' ./internal/core
+	$(GO) test -race -count=10 -run 'InlineRepair|ReplicatedStreamCommit|ReplicatedSlowReplica|ReplicatedCommitSurvivesOneDeadReplica' ./internal/store
 
 # loc prints the non-test Go line count per package and in total (bench/
 # excluded): the figure ROADMAP.md quotes and a simplification PR is held to.

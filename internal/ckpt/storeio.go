@@ -36,19 +36,7 @@ func (m *Manager) CheckpointTo(st store.Target, step int) (rep *Report, gen stor
 // context reaches the store's commit and retry path, so a cancelled
 // request aborts the commit instead of sleeping out backoff ladders.
 func (m *Manager) CheckpointToCtx(ctx context.Context, st store.Target, step int) (rep *Report, gen store.Generation, err error) {
-	// Open the checkpoint wide event here so the store's commit and vote
-	// records become children of the same operation; the inner
-	// Checkpoint call enriches it (see journal.go).
-	op := m.journal().Begin("ckpt.checkpoint", "codec", m.codec.Name(), "mode", "buffered")
-	if op != nil {
-		op.SetStep(step)
-		m.curOp = op
-		defer func() {
-			m.curOp = nil
-			op.SetSeq(gen.Seq)
-			op.End(err)
-		}()
-	}
+	defer m.checkpointOp("buffered", step)(&gen, &err)
 	// Every entry is encoded before the store sees a byte — an encode error
 	// touches no store — and the stream is committed as the slices it
 	// consists of, the payloads the codecs' own.
@@ -60,6 +48,66 @@ func (m *Manager) CheckpointToCtx(ctx context.Context, st store.Target, step int
 		return nil, store.Generation{}, err
 	}
 	return rep, gen, nil
+}
+
+// checkpointOp opens the checkpoint wide event of a save into a store, so
+// the store's commit and vote records become children of the same operation
+// and the inner Checkpoint call enriches it (see journal.go). The function it
+// returns closes the event with the save's outcome; defer it.
+func (m *Manager) checkpointOp(mode string, step int) func(*store.Generation, *error) {
+	op := m.journal().Begin("ckpt.checkpoint", "codec", m.codec.Name(), "mode", mode)
+	if op == nil {
+		return func(*store.Generation, *error) {}
+	}
+	op.SetStep(step)
+	m.curOp = op
+	return func(gen *store.Generation, err *error) {
+		m.curOp = nil
+		op.SetSeq(gen.Seq)
+		op.End(*err)
+	}
+}
+
+// newestFirst is the walk every restore from a store makes: try on each
+// generation, newest first, in a strict pass — only bytes that verify against
+// the manifest — and, only if no generation restores so, a lenient one that
+// hands over whatever bytes are there for frame-level recovery. It returns at
+// the first try that succeeds; when none does, every failure is joined into
+// ErrStoreEmpty. skipped, if not nil, hears of each generation the strict
+// pass had to pass over, and why.
+func newestFirst(ctx context.Context, st store.Target, skipped func(seq uint64, reason string), try func(g store.Generation, data []byte, lenient bool) error) error {
+	gens := st.Generations()
+	var failures []error
+	for _, lenient := range []bool{false, true} {
+		for i := len(gens) - 1; i >= 0; i-- {
+			if cerr := ctx.Err(); cerr != nil {
+				return fmt.Errorf("ckpt: restore: %w", cerr)
+			}
+			g := gens[i]
+			data, verified, err := st.ReadGenerationRaw(g.Seq)
+			reason := "restore_error"
+			switch {
+			case err != nil:
+				reason = "read_error"
+			case !verified && !lenient:
+				err, reason = store.ErrCorrupt, "unverified"
+			default:
+				err = try(g, data, lenient)
+			}
+			switch {
+			case err == nil:
+				return nil
+			case lenient:
+				failures = append(failures, fmt.Errorf("gen %d partial: %w", g.Seq, err))
+			default:
+				failures = append(failures, fmt.Errorf("gen %d: %w", g.Seq, err))
+				if skipped != nil {
+					skipped(g.Seq, reason)
+				}
+			}
+		}
+	}
+	return fmt.Errorf("%w: %d generations tried: %v", ErrStoreEmpty, len(gens), errors.Join(failures...))
 }
 
 // StoreRestore reports which generation a store-level restore used and
@@ -88,9 +136,6 @@ type StoreRestore struct {
 // array. Every failure is carried in the returned error if nothing at
 // all is restorable.
 func (m *Manager) RestoreLatest(st store.Target) (sr *StoreRestore, err error) {
-	gens := st.Generations()
-	var failures []error
-
 	o := m.observer()
 	op := m.journal().Begin("ckpt.restore_latest", "codec", m.codec.Name())
 	if op != nil {
@@ -107,57 +152,24 @@ func (m *Manager) RestoreLatest(st store.Target) (sr *StoreRestore, err error) {
 			op.End(err)
 		}()
 	}
-
-	// Pass 1: full restore, newest generation first.
-	for i := len(gens) - 1; i >= 0; i-- {
-		g := gens[i]
-		data, verified, err := st.ReadGenerationRaw(g.Seq)
-		if err != nil {
-			failures = append(failures, fmt.Errorf("gen %d: %w", g.Seq, err))
-			m.recordFallback(o, g.Seq, "read_error")
-			continue
-		}
-		if !verified {
-			failures = append(failures, fmt.Errorf("gen %d: %w", g.Seq, store.ErrCorrupt))
-			m.recordFallback(o, g.Seq, "unverified")
-			continue
-		}
-		rep, _, err := m.restore(&byteReader{b: data}, false)
-		if err != nil {
-			failures = append(failures, fmt.Errorf("gen %d: %w", g.Seq, err))
-			m.recordFallback(o, g.Seq, "restore_error")
-			continue
-		}
-		return &StoreRestore{
-			Generation: g.Seq,
-			Step:       rep.Step,
-			Restored:   namesOf(rep),
-			Report:     rep,
-		}, nil
-	}
-
-	// Pass 2: partial recovery from damaged generations, newest first.
-	for i := len(gens) - 1; i >= 0; i-- {
-		g := gens[i]
-		data, _, err := st.ReadGenerationRaw(g.Seq)
-		if err != nil {
-			continue
-		}
-		rep, skipped, err := m.restore(&byteReader{b: data}, true)
-		if err != nil {
-			failures = append(failures, fmt.Errorf("gen %d partial: %w", g.Seq, err))
-			continue
-		}
-		return &StoreRestore{
-			Generation: g.Seq,
-			Step:       rep.Step,
-			Partial:    len(skipped) > 0,
-			Restored:   namesOf(rep),
-			Skipped:    skipped,
-			Report:     rep,
-		}, nil
-	}
-	return nil, fmt.Errorf("%w: %d generations tried: %v", ErrStoreEmpty, len(gens), errors.Join(failures...))
+	err = newestFirst(context.Background(), st,
+		func(seq uint64, reason string) { m.recordFallback(o, seq, reason) },
+		func(g store.Generation, data []byte, lenient bool) error {
+			rep, skipped, err := m.restore(&byteReader{b: data}, lenient)
+			if err != nil {
+				return err
+			}
+			sr = &StoreRestore{
+				Generation: g.Seq,
+				Step:       rep.Step,
+				Partial:    len(skipped) > 0,
+				Restored:   namesOf(rep),
+				Skipped:    skipped,
+				Report:     rep,
+			}
+			return nil
+		})
+	return sr, err
 }
 
 // recordFallback counts one generation the restore walk had to skip,
@@ -233,47 +245,13 @@ func LoadLatestCtx(ctx context.Context, st store.Target, workers int) (lc *Loade
 		}
 		op.End(err)
 	}()
-	gens := st.Generations()
-	var failures []error
-
-	load := func(g store.Generation, lenient bool) (*LoadedCheckpoint, error) {
-		data, verified, err := st.ReadGenerationRaw(g.Seq)
-		if err != nil {
-			return nil, err
+	err = newestFirst(ctx, st, nil, func(g store.Generation, data []byte, lenient bool) (err error) {
+		if lc, err = loadStream(&byteReader{b: data}, workers, lenient); err == nil {
+			lc.Generation = g.Seq
 		}
-		if !verified && !lenient {
-			return nil, store.ErrCorrupt
-		}
-		lc, err := loadStream(&byteReader{b: data}, workers, lenient)
-		if err != nil {
-			return nil, err
-		}
-		lc.Generation = g.Seq
-		return lc, nil
-	}
-	for i := len(gens) - 1; i >= 0; i-- {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, fmt.Errorf("ckpt: restore: %w", cerr)
-		}
-		lc, err := load(gens[i], false)
-		if err != nil {
-			failures = append(failures, fmt.Errorf("gen %d: %w", gens[i].Seq, err))
-			continue
-		}
-		return lc, nil
-	}
-	for i := len(gens) - 1; i >= 0; i-- {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, fmt.Errorf("ckpt: restore: %w", cerr)
-		}
-		lc, err := load(gens[i], true)
-		if err != nil {
-			failures = append(failures, fmt.Errorf("gen %d partial: %w", gens[i].Seq, err))
-			continue
-		}
-		return lc, nil
-	}
-	return nil, fmt.Errorf("%w: %d generations tried: %v", ErrStoreEmpty, len(gens), errors.Join(failures...))
+		return err
+	})
+	return lc, err
 }
 
 // decoderFor builds the codec a registration-free reader decodes with.

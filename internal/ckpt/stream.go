@@ -247,18 +247,7 @@ func (m *Manager) CheckpointStreamTo(st store.Target, step int) (rep *Report, ge
 // the whole pipeline down cleanly — partial payload removed, previous
 // latest generation still indexed.
 func (m *Manager) CheckpointStreamToCtx(ctx context.Context, st store.Target, step int) (rep *Report, gen store.Generation, err error) {
-	// Like CheckpointTo: own the wide event so store commit/vote records
-	// join the same operation; CheckpointStream enriches it.
-	op := m.journal().Begin("ckpt.checkpoint", "codec", m.codec.Name(), "mode", "stream")
-	if op != nil {
-		op.SetStep(step)
-		m.curOp = op
-		defer func() {
-			m.curOp = nil
-			op.SetSeq(gen.Seq)
-			op.End(err)
-		}()
-	}
+	defer m.checkpointOp("stream", step)(&gen, &err)
 	gen, err = st.CommitStreamCtx(ctx, step, func(w io.Writer) error {
 		var cerr error
 		rep, cerr = m.CheckpointStreamCtx(ctx, w, step)

@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"lossyckpt/internal/cas"
+	"lossyckpt/internal/obs"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/commit_journal.golden from the current commit path")
@@ -148,6 +151,8 @@ func TestCommitPartsEqualsJoined(t *testing.T) {
 				}
 				return openTest(t, dir, opts), func() {}
 			}
+			reg := obs.NewRegistry()
+			opts.Observer = reg
 			refDir := t.TempDir()
 			ref, wait := open(refDir)
 			wantGen, err := ref.CommitCtx(ctx, 3, payload)
@@ -155,6 +160,22 @@ func TestCommitPartsEqualsJoined(t *testing.T) {
 				t.Fatal(err)
 			}
 			wait()
+			// A buffered commit's span says how many bytes it was handed, on
+			// one store and on every replica of three alike.
+			spans := 0
+			events, _ := reg.Events()
+			for _, ev := range events {
+				if ev.Name != MetricCommitSpan {
+					continue
+				}
+				spans++
+				if i := slices.Index(ev.Attrs, "bytes"); i < 0 || ev.Attrs[i+1] != fmt.Sprint(len(payload)) {
+					t.Fatalf("commit span labelled %v, want bytes=%d", ev.Attrs, len(payload))
+				}
+			}
+			if spans == 0 {
+				t.Fatal("the commit recorded no span")
+			}
 			want := storeImage(t, refDir)
 			for _, at := range splits {
 				dir := t.TempDir()

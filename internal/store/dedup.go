@@ -1,6 +1,8 @@
 // dedup.go is the store half of the content-addressed dedup layer.
 // With Options.Dedup on, a commit no longer stores the logical payload:
-// the byte stream is cut into content-defined chunks (internal/cas),
+// materializeLocked (store.go) — the one body every commit and every repair
+// runs — puts a dedupWriter in front of the payload writer, so the byte
+// stream is cut into content-defined chunks (internal/cas),
 // each chunk is written at most once under its SHA-256 name through the
 // backend's durable-write protocol, and the generation's payload object
 // becomes a small recipe listing the chunk references. The manifest
@@ -12,7 +14,8 @@
 // Crash consistency is inherited, not re-invented: every chunk is
 // durable before the recipe commits, the recipe is durable before the
 // manifest commits, and the manifest update remains the single commit
-// point. A crash anywhere leaves at worst unreferenced chunks and an
+// point; indexLocked books a generation's references before it releases
+// those of whatever the generation displaced. A crash anywhere leaves at worst unreferenced chunks and an
 // unindexed recipe — garbage, never corruption — collected by the next
 // Open (orphan-chunk sweep) or GC pass.
 //
@@ -35,15 +38,14 @@ package store
 import (
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"lossyckpt/internal/cas"
-	"lossyckpt/internal/obs/journal"
 )
 
 // dedupState is the in-memory side of the chunk store: the refcount
@@ -71,63 +73,77 @@ func newDedupState(cfg cas.Config) *dedupState {
 	}
 }
 
-// loadDedupLocked rebuilds the refcount ledger from the recipes of
-// every indexed dedup generation plus whatever sits in quarantine, then
-// sweeps orphan chunks (crash leftovers) — the open half of the "no
-// chunk leaks beyond one GC cycle" guarantee. Unreadable indexed
-// recipes disable the orphan sweep for this open (fail-safe: never
-// sweep a chunk whose liveness is unknown); the scrubber will
-// quarantine the recipe and the next GC converges.
-func (s *Store) loadDedupLocked() {
-	anyDedup := s.opts.Dedup
-	for _, g := range s.man.Gens {
-		if g.Dedup() {
-			anyDedup = true
-			break
-		}
-	}
-	chunkNames, _ := s.b.ListChunks()
-	if !anyDedup && len(chunkNames) == 0 {
-		return
-	}
-	safeToSweep := true
+// markLocked is the mark phase Open, GC and fsck share: a fresh ledger and
+// recipe bookkeeping computed from durable state alone — the recipe of every
+// indexed dedup generation, plus the references of whatever in quarantine
+// parses as a recipe (counted in quarantined; a quarantined recipe must stay
+// salvageable). What an indexed recipe that cannot be read or decoded means
+// is the caller's policy: unreadable gets each one, and a non-nil return
+// stops the walk.
+func (s *Store) markLocked(unreadable func(Generation, error) error) (dd *dedupState, quarantined int, err error) {
+	dd = newDedupState(s.dd.cfg)
 	for _, g := range s.man.Gens {
 		if !g.Dedup() {
 			continue
 		}
-		raw, err := s.b.ReadPayload(g.Seq, nil)
-		if err != nil {
-			safeToSweep = false
+		raw, rerr := s.b.ReadPayload(g.Seq, nil)
+		var rec *cas.Recipe
+		if rerr == nil {
+			rec, rerr = cas.DecodeRecipe(raw)
+		}
+		if rerr != nil {
+			if err := unreadable(g, rerr); err != nil {
+				return dd, quarantined, err
+			}
 			continue
 		}
-		rec, derr := cas.DecodeRecipe(raw)
-		if derr != nil {
-			safeToSweep = false
-			continue
-		}
-		s.dd.idx.Add(rec.Chunks)
-		s.dd.recipes[g.Seq] = rec.Chunks
-		s.dd.recipeBytes[g.Seq] = int64(len(raw))
+		dd.idx.Add(rec.Chunks)
+		dd.recipes[g.Seq] = rec.Chunks
+		dd.recipeBytes[g.Seq] = int64(len(raw))
 	}
-	if qs, err := s.b.QuarantinedPayloads(); err == nil {
+	if qs, qerr := s.b.QuarantinedPayloads(); qerr == nil {
 		for _, raw := range qs {
 			if rec, derr := cas.DecodeRecipe(raw); derr == nil {
-				s.dd.idx.Add(rec.Chunks)
+				dd.idx.Add(rec.Chunks)
+				quarantined++
 			}
 		}
 	}
-	if !safeToSweep {
-		return
-	}
-	swept := 0
-	for _, name := range chunkNames {
-		h, perr := cas.ParseHash(name)
-		if perr == nil && s.dd.idx.Has(h) {
+	return dd, quarantined, nil
+}
+
+// sweepChunksLocked removes the chunk files among names that idx does not
+// hold, and returns how many.
+func (s *Store) sweepChunksLocked(names []string, idx *cas.Index) (swept int) {
+	for _, name := range names {
+		if h, perr := cas.ParseHash(name); perr == nil && idx.Has(h) {
 			continue
 		}
 		s.b.RemoveChunk(name)
 		swept++
 	}
+	return swept
+}
+
+// loadDedupLocked rebuilds the refcount ledger at Open, then sweeps orphan
+// chunks (crash leftovers) — the open half of the "no chunk leaks beyond one
+// GC cycle" guarantee. Unreadable indexed recipes disable the orphan sweep
+// for this open (fail-safe: never sweep a chunk whose liveness is unknown);
+// the scrubber will quarantine the recipe and the next GC converges.
+func (s *Store) loadDedupLocked() {
+	chunkNames, _ := s.b.ListChunks()
+	if !s.opts.Dedup && len(chunkNames) == 0 && !slices.ContainsFunc(s.man.Gens, Generation.Dedup) {
+		return
+	}
+	safeToSweep := true
+	s.dd, _, _ = s.markLocked(func(Generation, error) error {
+		safeToSweep = false
+		return nil
+	})
+	if !safeToSweep {
+		return
+	}
+	swept := s.sweepChunksLocked(chunkNames, s.dd.idx)
 	if o := s.observer(); o != nil && swept > 0 {
 		o.Counter(MetricGCSweptChunks).Add(float64(swept))
 		o.Event("store.dedup_open_sweep", "dir", s.dir, "swept", swept)
@@ -149,14 +165,21 @@ type chunkBatch struct {
 	hashed sync.WaitGroup
 }
 
-// dedupWriter is the sink of a dedup commit: it cuts the stream into chunks,
-// has them hashed a batch at a time on a second goroutine while it cuts on,
-// and writes the chunks the ledger does not hold. The chunks are views of the
+// dedupWriter is the front of a dedup generation's materialisation
+// (materializeLocked, its only maker): it cuts the stream into chunks, has
+// them hashed a batch at a time on a second goroutine while it cuts on, and
+// writes the chunks the ledger does not hold. The chunks are views of the
 // slice being written and of the chunker's carried buffer, both reused once
 // Write returns, so every Write ends by settling what it emitted.
 type dedupWriter struct {
-	s           *Store
-	chunker     *cas.Chunker
+	s       *Store
+	chunker *cas.Chunker
+	// repair is set when the stream re-materialises a generation a replica
+	// lost or damaged: the ledger is then no proof of a chunk — the repair runs
+	// precisely because some chunk it counts is missing or corrupt on disk,
+	// and a quarantined recipe keeps that hash referenced — so a ledger hit is
+	// checked against the durable copy, and what does not check out rewritten.
+	repair      bool
 	cur, flying *chunkBatch // being collected; being hashed
 	err         error       // the first failure; nothing is written after it
 
@@ -210,7 +233,7 @@ func (w *dedupWriter) land(b *chunkBatch) {
 		}
 		h := b.sums[i]
 		w.refs = append(w.refs, cas.Ref{Hash: h, Len: uint32(len(chunk))})
-		if w.s.dd.idx.Has(h) || w.staged[h] {
+		if w.held(h) {
 			w.reused++
 			continue
 		}
@@ -221,6 +244,21 @@ func (w *dedupWriter) land(b *chunkBatch) {
 		w.newChunks = append(w.newChunks, h)
 		w.newBytes += int64(len(chunk))
 	}
+}
+
+// held reports whether h's chunk needs no write: this stream wrote it already,
+// or the ledger holds it — whose word a repair checks against the chunk file,
+// once per hash.
+func (w *dedupWriter) held(h cas.Hash) bool {
+	if w.staged[h] || !w.s.dd.idx.Has(h) {
+		return w.staged[h]
+	}
+	if w.repair {
+		data, err := w.s.b.ReadChunk(h.String(), nil)
+		w.staged[h] = err == nil && cas.Sum(data) == h
+		return w.staged[h]
+	}
+	return true
 }
 
 // settle lands everything emitted so far.
@@ -248,96 +286,20 @@ func (w *dedupWriter) finish() error {
 	return w.settle()
 }
 
-// commitDedupLocked is the dedup commit core, the counterpart of the
-// plain path in commitAtLocked: chunk the logical stream, write only
-// the chunks the ledger does not hold, commit the recipe as the
-// generation payload, then make the manifest update — still the single
-// commit point. The caller holds s.mu.
-func (s *Store) commitDedupLocked(seq uint64, step int, expireAt int64, feed func(io.Writer) error, jop *journal.Op) (gen Generation, err error) {
-	ctx := s.retryCtx()
-	dw := &dedupWriter{s: s, staged: make(map[cas.Hash]bool)}
-	if dw.chunker, err = cas.NewChunker(s.dd.cfg, dw.emit); err != nil {
-		return Generation{}, fmt.Errorf("store: commit gen %d: %w", seq, err)
+// abortLocked removes the chunks a materialisation that will not be indexed
+// wrote: nothing durable references them, and eager cleanup keeps the error
+// path litter-free (a crash instead leaves them for the open sweep). A chunk
+// the ledger holds stays — a repair rewrote it under a generation that is
+// still indexed, or parked in quarantine.
+func (s *Store) abortLocked(dw *dedupWriter) {
+	if dw == nil {
+		return
 	}
-	// A failed or cancelled commit removes the chunks it wrote: they are
-	// referenced by nothing durable, and eager cleanup keeps the error
-	// path litter-free (a crash instead leaves them for the open sweep).
-	abort := func() {
-		for _, h := range dw.newChunks {
+	for _, h := range dw.newChunks {
+		if !s.dd.idx.Has(h) {
 			s.b.RemoveChunk(h.String())
 		}
 	}
-	cw := &countingWriter{w: dw}
-	var sink io.Writer = cw
-	if ctx.Done() != nil {
-		sink = ctxFailWriter{ctx: ctx, w: cw}
-	}
-	if err := feed(sink); err != nil {
-		abort()
-		return Generation{}, fmt.Errorf("store: commit gen %d: stream: %w", seq, err)
-	}
-	if err := dw.finish(); err != nil {
-		abort()
-		return Generation{}, fmt.Errorf("store: commit gen %d: stream: %w", seq, err)
-	}
-	if cerr := ctx.Err(); cerr != nil {
-		abort()
-		return Generation{}, fmt.Errorf("store: commit gen %d: %w", seq, cerr)
-	}
-	refs, newChunks, reused, newBytes := dw.refs, dw.newChunks, dw.reused, dw.newBytes
-	jop.Progress("chunks_durable", newBytes)
-
-	rec := &cas.Recipe{Size: cw.n, CRC: cw.crc, Chunks: refs}
-	raw := rec.Encode()
-	pw, err := s.b.BeginPayload(seq)
-	if err != nil {
-		abort()
-		return Generation{}, err
-	}
-	if _, werr := pw.Write(raw); werr != nil {
-		pw.Abort()
-		abort()
-		return Generation{}, fmt.Errorf("store: commit gen %d: recipe: %w", seq, werr)
-	}
-	if cerr := pw.Commit(); cerr != nil {
-		abort()
-		return Generation{}, fmt.Errorf("store: commit gen %d: recipe: %w", seq, cerr)
-	}
-	jop.Progress("recipe_durable", int64(len(raw)))
-
-	gen = Generation{
-		Seq:      seq,
-		Step:     uint64(step),
-		Size:     cw.n,
-		CRC:      cw.crc,
-		ExpireAt: expireAt,
-		Flags:    GenFlagDedup,
-	}
-	if err := s.indexLocked(gen, func() {
-		s.dd.idx.Add(refs)
-		s.dd.recipes[seq] = refs
-		s.dd.recipeBytes[seq] = int64(len(raw))
-	}); err != nil {
-		// The recipe object is durable but unindexed: garbage the next
-		// sweep collects. The chunks are removed now — nothing indexed
-		// references them.
-		abort()
-		return Generation{}, err
-	}
-	if o := s.observer(); o != nil {
-		o.Counter(MetricDedupChunksNew).Add(float64(len(newChunks)))
-		o.Counter(MetricDedupChunksReused).Add(float64(reused))
-		o.Counter(MetricDedupLogicalBytes).Add(float64(cw.n))
-		o.Counter(MetricDedupPhysicalBytes).Add(float64(newBytes + int64(len(raw))))
-		if cw.n > 0 {
-			o.Gauge(MetricDedupRatio).Set(float64(cw.n) / float64(newBytes+int64(len(raw))))
-		}
-	}
-	jop.Set("dedup", "true",
-		"chunks_new", strconv.Itoa(len(newChunks)),
-		"chunks_reused", strconv.Itoa(reused))
-	jop.SetBytes(int64(cw.n), newBytes+int64(len(raw)))
-	return gen, nil
 }
 
 // readDedupLocked resolves a dedup generation: read the recipe, fetch
@@ -413,16 +375,17 @@ func (s *Store) assembleLocked(raw []byte) (data []byte, reason string) {
 // reached zero. The destructive prune path (retention, Drop, TTL
 // expiry); quarantine goes through detachRecipeLocked instead.
 func (s *Store) releaseGenLocked(g Generation) {
-	if g.Dedup() {
-		if refs, ok := s.dd.recipes[g.Seq]; ok {
-			for _, h := range s.dd.idx.Release(refs) {
-				s.b.RemoveChunk(h.String())
-			}
-			delete(s.dd.recipes, g.Seq)
-			delete(s.dd.recipeBytes, g.Seq)
-		}
-	}
+	s.releaseRefsLocked(s.dd.recipes[g.Seq])
+	s.detachRecipeLocked(g.Seq)
 	s.b.RemovePayload(g.Seq)
+}
+
+// releaseRefsLocked takes one reference off each chunk in refs and deletes
+// the chunk files that reached zero.
+func (s *Store) releaseRefsLocked(refs []cas.Ref) {
+	for _, h := range s.dd.idx.Release(refs) {
+		s.b.RemoveChunk(h.String())
+	}
 }
 
 // detachRecipeLocked forgets a generation's recipe bookkeeping WITHOUT
@@ -471,54 +434,24 @@ func (s *Store) gcLocked() (rep *GCReport, err error) {
 			jop.End(err)
 		}()
 	}
-	idx := cas.NewIndex()
-	recipes := make(map[uint64][]cas.Ref)
-	recipeBytes := make(map[uint64]int64)
-	for _, g := range s.man.Gens {
-		if !g.Dedup() {
-			continue
-		}
-		raw, rerr := s.b.ReadPayload(g.Seq, nil)
-		if rerr != nil {
-			// An indexed recipe we cannot read means chunk liveness is
-			// unknown; sweeping now could destroy live data. Fail the
-			// pass — the scrubber quarantines the recipe and the next GC
-			// converges.
-			return rep, fmt.Errorf("store: gc: recipe for gen %d unreadable: %w", g.Seq, rerr)
-		}
-		rec, derr := cas.DecodeRecipe(raw)
-		if derr != nil {
-			return rep, fmt.Errorf("store: gc: recipe for gen %d: %w", g.Seq, derr)
-		}
-		idx.Add(rec.Chunks)
-		recipes[g.Seq] = rec.Chunks
-		recipeBytes[g.Seq] = int64(len(raw))
-	}
-	if qs, qerr := s.b.QuarantinedPayloads(); qerr == nil {
-		for _, raw := range qs {
-			if rec, derr := cas.DecodeRecipe(raw); derr == nil {
-				idx.Add(rec.Chunks)
-				rep.QuarantinedRecipes++
-			}
-		}
+	// An indexed recipe we cannot read means chunk liveness is unknown;
+	// sweeping now could destroy live data. Fail the pass — the scrubber
+	// quarantines the recipe and the next GC converges.
+	dd, quarantined, err := s.markLocked(func(g Generation, err error) error {
+		return fmt.Errorf("store: gc: recipe for gen %d unreadable: %w", g.Seq, err)
+	})
+	rep.QuarantinedRecipes = quarantined
+	if err != nil {
+		return rep, err
 	}
 	names, lerr := s.b.ListChunks()
 	if lerr != nil {
 		return rep, fmt.Errorf("store: gc: listing chunks: %w", lerr)
 	}
-	for _, name := range names {
-		h, perr := cas.ParseHash(name)
-		if perr == nil && idx.Has(h) {
-			continue
-		}
-		s.b.RemoveChunk(name)
-		rep.SweptChunks++
-	}
-	s.dd.idx = idx
-	s.dd.recipes = recipes
-	s.dd.recipeBytes = recipeBytes
-	rep.LiveChunks = idx.Chunks()
-	rep.LiveBytes = idx.Bytes()
+	rep.SweptChunks = s.sweepChunksLocked(names, dd.idx)
+	s.dd = dd
+	rep.LiveChunks = dd.idx.Chunks()
+	rep.LiveBytes = dd.idx.Bytes()
 	if o := s.observer(); o != nil {
 		o.Counter(MetricGCRuns).Inc()
 		o.Counter(MetricGCSweptChunks).Add(float64(rep.SweptChunks))
@@ -658,25 +591,20 @@ func (s *Store) FsckDedup() (*DedupFsckReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rep := &DedupFsckReport{}
-	truth := cas.NewIndex()
+	// Quarantined recipes hold marks too — they count into truth so their
+	// chunks are not misreported as orphans or refcount drift.
+	dd, _, _ := s.markLocked(func(g Generation, err error) error {
+		rep.Issues = append(rep.Issues, DedupFsckIssue{Kind: "recipe", Seq: g.Seq, Detail: err.Error()})
+		return nil
+	})
+	truth := dd.idx
 	checked := make(map[cas.Hash]bool)
 	for _, g := range s.man.Gens {
 		if !g.Dedup() {
 			continue
 		}
 		rep.DedupGens++
-		raw, err := s.b.ReadPayload(g.Seq, nil)
-		if err != nil {
-			rep.Issues = append(rep.Issues, DedupFsckIssue{Kind: "recipe", Seq: g.Seq, Detail: err.Error()})
-			continue
-		}
-		rec, derr := cas.DecodeRecipe(raw)
-		if derr != nil {
-			rep.Issues = append(rep.Issues, DedupFsckIssue{Kind: "recipe", Seq: g.Seq, Detail: derr.Error()})
-			continue
-		}
-		truth.Add(rec.Chunks)
-		for _, ref := range rec.Chunks {
+		for _, ref := range dd.recipes[g.Seq] {
 			if checked[ref.Hash] {
 				continue
 			}
@@ -689,15 +617,6 @@ func (s *Store) FsckDedup() (*DedupFsckReport, error) {
 			case cas.Sum(cdata) != ref.Hash || uint32(len(cdata)) != ref.Len:
 				rep.Issues = append(rep.Issues, DedupFsckIssue{Kind: "corrupt", Seq: g.Seq, Hash: ref.Hash.String(),
 					Detail: fmt.Sprintf("%d bytes, content does not match address", len(cdata))})
-			}
-		}
-	}
-	// Quarantined recipes hold marks too — count them into truth so
-	// their chunks are not misreported as orphans or refcount drift.
-	if qs, err := s.b.QuarantinedPayloads(); err == nil {
-		for _, raw := range qs {
-			if rec, derr := cas.DecodeRecipe(raw); derr == nil {
-				truth.Add(rec.Chunks)
 			}
 		}
 	}

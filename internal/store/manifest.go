@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 )
 
 // ErrManifest indicates a structurally invalid or checksum-failing
@@ -83,6 +84,15 @@ func (m *manifest) latest() (Generation, bool) {
 		return Generation{}, false
 	}
 	return m.Gens[len(m.Gens)-1], true
+}
+
+// without returns the manifest less seq's record, and that record.
+func (m *manifest) without(seq uint64) (manifest, Generation, bool) {
+	i := slices.IndexFunc(m.Gens, func(g Generation) bool { return g.Seq == seq })
+	if i < 0 {
+		return manifest{}, Generation{}, false
+	}
+	return manifest{NextSeq: m.NextSeq, Gens: slices.Delete(slices.Clone(m.Gens), i, i+1)}, m.Gens[i], true
 }
 
 // encode serializes the manifest with a trailing CRC-32 of everything

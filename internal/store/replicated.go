@@ -98,19 +98,13 @@ func ReplicaDirs(root string, n int) []string {
 // error.
 func OpenReplicated(root string, dirs []string, w int, opts Options, replicaFS ...FS) (*ReplicatedStore, error) {
 	n := len(dirs)
-	if n == 0 {
-		return nil, errors.New("store: replicated store needs at least one replica")
-	}
 	if len(replicaFS) != 0 && len(replicaFS) != n {
 		return nil, fmt.Errorf("store: %d replica filesystems for %d replicas", len(replicaFS), n)
 	}
-	if w == 0 {
-		w = n/2 + 1
+	r, err := newReplicated(root, n, w, opts)
+	if err != nil {
+		return nil, err
 	}
-	if w < 1 || w > n {
-		return nil, fmt.Errorf("store: write quorum %d out of range for %d replicas", w, n)
-	}
-	r := &ReplicatedStore{root: root, w: w, opts: opts.withDefaults()}
 	live := 0
 	for i, dir := range dirs {
 		ropts := opts
@@ -118,11 +112,9 @@ func OpenReplicated(root string, dirs []string, w int, opts Options, replicaFS .
 			ropts.FS = replicaFS[i]
 		}
 		st, err := Open(dir, ropts)
-		if err == nil {
-			live++
-		}
 		r.replicas = append(r.replicas, replica{dir: dir, st: st, err: err})
 		if err == nil {
+			live++
 			r.lastSeq = maxU64(r.lastSeq, st.NextSeq()-1)
 		}
 	}
@@ -136,7 +128,20 @@ func OpenReplicated(root string, dirs []string, w int, opts Options, replicaFS .
 // write quorum w (0 means majority) — the composition path for tests
 // and callers that manage replica lifecycles themselves.
 func NewReplicated(root string, stores []*Store, w int, opts Options) (*ReplicatedStore, error) {
-	n := len(stores)
+	r, err := newReplicated(root, len(stores), w, opts)
+	if err != nil {
+		return nil, err
+	}
+	for _, st := range stores {
+		r.replicas = append(r.replicas, replica{dir: st.Dir(), st: st})
+		r.lastSeq = maxU64(r.lastSeq, st.NextSeq()-1)
+	}
+	return r, nil
+}
+
+// newReplicated validates the shape of an n-way store with write quorum w
+// (0 means majority) and returns it with no replica attached yet.
+func newReplicated(root string, n, w int, opts Options) (*ReplicatedStore, error) {
 	if n == 0 {
 		return nil, errors.New("store: replicated store needs at least one replica")
 	}
@@ -146,12 +151,7 @@ func NewReplicated(root string, stores []*Store, w int, opts Options) (*Replicat
 	if w < 1 || w > n {
 		return nil, fmt.Errorf("store: write quorum %d out of range for %d replicas", w, n)
 	}
-	r := &ReplicatedStore{root: root, w: w, opts: opts.withDefaults()}
-	for _, st := range stores {
-		r.replicas = append(r.replicas, replica{dir: st.Dir(), st: st})
-		r.lastSeq = maxU64(r.lastSeq, st.NextSeq()-1)
-	}
-	return r, nil
+	return &ReplicatedStore{root: root, w: w, opts: opts.withDefaults()}, nil
 }
 
 func maxU64(a, b uint64) uint64 {
@@ -302,6 +302,32 @@ func (r *ReplicatedStore) Commit(step int, payload []byte) (Generation, error) {
 // budgets. Every replica reads the same parts, stragglers still after the
 // quorum has answered: the caller must leave them unmodified.
 func (r *ReplicatedStore) CommitCtx(ctx context.Context, step int, parts ...[]byte) (Generation, error) {
+	return r.commit(ctx, step, partsLen(parts), feedParts(parts), nil)
+}
+
+// CommitStream streams write's output to every live replica at once
+// (one synchronous pipe per replica — the stream paces at the slowest
+// live branch) and succeeds once W replicas hold identical records.
+func (r *ReplicatedStore) CommitStream(step int, write func(io.Writer) error) (Generation, error) {
+	return r.CommitStreamCtx(context.Background(), step, write)
+}
+
+// CommitStreamCtx is CommitStream bound to a request context; the
+// coordinator's context reaches every replica's commit and retry
+// ladder.
+func (r *ReplicatedStore) CommitStreamCtx(ctx context.Context, step int, write func(io.Writer) error) (Generation, error) {
+	return r.commit(ctx, step, -1, nil, write)
+}
+
+// commit is the one coordinator behind every replicated commit: one sequence
+// number and one expiry stamp for all replicas (so each records the identical
+// generation and quorum voting stays byte-exact), one Store.commit enqueued on
+// each live replica's chain, the votes collected until W agree. The payload
+// reaches the replicas in one of two ways. feed is a payload held in memory:
+// every replica reads it where it lies. write is a producer that runs once,
+// here, on the caller's goroutine: its stream is teed into one pipe per
+// replica, and each replica's commit copies from its pipe.
+func (r *ReplicatedStore) commit(ctx context.Context, step, size int, feed, write func(io.Writer) error) (Generation, error) {
 	if step < 0 {
 		return Generation{}, fmt.Errorf("store: negative step %d", step)
 	}
@@ -314,17 +340,42 @@ func (r *ReplicatedStore) CommitCtx(ctx context.Context, step int, parts ...[]by
 	if len(live) < r.w {
 		return Generation{}, r.quorumFailure("commit", fmt.Errorf("%d live replicas < quorum %d", len(live), r.w))
 	}
-	// Seq and expiry are coordinator-assigned so every replica records
-	// the identical generation and quorum voting stays byte-exact.
 	seq := r.nextSeqLocked()
 	exp := r.opts.expireStamp()
 	results := make(chan commitRes, len(live))
+	var tee fanoutWriter
 	for _, idx := range live {
-		idx, st := idx, r.replicas[idx].st
+		idx, st, feed := idx, r.replicas[idx].st, feed
+		release := func(error) {}
+		if write != nil {
+			pr, pw := io.Pipe()
+			tee.pws = append(tee.pws, pw)
+			feed = func(w io.Writer) error {
+				_, cerr := io.Copy(w, pr)
+				return cerr
+			}
+			// Release the producer: a failed branch propagates its error
+			// to the next fanout write instead of blocking it.
+			release = func(err error) { pr.CloseWithError(err) }
+		}
 		r.enqueueLocked(idx, func() {
-			gen, err := st.commit(ctx, seq, step, exp, -1, feedParts(parts))
+			gen, err := st.commit(ctx, seq, step, exp, size, feed)
+			release(err)
 			results <- commitRes{idx: idx, gen: gen, err: err}
 		})
+	}
+	if write != nil {
+		tee.dead = make([]bool, len(tee.pws))
+		werr := write(&tee)
+		for _, pw := range tee.pws {
+			pw.CloseWithError(werr) // a nil error closes the branch as the end of the stream
+		}
+		if werr != nil {
+			for range live {
+				<-results
+			}
+			return Generation{}, fmt.Errorf("store: replicated commit gen %d: stream: %w", seq, werr)
+		}
 	}
 	return r.collectQuorumLocked("commit", seq, results, len(live))
 }
@@ -355,67 +406,6 @@ func (f *fanoutWriter) Write(p []byte) (int, error) {
 		return 0, errors.New("store: replicated stream: every replica failed")
 	}
 	return len(p), nil
-}
-
-// CommitStream streams write's output to every live replica at once
-// (one synchronous pipe per replica — the stream paces at the slowest
-// live branch) and succeeds once W replicas hold identical records.
-func (r *ReplicatedStore) CommitStream(step int, write func(io.Writer) error) (Generation, error) {
-	return r.CommitStreamCtx(context.Background(), step, write)
-}
-
-// CommitStreamCtx is CommitStream bound to a request context; the
-// coordinator's context reaches every replica's commit and retry
-// ladder.
-func (r *ReplicatedStore) CommitStreamCtx(ctx context.Context, step int, write func(io.Writer) error) (Generation, error) {
-	if step < 0 {
-		return Generation{}, fmt.Errorf("store: negative step %d", step)
-	}
-	if err := ctx.Err(); err != nil {
-		return Generation{}, fmt.Errorf("store: replicated commit: %w", err)
-	}
-	r.cmu.Lock()
-	defer r.cmu.Unlock()
-	live := r.liveIdx()
-	if len(live) < r.w {
-		return Generation{}, r.quorumFailure("commit", fmt.Errorf("%d live replicas < quorum %d", len(live), r.w))
-	}
-	seq := r.nextSeqLocked()
-	exp := r.opts.expireStamp()
-	results := make(chan commitRes, len(live))
-	pws := make([]*io.PipeWriter, len(live))
-	for i, idx := range live {
-		pr, pw := io.Pipe()
-		pws[i] = pw
-		idx, st := idx, r.replicas[idx].st
-		r.enqueueLocked(idx, func() {
-			gen, err := st.commit(ctx, seq, step, exp, -1, func(w io.Writer) error {
-				_, cerr := io.Copy(w, pr)
-				return cerr
-			})
-			// Release the producer: a failed branch propagates its error
-			// to the next fanout write instead of blocking it.
-			pr.CloseWithError(err)
-			results <- commitRes{idx: idx, gen: gen, err: err}
-		})
-	}
-
-	f := &fanoutWriter{pws: pws, dead: make([]bool, len(pws))}
-	werr := write(f)
-	for _, pw := range pws {
-		if werr != nil {
-			pw.CloseWithError(werr)
-		} else {
-			pw.Close()
-		}
-	}
-	if werr != nil {
-		for range live {
-			<-results
-		}
-		return Generation{}, fmt.Errorf("store: replicated commit gen %d: stream: %w", seq, werr)
-	}
-	return r.collectQuorumLocked("commit", seq, results, len(live))
 }
 
 // collectQuorumLocked gathers per-replica commit results until W of

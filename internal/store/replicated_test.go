@@ -32,6 +32,17 @@ func openRepl(t *testing.T, root string, n, w int, fss []FS) *ReplicatedStore {
 	return r
 }
 
+// commitAtSeq commits payload on one replica under a sequence number the
+// test chooses, the way the coordinator's fan-out reaches a single replica.
+func commitAtSeq(t *testing.T, st *Store, seq uint64, step int, payload []byte) Generation {
+	t.Helper()
+	gen, err := st.commit(context.Background(), seq, step, st.opts.expireStamp(), len(payload), feedParts([][]byte{payload}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gen
+}
+
 // TestReplicatedCommitAndRead: the happy path — a quorum commit lands
 // on every replica, reads verify, and the replicas are byte-identical.
 func TestReplicatedCommitAndRead(t *testing.T) {
@@ -283,9 +294,7 @@ func TestReplicatedScrubQuarantinesSubQuorumDebris(t *testing.T) {
 	// Simulate a failed quorum write: one replica accepted a gen the
 	// others never saw.
 	st, _ := r.Replica(0)
-	if _, err := st.CommitAt(2, 9, payload(9, 900)); err != nil {
-		t.Fatal(err)
-	}
+	commitAtSeq(t, st, 2, 9, payload(9, 900))
 
 	if d := r.Divergence(); d == 0 {
 		t.Fatal("debris not visible as divergence")

@@ -225,12 +225,8 @@ func (s *Store) Scrub(opts ScrubOptions) (rep *ScrubReport, err error) {
 				o.Counter(MetricManifestRebuilds).Inc()
 				o.Event("store.scrub_rebuild", "dir", s.dir, "survivors", len(s.man.Gens))
 			}
-		} else {
-			next := manifest{NextSeq: s.man.NextSeq, Gens: survivors}
-			if err := s.writeManifest(next); err != nil {
-				return rep, fmt.Errorf("store: persisting scrubbed manifest: %w", err)
-			}
-			s.man = next
+		} else if err := s.adoptLocked(manifest{NextSeq: s.man.NextSeq, Gens: survivors}); err != nil {
+			return rep, fmt.Errorf("store: persisting scrubbed manifest: %w", err)
 		}
 	}
 
@@ -265,17 +261,8 @@ func (s *Store) Scrub(opts ScrubOptions) (rep *ScrubReport, err error) {
 func (s *Store) Quarantine(seq uint64) (string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	gens := s.generationsLocked()
-	kept := gens[:0]
-	found := false
-	for _, g := range gens {
-		if g.Seq == seq {
-			found = true
-			continue
-		}
-		kept = append(kept, g)
-	}
-	if !found {
+	m, _, ok := s.man.without(seq)
+	if !ok {
 		return "", fmt.Errorf("%w: generation %d", ErrNoGeneration, seq)
 	}
 	qpath, err := s.b.Quarantine(seq)
@@ -287,11 +274,9 @@ func (s *Store) Quarantine(seq uint64) (string, error) {
 	s.detachRecipeLocked(seq)
 	// NextSeq is already past the quarantined number, so dropping the
 	// record cannot reissue it.
-	m := manifest{NextSeq: s.man.NextSeq, Gens: append([]Generation(nil), kept...)}
-	if err := s.writeManifest(m); err != nil {
+	if err := s.adoptLocked(m); err != nil {
 		return qpath, fmt.Errorf("store: quarantine gen %d: manifest: %w", seq, err)
 	}
-	s.man = m
 	return qpath, nil
 }
 
@@ -300,13 +285,7 @@ func (s *Store) Quarantine(seq uint64) (string, error) {
 // observer and do not stop the loop. stop is idempotent and waits for an
 // in-flight pass to finish.
 func (s *Store) StartScrubber(interval time.Duration, opts ScrubOptions) (stop func()) {
-	return startScrubLoop(context.Background(), interval, func() {
-		if _, err := s.Scrub(opts); err != nil {
-			if o := s.observer(); o != nil {
-				o.Event("store.scrub_error", "dir", s.dir, "err", err.Error())
-			}
-		}
-	})
+	return s.StartScrubberCtx(context.Background(), interval, opts)
 }
 
 // StartScrubberCtx is StartScrubber for daemon-style callers: the loop

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -25,8 +26,8 @@ var (
 	ErrCorrupt = errors.New("store: generation corrupt")
 	// ErrNoGeneration indicates the store holds no (matching) generation.
 	ErrNoGeneration = errors.New("store: no generation available")
-	// ErrSeqConflict indicates a CommitAt/PutGeneration sequence number
-	// the store cannot accept (already allocated or indexed).
+	// ErrSeqConflict indicates a coordinator-assigned or PutGeneration sequence
+	// number the store cannot accept (already allocated or indexed).
 	ErrSeqConflict = errors.New("store: sequence conflict")
 )
 
@@ -369,14 +370,6 @@ func partsLen(parts [][]byte) (n int) {
 	return n
 }
 
-// CommitAt commits payload under a caller-chosen sequence number — the
-// replicated-commit entry point, where a coordinator assigns one seq
-// across N replicas. seq must be at least the store's NextSeq (a lower
-// seq means this replica has already seen newer state: ErrSeqConflict).
-func (s *Store) CommitAt(seq uint64, step int, payload []byte) (gen Generation, err error) {
-	return s.CommitStreamAt(seq, step, feedParts([][]byte{payload}))
-}
-
 // countingWriter accumulates the size and CRC of everything written
 // through it, so the manifest record is identical whether the payload
 // was buffered or streamed.
@@ -409,10 +402,9 @@ func (c ctxFailWriter) Write(p []byte) (int, error) {
 	return c.w.Write(p)
 }
 
-// commitAtLocked is the shared commit core: stream the payload through
-// the backend's PayloadWriter, publish it, then make the manifest
-// update — the commit point — and prune the retention ring. The caller
-// holds s.mu and has validated seq.
+// commitAtLocked is a commit behind the prologue: materialise the payload
+// under seq, index it — the commit point, retention ring applied — and
+// account for it. The caller holds s.mu and has validated seq.
 func (s *Store) commitAtLocked(seq uint64, step int, expireAt int64, feed func(io.Writer) error) (gen Generation, err error) {
 	// One flight-recorder wide event per commit, with a progress
 	// breadcrumb at each durability milestone so a kill leaves the stage
@@ -423,73 +415,157 @@ func (s *Store) commitAtLocked(seq uint64, step int, expireAt int64, feed func(i
 		jop.SetStep(step)
 		defer func() { jop.End(err) }()
 	}
-	if s.opts.Dedup {
-		return s.commitDedupLocked(seq, step, expireAt, feed, jop)
-	}
-	pw, err := s.b.BeginPayload(seq)
+	mat, err := s.materializeLocked(seq, s.opts.Dedup, false, feed, jop)
 	if err != nil {
-		return Generation{}, err
+		return Generation{}, fmt.Errorf("store: commit gen %d: %w", seq, err)
 	}
-	// A ctx-bound commit refuses further payload chunks — and the
+	gen = Generation{Seq: seq, Step: uint64(step), Size: mat.size, CRC: mat.crc, ExpireAt: expireAt}
+	if mat.dw != nil {
+		gen.Flags = GenFlagDedup
+	}
+	if err := s.indexLocked(gen, mat, true); err != nil {
+		return Generation{}, fmt.Errorf("store: commit gen %d: manifest: %w", seq, err)
+	}
+	physical := mat.objectBytes
+	if dw := mat.dw; dw != nil {
+		physical += dw.newBytes
+		if o := s.observer(); o != nil {
+			o.Counter(MetricDedupChunksNew).Add(float64(len(dw.newChunks)))
+			o.Counter(MetricDedupChunksReused).Add(float64(dw.reused))
+			o.Counter(MetricDedupLogicalBytes).Add(float64(mat.size))
+			o.Counter(MetricDedupPhysicalBytes).Add(float64(physical))
+			if mat.size > 0 {
+				o.Gauge(MetricDedupRatio).Set(float64(mat.size) / float64(physical))
+			}
+		}
+		jop.Set("dedup", "true",
+			"chunks_new", strconv.Itoa(len(dw.newChunks)),
+			"chunks_reused", strconv.Itoa(dw.reused))
+	}
+	jop.SetBytes(int64(mat.size), physical)
+	return gen, nil
+}
+
+// materialized is a generation made durable but not yet indexed: size and CRC
+// of the logical payload, the size of the payload object that holds it (the
+// payload itself, or its recipe) and, for a dedup generation, the writer that
+// cut it, with the recipe's references and the chunks written for them.
+type materialized struct {
+	size        uint64
+	crc         uint32
+	objectBytes int64
+	dw          *dedupWriter
+}
+
+// materializeLocked is the one body that turns a payload into a durable
+// generation under seq, for every commit and every repair. Plain, feed streams
+// into the backend's PayloadWriter and Commit publishes it. Dedup puts a
+// dedupWriter in front: the stream is cut, the chunks the ledger does not hold
+// are written, and the recipe is then the payload the same writer publishes —
+// every chunk durable before its recipe, the recipe before the manifest write
+// that follows in indexLocked. A repair is that body with a dedupWriter that
+// does not take the ledger's word for a chunk (dedupWriter.repair). A failure
+// leaves only litter the next sweep takes: the partial payload object is
+// aborted, the chunks written are removed.
+func (s *Store) materializeLocked(seq uint64, dedup, repair bool, feed func(io.Writer) error, jop *journal.Op) (mat materialized, err error) {
+	// A ctx-bound commit refuses further payload bytes — and the
 	// durability flush below — once its context dies: the abort path
 	// still runs (cleanup ops ignore the dead request context), so a
 	// cancelled commit removes its partial payload instead of littering.
 	ctx := s.retryCtx()
+	guarded := func(cw *countingWriter) io.Writer {
+		if ctx.Done() != nil {
+			return ctxFailWriter{ctx: ctx, w: cw}
+		}
+		return cw
+	}
+	what, durable := "stream", "payload_durable"
+	if dedup {
+		dw := &dedupWriter{s: s, repair: repair, staged: make(map[cas.Hash]bool)}
+		if dw.chunker, err = cas.NewChunker(s.dd.cfg, dw.emit); err != nil {
+			return mat, err
+		}
+		mat.dw = dw
+		defer func() {
+			if err != nil {
+				s.abortLocked(dw)
+			}
+		}()
+		cw := &countingWriter{w: dw}
+		if err = feed(guarded(cw)); err == nil {
+			err = dw.finish()
+		}
+		if err != nil {
+			return mat, fmt.Errorf("stream: %w", err)
+		}
+		if err = ctx.Err(); err != nil {
+			return mat, err
+		}
+		jop.Progress("chunks_durable", dw.newBytes)
+		mat.size, mat.crc = cw.n, cw.crc
+		raw := (&cas.Recipe{Size: cw.n, CRC: cw.crc, Chunks: dw.refs}).Encode()
+		what, durable, feed = "recipe", "recipe_durable", feedParts([][]byte{raw})
+	}
+	pw, err := s.b.BeginPayload(seq)
+	if err != nil {
+		return mat, err
+	}
 	cw := &countingWriter{w: pw}
-	var sink io.Writer = cw
-	if ctx.Done() != nil {
-		sink = ctxFailWriter{ctx: ctx, w: cw}
-	}
-	if err := feed(sink); err != nil {
+	if err = feed(guarded(cw)); err != nil {
 		pw.Abort()
-		return Generation{}, fmt.Errorf("store: commit gen %d: stream: %w", seq, err)
+		return mat, fmt.Errorf("%s: %w", what, err)
 	}
-	if cerr := ctx.Err(); cerr != nil {
+	if err = ctx.Err(); err != nil {
 		pw.Abort()
-		return Generation{}, fmt.Errorf("store: commit gen %d: %w", seq, cerr)
+		return mat, err
 	}
-	jop.Progress("payload_streamed", int64(cw.n))
-	if err := pw.Commit(); err != nil {
-		return Generation{}, fmt.Errorf("store: commit gen %d: %w", seq, err)
+	mat.objectBytes = int64(cw.n)
+	if !dedup {
+		mat.size, mat.crc = cw.n, cw.crc
+		jop.Progress("payload_streamed", mat.objectBytes)
 	}
-	jop.Progress("payload_durable", int64(cw.n))
-
-	gen = Generation{
-		Seq:      seq,
-		Step:     uint64(step),
-		Size:     cw.n,
-		CRC:      cw.crc,
-		ExpireAt: expireAt,
+	if err = pw.Commit(); err != nil {
+		return mat, err
 	}
-	if err := s.indexLocked(gen, nil); err != nil {
-		return Generation{}, err
-	}
-	jop.SetBytes(int64(cw.n), int64(cw.n))
-	return gen, nil
+	jop.Progress(durable, mat.objectBytes)
+	return mat, nil
 }
 
-// indexLocked is the tail both commit bodies share: gen's record appended,
-// the Keep ring applied, the manifest written — the commit point: before it
-// the store still indexes the previous latest, after it gen is the
-// latest-good — and adopted, then what fell off the ring released. adopted,
-// if not nil, runs between the two: what must be on the books before a
-// release (a dedup commit's chunk references, or a chunk it shares with a
-// dropped generation would go).
-func (s *Store) indexLocked(gen Generation, adopted func()) error {
-	next := manifest{NextSeq: gen.Seq + 1, Gens: append(s.generationsLocked(), gen)}
+// indexLocked names a materialised generation in the manifest — the commit
+// point: before the write the store indexes what it did, after it gen is what
+// its sequence number reads. The record replaces one of the same sequence
+// number (a repair; the caller is authoritative) or goes in in order, ring
+// applies Keep, NextSeq only moves forward. Only after the write, and in this
+// order, the new generation's chunk references are booked and what it
+// displaced is released: the references of the record it replaced, payload and
+// references of the generations off the ring. Book before release: a chunk
+// the new generation shares with a displaced one would otherwise reach zero
+// and be deleted under the generation just indexed. A failed write removes
+// the chunks mat's commit wrote and changes nothing else.
+func (s *Store) indexLocked(gen Generation, mat materialized, ring bool) error {
+	gens := s.generationsLocked()
+	i := sort.Search(len(gens), func(i int) bool { return gens[i].Seq >= gen.Seq })
+	var replaced []cas.Ref
+	if i < len(gens) && gens[i].Seq == gen.Seq {
+		gens[i], replaced = gen, s.dd.recipes[gen.Seq]
+	} else {
+		gens = slices.Insert(gens, i, gen)
+	}
 	var dropped []Generation
-	if s.opts.Keep > 0 && len(next.Gens) > s.opts.Keep {
-		cut := len(next.Gens) - s.opts.Keep
-		dropped = append(dropped, next.Gens[:cut]...)
-		next.Gens = append([]Generation(nil), next.Gens[cut:]...)
+	if cut := len(gens) - s.opts.Keep; ring && s.opts.Keep > 0 && cut > 0 {
+		dropped, gens = gens[:cut], gens[cut:]
 	}
-	if err := s.writeManifest(next); err != nil {
-		return fmt.Errorf("store: commit gen %d: manifest: %w", gen.Seq, err)
+	if err := s.adoptLocked(manifest{NextSeq: max(s.man.NextSeq, gen.Seq+1), Gens: gens}); err != nil {
+		s.abortLocked(mat.dw)
+		return err
 	}
-	s.man = next
-	if adopted != nil {
-		adopted()
+	s.detachRecipeLocked(gen.Seq)
+	if dw := mat.dw; dw != nil {
+		s.dd.idx.Add(dw.refs)
+		s.dd.recipes[gen.Seq] = dw.refs
+		s.dd.recipeBytes[gen.Seq] = mat.objectBytes
 	}
+	s.releaseRefsLocked(replaced)
 	// Prune outside the ring, best effort: a leftover file is garbage,
 	// not corruption, and the next Open sweeps unindexed generations too.
 	for _, g := range dropped {
@@ -498,6 +574,16 @@ func (s *Store) indexLocked(gen Generation, adopted func()) error {
 	if o := s.observer(); o != nil && len(dropped) > 0 {
 		o.Counter(MetricPrunedGens).Add(float64(len(dropped)))
 	}
+	return nil
+}
+
+// adoptLocked is the one manifest write: m persisted through the backend's
+// atomic protocol and, only then, the index the store answers from.
+func (s *Store) adoptLocked(m manifest) error {
+	if err := s.b.WriteManifest(m.encode()); err != nil {
+		return err
+	}
+	s.man = m
 	return nil
 }
 
@@ -535,7 +621,11 @@ func (o Options) expireStamp() int64 {
 // corrupted gen receives the quorum-agreed copy. The payload must match
 // the record's size and CRC. An existing record for the same sequence
 // number is replaced (the caller is authoritative); NextSeq only ever
-// moves forward.
+// moves forward. It is a commit's materialise → index with the record given:
+// a record flagged dedup is re-chunked from the logical payload — chunking is
+// deterministic, so the repaired replica converges on the recipe and chunk
+// set of its peers — by a dedupWriter in repair mode, because a repair runs
+// precisely when some chunk the ledger counts is missing or damaged on disk.
 func (s *Store) PutGeneration(gen Generation, payload []byte) error {
 	if uint64(len(payload)) != gen.Size || crc32.ChecksumIEEE(payload) != gen.CRC {
 		return fmt.Errorf("%w: put gen %d: payload does not match record", ErrCorrupt, gen.Seq)
@@ -545,119 +635,14 @@ func (s *Store) PutGeneration(gen Generation, payload []byte) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-
-	var putRefs []cas.Ref
-	var putRecipeLen int64
-	if gen.Dedup() {
-		// The record says this generation is stored as a recipe, so
-		// re-chunk the logical payload: chunking is deterministic, so
-		// the repaired replica converges on the identical recipe and
-		// chunk set as its peers.
-		refs, rlen, err := s.putDedupLocked(gen.Seq, payload)
-		if err != nil {
-			return err
-		}
-		putRefs, putRecipeLen = refs, rlen
-	} else {
-		pw, err := s.b.BeginPayload(gen.Seq)
-		if err != nil {
-			return err
-		}
-		if _, err := pw.Write(payload); err != nil {
-			pw.Abort()
-			return err
-		}
-		if err := pw.Commit(); err != nil {
-			return fmt.Errorf("store: put gen %d: %w", gen.Seq, err)
-		}
+	mat, err := s.materializeLocked(gen.Seq, gen.Dedup(), true, feedParts([][]byte{payload}), nil)
+	if err != nil {
+		return fmt.Errorf("store: put gen %d: %w", gen.Seq, err)
 	}
-
-	gens := s.generationsLocked()
-	replaced := false
-	for i := range gens {
-		if gens[i].Seq == gen.Seq {
-			// Replacing an indexed dedup record: release the old recipe's
-			// references before adopting the new ones.
-			if gens[i].Dedup() {
-				if old, ok := s.dd.recipes[gen.Seq]; ok {
-					for _, h := range s.dd.idx.Release(old) {
-						s.b.RemoveChunk(h.String())
-					}
-					s.detachRecipeLocked(gen.Seq)
-				}
-			}
-			gens[i] = gen
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		gens = append(gens, gen)
-		sort.Slice(gens, func(i, j int) bool { return gens[i].Seq < gens[j].Seq })
-	}
-	next := s.man.NextSeq
-	if gen.Seq+1 > next {
-		next = gen.Seq + 1
-	}
-	m := manifest{NextSeq: next, Gens: gens}
-	if err := s.writeManifest(m); err != nil {
+	if err := s.indexLocked(gen, mat, false); err != nil {
 		return fmt.Errorf("store: put gen %d: manifest: %w", gen.Seq, err)
 	}
-	s.man = m
-	if gen.Dedup() {
-		s.dd.idx.Add(putRefs)
-		s.dd.recipes[gen.Seq] = putRefs
-		s.dd.recipeBytes[gen.Seq] = putRecipeLen
-	}
 	return nil
-}
-
-// putDedupLocked materializes a dedup generation from its logical
-// payload: chunk, write missing chunks, commit the recipe. Returns the
-// chunk references and recipe size for the caller's bookkeeping (index
-// updates happen only after the manifest commits).
-func (s *Store) putDedupLocked(seq uint64, payload []byte) ([]cas.Ref, int64, error) {
-	chunks, err := cas.Split(s.dd.cfg, payload)
-	if err != nil {
-		return nil, 0, fmt.Errorf("store: put gen %d: %w", seq, err)
-	}
-	refs := make([]cas.Ref, 0, len(chunks))
-	staged := make(map[cas.Hash]bool)
-	for _, chunk := range chunks {
-		h := cas.Sum(chunk)
-		refs = append(refs, cas.Ref{Hash: h, Len: uint32(len(chunk))})
-		if staged[h] {
-			continue
-		}
-		// The ledger is not trusted here: a repair runs precisely because
-		// some referenced chunk is missing or corrupt on disk, and a
-		// quarantined recipe keeps that hash referenced. Verify the durable
-		// copy and rewrite anything that does not check out.
-		if s.dd.idx.Has(h) {
-			if cdata, cerr := s.b.ReadChunk(h.String(), nil); cerr == nil && cas.Sum(cdata) == h {
-				staged[h] = true
-				continue
-			}
-		}
-		if werr := s.b.WriteChunk(h.String(), chunk); werr != nil {
-			return nil, 0, fmt.Errorf("store: put gen %d: chunk: %w", seq, werr)
-		}
-		staged[h] = true
-	}
-	rec := &cas.Recipe{Size: uint64(len(payload)), CRC: crc32.ChecksumIEEE(payload), Chunks: refs}
-	raw := rec.Encode()
-	pw, err := s.b.BeginPayload(seq)
-	if err != nil {
-		return nil, 0, err
-	}
-	if _, werr := pw.Write(raw); werr != nil {
-		pw.Abort()
-		return nil, 0, fmt.Errorf("store: put gen %d: recipe: %w", seq, werr)
-	}
-	if cerr := pw.Commit(); cerr != nil {
-		return nil, 0, fmt.Errorf("store: put gen %d: recipe: %w", seq, cerr)
-	}
-	return refs, int64(len(raw)), nil
 }
 
 // Drop removes a generation's payload and manifest record — retention
@@ -667,27 +652,14 @@ func (s *Store) putDedupLocked(seq uint64, payload []byte) ([]cas.Ref, int64, er
 func (s *Store) Drop(seq uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	gens := s.generationsLocked()
-	kept := gens[:0]
-	found := false
-	var dropGen Generation
-	for _, g := range gens {
-		if g.Seq == seq {
-			found = true
-			dropGen = g
-			continue
-		}
-		kept = append(kept, g)
-	}
-	if !found {
+	m, gen, ok := s.man.without(seq)
+	if !ok {
 		return fmt.Errorf("%w: generation %d", ErrNoGeneration, seq)
 	}
-	m := manifest{NextSeq: s.man.NextSeq, Gens: append([]Generation(nil), kept...)}
-	if err := s.writeManifest(m); err != nil {
+	if err := s.adoptLocked(m); err != nil {
 		return fmt.Errorf("store: drop gen %d: manifest: %w", seq, err)
 	}
-	s.man = m
-	s.releaseGenLocked(dropGen)
+	s.releaseGenLocked(gen)
 	return nil
 }
 
@@ -756,11 +728,6 @@ func (s *Store) Record(seq uint64) (Generation, bool) {
 	return Generation{}, false
 }
 
-// writeManifest persists m through the backend's atomic protocol.
-func (s *Store) writeManifest(m manifest) error {
-	return s.b.WriteManifest(m.encode())
-}
-
 // rescan rebuilds the manifest by scanning generation files: the
 // recovery path for a lost or corrupt manifest. Sizes and CRCs are
 // recomputed from the files, so a torn generation tail records as-is
@@ -818,10 +785,11 @@ func (s *Store) rescan(minNext uint64) error {
 	if next < minNext {
 		next = minNext
 	}
-	s.man = manifest{NextSeq: next, Gens: gens}
-	// Persist the recovered index; failure is non-fatal (the next Open
-	// just rescans again).
-	_ = s.writeManifest(s.man)
+	// Persisting the recovered index is best effort: the files are the truth
+	// either way, and the next Open just rescans again.
+	if m := (manifest{NextSeq: next, Gens: gens}); s.adoptLocked(m) != nil {
+		s.man = m
+	}
 	return nil
 }
 

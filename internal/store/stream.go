@@ -32,11 +32,3 @@ func (s *Store) CommitStream(step int, write func(io.Writer) error) (gen Generat
 func (s *Store) CommitStreamCtx(ctx context.Context, step int, write func(io.Writer) error) (gen Generation, err error) {
 	return s.commit(ctx, autoSeq, step, 0, -1, write)
 }
-
-// CommitStreamAt is CommitStream with a caller-chosen sequence number —
-// the streaming entry point for replicated commits, where a coordinator
-// assigns one seq across N replicas. seq below the store's NextSeq means
-// this replica has already seen newer state: ErrSeqConflict.
-func (s *Store) CommitStreamAt(seq uint64, step int, write func(io.Writer) error) (Generation, error) {
-	return s.commit(context.Background(), seq, step, s.opts.expireStamp(), -1, write)
-}

@@ -25,18 +25,14 @@ type Target interface {
 	Latest() (Generation, bool)
 	// NextSeq returns the next sequence number a commit would use.
 	NextSeq() uint64
-	// Commit adds payload as the next generation.
-	Commit(step int, payload []byte) (Generation, error)
-	// CommitCtx is Commit bound to a request context: cancellation
+	// CommitCtx adds a payload as the next generation; cancelling ctx
 	// aborts between retry attempts and backoff sleeps. The payload is the
 	// parts in order; they are read where they lie, possibly after the
 	// call returns (a replicated target's stragglers), so the caller must
 	// not modify them afterwards.
 	CommitCtx(ctx context.Context, step int, parts ...[]byte) (Generation, error)
-	// CommitStream commits the bytes write produces without buffering
-	// them.
-	CommitStream(step int, write func(io.Writer) error) (Generation, error)
-	// CommitStreamCtx is CommitStream bound to a request context.
+	// CommitStreamCtx commits the bytes write produces without buffering
+	// them, under the same context rule.
 	CommitStreamCtx(ctx context.Context, step int, write func(io.Writer) error) (Generation, error)
 	// ReadGeneration returns generation seq's payload, verified.
 	ReadGeneration(seq uint64) ([]byte, error)
