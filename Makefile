@@ -5,9 +5,9 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check fmt-check vet build test race loc bench-test fuzz-smoke serve-smoke crash-matrix-replicated crash-matrix-dedup bench-parallel bench-obs bench-gzip bench-entropy bench-dedup bench-qa bench-smoke bench-compare bench-compare-smoke
+.PHONY: check fmt-check vet telemetry-lint build test race loc bench-test fuzz-smoke serve-smoke crash-matrix-replicated crash-matrix-dedup bench-parallel bench-obs bench-gzip bench-entropy bench-dedup bench-qa bench-smoke bench-compare bench-compare-smoke
 
-check: fmt-check vet build race bench-test fuzz-smoke serve-smoke bench-compare-smoke
+check: fmt-check vet telemetry-lint build race bench-test fuzz-smoke serve-smoke bench-compare-smoke
 
 fmt-check:
 	@out="$$(gofmt -l .)"; \
@@ -17,6 +17,16 @@ fmt-check:
 
 vet:
 	$(GO) vet ./...
+
+# telemetry-lint keeps the second door shut: outside internal/obs, non-test Go
+# opens a span with journal.Begin and records an event with journal.Note, which
+# feed the registry and the flight recorder alike. A direct Registry.StartSpan
+# or Registry.Event reaches one of the two and drifts from the other.
+telemetry-lint:
+	@if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=obs --exclude-dir=bench \
+		--exclude-dir=.bench_build --exclude-dir=.git '\.StartSpan\(|\.Event\(' .; then \
+		echo "telemetry-lint: use journal.Begin / journal.Note (internal/obs/journal) instead"; exit 1; \
+	fi
 
 build:
 	$(GO) build ./...
@@ -35,7 +45,9 @@ test:
 # writer that rewrites the slabs not yet started. The last line is the
 # replicated fan-out, one coordinator for both commit shapes: per-replica
 # chains, the producer's pipes, stragglers that outlive the quorum's answer, a
-# replica that dies mid-stream, and an inline repair beside them.
+# replica that dies mid-stream, and an inline repair beside them. The sink
+# matrix is that fan-out with the journal and the registry listening: replicas
+# and stragglers open, fill and end operations and drop notes side by side.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'KernelsMatchLaneReference|WorkersBitIdentical' ./internal/wavelet
@@ -44,6 +56,7 @@ race:
 	$(GO) test -race -count=10 -run 'QuantizeDependsOnInputAlone' ./internal/quant
 	$(GO) test -race -count=10 -run 'Engine|ChunkedParallelByteIdentical|CompressChunkedDeltaByteIdentical' ./internal/core
 	$(GO) test -race -count=10 -run 'InlineRepair|ReplicatedStreamCommit|ReplicatedSlowReplica|ReplicatedCommitSurvivesOneDeadReplica' ./internal/store
+	$(GO) test -race -count=10 -run 'SinkMatrix' ./internal/ckpt
 
 # loc prints the non-test Go line count per package and in total (bench/
 # excluded): the figure ROADMAP.md quotes and a simplification PR is held to.
@@ -171,9 +184,12 @@ NEW ?= $(OLD)
 bench-compare:
 	$(GO) run ./cmd/benchdiff $(OLD) $(NEW)
 
-# bench-compare-smoke self-diffs the checked-in snapshots, all five pairs in
-# one invocation — a cheap guard that the tool keeps parsing them and a zero
-# delta keeps exiting 0.
-SNAPSHOTS = BENCH_parallel.json BENCH_obs.json BENCH_gzip.json BENCH_entropy.json BENCH_dedup.json
+# bench-compare-smoke runs the gate, as a binary with its exit status, on a
+# fixture whose verdicts are known: from clean.json to regressed.json one series
+# slows by 20 % (past the 15 % gate) and one by 5 % (inside it), so that
+# direction must exit non-zero, and the way back — nothing slower — must exit 0.
+# (A snapshot diffed against itself, the previous smoke, can only exit 0.)
+FIXTURE = cmd/benchdiff/testdata
 bench-compare-smoke:
-	$(GO) run ./cmd/benchdiff $(foreach s,$(SNAPSHOTS),$(s) $(s))
+	$(GO) run ./cmd/benchdiff $(FIXTURE)/regressed.json $(FIXTURE)/clean.json
+	! $(GO) run ./cmd/benchdiff $(FIXTURE)/clean.json $(FIXTURE)/regressed.json

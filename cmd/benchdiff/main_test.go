@@ -142,9 +142,9 @@ func TestBadInputRejected(t *testing.T) {
 }
 
 func TestRealBenchFileSelfDiff(t *testing.T) {
-	// The repo's checked-in BENCH files must stay parseable by this tool
-	// (make check runs the same self-diff as a smoke test).
-	for _, name := range []string{"BENCH_parallel.json"} {
+	// The repo's checked-in BENCH files must stay parseable by this tool,
+	// all five (make check's smoke runs the gate on a fixture, not on them).
+	for _, name := range []string{"BENCH_parallel.json", "BENCH_obs.json", "BENCH_gzip.json", "BENCH_entropy.json", "BENCH_dedup.json"} {
 		path := filepath.Join("..", "..", name)
 		if _, err := os.Stat(path); err != nil {
 			t.Skipf("%s not present: %v", name, err)

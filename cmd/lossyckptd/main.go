@@ -26,8 +26,9 @@
 // The listener also serves the observability surface: /metrics,
 // /metrics.json, /summary, /healthz, /readyz (503 while draining) and
 // /debug/pprof. -journal writes one wide event per request to a
-// flight-recorder JSONL file (`lossyckpt report -journal` summarizes
-// it).
+// flight-recorder JSONL file, with the checkpoint, restore, quorum and
+// commit operations the request caused as its children (`lossyckpt
+// report -journal` summarizes it).
 //
 // On SIGTERM or SIGINT the daemon stops admitting work (/readyz flips
 // to 503, new API requests get 503), lets in-flight requests finish
@@ -160,7 +161,7 @@ func run(args []string, sigs <-chan os.Signal, logw *os.File) error {
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain waits for in-flight requests")
 	scrubEvery := fs.Duration("scrub-every", 0, "background scrub interval per tenant (0 = off)")
 	workers := fs.Int("workers", 0, "encode/decode workers per request (0 = GOMAXPROCS)")
-	journalPath := fs.String("journal", "", "flight-recorder JSONL path (one wide event per request)")
+	journalPath := fs.String("journal", "", "flight-recorder JSONL path (one wide event per request and per operation under it)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -210,8 +211,12 @@ func run(args []string, sigs <-chan os.Signal, logw *os.File) error {
 		cfg.Workers = *workers
 	}
 
+	// The registry and the journal are also the process defaults while the
+	// daemon runs: the restore path (ckpt.LoadLatestCtx), the guard and the
+	// tuner record there, not on server.Config.
 	reg := obs.NewRegistry()
 	cfg.Observer = reg
+	defer obs.SetDefault(obs.SetDefault(reg))
 	if *journalPath != "" {
 		j, err := journal.Open(*journalPath, journal.Options{Observer: reg})
 		if err != nil {
@@ -219,6 +224,7 @@ func run(args []string, sigs <-chan os.Signal, logw *os.File) error {
 		}
 		defer j.Close()
 		cfg.Journal = j
+		defer journal.SetDefault(journal.SetDefault(j))
 	}
 
 	s, err := server.New(cfg)

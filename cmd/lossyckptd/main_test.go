@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -13,6 +14,8 @@ import (
 	"time"
 
 	"lossyckpt/internal/grid"
+	"lossyckpt/internal/obs"
+	"lossyckpt/internal/obs/journal"
 	"lossyckpt/internal/server"
 )
 
@@ -168,6 +171,71 @@ func TestDaemonConfigFile(t *testing.T) {
 	sig <- syscall.SIGTERM
 	if err := <-done; err != nil {
 		t.Fatalf("daemon exit: %v", err)
+	}
+}
+
+// TestDaemonJournalHoldsRestore: the daemon's restore path (ckpt.LoadLatestCtx),
+// the guard and the tuner record on the process defaults, so the daemon has to
+// install its journal and registry there. After a save and a restore the
+// journal holds the ckpt.restore operation as a child of the server.restore
+// request, /metrics shows its series, and the defaults are handed back on exit.
+func TestDaemonJournalHoldsRestore(t *testing.T) {
+	jpath := filepath.Join(t.TempDir(), "flight.jsonl")
+	base, sig, done := startDaemon(t, "-dir", filepath.Join(t.TempDir(), "store"),
+		"-token", "hunter2", "-tenant", "demo", "-journal", jpath)
+	resp := saveOne(t, base, "demo", "hunter2", 1, 3.5)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("save = %d", resp.StatusCode)
+	}
+	req, _ := http.NewRequest("GET", base+"/v1/demo/restore", nil)
+	req.Header.Set("Authorization", "Bearer hunter2")
+	var err error
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := server.ReadFields(resp.Body); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("restore: %d %v", resp.StatusCode, err)
+	}
+	resp.Body.Close()
+	if resp, err = http.Get(base + "/metrics"); err != nil {
+		t.Fatal(err)
+	}
+	metrics, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !bytes.Contains(metrics, []byte("lossyckpt_ckpt_restore_total 1")) {
+		t.Errorf("/metrics lacks lossyckpt_ckpt_restore_total 1:\n%s", metrics)
+	}
+	sig <- syscall.SIGTERM
+	if err := <-done; err != nil {
+		t.Fatalf("daemon exit: %v", err)
+	}
+	if obs.Default() != nil || journal.Default() != nil {
+		t.Error("the daemon left its registry or journal installed as process default")
+	}
+
+	recs, torn, err := journal.ReadAll(jpath)
+	if err != nil || torn {
+		t.Fatalf("journal: torn=%v err=%v", torn, err)
+	}
+	var request, restore *journal.Record
+	for i, r := range recs {
+		if r.Phase != "end" {
+			continue
+		}
+		switch r.Op {
+		case "server.restore":
+			request = &recs[i]
+		case "ckpt.restore":
+			restore = &recs[i]
+		}
+	}
+	if request == nil || restore == nil {
+		t.Fatalf("journal lacks an end record: server.restore %v, ckpt.restore %v", request != nil, restore != nil)
+	}
+	if restore.Parent != request.ID || restore.Err != "" || restore.Attrs["mode"] != "load_latest" {
+		t.Fatalf("ckpt.restore %+v is not the child of server.restore %s", *restore, request.ID)
 	}
 }
 

@@ -64,11 +64,11 @@ type Manager struct {
 	// quality enables per-variable reconstruction-quality gauges for
 	// lossy codecs (opt-in: it costs a decode round-trip per entry).
 	quality bool
-	// jrnl receives flight-recorder wide events (see journal.go); only
+	// jrnl receives flight-recorder wide events (see observe.go); only
 	// consulted when jrnlSet, otherwise the process default applies.
 	jrnl    *journal.Journal
 	jrnlSet bool
-	// curOp is the wide event a wrapping operation (CheckpointTo,
+	// curOp is the operation a wrapping call (CheckpointTo,
 	// RestoreLatest) already opened: the inner Checkpoint/Restore call
 	// enriches it instead of opening its own. A Manager is documented
 	// as not safe for concurrent use, so a plain field suffices.
@@ -221,24 +221,9 @@ func (m *Manager) checkpointParts(step int) (rep *Report, parts [][]byte, err er
 	}
 
 	encoded := make([]*Encoded, len(m.names))
-	if o := m.observer(); o != nil {
-		sp := o.StartSpan(MetricCheckpointSpan, "codec", m.codec.Name(), "step", fmt.Sprint(step))
-		defer func() {
-			sp.EndErr(err)
-			if err == nil {
-				m.recordCheckpoint(o, rep, encoded)
-			}
-		}()
-	}
-	if op, owned := m.opFor("ckpt.checkpoint", "codec", m.codec.Name(), "mode", "buffered"); op != nil {
-		op.SetStep(step)
-		defer func() {
-			m.fillCheckpoint(op, rep, encoded)
-			if owned {
-				op.End(err)
-			}
-		}()
-	}
+	op, owned := m.opFor("ckpt.checkpoint", "codec", m.codec.Name(), "mode", "buffered")
+	op.SetStep(step)
+	defer func() { m.closeCheckpoint(op, owned, rep, encoded, err) }()
 
 	parts = append(make([][]byte, 0, 1+2*len(m.names)), m.streamHeader(fileVersion, step))
 	rep = &Report{Codec: m.codec.Name(), Step: step, FileBytes: len(parts[0])}
@@ -551,23 +536,8 @@ func (m *Manager) restore(br *byteReader, partial bool) (rep *Report, skipped []
 	if partial {
 		mode = "partial"
 	}
-	if o := m.observer(); o != nil {
-		sp := o.StartSpan(MetricRestoreSpan, "codec", m.codec.Name(), "mode", mode)
-		defer func() {
-			sp.EndErr(err)
-			if err == nil && partial {
-				recordPartialRestore(o, rep, skipped)
-			}
-		}()
-	}
-	if op, owned := m.opFor("ckpt.restore", "codec", m.codec.Name(), "mode", mode); op != nil {
-		defer func() {
-			fillRestore(op, rep, skipped)
-			if owned {
-				op.End(err)
-			}
-		}()
-	}
+	op, owned := m.opFor("ckpt.restore", "codec", m.codec.Name(), "mode", mode)
+	defer func() { m.closeRestore(op, owned, rep, skipped, partial, err) }()
 	hdr, err := readStreamHeader(br)
 	if err != nil {
 		return nil, nil, err

@@ -1,20 +1,28 @@
+// observe.go is the manager's telemetry: every checkpoint and restore is one
+// journal.Op — in the flight recorder one wide event carrying the per-entry
+// stage waterfall (transform → quantize → entropy; per-chunk under the chunked
+// paths), the codec/shuffle/divisions each entry actually used and the guard
+// ladder rung it shipped at; on the registry the operation's span series — and
+// what the operation does not carry (byte counters, quality gauges) is recorded
+// beside it, once, when it closes. The store layer adds its own commit/vote
+// child operations under the same operation ID.
 package ckpt
 
 import (
-	"fmt"
 	"math"
 
+	"lossyckpt/internal/core"
 	"lossyckpt/internal/obs"
+	"lossyckpt/internal/obs/journal"
 	"lossyckpt/internal/stats"
 )
 
-// Metric names recorded by the checkpoint manager. The checkpoint and
-// restore spans yield _seconds/_total/_errors_total series; quality
-// gauges are labeled with the variable name and refreshed on every
-// checkpoint.
+// Metric names recorded by the checkpoint manager, beside the
+// lossyckpt_ckpt_checkpoint and lossyckpt_ckpt_restore _seconds/_total/
+// _errors_total series the ckpt.checkpoint and ckpt.restore operations yield
+// (journal.SpanName); quality gauges are labeled with the variable name and
+// refreshed on every checkpoint.
 const (
-	MetricCheckpointSpan  = "lossyckpt_ckpt_checkpoint"
-	MetricRestoreSpan     = "lossyckpt_ckpt_restore"
 	MetricCkptRawBytes    = "lossyckpt_ckpt_raw_bytes_total"
 	MetricCkptFileBytes   = "lossyckpt_ckpt_file_bytes_total"
 	MetricCkptEntries     = "lossyckpt_ckpt_entries_total"
@@ -48,55 +56,176 @@ func (m *Manager) observer() *obs.Registry {
 	return obs.Default()
 }
 
-// recordCheckpoint folds one completed checkpoint into the registry:
-// aggregate byte/entry counters plus per-variable quality gauges.
-func (m *Manager) recordCheckpoint(o *obs.Registry, rep *Report, encoded []*Encoded) {
+// SetJournal routes the manager's flight-recorder events to j. Nil
+// disables recording for this manager; without a call the process
+// default journal applies (itself a no-op unless installed).
+func (m *Manager) SetJournal(j *journal.Journal) {
+	m.jrnl = j
+	m.jrnlSet = true
+}
+
+// journal resolves the manager's effective flight recorder.
+func (m *Manager) journal() *journal.Journal {
+	if m.jrnlSet {
+		return m.jrnl
+	}
+	return journal.Default()
+}
+
+// begin and note record an operation or a single-shot fact on the manager's
+// effective journal and registry, whichever are set.
+func (m *Manager) begin(op string, attrs ...any) *journal.Op {
+	return m.journal().Begin(m.observer(), op, attrs...)
+}
+
+func (m *Manager) note(op string, attrs ...any) {
+	m.journal().Note(m.observer(), op, attrs...)
+}
+
+// opFor returns the operation a call should fill: the one a wrapping
+// store-level call already opened (owned=false), or a fresh root op
+// (owned=true — the caller must End it).
+func (m *Manager) opFor(name string, attrs ...any) (op *journal.Op, owned bool) {
+	if m.curOp != nil {
+		return m.curOp, false
+	}
+	return m.begin(name, attrs...), true
+}
+
+// stagesOf flattens a timing breakdown into the journal's waterfall
+// map, skipping zero-valued phases.
+func stagesOf(t core.Timings) map[string]float64 {
+	out := map[string]float64{}
+	put := func(k string, d float64) {
+		if d > 0 {
+			out[k] = d
+		}
+	}
+	put("transform", t.Wavelet.Seconds())
+	put("quantize", t.Quantize.Seconds())
+	put("encode", t.Encode.Seconds())
+	put("format", t.Format.Seconds())
+	put("temp_write", t.TempWrite.Seconds())
+	put("entropy", t.Gzip.Seconds())
+	put("total", t.Total.Seconds())
+	if len(out) == 0 {
+		return nil
+	}
+	return out
+}
+
+// closeCheckpoint is the one close of a checkpoint call. A checkpoint that
+// succeeded is folded into its operation — aggregate waterfall, byte totals,
+// and one entry per variable with its own stage breakdown, per-chunk timings
+// and codec decisions — and into the registry: byte and entry counters, the
+// rate gauge and, when enabled, the quality gauges per variable. The
+// operation ends here unless a wrapping call owns it. op is nil when neither
+// sink is set, and nothing is computed.
+func (m *Manager) closeCheckpoint(op *journal.Op, owned bool, rep *Report, encoded []*Encoded, err error) {
+	if owned {
+		defer op.End(err)
+	}
+	if op == nil || err != nil {
+		return
+	}
+	o := m.observer()
 	o.Counter(MetricCkptRawBytes).Add(float64(rep.RawBytes))
 	o.Counter(MetricCkptFileBytes).Add(float64(rep.FileBytes))
 	o.Counter(MetricCkptEntries).Add(float64(len(rep.Entries)))
-
+	op.SetBytes(int64(rep.RawBytes), int64(rep.CompressedBytes))
+	agg := rep.AggregateTimings()
+	op.Stage("transform", agg.Wavelet)
+	op.Stage("quantize", agg.Quantize)
+	op.Stage("encode", agg.Encode)
+	op.Stage("format", agg.Format)
+	op.Stage("entropy", agg.Gzip)
+	if m.DeltaEnabled() {
+		op.Set("delta", "true", "entries_reused", rep.ReusedEntries,
+			"slabs_reused", rep.DeltaSlabsReused, "slabs_compressed", rep.DeltaSlabsCompressed)
+	}
 	measure := m.quality && !m.codec.Lossless()
 	for i, e := range rep.Entries {
+		je := journal.Entry{
+			Var:      e.Name,
+			BytesIn:  e.RawBytes,
+			BytesOut: e.CompressedBytes,
+			Stages:   stagesOf(e.Timings),
+		}
+		enc := encoded[i]
+		je.Codec = enc.EntropyLabel
+		je.Divisions = enc.Divisions
+		for _, ct := range enc.ChunkTimings {
+			je.Chunks = append(je.Chunks, stagesOf(ct))
+		}
+		if g := e.Guarantee; g != nil {
+			je.Guard = g.Mode.String()
+			je.Escalations = g.Escalations
+		}
+		op.Entry(je)
 		if e.RawBytes > 0 {
 			o.Gauge(MetricQualityRatePct, "var", e.Name).Set(stats.CompressionRate(e.CompressedBytes, e.RawBytes))
 		}
-		if !measure {
-			continue
-		}
 		// Streaming checkpoints never buffer payloads, so there is nothing
 		// to decode for quality measurement.
-		if encoded[i] == nil || encoded[i].Payload == nil {
-			continue
-		}
-		f := m.fields[e.Name]
-		decoded, err := m.codec.Decode(encoded[i].Payload, f.Shape())
-		if err != nil {
-			o.Event("ckpt.quality_decode_failed", "var", e.Name, "error", err.Error())
-			continue
-		}
-		orig, approx := f.Data(), decoded.Data()
-		// Gauge.Set drops non-finite values, so a perfect reconstruction
-		// (+Inf PSNR) keeps the previous reading; record the event so the
-		// snapshot still shows it happened.
-		if psnr, err := stats.PSNR(orig, approx); err == nil {
-			if math.IsInf(psnr, 1) {
-				o.Event("ckpt.quality_exact", "var", e.Name)
-			}
-			o.Gauge(MetricQualityPSNR, "var", e.Name).Set(psnr)
-		}
-		if sum, err := stats.Compare(orig, approx); err == nil {
-			o.Gauge(MetricQualityMaxRel, "var", e.Name).Set(sum.MaxPct)
-		}
-		if maxAbs, err := stats.MaxAbsError(orig, approx); err == nil {
-			o.Gauge(MetricQualityMaxAbs, "var", e.Name).Set(maxAbs)
+		if measure && enc.Payload != nil {
+			m.measureQuality(o, e.Name, enc.Payload)
 		}
 	}
 }
 
-// recordPartialRestore folds one completed partial restore.
-func recordPartialRestore(o *obs.Registry, rep *Report, skipped []string) {
-	o.Counter(MetricPartialRestores).Inc()
-	o.Counter(MetricSkippedVars).Add(float64(len(skipped)))
-	o.Event("ckpt.partial_restore",
-		"restored", len(rep.Entries), "skipped", len(skipped), "step", fmt.Sprint(rep.Step))
+// measureQuality decodes one entry the checkpoint just encoded and sets the
+// variable's reconstruction-quality gauges from the round trip.
+func (m *Manager) measureQuality(o *obs.Registry, name string, payload []byte) {
+	f := m.fields[name]
+	decoded, err := m.codec.Decode(payload, f.Shape())
+	if err != nil {
+		m.note("ckpt.quality_decode_failed", "var", name, "error", err.Error())
+		return
+	}
+	orig, approx := f.Data(), decoded.Data()
+	// Gauge.Set drops non-finite values, so a perfect reconstruction
+	// (+Inf PSNR) keeps the previous reading; note it so the record still
+	// shows it happened.
+	if psnr, err := stats.PSNR(orig, approx); err == nil {
+		if math.IsInf(psnr, 1) {
+			m.note("ckpt.quality_exact", "var", name)
+		}
+		o.Gauge(MetricQualityPSNR, "var", name).Set(psnr)
+	}
+	if sum, err := stats.Compare(orig, approx); err == nil {
+		o.Gauge(MetricQualityMaxRel, "var", name).Set(sum.MaxPct)
+	}
+	if maxAbs, err := stats.MaxAbsError(orig, approx); err == nil {
+		o.Gauge(MetricQualityMaxAbs, "var", name).Set(maxAbs)
+	}
+}
+
+// closeRestore is the one close of a restore call: a restore that succeeded
+// is folded into its operation, a lenient one is counted and noted as a
+// partial restore, and the operation ends here unless a wrapping call owns it.
+func (m *Manager) closeRestore(op *journal.Op, owned bool, rep *Report, skipped []string, partial bool, err error) {
+	if owned {
+		defer op.End(err)
+	}
+	if op == nil || err != nil {
+		return
+	}
+	op.SetStep(rep.Step)
+	op.SetBytes(int64(rep.CompressedBytes), int64(rep.RawBytes))
+	for _, e := range rep.Entries {
+		je := journal.Entry{Var: e.Name, BytesIn: e.CompressedBytes, BytesOut: e.RawBytes}
+		if g := e.Guarantee; g != nil {
+			je.Guard = g.Mode.String()
+		}
+		op.Entry(je)
+	}
+	for _, name := range skipped {
+		op.Entry(journal.Entry{Var: name, Guard: "skipped"})
+	}
+	if partial {
+		o := m.observer()
+		o.Counter(MetricPartialRestores).Inc()
+		o.Counter(MetricSkippedVars).Add(float64(len(skipped)))
+		m.note("ckpt.partial_restore", "restored", len(rep.Entries), "skipped", len(skipped), "step", rep.Step)
+	}
 }

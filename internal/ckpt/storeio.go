@@ -50,15 +50,12 @@ func (m *Manager) CheckpointToCtx(ctx context.Context, st store.Target, step int
 	return rep, gen, nil
 }
 
-// checkpointOp opens the checkpoint wide event of a save into a store, so
-// the store's commit and vote records become children of the same operation
-// and the inner Checkpoint call enriches it (see journal.go). The function it
-// returns closes the event with the save's outcome; defer it.
+// checkpointOp opens the operation of a save into a store, so the store's
+// commit and vote records become its children, the inner Checkpoint call
+// enriches it (see observe.go) and its span covers encode and commit. The
+// function it returns closes it with the save's outcome; defer it.
 func (m *Manager) checkpointOp(mode string, step int) func(*store.Generation, *error) {
-	op := m.journal().Begin("ckpt.checkpoint", "codec", m.codec.Name(), "mode", mode)
-	if op == nil {
-		return func(*store.Generation, *error) {}
-	}
+	op := m.begin("ckpt.checkpoint", "codec", m.codec.Name(), "mode", mode)
 	op.SetStep(step)
 	m.curOp = op
 	return func(gen *store.Generation, err *error) {
@@ -136,24 +133,21 @@ type StoreRestore struct {
 // array. Every failure is carried in the returned error if nothing at
 // all is restorable.
 func (m *Manager) RestoreLatest(st store.Target) (sr *StoreRestore, err error) {
-	o := m.observer()
-	op := m.journal().Begin("ckpt.restore_latest", "codec", m.codec.Name())
-	if op != nil {
-		m.curOp = op
-		defer func() {
-			m.curOp = nil
-			if sr != nil {
-				op.SetSeq(sr.Generation)
-				op.SetStep(sr.Step)
-				if sr.Partial {
-					op.Set("partial", "true")
-				}
+	// One operation per call, however many generations the walk tries: the
+	// inner restores fill it, the ones it passes over are counted and noted.
+	op := m.begin("ckpt.restore", "codec", m.codec.Name(), "mode", "latest")
+	m.curOp = op
+	defer func() {
+		m.curOp = nil
+		if sr != nil {
+			op.SetSeq(sr.Generation)
+			if sr.Partial {
+				op.Set("partial", "true")
 			}
-			op.End(err)
-		}()
-	}
-	err = newestFirst(context.Background(), st,
-		func(seq uint64, reason string) { m.recordFallback(o, seq, reason) },
+		}
+		op.End(err)
+	}()
+	err = newestFirst(context.Background(), st, m.recordFallback,
 		func(g store.Generation, data []byte, lenient bool) error {
 			rep, skipped, err := m.restore(&byteReader{b: data}, lenient)
 			if err != nil {
@@ -173,14 +167,10 @@ func (m *Manager) RestoreLatest(st store.Target) (sr *StoreRestore, err error) {
 }
 
 // recordFallback counts one generation the restore walk had to skip,
-// labeled with why, and leaves a trace event naming the generation.
-func (m *Manager) recordFallback(o *obs.Registry, seq uint64, reason string) {
-	m.journal().Note("ckpt.store_fallback", "gen", fmt.Sprint(seq), "reason", reason)
-	if o == nil {
-		return
-	}
-	o.Counter(MetricStoreFallbacks, "reason", reason).Inc()
-	o.Event("ckpt.store_fallback", "gen", seq, "reason", reason)
+// labeled with why, and notes which.
+func (m *Manager) recordFallback(seq uint64, reason string) {
+	m.observer().Counter(MetricStoreFallbacks, "reason", reason).Inc()
+	m.note("ckpt.store_fallback", "gen", seq, "reason", reason)
 }
 
 func namesOf(rep *Report) []string {
@@ -227,11 +217,8 @@ func LoadLatest(st store.Target, workers int) (lc *LoadedCheckpoint, err error) 
 // is observed between generation attempts, so a restore walking a deep
 // retention ring of damaged generations stops when its request dies.
 func LoadLatestCtx(ctx context.Context, st store.Target, workers int) (lc *LoadedCheckpoint, err error) {
-	op := journal.Default().Begin("ckpt.restore", "mode", "load_latest")
+	op := journal.Default().Begin(obs.Default(), "ckpt.restore", "mode", "load_latest")
 	defer func() {
-		if op == nil {
-			return
-		}
 		if lc != nil {
 			op.SetStep(lc.Step)
 			op.SetSeq(lc.Generation)
@@ -240,7 +227,7 @@ func LoadLatestCtx(ctx context.Context, st store.Target, workers int) (lc *Loade
 				op.Entry(journal.Entry{Var: lf.Name})
 			}
 			if lc.SkippedFrames > 0 {
-				op.Set("skipped_frames", fmt.Sprint(lc.SkippedFrames))
+				op.Set("skipped_frames", lc.SkippedFrames)
 			}
 		}
 		op.End(err)

@@ -139,25 +139,9 @@ func (m *Manager) CheckpointStreamCtx(ctx context.Context, w io.Writer, step int
 		return nil, fmt.Errorf("%w: negative step %d", ErrRegistered, step)
 	}
 	encoded := make([]*Encoded, len(m.names))
-	if o := m.observer(); o != nil {
-		sp := o.StartSpan(MetricCheckpointSpan, "codec", m.codec.Name(), "step", fmt.Sprint(step), "mode", "stream")
-		defer func() {
-			sp.EndErr(err)
-			if err == nil {
-				m.recordCheckpoint(o, rep, encoded)
-			}
-		}()
-	}
 	jop, jowned := m.opFor("ckpt.checkpoint", "codec", m.codec.Name(), "mode", "stream")
-	if jop != nil {
-		jop.SetStep(step)
-		defer func() {
-			m.fillCheckpoint(jop, rep, encoded)
-			if jowned {
-				jop.End(err)
-			}
-		}()
-	}
+	jop.SetStep(step)
+	defer func() { m.closeCheckpoint(jop, jowned, rep, encoded, err) }()
 
 	cw := &countingWriter{w: w}
 	if _, err := cw.Write(m.streamHeader(fileVersionStream, step)); err != nil {

@@ -26,7 +26,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strconv"
 	"time"
 
 	"lossyckpt/internal/ckpt"
@@ -312,13 +311,7 @@ func Run(app, reference App, cfg Config) (*Result, error) {
 					if g, ok := st.Latest(); ok {
 						if os.Remove(filepath.Join(st.Dir(), store.GenName(g.Seq))) == nil {
 							res.ReplicaLosses++
-							if obsr != nil {
-								obsr.Event("faultsim.replica_loss",
-									"replica", victim, "gen", g.Seq)
-							}
-							journal.Default().Note("faultsim.replica_loss",
-								"replica", strconv.Itoa(victim),
-								"gen", strconv.FormatUint(g.Seq, 10))
+							journal.Note(obsr, "faultsim.replica_loss", "replica", victim, "gen", g.Seq)
 						}
 					}
 				}
@@ -331,17 +324,11 @@ func Run(app, reference App, cfg Config) (*Result, error) {
 			app.SetStepCount(step)
 			res.ReworkSteps += before - step
 			clock += cfg.RestartCost
-			if obsr != nil {
-				obsr.Counter(MetricFailures).Inc()
-				obsr.Counter(MetricRollbacks).Inc()
-				obsr.Counter(MetricReworkSteps).Add(float64(before - step))
-				obsr.Event("faultsim.failure",
-					"at_step", before, "rolled_back_to", step, "virtual_clock", clock.String())
-			}
-			journal.Default().Note("faultsim.failure",
-				"at_step", strconv.Itoa(before),
-				"rolled_back_to", strconv.Itoa(step),
-				"virtual_clock", clock.String())
+			obsr.Counter(MetricFailures).Inc()
+			obsr.Counter(MetricRollbacks).Inc()
+			obsr.Counter(MetricReworkSteps).Add(float64(before - step))
+			journal.Note(obsr, "faultsim.failure",
+				"at_step", before, "rolled_back_to", step, "virtual_clock", clock.String())
 		}
 		app.Step()
 		clock += cfg.StepCost

@@ -558,8 +558,7 @@ func (p Policy) backoff(violations int) {
 
 func escalate(o *obs.Registry, name, step, why string) {
 	o.Counter(MetricEscalations, "step", step).Inc()
-	o.Event("guard.escalate", "var", name, "step", step, "why", why)
-	journal.Default().Note("guard.escalate", "var", name, "step", step, "why", why)
+	journal.Note(o, "guard.escalate", "var", name, "step", step, "why", why)
 }
 
 func record(o *obs.Registry, name string, ann Annotation) {

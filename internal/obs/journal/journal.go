@@ -9,6 +9,12 @@
 // like a nil *obs.Registry, so call sites never branch on "is the
 // flight recorder on".
 //
+// It is also the one front door for telemetry about operations: Begin
+// and Note take the caller's registry next to the journal, and what the
+// registry shows of an operation — its <SpanName>_seconds, _total and
+// _errors_total series and its event in the tail — is derived from the
+// Op and the Note, never recorded a second time by the call site.
+//
 // Records carry an operation ID and the ID of the operation that was
 // active when they began, so a checkpoint's store commit, its replica
 // votes, and any guard escalations raised while encoding all join
@@ -22,6 +28,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -113,12 +122,15 @@ type Record struct {
 // rotation. All methods are safe for concurrent use and safe on a nil
 // receiver (no-op).
 type Journal struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
-	size int64
-	opt  Options
-	seq  atomic.Uint64
+	mu sync.Mutex
+	// f is nil once closed, and while broken: after a rotation that could not
+	// reopen the active file, until an append's retry can.
+	f      *os.File
+	closed bool
+	path   string
+	size   int64
+	opt    Options
+	seq    atomic.Uint64
 
 	// active is the ID of the most recent root operation still open —
 	// the parent new operations and notes attach to. Best-effort under
@@ -138,16 +150,27 @@ func Open(path string, opt Options) (*Journal, error) {
 	if opt.MaxRecordBytes <= 0 {
 		opt.MaxRecordBytes = DefaultMaxRecordBytes
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	j := &Journal{path: path, opt: opt}
+	if err := j.openLocked(os.O_APPEND); err != nil {
 		return nil, fmt.Errorf("journal: open: %w", err)
+	}
+	return j, nil
+}
+
+// openLocked opens the active file — to append to what a previous run left,
+// or truncated behind a rotation — and takes its size.
+func (j *Journal) openLocked(flag int) error {
+	f, err := os.OpenFile(j.path, os.O_CREATE|os.O_WRONLY|flag, 0o644)
+	if err != nil {
+		return err
 	}
 	st, err := f.Stat()
 	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("journal: stat: %w", err)
+		return err
 	}
-	return &Journal{f: f, path: path, size: st.Size(), opt: opt}, nil
+	j.f, j.size = f, st.Size()
+	return nil
 }
 
 // Path returns the active journal file path ("" on nil).
@@ -166,6 +189,7 @@ func (j *Journal) Close() error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.closed = true
 	if j.f == nil {
 		return nil
 	}
@@ -205,15 +229,25 @@ func (j *Journal) append(rec *Record) {
 	b = append(b, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
+	if j.closed {
 		return
 	}
-	if j.size+int64(len(b)) > j.opt.MaxBytes && j.size > 0 {
+	o := j.observer()
+	if j.f != nil && j.size+int64(len(b)) > j.opt.MaxBytes && j.size > 0 {
 		j.rotateLocked()
+	}
+	if j.f == nil {
+		// Broken, not closed: the ring was shifted — now or by an earlier
+		// append — and the active file could not be opened behind it. Every
+		// append tries again, and counts the record it loses while it cannot.
+		if err := j.openLocked(os.O_TRUNC); err != nil {
+			o.Counter(MetricWriteErrors).Inc()
+			o.Counter(MetricDroppedRecords).Inc()
+			return
+		}
 	}
 	n, err := j.f.Write(b)
 	j.size += int64(n)
-	o := j.observer()
 	if err != nil {
 		o.Counter(MetricWriteErrors).Inc()
 		return
@@ -223,10 +257,12 @@ func (j *Journal) append(rec *Record) {
 }
 
 // rotateLocked shifts path → path.1 → … → path.(MaxFiles-1), dropping
-// the oldest, and reopens a fresh active file. Errors are swallowed
-// (the recorder must never take down the recorded).
+// the oldest, and leaves the journal without an active file: append opens a
+// fresh one. Errors are swallowed (the recorder must never take down the
+// recorded).
 func (j *Journal) rotateLocked() {
 	j.f.Close()
+	j.f = nil
 	for i := j.opt.MaxFiles - 1; i >= 1; i-- {
 		from := j.path
 		if i > 1 {
@@ -238,14 +274,6 @@ func (j *Journal) rotateLocked() {
 		}
 		os.Rename(from, to)
 	}
-	f, err := os.OpenFile(j.path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		j.f = nil
-		j.observer().Counter(MetricWriteErrors).Inc()
-		return
-	}
-	j.f = f
-	j.size = 0
 	j.observer().Counter(MetricRotations).Inc()
 }
 
@@ -277,12 +305,21 @@ func RotatedSet(path string, maxFiles int) []string {
 	return out
 }
 
-// Op is an in-flight operation accumulating one wide event. Created by
-// Begin, finished by End. Safe on a nil receiver and for concurrent
-// mutation (replica vote outcomes arrive from worker goroutines);
-// mutations after End are dropped.
+// SpanName is the one rule that names an operation's registry series:
+// "lossyckpt_" and the op name with its dots as underscores, so store.commit
+// feeds lossyckpt_store_commit_seconds, _total and _errors_total.
+func SpanName(op string) string {
+	return "lossyckpt_" + strings.ReplaceAll(op, ".", "_")
+}
+
+// Op is an in-flight operation: the one span a call site opens. It
+// accumulates one wide event for the journal and closes one obs.Span on the
+// registry; either sink may be absent. Created by Begin, finished by End.
+// Safe on a nil receiver and for concurrent mutation (replica vote outcomes
+// arrive from worker goroutines); mutations after End are dropped.
 type Op struct {
-	j     *Journal
+	j     *Journal  // nil: no flight recorder, the span alone
+	span  *obs.Span // nil: no registry
 	mu    sync.Mutex
 	rec   Record
 	start time.Time
@@ -290,35 +327,33 @@ type Op struct {
 	done  bool
 }
 
-// Begin opens an operation: a slim begin record is written immediately
-// (the evidence a kill leaves behind), and the returned Op accumulates
-// the waterfall until End. attrs are alternating key/value strings.
-func (j *Journal) Begin(op string, attrs ...string) *Op {
-	if j == nil {
+// Begin opens an operation on the sinks that are set — the journal, the
+// registry r, or both — and returns nil, at no cost, when neither is. On the
+// journal a slim begin record is written immediately (the evidence a kill
+// leaves behind) and the returned Op accumulates the waterfall until End; on
+// the registry a span named SpanName(op) starts. attrs are alternating keys
+// and values (see attrString for the value types).
+func (j *Journal) Begin(r *obs.Registry, op string, attrs ...any) *Op {
+	if j == nil && r == nil {
 		return nil
 	}
-	id := j.nextID()
-	var parent string
-	root := j.active.CompareAndSwap(nil, &id)
-	if !root {
+	strs := attrStrings(attrs)
+	o := &Op{j: j, start: time.Now(), rec: Record{Op: op}}
+	if r != nil {
+		o.span = r.StartSpan(SpanName(op), anys(strs)...)
+	}
+	if j == nil {
+		return o
+	}
+	o.rec.ID, o.rec.Attrs = j.nextID(), attrMap(strs)
+	if o.root = j.active.CompareAndSwap(nil, &o.rec.ID); !o.root {
 		if p := j.active.Load(); p != nil {
-			parent = *p
+			o.rec.Parent = *p
 		}
 	}
-	o := &Op{
-		j:     j,
-		start: time.Now(),
-		root:  root,
-		rec: Record{
-			ID:     id,
-			Parent: parent,
-			Op:     op,
-			Attrs:  attrMap(attrs),
-		},
-	}
 	j.append(&Record{
-		ID:     id,
-		Parent: parent,
+		ID:     o.rec.ID,
+		Parent: o.rec.Parent,
 		Op:     op,
 		Phase:  "begin",
 		Attrs:  o.rec.Attrs,
@@ -334,8 +369,8 @@ func (o *Op) ID() string {
 	return o.rec.ID
 }
 
-// Set adds or overwrites string attributes on the final record.
-func (o *Op) Set(attrs ...string) {
+// Set adds or overwrites attributes on the final record.
+func (o *Op) Set(attrs ...any) {
 	if o == nil {
 		return
 	}
@@ -345,7 +380,7 @@ func (o *Op) Set(attrs ...string) {
 		o.rec.Attrs = map[string]string{}
 	}
 	for i := 0; i+1 < len(attrs); i += 2 {
-		o.rec.Attrs[attrs[i]] = attrs[i+1]
+		o.rec.Attrs[attrString(attrs[i])] = attrString(attrs[i+1])
 	}
 }
 
@@ -434,9 +469,10 @@ func (o *Op) Progress(stage string, bytes int64) {
 	})
 }
 
-// End finishes the operation: the full wide event is written with
-// total duration and the error, if any, and the active-operation
-// register is released if this Op held it.
+// End finishes the operation: the span closes — one observation of the
+// duration, one count, one error count if err is set, one event in the tail —
+// the full wide event is written with total duration and the error, if any,
+// and the active-operation register is released if this Op held it.
 func (o *Op) End(err error) {
 	if o == nil {
 		return
@@ -449,6 +485,10 @@ func (o *Op) End(err error) {
 	o.done = true
 	rec := o.rec
 	o.mu.Unlock()
+	o.span.EndErr(err)
+	if o.j == nil {
+		return
+	}
 	rec.Phase = "end"
 	rec.Seconds = time.Since(o.start).Seconds()
 	if err != nil {
@@ -463,10 +503,18 @@ func (o *Op) End(err error) {
 	o.j.append(&rec)
 }
 
-// Note writes one self-contained wide event (begin+end collapsed) for
-// single-shot facts: a guard escalation, a tune decision, a read
-// repair. It inherits the active operation as parent.
-func (j *Journal) Note(op string, attrs ...string) {
+// Note records one single-shot fact — a guard escalation, a tune decision,
+// a read repair — on the sinks that are set: an event in the registry's tail
+// and one self-contained wide event (begin+end collapsed) in the journal,
+// where it inherits the active operation as parent.
+func (j *Journal) Note(r *obs.Registry, op string, attrs ...any) {
+	if j == nil && r == nil {
+		return
+	}
+	strs := attrStrings(attrs)
+	if r != nil {
+		r.Event(op, anys(strs)...)
+	}
 	if j == nil {
 		return
 	}
@@ -479,8 +527,49 @@ func (j *Journal) Note(op string, attrs ...string) {
 		Parent: parent,
 		Op:     op,
 		Phase:  "note",
-		Attrs:  attrMap(attrs),
+		Attrs:  attrMap(strs),
 	})
+}
+
+// attrString renders one attribute key or value. The types are the ones call
+// sites pass — strings, integers, booleans; an error goes in as its Error()
+// — and the switch is closed on purpose: handing a value to fmt would make
+// every caller's arguments escape, and Begin and Note must cost nothing when
+// no sink is set. Anything else records as its type name.
+func attrString(v any) string {
+	switch v := v.(type) {
+	case nil:
+		return ""
+	case string:
+		return v
+	case int:
+		return strconv.Itoa(v)
+	case int64:
+		return strconv.FormatInt(v, 10)
+	case uint64:
+		return strconv.FormatUint(v, 10)
+	case bool:
+		return strconv.FormatBool(v)
+	}
+	return "!" + reflect.TypeOf(v).String()
+}
+
+func attrStrings(attrs []any) []string {
+	strs := make([]string, len(attrs))
+	for i, a := range attrs {
+		strs[i] = attrString(a)
+	}
+	return strs
+}
+
+// anys hands rendered attributes to the registry, whose span and event calls
+// take ...any.
+func anys(strs []string) []any {
+	out := make([]any, len(strs))
+	for i, s := range strs {
+		out[i] = s
+	}
+	return out
 }
 
 // attrMap folds alternating key/value strings into a map.
@@ -523,6 +612,6 @@ func OpenDefault(path string, opt Options) (*Journal, error) {
 	return j, nil
 }
 
-// Note records a one-shot event on the process default journal — a
-// no-op when none is installed.
-func Note(op string, attrs ...string) { Default().Note(op, attrs...) }
+// Note records a single-shot fact on the process default journal and the
+// registry r, for callers that are handed a registry but no journal.
+func Note(r *obs.Registry, op string, attrs ...any) { Default().Note(r, op, attrs...) }

@@ -26,7 +26,7 @@ func openTest(t *testing.T, opt Options) (*Journal, string) {
 // complete root with its attributes, stages, and bytes intact.
 func TestBeginEndRoundTrip(t *testing.T) {
 	j, path := openTest(t, Options{})
-	op := j.Begin("ckpt.checkpoint", "codec", "lossy")
+	op := j.Begin(nil, "ckpt.checkpoint", "codec", "lossy")
 	op.SetStep(7)
 	op.SetBytes(1000, 250)
 	op.Stage("transform", 3*time.Millisecond)
@@ -58,14 +58,14 @@ func TestBeginEndRoundTrip(t *testing.T) {
 // children in the replayed tree; notes attach the same way.
 func TestParentPropagation(t *testing.T) {
 	j, path := openTest(t, Options{})
-	root := j.Begin("ckpt.checkpoint")
-	child := j.Begin("store.commit")
+	root := j.Begin(nil, "ckpt.checkpoint")
+	child := j.Begin(nil, "store.commit")
 	child.Vote("0", true, nil)
 	child.Vote("1", false, errors.New("disk gone"))
 	child.End(nil)
-	Note("tune.decision", "codec", "gzip")
+	Note(nil, "tune.decision", "codec", "gzip")
 	_ = j // Note goes through Default; use the journal's own helper instead
-	j.Note("guard.escalate", "var", "temp", "why", "bound violated")
+	j.Note(nil, "guard.escalate", "var", "temp", "why", "bound violated")
 	root.End(nil)
 
 	recs, _, err := ReadFile(path)
@@ -88,7 +88,7 @@ func TestParentPropagation(t *testing.T) {
 		t.Fatalf("notes: %+v", r.Notes)
 	}
 	// After the root ends, new ops are roots again.
-	j.Begin("ckpt.restore").End(nil)
+	j.Begin(nil, "ckpt.restore").End(nil)
 	recs, _, _ = ReadFile(path)
 	if got := len(Replay(recs)); got != 2 {
 		t.Fatalf("roots after second op = %d, want 2", got)
@@ -100,7 +100,7 @@ func TestParentPropagation(t *testing.T) {
 // Progress breadcrumb (stage reached, bytes committed).
 func TestIncompleteOpSurvivesKill(t *testing.T) {
 	j, path := openTest(t, Options{})
-	op := j.Begin("ckpt.checkpoint", "mode", "stream")
+	op := j.Begin(nil, "ckpt.checkpoint", "mode", "stream")
 	op.Progress("entry:temperature", 4096)
 	op.Progress("payload_streamed", 9000)
 	// no End: simulated kill
@@ -126,8 +126,8 @@ func TestIncompleteOpSurvivesKill(t *testing.T) {
 // the reader drops it and reports torn=true.
 func TestTornTailRecovered(t *testing.T) {
 	j, path := openTest(t, Options{})
-	j.Begin("ckpt.checkpoint").End(nil)
-	j.Begin("ckpt.restore").End(nil)
+	j.Begin(nil, "ckpt.checkpoint").End(nil)
+	j.Begin(nil, "ckpt.restore").End(nil)
 	j.Close()
 
 	data, err := os.ReadFile(path)
@@ -160,7 +160,7 @@ func TestTornTailRecovered(t *testing.T) {
 // real corruption, not a torn tail.
 func TestCorruptMiddleRejected(t *testing.T) {
 	j, path := openTest(t, Options{})
-	j.Begin("a").End(nil)
+	j.Begin(nil, "a").End(nil)
 	j.Close()
 
 	data, _ := os.ReadFile(path)
@@ -180,7 +180,7 @@ func TestCorruptMiddleRejected(t *testing.T) {
 func TestRotation(t *testing.T) {
 	j, path := openTest(t, Options{MaxBytes: 2048, MaxFiles: 3})
 	for i := 0; i < 200; i++ {
-		op := j.Begin("ckpt.checkpoint", "round", fmt.Sprint(i))
+		op := j.Begin(nil, "ckpt.checkpoint", "round", fmt.Sprint(i))
 		op.SetStep(i)
 		op.End(nil)
 	}
@@ -232,10 +232,10 @@ func fileExists(p string) bool {
 // dropped rather than written or fatal.
 func TestOversizedRecordDropped(t *testing.T) {
 	j, path := openTest(t, Options{MaxRecordBytes: 512})
-	op := j.Begin("ckpt.checkpoint")
+	op := j.Begin(nil, "ckpt.checkpoint")
 	op.Set("blob", strings.Repeat("x", 4096))
 	op.End(nil)
-	j.Begin("ckpt.restore").End(nil)
+	j.Begin(nil, "ckpt.restore").End(nil)
 
 	recs, _, err := ReadFile(path)
 	if err != nil {
@@ -261,7 +261,7 @@ func TestOversizedRecordDropped(t *testing.T) {
 // TestNilSafety: a nil journal and its nil ops are inert no-ops.
 func TestNilSafety(t *testing.T) {
 	var j *Journal
-	op := j.Begin("anything")
+	op := j.Begin(nil, "anything")
 	op.Set("k", "v")
 	op.SetBytes(1, 2)
 	op.Stage("s", time.Second)
@@ -269,7 +269,7 @@ func TestNilSafety(t *testing.T) {
 	op.Vote("0", true, nil)
 	op.Progress("p", 3)
 	op.End(errors.New("ignored"))
-	j.Note("note")
+	j.Note(nil, "note")
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestNilSafety(t *testing.T) {
 // the record. Run under -race.
 func TestConcurrentVotesAfterEnd(t *testing.T) {
 	j, path := openTest(t, Options{})
-	op := j.Begin("store.quorum_commit")
+	op := j.Begin(nil, "store.quorum_commit")
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -324,7 +324,7 @@ func TestConcurrentOps(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			op := j.Begin("ckpt.checkpoint", "worker", fmt.Sprint(i))
+			op := j.Begin(nil, "ckpt.checkpoint", "worker", fmt.Sprint(i))
 			op.SetStep(i)
 			op.Stage("transform", time.Microsecond)
 			op.End(nil)
@@ -362,7 +362,7 @@ func TestDefaultJournal(t *testing.T) {
 	if Default() != j {
 		t.Fatal("OpenDefault did not install the default")
 	}
-	Note("tune.decision", "codec", "lz4")
+	Note(nil, "tune.decision", "codec", "lz4")
 	recs, _, err := ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -371,23 +371,23 @@ func TestDefaultJournal(t *testing.T) {
 		t.Fatalf("records: %+v", recs)
 	}
 	SetDefault(nil)
-	Note("dropped") // must not panic with no default installed
+	Note(nil, "dropped") // must not panic with no default installed
 }
 
 // TestSummarize: the journal summary counts ops, escalations, repairs,
 // codec decisions and failed votes, and renders them as markdown.
 func TestSummarize(t *testing.T) {
 	j, path := openTest(t, Options{})
-	root := j.Begin("ckpt.checkpoint")
+	root := j.Begin(nil, "ckpt.checkpoint")
 	root.Entry(Entry{Var: "t", Codec: "gzip", Escalations: 2})
-	q := j.Begin("store.quorum_commit")
+	q := j.Begin(nil, "store.quorum_commit")
 	q.Vote("0", true, nil)
 	q.Vote("1", false, errors.New("x"))
 	q.End(nil)
-	j.Note("store.read_repair", "replica", "1", "reason", "corrupt")
-	j.Note("tune.decision", "codec", "lz4", "shuffle", "true")
+	j.Note(nil, "store.read_repair", "replica", "1", "reason", "corrupt")
+	j.Note(nil, "tune.decision", "codec", "lz4", "shuffle", "true")
 	root.End(nil)
-	j.Begin("ckpt.restore") // left incomplete
+	j.Begin(nil, "ckpt.restore") // left incomplete
 
 	recs, torn, err := ReadFile(path)
 	if err != nil {
@@ -433,7 +433,7 @@ func TestSummarizeServerRequests(t *testing.T) {
 		{"server.restore", "deadline"},
 		{"server.inspect", "auth"},
 	} {
-		op := j.Begin(c.op, "tenant", "alpha")
+		op := j.Begin(nil, c.op, "tenant", "alpha")
 		op.Set("outcome", c.outcome)
 		if c.outcome == "ok" {
 			op.End(nil)
@@ -479,10 +479,10 @@ func TestSummarizeServerRequests(t *testing.T) {
 // the kill evidence an operator greps for.
 func TestSummarizeJournalTornMidRequest(t *testing.T) {
 	j, path := openTest(t, Options{})
-	done := j.Begin("server.save", "tenant", "alpha")
+	done := j.Begin(nil, "server.save", "tenant", "alpha")
 	done.Set("outcome", "ok")
 	done.End(nil)
-	j.Begin("server.save", "tenant", "beta") // killed before End
+	j.Begin(nil, "server.save", "tenant", "beta") // killed before End
 	j.Close()
 
 	// Simulate the kill tearing the final append mid-line.

@@ -268,7 +268,7 @@ func (s *Server) wrap(opName string, heavy bool, h func(ctx context.Context, t *
 		code, err := s.serve(opName, heavy, h, w, r)
 		o.Counter(MetricRequests, "op", opName, "code", strconv.Itoa(code)).Inc()
 		if err != nil && code >= http.StatusInternalServerError {
-			o.Event("server.error", "op", opName, "code", code, "err", err.Error())
+			s.journal().Note(o, "server.error", "op", opName, "code", code, "err", err.Error())
 		}
 	}
 }
@@ -277,14 +277,12 @@ func (s *Server) serve(opName string, heavy bool, h func(ctx context.Context, t 
 	o := s.observer()
 	name := r.PathValue("tenant")
 
-	op := s.journal().Begin("server."+opName, "tenant", name)
+	op := s.journal().Begin(o, "server."+opName, "tenant", name)
 	var opErr error
 	outcome := "ok"
 	defer func() {
-		if op != nil {
-			op.Set("outcome", outcome)
-			op.End(opErr)
-		}
+		op.Set("outcome", outcome)
+		op.End(opErr)
 	}()
 
 	fail := func(he *httpError) (int, error) {
@@ -344,8 +342,8 @@ func (s *Server) serve(opName string, heavy bool, h func(ctx context.Context, t 
 		return fail(herr)
 	}
 	defer cancel()
-	if op != nil && d > 0 {
-		op.Set("deadline_ms", strconv.FormatInt(d.Milliseconds(), 10))
+	if d > 0 {
+		op.Set("deadline_ms", d.Milliseconds())
 	}
 
 	if err := h(ctx, t, w, r); err != nil {

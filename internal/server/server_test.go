@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -18,6 +19,7 @@ import (
 	"lossyckpt/internal/cas"
 	"lossyckpt/internal/grid"
 	"lossyckpt/internal/obs"
+	"lossyckpt/internal/obs/journal"
 	"lossyckpt/internal/store"
 )
 
@@ -262,9 +264,16 @@ func TestQuotaRefusesWhenFull(t *testing.T) {
 func TestDeadlineExpiresMidCommitNoLitter(t *testing.T) {
 	ffs := store.NewFaultFS(store.OsFS{})
 	dirA := filepath.Join(t.TempDir(), "a")
-	_, ts := twoTenants(t, func(c *Config) {
+	jpath := filepath.Join(t.TempDir(), "flight.jsonl")
+	j, err := journal.Open(jpath, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	s, ts := twoTenants(t, func(c *Config) {
 		c.Tenants[0].Dir = dirA
 		c.Tenants[0].FS = ffs
+		c.Journal = j
 	})
 	fields := makeFields(t, 1)
 	wantStatus(t, save(t, ts, "alpha", "tok-a", 1, fields), http.StatusOK)
@@ -275,6 +284,21 @@ func TestDeadlineExpiresMidCommitNoLitter(t *testing.T) {
 		bytes.NewReader(encodeFields(t, fields)))
 	wantStatus(t, resp, http.StatusGatewayTimeout)
 	ffs.SetOpDelay(0)
+
+	// The failed request is one server.save operation that ended in error
+	// and one server.error note, in the journal as on the registry.
+	if n := s.observer().Counter("lossyckpt_server_save_errors_total").Value(); n != 1 {
+		t.Errorf("lossyckpt_server_save_errors_total = %v, want 1", n)
+	}
+	recs, _, err := journal.ReadFile(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(recs, func(r journal.Record) bool {
+		return r.Op == "server.error" && r.Attrs["op"] == "save" && r.Attrs["code"] == "504"
+	}) {
+		t.Errorf("the journal holds no server.error note for the 504: %+v", recs)
+	}
 
 	assertNoTempLitter(t, dirA)
 	out, rresp := restoreFields(t, ts, "alpha", "tok-a")

@@ -41,7 +41,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -144,9 +143,9 @@ func (s *Store) loadDedupLocked() {
 		return
 	}
 	swept := s.sweepChunksLocked(chunkNames, s.dd.idx)
-	if o := s.observer(); o != nil && swept > 0 {
-		o.Counter(MetricGCSweptChunks).Add(float64(swept))
-		o.Event("store.dedup_open_sweep", "dir", s.dir, "swept", swept)
+	if swept > 0 {
+		s.observer().Counter(MetricGCSweptChunks).Add(float64(swept))
+		s.note("store.dedup_open_sweep", "dir", s.dir, "swept", swept)
 	}
 }
 
@@ -425,15 +424,12 @@ func (s *Store) GC() (*GCReport, error) {
 
 func (s *Store) gcLocked() (rep *GCReport, err error) {
 	rep = &GCReport{}
-	jop := s.journal().Begin("store.gc", "dir", s.dir, "backend", s.b.Kind().String())
-	if jop != nil {
-		defer func() {
-			jop.Set("live_chunks", strconv.Itoa(rep.LiveChunks),
-				"swept_chunks", strconv.Itoa(rep.SweptChunks),
-				"quarantined_recipes", strconv.Itoa(rep.QuarantinedRecipes))
-			jop.End(err)
-		}()
-	}
+	jop := s.begin("store.gc", "dir", s.dir, "backend", s.b.Kind().String())
+	defer func() {
+		jop.Set("live_chunks", rep.LiveChunks, "swept_chunks", rep.SweptChunks,
+			"quarantined_recipes", rep.QuarantinedRecipes)
+		jop.End(err)
+	}()
 	// An indexed recipe we cannot read means chunk liveness is unknown;
 	// sweeping now could destroy live data. Fail the pass — the scrubber
 	// quarantines the recipe and the next GC converges.
@@ -452,13 +448,10 @@ func (s *Store) gcLocked() (rep *GCReport, err error) {
 	s.dd = dd
 	rep.LiveChunks = dd.idx.Chunks()
 	rep.LiveBytes = dd.idx.Bytes()
-	if o := s.observer(); o != nil {
-		o.Counter(MetricGCRuns).Inc()
-		o.Counter(MetricGCSweptChunks).Add(float64(rep.SweptChunks))
-		o.Gauge(MetricGCLiveChunks).Set(float64(rep.LiveChunks))
-		o.Event("store.gc", "dir", s.dir,
-			"live", rep.LiveChunks, "swept", rep.SweptChunks)
-	}
+	o := s.observer()
+	o.Counter(MetricGCRuns).Inc()
+	o.Counter(MetricGCSweptChunks).Add(float64(rep.SweptChunks))
+	o.Gauge(MetricGCLiveChunks).Set(float64(rep.LiveChunks))
 	return rep, nil
 }
 

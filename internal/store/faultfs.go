@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"lossyckpt/internal/obs"
+	"lossyckpt/internal/obs/journal"
 )
 
 // Fault-injection errors.
@@ -122,8 +123,9 @@ type FaultFS struct {
 	sleep func(time.Duration)
 }
 
-// SetObserver routes injected-fault counts and events to r (nil falls
-// back to the process default registry at fire time).
+// SetObserver routes injected-fault counts and notes to r (nil falls
+// back to the process default registry at fire time); the notes also go to
+// the process default journal.
 func (f *FaultFS) SetObserver(r *obs.Registry) {
 	f.mu.Lock()
 	f.obsr = r
@@ -177,10 +179,15 @@ func (f *FaultFS) CrashNow() {
 	}
 	f.crashed = true
 	f.journal = append(f.journal, fmt.Sprintf("op %d+: crash now", f.op))
-	if o := f.observerLocked(); o != nil {
-		o.Counter(MetricInjectedFaults, "kind", Crash.String()).Inc()
-		o.Event("faultfs.injected", "kind", Crash.String(), "op", f.op, "desc", "crash now")
-	}
+	f.injectedLocked(Crash, "crash now")
+}
+
+// injectedLocked counts and notes one fault firing at the current operation;
+// callers hold f.mu.
+func (f *FaultFS) injectedLocked(kind FaultKind, desc string) {
+	o := f.observerLocked()
+	o.Counter(MetricInjectedFaults, "kind", kind.String()).Inc()
+	journal.Note(o, "faultfs.injected", "kind", kind.String(), "op", f.op, "desc", desc)
 }
 
 // Ops returns the number of operations counted so far.
@@ -233,10 +240,7 @@ func (f *FaultFS) stepLocked(desc string) (Fault, bool, time.Duration, func(time
 	if !ok {
 		return Fault{}, false, delay, sleep, nil
 	}
-	if o := f.observerLocked(); o != nil {
-		o.Counter(MetricInjectedFaults, "kind", fault.Kind.String()).Inc()
-		o.Event("faultfs.injected", "kind", fault.Kind.String(), "op", f.op, "desc", desc)
-	}
+	f.injectedLocked(fault.Kind, desc)
 	switch fault.Kind {
 	case ErrorOnce:
 		// Consume the fault so the retry succeeds.
@@ -466,9 +470,7 @@ func (f *FaultFS) CorruptAtRest(name string, fault Fault) error {
 	if err := dst.Close(); err != nil {
 		return err
 	}
-	if o != nil {
-		o.Counter(MetricInjectedFaults, "kind", fault.Kind.String()).Inc()
-		o.Event("faultfs.corrupt_at_rest", "kind", fault.Kind.String(), "name", name)
-	}
+	o.Counter(MetricInjectedFaults, "kind", fault.Kind.String()).Inc()
+	journal.Note(o, "faultfs.corrupt_at_rest", "kind", fault.Kind.String(), "name", name)
 	return nil
 }

@@ -5,10 +5,11 @@ import (
 	"lossyckpt/internal/obs/journal"
 )
 
-// Metric names recorded by the store. Commit latency/count/errors come
-// from a span named MetricCommitSpan (yielding _seconds, _total and
-// _errors_total series); retries are labeled with the low-level op that
-// needed them (create/write/sync/close/rename/syncdir/mkdir).
+// Metric names recorded by the store. Commit latency/count/errors are the
+// series of the store.commit operation (MetricCommitSpan is its
+// journal.SpanName, yielding _seconds, _total and _errors_total), as scrub, GC
+// and quorum commit have theirs; retries are labeled with the low-level op
+// that needed them (create/write/sync/close/rename/syncdir/mkdir).
 const (
 	MetricCommitSpan       = "lossyckpt_store_commit"
 	MetricCommitBytes      = "lossyckpt_store_commit_bytes_total"
@@ -70,4 +71,14 @@ func (s *Store) journal() *journal.Journal {
 		return s.opts.Journal
 	}
 	return journal.Default()
+}
+
+// begin and note are the store's one way to record an operation or a
+// single-shot fact: on its effective journal and registry, whichever are set.
+func (s *Store) begin(op string, attrs ...any) *journal.Op {
+	return s.journal().Begin(s.observer(), op, attrs...)
+}
+
+func (s *Store) note(op string, attrs ...any) {
+	s.journal().Note(s.observer(), op, attrs...)
 }

@@ -248,6 +248,16 @@ func (r *ReplicatedStore) journal() *journal.Journal {
 	return journal.Default()
 }
 
+// begin and note record on the coordinator's effective journal and registry
+// (see Store.begin).
+func (r *ReplicatedStore) begin(op string, attrs ...any) *journal.Op {
+	return r.journal().Begin(r.observer(), op, attrs...)
+}
+
+func (r *ReplicatedStore) note(op string, attrs ...any) {
+	r.journal().Note(r.observer(), op, attrs...)
+}
+
 // NextSeq returns the sequence number the next replicated commit will
 // use: ahead of every live replica and of every commit this coordinator
 // has already quorum-acknowledged.
@@ -414,32 +424,27 @@ func (f *fanoutWriter) Write(p []byte) (int, error) {
 // remain possible.
 func (r *ReplicatedStore) collectQuorumLocked(op string, seq uint64, results <-chan commitRes, total int) (Generation, error) {
 	o := r.observer()
-	// The quorum wide event: every replica's vote lands on it, including
+	// The quorum operation: every replica's vote lands on it, including
 	// stragglers that finish after the at-quorum early return (their
 	// votes still count in metrics; votes after End are dropped from the
 	// journal record).
-	jop := r.journal().Begin("store.quorum_commit", "op", op,
-		"quorum", strconv.Itoa(r.w), "replicas", strconv.Itoa(total))
+	jop := r.begin("store.quorum_commit", "op", op, "quorum", r.w, "replicas", total)
 	jop.SetSeq(seq)
 	counts := make(map[Generation]int)
 	received, failed := 0, 0
 	var firstErr error
 	record := func(res commitRes) (Generation, bool) {
 		received++
-		if o != nil {
-			o.Counter(MetricReplicaCommits,
-				"replica", strconv.Itoa(res.idx),
-				"ok", strconv.FormatBool(res.err == nil)).Inc()
-		}
+		o.Counter(MetricReplicaCommits,
+			"replica", strconv.Itoa(res.idx),
+			"ok", strconv.FormatBool(res.err == nil)).Inc()
 		jop.Vote(strconv.Itoa(res.idx), res.err == nil, res.err)
 		if res.err != nil {
 			failed++
 			if firstErr == nil {
 				firstErr = fmt.Errorf("replica %d: %w", res.idx, res.err)
 			}
-			if o != nil {
-				o.Event("store.replica_commit_failed", "replica", res.idx, "seq", seq, "err", res.err.Error())
-			}
+			r.note("store.replica_commit_failed", "replica", res.idx, "seq", seq, "err", res.err.Error())
 			return Generation{}, false
 		}
 		counts[res.gen]++
@@ -448,8 +453,8 @@ func (r *ReplicatedStore) collectQuorumLocked(op string, seq uint64, results <-c
 	for received < total {
 		gen, quorum := record(<-results)
 		if quorum {
-			if len(counts) > 1 && o != nil {
-				o.Event("store.replica_commit_divergent", "seq", seq, "records", len(counts))
+			if len(counts) > 1 {
+				r.note("store.replica_commit_divergent", "seq", seq, "records", len(counts))
 			}
 			r.lastSeq = seq
 			// Drain stragglers off-path so their metrics still land.
@@ -489,10 +494,8 @@ func (r *ReplicatedStore) collectQuorumLocked(op string, seq uint64, results <-c
 }
 
 func (r *ReplicatedStore) quorumFailure(op string, cause error) error {
-	if o := r.observer(); o != nil {
-		o.Counter(MetricQuorumFailures, "op", op).Inc()
-		o.Event("store.quorum_failure", "op", op, "err", cause.Error())
-	}
+	r.observer().Counter(MetricQuorumFailures, "op", op).Inc()
+	r.note("store.quorum_failure", "op", op, "err", cause.Error())
 	return fmt.Errorf("%w: %s: %v", ErrQuorum, op, cause)
 }
 
@@ -631,13 +634,11 @@ search:
 				break search
 			}
 			bad[idx] = true
-			if o != nil {
-				reason := "corrupt"
-				if rerr != nil {
-					reason = rerr.Error()
-				}
-				o.Event("store.replica_read_failed", "replica", idx, "seq", seq, "reason", reason)
+			reason := "corrupt"
+			if rerr != nil {
+				reason = rerr.Error()
 			}
+			r.note("store.replica_read_failed", "replica", idx, "seq", seq, "reason", reason)
 		}
 	}
 	if winner == nil {
@@ -678,19 +679,11 @@ search:
 			continue
 		}
 		if perr := r.replicas[idx].st.PutGeneration(*winner, winData); perr != nil {
-			if o != nil {
-				o.Event("store.read_repair_failed", "replica", idx, "seq", seq, "err", perr.Error())
-			}
-			r.journal().Note("store.read_repair_failed",
-				"replica", strconv.Itoa(idx), "seq", strconv.FormatUint(seq, 10), "err", perr.Error())
+			r.note("store.read_repair_failed", "replica", idx, "seq", seq, "err", perr.Error())
 			continue
 		}
-		if o != nil {
-			o.Counter(MetricReadRepairs, "replica", strconv.Itoa(idx), "reason", reason).Inc()
-			o.Event("store.read_repair", "replica", idx, "seq", seq, "reason", reason)
-		}
-		r.journal().Note("store.read_repair",
-			"replica", strconv.Itoa(idx), "seq", strconv.FormatUint(seq, 10), "reason", reason)
+		o.Counter(MetricReadRepairs, "replica", strconv.Itoa(idx), "reason", reason).Inc()
+		r.note("store.read_repair", "replica", idx, "seq", seq, "reason", reason)
 	}
 	return winData, true, nil
 }
@@ -709,22 +702,16 @@ func (r *ReplicatedStore) Scrub(opts ScrubOptions) (rep *ScrubReport, err error)
 	r.cmu.Lock()
 	defer r.cmu.Unlock()
 	o := r.observer()
-	jop := r.journal().Begin("store.scrub", "mode", "replicated")
-	if jop != nil {
-		defer func() {
-			if rep != nil {
-				repaired := 0
-				for _, rs := range rep.Replicas {
-					repaired += len(rs.Repaired)
-				}
-				jop.Set("checked", strconv.Itoa(rep.Checked),
-					"quarantined", strconv.Itoa(len(rep.Quarantined)),
-					"repaired", strconv.Itoa(repaired))
-			}
-			jop.End(err)
-		}()
-	}
+	jop := r.begin("store.scrub", "mode", "replicated")
 	rep = &ScrubReport{Replicas: make([]ReplicaScrub, len(r.replicas))}
+	defer func() {
+		repaired := 0
+		for _, rs := range rep.Replicas {
+			repaired += len(rs.Repaired)
+		}
+		jop.Set("checked", rep.Checked, "quarantined", len(rep.Quarantined), "repaired", repaired)
+		jop.End(err)
+	}()
 
 	for i := range r.replicas {
 		rs := &rep.Replicas[i]
@@ -778,24 +765,16 @@ func (r *ReplicatedStore) Scrub(opts ScrubOptions) (rep *ScrubReport, err error)
 				}
 				data := r.readAgreedLocked(want)
 				if data == nil {
-					if o != nil {
-						o.Event("store.scrub_repair_unreadable", "replica", idx, "seq", seq)
-					}
+					r.note("store.scrub_repair_unreadable", "replica", idx, "seq", seq)
 					continue
 				}
 				if perr := st.PutGeneration(want, data); perr != nil {
-					if o != nil {
-						o.Event("store.scrub_repair_failed", "replica", idx, "seq", seq, "err", perr.Error())
-					}
+					r.note("store.scrub_repair_failed", "replica", idx, "seq", seq, "err", perr.Error())
 					continue
 				}
 				rs.Repaired = append(rs.Repaired, seq)
-				if o != nil {
-					o.Counter(MetricReadRepairs, "replica", strconv.Itoa(idx), "reason", reason).Inc()
-					o.Event("store.scrub_repair", "replica", idx, "seq", seq, "reason", reason)
-				}
-				r.journal().Note("store.scrub_repair",
-					"replica", strconv.Itoa(idx), "seq", strconv.FormatUint(seq, 10), "reason", reason)
+				o.Counter(MetricReadRepairs, "replica", strconv.Itoa(idx), "reason", reason).Inc()
+				r.note("store.scrub_repair", "replica", idx, "seq", seq, "reason", reason)
 			}
 			// Converge: local generations outside the agreed set are
 			// retention lag (older than a full agreed ring, meaning the
@@ -816,10 +795,8 @@ func (r *ReplicatedStore) Scrub(opts ScrubOptions) (rep *ScrubReport, err error)
 				}
 				if qpath, qerr := st.Quarantine(seq); qerr == nil {
 					rep.Quarantined = append(rep.Quarantined, Quarantined{Seq: seq, Reason: "divergent", Path: qpath})
-					if o != nil {
-						o.Counter(MetricScrubQuarantined, "reason", "divergent").Inc()
-						o.Event("store.scrub_quarantined", "replica", idx, "seq", seq, "reason", "divergent")
-					}
+					o.Counter(MetricScrubQuarantined, "reason", "divergent").Inc()
+					r.note("store.scrub_quarantined", "replica", idx, "seq", seq, "reason", "divergent")
 				}
 			}
 			sort.Slice(rs.Repaired, func(a, b int) bool { return rs.Repaired[a] < rs.Repaired[b] })
@@ -828,9 +805,7 @@ func (r *ReplicatedStore) Scrub(opts ScrubOptions) (rep *ScrubReport, err error)
 	}
 
 	rep.Divergent = r.divergenceLocked()
-	if o != nil {
-		o.Gauge(MetricReplicaDiverged).Set(float64(rep.Divergent))
-	}
+	o.Gauge(MetricReplicaDiverged).Set(float64(rep.Divergent))
 	return rep, nil
 }
 
@@ -893,9 +868,7 @@ func (r *ReplicatedStore) StartScrubber(interval time.Duration, opts ScrubOption
 func (r *ReplicatedStore) StartScrubberCtx(ctx context.Context, interval time.Duration, opts ScrubOptions) (stop func()) {
 	return startScrubLoop(ctx, interval, func() {
 		if _, err := r.Scrub(opts); err != nil {
-			if o := r.observer(); o != nil {
-				o.Event("store.scrub_error", "dir", r.root, "err", err.Error())
-			}
+			r.note("store.scrub_error", "dir", r.root, "err", err.Error())
 		}
 	})
 }

@@ -15,7 +15,6 @@ import (
 	"context"
 	"fmt"
 	"hash/crc32"
-	"strconv"
 	"sync"
 	"time"
 )
@@ -120,18 +119,12 @@ func (s *Store) Scrub(opts ScrubOptions) (rep *ScrubReport, err error) {
 
 	rep = &ScrubReport{}
 	o := s.observer()
-	start := time.Now()
-	jop := s.journal().Begin("store.scrub", "dir", s.dir, "mode", "local")
-	if jop != nil {
-		defer func() {
-			jop.Set("checked", strconv.Itoa(rep.Checked),
-				"quarantined", strconv.Itoa(len(rep.Quarantined)),
-				"missing", strconv.Itoa(len(rep.Missing)),
-				"expired", strconv.Itoa(len(rep.Expired)),
-				"rebuilt", strconv.FormatBool(rep.ManifestRebuilt))
-			jop.End(err)
-		}()
-	}
+	jop := s.begin("store.scrub", "dir", s.dir, "mode", "local")
+	defer func() {
+		jop.Set("checked", rep.Checked, "quarantined", len(rep.Quarantined), "missing", len(rep.Missing),
+			"expired", len(rep.Expired), "rebuilt", rep.ManifestRebuilt)
+		jop.End(err)
+	}()
 
 	gens := s.generationsLocked()
 	var survivors []Generation
@@ -146,9 +139,7 @@ func (s *Store) Scrub(opts ScrubOptions) (rep *ScrubReport, err error) {
 			rep.Missing = append(rep.Missing, g.Seq)
 			s.detachRecipeLocked(g.Seq)
 			dropped = true
-			if o != nil {
-				o.Event("store.scrub_missing", "seq", g.Seq)
-			}
+			s.note("store.scrub_missing", "seq", g.Seq)
 			continue
 		}
 		if reason == "" {
@@ -160,9 +151,7 @@ func (s *Store) Scrub(opts ScrubOptions) (rep *ScrubReport, err error) {
 			case opts.Verify != nil:
 				if verr := opts.Verify(data); verr != nil {
 					reason = "verify"
-					if o != nil {
-						o.Event("store.scrub_verify_failed", "seq", g.Seq, "err", verr.Error())
-					}
+					s.note("store.scrub_verify_failed", "seq", g.Seq, "err", verr.Error())
 				}
 			}
 		}
@@ -179,10 +168,8 @@ func (s *Store) Scrub(opts ScrubOptions) (rep *ScrubReport, err error) {
 		s.detachRecipeLocked(g.Seq)
 		dropped = true
 		rep.Quarantined = append(rep.Quarantined, Quarantined{Seq: g.Seq, Reason: reason, Path: qpath})
-		if o != nil {
-			o.Counter(MetricScrubQuarantined, "reason", reason).Inc()
-			o.Event("store.scrub_quarantined", "seq", g.Seq, "reason", reason, "path", qpath)
-		}
+		o.Counter(MetricScrubQuarantined, "reason", reason).Inc()
+		s.note("store.scrub_quarantined", "seq", g.Seq, "reason", reason, "path", qpath)
 	}
 
 	// TTL retention: prune expired survivors, destroying the payload (it
@@ -200,10 +187,8 @@ func (s *Store) Scrub(opts ScrubOptions) (rep *ScrubReport, err error) {
 				rep.Expired = append(rep.Expired, g.Seq)
 				dropped = true
 				s.releaseGenLocked(g)
-				if o != nil {
-					o.Counter(MetricExpiredGens).Inc()
-					o.Event("store.scrub_expired", "seq", g.Seq, "expire_at", g.ExpireAt)
-				}
+				o.Counter(MetricExpiredGens).Inc()
+				s.note("store.scrub_expired", "seq", g.Seq, "expire_at", g.ExpireAt)
 				continue
 			}
 			kept = append(kept, g)
@@ -221,10 +206,8 @@ func (s *Store) Scrub(opts ScrubOptions) (rep *ScrubReport, err error) {
 				return rep, fmt.Errorf("store: manifest rebuild after scrub: %w", err)
 			}
 			rep.ManifestRebuilt = true
-			if o != nil {
-				o.Counter(MetricManifestRebuilds).Inc()
-				o.Event("store.scrub_rebuild", "dir", s.dir, "survivors", len(s.man.Gens))
-			}
+			o.Counter(MetricManifestRebuilds).Inc()
+			s.note("store.scrub_rebuild", "dir", s.dir, "survivors", len(s.man.Gens))
 		} else if err := s.adoptLocked(manifest{NextSeq: s.man.NextSeq, Gens: survivors}); err != nil {
 			return rep, fmt.Errorf("store: persisting scrubbed manifest: %w", err)
 		}
@@ -237,21 +220,13 @@ func (s *Store) Scrub(opts ScrubOptions) (rep *ScrubReport, err error) {
 	if s.dedupActiveLocked() {
 		gcRep, gcErr := s.gcLocked()
 		rep.GC = gcRep
-		if gcErr != nil && o != nil {
-			o.Event("store.gc_error", "dir", s.dir, "err", gcErr.Error())
+		if gcErr != nil {
+			s.note("store.gc_error", "dir", s.dir, "err", gcErr.Error())
 		}
 	}
 
-	if o != nil {
-		o.Counter(MetricScrubRuns).Inc()
-		o.Counter(MetricScrubChecked).Add(float64(rep.Checked))
-		o.Event("store.scrub", "dir", s.dir,
-			"checked", rep.Checked,
-			"quarantined", len(rep.Quarantined),
-			"missing", len(rep.Missing),
-			"rebuilt", rep.ManifestRebuilt,
-			"elapsed", time.Since(start).String())
-	}
+	o.Counter(MetricScrubRuns).Inc()
+	o.Counter(MetricScrubChecked).Add(float64(rep.Checked))
 	return rep, nil
 }
 
@@ -295,9 +270,7 @@ func (s *Store) StartScrubber(interval time.Duration, opts ScrubOptions) (stop f
 func (s *Store) StartScrubberCtx(ctx context.Context, interval time.Duration, opts ScrubOptions) (stop func()) {
 	return startScrubLoop(ctx, interval, func() {
 		if _, err := s.Scrub(opts); err != nil {
-			if o := s.observer(); o != nil {
-				o.Event("store.scrub_error", "dir", s.dir, "err", err.Error())
-			}
+			s.note("store.scrub_error", "dir", s.dir, "err", err.Error())
 		}
 	})
 }

@@ -203,10 +203,8 @@ func Open(dir string, opts Options) (*Store, error) {
 			return nil, fmt.Errorf("store: open %s: rescan: %w", dir, rerr)
 		}
 		s.rebuilt = true
-		if o := s.observer(); o != nil {
-			o.Counter(MetricManifestRebuilds).Inc()
-			o.Event("store.manifest_rebuilt", "dir", dir, "generations", len(s.man.Gens))
-		}
+		s.observer().Counter(MetricManifestRebuilds).Inc()
+		s.note("store.manifest_rebuilt", "dir", dir, "generations", len(s.man.Gens))
 	}
 	s.sweep()
 	s.loadDedupLocked()
@@ -304,12 +302,11 @@ const autoSeq = ^uint64(0)
 
 // commit is the one way into a commit body, behind every exported Commit*
 // and the replicated coordinator: argument and context checks, the lock,
-// the request context the retry loop observes, the sequence number, the
-// commit span (size labels it; negative: not known up front). A coordinator
-// passes the
-// sequence number AND the expiry stamp, so a replicated commit records
-// byte-identical metadata on every replica (an expiry computed per replica
-// would break quorum record voting); a seq behind the store's own is
+// the request context the retry loop observes, the sequence number (size
+// labels the commit's operation; negative: not known up front). A coordinator
+// passes the sequence number AND the expiry stamp, so a replicated commit
+// records byte-identical metadata on every replica (an expiry computed per
+// replica would break quorum record voting); a seq behind the store's own is
 // ErrSeqConflict.
 func (s *Store) commit(ctx context.Context, seq uint64, step int, expireAt int64, size int, feed func(io.Writer) error) (gen Generation, err error) {
 	if step < 0 {
@@ -334,20 +331,7 @@ func (s *Store) commit(ctx context.Context, seq uint64, step int, expireAt int64
 	case seq < next:
 		return Generation{}, fmt.Errorf("%w: commit at %d but store is at %d", ErrSeqConflict, seq, next)
 	}
-	if o := s.observer(); o != nil {
-		bytesLabel := "streamed"
-		if size >= 0 {
-			bytesLabel = fmt.Sprint(size)
-		}
-		sp := o.StartSpan(MetricCommitSpan, "step", fmt.Sprint(step), "bytes", bytesLabel)
-		defer func() {
-			sp.EndErr(err)
-			if err == nil {
-				o.Counter(MetricCommitBytes).Add(float64(gen.Size))
-			}
-		}()
-	}
-	return s.commitAtLocked(seq, step, expireAt, feed)
+	return s.commitAtLocked(seq, step, expireAt, size, feed)
 }
 
 // feedParts is the producer of a payload held in memory: each part written
@@ -405,16 +389,18 @@ func (c ctxFailWriter) Write(p []byte) (int, error) {
 // commitAtLocked is a commit behind the prologue: materialise the payload
 // under seq, index it — the commit point, retention ring applied — and
 // account for it. The caller holds s.mu and has validated seq.
-func (s *Store) commitAtLocked(seq uint64, step int, expireAt int64, feed func(io.Writer) error) (gen Generation, err error) {
-	// One flight-recorder wide event per commit, with a progress
-	// breadcrumb at each durability milestone so a kill leaves the stage
-	// reached and bytes committed on record.
-	jop := s.journal().Begin("store.commit", "dir", s.dir, "backend", s.b.Kind().String())
-	if jop != nil {
-		jop.SetSeq(seq)
-		jop.SetStep(step)
-		defer func() { jop.End(err) }()
+func (s *Store) commitAtLocked(seq uint64, step int, expireAt int64, size int, feed func(io.Writer) error) (gen Generation, err error) {
+	// One operation per commit, with a progress breadcrumb at each
+	// durability milestone so a kill leaves the stage reached and bytes
+	// committed on record.
+	var handed any = "streamed"
+	if size >= 0 {
+		handed = size
 	}
+	jop := s.begin("store.commit", "dir", s.dir, "backend", s.b.Kind().String(), "bytes", handed)
+	jop.SetSeq(seq)
+	jop.SetStep(step)
+	defer func() { jop.End(err) }()
 	mat, err := s.materializeLocked(seq, s.opts.Dedup, false, feed, jop)
 	if err != nil {
 		return Generation{}, fmt.Errorf("store: commit gen %d: %w", seq, err)
@@ -438,11 +424,10 @@ func (s *Store) commitAtLocked(seq uint64, step int, expireAt int64, feed func(i
 				o.Gauge(MetricDedupRatio).Set(float64(mat.size) / float64(physical))
 			}
 		}
-		jop.Set("dedup", "true",
-			"chunks_new", strconv.Itoa(len(dw.newChunks)),
-			"chunks_reused", strconv.Itoa(dw.reused))
+		jop.Set("dedup", "true", "chunks_new", len(dw.newChunks), "chunks_reused", dw.reused)
 	}
 	jop.SetBytes(int64(mat.size), physical)
+	s.observer().Counter(MetricCommitBytes).Add(float64(gen.Size))
 	return gen, nil
 }
 
@@ -707,11 +692,9 @@ func (s *Store) ReadGenerationRaw(seq uint64) (data []byte, verified bool, err e
 		}
 		verified = uint64(len(data)) == gen.Size && crc32.ChecksumIEEE(data) == gen.CRC
 	}
-	if o := s.observer(); o != nil {
-		o.Counter(MetricReads, "verified", strconv.FormatBool(verified)).Inc()
-		if !verified {
-			o.Event("store.read_unverified", "seq", seq, "bytes", len(data))
-		}
+	s.observer().Counter(MetricReads, "verified", strconv.FormatBool(verified)).Inc()
+	if !verified {
+		s.note("store.read_unverified", "seq", seq, "bytes", len(data))
 	}
 	return data, verified, nil
 }
@@ -801,8 +784,8 @@ func (s *Store) sweep() {
 		indexed[g.Seq] = true
 	}
 	swept := s.b.Sweep(indexed)
-	if o := s.observer(); o != nil && swept > 0 {
-		o.Counter(MetricSweptFiles).Add(float64(swept))
-		o.Event("store.sweep", "dir", s.dir, "removed", swept)
+	if swept > 0 {
+		s.observer().Counter(MetricSweptFiles).Add(float64(swept))
+		s.note("store.sweep", "dir", s.dir, "removed", swept)
 	}
 }

@@ -14,7 +14,6 @@ package tune
 
 import (
 	"runtime"
-	"strconv"
 	"sync"
 	"time"
 
@@ -249,8 +248,8 @@ func (t *Tuner) probe(varName string, rawBytes int, sample []byte) *decision {
 		sel.GzipBlock = gzipio.DefaultBlockSize
 	}
 	t.cfg.Observer.Counter(MetricDecisions, "codec", sel.Label()).Inc()
-	journal.Default().Note("tune.decision", "var", varName,
-		"codec", sel.Codec.String(), "shuffle", strconv.FormatBool(sel.Shuffle))
+	journal.Note(t.cfg.Observer, "tune.decision", "var", varName,
+		"codec", sel.Codec.String(), "shuffle", sel.Shuffle)
 
 	bps := 0.0
 	if best.seconds > 0 {

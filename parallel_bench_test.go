@@ -297,7 +297,7 @@ func BenchmarkChunkedParallelJournal(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			op := j.Begin("ckpt.checkpoint", "codec", "lossy", "mode", "chunked")
+			op := j.Begin(nil, "ckpt.checkpoint", "codec", "lossy", "mode", "chunked")
 			res, err := core.CompressChunked(f, opts, parallelChunkExtent)
 			if err != nil {
 				op.End(err)
