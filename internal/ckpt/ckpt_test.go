@@ -276,17 +276,17 @@ func TestLossyDecodeShapeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Decode(enc.Payload, []int{16, 8}); err == nil {
+	if _, err := c.Decode(enc.Payload, []int{16, 8}, nil); err == nil {
 		t.Error("wrong dims accepted")
 	}
-	if _, err := c.Decode(enc.Payload, []int{16, 8, 3}); err == nil {
+	if _, err := c.Decode(enc.Payload, []int{16, 8, 3}, nil); err == nil {
 		t.Error("wrong extent accepted")
 	}
 }
 
 func TestNoneCodecPayloadValidation(t *testing.T) {
 	var c None
-	if _, err := c.Decode([]byte{1, 2, 3}, []int{4}); err == nil {
+	if _, err := c.Decode([]byte{1, 2, 3}, []int{4}, nil); err == nil {
 		t.Error("short payload accepted")
 	}
 }

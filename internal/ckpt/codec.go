@@ -2,8 +2,8 @@
 // the reproduced paper's workflow needs: applications register their named
 // state arrays once; Checkpoint compresses every array with a pluggable
 // codec (none / gzip / fpc / the paper's lossy compressor) and writes one
-// framed checkpoint stream; Restore reads such a stream back and copies
-// the decoded data into the registered arrays in place.
+// framed checkpoint stream; Restore reads such a stream back and decodes
+// it into the registered arrays in place.
 //
 // Per the paper's §IV-D, per-array compression is embarrassingly parallel;
 // every checkpoint and restore keeps up to the manager's worker count of
@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"lossyckpt/internal/core"
@@ -73,8 +74,14 @@ type Codec interface {
 	Name() string
 	// Encode compresses one field.
 	Encode(f *grid.Field) (*Encoded, error)
-	// Decode reconstructs a field of the given shape from payload bytes.
-	Decode(payload []byte, shape []int) (*grid.Field, error)
+	// Decode reconstructs a field of the given shape from payload bytes: in
+	// into, which must have that shape, or — into nil — in a new field. The
+	// field returned is then into itself. A codec writes into only once
+	// nothing can fail any more, so an error leaves it as it was; the one
+	// exception is a chunked lossy payload, whose slabs land one by one
+	// (after an error the failed slabs' planes are untouched, the others
+	// decoded). A shape into does not have is an error and writes nothing.
+	Decode(payload []byte, shape []int, into *grid.Field) (*grid.Field, error)
 	// Lossless reports whether Decode(Encode(f)) is bit-exact.
 	Lossless() bool
 }
@@ -140,14 +147,19 @@ func (None) EncodeEntry(e Entry) (*Encoded, error) {
 	return enc, nil
 }
 
-// Decode implements Codec.
-func (None) Decode(payload []byte, shape []int) (*grid.Field, error) {
-	f, err := grid.New(shape...)
+// Decode implements Codec. The payload's length is held against the shape
+// before the shape sizes anything.
+func (None) Decode(payload []byte, shape []int, into *grid.Field) (*grid.Field, error) {
+	n, err := grid.Elems(shape...)
 	if err != nil {
 		return nil, err
 	}
-	if len(payload) != 8*f.Len() {
-		return nil, fmt.Errorf("%w: none codec payload %d bytes, shape %v needs %d", ErrCodec, len(payload), shape, 8*f.Len())
+	if len(payload)%8 != 0 || len(payload)/8 != n {
+		return nil, fmt.Errorf("%w: none codec payload %d bytes, shape %v needs %d", ErrCodec, len(payload), shape, 8*n)
+	}
+	f, err := grid.Dest(into, shape...)
+	if err != nil {
+		return nil, err
 	}
 	grid.PutFloatBytes(f.Data(), payload)
 	return f, nil
@@ -244,8 +256,8 @@ func (g *Gzip) EncodeEntry(e Entry) (*Encoded, error) {
 }
 
 // Decode implements Codec.
-func (g *Gzip) Decode(payload []byte, shape []int) (*grid.Field, error) {
-	return core.DecompressGzipOnly(payload, shape...)
+func (g *Gzip) Decode(payload []byte, shape []int, into *grid.Field) (*grid.Field, error) {
+	return core.DecompressGzipOnly(payload, into, shape...)
 }
 
 // --- FPC -------------------------------------------------------------------
@@ -276,13 +288,22 @@ func (c *FPC) Encode(f *grid.Field) (*Encoded, error) {
 	return &Encoded{Payload: data, RawBytes: f.Bytes()}, nil
 }
 
-// Decode implements Codec.
-func (c *FPC) Decode(payload []byte, shape []int) (*grid.Field, error) {
+// Decode implements Codec. The predictor emits values as it goes and can
+// fail at any of them, so they are decoded apart and moved into into whole.
+func (c *FPC) Decode(payload []byte, shape []int, into *grid.Field) (*grid.Field, error) {
 	vals, err := fpc.Decompress(payload)
 	if err != nil {
 		return nil, err
 	}
-	return grid.FromSlice(vals, shape...)
+	f, err := grid.FromSlice(vals, shape...)
+	if err != nil || into == nil {
+		return f, err
+	}
+	if into, err = grid.Dest(into, shape...); err != nil {
+		return nil, err
+	}
+	copy(into.Data(), vals)
+	return into, nil
 }
 
 // --- Lossy -----------------------------------------------------------------
@@ -384,20 +405,16 @@ func (c *Lossy) EncodeEntry(e Entry) (*Encoded, error) {
 // Decode implements Codec. The shape argument is validated against the
 // shape embedded in the lossy stream; both whole-array and chunked
 // payloads are accepted.
-func (c *Lossy) Decode(payload []byte, shape []int) (*grid.Field, error) {
-	f, err := core.DecompressAnyParallel(payload, c.Options.Workers)
-	if err != nil {
-		return nil, err
-	}
-	if f.Dims() != len(shape) {
-		return nil, fmt.Errorf("%w: lossy stream is %d-D, expected %d-D", ErrCodec, f.Dims(), len(shape))
-	}
-	for d, e := range shape {
-		if f.Extent(d) != e {
-			return nil, fmt.Errorf("%w: lossy stream shape %v, expected %v", ErrCodec, f.Shape(), shape)
+func (c *Lossy) Decode(payload []byte, shape []int, into *grid.Field) (*grid.Field, error) {
+	return core.DecompressTo(payload, c.Options.Workers, func(got ...int) (*grid.Field, error) {
+		if len(got) != len(shape) {
+			return nil, fmt.Errorf("%w: lossy stream is %d-D, expected %d-D", ErrCodec, len(got), len(shape))
 		}
-	}
-	return f, nil
+		if !slices.Equal(got, shape) {
+			return nil, fmt.Errorf("%w: lossy stream shape %v, expected %v", ErrCodec, got, shape)
+		}
+		return grid.Dest(into, got...)
+	})
 }
 
 // CodecByName constructs a default-configured codec from its Name string.

@@ -3,6 +3,8 @@ package ckpt
 import (
 	"bytes"
 	"testing"
+
+	"lossyckpt/internal/grid"
 )
 
 // FuzzRestore hardens the checkpoint-stream parser: arbitrary input into
@@ -46,11 +48,24 @@ func FuzzRestore(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		mgr := NewManager(NewGzip(), 1)
-		target := smoothField(64, 8)
-		if err := mgr.Register("x", target); err != nil {
-			t.Fatal(err)
+		// Decoding into the registered array must reach the verdict, and the
+		// array, of decoding apart and copying over (stagedCodec).
+		restore := func(codec Codec) (*grid.Field, error) {
+			mgr := NewManager(codec, 1)
+			target := smoothField(64, 8)
+			if err := mgr.Register("x", target); err != nil {
+				t.Fatal(err)
+			}
+			_, err := mgr.Restore(bytes.NewReader(data))
+			return target, err
 		}
-		_, _ = mgr.Restore(bytes.NewReader(data))
+		inPlace, err := restore(NewGzip())
+		apart, apartErr := restore(stagedCodec{NewGzip()})
+		if errString(err) != errString(apartErr) {
+			t.Fatalf("restore in place: %v; decoding apart: %v", err, apartErr)
+		}
+		if !inPlace.Equal(apart) {
+			t.Fatalf("restore in place and decoding apart leave different arrays (error %v)", err)
+		}
 	})
 }

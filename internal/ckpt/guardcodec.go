@@ -54,8 +54,8 @@ func (c *Guard) EncodeEntry(e Entry) (*Encoded, error) {
 }
 
 // Decode implements Codec.
-func (c *Guard) Decode(payload []byte, shape []int) (*grid.Field, error) {
-	f, _, err := guard.Decode(payload, shape, c.Options.Workers)
+func (c *Guard) Decode(payload []byte, shape []int, into *grid.Field) (*grid.Field, error) {
+	f, _, err := guard.DecodeInto(payload, shape, c.Options.Workers, into)
 	return f, err
 }
 

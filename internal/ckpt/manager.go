@@ -463,7 +463,8 @@ func (r *Report) addEntry(name string, enc *Encoded, compressed int) {
 
 // restoreScan is the entry scan Restore and RestorePartial run: an entry
 // is claimed for the registered array of its name and shape, decoded into
-// it, and reported in stream order. A name belongs to the first intact
+// it — in place by a strict scan, apart and copied over whole by a lenient
+// one — and reported in stream order. A name belongs to the first intact
 // entry that carries it, so no two decode jobs share an array.
 func (m *Manager) restoreScan(rep *Report, lenient bool) *entryScan {
 	claimed := make(map[string]bool, len(m.names))
@@ -503,12 +504,19 @@ func (m *Manager) restoreScan(rep *Report, lenient bool) *entryScan {
 	}
 }
 
-// Restore reads a checkpoint stream and copies the decoded arrays into the
-// registered fields in place. The stream's codec name must match the
-// manager's codec, and every registered variable must be present with a
-// matching shape. It returns the report and the stored step counter. Up
-// to the worker count of arrays decode at once, so after an error the
-// registered state may hold arrays from beyond the entry that failed.
+// Restore reads a checkpoint stream and decodes its arrays into the
+// registered fields, in place: the codec reconstructs each array where the
+// application keeps it, with no field allocated and none copied. The
+// stream's codec name must match the manager's codec, and every registered
+// variable must be present with a matching shape. It returns the report and
+// the stored step counter. Up to the worker count of arrays decode at once,
+// so after an error the registered state may hold arrays from beyond the
+// entry that failed. The entry that failed has left its own array untouched
+// — a damaged frame never reaches a decoder, and a codec writes only once
+// nothing can fail — unless it is a chunked lossy entry with an intact frame
+// around a slab that does not decode: then the other slabs' planes hold the
+// restored values and that slab's are untouched. RestorePartial is the call
+// for state that must stay whole or untouched per array.
 func (m *Manager) Restore(r io.Reader) (*Report, error) {
 	rep, _, err := m.restore(newByteReader(r), false)
 	return rep, err
@@ -522,7 +530,10 @@ func (m *Manager) Restore(r io.Reader) (*Report, error) {
 // report of what was restored, in stream order, plus the names of
 // registered variables that were not — callers decide whether a partial
 // state is usable. The header itself must be intact; with it gone there
-// is nothing to verify against.
+// is nothing to verify against. A skipped variable's array is exactly as
+// it was before the call: every entry decodes apart from the registered
+// field and is copied over it only whole (one array-sized allocation and
+// copy per entry that Restore does not pay).
 func (m *Manager) RestorePartial(r io.Reader) (*Report, []string, error) {
 	return m.restore(newByteReader(r), true)
 }

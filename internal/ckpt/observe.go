@@ -177,7 +177,7 @@ func (m *Manager) closeCheckpoint(op *journal.Op, owned bool, rep *Report, encod
 // variable's reconstruction-quality gauges from the round trip.
 func (m *Manager) measureQuality(o *obs.Registry, name string, payload []byte) {
 	f := m.fields[name]
-	decoded, err := m.codec.Decode(payload, f.Shape())
+	decoded, err := m.codec.Decode(payload, f.Shape(), nil)
 	if err != nil {
 		m.note("ckpt.quality_decode_failed", "var", name, "error", err.Error())
 		return

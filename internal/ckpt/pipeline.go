@@ -14,8 +14,8 @@
 // compressed payloads.
 //
 // Restoring: one scanner reads and CRC-checks entries serially, vets each
-// against the caller's rules, and hands it to a decode job; results land
-// in stream order.
+// against the caller's rules, and hands it to a decode job, which puts the
+// array where the caller's rules said; results land in stream order.
 package ckpt
 
 import (
@@ -189,9 +189,11 @@ type entryScan struct {
 	// undecodable entry — and ends quietly at a torn tail.
 	lenient bool
 	// claim vets a CRC-clean entry on the scanning goroutine before it is
-	// decoded. A non-nil field is where the decoded array is copied, by
-	// the decode job: claim must hand each field out once. Nil claims
-	// everything.
+	// decoded. A non-nil field is where the decode job puts the array:
+	// claim must hand each field out once. A strict scan has the codec
+	// decode straight into it (Codec.Decode says what an error then leaves
+	// there); a lenient one, where skipped must mean untouched, decodes
+	// apart and copies only a whole array over. Nil claims everything.
 	claim func(ent *rawEntry) (into *grid.Field, err error)
 	// land receives each decoded entry on the scanning goroutine, in
 	// stream order. May be nil.
@@ -229,11 +231,15 @@ func (s *entryScan) run(br *byteReader, hdr *streamHeader) (skipped int, err err
 			continue
 		}
 		var f *grid.Field
+		dest := into
+		if s.lenient {
+			dest = nil
+		}
 		err = pipe.start(func() (err error) {
-			if f, err = s.codec.Decode(ent.Payload, ent.Shape); err != nil {
+			if f, err = s.codec.Decode(ent.Payload, ent.Shape, dest); err != nil {
 				return fmt.Errorf("ckpt: decoding %q: %w", ent.Name, err)
 			}
-			if into != nil {
+			if into != nil && f != into {
 				copy(into.Data(), f.Data())
 			}
 			return nil

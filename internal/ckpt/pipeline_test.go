@@ -352,22 +352,92 @@ func readEveryWay(t *testing.T, codec Codec, data []byte, workers int, inMemory 
 	return out
 }
 
+// stagedCodec is the restore path as it was before Decode took a destination:
+// every array decodes into a field of its own and is copied over the
+// registered one whole. It is what decoding in place is held to.
+type stagedCodec struct{ Codec }
+
+func (c stagedCodec) Decode(payload []byte, shape []int, into *grid.Field) (*grid.Field, error) {
+	f, err := c.Codec.Decode(payload, shape, nil)
+	if err != nil || into == nil {
+		return f, err
+	}
+	copy(into.Data(), f.Data())
+	return into, nil
+}
+
+// restoreCodecs is every codec a registered array can be restored through,
+// the three shapes a lossy payload takes — whole, chunked, and chunked out of
+// a warm slab cache — and both kinds of stream inside a guard envelope.
+type restoreCodec struct {
+	label string
+	codec Codec
+	delta bool
+}
+
+func restoreCodecs() []restoreCodec {
+	chunked := streamCodecs()["lossy-chunked"]
+	return []restoreCodec{
+		{"none", None{}, false},
+		{"gzip", NewGzip(), false},
+		{"lz4", NewLZ4(), false},
+		{"fpc", &FPC{}, false},
+		{"lossy", NewLossy(), false},
+		{"lossy-chunked", chunked, false},
+		{"lossy-chunked+delta", chunked, true},
+		{"guard", NewGuard(guard.Policy{PSNRFloor: 60}), false},
+		// A bound no lossy rung meets and a budget of one attempt: every
+		// entry ships the ladder's last rung, bit-exact gzip.
+		{"guard-lossless", NewGuard(guard.Policy{MaxAbs: 1e-13, MaxAttempts: 1}), false},
+	}
+}
+
+// decodedApart is what each entry decodes to with no destination at all, by
+// variable: what an intact stream must restore to.
+func decodedApart(t *testing.T, codec Codec, ents []*rawEntry) map[string][]float64 {
+	t.Helper()
+	want := map[string][]float64{}
+	for _, ent := range ents {
+		f, err := codec.Decode(ent.Payload, ent.Shape, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", ent.Name, err)
+		}
+		want[ent.Name] = f.Data()
+	}
+	return want
+}
+
 // TestRestoreIndependentOfWorkers reads intact, damaged, torn and forged
-// streams with one decode job at a time and with eight, off a reader and in
-// memory: fields, reports, skipped lists, guarantee annotations and errors
-// must be the same all four ways.
+// streams of every codec with one decode job at a time and with eight, off a
+// reader and in memory: fields, reports, skipped lists, guarantee annotations
+// and errors must be the same all four ways — and the same again as
+// stagedCodec's, which never lets a decoder near a registered array.
 func TestRestoreIndependentOfWorkers(t *testing.T) {
 	type fixture struct {
 		name string
 		data []byte
 	}
-	for _, codecName := range []string{"none", "lossy"} {
-		codec := mustCodec(codecName)
+	for _, cfg := range restoreCodecs() {
+		codec, codecName := cfg.codec, cfg.codec.Name()
 		saver := NewManager(codec, 1)
-		registerSample(t, saver)
+		saver.SetDelta(cfg.delta)
+		saved := registerSample(t, saver)
 		var v1, v2 bytes.Buffer
-		if _, err := saver.Checkpoint(&v1, 11); err != nil {
+		if cfg.delta {
+			// Warm the slab caches, dirty one slab, and read what the
+			// second checkpoint assembles out of cached and fresh frames.
+			if _, err := saver.Checkpoint(&v1, 10); err != nil {
+				t.Fatal(err)
+			}
+			v1.Reset()
+			saved["pressure"].Data()[5] += 0.5
+		}
+		rep, err := saver.Checkpoint(&v1, 11)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if cfg.delta && rep.DeltaSlabsReused == 0 {
+			t.Fatalf("%s: the warm checkpoint reused no slab: %+v", cfg.label, rep)
 		}
 		if _, err := saver.CheckpointStream(&v2, 11); err != nil {
 			t.Fatal(err)
@@ -398,17 +468,31 @@ func TestRestoreIndependentOfWorkers(t *testing.T) {
 			}
 		}
 
+		want := decodedApart(t, codec, ents)
+
 		var decodeFailures, duplicates int
 		for _, fx := range fixtures {
 			serial := readEveryWay(t, codec, fx.data, 1, false)
 			for _, other := range []struct {
 				how      string
+				codec    Codec
 				workers  int
 				inMemory bool
-			}{{"workers=8", 8, false}, {"in memory, workers=1", 1, true}, {"in memory, workers=8", 8, true}} {
-				got := readEveryWay(t, codec, fx.data, other.workers, other.inMemory)
+			}{
+				{"workers=8", codec, 8, false},
+				{"in memory, workers=1", codec, 1, true},
+				{"in memory, workers=8", codec, 8, true},
+				{"staged, workers=1", stagedCodec{codec}, 1, false},
+				{"staged in memory, workers=8", stagedCodec{codec}, 8, true},
+			} {
+				got := readEveryWay(t, other.codec, fx.data, other.workers, other.inMemory)
 				if !reflect.DeepEqual(serial, got) {
-					t.Errorf("%s/%s: read %s differs from a reader at workers=1\n%+v\nwant\n%+v", codecName, fx.name, other.how, got, serial)
+					t.Errorf("%s/%s: read %s differs from a reader at workers=1\n%+v\nwant\n%+v", cfg.label, fx.name, other.how, got, serial)
+				}
+			}
+			if fx.name == "v1" || fx.name == "v2" {
+				if serial.StrictErr != "" || !reflect.DeepEqual(serial.StrictFields, want) {
+					t.Errorf("%s/%s: restored arrays are not what Decode(payload, shape, nil) returns (error %q)", cfg.label, fx.name, serial.StrictErr)
 				}
 			}
 			if strings.Contains(serial.StrictErr, "ckpt: decoding") {
@@ -419,7 +503,7 @@ func TestRestoreIndependentOfWorkers(t *testing.T) {
 			}
 		}
 		if decodeFailures == 0 || duplicates == 0 {
-			t.Errorf("%s: fixtures hit %d decode failures and %d duplicates; the sweep lost its cases", codecName, decodeFailures, duplicates)
+			t.Errorf("%s: fixtures hit %d decode failures and %d duplicates; the sweep lost its cases", cfg.label, decodeFailures, duplicates)
 		}
 	}
 }

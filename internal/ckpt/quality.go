@@ -25,7 +25,7 @@ func (m *Manager) AssessQuality(opts qa.Options) ([]*qa.Assessment, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ckpt: quality encode %q: %w", name, err)
 		}
-		dec, err := m.codec.Decode(enc.Payload, f.Shape())
+		dec, err := m.codec.Decode(enc.Payload, f.Shape(), nil)
 		if err != nil {
 			return nil, fmt.Errorf("ckpt: quality decode %q: %w", name, err)
 		}

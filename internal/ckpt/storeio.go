@@ -131,7 +131,9 @@ type StoreRestore struct {
 // restores completely — frame-level partial recovery, again newest
 // first, taking the first generation that yields at least one verified
 // array. Every failure is carried in the returned error if nothing at
-// all is restorable.
+// all is restorable. The full restores that failed along the way decoded
+// in place (see Restore), so an array named in Skipped holds whatever they
+// left in it, not necessarily what it held before the call.
 func (m *Manager) RestoreLatest(st store.Target) (sr *StoreRestore, err error) {
 	// One operation per call, however many generations the walk tries: the
 	// inner restores fill it, the ones it passes over are counted and noted.

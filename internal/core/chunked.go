@@ -196,16 +196,29 @@ func decodeChunkInto(f *grid.Field, shape []int, planeElems, c int, fr chunkFram
 	return err
 }
 
-// DecompressAnyParallel is the decoder: it reconstructs the field from a
-// plain Compress stream or a chunked one, told apart by the leading magic, on
-// up to workers goroutines (0 = GOMAXPROCS, 1 = serial). A chunked stream's
-// payloads decode on the pool straight into their disjoint plane ranges of the
-// output; a plain stream bounds the wavelet inverse instead. The
-// reconstruction is identical for every worker count.
+// DecompressAnyParallel is DecompressTo into a new field.
 func DecompressAnyParallel(data []byte, workers int) (*grid.Field, error) {
+	return DecompressTo(data, workers, grid.New)
+}
+
+// DecompressTo is the decoder: it reconstructs the field from a plain Compress
+// stream or a chunked one, told apart by the leading magic, on up to workers
+// goroutines (0 = GOMAXPROCS, 1 = serial), in the field dest supplies for the
+// stream's shape — grid.New for a fresh one, or an array the caller already
+// owns, refused by returning an error. The reconstruction is identical for
+// every worker count.
+//
+// What a failed decode leaves in a field the caller owns: a plain stream
+// writes it only in the wavelet inverse's last pass, after every step that
+// can fail, so an error means untouched. A chunked stream's payloads decode on
+// the pool straight into their disjoint plane ranges, each by that same rule:
+// after an error the planes of the chunks that failed are untouched and the
+// others hold the decoded array. Framing that does not parse, or a shape dest
+// refuses, writes nothing.
+func DecompressTo(data []byte, workers int, dest func(shape ...int) (*grid.Field, error)) (*grid.Field, error) {
 	start := time.Now()
 	if len(data) < 4 || binary.LittleEndian.Uint32(data) != chunkedMagic {
-		f, err := decodeTo(data, workers, grid.New)
+		f, err := decodeTo(data, workers, dest)
 		if err == nil {
 			recordDecompressOp(obs.Default(), "single", f.Bytes(), time.Since(start))
 		}
@@ -215,7 +228,7 @@ func DecompressAnyParallel(data []byte, workers int) (*grid.Field, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, err := grid.New(shape...)
+	f, err := dest(shape...)
 	if err != nil {
 		return nil, err
 	}

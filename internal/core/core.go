@@ -561,11 +561,15 @@ func Decompress(data []byte) (*grid.Field, error) { return DecompressAnyParallel
 // Stages.Encode and the stage-4 output of decodeTo.
 var formattedBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// decodeTo inverts the pipeline into the field dest supplies for the stream's
-// shape (grid.New for a fresh one), on up to workers goroutines (0 =
-// GOMAXPROCS, 1 = serial; same result for every count). dest is asked once the
-// coefficients have decoded cleanly, so refusing the shape, or any failure
-// before that, leaves nothing written: the inverse's last pass fills the field.
+// decodeTo is the one place a stream becomes coefficients: it inverts the
+// pipeline into the field dest supplies for the stream's shape (grid.New for a
+// fresh one; an array the application registered, or a chunk's plane range of
+// one, on a restore), on up to workers goroutines (0 = GOMAXPROCS, 1 = serial;
+// same result for every count). dest is asked once the coefficients have
+// decoded cleanly, so refusing the shape, or any failure before that, leaves
+// nothing written: the inverse's last pass alone fills the field, and nothing
+// after it can fail. That is the whole of the restore path's atomicity — per
+// entry for a plain stream, per chunk for a chunked one.
 func decodeTo(data []byte, workers int, dest func(shape ...int) (*grid.Field, error)) (*grid.Field, error) {
 	// The entropy layer sniffs the envelope and dispatches to the right
 	// codec; legacy payloads (raw gzip/zlib, including multi-member
@@ -694,20 +698,35 @@ func CompressGzipOnly(f *grid.Field, level int, mode gzipio.Mode, tmpDir string)
 	return res, nil
 }
 
-// DecompressGzipOnly inverts CompressGzipOnly given the original shape.
-// It also accepts entropy-enveloped payloads so callers that stored a
-// lossless rung through a non-default codec still restore.
-func DecompressGzipOnly(data []byte, shape ...int) (*grid.Field, error) {
-	raw, err := entropy.Decompress(data, 0)
+// rawBufs recycles the inflated image of DecompressGzipOnly. Array-sized, so
+// a pool of its own: a slab-sized request that drew one of these from
+// formattedBufs or grid's scratch would pin it.
+var rawBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// DecompressGzipOnly inverts CompressGzipOnly given the original shape, into
+// the caller's field of that shape or, into nil, a new one. It also accepts
+// entropy-enveloped payloads so callers that stored a lossless rung through
+// a non-default codec still restore. The payload is inflated whole and its
+// length held against the shape before anything is allocated by that shape or
+// written to into: an error leaves into untouched.
+func DecompressGzipOnly(data []byte, into *grid.Field, shape ...int) (*grid.Field, error) {
+	buf := rawBufs.Get().(*[]byte)
+	defer rawBufs.Put(buf)
+	raw, err := entropy.DecompressTo(*buf, data, 0)
 	if err != nil {
 		return nil, err
 	}
-	f, err := grid.New(shape...)
+	*buf = raw
+	n, err := grid.Elems(shape...)
 	if err != nil {
 		return nil, err
 	}
-	if len(raw) != 8*f.Len() {
-		return nil, fmt.Errorf("core: gzip payload is %d bytes, shape %v needs %d", len(raw), shape, 8*f.Len())
+	if len(raw)%8 != 0 || len(raw)/8 != n {
+		return nil, fmt.Errorf("core: gzip payload is %d bytes, shape %v needs %d", len(raw), shape, 8*n)
+	}
+	f, err := grid.Dest(into, shape...)
+	if err != nil {
+		return nil, err
 	}
 	grid.PutFloatBytes(f.Data(), raw)
 	return f, nil

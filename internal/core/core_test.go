@@ -84,14 +84,14 @@ func TestGzipOnlyRoundTripExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := DecompressGzipOnly(res.Data, 32, 16, 2)
+	g, err := DecompressGzipOnly(res.Data, nil, 32, 16, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !f.Equal(g) {
 		t.Error("gzip-only round trip is not bit-exact")
 	}
-	if _, err := DecompressGzipOnly(res.Data, 32, 16, 3); err == nil {
+	if _, err := DecompressGzipOnly(res.Data, nil, 32, 16, 3); err == nil {
 		t.Error("wrong shape accepted")
 	}
 }

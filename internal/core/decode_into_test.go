@@ -1,0 +1,192 @@
+package core
+
+import (
+	"errors"
+	"testing"
+
+	"lossyckpt/internal/entropy"
+	"lossyckpt/internal/grid"
+	"lossyckpt/internal/gzipio"
+)
+
+// marker fills a caller's field before a decode, so that what the decode
+// wrote — and what it left alone — can be read off afterwards.
+const marker = -12345.5
+
+// ownedField returns a dest callback that hands out one marker-filled field
+// of whatever shape the stream has, and the pointer it is kept at.
+func ownedField() (dest func(shape ...int) (*grid.Field, error), owned **grid.Field) {
+	owned = new(*grid.Field)
+	return func(shape ...int) (*grid.Field, error) {
+		f, err := grid.New(shape...)
+		if err == nil {
+			f.Fill(marker)
+			*owned = f
+		}
+		return f, err
+	}, owned
+}
+
+func countWritten(vals []float64) (n int) {
+	for _, v := range vals {
+		if v != marker {
+			n++
+		}
+	}
+	return n
+}
+
+// TestDecompressToCallersField: decoding into a field the caller supplies
+// gives the field a decode into a fresh one gives, for plain, per-band and
+// chunked streams on every worker count, and a shape the caller refuses is an
+// error that writes nothing.
+func TestDecompressToCallersField(t *testing.T) {
+	f := smooth3D(48, 16, 4, 7)
+	perBand := DefaultOptions()
+	perBand.PerBandQuant = true
+	lz4 := DefaultOptions()
+	lz4.EntropyCodec, lz4.Shuffle = entropy.LZ4, true
+	streams := map[string][]byte{}
+	for name, opts := range map[string]Options{"plain": DefaultOptions(), "per-band": perBand, "lz4+shuffle": lz4} {
+		res, err := Compress(f, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams[name] = res.Data
+		chunked, err := CompressChunked(f, opts, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams[name+"/chunked"] = chunked.Data
+	}
+	refused := errors.New("not this shape")
+	for name, data := range streams {
+		want, err := DecompressAnyParallel(data, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, workers := range parallelWorkerSweep() {
+			dest, owned := ownedField()
+			got, err := DecompressTo(data, workers, dest)
+			if err != nil || got != *owned || !got.Equal(want) {
+				t.Errorf("%s workers=%d: decode into the caller's field: %v (its field: %v, equal: %v)", name, workers, err, got == *owned, got != nil && got.Equal(want))
+			}
+		}
+		var asked []int
+		got, err := DecompressTo(data, 2, func(shape ...int) (*grid.Field, error) {
+			asked = shape
+			return nil, refused
+		})
+		if !errors.Is(err, refused) || got != nil || len(asked) != 3 {
+			t.Errorf("%s: a refused shape %v returned %v, %v", name, asked, got, err)
+		}
+	}
+}
+
+// TestDecompressToFailureWritesWholeChunksOnly sweeps truncations and bit
+// flips over a plain and a chunked stream decoded into a caller's field. A
+// plain stream that fails has written nothing. A chunked stream that fails has
+// written each chunk's planes entirely — the values the intact stream decodes
+// to — or not at all.
+func TestDecompressToFailureWritesWholeChunksOnly(t *testing.T) {
+	for _, chunk := range []int{0, 16} {
+		data := compressedSample(t, chunk)
+		ref, err := DecompressAnyParallel(data, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames := []chunkFrame{{ext: ref.Extent(0)}}
+		if chunk > 0 {
+			if _, frames, err = parseChunked(data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		planeElems := ref.Len() / ref.Extent(0)
+		failures, partial := 0, 0
+		check := func(what string, mut []byte) {
+			dest, owned := ownedField()
+			if _, err := DecompressTo(mut, 3, dest); err == nil || *owned == nil {
+				return // decoded after all, or failed before asking for a field
+			}
+			failures++
+			got := (*owned).Data()
+			for c, fr := range frames {
+				lo, hi := fr.plane*planeElems, (fr.plane+fr.ext)*planeElems
+				switch n := countWritten(got[lo:hi]); {
+				case n == 0:
+				case chunk == 0:
+					t.Fatalf("%s: a plain stream failed with %d values written", what, n)
+				default:
+					partial++
+					for i := lo; i < hi; i++ {
+						if got[i] != ref.Data()[i] {
+							t.Fatalf("%s: chunk %d written in part or wrongly (element %d)", what, c, i)
+						}
+					}
+				}
+			}
+		}
+		step := len(data)/256 + 1
+		for at := 0; at < len(data); at += step {
+			check("cut", data[:at])
+			mut := append([]byte(nil), data...)
+			mut[at] ^= 0x10
+			check("flip", mut)
+		}
+		if chunk > 0 && (failures == 0 || partial == 0) {
+			t.Errorf("chunked sweep saw %d failures past the framing, %d of them beside chunks that decoded: it lost its cases", failures, partial)
+		}
+	}
+}
+
+// TestDecompressGzipOnlyInto: the lossless rung lands in the caller's field,
+// refuses one of another shape or a payload of another length without
+// touching it, and a field it allocates itself shares nothing with the
+// buffers it recycles.
+func TestDecompressGzipOnlyInto(t *testing.T) {
+	f := smooth3D(32, 16, 2, 5)
+	res, err := CompressGzipOnly(f, gzipio.Default, gzipio.InMemory, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	into := grid.MustNew(32, 16, 2)
+	got, err := DecompressGzipOnly(res.Data, into, 32, 16, 2)
+	if err != nil || got != into || !into.Equal(f) {
+		t.Fatalf("into the caller's field: %v (its field: %v)", err, got == into)
+	}
+	for _, tc := range []struct {
+		what  string
+		into  *grid.Field
+		shape []int
+	}{
+		{"a field of another shape", grid.MustNew(16, 32, 2), []int{32, 16, 2}},
+		{"a shape the payload does not fill", grid.MustNew(32, 16, 3), []int{32, 16, 3}},
+	} {
+		tc.into.Fill(marker)
+		if _, err := DecompressGzipOnly(res.Data, tc.into, tc.shape...); err == nil {
+			t.Errorf("%s: accepted", tc.what)
+		}
+		if n := countWritten(tc.into.Data()); n != 0 {
+			t.Errorf("%s: refused with %d values written", tc.what, n)
+		}
+	}
+
+	fresh, err := DecompressGzipOnly(res.Data, nil, 32, 16, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held []*[]byte
+	for i := 0; i < 16; i++ {
+		b := rawBufs.Get().(*[]byte)
+		for j := range (*b)[:cap(*b)] {
+			(*b)[:cap(*b)][j] = 0xA5
+		}
+		held = append(held, b)
+	}
+	for _, b := range held {
+		rawBufs.Put(b)
+	}
+	if !fresh.Equal(f) {
+		t.Error("a field DecompressGzipOnly allocated changed when its recycled buffers were overwritten")
+	}
+}

@@ -202,7 +202,7 @@ func TestGzipOnlyEntropyAware(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := DecompressGzipOnly(res.Data, f.Shape()...)
+	g, err := DecompressGzipOnly(res.Data, nil, f.Shape()...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,6 +27,7 @@ package entropy
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"lossyckpt/internal/gzipio"
@@ -279,15 +280,27 @@ func DecompressTo(dst, data []byte, workers int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := c.Decompress(dst, payload, workers)
+	if !shuffled {
+		if dst, err = c.Decompress(dst, payload, workers); err != nil {
+			return nil, fmt.Errorf("entropy: %s: %w", c.Name(), err)
+		}
+		return dst, nil
+	}
+	// The coder's output is an intermediate here: it goes into a buffer of
+	// this package's own and the caller's receives the unshuffled bytes.
+	lanes := laneBufs.Get().(*[]byte)
+	defer laneBufs.Put(lanes)
+	out, err := c.Decompress(*lanes, payload, workers)
 	if err != nil {
 		return nil, fmt.Errorf("entropy: %s: %w", c.Name(), err)
 	}
-	if shuffled {
-		out = UnshuffleBytes(out, stride)
-	}
-	return out, nil
+	*lanes = out
+	return unshuffleTo(dst, out, stride), nil
 }
+
+// laneBufs recycles the byte lanes a shuffled stream decodes to before
+// DecompressTo transposes them back.
+var laneBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // Identify names the entropy coding of a stream without decoding it:
 // "gzip"/"zlib" for legacy payloads, the envelope label ("lz4",

@@ -32,15 +32,22 @@ func ShuffleBytes(src []byte, stride int) []byte {
 	return out
 }
 
-// UnshuffleBytes inverts ShuffleBytes for the same stride.
-func UnshuffleBytes(src []byte, stride int) []byte {
+// UnshuffleBytes inverts ShuffleBytes for the same stride, into a new slice.
+func UnshuffleBytes(src []byte, stride int) []byte { return unshuffleTo(nil, src, stride) }
+
+// unshuffleTo is UnshuffleBytes into a buffer the caller keeps: it writes
+// over dst from its start, growing it if it is short, and returns the
+// len(src) bytes written. dst and src must not overlap.
+func unshuffleTo(dst, src []byte, stride int) []byte {
+	if cap(dst) < len(src) {
+		dst = make([]byte, len(src)) // not slices.Grow: append clears what make already gets zeroed
+	}
+	out := dst[:len(src)]
 	if stride < 2 || len(src) < 2*stride {
-		out := make([]byte, len(src))
 		copy(out, src)
 		return out
 	}
 	n := len(src) / stride * stride
-	out := make([]byte, len(src))
 	elems := n / stride
 	for k := 0; k < stride; k++ {
 		lane := src[k*elems : (k+1)*elems]

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 	"unsafe"
 )
@@ -84,6 +85,25 @@ func FromSlice(data []float64, shape ...int) (*Field, error) {
 	}
 	f.stride = strides(f.shape)
 	return f, nil
+}
+
+// Elems returns how many elements an array of the given shape holds, vetting
+// the shape as New does and allocating nothing: what a decoder compares a
+// payload's length with before it sizes anything by a shape it was handed.
+func Elems(shape ...int) (int, error) { return checkShape(shape) }
+
+// Dest returns the field a decoder reconstructs an array of the given shape
+// in: into, when the caller supplied one — it must have exactly that shape,
+// else the error is ErrShape and into is left alone — or a new zero-filled
+// field.
+func Dest(into *Field, shape ...int) (*Field, error) {
+	if into == nil {
+		return New(shape...)
+	}
+	if !slices.Equal(into.shape, shape) {
+		return nil, fmt.Errorf("%w: destination is %v, decoded array is %v", ErrShape, into.shape, shape)
+	}
+	return into, nil
 }
 
 func checkShape(shape []int) (int, error) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -308,5 +309,34 @@ func TestFloatBytesFingerprintUnchanged(t *testing.T) {
 		if len(FloatBytes(data)) != 8*n {
 			t.Errorf("n=%d: view has %d bytes", n, len(FloatBytes(data)))
 		}
+	}
+}
+
+// TestElemsAndDest: Elems vets a shape as New does without allocating, and
+// Dest hands back the caller's field only when it has exactly that shape.
+func TestElemsAndDest(t *testing.T) {
+	if n, err := Elems(3, 4, 5); err != nil || n != 60 {
+		t.Errorf("Elems(3,4,5) = %d, %v", n, err)
+	}
+	for _, bad := range [][]int{{}, {0}, {3, -1}, {math.MaxInt32, math.MaxInt32, math.MaxInt32}} {
+		if _, err := Elems(bad...); !errors.Is(err, ErrShape) {
+			t.Errorf("Elems(%v): %v", bad, err)
+		}
+	}
+	if n, err := Elems(math.MaxInt32, math.MaxInt32); err != nil || n != math.MaxInt32*math.MaxInt32 {
+		t.Errorf("Elems of a shape too large to allocate: %d, %v", n, err)
+	}
+
+	own := MustNew(3, 4)
+	if f, err := Dest(own, 3, 4); err != nil || f != own {
+		t.Errorf("Dest(own, its shape) = %p, %v", f, err)
+	}
+	for _, other := range [][]int{{4, 3}, {12}, {3, 4, 1}} {
+		if f, err := Dest(own, other...); !errors.Is(err, ErrShape) || f != nil {
+			t.Errorf("Dest(own, %v) = %v, %v", other, f, err)
+		}
+	}
+	if f, err := Dest(nil, 3, 4); err != nil || f == own || !f.SameShape(own) {
+		t.Errorf("Dest(nil, 3, 4) = %v, %v", f, err)
 	}
 }

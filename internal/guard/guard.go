@@ -26,6 +26,7 @@ package guard
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"lossyckpt/internal/core"
@@ -372,26 +373,34 @@ func Encode(name string, f *grid.Field, base core.Options, pol Policy) (*Outcome
 	return &Outcome{Payload: wrap(ann, res.Data), Annotation: ann, RawBytes: res.RawBytes}, nil
 }
 
-// Decode reverses Encode: it unwraps the envelope and decompresses the
-// inner stream by the annotated mode. The expected shape is required for
-// the lossless (gzip-only) mode and validated against the container
-// otherwise when non-nil.
+// Decode is DecodeInto a new field.
 func Decode(payload []byte, shape []int, workers int) (*grid.Field, Annotation, error) {
+	return DecodeInto(payload, shape, workers, nil)
+}
+
+// DecodeInto reverses Encode: it unwraps the envelope and decompresses the
+// inner stream by the annotated mode, into the caller's field or, into nil,
+// a new one. The expected shape is required for the lossless (gzip-only)
+// mode and validated against the container otherwise when non-nil. into is
+// written last, by the step that cannot fail: an error leaves it untouched.
+func DecodeInto(payload []byte, shape []int, workers int, into *grid.Field) (*grid.Field, Annotation, error) {
 	ann, inner, err := unwrap(payload)
 	if err != nil {
 		return nil, ann, err
 	}
 	var f *grid.Field
 	if ann.Mode == Lossless {
-		f, err = core.DecompressGzipOnly(inner, shape...)
+		f, err = core.DecompressGzipOnly(inner, into, shape...)
 	} else {
-		f, err = core.DecompressAnyParallel(inner, workers)
+		f, err = core.DecompressTo(inner, workers, func(got ...int) (*grid.Field, error) {
+			if len(shape) > 0 && !slices.Equal(got, shape) {
+				return nil, fmt.Errorf("guard: decoded shape %v, want %v", got, shape)
+			}
+			return grid.Dest(into, got...)
+		})
 	}
 	if err != nil {
 		return nil, ann, err
-	}
-	if len(shape) > 0 && !sameShape(f.Shape(), shape) {
-		return nil, ann, fmt.Errorf("guard: decoded shape %v, want %v", f.Shape(), shape)
 	}
 	return f, ann, nil
 }
@@ -564,16 +573,4 @@ func escalate(o *obs.Registry, name, step, why string) {
 func record(o *obs.Registry, name string, ann Annotation) {
 	o.Counter(MetricEncodes, "mode", ann.Mode.String()).Inc()
 	o.Gauge(MetricFinalMode, "var", name).Set(float64(ann.Mode))
-}
-
-func sameShape(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

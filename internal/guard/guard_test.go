@@ -496,3 +496,44 @@ func TestChooseDivisionsRungHonoured(t *testing.T) {
 		t.Fatal("MaxDivisions changed; ladder assumptions stale")
 	}
 }
+
+// TestDecodeIntoCallersField: every mode of envelope decodes into a field the
+// caller supplies to what Decode allocates, and one of another shape — or a
+// shape the stream does not have — is refused with nothing written.
+func TestDecodeIntoCallersField(t *testing.T) {
+	f := makeField(t, "smooth", 31)
+	for _, pol := range []Policy{
+		{},                                // unbounded lossy
+		{MaxAbs: 5, Verify: VerifyDecode}, // bounded lossy
+		{MaxAbs: 1e-13, MaxAttempts: 1},   // lossless: the gzip-only rung
+	} {
+		out, err := Encode("v", f, core.DefaultOptions(), pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mode := out.Annotation.Mode
+		want, _, err := Decode(out.Payload, f.Shape(), 2)
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		into := grid.MustNew(f.Shape()...)
+		got, ann, err := DecodeInto(out.Payload, f.Shape(), 2, into)
+		if err != nil || got != into || ann.Mode != mode || !bitsEqual(into.Data(), want.Data()) {
+			t.Errorf("%v: into the caller's field: %v (its field: %v, mode %v)", mode, err, got == into, ann.Mode)
+		}
+		for _, other := range [][]int{{6, 10, 6}, {12, 10, 7}} {
+			wrong := grid.MustNew(other...)
+			wrong.Fill(-1)
+			for _, shape := range [][]int{f.Shape(), other} {
+				if _, _, err := DecodeInto(out.Payload, shape, 2, wrong); err == nil {
+					t.Errorf("%v: a %v stream decoded as %v into a %v field", mode, f.Shape(), shape, other)
+				}
+			}
+			for _, v := range wrong.Data() {
+				if v != -1 {
+					t.Fatalf("%v: a refused decode wrote its destination", mode)
+				}
+			}
+		}
+	}
+}

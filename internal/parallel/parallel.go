@@ -210,7 +210,7 @@ func ReplayRank(cfg Config, o *Outcome, r int) (stats.Summary, error) {
 		return stats.Summary{}, fmt.Errorf("%w: rank %d of %d", ErrConfig, r, len(o.PerRank))
 	}
 	live := rankField(cfg, r)
-	decoded, err := cfg.Codec.Decode(o.PerRank[r].Payload, live.Shape())
+	decoded, err := cfg.Codec.Decode(o.PerRank[r].Payload, live.Shape(), nil)
 	if err != nil {
 		return stats.Summary{}, err
 	}
