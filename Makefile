@@ -5,9 +5,9 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check fmt-check vet telemetry-lint build test race loc bench-test fuzz-smoke serve-smoke crash-matrix-replicated crash-matrix-dedup bench-parallel bench-obs bench-gzip bench-entropy bench-dedup bench-qa bench-smoke bench-compare bench-compare-smoke
+.PHONY: check fmt-check vet telemetry-lint experiments-lint results build test race loc bench-test fuzz-smoke serve-smoke crash-matrix-replicated crash-matrix-dedup bench-parallel bench-obs bench-gzip bench-entropy bench-dedup bench-qa bench-smoke bench-compare bench-compare-smoke
 
-check: fmt-check vet telemetry-lint build race bench-test fuzz-smoke serve-smoke bench-compare-smoke
+check: fmt-check vet telemetry-lint experiments-lint build race bench-test fuzz-smoke serve-smoke bench-compare-smoke
 
 fmt-check:
 	@out="$$(gofmt -l .)"; \
@@ -27,6 +27,12 @@ telemetry-lint:
 		--exclude-dir=.bench_build --exclude-dir=.git '\.StartSpan\(|\.Event\(' .; then \
 		echo "telemetry-lint: use journal.Begin / journal.Note (internal/obs/journal) instead"; exit 1; \
 	fi
+
+# experiments-lint keeps the experiment registry single: DESIGN.md §4's "Run
+# with" column names exactly the ids of harness.Experiments, in its order, and
+# no harness file goes back to being named after the PR that added it.
+experiments-lint:
+	@GO=$(GO) sh scripts/experiments_lint.sh
 
 build:
 	$(GO) build ./...
@@ -57,6 +63,13 @@ race:
 	$(GO) test -race -count=10 -run 'Engine|ChunkedParallelByteIdentical|CompressChunkedDeltaByteIdentical' ./internal/core
 	$(GO) test -race -count=10 -run 'InlineRepair|ReplicatedStreamCommit|ReplicatedSlowReplica|ReplicatedCommitSurvivesOneDeadReplica' ./internal/store
 	$(GO) test -race -count=10 -run 'SinkMatrix' ./internal/ckpt
+
+# results regenerates the tables EXPERIMENTS.md quotes, at paper scale, into
+# results/<id>.csv (several minutes; the 2220-step Fig. 10 run dominates).
+# The deterministic ones must come out byte-identical on amd64; the
+# wall-clock columns of the other eight are this host's.
+results:
+	$(GO) run ./cmd/experiments -run all -csv results/
 
 # loc prints the non-test Go line count per package and in total (bench/
 # excluded): the figure ROADMAP.md quotes and a simplification PR is held to.

@@ -35,9 +35,8 @@ func benchConfig() harness.Config {
 func runFigure(b *testing.B, id string) {
 	b.Helper()
 	cfg := benchConfig()
-	run := harness.Runners[id]
 	for i := 0; i < b.N; i++ {
-		tab, err := run(cfg)
+		tab, err := harness.Run(id, cfg)
 		if err != nil {
 			b.Fatalf("%s: %v", id, err)
 		}

@@ -16,6 +16,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -52,10 +53,12 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
+	var all []string
+	for _, e := range harness.Experiments {
+		all = append(all, e.ID)
+	}
 	if *list {
-		for _, id := range harness.RunnerIDs {
-			fmt.Fprintln(out, id)
-		}
+		fmt.Fprintln(out, strings.Join(all, "\n"))
 		return nil
 	}
 
@@ -79,16 +82,11 @@ func run(args []string, out io.Writer) error {
 	cfg.Autotune = *autotune
 	cfg.ReportDir = *reportDir
 
-	var ids []string
-	if *runIDs == "all" {
-		ids = harness.RunnerIDs
-	} else {
-		for _, id := range strings.Split(*runIDs, ",") {
-			id = strings.TrimSpace(id)
-			if id == "" {
-				continue
-			}
-			if _, ok := harness.Runners[id]; !ok {
+	ids := all
+	if *runIDs != "all" {
+		ids = nil
+		for _, id := range strings.FieldsFunc(*runIDs, func(r rune) bool { return strings.ContainsRune(", \t", r) }) {
+			if !slices.Contains(all, id) {
 				return fmt.Errorf("unknown experiment %q (use -list)", id)
 			}
 			ids = append(ids, id)
@@ -141,7 +139,7 @@ func run(args []string, out io.Writer) error {
 
 	for _, id := range ids {
 		start := time.Now()
-		tab, err := harness.Runners[id](cfg)
+		tab, err := harness.Run(id, cfg)
 		if err != nil {
 			return fmt.Errorf("%s: %w", id, err)
 		}

@@ -1,9 +1,9 @@
-// client.go is the lossyckpt front end of the lossyckptd daemon: the
-// client-side of the daemon's wire protocol. Where `save`/`restore`
-// operate on a local store directory, `client save`/`client restore`
-// talk to a running daemon over HTTP — the daemon owns compression,
-// the store and its durability protocol; the client just ships named
-// fields.
+// client.go is the lossyckpt front end of the lossyckptd daemon: flags
+// and printing over server.Client, which speaks the wire protocol. Where
+// `save`/`restore` operate on a local store directory, `client save`/
+// `client restore` talk to a running daemon over HTTP — the daemon owns
+// compression, the store and its durability protocol; the client just
+// ships named fields.
 //
 //	lossyckpt client save    -addr host:port -tenant t -token s -in a.grd[,b.grd...] -step N [-codec none] [-deadline-ms 0]
 //	lossyckpt client restore -addr host:port -tenant t -token s -out dir [-deadline-ms 0]
@@ -12,12 +12,9 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -59,7 +56,8 @@ func addClientFlags(fs *flag.FlagSet) clientFlags {
 	}
 }
 
-func (cf clientFlags) request(method, endpoint, query string, body io.Reader) (*http.Response, error) {
+// client builds the daemon client the flags describe.
+func (cf clientFlags) client() (*server.Client, error) {
 	token := *cf.token
 	if token == "" {
 		token = os.Getenv("LOSSYCKPT_TOKEN")
@@ -67,31 +65,23 @@ func (cf clientFlags) request(method, endpoint, query string, body io.Reader) (*
 	if token == "" {
 		return nil, fmt.Errorf("client: -token (or LOSSYCKPT_TOKEN) is required")
 	}
-	url := fmt.Sprintf("http://%s/v1/%s/%s%s", *cf.addr, *cf.tenant, endpoint, query)
-	req, err := http.NewRequest(method, url, body)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Authorization", "Bearer "+token)
-	if *cf.deadlineMs > 0 {
-		req.Header.Set("X-Deadline-Ms", fmt.Sprint(*cf.deadlineMs))
-		// Give the transport a little slack past the server deadline so
-		// the typed 504 arrives instead of a client-side timeout.
-		client := &http.Client{Timeout: time.Duration(*cf.deadlineMs)*time.Millisecond + 5*time.Second}
-		return client.Do(req)
-	}
-	return http.DefaultClient.Do(req)
+	return &server.Client{
+		BaseURL:  "http://" + *cf.addr,
+		Tenant:   *cf.tenant,
+		Token:    token,
+		Deadline: time.Duration(*cf.deadlineMs) * time.Millisecond,
+	}, nil
 }
 
-// fail turns a non-200 response into an error carrying the daemon's
-// message (429/503/504/507 are the daemon's typed refusals).
-func fail(op string, resp *http.Response) error {
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
-	msg := strings.TrimSpace(string(body))
-	if msg == "" {
-		msg = resp.Status
+// fail names the subcommand on an error from the daemon client: a
+// *server.StatusError carries the daemon's message and status (429/503/
+// 504/507 are its typed refusals); transport errors pass through bare.
+func fail(op string, err error) error {
+	var se *server.StatusError
+	if errors.As(err, &se) {
+		return fmt.Errorf("client %s: %w", op, err)
 	}
-	return fmt.Errorf("client %s: %s (HTTP %d)", op, msg, resp.StatusCode)
+	return err
 }
 
 func cmdClientSave(args []string) error {
@@ -115,21 +105,13 @@ func cmdClientSave(args []string) error {
 		name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
 		fields = append(fields, server.NamedField{Name: name, Field: fld})
 	}
-	var buf bytes.Buffer
-	if err := server.WriteFields(&buf, fields); err != nil {
-		return err
-	}
-	resp, err := cf.request("POST", "save", fmt.Sprintf("?step=%d&codec=%s", *step, *codec), &buf)
+	c, err := cf.client()
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fail("save", resp)
-	}
-	var sr server.SaveResult
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		return err
+	sr, err := c.Save(*step, *codec, fields)
+	if err != nil {
+		return fail("save", err)
 	}
 	fmt.Printf("saved generation %d (step %d, codec %s): %d field(s), %d bytes\n",
 		sr.Generation, sr.Step, sr.Codec, sr.Fields, sr.Size)
@@ -149,32 +131,28 @@ func cmdClientRestore(args []string) error {
 	if *out == "" {
 		return fmt.Errorf("client restore: -out is required")
 	}
-	resp, err := cf.request("GET", "restore", "", nil)
+	c, err := cf.client()
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fail("restore", resp)
-	}
-	fields, err := server.ReadFields(resp.Body)
+	r, err := c.Restore()
 	if err != nil {
-		return err
+		return fail("restore", err)
 	}
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		return err
 	}
-	for _, nf := range fields {
+	for _, nf := range r.Fields {
 		path := filepath.Join(*out, nf.Name+".grd")
 		if err := writeField(path, nf.Field); err != nil {
 			return err
 		}
 		fmt.Printf("restored %s: %s\n", path, nf.Field)
 	}
-	fmt.Printf("generation %s (step %s, codec %s): %d field(s) recovered\n",
-		resp.Header.Get("X-Generation"), resp.Header.Get("X-Step"), resp.Header.Get("X-Codec"), len(fields))
-	if p := resp.Header.Get("X-Partial"); p != "" {
-		fmt.Printf("partial recovery: %s frame(s) skipped\n", p)
+	fmt.Printf("generation %d (step %d, codec %s): %d field(s) recovered\n",
+		r.Generation, r.Step, r.Codec, len(r.Fields))
+	if r.Partial {
+		fmt.Printf("partial recovery: %d frame(s) skipped\n", r.SkippedFrames)
 	}
 	return nil
 }
@@ -185,17 +163,13 @@ func cmdClientInspect(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	resp, err := cf.request("GET", "inspect", "", nil)
+	c, err := cf.client()
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fail("inspect", resp)
-	}
-	var ir server.InspectResult
-	if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
-		return err
+	ir, err := c.Inspect()
+	if err != nil {
+		return fail("inspect", err)
 	}
 	fmt.Printf("tenant %s: %d generation(s), %d bytes stored", ir.Tenant, len(ir.Generations), ir.UsedBytes)
 	if ir.QuotaBytes > 0 {
@@ -223,21 +197,13 @@ func cmdClientFsck(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	query := ""
-	if *decode {
-		query = "?decode=true"
-	}
-	resp, err := cf.request("POST", "fsck", query, nil)
+	c, err := cf.client()
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fail("fsck", resp)
-	}
-	var sr server.ScrubResult
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		return err
+	sr, err := c.Fsck(*decode)
+	if err != nil {
+		return fail("fsck", err)
 	}
 	fmt.Printf("checked %d generation(s)\n", sr.Checked)
 	for _, seq := range sr.Quarantined {

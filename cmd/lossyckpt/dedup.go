@@ -8,16 +8,9 @@ import (
 	"lossyckpt/internal/store"
 )
 
-// dedupStatser is the optional stats surface both store flavours offer.
-type dedupStatser interface{ DedupStats() store.DedupStats }
-
 // printDedupStats reports the store's dedup accounting after a save.
 func printDedupStats(st store.Target) {
-	ds, ok := st.(dedupStatser)
-	if !ok {
-		return
-	}
-	d := ds.DedupStats()
+	d := st.DedupStats()
 	fmt.Printf("dedup: %d recipe generation(s), %d logical bytes as %d recipe + %d chunk bytes (%d chunks, ratio %.2fx)\n",
 		d.DedupGens, d.LogicalBytes, d.RecipeBytes, d.ChunkBytes, d.Chunks, d.Ratio())
 	fmt.Printf("physical occupancy: %d bytes\n", st.PhysicalBytes())

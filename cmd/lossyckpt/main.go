@@ -446,25 +446,7 @@ func (sf storeFlags) open(dir string, opts store.Options) (store.Target, error) 
 		return nil, err
 	}
 	opts.Backend = bk
-	n, w := *sf.replicas, *sf.quorum
-	if n < 1 {
-		return nil, fmt.Errorf("-replicas must be >= 1, got %d", n)
-	}
-	if w < 0 || w > n {
-		return nil, fmt.Errorf("-quorum %d out of range for %d replicas", w, n)
-	}
-	if n == 1 {
-		return store.Open(dir, opts)
-	}
-	return store.OpenReplicated(dir, store.ReplicaDirs(dir, n), w, opts)
-}
-
-// finish drains replication stragglers (replicas past quorum still
-// committing) before the process exits, and reports the topology.
-func storeFinish(st store.Target) {
-	if rs, ok := st.(*store.ReplicatedStore); ok {
-		rs.Wait()
-	}
+	return store.OpenTarget(dir, *sf.replicas, *sf.quorum, opts)
 }
 
 func cmdSave(args []string) error {
@@ -556,7 +538,7 @@ func cmdSave(args []string) error {
 	if err != nil {
 		return err
 	}
-	storeFinish(st)
+	st.Wait() // replicas past quorum may still be committing
 	fmt.Printf("committed generation %d (step %d): %d arrays, %d -> %d bytes (cr %.2f%%)\n",
 		gen.Seq, *step, len(rep.Entries), rep.RawBytes, rep.CompressedBytes,
 		stats.CompressionRate(int(gen.Size), rep.RawBytes))
@@ -598,7 +580,7 @@ func cmdRestore(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer storeFinish(st)
+	defer st.Wait()
 	if st.Rebuilt() {
 		fmt.Fprintln(os.Stderr, "restore: manifest was missing or corrupt; index rebuilt from directory scan")
 	}
@@ -653,7 +635,7 @@ func cmdFsck(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer storeFinish(st)
+	defer st.Wait()
 	if st.Rebuilt() {
 		fmt.Println("manifest was missing or corrupt; index rebuilt from directory scan")
 	}

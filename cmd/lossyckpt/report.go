@@ -14,15 +14,10 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
-	"lossyckpt/internal/climate"
 	"lossyckpt/internal/core"
-	"lossyckpt/internal/grid"
-	"lossyckpt/internal/heat"
-	"lossyckpt/internal/nbody"
+	"lossyckpt/internal/harness"
 	"lossyckpt/internal/obs/journal"
-	"lossyckpt/internal/qa"
 )
 
 func cmdReport(args []string) error {
@@ -52,75 +47,26 @@ func cmdReport(args []string) error {
 	return nil
 }
 
-// workloadFields steps one of the built-in workloads and returns its
-// checkpoint arrays.
-func workloadFields(name string, steps int) ([]qa.NamedField, error) {
-	switch name {
-	case "climate":
-		m, err := climate.New(climate.DefaultConfig())
-		if err != nil {
-			return nil, err
-		}
-		m.StepN(steps)
-		var out []qa.NamedField
-		for _, nf := range m.Fields() {
-			out = append(out, qa.NamedField{Name: nf.Name, Field: nf.Field})
-		}
-		return out, nil
-	case "heat":
-		s, err := heat.New(heat.DefaultConfig())
-		if err != nil {
-			return nil, err
-		}
-		s.StepN(steps)
-		return []qa.NamedField{{Name: "temperature", Field: s.Temperature()}}, nil
-	case "nbody":
-		s, err := nbody.New(nbody.DefaultConfig())
-		if err != nil {
-			return nil, err
-		}
-		s.StepN(steps)
-		var out []qa.NamedField
-		for _, nf := range s.Fields() {
-			out = append(out, qa.NamedField{Name: nf.Name, Field: nf.Field})
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("report: unknown workload %q (want climate|heat|nbody)", name)
-	}
-}
-
-// workloadReport builds the full quality report for one workload:
-// per-variable assessment at the default operating point plus a
-// rate-distortion sweep across divisions.
+// workloadReport renders the quality report for one workload after steps
+// simulation steps — harness.Config.QualityReport, the builder the qa, guard
+// and entropy experiments use — at the paper's grid and each workload's
+// default seed, as this subcommand always has.
 func workloadReport(name string, steps int, divisionsCSV, outDir string) error {
-	fields, err := workloadFields(name, steps)
-	if err != nil {
-		return err
-	}
-	divs := qa.DefaultDivisions
+	var divs []int // nil = qa.DefaultDivisions
 	if divisionsCSV != "" {
+		var err error
 		if divs, err = parseDivisions(divisionsCSV); err != nil {
 			return err
 		}
 	}
-	opts := core.DefaultOptions()
-	rep := &qa.Report{
-		Title:    fmt.Sprintf("Checkpoint quality report: %s", name),
-		Workload: name,
-		Codec:    "lossy (wavelet+quantize)",
-		Created:  time.Now().UTC(),
+	cfg := harness.Default()
+	cfg.Seed = 0
+	rep, err := cfg.QualityReport(name, steps, divs)
+	if err != nil {
+		return fmt.Errorf("report: %w", err)
 	}
 	rep.AddNote("%d simulation steps before assessment; %d divisions at the default operating point.",
-		steps, opts.Divisions)
-	for _, nf := range fields {
-		a, rd, err := assessField(nf.Name, nf.Field, opts, divs)
-		if err != nil {
-			return fmt.Errorf("report: %s/%s: %w", name, nf.Name, err)
-		}
-		rep.Assessments = append(rep.Assessments, a)
-		rep.RD = append(rep.RD, qa.VarRD{Var: nf.Name, Points: rd})
-	}
+		steps, core.DefaultOptions().Divisions)
 	if outDir != "" {
 		md, js, err := rep.WriteFiles(outDir, name+"-report")
 		if err != nil {
@@ -130,28 +76,6 @@ func workloadReport(name string, steps int, divisionsCSV, outDir string) error {
 		return nil
 	}
 	return rep.WriteMarkdown(os.Stdout)
-}
-
-// assessField round-trips one array at the default operating point for
-// the error assessment, then sweeps divisions for the RD curve.
-func assessField(name string, f *grid.Field, opts core.Options, divs []int) (*qa.Assessment, []qa.RDPoint, error) {
-	res, err := core.Compress(f, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	dec, err := core.Decompress(res.Data)
-	if err != nil {
-		return nil, nil, err
-	}
-	a, err := qa.Assess(name, f.Data(), dec.Data(), qa.Options{})
-	if err != nil {
-		return nil, nil, err
-	}
-	rd, err := qa.RateDistortion(f, opts, divs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return a, rd, nil
 }
 
 // journalReport renders the markdown summary of one journal (including

@@ -35,10 +35,8 @@ func main() {
 
 	// Checkpoint all five physical arrays with the lossy codec.
 	manager := ckpt.NewManager(ckpt.NewLossy(), 0)
-	for _, nf := range reference.Fields() {
-		if err := manager.Register(nf.Name, nf.Field); err != nil {
-			log.Fatal(err)
-		}
+	if err := manager.RegisterAll(reference.Fields()); err != nil {
+		log.Fatal(err)
 	}
 	var checkpoint bytes.Buffer
 	report, err := manager.Checkpoint(&checkpoint, reference.StepCount())
@@ -56,10 +54,8 @@ func main() {
 		log.Fatal(err)
 	}
 	restartMgr := ckpt.NewManager(ckpt.NewLossy(), 0)
-	for _, nf := range restarted.Fields() {
-		if err := restartMgr.Register(nf.Name, nf.Field); err != nil {
-			log.Fatal(err)
-		}
+	if err := restartMgr.RegisterAll(restarted.Fields()); err != nil {
+		log.Fatal(err)
 	}
 	restoreRep, err := restartMgr.Restore(bytes.NewReader(checkpoint.Bytes()))
 	if err != nil {

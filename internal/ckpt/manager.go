@@ -110,10 +110,7 @@ func (m *Manager) Register(name string, f *grid.Field) error {
 }
 
 // RegisterAll registers a list of named fields, failing on the first error.
-func (m *Manager) RegisterAll(fields []struct {
-	Name  string
-	Field *grid.Field
-}) error {
+func (m *Manager) RegisterAll(fields []grid.Named) error {
 	for _, nf := range fields {
 		if err := m.Register(nf.Name, nf.Field); err != nil {
 			return err

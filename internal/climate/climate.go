@@ -294,22 +294,16 @@ func (m *Model) coupleTerm(f *grid.Field, i, k, c int) float64 {
 
 // --- state access ---------------------------------------------------------
 
-// NamedField couples a checkpoint array with its variable name.
-type NamedField struct {
-	Name  string
-	Field *grid.Field
-}
-
 // Fields returns the five checkpointable arrays. The fields are the live
 // model state: mutating them mutates the model (which is exactly what a
 // checkpoint restore does).
-func (m *Model) Fields() []NamedField {
-	return []NamedField{
-		{"pressure", m.pres},
-		{"temperature", m.temp},
-		{"wind_u", m.u},
-		{"wind_v", m.v},
-		{"wind_w", m.w},
+func (m *Model) Fields() []grid.Named {
+	return []grid.Named{
+		{Name: "pressure", Field: m.pres},
+		{Name: "temperature", Field: m.temp},
+		{Name: "wind_u", Field: m.u},
+		{Name: "wind_v", Field: m.v},
+		{Name: "wind_w", Field: m.w},
 	}
 }
 

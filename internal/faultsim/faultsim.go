@@ -61,13 +61,7 @@ type App interface {
 	SetStepCount(int)
 	// Fields exposes the checkpointable state arrays by name, in a stable
 	// order. The returned fields are live: mutating them mutates the app.
-	Fields() []NamedField
-}
-
-// NamedField couples a state array with its variable name.
-type NamedField struct {
-	Name  string
-	Field *grid.Field
+	Fields() []grid.Named
 }
 
 // Config parameterizes a failure-injected run.
@@ -196,10 +190,8 @@ func Run(app, reference App, cfg Config) (*Result, error) {
 	}
 	mgr.SetObserver(obsr)
 	mgr.EnableQualityTelemetry(cfg.QualityTelemetry)
-	for _, nf := range app.Fields() {
-		if err := mgr.Register(nf.Name, nf.Field); err != nil {
-			return nil, err
-		}
+	if err := mgr.RegisterAll(app.Fields()); err != nil {
+		return nil, err
 	}
 	var repl *store.ReplicatedStore
 	if cfg.ReplicaLossEvery > 0 {
@@ -373,7 +365,7 @@ type AppFuncs struct {
 	StepFn         func()
 	StepCountFn    func() int
 	SetStepCountFn func(int)
-	FieldsFn       func() []NamedField
+	FieldsFn       func() []grid.Named
 }
 
 // Step implements App.
@@ -386,4 +378,4 @@ func (a AppFuncs) StepCount() int { return a.StepCountFn() }
 func (a AppFuncs) SetStepCount(n int) { a.SetStepCountFn(n) }
 
 // Fields implements App.
-func (a AppFuncs) Fields() []NamedField { return a.FieldsFn() }
+func (a AppFuncs) Fields() []grid.Named { return a.FieldsFn() }

@@ -26,13 +26,7 @@ func climateApp(t *testing.T) (App, App) {
 			StepFn:         m.Step,
 			StepCountFn:    m.StepCount,
 			SetStepCountFn: m.SetStepCount,
-			FieldsFn: func() []NamedField {
-				var out []NamedField
-				for _, nf := range m.Fields() {
-					out = append(out, NamedField{Name: nf.Name, Field: nf.Field})
-				}
-				return out
-			},
+			FieldsFn:       m.Fields,
 		}
 	}
 	return mk(), mk()

@@ -1,6 +1,6 @@
 // workload.go provides the sparse-update synthetic workload shared by
-// experiment X11 (incremental-vs-lossy, harness.Incremental) and the
-// dedup experiment (harness.Dedup): an application whose step touches
+// experiment X11 (incremental-vs-lossy, harness's "incremental") and the
+// dedup experiment (its "dedup"): an application whose step touches
 // only a configurable fraction of its footprint. The paper's §I argues
 // incremental approaches are limited because real mesh codes update the
 // whole footprint every step; this workload is the opposing regime —
@@ -105,8 +105,8 @@ func (a *SparseApp) StepCount() int { return a.steps }
 func (a *SparseApp) SetStepCount(n int) { a.steps = n }
 
 // Fields implements App.
-func (a *SparseApp) Fields() []NamedField {
-	return []NamedField{{Name: "state", Field: a.field}}
+func (a *SparseApp) Fields() []grid.Named {
+	return []grid.Named{{Name: "state", Field: a.field}}
 }
 
 // Field returns the workload's single state array.

@@ -133,6 +133,13 @@ func strides(shape []int) []int {
 	return st
 }
 
+// Named couples an array with its variable name: the unit a workload
+// exposes, a checkpoint manager registers and the daemon's wire carries.
+type Named struct {
+	Name  string
+	Field *Field
+}
+
 // Dims returns the number of dimensions.
 func (f *Field) Dims() int { return len(f.shape) }
 

@@ -74,7 +74,7 @@ func stdlibInflate(data []byte, format gzipio.Format) ([]byte, error) {
 
 // climateFields is the climate model's five arrays after a few steps, at
 // the paper's extent or a reduced one.
-func climateFields(t testing.TB, nx int) []climate.NamedField {
+func climateFields(t testing.TB, nx int) []grid.Named {
 	t.Helper()
 	cfg := climate.DefaultConfig()
 	cfg.Nx = nx

@@ -1,10 +1,13 @@
 // Package harness regenerates every table and figure of the evaluation
 // section of Sasaki et al. (IPDPS 2015), plus the extension experiments
-// listed in DESIGN.md §4. Each runner produces a Table — the same rows or
-// series the paper plots — that cmd/experiments renders as text or CSV and
-// EXPERIMENTS.md records.
+// listed in DESIGN.md §4. Experiments is the one index: each entry fills a
+// Table — the same rows or series the paper plots — that cmd/experiments
+// renders as text or CSV and EXPERIMENTS.md records. The files are named by
+// what they measure: paper.go (Table I, Figs. 6-10), codec.go (what the
+// compressor does to an array), system.go (what a checkpointing system does
+// with it), quality.go (the workload fixtures and the quality report).
 //
-// Runners take a Config so tests can execute them on scaled-down grids;
+// Experiments take a Config so tests can execute them on scaled-down grids;
 // the zero-effort Default() matches the paper's setup (1156×82×2 arrays,
 // 720 warm-up steps, d=64).
 package harness
@@ -12,11 +15,106 @@ package harness
 import (
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"lossyckpt/internal/climate"
+	"lossyckpt/internal/core"
+	"lossyckpt/internal/grid"
+	"lossyckpt/internal/gzipio"
+	"lossyckpt/internal/quant"
+	"lossyckpt/internal/stats"
 )
+
+// Experiment is one entry of the evaluation.
+type Experiment struct {
+	// ID is the experiment identifier from DESIGN.md §4 (e.g. "fig7").
+	ID string
+	// Title and Header are the table's caption and column names.
+	Title  string
+	Header []string
+	// Run fills the rows and notes of a table that already carries the
+	// three fields above.
+	Run func(cfg Config, t *Table) error
+}
+
+// Experiments lists every experiment in canonical order: what
+// `experiments -list` prints and `-run all` executes.
+var Experiments = []Experiment{
+	{"tab1", "System specification (measured host + modeled parallel FS)",
+		[]string{"component", "value"}, table1},
+	{"fig6", "Compression rate: gzip vs lossy (simple / proposed, n=128), temperature array",
+		[]string{"method", "compression rate [%]", "compressed bytes", "original bytes"}, fig6},
+	{"fig7", "Compression rate vs division number n, temperature array",
+		[]string{"n", "simple cr [%]", "proposed cr [%]"}, fig7},
+	{"fig8", "Average relative error [%] vs division number n, temperature array",
+		[]string{"n", "simple avg err [%]", "proposed avg err [%]", "simple max err [%]", "proposed max err [%]"}, fig8},
+	{"fig8-all", "Per-array relative errors at n=128, all physical quantities",
+		[]string{"array", "simple avg [%]", "simple max [%]", "proposed avg [%]", "proposed max [%]"}, fig8AllArrays},
+	{"fig9", "Overall checkpoint time vs parallelism (measured compression + modeled 20 GB/s PFS)",
+		[]string{"P", "wavelet [ms]", "quant+enc [ms]", "temp write [ms]", "gzip [ms]",
+			"other [ms]", "I/O [ms]", "total w/ comp [ms]", "total w/o comp [ms]"}, fig9},
+	{"fig10", "Relative error of the temperature array after lossy restart vs time step",
+		[]string{"step", "simple avg err [%]", "proposed avg err [%]"}, fig10},
+	{"ablate-gzip", "DEFLATE stage: paper prototype (gzip via temp file) vs proposed improvement (zlib in memory)",
+		[]string{"configuration", "temp write [ms]", "deflate [ms]", "total [ms]", "cr [%]"}, ablateGzip},
+	{"errbound", "Error-bound-driven division selection (paper §IV-C future work), temperature high band",
+		[]string{"max-error bound", "chosen n", "achieved max err", "quantized values"}, errBound},
+	{"fpc", "Lossless baselines per array: gzip vs FPC vs lossy (proposed, n=128)",
+		[]string{"array", "gzip cr [%]", "fpc cr [%]", "lossy cr [%]"}, fpcBaseline},
+	{"nbody", "Lossy compression on N-body particle arrays (non-smooth data)",
+		[]string{"array", "cr [%]", "avg err [%]", "max err [%]", "quantized [%]"}, nBody},
+	{"levels", "Decomposition-depth and kernel ablation, temperature array (proposed, n=128)",
+		[]string{"scheme", "levels", "cr [%]", "avg err [%]", "max err [%]"}, levels},
+	{"cluster", "Executed cluster checkpoint: measured parallel compression + modeled PFS",
+		[]string{"ranks", "cr [%]", "compress makespan [ms]", "I/O w/ comp [ms]",
+			"total w/ comp [ms]", "total w/o comp [ms]"}, cluster},
+	{"interval", fmt.Sprintf("Daly-optimal checkpoint intervals at P=%d, MTBF=%v, %v of work", intervalProcs, intervalMTBF, intervalSolve),
+		[]string{"scenario", "ckpt cost", "optimal interval", "waste [%]", "expected runtime"}, dalyInterval},
+	{"perband", "Pooled (paper) vs per-band quantization, temperature array, n=128",
+		[]string{"method", "mode", "cr [%]", "avg err [%]", "max err [%]"}, perBand},
+	{"threshold", "Coefficient thresholding before quantization (proposed, n=128), temperature array",
+		[]string{"threshold", "cr [%]", "avg err [%]", "max err [%]"}, threshold},
+	{"faults", "Failure injection: lossy vs lossless checkpoints under exponential failures",
+		[]string{"codec", "MTBF", "failures", "rework steps", "overhead [%]",
+			"final avg err [%]", "final max err [%]"}, faults},
+	{"incremental", "Incremental vs gzip vs lossy checkpointing (paper §I argument)",
+		[]string{"workload", "incremental cr [%]", "gzip cr [%]", "lossy cr [%]"}, incremental},
+	{"datasets", "Compressor behaviour across data classes (n=128)",
+		[]string{"dataset", "gzip cr [%]", "fpc cr [%]",
+			"simple cr [%]", "simple err [%]",
+			"proposed cr [%]", "proposed err [%]", "proposed PSNR [dB]"}, datasets},
+	{"guard", "Bounded-error enforcement: overhead vs guarantee (temperature array)",
+		[]string{"policy", "verify", "wall [ms]", "overhead [%]",
+			"cr [%]", "mode", "escalations", "max-abs", "psnr [dB]"}, guardOverhead},
+	{"entropy", "Entropy stage: codec x shuffle x block size, temperature array (proposed, n=128)",
+		[]string{"configuration", "total [ms]", "entropy [ms]", "entropy [MB/s]", "decode [ms]", "cr [%]"}, entropyStage},
+	{"qa", "Quality analytics: error distributions and rate-distortion across workloads",
+		[]string{"workload", "var", "max-abs", "max-rel", "PSNR [dB]",
+			"bits/val @min-div", "bits/val @max-div"}, qualityAnalytics},
+	{"serve", "Checkpoint daemon under multi-tenant load with a mid-save kill",
+		[]string{"tenant", "saves ok", "shed (429)", "kill", "restored gen",
+			"fields intact", "fsck clean"}, serveChaos},
+	{"dedup", "Delta checkpoints through the content-addressed chunk store (sparse-update sweep)",
+		[]string{"mutation [%]", "gen", "logical [KiB]", "committed [KiB]",
+			"dedup ratio", "compress [ms]", "slabs reused"}, dedup},
+}
+
+// Run executes the experiment named id and returns its table.
+func Run(id string, cfg Config) (*Table, error) {
+	for _, e := range Experiments {
+		if e.ID == id {
+			t := &Table{ID: e.ID, Title: e.Title, Header: e.Header}
+			if err := e.Run(cfg, t); err != nil {
+				return nil, err
+			}
+			return t, nil
+		}
+	}
+	return nil, fmt.Errorf("harness: unknown experiment %q", id)
+}
 
 // Config scales the experiment workloads.
 type Config struct {
@@ -31,7 +129,8 @@ type Config struct {
 	// SampleEvery is the Fig. 10 sampling stride in steps (paper plots
 	// every 50).
 	SampleEvery int
-	// Seed drives all workload initializations.
+	// Seed drives all workload initializations (0 = each workload's own
+	// default seed).
 	Seed int64
 	// TmpDir hosts temp-file-mode gzip scratch files ("" = system temp).
 	TmpDir string
@@ -82,33 +181,101 @@ func Quick() Config {
 }
 
 // modelCache memoizes warmed-up models: the 720-step paper warm-up costs
-// over a minute at full scale and every runner needs the same state. Cached
-// models are cloned before being handed out, so runners can mutate freely.
+// over a minute at full scale and most experiments need the same state.
+// Cached models are cloned before being handed out, so callers can mutate
+// freely.
 var modelCache sync.Map // modelKey -> *climate.Model
 
 type modelKey struct {
-	nx, nz, nc, warmup int
-	seed               int64
+	nx, nz, nc, steps int
+	seed              int64
 }
 
-// model builds and warms up the climate workload, cloning from the cache
-// when the same configuration was already prepared.
-func (c Config) model() (*climate.Model, error) {
-	key := modelKey{c.Nx, c.Nz, c.Nc, c.WarmupSteps, c.Seed}
+// modelAt builds the climate workload and runs it for steps steps, cloning
+// from the cache when the same configuration was already prepared.
+func (c Config) modelAt(steps int) (*climate.Model, error) {
+	key := modelKey{c.Nx, c.Nz, c.Nc, steps, c.Seed}
 	if cached, ok := modelCache.Load(key); ok {
 		return cached.(*climate.Model).Clone(), nil
 	}
 	mc := climate.DefaultConfig()
 	mc.Nx, mc.Nz, mc.Nc = c.Nx, c.Nz, c.Nc
-	mc.Seed = c.Seed
+	if c.Seed != 0 {
+		mc.Seed = c.Seed
+	}
 	m, err := climate.New(mc)
 	if err != nil {
 		return nil, err
 	}
-	m.StepN(c.WarmupSteps)
+	m.StepN(steps)
 	modelCache.Store(key, m)
 	return m.Clone(), nil
 }
+
+// model is the climate workload at the checkpoint step, WarmupSteps in.
+func (c Config) model() (*climate.Model, error) { return c.modelAt(c.WarmupSteps) }
+
+// temperature is the array most experiments measure: the warmed-up model's
+// temperature field.
+func (c Config) temperature() (*grid.Field, error) {
+	m, err := c.model()
+	if err != nil {
+		return nil, err
+	}
+	return m.Field("temperature"), nil
+}
+
+// options returns the pipeline options used throughout the figures.
+func (c Config) options(method quant.Method, divisions int) core.Options {
+	o := core.DefaultOptions()
+	o.Method = method
+	o.Divisions = divisions
+	o.TmpDir = c.TmpDir
+	return o
+}
+
+// gzipOnly is the lossless baseline: f's raw bytes through DEFLATE.
+func (c Config) gzipOnly(f *grid.Field) (*core.Result, error) {
+	return core.CompressGzipOnly(f, gzipio.Default, gzipio.InMemory, c.TmpDir)
+}
+
+// roundTrip compresses f, decompresses the stream and compares the two: the
+// rate and the error of one operating point.
+func roundTrip(f *grid.Field, opts core.Options) (*core.Result, stats.Summary, error) {
+	g, res, err := core.RoundTrip(f, opts)
+	if err != nil {
+		return nil, stats.Summary{}, err
+	}
+	s, err := stats.Compare(f.Data(), g.Data())
+	return res, s, err
+}
+
+// sortedRuns calls fn repeats times (at least once) and returns what it
+// returned ordered by the duration each call reported, fastest first:
+// element 0 is the best of N and element len/2 the median.
+func sortedRuns[T any](repeats int, fn func() (T, time.Duration, error)) ([]T, error) {
+	type run struct {
+		v T
+		d time.Duration
+	}
+	runs := make([]run, max(repeats, 1))
+	for i := range runs {
+		v, d, err := fn()
+		if err != nil {
+			return nil, err
+		}
+		runs[i] = run{v, d}
+	}
+	sort.Slice(runs, func(i, j int) bool { return runs[i].d < runs[j].d })
+	out := make([]T, len(runs))
+	for i, r := range runs {
+		out[i] = r.v
+	}
+	return out, nil
+}
+
+// ms renders a duration as fractional milliseconds, the tables' time unit.
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // Table is a rendered experiment result.
 type Table struct {

@@ -2,13 +2,18 @@ package harness
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
+	"net"
+	"net/http"
 	"os"
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 // tiny returns a configuration small enough for unit tests.
@@ -83,23 +88,17 @@ func goldenForm(t *testing.T, tab *Table) string {
 
 // TestAllRunnersProduceTables runs every experiment at tiny() scale and holds
 // what it prints to testdata/tables_tiny.golden, recorded before the runners
-// were refactored: a change to this package that moves a title, a header, a
+// became the Experiments table: a change to this package that moves a title, a header, a
 // row, a note or a deterministic cell fails here. Regenerate with -update only
 // for a change that means to move them.
 func TestAllRunnersProduceTables(t *testing.T) {
 	cfg := tiny()
 	var got strings.Builder
-	for _, id := range RunnerIDs {
-		run, ok := Runners[id]
-		if !ok {
-			t.Fatalf("runner %q missing from map", id)
-		}
-		tab, err := run(cfg)
+	for _, e := range Experiments {
+		id := e.ID
+		tab, err := Run(id, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
-		}
-		if tab.ID != id {
-			t.Errorf("%s: table id %q", id, tab.ID)
 		}
 		if len(tab.Header) == 0 || len(tab.Rows) == 0 {
 			t.Errorf("%s: empty table", id)
@@ -143,9 +142,41 @@ func TestAllRunnersProduceTables(t *testing.T) {
 	}
 }
 
-func TestRunnerIDsCoverRunnersMap(t *testing.T) {
-	if len(RunnerIDs) != len(Runners) {
-		t.Errorf("RunnerIDs has %d entries, Runners has %d", len(RunnerIDs), len(Runners))
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestServeChaosStopsItsDaemonOnError: an error return after the first daemon
+// is up (here: every save of the load phase fails at the transport) used to
+// leave its listener, its tenants' open stores and the FaultFS alive over the
+// directories the deferred RemoveAll deletes.
+func TestServeChaosStopsItsDaemonOnError(t *testing.T) {
+	cfg := tiny()
+	cfg.TmpDir = t.TempDir()
+
+	var mu sync.Mutex
+	var daemon string // host:port the experiment's clients dialled
+	orig := http.DefaultTransport
+	http.DefaultTransport = roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		daemon = r.URL.Host
+		return nil, errors.New("injected transport failure")
+	})
+	_, err := Run("serve", cfg)
+	http.DefaultTransport = orig
+	if err == nil || !strings.Contains(err.Error(), "injected transport failure") {
+		t.Fatalf("serve with a failing transport returned %v", err)
+	}
+	if conn, derr := net.DialTimeout("tcp", daemon, time.Second); derr == nil {
+		conn.Close()
+		t.Errorf("the daemon on %s still accepts connections after serve returned %q", daemon, err)
+	}
+	if left, _ := os.ReadDir(cfg.TmpDir); len(left) != 0 {
+		t.Errorf("serve left %d entries under its TmpDir", len(left))
+	}
+	if _, err := Run("serve", cfg); err != nil {
+		t.Errorf("a second serve on the same TmpDir: %v", err)
 	}
 }
 
@@ -159,7 +190,7 @@ func parseFloat(t *testing.T, s string) float64 {
 }
 
 func TestFig6Shape(t *testing.T) {
-	tab, err := Fig6(tiny())
+	tab, err := Run("fig6", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +207,7 @@ func TestFig6Shape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	tab, err := Fig7(tiny())
+	tab, err := Run("fig7", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +224,7 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestFig8ErrorTrend(t *testing.T) {
-	tab, err := Fig8(tiny())
+	tab, err := Run("fig8", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +241,7 @@ func TestFig8ErrorTrend(t *testing.T) {
 }
 
 func TestFig9ShapeAndCrossover(t *testing.T) {
-	tab, err := Fig9(tiny())
+	tab, err := Run("fig9", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +260,7 @@ func TestFig9ShapeAndCrossover(t *testing.T) {
 
 func TestFig10ErrorsBoundedAndSampled(t *testing.T) {
 	cfg := tiny()
-	tab, err := Fig10(cfg)
+	tab, err := Run("fig10", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

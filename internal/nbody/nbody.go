@@ -167,18 +167,12 @@ func (s *System) StepN(n int) {
 	}
 }
 
-// NamedField couples a checkpoint array with its variable name.
-type NamedField struct {
-	Name  string
-	Field *grid.Field
-}
-
 // Fields returns the seven checkpointable particle arrays (live state).
-func (s *System) Fields() []NamedField {
-	return []NamedField{
-		{"pos_x", s.posX}, {"pos_y", s.posY}, {"pos_z", s.posZ},
-		{"vel_x", s.velX}, {"vel_y", s.velY}, {"vel_z", s.velZ},
-		{"mass", s.mass},
+func (s *System) Fields() []grid.Named {
+	return []grid.Named{
+		{Name: "pos_x", Field: s.posX}, {Name: "pos_y", Field: s.posY}, {Name: "pos_z", Field: s.posZ},
+		{Name: "vel_x", Field: s.velX}, {Name: "vel_y", Field: s.velY}, {Name: "vel_z", Field: s.velZ},
+		{Name: "mass", Field: s.mass},
 	}
 }
 

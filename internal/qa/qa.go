@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 
-	"lossyckpt/internal/grid"
 	"lossyckpt/internal/stats"
 )
 
@@ -184,12 +183,4 @@ func autocorrelation(x []float64, maxLag int) []float64 {
 		out[k] = num / denom
 	}
 	return out
-}
-
-// NamedField couples one checkpoint array with its variable name — the
-// minimal unit a quality report works over, mirroring the NamedField
-// each workload package exposes.
-type NamedField struct {
-	Name  string
-	Field *grid.Field
 }

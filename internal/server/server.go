@@ -443,10 +443,8 @@ func (s *Server) handleSave(ctx context.Context, t *tenant, w http.ResponseWrite
 	mgr := ckpt.NewManager(codec, s.cfg.Workers)
 	mgr.SetObserver(s.cfg.Observer)
 	mgr.SetJournal(s.cfg.Journal)
-	for _, nf := range fields {
-		if err := mgr.Register(nf.Name, nf.Field); err != nil {
-			return reject(http.StatusBadRequest, "bad_request", "save: %v", err)
-		}
+	if err := mgr.RegisterAll(fields); err != nil {
+		return reject(http.StatusBadRequest, "bad_request", "save: %v", err)
 	}
 	_, gen, err := mgr.CheckpointStreamToCtx(ctx, t.st, step)
 	if err != nil {
@@ -511,9 +509,6 @@ type DedupInfo struct {
 	Ratio        float64 `json:"ratio"`
 }
 
-// dedupStatser is the optional stats surface both store flavours offer.
-type dedupStatser interface{ DedupStats() store.DedupStats }
-
 func (s *Server) handleInspect(_ context.Context, t *tenant, w http.ResponseWriter, _ *http.Request) error {
 	res := InspectResult{
 		Tenant:      t.cfg.Name,
@@ -522,16 +517,14 @@ func (s *Server) handleInspect(_ context.Context, t *tenant, w http.ResponseWrit
 		QuotaBytes:  t.cfg.QuotaBytes,
 		Generations: t.st.Generations(),
 	}
-	if ds, ok := t.st.(dedupStatser); ok {
-		if st := ds.DedupStats(); st.Enabled {
-			res.Dedup = &DedupInfo{
-				Generations:  st.DedupGens,
-				LogicalBytes: st.LogicalBytes,
-				RecipeBytes:  st.RecipeBytes,
-				Chunks:       st.Chunks,
-				ChunkBytes:   st.ChunkBytes,
-				Ratio:        st.Ratio(),
-			}
+	if st := t.st.DedupStats(); st.Enabled {
+		res.Dedup = &DedupInfo{
+			Generations:  st.DedupGens,
+			LogicalBytes: st.LogicalBytes,
+			RecipeBytes:  st.RecipeBytes,
+			Chunks:       st.Chunks,
+			ChunkBytes:   st.ChunkBytes,
+			Ratio:        st.Ratio(),
 		}
 	}
 	return writeJSON(w, res)

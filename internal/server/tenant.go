@@ -87,21 +87,10 @@ func (tc TenantConfig) open(base store.Options) (*tenant, error) {
 		opts.Backend = bk
 	}
 	n := tc.Replicas
-	if n < 0 {
-		return nil, fmt.Errorf("server: tenant %q: replicas must be >= 0, got %d", tc.Name, n)
+	if n == 0 {
+		n = 1 // the key left out of the config
 	}
-	var (
-		st  store.Target
-		err error
-	)
-	if n <= 1 {
-		st, err = store.Open(tc.Dir, opts)
-	} else {
-		if tc.Quorum < 0 || tc.Quorum > n {
-			return nil, fmt.Errorf("server: tenant %q: quorum %d out of range for %d replicas", tc.Name, tc.Quorum, n)
-		}
-		st, err = store.OpenReplicated(tc.Dir, store.ReplicaDirs(tc.Dir, n), tc.Quorum, opts)
-	}
+	st, err := store.OpenTarget(tc.Dir, n, tc.Quorum, opts)
 	if err != nil {
 		return nil, fmt.Errorf("server: tenant %q: %w", tc.Name, err)
 	}
@@ -131,8 +120,4 @@ func (t *tenant) overQuota() bool {
 
 // close releases the tenant's store, draining replication stragglers
 // first so a graceful daemon shutdown leaves replicas converged.
-func (t *tenant) close() {
-	if rs, ok := t.st.(*store.ReplicatedStore); ok {
-		rs.Wait()
-	}
-}
+func (t *tenant) close() { t.st.Wait() }

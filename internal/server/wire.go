@@ -29,10 +29,7 @@ var ErrWire = errors.New("server: malformed field stream")
 
 // NamedField pairs a variable name with its array, the unit of the
 // daemon's wire format.
-type NamedField struct {
-	Name  string
-	Field *grid.Field
-}
+type NamedField = grid.Named
 
 // WriteFields streams fields to w in wire order.
 func WriteFields(w io.Writer, fields []NamedField) error {

@@ -35,7 +35,7 @@ func RelativeErrors(orig, approx []float64, dst []float64) ([]float64, error) {
 	if len(orig) == 0 {
 		return nil, fmt.Errorf("%w: empty", ErrInput)
 	}
-	rng := normRange(orig)
+	rng := Range(orig)
 	for i := range orig {
 		d := math.Abs(orig[i] - approx[i])
 		if math.IsNaN(orig[i]) && math.IsNaN(approx[i]) {
@@ -46,11 +46,11 @@ func RelativeErrors(orig, approx []float64, dst []float64) ([]float64, error) {
 	return dst, nil
 }
 
-// normRange returns the Eq. 6 normalizing divisor: max − min over the
+// Range returns the Eq. 6 normalizing divisor: max − min over the
 // original data ignoring NaNs, falling back to 1 when the range is zero
 // (constant array) or non-finite — the documented RelativeErrors
 // deviation, under which relative errors degrade to absolute ones.
-func normRange(orig []float64) float64 {
+func Range(orig []float64) float64 {
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, v := range orig {
 		if math.IsNaN(v) {
@@ -84,7 +84,7 @@ func MaxRelError(orig, approx []float64) (float64, error) {
 	if math.IsNaN(maxAbs) {
 		return maxAbs, nil
 	}
-	return maxAbs / normRange(orig), nil
+	return maxAbs / Range(orig), nil
 }
 
 // MaxAbsError returns max_i |x_i − x̃_i|, the un-normalized companion to

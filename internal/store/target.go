@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"time"
 )
@@ -45,6 +46,9 @@ type Target interface {
 	// replicated target. Quota enforcement meters this, not logical
 	// bytes.
 	PhysicalBytes() int64
+	// DedupStats snapshots the dedup accounting (summed over replicas);
+	// Enabled is false for a target opened without Options.Dedup.
+	DedupStats() DedupStats
 	// Scrub audits every retained generation (and, replicated, heals
 	// lagging replicas).
 	Scrub(opts ScrubOptions) (*ScrubReport, error)
@@ -52,9 +56,43 @@ type Target interface {
 	StartScrubber(interval time.Duration, opts ScrubOptions) (stop func())
 	// StartScrubberCtx is StartScrubber with context cancellation.
 	StartScrubberCtx(ctx context.Context, interval time.Duration, opts ScrubOptions) (stop func())
+	// Wait returns once no write is still in flight behind a returned
+	// commit — a replicated target's stragglers; a single root has none.
+	// Call it before the process exits or the roots are torn down.
+	Wait()
 }
 
 var (
 	_ Target = (*Store)(nil)
 	_ Target = (*ReplicatedStore)(nil)
 )
+
+// Wait implements Target: a single root commits on the caller's goroutine.
+func (s *Store) Wait() {}
+
+// OpenTarget opens the store topology under dir: one root for replicas 1
+// (the layout of an unreplicated store), otherwise replicas subdirectories
+// r0..r{n-1} with write quorum quorum (0 = majority). It is the one place
+// the topology's ranges are checked.
+func OpenTarget(dir string, replicas, quorum int, opts Options) (Target, error) {
+	if replicas < 1 {
+		return nil, fmt.Errorf("store: replicas must be >= 1, got %d", replicas)
+	}
+	if quorum < 0 || quorum > replicas {
+		return nil, fmt.Errorf("store: write quorum %d out of range for %d replicas", quorum, replicas)
+	}
+	// The concrete results are unwrapped so that a failed open returns a nil
+	// Target, not an interface holding a nil pointer.
+	if replicas == 1 {
+		st, err := Open(dir, opts)
+		if err != nil {
+			return nil, err
+		}
+		return st, nil
+	}
+	rs, err := OpenReplicated(dir, ReplicaDirs(dir, replicas), quorum, opts)
+	if err != nil {
+		return nil, err
+	}
+	return rs, nil
+}
