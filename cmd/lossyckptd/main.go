@@ -181,10 +181,6 @@ func run(args []string, sigs <-chan os.Signal, logw *os.File) error {
 		if *token == "" {
 			return fmt.Errorf("-token is required with -dir (the daemon refuses unauthenticated namespaces)")
 		}
-		n := *replicas
-		if n == 1 {
-			n = 0
-		}
 		cfg.Tenants = []server.TenantConfig{{
 			Name:       *tenant,
 			Token:      *token,
@@ -193,7 +189,7 @@ func run(args []string, sigs <-chan os.Signal, logw *os.File) error {
 			TTL:        *ttl,
 			QuotaBytes: *quota,
 			Dedup:      *dedup,
-			Replicas:   n,
+			Replicas:   *replicas,
 			Quorum:     *quorum,
 			Backend:    *backend,
 		}}
