@@ -65,11 +65,13 @@ race:
 	$(GO) test -race -count=10 -run 'SinkMatrix' ./internal/ckpt
 
 # results regenerates the tables EXPERIMENTS.md quotes, at paper scale, into
-# results/<id>.csv (several minutes; the 2220-step Fig. 10 run dominates).
-# The deterministic ones must come out byte-identical on amd64; the
-# wall-clock columns of the other eight are this host's.
+# results/<id>.csv and their text rendering into results/experiments_full.txt
+# (about nine minutes; the 2220-step Fig. 10 run is seven of them). The 16
+# deterministic tables come out byte-identical on amd64 (tab1 names the host);
+# the wall-clock columns of fig9, ablate-gzip, cluster, interval, guard, entropy
+# and dedup, and serve's shed count, are this host's.
 results:
-	$(GO) run ./cmd/experiments -run all -csv results/
+	$(GO) run ./cmd/experiments -run all -csv results/ > results/experiments_full.txt
 
 # loc prints the non-test Go line count per package and in total (bench/
 # excluded): the figure ROADMAP.md quotes and a simplification PR is held to.

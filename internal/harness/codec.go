@@ -38,13 +38,7 @@ func ablateGzip(cfg Config, t *Table) error {
 		opts := cfg.options(quant.Proposed, 128)
 		opts.GzipMode = c.mode
 		opts.GzipFormat = c.format
-		runs, err := sortedRuns(cfg.Repeats, func() (*core.Result, time.Duration, error) {
-			res, err := core.Compress(temp, opts)
-			if err != nil {
-				return nil, 0, err
-			}
-			return res, res.Timings.Total, nil
-		})
+		runs, err := cfg.compressRuns(temp, opts)
 		if err != nil {
 			return err
 		}

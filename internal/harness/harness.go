@@ -274,6 +274,18 @@ func sortedRuns[T any](repeats int, fn func() (T, time.Duration, error)) ([]T, e
 	return out, nil
 }
 
+// compressRuns compresses f Repeats times under opts and returns the results
+// ordered by their total time (sortedRuns).
+func (c Config) compressRuns(f *grid.Field, opts core.Options) ([]*core.Result, error) {
+	return sortedRuns(c.Repeats, func() (*core.Result, time.Duration, error) {
+		res, err := core.Compress(f, opts)
+		if err != nil {
+			return nil, 0, err
+		}
+		return res, res.Timings.Total, nil
+	})
+}
+
 // ms renders a duration as fractional milliseconds, the tables' time unit.
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"runtime"
-	"time"
 
 	"lossyckpt/internal/climate"
 	"lossyckpt/internal/core"
@@ -142,13 +141,7 @@ func measureBreakdown(cfg Config) (core.Timings, float64, int, error) {
 	}
 	opts := cfg.options(quant.Proposed, 128)
 	opts.GzipMode = gzipio.TempFile
-	runs, err := sortedRuns(cfg.Repeats, func() (*core.Result, time.Duration, error) {
-		res, err := core.Compress(temp, opts)
-		if err != nil {
-			return nil, 0, err
-		}
-		return res, res.Timings.Total, nil
-	})
+	runs, err := cfg.compressRuns(temp, opts)
 	if err != nil {
 		return core.Timings{}, 0, 0, err
 	}

@@ -144,12 +144,13 @@ func attachQualityReport(cfg Config, t *Table, workload, base string) {
 		return
 	}
 	rep, err := cfg.QualityReport(workload, cfg.workloadSteps(workload), nil)
+	var md string
 	if err == nil {
-		var md string
-		if md, _, err = rep.WriteFiles(cfg.ReportDir, base); err == nil {
-			t.Notes = append(t.Notes, "quality report: "+md)
-			return
-		}
+		md, _, err = rep.WriteFiles(cfg.ReportDir, base)
 	}
-	t.Notes = append(t.Notes, "quality report failed: "+err.Error())
+	if err != nil {
+		t.Notes = append(t.Notes, "quality report failed: "+err.Error())
+		return
+	}
+	t.Notes = append(t.Notes, "quality report: "+md)
 }
