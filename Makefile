@@ -48,7 +48,8 @@ test:
 # that happen. The quant line quantizes in Scratches recycled through one
 # pool by four goroutines; the core line runs the chunked engine's pool beside
 # its consumer, with a slab cache, a failing slab, a failing writer and a
-# writer that rewrites the slabs not yet started. The last line is the
+# writer that rewrites the slabs not yet started, and decodes side by side
+# through the pooled buffers their archives' codes are views of. The last line is the
 # replicated fan-out, one coordinator for both commit shapes: per-replica
 # chains, the producer's pipes, stragglers that outlive the quorum's answer, a
 # replica that dies mid-stream, and an inline repair beside them. The sink
@@ -60,7 +61,7 @@ race:
 	$(GO) test -race -count=10 -run 'DedupRead|DedupCommitHashesBeside' ./internal/store
 	$(GO) test -race -count=10 -run 'DeflateDependsOnInputAlone|ByteStableAcrossWorkers' ./internal/gzipio
 	$(GO) test -race -count=10 -run 'QuantizeDependsOnInputAlone' ./internal/quant
-	$(GO) test -race -count=10 -run 'Engine|ChunkedParallelByteIdentical|CompressChunkedDeltaByteIdentical' ./internal/core
+	$(GO) test -race -count=10 -run 'Engine|ChunkedParallelByteIdentical|CompressChunkedDeltaByteIdentical|DecodeKeepsNoView' ./internal/core
 	$(GO) test -race -count=10 -run 'InlineRepair|ReplicatedStreamCommit|ReplicatedSlowReplica|ReplicatedCommitSurvivesOneDeadReplica' ./internal/store
 	$(GO) test -race -count=10 -run 'SinkMatrix' ./internal/ckpt
 

@@ -215,7 +215,7 @@ func cmdCompress(args []string) error {
 	workers := fs.Int("workers", 0, "parallel compression workers (0 = GOMAXPROCS, 1 = serial)")
 	gzipBlock := fs.Int("gzip-block", 0, "block-parallel DEFLATE block size in bytes (0 = serial gzip stage; incompatible with -tempfile)")
 	codecStr := fs.String("codec", "gzip", "entropy codec: gzip or lz4")
-	shuffle := fs.Bool("shuffle", false, "byte-shuffle pre-pass before the entropy codec")
+	shuffle := fs.Bool("shuffle", false, "whole-stream byte-shuffle pre-pass before the entropy codec (predates the container's byte lanes; rarely useful now)")
 	autotune := fs.Bool("autotune", false, "let the online autotuner pick codec/shuffle/block size (overrides -codec, -shuffle and -gzip-block)")
 	of := addObsFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -458,7 +458,7 @@ func cmdSave(args []string) error {
 	codecName := fs.String("codec", "lossy", "checkpoint codec: none, gzip, lz4, fpc or lossy")
 	step := fs.Int("step", 0, "application step recorded in the checkpoint")
 	workers := fs.Int("workers", 0, "parallel compression workers (0 = GOMAXPROCS, 1 = serial)")
-	shuffle := fs.Bool("shuffle", false, "byte-shuffle pre-pass for the entropy stage (gzip, lossy and guard codecs)")
+	shuffle := fs.Bool("shuffle", false, "whole-stream byte-shuffle pre-pass for the entropy stage (gzip codec on raw arrays; on lossy and guard it predates the container's byte lanes)")
 	autotune := fs.Bool("autotune", false, "attach the online entropy autotuner (lossy and guard codecs)")
 	quality := fs.Bool("quality", false, "record per-variable reconstruction-quality gauges (lossy codecs; costs a decode per array)")
 	bound := fs.Float64("bound", 0, "enforce this max absolute reconstruction error (switches to the guard codec)")

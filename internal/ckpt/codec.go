@@ -322,8 +322,8 @@ type Lossy struct {
 	// many leading-axis planes (core's chunked engine), bounding peak memory
 	// for very large arrays. Zero compresses whole arrays.
 	ChunkExtent int
-	// Tuner, when set, picks the entropy-stage configuration (codec,
-	// shuffle, gzip block size) per variable from probe measurements and
+	// Tuner, when set, picks the entropy-stage configuration (codec and
+	// gzip block size) per variable from probe measurements and
 	// observed stage timings, overriding the corresponding Options
 	// fields. The lossy stages are untouched — tuning only ever changes
 	// lossless entropy framing.

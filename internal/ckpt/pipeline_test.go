@@ -3,6 +3,8 @@ package ckpt
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
@@ -16,6 +18,7 @@ import (
 	"time"
 
 	"lossyckpt/internal/climate"
+	"lossyckpt/internal/container"
 	"lossyckpt/internal/core"
 	"lossyckpt/internal/entropy"
 	"lossyckpt/internal/grid"
@@ -107,12 +110,13 @@ func inflatedEntries(t *testing.T, stream []byte) map[string][]byte {
 }
 
 // TestStreamGoldenClimate5 holds the v2 stream of the five climate arrays
-// under the lossy codec to two files. climate5_lossy_v2.ckpt is what the
-// serial writer produced when stage 4 was compress/flate (PR 12) and is only
-// ever read: it must restore, and to the same fields bit for bit, whatever
-// writes streams today. climate5_lossy_v2_deflate.ckpt is what gzipio's own
-// encoder writes, pinned for every worker count; its entries inflate to the
-// bytes the old ones do, so stages 1-3 and the formatted stream have not moved.
+// under the lossy codec to two files. v1/climate5_lossy_v2.ckpt is what the
+// serial writer produced when stage 4 was compress/flate (PR 12) and the
+// container stored words; it is only ever read: it must restore, and to the
+// same fields bit for bit, whatever writes streams today.
+// climate5_lossy_v2_deflate.ckpt is what gzipio's encoder writes over the
+// container's byte lanes, pinned for every worker count; its entries hold the
+// archives the old ones do, so stages 1-3 have not moved.
 func TestStreamGoldenClimate5(t *testing.T) {
 	names, fields := climate5(t, 24)
 	written := filepath.Join("testdata", "golden", "climate5_lossy_v2_deflate.ckpt")
@@ -127,7 +131,7 @@ func TestStreamGoldenClimate5(t *testing.T) {
 	}
 	var streams [2][]byte
 	var restored [2][]*grid.Field
-	for k, path := range []string{filepath.Join("testdata", "golden", "climate5_lossy_v2.ckpt"), written} {
+	for k, path := range []string{filepath.Join("testdata", "golden", "v1", "climate5_lossy_v2.ckpt"), written} {
 		var err error
 		if streams[k], err = os.ReadFile(path); err != nil {
 			t.Fatal(err)
@@ -148,8 +152,12 @@ func TestStreamGoldenClimate5(t *testing.T) {
 		if !reflect.DeepEqual(restored[0][i].Data(), restored[1][i].Data()) {
 			t.Errorf("%s: the two golden streams restore to different fields", name)
 		}
-		if !bytes.Equal(then[name], now[name]) {
-			t.Errorf("%s: the two golden streams inflate to different formatted bytes (%d and %d)", name, len(then[name]), len(now[name]))
+		arch, err := container.FromBytes(then[name])
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if again, err := arch.Bytes(); err != nil || !bytes.Equal(again, now[name]) {
+			t.Errorf("%s: the old golden stream's archive, written again, is not the new one's formatted bytes (%v)", name, err)
 		}
 	}
 
@@ -166,6 +174,88 @@ func TestStreamGoldenClimate5(t *testing.T) {
 		}
 		if !bytes.Equal(buf.Bytes(), streams[1]) {
 			t.Errorf("workers=%d: stream (%d bytes) differs from the golden stream (%d bytes)", workers, buf.Len(), len(streams[1]))
+		}
+	}
+}
+
+// TestDecodesV1Corpus: testdata/golden/v1 holds streams written before the
+// container stored float sections as byte lanes — stage 4 by compress/flate
+// and by gzipio as bare DEFLATE, by lz4 behind the enveloped whole-stream
+// shuffle, and the guard's bounded and lossless-bands rungs, the last two
+// written by the commit before format 2. None is ever rewritten. Each
+// restores, for every worker count, to the fields that commit restored it to
+// (fields.sha256), and each is what its name says: a version 1 container,
+// under the envelope flag where one is named.
+func TestDecodesV1Corpus(t *testing.T) {
+	dir := filepath.Join("testdata", "golden", "v1")
+	sums, err := os.ReadFile(filepath.Join(dir, "fields.sha256"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]string{} // file -> "name digest" in stream order
+	for _, line := range strings.Split(strings.TrimSpace(string(sums)), "\n") {
+		file, rest, _ := strings.Cut(line, " ")
+		want[file] = append(want[file], rest)
+	}
+	if len(want) != 4 {
+		t.Fatalf("fields.sha256 names %d streams, want 4", len(want))
+	}
+	shape := []int{24, 82, 2}
+	for file, lines := range want {
+		stream, err := os.ReadFile(filepath.Join(dir, file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var codec Codec = NewLossy()
+		if strings.Contains(file, "guard") {
+			codec = NewGuard(guard.Policy{PSNRFloor: 80})
+		}
+		for _, workers := range pipelineWorkers {
+			var names []string
+			var back []*grid.Field
+			for _, l := range lines {
+				name, _, _ := strings.Cut(l, " ")
+				names, back = append(names, name), append(back, grid.MustNew(shape...))
+			}
+			if _, err := managerOver(t, codec, workers, names, back).Restore(bytes.NewReader(stream)); err != nil {
+				t.Fatalf("%s, %d workers: %v", file, workers, err)
+			}
+			for i, l := range lines {
+				if got := fmt.Sprintf("%s %x", names[i], sha256.Sum256(grid.FloatBytes(back[i].Data()))); got != l {
+					t.Errorf("%s, %d workers: restored %s, recorded %s", file, workers, got, l)
+				}
+			}
+		}
+
+		br := newByteReader(bytes.NewReader(stream))
+		hdr, err := readStreamHeader(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < hdr.Count; i++ {
+			ent, err := readEntry(br, hdr.Version, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inner := ent.Payload
+			if strings.Contains(file, "guard") {
+				if inner, err = guard.InnerPayload(inner); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if enveloped := bytes.HasPrefix(inner, []byte("LKE1")); enveloped != strings.Contains(file, "lz4shuffle") {
+				t.Errorf("%s/%s: entropy envelope present = %v", file, ent.Name, enveloped)
+			} else if enveloped && inner[6]&1 == 0 {
+				t.Errorf("%s/%s: envelope without the shuffle flag", file, ent.Name)
+			}
+			formatted, err := entropy.Decompress(inner, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v := binary.LittleEndian.Uint16(formatted[4:]); v != 1 {
+				t.Errorf("%s/%s: container version %d, want 1", file, ent.Name, v)
+			}
+			ent.release()
 		}
 	}
 }

@@ -260,10 +260,11 @@ func TestForgedShapeSizesNothing(t *testing.T) {
 // array allocates nothing of its size — not a field to decode into, not a
 // buffer to inflate into — for the codecs a checkpoint is written with. The
 // ceiling is a quarter of the array where the payload is the array; the lossy
-// codecs get half, because container.FromBytes still copies the low band (an
-// eighth of a 3-D array), the codes and the values stored verbatim out of the
-// formatted bytes: 0.39–0.41 of this one, against 1.4 when a field was
-// allocated and copied as well.
+// codecs get a third, because container.FromBytes still gathers the low band
+// (an eighth of a 3-D array) and the values stored verbatim out of the byte
+// lanes of the formatted bytes: 0.30–0.32 of this one, against 0.39–0.41 when
+// the codes were copied too and 1.4 when a field was allocated and copied as
+// well.
 func TestRestoreAllocatesNoArray(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries at random under the race detector")
@@ -278,9 +279,9 @@ func TestRestoreAllocatesNoArray(t *testing.T) {
 		{"none", None{}, 4},
 		{"gzip", NewGzip(), 4},
 		{"lz4", NewLZ4(), 4},
-		{"lossy", NewLossy(), 2},
-		{"lossy-chunked", chunked, 2},
-		{"guard", mustCodec("guard"), 2},
+		{"lossy", NewLossy(), 3},
+		{"lossy-chunked", chunked, 3},
+		{"guard", mustCodec("guard"), 3},
 		{"guard-lossless", NewGuard(guard.Policy{MaxAbs: 1e-13, MaxAttempts: 1}), 4},
 	} {
 		live := smoothField(128, 64, 64)

@@ -13,6 +13,15 @@
 // The paper then pipes this formatted output through gzip; that stage lives
 // in package gzipio and is orchestrated by package core, so the container
 // itself stays seekable and checksummable.
+//
+// Format version 2, the one written, stores each float section (low band,
+// averages, passthrough) after its count as eight byte lanes: byte 0 (the
+// least significant) of every value of the section, then byte 1 of every
+// value, … then byte 7. A dictionary coder meets the signs and exponents of
+// neighbouring values as long runs and the mantissa noise apart from them,
+// instead of one of each every eight bytes; codes and bitmap are what they
+// were. Version 1 stored the same sections as little-endian 8-byte words and
+// is still read. Sizes, counts and the CRC are the same in both.
 package container
 
 import (
@@ -40,16 +49,16 @@ var (
 )
 
 const (
-	magic   = 0x504B434C // "LCKP"
-	version = 1
+	magic     = 0x504B434C // "LCKP"
+	version   = 2          // float sections as byte lanes
+	versionV1 = 1          // float sections as 8-byte words; read, never written
 )
 
 // PackedWidth is the byte width of one packed value in the serialized
-// stream: every float section (low band, averages, passthrough) stores
-// 8-byte little-endian float64 words. The entropy stage's byte-shuffle
-// pre-pass uses this as its lane stride; exposing it here, next to
-// appendFloats, keeps the two from drifting apart silently (a layout
-// regression test pins both).
+// stream: every float section (low band, averages, passthrough) spends 8
+// bytes per float64, and so has PackedWidth byte lanes. It is also the lane
+// stride of the entropy stage's whole-stream byte-shuffle, which predates
+// the lanes: that pre-pass is for raw arrays and for streams already written.
 func PackedWidth() int { return 8 }
 
 // Params records the pipeline configuration baked into an archive; the
@@ -70,6 +79,10 @@ type Params struct {
 // pooled quantization produces exactly one section; the per-band ablation
 // produces one per wavelet sub-band (in wavelet.Plan.Bands() order,
 // excluding the low band).
+//
+// An archive FromBytes returned shares memory with its input: each band's
+// Codes is a view of the bytes parsed, valid until they are next written.
+// Low, Averages, Passthrough and the bitmap are the archive's own.
 type Archive struct {
 	Params Params
 	Shape  []int
@@ -152,16 +165,19 @@ func (a *Archive) AppendTo(dst []byte) ([]byte, error) {
 	return le.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:])), nil
 }
 
-// appendFloats appends a length-prefixed section of PackedWidth-byte
-// little-endian doubles.
+// appendFloats appends a float section: the count, then the values' bytes
+// as PackedWidth lanes of count bytes each, least significant byte first.
 func appendFloats(dst []byte, fs []float64) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(fs)))
-	n := len(dst)
-	dst = slices.Grow(dst, 8*len(fs))[:n+8*len(fs)]
-	out := dst[n:]
-	for _, f := range fs {
-		binary.LittleEndian.PutUint64(out, math.Float64bits(f))
-		out = out[8:]
+	at, n := len(dst), len(fs)
+	dst = slices.Grow(dst, 8*n)[:at+8*n]
+	out := dst[at:]
+	l0, l1, l2, l3 := out[:n], out[n:2*n], out[2*n:3*n], out[3*n:4*n]
+	l4, l5, l6, l7 := out[4*n:5*n], out[5*n:6*n], out[6*n:7*n], out[7*n:8*n]
+	for i, f := range fs {
+		u := math.Float64bits(f)
+		l0[i], l1[i], l2[i], l3[i] = byte(u), byte(u>>8), byte(u>>16), byte(u>>24)
+		l4[i], l5[i], l6[i], l7[i] = byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56)
 	}
 	return dst
 }
@@ -182,8 +198,9 @@ func (a *Archive) SerializedSize() int {
 	return n
 }
 
-// FromBytes deserializes an archive from a byte slice, verifying the
-// trailing checksum.
+// FromBytes deserializes an archive of either format version from a byte
+// slice, verifying the trailing checksum. The archive's Codes are views of
+// raw (see Archive).
 func FromBytes(raw []byte) (*Archive, error) {
 	if len(raw) < 4+2+14+2+4 {
 		return nil, fmt.Errorf("%w: too short (%d bytes)", ErrFormat, len(raw))
@@ -197,7 +214,11 @@ func FromBytes(raw []byte) (*Archive, error) {
 	if rd.u32() != magic {
 		return nil, fmt.Errorf("%w: bad magic", ErrFormat)
 	}
-	if v := rd.u16(); v != version {
+	switch v := rd.u16(); v {
+	case version:
+		rd.lanes = true
+	case versionV1:
+	default:
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrFormat, v)
 	}
 	var a Archive
@@ -285,9 +306,10 @@ func FromBytes(raw []byte) (*Archive, error) {
 // sliceReader is a cursor over a byte slice that records the first error
 // and also satisfies io.Reader for bitpack.Read.
 type sliceReader struct {
-	b   []byte
-	off int
-	err error
+	b     []byte
+	off   int
+	err   error
+	lanes bool // float sections are byte lanes (version 2), not words
 }
 
 func (r *sliceReader) remaining() int { return len(r.b) - r.off }
@@ -352,13 +374,24 @@ func (r *sliceReader) floats() []float64 {
 	}
 	b := r.take(int(n) * 8)
 	out := make([]float64, n)
+	if !r.lanes {
+		for i := range out {
+			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b))
+			b = b[8:]
+		}
+		return out
+	}
+	m := int(n)
+	l0, l1, l2, l3 := b[:m], b[m:2*m], b[2*m:3*m], b[3*m:4*m]
+	l4, l5, l6, l7 := b[4*m:5*m], b[5*m:6*m], b[6*m:7*m], b[7*m:8*m]
 	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b))
-		b = b[8:]
+		out[i] = math.Float64frombits(uint64(l0[i]) | uint64(l1[i])<<8 | uint64(l2[i])<<16 | uint64(l3[i])<<24 |
+			uint64(l4[i])<<32 | uint64(l5[i])<<40 | uint64(l6[i])<<48 | uint64(l7[i])<<56)
 	}
 	return out
 }
 
+// bytes returns a length-prefixed byte section as a view of the input.
 func (r *sliceReader) bytes() []byte {
 	n := r.u64()
 	if r.err != nil {
@@ -368,5 +401,5 @@ func (r *sliceReader) bytes() []byte {
 		r.err = io.ErrUnexpectedEOF
 		return nil
 	}
-	return append([]byte(nil), r.take(int(n))...)
+	return slices.Clip(r.take(int(n)))
 }

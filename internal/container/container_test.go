@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"lossyckpt/internal/encode"
@@ -52,46 +54,20 @@ func sampleArchive(t *testing.T, seed int64) *Archive {
 	}
 }
 
+// sameFloats compares bit patterns: a NaN equals itself, 0 differs from -0.
+func sameFloats(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
 func archivesEqual(a, b *Archive) bool {
-	if a.Params != b.Params || len(a.Shape) != len(b.Shape) {
-		return false
-	}
-	for i := range a.Shape {
-		if a.Shape[i] != b.Shape[i] {
-			return false
-		}
-	}
-	if len(a.Low) != len(b.Low) {
-		return false
-	}
-	for i := range a.Low {
-		if a.Low[i] != b.Low[i] {
-			return false
-		}
-	}
-	if len(a.Bands) != len(b.Bands) {
+	if a.Params != b.Params || !slices.Equal(a.Shape, b.Shape) || !sameFloats(a.Low, b.Low) || len(a.Bands) != len(b.Bands) {
 		return false
 	}
 	for bi := range a.Bands {
 		ab, bb := a.Bands[bi], b.Bands[bi]
-		if ab.N != bb.N || !ab.Bitmap.Equal(bb.Bitmap) {
+		if ab.N != bb.N || !ab.Bitmap.Equal(bb.Bitmap) || !bytes.Equal(ab.Codes, bb.Codes) ||
+			!sameFloats(ab.Averages, bb.Averages) || !sameFloats(ab.Passthrough, bb.Passthrough) {
 			return false
-		}
-		if !bytes.Equal(ab.Codes, bb.Codes) {
-			return false
-		}
-		if len(ab.Averages) != len(bb.Averages) || len(ab.Passthrough) != len(bb.Passthrough) {
-			return false
-		}
-		for i := range ab.Averages {
-			if ab.Averages[i] != bb.Averages[i] {
-				return false
-			}
-		}
-		for i := range ab.Passthrough {
-			if ab.Passthrough[i] != bb.Passthrough[i] {
-				return false
-			}
 		}
 	}
 	return true

@@ -1,7 +1,10 @@
 package container
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 )
 
@@ -93,5 +96,76 @@ func TestShapePlausibilityCap(t *testing.T) {
 	}
 	if _, err := FromBytes(raw); !errors.Is(err, ErrFormat) {
 		t.Fatalf("implausible shape: err = %v, want ErrFormat", err)
+	}
+}
+
+// forgedLowCounts rewrites the low band's count in a valid archive, under a
+// valid CRC so the parser is reached: a count whose lanes end past the input,
+// one whose eightfold wraps around, and the true count off by one either way,
+// which splits the section's bytes into lanes that are not the writer's and
+// leaves every later section misplaced.
+func forgedLowCounts(raw []byte, shapeDims int) [][]byte {
+	at := 4 + 8*2 + 8*shapeDims
+	n := binary.LittleEndian.Uint64(raw[at:])
+	var out [][]byte
+	for _, forged := range []uint64{uint64(len(raw)), 1 << 61, 1<<61 + n, n + 1, n - 1} {
+		body := append([]byte(nil), raw[:len(raw)-4]...)
+		binary.LittleEndian.PutUint64(body[at:], forged)
+		out = append(out, appendCRC(body))
+	}
+	return out
+}
+
+// TestForgedFloatSectionCounts: a float section's count is checked against
+// the bytes left before anything is sized by it, in both format versions.
+func TestForgedFloatSectionCounts(t *testing.T) {
+	a := sampleArchive(t, 7)
+	v2, err := a.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, raw := range map[uint16][]byte{version: v2, versionV1: referenceBytes(a, versionV1)} {
+		for i, forged := range forgedLowCounts(raw, len(a.Shape)) {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			_, err := FromBytes(forged)
+			runtime.ReadMemStats(&m1)
+			if err == nil || errors.Is(err, ErrChecksum) {
+				t.Errorf("version %d, forged count %d: err = %v, want a format error", v, i, err)
+			}
+			// An off-by-one count parses a section or two before the damage
+			// shows; nothing may be sized beyond what the input can hold.
+			if got := m1.TotalAlloc - m0.TotalAlloc; got > 2*uint64(len(forged)) {
+				t.Errorf("version %d, forged count %d: allocated %d bytes for %d of input", v, i, got, len(forged))
+			}
+		}
+	}
+}
+
+// TestCodesViewInput: the archive's Codes alias the parsed bytes — the one
+// section FromBytes does not copy — and nothing else of it does.
+func TestCodesViewInput(t *testing.T) {
+	a := sampleArchive(t, 8)
+	raw, err := a.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := FromBytes(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codes := back.Band().Codes
+	if len(codes) == 0 || cap(codes) != len(codes) {
+		t.Fatalf("codes: len %d cap %d, want a clipped non-empty view", len(codes), cap(codes))
+	}
+	for i := range raw {
+		raw[i] = 0xA5
+	}
+	if !bytes.Equal(codes, bytes.Repeat([]byte{0xA5}, len(codes))) {
+		t.Error("codes were copied out of the input")
+	}
+	back.Band().Codes = a.Band().Codes
+	if !archivesEqual(a, back) {
+		t.Error("overwriting the input changed more of the archive than its codes")
 	}
 }

@@ -17,6 +17,12 @@ func FuzzFromBytes(f *testing.F) {
 			f.Add(mut)
 		}
 		f.Add(raw[:len(raw)/2])
+		// Both format versions, and float-section counts no writer makes.
+		v1 := referenceBytes(a, versionV1)
+		f.Add(v1)
+		for _, forged := range append(forgedLowCounts(raw, len(a.Shape)), forgedLowCounts(v1, len(a.Shape))...) {
+			f.Add(forged)
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		arch, err := FromBytes(data)

@@ -14,17 +14,15 @@ import (
 	"lossyckpt/internal/wavelet"
 )
 
-// TestPackedWidthPinsFloatLayout is the regression test for the
-// PackedWidth accessor: the entropy stage's byte-shuffle pre-pass
-// assumes the serialized float sections are runs of PackedWidth()-byte
-// little-endian float64 words. This test serializes an archive with
-// recognizable low-band values and asserts, byte for byte, that the low
-// band sits at the computed offset as 8-byte LE words — so any change
-// to the packing width or endianness fails here before it silently
-// breaks the shuffle transform.
+// TestPackedWidthPinsFloatLayout pins how a float section lies in the
+// stream: after its count, PackedWidth() lanes of count bytes each, lane k
+// holding byte k (least significant first) of every value in order. It
+// serializes an archive with recognizable low-band values and reads the lanes
+// at the computed offset, so any change to the lane count, their order or the
+// values' endianness fails here and not in a stream nobody can read back.
 func TestPackedWidthPinsFloatLayout(t *testing.T) {
 	if PackedWidth() != 8 {
-		t.Fatalf("PackedWidth() = %d, want 8 (float64 LE words)", PackedWidth())
+		t.Fatalf("PackedWidth() = %d, want 8 (one lane per byte of a float64)", PackedWidth())
 	}
 
 	low := []float64{1.5, -2.25, math.Pi, 0, 1e300}
@@ -46,10 +44,13 @@ func TestPackedWidthPinsFloatLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if v := binary.LittleEndian.Uint16(raw[4:]); v != 2 {
+		t.Fatalf("format version %d, want 2", v)
+	}
 
 	// Header: u32 magic + 8 u16 fields + one u64 extent per dimension.
 	headerLen := 4 + 8*2 + 8*len(a.Shape)
-	// Low-band section: u64 count, then count packed words.
+	// Low-band section: u64 count, then the lanes.
 	off := headerLen
 	if got := binary.LittleEndian.Uint64(raw[off:]); got != uint64(len(low)) {
 		t.Fatalf("low-band count at offset %d = %d, want %d", off, got, len(low))
@@ -57,10 +58,11 @@ func TestPackedWidthPinsFloatLayout(t *testing.T) {
 	off += 8
 	w := PackedWidth()
 	for i, f := range low {
-		got := binary.LittleEndian.Uint64(raw[off+i*w:])
-		if got != math.Float64bits(f) {
-			t.Fatalf("low[%d] at offset %d = %#x, want %#x (8-byte LE float64)",
-				i, off+i*w, got, math.Float64bits(f))
+		for k := 0; k < w; k++ {
+			if got, want := raw[off+k*len(low)+i], byte(math.Float64bits(f)>>(8*k)); got != want {
+				t.Fatalf("byte %d of low[%d] at offset %d = %#x, want %#x (lane %d of %d)",
+					k, i, off+k*len(low)+i, got, want, k, w)
+			}
 		}
 	}
 
@@ -74,17 +76,26 @@ func TestPackedWidthPinsFloatLayout(t *testing.T) {
 }
 
 // referenceBytes is the serializer as it stood before the bulk stores: one
-// bytes.Buffer write per field, per float and per bitmap word. It is the
-// layout AppendTo is held to, byte by byte.
-func referenceBytes(a *Archive) []byte {
+// bytes.Buffer write per field, per float byte and per bitmap word. For
+// version 2 it is the layout AppendTo is held to, byte by byte; for version 1,
+// which nothing writes any more, it makes the streams FromBytes must still read.
+func referenceBytes(a *Archive, version uint16) []byte {
 	var buf bytes.Buffer
 	u16 := func(v uint16) { _ = binary.Write(&buf, binary.LittleEndian, v) }
 	u32 := func(v uint32) { _ = binary.Write(&buf, binary.LittleEndian, v) }
 	u64 := func(v uint64) { _ = binary.Write(&buf, binary.LittleEndian, v) }
 	floats := func(fs []float64) {
 		u64(uint64(len(fs)))
-		for _, f := range fs {
-			u64(math.Float64bits(f))
+		if version == versionV1 {
+			for _, f := range fs {
+				u64(math.Float64bits(f))
+			}
+			return
+		}
+		for k := 0; k < 8; k++ {
+			for _, f := range fs {
+				buf.WriteByte(byte(math.Float64bits(f) >> (8 * k)))
+			}
 		}
 	}
 	u32(magic)
@@ -149,8 +160,9 @@ func layoutBand(n int, p float64, rng *rand.Rand) *encode.EncodedBand {
 }
 
 // TestBytesMatchesReferenceWriter: pooled, per-band, all-true, all-false and
-// empty archives serialize to the reference writer's bytes, parse back, and
-// AppendTo writes the same after whatever its destination held.
+// empty archives serialize to the reference writer's version 2 bytes, parse
+// back to themselves from those and from the reference writer's version 1
+// bytes, and AppendTo writes the same after whatever its destination held.
 func TestBytesMatchesReferenceWriter(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	low := make([]float64, 37)
@@ -169,7 +181,7 @@ func TestBytesMatchesReferenceWriter(t *testing.T) {
 		"all-false":         {Params: params, Shape: []int{9}, Low: low[:1], Bands: []*encode.EncodedBand{layoutBand(99, 0, rng)}},
 		"empty passthrough": {Params: params, Shape: []int{1}, Low: nil, Bands: []*encode.EncodedBand{layoutBand(0, 1, rng)}},
 	} {
-		want := referenceBytes(a)
+		want := referenceBytes(a, version)
 		got, err := a.Bytes()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -187,8 +199,12 @@ func TestBytesMatchesReferenceWriter(t *testing.T) {
 		if string(appended[:6]) != "prefix" || !bytes.Equal(appended[6:], want) {
 			t.Errorf("%s: AppendTo after a prefix differs from the reference writer", name)
 		}
-		if _, err := FromBytes(got); err != nil {
-			t.Errorf("%s: does not parse back: %v", name, err)
+		for v, stream := range map[uint16][]byte{version: got, versionV1: referenceBytes(a, versionV1)} {
+			if back, err := FromBytes(stream); err != nil {
+				t.Errorf("%s: version %d does not parse back: %v", name, v, err)
+			} else if !archivesEqual(a, back) {
+				t.Errorf("%s: version %d parses back to another archive", name, v)
+			}
 		}
 	}
 }

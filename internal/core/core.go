@@ -85,10 +85,14 @@ type Options struct {
 	// envelope, which Decompress consumes transparently.
 	// entropy.LZ4 trades compression ratio for >4× stage-4 throughput.
 	EntropyCodec entropy.ID
-	// Shuffle runs the byte-lane transpose pre-pass over the formatted
+	// Shuffle runs the byte-lane transpose pre-pass over the whole formatted
 	// container before the entropy coder, using the container's packed
-	// float width (container.PackedWidth) as the lane stride. It helps the
-	// cheap LZ4 coder most; requires GzipMode == InMemory.
+	// float width (container.PackedWidth) as the lane stride; requires
+	// GzipMode == InMemory. It predates container format 2, which lays the
+	// float sections in lanes itself: over such a stream it transposes
+	// lanes a second time, and nothing in this repository turns it on any
+	// more (the tuner does not select it). It keeps its meaning for callers
+	// that set it and for the streams written with it.
 	Shuffle bool
 	// VarName labels entropy-stage telemetry (the
 	// entropy_codec_selected{codec,var} counter); it does not affect the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"lossyckpt/internal/entropy"
@@ -80,6 +81,75 @@ func TestDecompressToCallersField(t *testing.T) {
 		if !errors.Is(err, refused) || got != nil || len(asked) != 3 {
 			t.Errorf("%s: a refused shape %v returned %v, %v", name, asked, got, err)
 		}
+	}
+}
+
+// TestDecodeKeepsNoViewOfFormattedBytes: the archive container.FromBytes
+// hands decodeTo views the inflated buffer (its codes), and that buffer goes
+// back to the pool when decodeTo returns. Nothing decoded may still lean on
+// it: a field decoded before the pool's buffers are overwritten, and before
+// other streams are decoded through them on other goroutines, reads the same
+// afterwards. Under the race detector a view that outlived its decode is a
+// read beside the next decode's inflate.
+func TestDecodeKeepsNoViewOfFormattedBytes(t *testing.T) {
+	var streams [][]byte
+	var want []*grid.Field
+	for seed := int64(1); seed <= 4; seed++ {
+		f := smooth3D(32+8*int(seed), 16, 4, seed)
+		res, err := Compress(f, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunked, err := CompressChunked(f, DefaultOptions(), 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, data := range [][]byte{res.Data, chunked.Data} {
+			back, err := DecompressAnyParallel(data, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			streams, want = append(streams, data), append(want, back.Clone())
+		}
+	}
+
+	first, err := DecompressAnyParallel(streams[0], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held []*[]byte
+	for i := 0; i < 8; i++ { // this P's buffer and whatever else the pool holds
+		buf := formattedBufs.Get().(*[]byte)
+		for j := range (*buf)[:cap(*buf)] {
+			(*buf)[:cap(*buf)][j] = 0xA5
+		}
+		held = append(held, buf)
+	}
+	for _, buf := range held {
+		formattedBufs.Put(buf)
+	}
+	if !first.Equal(want[0]) {
+		t.Fatal("overwriting the pooled formatted buffers changed a field already decoded")
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				k := (g + i) % len(streams)
+				got, err := DecompressAnyParallel(streams[k], 2)
+				if err != nil || !got.Equal(want[k]) {
+					t.Errorf("goroutine %d, stream %d: decoded beside other decodes: err %v, equal %v", g, k, err, err == nil && got.Equal(want[k]))
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if !first.Equal(want[0]) {
+		t.Error("decoding other streams through the pool changed a field already decoded")
 	}
 }
 

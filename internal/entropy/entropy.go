@@ -93,7 +93,9 @@ const MetricCodecSelected = "lossyckpt_entropy_codec_selected_total"
 type Params struct {
 	// Codec selects the coder; the zero value is Gzip.
 	Codec ID
-	// Shuffle applies the byte-lane transpose before the coder.
+	// Shuffle applies the byte-lane transpose over the whole input before
+	// the coder: for raw arrays. A formatted container (format 2) carries
+	// its doubles in lanes already.
 	Shuffle bool
 	// Stride is the shuffle lane width; 0 means DefaultStride.
 	Stride int

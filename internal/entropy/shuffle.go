@@ -1,11 +1,15 @@
-// shuffle.go implements the byte-shuffle pre-pass of the entropy stage.
-// The container's low band is a run of fixed-width little-endian values
-// (float64s today; PackedWidth pins the stride). Nearby climate samples
-// share sign, exponent, and high-mantissa bytes, so transposing the
-// stream into byte lanes — all byte-0s, then all byte-1s, … — turns
+// shuffle.go implements the whole-stream byte-shuffle pre-pass of the
+// entropy stage. Nearby climate samples share sign, exponent, and
+// high-mantissa bytes, so transposing a run of fixed-width little-endian
+// values into byte lanes — all byte-0s, then all byte-1s, … — turns
 // per-value similarity into long same-lane runs that the cheap LZ4-class
 // coder can match, the standard trick of production scientific
 // compressors (blosc, HDF5's shuffle filter; see PAPERS.md, Di et al.).
+// It is the pre-pass of the raw-array codecs, whose input is nothing but
+// doubles, and the decode side of every stream written with the envelope's
+// shuffle flag. A pipeline stream no longer needs it: container format 2
+// stores each float section in these lanes and leaves the code and bitmap
+// sections, which a whole-stream transpose smeared across them, alone.
 package entropy
 
 // ShuffleBytes transposes src into stride byte lanes: output lane k

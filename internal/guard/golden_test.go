@@ -161,3 +161,36 @@ func TestEncodeGoldenClimate5(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodesV1Corpus: testdata/golden/v1 holds two payloads the commit
+// before container format 2 wrote for climate fields of 24 planes under
+// PSNR >= 80 — a bounded rung and a lossless-bands rung, both over version 1
+// containers. They are never rewritten and decode to the fields that commit
+// decoded them to (fields.sha256), on the rung recorded.
+func TestDecodesV1Corpus(t *testing.T) {
+	dir := filepath.Join("testdata", "golden", "v1")
+	sums, err := os.ReadFile(filepath.Join(dir, "fields.sha256"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(sums)), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("fields.sha256 has %d lines, want 2", len(lines))
+	}
+	for _, line := range lines {
+		file, _, _ := strings.Cut(line, " ")
+		payload, err := os.ReadFile(filepath.Join(dir, file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			back, ann, err := Decode(payload, []int{24, 82, 2}, workers)
+			if err != nil {
+				t.Fatalf("%s: %v", file, err)
+			}
+			if got := fmt.Sprintf("%s %v %x", file, ann.Mode, sha256.Sum256(grid.FloatBytes(back.Data()))); got != line {
+				t.Errorf("%d workers: decoded %s, recorded %s", workers, got, line)
+			}
+		}
+	}
+}

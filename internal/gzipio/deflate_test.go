@@ -288,15 +288,16 @@ func (p *pieces) Write(b []byte) (int, error) {
 }
 
 // TestDeflateSizePins: the encoder was let in because on the streams this
-// repository writes it is no larger than compress/flate at level 6. Each of
-// the five formatted climate streams, and each lossless-bands stream the
-// guard's PSNR >= 80 ladder ends on (every high-band coefficient verbatim),
-// stays within 0.5 % of the standard library's size, and the one-byte
-// quantization codes alone, which code shorter without matches, come out
-// strictly smaller. The lossless-bands streams of the fields that ladder
-// keeps bounded are logged, not held: the smooth ones come out 0.5 % over at
-// the default level, whose single probe misses their four- and five-byte
-// matches (levels 7 and up find them).
+// repository writes it stays beside compress/flate at level 6. Those streams
+// are container format 2 now — float sections in byte lanes — and on them its
+// tokenizer, whose match probe keeps the modulo-8 phase of interleaved
+// doubles, gives the standard library 1.1-1.9 % on the five formatted climate
+// streams and up to 0.8 % on the lossless-bands streams of the guard's
+// PSNR >= 80 ladder (every high-band coefficient verbatim); each figure is
+// logged and every stream held to 2 %. Dropping the phase mask bought
+// 0.5-0.9 % of the bytes back for 12 % of the save's time when this was
+// measured, so it stays. The one-byte quantization codes alone, which code
+// shorter without matches, come out strictly smaller.
 func TestDeflateSizePins(t *testing.T) {
 	stdlib := func(data []byte) int {
 		var buf bytes.Buffer
@@ -314,7 +315,7 @@ func TestDeflateSizePins(t *testing.T) {
 	}
 	bands := core.DefaultOptions()
 	bands.LosslessBands = true
-	held := map[string]int{}
+	shipped := map[string]int{} // streams a save really writes, by kind
 	for _, nf := range climateFields(t, climate.DefaultNx) {
 		lossy := formatted(t, nf.Field, core.DefaultOptions())
 		out, err := guard.Encode(nf.Name, nf.Field, core.DefaultOptions(), guard.Policy{PSNRFloor: 80})
@@ -322,19 +323,21 @@ func TestDeflateSizePins(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, c := range []struct {
-			name string
-			data []byte
-			held bool
+			name    string
+			data    []byte
+			shipped bool
 		}{
 			{"formatted", lossy, true},
 			{"lossless-bands", formatted(t, nf.Field, bands), out.Annotation.Mode == guard.LosslessBands},
 		} {
 			got, want := ours(c.data), stdlib(c.data)
-			t.Logf("%s/%s: %d bytes in, %d out, compress/flate level 6 %d (%.4f), held %v", nf.Name, c.name, len(c.data), got, want, float64(got)/float64(want), c.held)
-			if c.held && float64(got) > 1.005*float64(want) {
-				t.Errorf("%s/%s: %d bytes, over 1.005 x compress/flate's %d", nf.Name, c.name, got, want)
+			t.Logf("%s/%s: %d bytes in, %d out, compress/flate level 6 %d (%.4f), shipped %v", nf.Name, c.name, len(c.data), got, want, float64(got)/float64(want), c.shipped)
+			if float64(got) > 1.02*float64(want) {
+				t.Errorf("%s/%s: %d bytes, over 1.02 x compress/flate's %d", nf.Name, c.name, got, want)
 			}
-			held[c.name]++
+			if c.shipped {
+				shipped[c.name]++
+			}
 		}
 		arch, err := container.FromBytes(lossy)
 		if err != nil {
@@ -345,8 +348,8 @@ func TestDeflateSizePins(t *testing.T) {
 			t.Errorf("%s: %d quantization codes became %d bytes, compress/flate's %d or more", nf.Name, len(codes), got, want)
 		}
 	}
-	if held["lossless-bands"] == 0 {
-		t.Error("the ladder ended on lossless bands for no field: nothing held that rung's streams")
+	if shipped["lossless-bands"] == 0 {
+		t.Error("the ladder ended on lossless bands for no field: that rung's streams are held for nothing")
 	}
 }
 

@@ -5,9 +5,12 @@
 // adaptive codec selection) shows production compressors pick their
 // entropy configuration online. The Tuner does that for the entropy
 // stage: given a sample of a variable's bytes it probes each candidate
-// (codec × shuffle) configuration, scores the measurements under a
-// stated objective, caches the winner per variable, and keeps listening
-// to observed stage timings so a drifting workload triggers a re-probe.
+// codec on it, scores the measurements under a stated objective, caches the
+// winner per variable, and keeps listening to observed stage timings so a
+// drifting workload triggers a re-probe. The sample is probed laid out as
+// the container stores float sections, in byte lanes (container format 2),
+// so the whole-stream byte-shuffle is not a candidate: the stream it would
+// transpose already is.
 // The guard ladder (PR 4) stays the enforcement backstop — the tuner
 // only ever changes lossless entropy framing, never quality.
 package tune
@@ -17,6 +20,7 @@ import (
 	"sync"
 	"time"
 
+	"lossyckpt/internal/container"
 	"lossyckpt/internal/core"
 	"lossyckpt/internal/entropy"
 	"lossyckpt/internal/grid"
@@ -78,7 +82,9 @@ func ParseObjective(name string) Objective {
 
 // Setting is one entropy-stage configuration the tuner can select.
 type Setting struct {
-	Codec     entropy.ID
+	Codec entropy.ID
+	// Shuffle asks for the whole-stream byte-shuffle. It predates container
+	// format 2 and the tuner no longer selects it; a caller may still.
 	Shuffle   bool
 	GzipBlock int
 	Workers   int
@@ -258,19 +264,16 @@ func (t *Tuner) probe(varName string, rawBytes int, sample []byte) *decision {
 	return &decision{setting: sel, probeBytesPerSec: bps}
 }
 
-// measure codes the sample under every candidate setting.
+// measure codes the sample under every candidate setting. The sample is an
+// array's doubles; the coder will be handed them in the container's byte
+// lanes, which is what a stride-8 shuffle of the sample is.
 func (t *Tuner) measure(sample []byte) []candidate {
-	cands := []Setting{
-		{Codec: entropy.Gzip},
-		{Codec: entropy.Gzip, Shuffle: true},
-		{Codec: entropy.LZ4},
-		{Codec: entropy.LZ4, Shuffle: true},
-	}
+	cands := []Setting{{Codec: entropy.Gzip}, {Codec: entropy.LZ4}}
+	sample = entropy.ShuffleBytes(sample, container.PackedWidth())
 	probed := make([]candidate, 0, len(cands))
 	for _, s := range cands {
 		p := entropy.Params{
 			Codec:     s.Codec,
-			Shuffle:   s.Shuffle,
 			GzipLevel: t.cfg.GzipLevel,
 			Observer:  t.cfg.Observer,
 		}

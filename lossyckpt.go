@@ -10,10 +10,10 @@
 // are quantized (either every value, or — the paper's proposed method —
 // only the values inside spiked histogram partitions, letting outliers
 // pass through losslessly); quantized values are replaced by 1-byte codes
-// into a table of partition means; and the formatted output runs through
-// a pluggable entropy stage — DEFLATE by default, or a pure-Go LZ4-class
-// coder and an optional byte-shuffle pre-pass, picked per array by an
-// online autotuner when asked (Options.EntropyCodec/Shuffle, NewTuner).
+// into a table of partition means; and the formatted output — its doubles
+// laid out in byte lanes — runs through a pluggable entropy stage: DEFLATE
+// by default, or a pure-Go LZ4-class coder, picked per array by an online
+// autotuner when asked (Options.EntropyCodec, NewTuner).
 //
 // # Compressing a single array
 //
@@ -184,8 +184,8 @@ const (
 // ParseEntropyID maps a codec name ("gzip", "lz4") to its ID.
 func ParseEntropyID(name string) (EntropyID, error) { return entropy.ParseID(name) }
 
-// Tuner picks the entropy-stage configuration (codec, shuffle pre-pass,
-// DEFLATE block size) per variable online: it probes candidates on a
+// Tuner picks the entropy-stage configuration (codec, DEFLATE block size)
+// per variable online: it probes candidates on a
 // bounded sample, caches the decision, and re-probes on use count or
 // observed timing drift. Attach one to a Lossy or Guard codec via its
 // Tuner field, or apply decisions to Options directly with
