@@ -67,7 +67,7 @@ race:
 
 # results regenerates the tables EXPERIMENTS.md quotes, at paper scale, into
 # results/<id>.csv and their text rendering into results/experiments_full.txt
-# (about nine minutes; the 2220-step Fig. 10 run is seven of them). The 16
+# (about nine minutes; the 2220-step Fig. 10 run is seven of them). The 17
 # deterministic tables come out byte-identical on amd64 (tab1 names the host);
 # the wall-clock columns of fig9, ablate-gzip, cluster, interval, guard, entropy
 # and dedup, and serve's shed count, are this host's.

@@ -17,11 +17,9 @@
 // Format version 2, the one written, stores each float section (low band,
 // averages, passthrough) after its count as eight byte lanes: byte 0 (the
 // least significant) of every value of the section, then byte 1 of every
-// value, … then byte 7. A dictionary coder meets the signs and exponents of
-// neighbouring values as long runs and the mantissa noise apart from them,
-// instead of one of each every eight bytes; codes and bitmap are what they
-// were. Version 1 stored the same sections as little-endian 8-byte words and
-// is still read. Sizes, counts and the CRC are the same in both.
+// value, … so that a dictionary coder meets neighbouring signs and exponents
+// as runs and the mantissa noise apart from them. Version 1 stored the same
+// sections as little-endian 8-byte words and is still read.
 package container
 
 import (
@@ -55,10 +53,9 @@ const (
 )
 
 // PackedWidth is the byte width of one packed value in the serialized
-// stream: every float section (low band, averages, passthrough) spends 8
-// bytes per float64, and so has PackedWidth byte lanes. It is also the lane
-// stride of the entropy stage's whole-stream byte-shuffle, which predates
-// the lanes: that pre-pass is for raw arrays and for streams already written.
+// stream, and so the number of byte lanes of a float section. It is also the
+// lane stride of the entropy stage's whole-stream byte-shuffle, which
+// predates the lanes (raw arrays and streams already written use it).
 func PackedWidth() int { return 8 }
 
 // Params records the pipeline configuration baked into an archive; the
@@ -82,7 +79,6 @@ type Params struct {
 //
 // An archive FromBytes returned shares memory with its input: each band's
 // Codes is a view of the bytes parsed, valid until they are next written.
-// Low, Averages, Passthrough and the bitmap are the archive's own.
 type Archive struct {
 	Params Params
 	Shape  []int
@@ -199,8 +195,7 @@ func (a *Archive) SerializedSize() int {
 }
 
 // FromBytes deserializes an archive of either format version from a byte
-// slice, verifying the trailing checksum. The archive's Codes are views of
-// raw (see Archive).
+// slice, verifying the trailing checksum. Its Codes are views of raw.
 func FromBytes(raw []byte) (*Archive, error) {
 	if len(raw) < 4+2+14+2+4 {
 		return nil, fmt.Errorf("%w: too short (%d bytes)", ErrFormat, len(raw))

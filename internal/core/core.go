@@ -86,13 +86,10 @@ type Options struct {
 	// entropy.LZ4 trades compression ratio for >4× stage-4 throughput.
 	EntropyCodec entropy.ID
 	// Shuffle runs the byte-lane transpose pre-pass over the whole formatted
-	// container before the entropy coder, using the container's packed
-	// float width (container.PackedWidth) as the lane stride; requires
-	// GzipMode == InMemory. It predates container format 2, which lays the
-	// float sections in lanes itself: over such a stream it transposes
-	// lanes a second time, and nothing in this repository turns it on any
-	// more (the tuner does not select it). It keeps its meaning for callers
-	// that set it and for the streams written with it.
+	// container before the entropy coder, at the container's packed float
+	// width (container.PackedWidth); requires GzipMode == InMemory. It
+	// predates container format 2, whose float sections are lanes already:
+	// it still does what it did, but the tuner no longer selects it.
 	Shuffle bool
 	// VarName labels entropy-stage telemetry (the
 	// entropy_codec_selected{codec,var} counter); it does not affect the

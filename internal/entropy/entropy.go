@@ -94,8 +94,7 @@ type Params struct {
 	// Codec selects the coder; the zero value is Gzip.
 	Codec ID
 	// Shuffle applies the byte-lane transpose over the whole input before
-	// the coder: for raw arrays. A formatted container (format 2) carries
-	// its doubles in lanes already.
+	// the coder: for raw arrays (a format 2 container is laned already).
 	Shuffle bool
 	// Stride is the shuffle lane width; 0 means DefaultStride.
 	Stride int

@@ -6,10 +6,9 @@
 // coder can match, the standard trick of production scientific
 // compressors (blosc, HDF5's shuffle filter; see PAPERS.md, Di et al.).
 // It is the pre-pass of the raw-array codecs, whose input is nothing but
-// doubles, and the decode side of every stream written with the envelope's
-// shuffle flag. A pipeline stream no longer needs it: container format 2
-// stores each float section in these lanes and leaves the code and bitmap
-// sections, which a whole-stream transpose smeared across them, alone.
+// doubles, and the decode side of every stream flagged as shuffled. A
+// pipeline stream no longer needs it: container format 2 stores each float
+// section in these lanes and leaves the code and bitmap sections alone.
 package entropy
 
 // ShuffleBytes transposes src into stride byte lanes: output lane k

@@ -87,8 +87,7 @@ var Experiments = []Experiment{
 			"simple cr [%]", "simple err [%]",
 			"proposed cr [%]", "proposed err [%]", "proposed PSNR [dB]"}, datasets},
 	{"sections", "Stage 4 by container section: bytes in, bytes out as 8-byte words (format 1) and as byte lanes (format 2) (proposed, n=128)",
-		[]string{"dataset", "section", "in [B]", "in [% raw]", "words out [B]", "lanes out [B]",
-			"lanes out/in", "lanes out [% raw]"}, sections},
+		[]string{"dataset", "section", "in [B]", "in [% raw]", "words out [B]", "lanes out [B]", "lanes out/in", "lanes out [% raw]"}, sections},
 	{"guard", "Bounded-error enforcement: overhead vs guarantee (temperature array)",
 		[]string{"policy", "verify", "wall [ms]", "overhead [%]",
 			"cr [%]", "mode", "escalations", "max-abs", "psnr [dB]"}, guardOverhead},

@@ -7,10 +7,9 @@
 // stage: given a sample of a variable's bytes it probes each candidate
 // codec on it, scores the measurements under a stated objective, caches the
 // winner per variable, and keeps listening to observed stage timings so a
-// drifting workload triggers a re-probe. The sample is probed laid out as
-// the container stores float sections, in byte lanes (container format 2),
-// so the whole-stream byte-shuffle is not a candidate: the stream it would
-// transpose already is.
+// drifting workload triggers a re-probe. The sample is probed in the byte
+// lanes the container stores float sections in (format 2), so the
+// whole-stream byte-shuffle is not a candidate.
 // The guard ladder (PR 4) stays the enforcement backstop — the tuner
 // only ever changes lossless entropy framing, never quality.
 package tune
@@ -83,8 +82,7 @@ func ParseObjective(name string) Objective {
 // Setting is one entropy-stage configuration the tuner can select.
 type Setting struct {
 	Codec entropy.ID
-	// Shuffle asks for the whole-stream byte-shuffle. It predates container
-	// format 2 and the tuner no longer selects it; a caller may still.
+	// Shuffle predates container format 2; the tuner no longer selects it.
 	Shuffle   bool
 	GzipBlock int
 	Workers   int
@@ -264,9 +262,8 @@ func (t *Tuner) probe(varName string, rawBytes int, sample []byte) *decision {
 	return &decision{setting: sel, probeBytesPerSec: bps}
 }
 
-// measure codes the sample under every candidate setting. The sample is an
-// array's doubles; the coder will be handed them in the container's byte
-// lanes, which is what a stride-8 shuffle of the sample is.
+// measure codes the sample under every candidate setting, laid out as the
+// coder will get it: in the container's byte lanes (a stride-8 shuffle).
 func (t *Tuner) measure(sample []byte) []candidate {
 	cands := []Setting{{Codec: entropy.Gzip}, {Codec: entropy.LZ4}}
 	sample = entropy.ShuffleBytes(sample, container.PackedWidth())
