@@ -120,8 +120,9 @@ func TestDecodeKeepsNoViewOfFormattedBytes(t *testing.T) {
 	var held []*[]byte
 	for i := 0; i < 8; i++ { // this P's buffer and whatever else the pool holds
 		buf := formattedBufs.Get().(*[]byte)
-		for j := range (*buf)[:cap(*buf)] {
-			(*buf)[:cap(*buf)][j] = 0xA5
+		whole := (*buf)[:cap(*buf)]
+		for j := range whole {
+			whole[j] = 0xA5
 		}
 		held = append(held, buf)
 	}

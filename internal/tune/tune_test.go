@@ -56,18 +56,24 @@ func fastestOfFive(tn *Tuner, sample []byte) []candidate {
 	return cands
 }
 
+// cheapest is the candidate the tuner's objective ranks first for a variable
+// of raw bytes probed on a sample of n.
+func cheapest(tn *Tuner, cands []candidate, raw, n int) candidate {
+	best := cands[0]
+	for _, c := range cands[1:] {
+		if tn.cost(c, raw, n) < tn.cost(best, raw, n) {
+			best = c
+		}
+	}
+	return best
+}
+
 func TestThroughputObjectivePicksLZ4(t *testing.T) {
 	// With one lz4 candidate a single preempted probe would hand the pick to
 	// gzip, so the ranking is taken over each candidate's fastest probe.
 	tn := New(Config{Objective: Throughput, Observer: obs.NewRegistry()})
 	sample := bytes.Repeat(floatSample(4096), 4)
-	cands := fastestOfFive(tn, sample)
-	best := cands[0]
-	for _, c := range cands {
-		if tn.cost(c, 64<<20, len(sample)) < tn.cost(best, 64<<20, len(sample)) {
-			best = c
-		}
-	}
+	best := cheapest(tn, fastestOfFive(tn, sample), 64<<20, len(sample))
 	if best.setting.Codec != entropy.LZ4 {
 		t.Fatalf("throughput objective picked %s, want lz4", best.setting.Label())
 	}
@@ -93,15 +99,12 @@ func TestBalancedPickOnBig24IsLZ4(t *testing.T) {
 	}
 	tn := New(Config{Observer: obs.NewRegistry()})
 	cands := fastestOfFive(tn, sample)
-	best := cands[0]
+	best := cheapest(tn, cands, raw, len(sample))
 	for _, c := range cands {
 		t.Logf("%-5s %6.1f MB/s, ratio %.3f: balanced cost %6.1f ms for the %d MB variable",
 			c.setting.Label(), float64(len(sample))/c.seconds/1e6, c.ratio, 1e3*tn.cost(c, raw, len(sample)), raw>>20)
 		if c.setting.Shuffle {
 			t.Errorf("candidate %s asks for the whole-stream shuffle", c.setting.Label())
-		}
-		if tn.cost(c, raw, len(sample)) < tn.cost(best, raw, len(sample)) {
-			best = c
 		}
 	}
 	if raceEnabled {
