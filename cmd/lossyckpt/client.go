@@ -20,6 +20,7 @@ import (
 	"strings"
 	"time"
 
+	"lossyckpt/internal/ckpt"
 	"lossyckpt/internal/server"
 )
 
@@ -89,7 +90,7 @@ func cmdClientSave(args []string) error {
 	cf := addClientFlags(fs)
 	in := fs.String("in", "", "comma-separated .grd files (required); each file's base name becomes the variable name")
 	step := fs.Int("step", 0, "application step this checkpoint belongs to")
-	codec := fs.String("codec", "none", "checkpoint codec the daemon applies (none, gzip, lz4, lossy)")
+	codec := fs.String("codec", "none", "checkpoint codec the daemon applies: "+ckpt.CodecNames)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -102,8 +103,7 @@ func cmdClientSave(args []string) error {
 		if err != nil {
 			return err
 		}
-		name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-		fields = append(fields, server.NamedField{Name: name, Field: fld})
+		fields = append(fields, server.NamedField{Name: varNameFromPath(path), Field: fld})
 	}
 	c, err := cf.client()
 	if err != nil {

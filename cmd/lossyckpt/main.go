@@ -45,11 +45,11 @@
 // The entropy stage is pluggable: compress -codec picks the entropy
 // codec (gzip, or the pure-Go lz4 coder), -shuffle inserts the
 // byte-shuffle pre-pass, and -autotune lets the online tuner of package
-// tune probe a sample and pick codec/shuffle/block size itself. save
-// accepts the same -shuffle/-autotune switches (the tuner attaches to
-// the lossy and guard codecs; -codec lz4 selects the lossless lz4
-// checkpoint codec). inspect and fsck report each payload's entropy
-// framing, sniffed from the self-describing envelope.
+// tune probe a sample and pick codec and block size itself. save accepts
+// the same -shuffle/-autotune switches (the tuner attaches to the lossy
+// and guard codecs); its -codec, like client save's, names a checkpoint
+// codec, one of: none, gzip, lz4, fpc, lossy, guard. inspect and fsck report
+// each payload's entropy framing, sniffed from the self-describing envelope.
 //
 // fsck audits a store in place: every retained generation is re-read and
 // re-verified (size, CRC, stream framing, guard envelopes; -decode adds
@@ -216,7 +216,7 @@ func cmdCompress(args []string) error {
 	gzipBlock := fs.Int("gzip-block", 0, "block-parallel DEFLATE block size in bytes (0 = serial gzip stage; incompatible with -tempfile)")
 	codecStr := fs.String("codec", "gzip", "entropy codec: gzip or lz4")
 	shuffle := fs.Bool("shuffle", false, "whole-stream byte-shuffle pre-pass before the entropy codec (predates the container's byte lanes; rarely useful now)")
-	autotune := fs.Bool("autotune", false, "let the online autotuner pick codec/shuffle/block size (overrides -codec, -shuffle and -gzip-block)")
+	autotune := fs.Bool("autotune", false, "let the online autotuner pick codec and block size (overrides -codec, -shuffle and -gzip-block)")
 	of := addObsFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -455,7 +455,7 @@ func cmdSave(args []string) error {
 	in := fs.String("in", "", "comma-separated .grd files to checkpoint (required)")
 	keep := fs.Int("keep", 3, "generations to retain")
 	dedup := fs.Bool("dedup", false, "content-addressed chunk dedup: unchanged slabs across generations are stored once")
-	codecName := fs.String("codec", "lossy", "checkpoint codec: none, gzip, lz4, fpc or lossy")
+	codecName := fs.String("codec", "lossy", "checkpoint codec: "+ckpt.CodecNames)
 	step := fs.Int("step", 0, "application step recorded in the checkpoint")
 	workers := fs.Int("workers", 0, "parallel compression workers (0 = GOMAXPROCS, 1 = serial)")
 	shuffle := fs.Bool("shuffle", false, "whole-stream byte-shuffle pre-pass for the entropy stage (gzip codec on raw arrays; on lossy and guard it predates the container's byte lanes)")

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"lossyckpt/internal/ckpt"
 	"lossyckpt/internal/core"
 	"lossyckpt/internal/grid"
 )
@@ -246,6 +247,15 @@ func TestSaveRestoreFlagsValidation(t *testing.T) {
 		if err := run(args); err == nil {
 			t.Errorf("args %v accepted", args)
 		}
+	}
+	// An unknown codec is refused with the list of known ones, the list the
+	// package doc carries too.
+	if err := run(cases[3]); !strings.Contains(err.Error(), ckpt.CodecNames) {
+		t.Errorf("args %v: %v, want the error to name %s", cases[3], err, ckpt.CodecNames)
+	}
+	if doc, err := os.ReadFile("main.go"); err != nil ||
+		!strings.Contains(strings.ReplaceAll(string(doc), "\n// ", " "), "one of: "+ckpt.CodecNames+".") {
+		t.Errorf("package doc does not list the codecs %s (%v)", ckpt.CodecNames, err)
 	}
 }
 

@@ -264,10 +264,7 @@ func (g *Gzip) Decode(payload []byte, shape []int, into *grid.Field) (*grid.Fiel
 
 // FPC applies the predictive lossless floating-point compressor of package
 // fpc (experiment X3's baseline).
-type FPC struct {
-	// TableBits sizes the predictor tables; 0 means fpc.DefaultTableBits.
-	TableBits int
-}
+type FPC struct{}
 
 // Name implements Codec.
 func (*FPC) Name() string { return "fpc" }
@@ -277,11 +274,7 @@ func (*FPC) Lossless() bool { return true }
 
 // Encode implements Codec.
 func (c *FPC) Encode(f *grid.Field) (*Encoded, error) {
-	tb := c.TableBits
-	if tb == 0 {
-		tb = fpc.DefaultTableBits
-	}
-	data, err := fpc.Compress(f.Data(), tb)
+	data, err := fpc.Compress(f.Data(), fpc.DefaultTableBits)
 	if err != nil {
 		return nil, err
 	}
@@ -417,6 +410,10 @@ func (c *Lossy) Decode(payload []byte, shape []int, into *grid.Field) (*grid.Fie
 	})
 }
 
+// CodecNames lists the names CodecByName accepts, as help strings and its own
+// error print them.
+const CodecNames = "none, gzip, lz4, fpc, lossy, guard"
+
 // CodecByName constructs a default-configured codec from its Name string.
 func CodecByName(name string) (Codec, error) {
 	switch name {
@@ -433,6 +430,6 @@ func CodecByName(name string) (Codec, error) {
 	case "guard":
 		return NewGuard(guard.Policy{}), nil
 	default:
-		return nil, fmt.Errorf("%w: unknown codec %q", ErrCodec, name)
+		return nil, fmt.Errorf("%w: unknown codec %q (want one of %s)", ErrCodec, name, CodecNames)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"lossyckpt/internal/guard"
@@ -261,7 +262,14 @@ func TestGuardCodecByName(t *testing.T) {
 	if c.Name() != "guard" || c.Lossless() {
 		t.Fatalf("guard codec identity: name=%q lossless=%v", c.Name(), c.Lossless())
 	}
-	if _, err := CodecByName("nonesuch"); !errors.Is(err, ErrCodec) {
+	// CodecNames is the list the CLI's help prints: each name on it resolves
+	// to the codec of that name, and the error for any other prints it.
+	for _, name := range strings.Split(CodecNames, ", ") {
+		if c, err := CodecByName(name); err != nil || c.Name() != name {
+			t.Errorf("CodecByName(%q) = %v, %v", name, c, err)
+		}
+	}
+	if _, err := CodecByName("nonesuch"); !errors.Is(err, ErrCodec) || !strings.Contains(err.Error(), CodecNames) {
 		t.Fatalf("unknown codec error = %v", err)
 	}
 }

@@ -282,7 +282,7 @@ func TestRestoreAllocatesNoArray(t *testing.T) {
 		{"lossy", NewLossy(), 3},
 		{"lossy-chunked", chunked, 3},
 		{"guard", mustCodec("guard"), 3},
-		{"guard-lossless", NewGuard(guard.Policy{MaxAbs: 1e-13, MaxAttempts: 1}), 4},
+		{"guard-lossless", NewGuard(guard.Policy{MaxAbs: 1e-300}), 4},
 	} {
 		live := smoothField(128, 64, 64)
 		m := NewManager(c.codec, 1)

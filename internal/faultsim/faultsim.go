@@ -79,8 +79,6 @@ type Config struct {
 	StepCost, CheckpointCost, RestartCost time.Duration
 	// Seed drives the failure process.
 	Seed int64
-	// MaxFailures aborts pathological runs (0 = 10·expected).
-	MaxFailures int
 	// Store, when non-nil, switches the run to real-I/O mode: every
 	// checkpoint commits atomically to this crash-safe on-disk store and
 	// every rollback restores through its generation-by-generation
@@ -99,22 +97,16 @@ type Config struct {
 	ReplicaLossEvery int
 	// Observer receives simulation telemetry (failure/rollback counters,
 	// virtual-time gauges) and is handed to the checkpoint manager the run
-	// creates, so checkpoint/restore spans and quality gauges land in the
-	// same registry. nil falls back to the process default.
+	// creates, so checkpoint/restore spans land in the same registry. nil
+	// falls back to the process default.
 	Observer *obs.Registry
-	// QualityTelemetry turns on the manager's per-variable reconstruction
-	// quality gauges (lossy codecs only; costs a decode per checkpoint
-	// entry).
-	QualityTelemetry bool
 	// ScrubEvery, when positive (real-I/O mode only), runs a store scrub
-	// after every ScrubEvery-th checkpoint, modelling a background
-	// integrity auditor sharing the run. Quarantined generations are the
-	// retention ring doing its job: the next rollback falls back to an
-	// older generation instead of consuming rot.
+	// (framing and envelope CRCs) after every ScrubEvery-th checkpoint,
+	// modelling a background integrity auditor sharing the run.
+	// Quarantined generations are the retention ring doing its job: the
+	// next rollback falls back to an older generation instead of
+	// consuming rot.
 	ScrubEvery int
-	// ScrubDecode makes those scrubs decode every entry (ckpt.StoreVerifier
-	// paranoid mode) rather than stopping at framing and envelope CRCs.
-	ScrubDecode bool
 }
 
 func (c Config) validate() error {
@@ -189,7 +181,6 @@ func Run(app, reference App, cfg Config) (*Result, error) {
 		obsr = obs.Default()
 	}
 	mgr.SetObserver(obsr)
-	mgr.EnableQualityTelemetry(cfg.QualityTelemetry)
 	if err := mgr.RegisterAll(app.Fields()); err != nil {
 		return nil, err
 	}
@@ -203,11 +194,9 @@ func Run(app, reference App, cfg Config) (*Result, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	nextFailure := exponential(rng, cfg.MTBF)
-	maxFailures := cfg.MaxFailures
-	if maxFailures == 0 {
-		expected := int(float64(cfg.TotalSteps)*float64(cfg.StepCost)/float64(cfg.MTBF)) + 1
-		maxFailures = 10 * expected
-	}
+	// Ten times the failures the work is expected to meet: past that the
+	// run is pathological and aborts.
+	maxFailures := 10 * (int(float64(cfg.TotalSteps)*float64(cfg.StepCost)/float64(cfg.MTBF)) + 1)
 
 	res := &Result{IdealTime: time.Duration(cfg.TotalSteps) * cfg.StepCost}
 	var clock time.Duration
@@ -238,7 +227,7 @@ func Run(app, reference App, cfg Config) (*Result, error) {
 		clock += cfg.CheckpointCost
 		if cfg.Store != nil && cfg.ScrubEvery > 0 && res.Checkpoints%cfg.ScrubEvery == 0 {
 			srep, err := cfg.Store.Scrub(store.ScrubOptions{
-				Verify: ckpt.StoreVerifier(cfg.ScrubDecode, 0)})
+				Verify: ckpt.StoreVerifier(false, 0)})
 			if err != nil {
 				return fmt.Errorf("faultsim: scrub after checkpoint %d: %w", res.Checkpoints, err)
 			}

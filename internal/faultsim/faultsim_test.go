@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -163,10 +164,12 @@ func TestMoreFailuresMoreRework(t *testing.T) {
 func TestPathologicalMTBFAborts(t *testing.T) {
 	app, ref := climateApp(t)
 	cfg := baseConfig(ckpt.None{})
-	cfg.MTBF = time.Nanosecond // failures faster than any step completes
-	cfg.MaxFailures = 50
-	if _, err := Run(app, ref, cfg); err == nil {
-		t.Error("pathological MTBF did not abort")
+	// Failures ten times faster than a step completes: two steps expect 21
+	// of them and would need some 44 000; the run gives up at 210.
+	cfg.MTBF = cfg.StepCost / 10
+	cfg.TotalSteps = 2
+	if _, err := Run(app, ref, cfg); err == nil || !strings.Contains(err.Error(), "exceeded 210 failures") {
+		t.Errorf("pathological MTBF: %v, want the run to give up at 210 failures", err)
 	}
 }
 
@@ -295,7 +298,6 @@ func TestGuardedRunWithScrubber(t *testing.T) {
 	cfg := baseConfig(ckpt.NewGuard(guard.Policy{MaxAbs: 1e-2, Verify: guard.VerifyDecode}))
 	cfg.Store = st
 	cfg.ScrubEvery = 2
-	cfg.ScrubDecode = true
 	res, err := Run(app, ref, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -319,9 +321,9 @@ func TestGuardedRunWithScrubber(t *testing.T) {
 
 func TestGuardLosslessFallbackCounted(t *testing.T) {
 	app, ref := climateApp(t)
-	// An unmeetably tight bound with a one-attempt budget forces every
-	// entry of every checkpoint down to the gzip-only rung.
-	pol := guard.Policy{MaxAbs: 1e-300, MaxAttempts: 1, Verify: guard.VerifyDecode}
+	// An unmeetably tight bound forces every entry of every checkpoint down
+	// to the gzip-only rung.
+	pol := guard.Policy{MaxAbs: 1e-300, Verify: guard.VerifyDecode}
 	cfg := baseConfig(ckpt.NewGuard(pol))
 	res, err := Run(app, ref, cfg)
 	if err != nil {

@@ -16,7 +16,8 @@ import (
 //	version u16
 //	mode    u8   Mode
 //	verify  u8   VerifyMode that accepted the result
-//	flags   u8   bit0: attempt/time budget exhausted
+//	flags   u8   bit0: an attempt/time budget ran out (read only: Encode
+//	             has no such budget and writes 0)
 //	policy  3×f64  MaxAbs, MaxRel, PSNRFloor as enforced (0 = unset)
 //	achieved 3×f64 AchievedMaxAbs, AchievedMaxRel, AchievedPSNR
 //	escalations u16
@@ -47,9 +48,9 @@ type Annotation struct {
 	// Verified is the verification mode that accepted the result
 	// (meaningful for Bounded/LosslessBands; Lossless needs none).
 	Verified VerifyMode
-	// BudgetExhausted reports that the attempt/time budget ran out and
-	// the guard jumped straight to the lossless rung rather than risk a
-	// silent violation.
+	// BudgetExhausted reports that an attempt/time budget ran out and the
+	// guard jumped straight to the lossless rung. Only envelopes written by
+	// builds whose Policy had such a budget carry it; Encode never sets it.
 	BudgetExhausted bool
 	// MaxAbs/MaxRel/PSNRFloor echo the policy as enforced (0 = unset).
 	MaxAbs, MaxRel, PSNRFloor float64
@@ -114,11 +115,7 @@ func wrap(a Annotation, inner []byte) []byte {
 	}
 	put32(envMagic)
 	put16(envVersion)
-	var flags byte
-	if a.BudgetExhausted {
-		flags |= flagBudgetExhausted
-	}
-	buf = append(buf, byte(a.Mode), byte(a.Verified), flags)
+	buf = append(buf, byte(a.Mode), byte(a.Verified), 0) // flags: none written
 	for _, v := range []float64{a.MaxAbs, a.MaxRel, a.PSNRFloor,
 		a.AchievedMaxAbs, a.AchievedMaxRel, a.AchievedPSNR} {
 		put64f(v)

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"lossyckpt/internal/core"
 	"lossyckpt/internal/grid"
@@ -103,10 +102,6 @@ func ParseVerifyMode(s string) (VerifyMode, error) {
 	return 0, fmt.Errorf("guard: unknown verify mode %q (want analytic or decode)", s)
 }
 
-// DefaultMaxAttempts bounds the compression attempts one variable may
-// spend on the ladder before the guard jumps to the lossless rung.
-const DefaultMaxAttempts = 8
-
 // Policy declares the quality guarantee a variable must ship with. The
 // zero Policy enforces nothing (Enforced() == false): the guard still
 // wraps the payload, annotated Unbounded.
@@ -122,25 +117,9 @@ type Policy struct {
 	PSNRFloor float64
 	// Verify selects analytic (default) or decode-and-check verification.
 	Verify VerifyMode
-	// MaxAttempts caps total compression attempts across ladder rungs
-	// (0 = DefaultMaxAttempts). When exhausted the guard jumps straight
-	// to the lossless rung and marks the annotation BudgetExhausted.
-	MaxAttempts int
-	// MaxDuration, when positive, is the wall-clock budget for the ladder;
-	// like MaxAttempts it degrades to lossless, never to a violation.
-	MaxDuration time.Duration
-	// BackoffBase, when positive, sleeps BackoffBase·2^k (capped at
-	// BackoffCap, default 100ms) after the k-th violation before the next
-	// rung — room for a transiently loaded node to drain before the
-	// heavier retry.
-	BackoffBase time.Duration
-	// BackoffCap caps the backoff sleep (0 = 100ms).
-	BackoffCap time.Duration
-	// Sleep is swappable for tests (nil = time.Sleep).
-	Sleep func(time.Duration)
-	// PerVar overrides MaxAbs, MaxRel, PSNRFloor, Verify, MaxAttempts and
-	// MaxDuration by variable name. A zero field inherits the base, so an
-	// override can tighten VerifyAnalytic to VerifyDecode, never the reverse.
+	// PerVar overrides MaxAbs, MaxRel, PSNRFloor and Verify by variable
+	// name. A zero field inherits the base, so an override can tighten
+	// VerifyAnalytic to VerifyDecode, never the reverse.
 	PerVar map[string]Policy
 	// Observer receives guard metrics; nil falls back to obs.Default().
 	Observer *obs.Registry
@@ -170,12 +149,6 @@ func (p Policy) ForVar(name string) Policy {
 	if o.Verify != 0 {
 		eff.Verify = o.Verify
 	}
-	if o.MaxAttempts != 0 {
-		eff.MaxAttempts = o.MaxAttempts
-	}
-	if o.MaxDuration != 0 {
-		eff.MaxDuration = o.MaxDuration
-	}
 	return eff
 }
 
@@ -184,9 +157,6 @@ func (p Policy) validate() error {
 		if v < 0 || math.IsNaN(v) {
 			return fmt.Errorf("guard: invalid bound %g", v)
 		}
-	}
-	if p.MaxAttempts < 0 {
-		return fmt.Errorf("guard: negative attempt budget %d", p.MaxAttempts)
 	}
 	return nil
 }
@@ -245,7 +215,6 @@ func Encode(name string, f *grid.Field, base core.Options, pol Policy) (*Outcome
 		return nil, err
 	}
 	o := pol.observer()
-	start := time.Now()
 	base.LosslessBands = false
 
 	if !pol.Enforced() {
@@ -267,10 +236,6 @@ func Encode(name string, f *grid.Field, base core.Options, pol Policy) (*Outcome
 	ann := Annotation{
 		MaxAbs: pol.MaxAbs, MaxRel: pol.MaxRel, PSNRFloor: pol.PSNRFloor,
 		Verified: pol.Verify,
-	}
-	maxAttempts := pol.MaxAttempts
-	if maxAttempts == 0 {
-		maxAttempts = DefaultMaxAttempts
 	}
 
 	// Coefficient-domain target for the quantizer: what the bound becomes
@@ -295,9 +260,7 @@ func Encode(name string, f *grid.Field, base core.Options, pol Policy) (*Outcome
 	// → NaN spreads through every lossy rung, lossless-bands included), so
 	// the analytic bound cannot vouch for any of them; decode mode would
 	// measure the same poisoning and fail each rung in turn. Jump straight
-	// to the bit-exact rung either way.
-	skipLossy := !finite
-	violations := 0
+	// to the bit-exact rung either way (the !finite branch of the walk).
 	var st *core.Stages // transformed at the first lossy attempt, shared by all
 	defer func() {
 		if st != nil {
@@ -316,15 +279,8 @@ func Encode(name string, f *grid.Field, base core.Options, pol Policy) (*Outcome
 		return res, err
 	}
 	for _, r := range ladder {
-		if skipLossy {
+		if !finite {
 			escalate(o, name, r.name, "non-finite data")
-			ann.Escalations++
-			continue
-		}
-		if ann.Attempts >= maxAttempts ||
-			(pol.MaxDuration > 0 && time.Since(start) > pol.MaxDuration) {
-			ann.BudgetExhausted = true
-			escalate(o, name, r.name, "budget exhausted")
 			ann.Escalations++
 			continue
 		}
@@ -351,16 +307,14 @@ func Encode(name string, f *grid.Field, base core.Options, pol Policy) (*Outcome
 			record(o, name, ann)
 			return &Outcome{Payload: wrap(ann, res.Data), Annotation: ann, RawBytes: res.RawBytes}, nil
 		}
-		violations++
 		o.Counter(MetricViolations).Inc()
 		escalate(o, name, r.name, "bound violated")
 		ann.Escalations++
-		pol.backoff(violations)
 	}
 
 	// Final rung: whole-variable lossless. Bit exact by construction, so
-	// it needs no verification and is exempt from the budget — this is
-	// what makes a silent violation impossible.
+	// it needs no verification — this is what makes a silent violation
+	// impossible.
 	ann.Attempts++
 	res, err := core.CompressGzipOnly(f, base.GzipLevel, base.GzipMode, base.TmpDir)
 	if err != nil {
@@ -544,25 +498,6 @@ func scan(data []float64) (rng, maxMag float64, finite bool) {
 		return 0, 0, finite
 	}
 	return hi - lo, maxMag, finite
-}
-
-func (p Policy) backoff(violations int) {
-	if p.BackoffBase <= 0 || violations <= 0 {
-		return
-	}
-	cap := p.BackoffCap
-	if cap <= 0 {
-		cap = 100 * time.Millisecond
-	}
-	d := p.BackoffBase << uint(violations-1)
-	if d > cap || d <= 0 {
-		d = cap
-	}
-	sleep := p.Sleep
-	if sleep == nil {
-		sleep = time.Sleep
-	}
-	sleep(d)
 }
 
 func escalate(o *obs.Registry, name, step, why string) {

@@ -1,13 +1,15 @@
 package guard
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
-	"time"
 
 	"lossyckpt/internal/core"
 	"lossyckpt/internal/grid"
@@ -138,6 +140,11 @@ func TestGuardProperty(t *testing.T) {
 					if !annEqual(ann, ann2) {
 						t.Errorf("annotation round-trip mismatch:\n enc %+v\n dec %+v", ann, ann2)
 					}
+					// Three lossy rungs and the bit-exact one: the ladder is
+					// its own budget, and there is none to exhaust.
+					if ann.Attempts > 4 || ann.BudgetExhausted {
+						t.Errorf("ladder spent %d attempts (want ≤ 4), budget flag %v", ann.Attempts, ann.BudgetExhausted)
+					}
 					if !pol.Enforced() {
 						if ann.Mode != Unbounded {
 							t.Errorf("unenforced policy got mode %v", ann.Mode)
@@ -212,44 +219,39 @@ func TestGuardEscalationLadder(t *testing.T) {
 	}
 }
 
-// TestGuardBudgetExhaustion: a one-attempt budget must jump to lossless
-// with the flag set — never a silent violation.
-func TestGuardBudgetExhaustion(t *testing.T) {
+// TestBudgetExhaustedEnvelopeStillReads: Encode has no attempt or time budget
+// and never sets the flag, but GRD1 is an on-disk format and builds that had
+// one wrote envelopes with bit 0 of the flags byte set. One built by hand must
+// still decode bit-exactly and say what happened.
+func TestBudgetExhaustedEnvelopeStillReads(t *testing.T) {
 	f := makeField(t, "noise", 5)
 	orig := append([]float64(nil), f.Data()...)
-	pol := Policy{MaxAbs: 1e-13, Verify: VerifyDecode, MaxAttempts: 1}
-	out, err := Encode("v", f, core.DefaultOptions(), pol)
+	out, err := Encode("v", f, core.DefaultOptions(), Policy{MaxAbs: 1e-300, Verify: VerifyDecode})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Annotation.Mode != Lossless {
-		t.Fatalf("mode %v, want lossless after budget exhaustion", out.Annotation.Mode)
+	if out.Annotation.Mode != Lossless || out.Annotation.BudgetExhausted {
+		t.Fatalf("got %+v, want a lossless fallback without the budget flag", out.Annotation)
 	}
-	if !out.Annotation.BudgetExhausted {
-		t.Errorf("BudgetExhausted not set: %+v", out.Annotation)
-	}
-	g, _, err := Decode(out.Payload, f.Shape(), 0)
+	old := append([]byte(nil), out.Payload...)
+	old[8] |= flagBudgetExhausted
+	body := len(old) - envTrailerLen
+	binary.LittleEndian.PutUint32(old[body:], crc32.ChecksumIEEE(old[:body]))
+
+	g, ann, err := Decode(old, f.Shape(), 0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	want := out.Annotation
+	want.BudgetExhausted = true
+	if !annEqual(ann, want) {
+		t.Errorf("annotation %+v, want %+v", ann, want)
+	}
+	if !strings.Contains(ann.String(), "budget exhausted") {
+		t.Errorf("guarantee line %q does not report the exhausted budget", ann.String())
 	}
 	if !bitsEqual(orig, g.Data()) {
 		t.Errorf("budget-exhausted fallback not bit-exact")
-	}
-}
-
-// TestGuardTimeBudget: an already-expired wall-clock budget degrades to
-// lossless the same way.
-func TestGuardTimeBudget(t *testing.T) {
-	f := makeField(t, "smooth", 5)
-	pol := Policy{MaxAbs: 1e-6, MaxDuration: time.Nanosecond,
-		Sleep: func(time.Duration) {}}
-	time.Sleep(time.Millisecond)
-	out, err := Encode("v", f, core.DefaultOptions(), pol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Annotation.Mode != Lossless || !out.Annotation.BudgetExhausted {
-		t.Errorf("got %+v, want budget-exhausted lossless", out.Annotation)
 	}
 }
 
@@ -279,32 +281,6 @@ func TestGuardPerVarOverride(t *testing.T) {
 	}
 	if outRelaxed.Annotation.Mode == Lossless {
 		t.Errorf("relaxed var escalated to lossless; ladder too eager")
-	}
-}
-
-// TestGuardBackoff: violations trigger capped exponential backoff through
-// the injected sleep.
-func TestGuardBackoff(t *testing.T) {
-	var slept []time.Duration
-	f := makeField(t, "noise", 13)
-	pol := Policy{
-		MaxAbs: 1e-13, Verify: VerifyDecode,
-		BackoffBase: time.Millisecond, BackoffCap: 3 * time.Millisecond,
-		Sleep: func(d time.Duration) { slept = append(slept, d) },
-	}
-	if _, err := Encode("v", f, core.DefaultOptions(), pol); err != nil {
-		t.Fatal(err)
-	}
-	if len(slept) == 0 {
-		t.Fatal("no backoff sleeps recorded")
-	}
-	for i, d := range slept {
-		if d > 3*time.Millisecond {
-			t.Errorf("sleep %d = %v exceeds cap", i, d)
-		}
-	}
-	if slept[0] != time.Millisecond {
-		t.Errorf("first sleep %v, want base 1ms", slept[0])
 	}
 }
 
@@ -415,8 +391,7 @@ func testGuardMetricsAnalyticLadder(t *testing.T) {
 // applies when non-zero and inherits the base when zero — which is why an
 // override cannot turn a base VerifyDecode back into VerifyAnalytic.
 func TestGuardPerVarZeroValueRule(t *testing.T) {
-	base := Policy{MaxAbs: 1, MaxRel: 0.5, PSNRFloor: 40, Verify: VerifyDecode,
-		MaxAttempts: 5, MaxDuration: time.Second, BackoffBase: time.Millisecond}
+	base := Policy{MaxAbs: 1, MaxRel: 0.5, PSNRFloor: 40, Verify: VerifyDecode}
 	for _, tc := range []struct {
 		name     string
 		override Policy
@@ -426,10 +401,7 @@ func TestGuardPerVarZeroValueRule(t *testing.T) {
 		{"max-abs", Policy{MaxAbs: 1e-3}, func() Policy { p := base; p.MaxAbs = 1e-3; return p }()},
 		{"max-rel", Policy{MaxRel: 1e-4}, func() Policy { p := base; p.MaxRel = 1e-4; return p }()},
 		{"psnr floor", Policy{PSNRFloor: 90}, func() Policy { p := base; p.PSNRFloor = 90; return p }()},
-		{"attempt budget", Policy{MaxAttempts: 2}, func() Policy { p := base; p.MaxAttempts = 2; return p }()},
-		{"time budget", Policy{MaxDuration: time.Minute}, func() Policy { p := base; p.MaxDuration = time.Minute; return p }()},
 		{"analytic is the zero value and cannot override decode", Policy{Verify: VerifyAnalytic}, base},
-		{"backoff is not overridable", Policy{BackoffBase: time.Hour, BackoffCap: time.Hour}, base},
 	} {
 		pol := base
 		pol.PerVar = map[string]Policy{"v": tc.override}
@@ -505,7 +477,7 @@ func TestDecodeIntoCallersField(t *testing.T) {
 	for _, pol := range []Policy{
 		{},                                // unbounded lossy
 		{MaxAbs: 5, Verify: VerifyDecode}, // bounded lossy
-		{MaxAbs: 1e-13, MaxAttempts: 1},   // lossless: the gzip-only rung
+		{MaxAbs: 1e-300},                  // lossless: the gzip-only rung
 	} {
 		out, err := Encode("v", f, core.DefaultOptions(), pol)
 		if err != nil {

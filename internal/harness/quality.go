@@ -85,7 +85,7 @@ func (c Config) QualityReport(workload string, steps int, divisions []int) (*qa.
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s: %w", workload, nf.Name, err)
 		}
-		a, err := qa.Assess(nf.Name, nf.Field.Data(), g.Data(), qa.Options{})
+		a, err := qa.Assess(nf.Name, nf.Field.Data(), g.Data())
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s: %w", workload, nf.Name, err)
 		}

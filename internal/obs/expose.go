@@ -186,30 +186,14 @@ func promLabels(labels map[string]string, extraKey, extraVal string) string {
 }
 
 // WritePrometheus writes the registry in the Prometheus text exposition
-// format (version 0.0.4): one # TYPE (and # HELP if registered) line per
-// metric name, histograms expanded into cumulative _bucket/_sum/_count
-// series.
+// format (version 0.0.4): one # TYPE line per metric name, histograms
+// expanded into cumulative _bucket/_sum/_count series.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	snap := r.Snapshot()
-	var helps map[string]string
-	if r != nil {
-		r.mu.RLock()
-		helps = make(map[string]string, len(r.help))
-		for k, v := range r.help {
-			helps[k] = v
-		}
-		r.mu.RUnlock()
-	}
-
 	seenType := make(map[string]bool)
 	for _, m := range snap.Metrics {
 		if !seenType[m.Name] {
 			seenType[m.Name] = true
-			if h := helps[m.Name]; h != "" {
-				if _, err := fmt.Fprintf(w, "# HELP %s %s\n", m.Name, strings.ReplaceAll(h, "\n", " ")); err != nil {
-					return err
-				}
-			}
 			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", m.Name, m.Kind); err != nil {
 				return err
 			}

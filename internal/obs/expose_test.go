@@ -15,7 +15,6 @@ var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? (NaN|[+
 
 func populated() *Registry {
 	r := NewRegistry()
-	r.SetHelp("lossyckpt_demo_total", "demo counter")
 	r.Counter("lossyckpt_demo_total", "kind", "single").Add(3)
 	r.Counter("lossyckpt_demo_total", "kind", "chunked").Add(1)
 	r.Gauge("lossyckpt_quality_psnr_db", "var", `tricky"name\`).Set(74.5)
@@ -49,7 +48,6 @@ func TestWritePrometheusParseable(t *testing.T) {
 	}
 	for _, want := range []string{
 		"# TYPE lossyckpt_demo_total counter",
-		"# HELP lossyckpt_demo_total demo counter",
 		`lossyckpt_demo_total{kind="single"} 3`,
 		"# TYPE lossyckpt_compress_wall_seconds histogram",
 		`lossyckpt_compress_wall_seconds_bucket{le="+Inf"} 2`,

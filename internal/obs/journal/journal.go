@@ -277,15 +277,6 @@ func (j *Journal) rotateLocked() {
 	j.observer().Counter(MetricRotations).Inc()
 }
 
-// Files returns the journal file set oldest-first: rotated
-// predecessors then the active file. Nil-safe.
-func (j *Journal) Files() []string {
-	if j == nil {
-		return nil
-	}
-	return RotatedSet(j.path, j.opt.MaxFiles)
-}
-
 // RotatedSet lists the existing files of a rotation ring oldest-first
 // for a given base path and ring size (0 means DefaultMaxFiles).
 func RotatedSet(path string, maxFiles int) []string {

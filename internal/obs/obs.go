@@ -35,13 +35,10 @@ import (
 type Registry struct {
 	mu      sync.RWMutex
 	metrics map[string]*metric
-	help    map[string]string
 	// perName counts distinct label sets per metric name so one
 	// unbounded label value (a per-variable gauge fed hostile names)
-	// cannot grow the registry without limit. seriesCap 0 means
-	// DefaultSeriesCap.
-	perName   map[string]int
-	seriesCap int
+	// cannot grow the registry past DefaultSeriesCap of them.
+	perName map[string]int
 
 	events eventRing
 	start  time.Time
@@ -51,7 +48,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		metrics: make(map[string]*metric),
-		help:    make(map[string]string),
 		perName: make(map[string]int),
 		events:  eventRing{cap: DefaultEventCap},
 		start:   time.Now(),
@@ -96,10 +92,11 @@ func (k metricKind) String() string {
 	return "unknown"
 }
 
-// DefaultSeriesCap bounds distinct label sets per metric name unless
-// overridden with SetSeriesCap: enough for every real workload here
-// (per-variable gauges over a few dozen variables), small enough that a
-// label fed from unbounded input cannot exhaust memory.
+// DefaultSeriesCap bounds distinct label sets per metric name: enough for
+// every real workload here (per-variable gauges over a few dozen
+// variables), small enough that a label fed from unbounded input cannot
+// exhaust memory. Existing series are kept; new ones beyond the cap become
+// no-ops and are counted in MetricDroppedSeries.
 const DefaultSeriesCap = 1024
 
 // MetricDroppedSeries counts series registrations refused by the
@@ -209,11 +206,7 @@ func (r *Registry) lookup(name string, labels []string, kind metricKind, bounds 
 		}
 		return m
 	}
-	cap := r.seriesCap
-	if cap <= 0 {
-		cap = DefaultSeriesCap
-	}
-	if name != MetricDroppedSeries && r.perName[name] >= cap {
+	if name != MetricDroppedSeries && r.perName[name] >= DefaultSeriesCap {
 		r.dropSeriesLocked(name)
 		return nil // instruments on a nil metric are no-ops
 	}
@@ -231,19 +224,6 @@ func (r *Registry) lookup(name string, labels []string, kind metricKind, bounds 
 	return m
 }
 
-// SetSeriesCap bounds the number of distinct label sets any one metric
-// name may register (0 restores DefaultSeriesCap). Existing series are
-// kept; new ones beyond the cap become no-ops and are counted in
-// MetricDroppedSeries.
-func (r *Registry) SetSeriesCap(n int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.seriesCap = n
-	r.mu.Unlock()
-}
-
 // dropSeriesLocked counts one refused series registration. It creates
 // the drop counter inline because r.mu is already held.
 func (r *Registry) dropSeriesLocked(name string) {
@@ -258,17 +238,6 @@ func (r *Registry) dropSeriesLocked(name string) {
 		r.metrics[k] = m
 	}
 	addFloat(&m.bits, 1)
-}
-
-// SetHelp registers the HELP text emitted for a metric name in the
-// Prometheus exposition.
-func (r *Registry) SetHelp(name, text string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.help[name] = text
-	r.mu.Unlock()
 }
 
 // --- Counter ----------------------------------------------------------------

@@ -96,7 +96,6 @@ func TestNilRegistryIsNoop(t *testing.T) {
 	r.Histogram("z", DurationBuckets).Observe(1)
 	r.Event("e", "k", "v")
 	r.StartSpan("op").EndErr(errors.New("boom"))
-	r.SetHelp("x", "help")
 	if evs, dropped := r.Events(); len(evs) != 0 || dropped != 0 {
 		t.Error("nil registry retained events")
 	}

@@ -19,38 +19,13 @@ import (
 	"lossyckpt/internal/stats"
 )
 
-// Options bounds the per-assessment work. The zero value picks
-// defaults sized for interactive use.
-type Options struct {
-	// HistBins is the number of error-histogram bins (default 32).
-	HistBins int
-	// AutocorrLags is the highest error-field autocorrelation lag
-	// reported (default 24).
-	AutocorrLags int
-	// SpectrumBands is the number of octave-style frequency bands the
-	// energy spectrum is folded into (default 8).
-	SpectrumBands int
-	// MaxSpectrumN caps how many leading samples feed the FFT
-	// (default 1<<16; the transform truncates to the largest power of
-	// two below the cap).
-	MaxSpectrumN int
-}
-
-func (o Options) withDefaults() Options {
-	if o.HistBins <= 0 {
-		o.HistBins = 32
-	}
-	if o.AutocorrLags <= 0 {
-		o.AutocorrLags = 24
-	}
-	if o.SpectrumBands <= 0 {
-		o.SpectrumBands = 8
-	}
-	if o.MaxSpectrumN <= 0 {
-		o.MaxSpectrumN = 1 << 16
-	}
-	return o
-}
+// The per-assessment work is bounded by these sizes.
+const (
+	histBins      = 32      // error-histogram bins
+	autocorrLags  = 24      // highest error-field autocorrelation lag reported
+	spectrumBands = 8       // octave-style bands the energy spectrum is folded into
+	maxSpectrumN  = 1 << 16 // leading samples fed to the FFT (truncated to a power of two)
+)
 
 // Band is one frequency band of the energy spectrum: the fraction of
 // total energy the original signal and the error field each carry in
@@ -93,11 +68,10 @@ type Assessment struct {
 }
 
 // Assess compares an original array against its lossy reconstruction.
-func Assess(name string, orig, approx []float64, opts Options) (*Assessment, error) {
+func Assess(name string, orig, approx []float64) (*Assessment, error) {
 	if len(orig) == 0 || len(orig) != len(approx) {
 		return nil, fmt.Errorf("qa: need equal non-empty arrays, got %d vs %d", len(orig), len(approx))
 	}
-	opts = opts.withDefaults()
 	a := &Assessment{Var: name, N: len(orig)}
 
 	a.MinVal, a.MaxVal = math.Inf(1), math.Inf(-1)
@@ -137,13 +111,13 @@ func Assess(name string, orig, approx []float64, opts Options) (*Assessment, err
 		return nil, err
 	}
 
-	if a.ErrHist, err = stats.NewHistogram(errField, opts.HistBins); err != nil {
+	if a.ErrHist, err = stats.NewHistogram(errField, histBins); err != nil {
 		return nil, err
 	}
 	a.SpikeFraction = a.ErrHist.SpikeFraction()
 
-	a.Spectrum = bandEnergies(orig, errField, opts.SpectrumBands, opts.MaxSpectrumN)
-	a.Autocorr = autocorrelation(errField, opts.AutocorrLags)
+	a.Spectrum = bandEnergies(orig, errField, spectrumBands, maxSpectrumN)
+	a.Autocorr = autocorrelation(errField, autocorrLags)
 	return a, nil
 }
 

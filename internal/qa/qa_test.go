@@ -39,7 +39,7 @@ func TestAssessBasics(t *testing.T) {
 			approx[i] += eps
 		}
 	}
-	a, err := Assess("wave", orig, approx, Options{})
+	a, err := Assess("wave", orig, approx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestAssessBasics(t *testing.T) {
 // infinite PSNR, and the assessment still marshals to valid JSON.
 func TestAssessExactRoundTrip(t *testing.T) {
 	f := sineField(t, 256)
-	a, err := Assess("exact", f.Data(), f.Data(), Options{})
+	a, err := Assess("exact", f.Data(), f.Data())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,10 +96,10 @@ func TestAssessExactRoundTrip(t *testing.T) {
 
 // TestAssessRejectsMismatch: length mismatch and empty input are errors.
 func TestAssessRejectsMismatch(t *testing.T) {
-	if _, err := Assess("x", []float64{1, 2}, []float64{1}, Options{}); err == nil {
+	if _, err := Assess("x", []float64{1, 2}, []float64{1}); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
-	if _, err := Assess("x", nil, nil, Options{}); err == nil {
+	if _, err := Assess("x", nil, nil); err == nil {
 		t.Fatal("empty input accepted")
 	}
 }
@@ -140,7 +140,7 @@ func TestReportRendering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Assess("wave", f.Data(), dec.Data(), Options{})
+	a, err := Assess("wave", f.Data(), dec.Data())
 	if err != nil {
 		t.Fatal(err)
 	}

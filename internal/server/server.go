@@ -81,7 +81,7 @@ type Config struct {
 	// the process default journal.
 	Journal *journal.Journal
 	// StoreOptions is the base store configuration tenants inherit
-	// (retries, backoff, FS); per-tenant fields (Keep, TTL, FS) override.
+	// (dedup chunking, test seams); per-tenant fields (Keep, TTL, FS) override.
 	StoreOptions store.Options
 }
 

@@ -369,13 +369,15 @@ func TestDrainRefusesNewFinishesOld(t *testing.T) {
 func TestDrainDeadlineCutsOffStragglers(t *testing.T) {
 	ffs := store.NewFaultFS(store.OsFS{})
 	dirA := filepath.Join(t.TempDir(), "a")
+	release := make(chan struct{})
 	s, ts := twoTenants(t, func(c *Config) {
 		c.Tenants[0].Dir = dirA
 		c.Tenants[0].FS = ffs
 		c.DefaultTimeout = -1 // only the drain hard-stop ends the request
-		// A transient fault sends the straggler into a long retry
-		// backoff; nothing but the drain hard-stop can wake it early.
-		c.StoreOptions = store.Options{BackoffBase: 30 * time.Second, BackoffCap: 30 * time.Second}
+		// A transient fault sends the straggler into a retry backoff that
+		// lasts until the drain hard-stop has fired: were its context not
+		// cancelled by then, the retry would go through and the save succeed.
+		c.StoreOptions = store.Options{Sleep: func(time.Duration) { <-release }}
 	})
 	wantStatus(t, save(t, ts, "alpha", "tok-a", 1, makeFields(t, 1)), http.StatusOK)
 
@@ -389,6 +391,11 @@ func TestDrainDeadlineCutsOffStragglers(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
+	go func() {
+		<-ctx.Done()
+		time.Sleep(50 * time.Millisecond) // Drain has seen the deadline and cut the requests off
+		close(release)
+	}()
 	if err := s.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Drain = %v, want DeadlineExceeded", err)
 	}

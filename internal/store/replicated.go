@@ -101,10 +101,16 @@ func OpenReplicated(root string, dirs []string, w int, opts Options, replicaFS .
 	if len(replicaFS) != 0 && len(replicaFS) != n {
 		return nil, fmt.Errorf("store: %d replica filesystems for %d replicas", len(replicaFS), n)
 	}
-	r, err := newReplicated(root, n, w, opts)
-	if err != nil {
-		return nil, err
+	if n == 0 {
+		return nil, errors.New("store: replicated store needs at least one replica")
 	}
+	if w == 0 {
+		w = n/2 + 1
+	}
+	if w < 1 || w > n {
+		return nil, fmt.Errorf("store: write quorum %d out of range for %d replicas", w, n)
+	}
+	r := &ReplicatedStore{root: root, w: w, opts: opts.withDefaults()}
 	live := 0
 	for i, dir := range dirs {
 		ropts := opts
@@ -122,36 +128,6 @@ func OpenReplicated(root string, dirs []string, w int, opts Options, replicaFS .
 		return nil, fmt.Errorf("store: no replica of %s opened: %w", root, r.replicas[0].err)
 	}
 	return r, nil
-}
-
-// NewReplicated wraps already-open stores as one replicated store with
-// write quorum w (0 means majority) — the composition path for tests
-// and callers that manage replica lifecycles themselves.
-func NewReplicated(root string, stores []*Store, w int, opts Options) (*ReplicatedStore, error) {
-	r, err := newReplicated(root, len(stores), w, opts)
-	if err != nil {
-		return nil, err
-	}
-	for _, st := range stores {
-		r.replicas = append(r.replicas, replica{dir: st.Dir(), st: st})
-		r.lastSeq = maxU64(r.lastSeq, st.NextSeq()-1)
-	}
-	return r, nil
-}
-
-// newReplicated validates the shape of an n-way store with write quorum w
-// (0 means majority) and returns it with no replica attached yet.
-func newReplicated(root string, n, w int, opts Options) (*ReplicatedStore, error) {
-	if n == 0 {
-		return nil, errors.New("store: replicated store needs at least one replica")
-	}
-	if w == 0 {
-		w = n/2 + 1
-	}
-	if w < 1 || w > n {
-		return nil, fmt.Errorf("store: write quorum %d out of range for %d replicas", w, n)
-	}
-	return &ReplicatedStore{root: root, w: w, opts: opts.withDefaults()}, nil
 }
 
 func maxU64(a, b uint64) uint64 {
@@ -751,9 +727,9 @@ func (r *ReplicatedStore) Scrub(opts ScrubOptions) (rep *ScrubReport, err error)
 			// Expired generations are exempt — replica-local TTL pruning is
 			// about to remove them everywhere, and re-materializing a copy
 			// one replica already pruned would ping-pong against it.
-			nowU, skew := r.opts.now().Unix(), r.opts.ttlSkewSeconds()
+			nowU := r.opts.now().Unix()
 			for seq, want := range agreed {
-				if want.Expired(nowU, skew) {
+				if want.Expired(nowU, ttlSkewSeconds) {
 					continue
 				}
 				if have, ok := local[seq]; ok && have == want {

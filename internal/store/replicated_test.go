@@ -387,24 +387,22 @@ func TestReplicatedSingleReplicaLayout(t *testing.T) {
 }
 
 // TestJitteredBackoffSeeded: the retry backoff must (a) stay inside
-// [base/2, base) per attempt, (b) be reproducible under a seeded
-// jitter source, and (c) actually vary across different seeds — the
-// regression guard for the thundering-herd fix.
+// [b/2, b) per attempt for b = 1, 2, 4, 8 ms — the ladder's constants, seen
+// through the injected Sleep — (b) be reproducible under a seeded jitter
+// source, and (c) actually vary across different seeds — the regression
+// guard for the thundering-herd fix.
 func TestJitteredBackoffSeeded(t *testing.T) {
 	run := func(seed int64) []time.Duration {
 		var sleeps []time.Duration
 		rng := rand.New(rand.NewSource(seed))
 		s := &Store{opts: Options{
-			Retries:     4,
-			BackoffBase: 16 * time.Millisecond,
-			BackoffCap:  64 * time.Millisecond,
-			Sleep:       func(d time.Duration) { sleeps = append(sleeps, d) },
-			Jitter:      rng.Float64,
+			Sleep:  func(d time.Duration) { sleeps = append(sleeps, d) },
+			Jitter: rng.Float64,
 		}.withDefaults()}
 		calls := 0
 		err := s.retry("op", func() error {
 			calls++
-			if calls <= 3 {
+			if calls <= maxRetries {
 				return transientErr{errors.New("flaky")}
 			}
 			return nil
@@ -416,18 +414,17 @@ func TestJitteredBackoffSeeded(t *testing.T) {
 	}
 
 	a := run(42)
-	if len(a) != 3 {
-		t.Fatalf("expected 3 backoff sleeps, got %d", len(a))
+	if len(a) != 4 {
+		t.Fatalf("expected 4 backoff sleeps, got %d", len(a))
 	}
-	backoff := 16 * time.Millisecond
-	for i, d := range a {
-		if d < backoff/2 || d >= backoff {
+	for i, backoff := range []time.Duration{1, 2, 4, 8} {
+		backoff *= time.Millisecond
+		if d := a[i]; d < backoff/2 || d >= backoff {
 			t.Fatalf("sleep %d = %v outside [%v, %v)", i, d, backoff/2, backoff)
 		}
-		backoff *= 2
-		if backoff > 64*time.Millisecond {
-			backoff = 64 * time.Millisecond
-		}
+	}
+	if backoffCap != 100*time.Millisecond {
+		t.Fatalf("backoff cap %v, want 100ms", backoffCap)
 	}
 	b := run(42)
 	for i := range a {

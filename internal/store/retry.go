@@ -23,6 +23,14 @@ func (s *Store) retryCtx() context.Context {
 	return context.Background()
 }
 
+// The ladder's shape: at most maxRetries retries per operation, sleeping
+// backoffBase doubled per retry up to backoffCap.
+const (
+	maxRetries  = 4
+	backoffBase = time.Millisecond
+	backoffCap  = 100 * time.Millisecond
+)
+
 // retry runs fn, retrying transient errors with capped exponential
 // backoff; permanent errors, exhausted budgets and a cancelled
 // operation context return immediately. Each sleep is jittered into
@@ -30,11 +38,11 @@ func (s *Store) retryCtx() context.Context {
 // de-synchronize instead of thundering.
 func (s *Store) retry(op string, fn func() error) error {
 	ctx := s.retryCtx()
-	backoff := s.opts.BackoffBase
+	backoff := backoffBase
 	var err error
 	for attempt := 0; ; attempt++ {
 		err = fn()
-		if err == nil || !IsTransient(err) || attempt >= s.opts.Retries {
+		if err == nil || !IsTransient(err) || attempt >= maxRetries {
 			return err
 		}
 		if cerr := ctx.Err(); cerr != nil {
@@ -42,9 +50,6 @@ func (s *Store) retry(op string, fn func() error) error {
 		}
 		half := backoff / 2
 		sleep := half + time.Duration(s.opts.Jitter()*float64(half))
-		if sleep <= 0 {
-			sleep = backoff
-		}
 		if o := s.observer(); o != nil {
 			o.Counter(MetricRetries, "op", op).Inc()
 			o.Counter(MetricBackoffSeconds).Add(sleep.Seconds())
@@ -53,8 +58,8 @@ func (s *Store) retry(op string, fn func() error) error {
 			return fmt.Errorf("store: %s retry abandoned: %w (last attempt: %v)", op, cerr, err)
 		}
 		backoff *= 2
-		if backoff > s.opts.BackoffCap {
-			backoff = s.opts.BackoffCap
+		if backoff > backoffCap {
+			backoff = backoffCap
 		}
 	}
 }

@@ -35,7 +35,7 @@ func TestRetryAbortsBetweenAttempts(t *testing.T) {
 	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	attempts := 0
-	s, oerr := Open(dir, Options{Retries: 8, Sleep: func(time.Duration) { cancel() }})
+	s, oerr := Open(dir, Options{Sleep: func(time.Duration) { cancel() }})
 	if oerr != nil {
 		t.Fatal(oerr)
 	}
@@ -62,32 +62,35 @@ func TestRetryAbortsBetweenAttempts(t *testing.T) {
 
 // TestRetryDeadlineWakesDefaultSleep exercises the context-aware
 // default sleep (no injected Options.Sleep): a deadline expiring during
-// a long backoff must wake the ladder early.
+// a backoff must wake it early, and one that does not lets it run out.
 func TestRetryDeadlineWakesDefaultSleep(t *testing.T) {
-	dir := t.TempDir()
-	s, oerr := Open(dir, Options{
-		Retries:     4,
-		BackoffBase: 10 * time.Second, // one full sleep would blow the test timeout
-		BackoffCap:  10 * time.Second,
-	})
+	s, oerr := Open(t.TempDir(), Options{})
 	if oerr != nil {
 		t.Fatal(oerr)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 
+	if err := s.sleepBackoff(ctx, time.Millisecond); err != nil {
+		t.Fatalf("a backoff shorter than the deadline = %v, want nil", err)
+	}
 	start := time.Now()
-	s.mu.Lock()
-	s.opCtx = ctx
-	err := s.retry("op", func() error { return transientErr{errors.New("always")} })
-	s.opCtx = nil
-	s.mu.Unlock()
-
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("retry past deadline = %v, want DeadlineExceeded", err)
+	// One full sleep would blow the test timeout.
+	if err := s.sleepBackoff(ctx, 10*time.Minute); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("backoff past deadline = %v, want DeadlineExceeded", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("deadline did not interrupt the backoff sleep: took %v", elapsed)
+	}
+	// retry wraps what the sleep reports and stops.
+	s.mu.Lock()
+	s.opCtx = ctx
+	attempts := 0
+	err := s.retry("op", func() error { attempts++; return transientErr{errors.New("always")} })
+	s.opCtx = nil
+	s.mu.Unlock()
+	if !errors.Is(err, context.DeadlineExceeded) || attempts != 1 {
+		t.Fatalf("retry past deadline = %v after %d attempts, want DeadlineExceeded after 1", err, attempts)
 	}
 }
 

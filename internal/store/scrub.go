@@ -180,10 +180,9 @@ func (s *Store) Scrub(opts ScrubOptions) (rep *ScrubReport, err error) {
 	// clocks from prune/repair ping-pong.
 	if n := len(survivors); n > 0 {
 		nowU := s.opts.now().Unix()
-		skew := s.opts.ttlSkewSeconds()
 		kept := survivors[:0]
 		for i, g := range survivors {
-			if i < n-1 && g.Expired(nowU, skew) {
+			if i < n-1 && g.Expired(nowU, ttlSkewSeconds) {
 				rep.Expired = append(rep.Expired, g.Seq)
 				dropped = true
 				s.releaseGenLocked(g)

@@ -52,12 +52,6 @@ type Options struct {
 	// Backend selects the storage layout and commit protocol (default
 	// BackendPosix — the rename-as-commit directory backend).
 	Backend BackendKind
-	// Retries bounds transient-error retries per operation (0 means 4).
-	Retries int
-	// BackoffBase and BackoffCap shape the capped exponential backoff
-	// between retries (0 means 1ms / 100ms).
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
 	// Sleep is the backoff clock, injectable for tests; nil means a
 	// context-aware sleep that wakes early when the operation's context
 	// is cancelled (see retry.go). An injected Sleep is called as-is and
@@ -68,11 +62,6 @@ type Options struct {
 	// generations, except the newest one (a store never scrubs itself
 	// down to zero restorable checkpoints). 0 disables TTL retention.
 	TTL time.Duration
-	// TTLSkew is the clock-skew tolerance for TTL pruning: a generation
-	// is only pruned once now > expire_at + TTLSkew, so replicas with
-	// slightly disagreeing clocks do not ping-pong prune/repair. 0 means
-	// 30s; negative means no tolerance.
-	TTLSkew time.Duration
 	// Now is the wall clock for TTL stamps and expiry checks, injectable
 	// for tests; nil means time.Now.
 	Now func() time.Time
@@ -113,15 +102,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.FS == nil {
 		o.FS = OsFS{}
-	}
-	if o.Retries == 0 {
-		o.Retries = 4
-	}
-	if o.BackoffBase == 0 {
-		o.BackoffBase = time.Millisecond
-	}
-	if o.BackoffCap == 0 {
-		o.BackoffCap = 100 * time.Millisecond
 	}
 	if o.Jitter == nil {
 		o.Jitter = defaultJitter
@@ -580,17 +560,10 @@ func (o Options) now() time.Time {
 	return time.Now()
 }
 
-// ttlSkewSeconds resolves the clock-skew tolerance for expiry checks.
-func (o Options) ttlSkewSeconds() int64 {
-	switch {
-	case o.TTLSkew > 0:
-		return int64(o.TTLSkew / time.Second)
-	case o.TTLSkew < 0:
-		return 0
-	default:
-		return 30
-	}
-}
+// ttlSkewSeconds is the clock-skew tolerance for TTL pruning: a generation
+// is only pruned once now > expire_at + ttlSkewSeconds, so replicas with
+// slightly disagreeing clocks do not ping-pong prune/repair.
+const ttlSkewSeconds = 30
 
 // expireStamp returns the expiry second for a generation committed now
 // (0 when TTL retention is off).

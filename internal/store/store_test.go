@@ -200,8 +200,7 @@ func TestTransientRetry(t *testing.T) {
 }
 
 func TestRetryGivesUpOnPermanentError(t *testing.T) {
-	s := &Store{opts: Options{Retries: 4, BackoffBase: 1, BackoffCap: 2, Sleep: noSleep}.withDefaults()}
-	s.opts.Sleep = noSleep
+	s := &Store{opts: Options{Sleep: noSleep}.withDefaults()}
 	calls := 0
 	err := s.retry("op", func() error { calls++; return errors.New("permanent") })
 	if err == nil || calls != 1 {
@@ -220,7 +219,7 @@ func TestRetryGivesUpOnPermanentError(t *testing.T) {
 	}
 	calls = 0
 	err = s.retry("op", func() error { calls++; return transientErr{errors.New("always")} })
-	if !IsTransient(err) || calls != s.opts.Retries+1 {
+	if !IsTransient(err) || calls != maxRetries+1 {
 		t.Fatalf("exhausted retries: calls=%d err=%v", calls, err)
 	}
 }

@@ -131,7 +131,7 @@ func TestCommitStreamProducerError(t *testing.T) {
 func TestCommitStreamWriteFault(t *testing.T) {
 	inner := t.TempDir()
 	ffs := NewFaultFS(OsFS{})
-	s := openTest(t, inner, Options{FS: ffs, Retries: 1})
+	s := openTest(t, inner, Options{FS: ffs})
 	if _, err := s.Commit(1, payload(1, 512)); err != nil {
 		t.Fatal(err)
 	}

@@ -108,9 +108,7 @@ func TestScrubPrunesExpired(t *testing.T) {
 func TestScrubSkewTolerance(t *testing.T) {
 	dir := t.TempDir()
 	clk := newFakeClock(1_000_000)
-	opts := ttlOpts(clk, time.Minute)
-	opts.TTLSkew = 30 * time.Second
-	s := openTest(t, dir, opts)
+	s := openTest(t, dir, ttlOpts(clk, time.Minute))
 	if _, err := s.Commit(1, payload(1, 128)); err != nil {
 		t.Fatal(err)
 	}

@@ -66,19 +66,6 @@ func (o Objective) String() string {
 	}
 }
 
-// ParseObjective maps a CLI name to an Objective; unknown names return
-// Balanced.
-func ParseObjective(name string) Objective {
-	switch name {
-	case "throughput":
-		return Throughput
-	case "ratio":
-		return Ratio
-	default:
-		return Balanced
-	}
-}
-
 // Setting is one entropy-stage configuration the tuner can select.
 type Setting struct {
 	Codec entropy.ID
@@ -110,18 +97,6 @@ func (s Setting) Apply(o core.Options) core.Options {
 type Config struct {
 	// Objective is the optimization target (default Balanced).
 	Objective Objective
-	// ProbeBytes bounds the probe sample (default 256 KiB): larger
-	// samples measure better but cost more per cache miss.
-	ProbeBytes int
-	// ReProbeEvery re-runs the probe after this many cached uses of a
-	// variable's decision (default 16), so long runs track drift even
-	// without timing feedback.
-	ReProbeEvery int
-	// DiskBytesPerSec is the assumed checkpoint-storage bandwidth the
-	// Balanced objective charges compressed bytes against (default
-	// 200 MB/s, a parallel-filesystem-per-node figure in the range the
-	// paper's §IV-D I/O discussion implies).
-	DiskBytesPerSec float64
 	// GzipLevel is the DEFLATE level probed for gzip candidates (default
 	// gzipio.Default).
 	GzipLevel int
@@ -131,15 +106,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.ProbeBytes <= 0 {
-		c.ProbeBytes = 256 << 10
-	}
-	if c.ReProbeEvery <= 0 {
-		c.ReProbeEvery = 16
-	}
-	if c.DiskBytesPerSec <= 0 {
-		c.DiskBytesPerSec = 200 << 20
-	}
 	if c.GzipLevel == 0 {
 		c.GzipLevel = gzipio.Default
 	}
@@ -180,8 +146,20 @@ type candidate struct {
 	ratio   float64 // compressed/raw on the sample
 }
 
-// SampleBytes bounds the probe sample Sample takes off an array.
-const SampleBytes = 256 << 10
+const (
+	// SampleBytes bounds the probe sample, in Sample and again in Decide:
+	// larger samples measure better but cost more per cache miss.
+	SampleBytes = 256 << 10
+	// reProbeEvery re-runs the probe after this many cached uses of a
+	// variable's decision, so long runs track drift even without timing
+	// feedback.
+	reProbeEvery = 16
+	// diskBytesPerSec is the checkpoint-storage bandwidth the Balanced
+	// objective charges compressed bytes against: 200 MB/s, assumed (a
+	// parallel-filesystem-per-node figure in the range the paper's §IV-D
+	// I/O discussion implies), not measured.
+	diskBytesPerSec = 200 << 20
+)
 
 // Sample is the probe sample of one array for Decide: the byte image of its
 // leading SampleBytes, read where it lies (grid.FloatBytes), so taking one
@@ -195,13 +173,13 @@ func Sample(data []float64) []byte {
 // stream works; the probe is an estimate that the Observe feedback
 // corrects). rawBytes is the full variable size, used to scale the cost
 // model and to size the parallel-gzip block heuristic. Cached decisions
-// are returned until ReProbeEvery uses or a drift report invalidates
+// are returned until reProbeEvery uses or a drift report invalidates
 // them.
 func (t *Tuner) Decide(varName string, rawBytes int, sample []byte) Setting {
 	t.mu.Lock()
 	if d, ok := t.byVar[varName]; ok {
 		d.uses++
-		if d.uses < t.cfg.ReProbeEvery {
+		if d.uses < reProbeEvery {
 			s := d.setting
 			t.mu.Unlock()
 			return s
@@ -228,9 +206,7 @@ func (t *Tuner) probe(varName string, rawBytes int, sample []byte) *decision {
 		// Nothing to measure: stay on the repository default.
 		return &decision{setting: Setting{Codec: entropy.Gzip}}
 	}
-	if len(sample) > t.cfg.ProbeBytes {
-		sample = sample[:t.cfg.ProbeBytes]
-	}
+	sample = sample[:min(len(sample), SampleBytes)]
 	probed := t.measure(sample)
 	if len(probed) == 0 {
 		// Nothing measurable (empty sample or all candidates failed):
@@ -298,7 +274,7 @@ func (t *Tuner) cost(c candidate, rawBytes, sampleBytes int) float64 {
 		scale = 1
 	}
 	codeSecs := c.seconds * scale
-	writeSecs := c.ratio * float64(rawBytes) / t.cfg.DiskBytesPerSec
+	writeSecs := c.ratio * float64(rawBytes) / diskBytesPerSec
 	switch t.cfg.Objective {
 	case Throughput:
 		return codeSecs

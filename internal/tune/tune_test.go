@@ -133,19 +133,21 @@ func TestRatioObjectivePicksGzip(t *testing.T) {
 
 func TestReProbeAfterUses(t *testing.T) {
 	reg := obs.NewRegistry()
-	tn := New(Config{ReProbeEvery: 3, Observer: reg})
+	tn := New(Config{Observer: reg})
 	sample := floatSample(4096)
-	for i := 0; i < 7; i++ {
+	refreshes := func() float64 {
+		return reg.Counter(MetricReProbes, "reason", "refresh").Value()
+	}
+	// The probe and the fifteen uses its decision is good for.
+	for i := 0; i < reProbeEvery; i++ {
 		tn.Decide("v", len(sample), sample)
 	}
-	var refresh float64
-	for _, m := range reg.Snapshot().Metrics {
-		if m.Name == MetricReProbes && m.Labels["reason"] == "refresh" {
-			refresh = m.Value
-		}
+	if got := refreshes(); got != 0 {
+		t.Fatalf("%v refresh re-probes within the first %d uses, want 0", got, reProbeEvery)
 	}
-	if refresh < 2 {
-		t.Fatalf("expected at least 2 refresh re-probes over 7 uses with ReProbeEvery=3, got %v", refresh)
+	tn.Decide("v", len(sample), sample)
+	if got := refreshes(); got != 1 {
+		t.Fatalf("%v refresh re-probes after %d uses, want 1", got, reProbeEvery+1)
 	}
 }
 

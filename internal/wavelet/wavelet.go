@@ -172,9 +172,6 @@ func (p *Plan) Levels() int { return p.levels }
 // Scheme returns the kernel in use.
 func (p *Plan) Scheme() Scheme { return p.scheme }
 
-// LowShape returns the extents of the final low-frequency band box.
-func (p *Plan) LowShape() []int { return append([]int(nil), p.ext[p.levels]...) }
-
 // LowCount returns the number of values in the final low band.
 func (p *Plan) LowCount() int {
 	n := 1

@@ -201,8 +201,8 @@ type TuneObjective = tune.Objective
 
 // Tuner objectives.
 const (
-	// TuneBalanced charges coding time plus projected bytes against an
-	// assumed storage bandwidth (TunerConfig.DiskBytesPerSec).
+	// TuneBalanced charges coding time plus projected bytes against a
+	// storage bandwidth of 200 MB/s — a constant, assumed and not measured.
 	TuneBalanced = tune.Balanced
 	// TuneThroughput minimizes coding time alone.
 	TuneThroughput = tune.Throughput
