@@ -75,7 +75,8 @@ results:
 	$(GO) run ./cmd/experiments -run all -csv results/ > results/experiments_full.txt
 
 # loc prints the non-test Go line count per package and in total (bench/
-# excluded): the figure ROADMAP.md quotes and a simplification PR is held to.
+# excluded), then the count of exported option-struct fields: the figures
+# ROADMAP.md quotes and a simplification PR is held to.
 loc:
 	@sh scripts/loc.sh
 

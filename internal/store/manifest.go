@@ -65,10 +65,15 @@ type Generation struct {
 // content-addressed chunks rather than the logical bytes themselves.
 func (g Generation) Dedup() bool { return g.Flags&GenFlagDedup != 0 }
 
+// ttlSkewSeconds is the clock-skew tolerance for TTL pruning: a generation
+// is only pruned once now > expire_at + ttlSkewSeconds, so replicas with
+// slightly disagreeing clocks do not ping-pong prune/repair.
+const ttlSkewSeconds = 30
+
 // Expired reports whether the generation's TTL has elapsed at time
-// nowUnix, tolerating skew seconds of clock disagreement.
-func (g Generation) Expired(nowUnix int64, skew int64) bool {
-	return g.ExpireAt != 0 && nowUnix > g.ExpireAt+skew
+// nowUnix, tolerating ttlSkewSeconds of clock disagreement.
+func (g Generation) Expired(nowUnix int64) bool {
+	return g.ExpireAt != 0 && nowUnix > g.ExpireAt+ttlSkewSeconds
 }
 
 // manifest is the store's CRC-protected index: the next sequence number

@@ -729,7 +729,7 @@ func (r *ReplicatedStore) Scrub(opts ScrubOptions) (rep *ScrubReport, err error)
 			// one replica already pruned would ping-pong against it.
 			nowU := r.opts.now().Unix()
 			for seq, want := range agreed {
-				if want.Expired(nowU, ttlSkewSeconds) {
+				if want.Expired(nowU) {
 					continue
 				}
 				if have, ok := local[seq]; ok && have == want {

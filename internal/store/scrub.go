@@ -182,7 +182,7 @@ func (s *Store) Scrub(opts ScrubOptions) (rep *ScrubReport, err error) {
 		nowU := s.opts.now().Unix()
 		kept := survivors[:0]
 		for i, g := range survivors {
-			if i < n-1 && g.Expired(nowU, ttlSkewSeconds) {
+			if i < n-1 && g.Expired(nowU) {
 				rep.Expired = append(rep.Expired, g.Seq)
 				dropped = true
 				s.releaseGenLocked(g)

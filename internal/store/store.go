@@ -560,11 +560,6 @@ func (o Options) now() time.Time {
 	return time.Now()
 }
 
-// ttlSkewSeconds is the clock-skew tolerance for TTL pruning: a generation
-// is only pruned once now > expire_at + ttlSkewSeconds, so replicas with
-// slightly disagreeing clocks do not ping-pong prune/repair.
-const ttlSkewSeconds = 30
-
 // expireStamp returns the expiry second for a generation committed now
 // (0 when TTL retention is off).
 func (o Options) expireStamp() int64 {
