@@ -101,6 +101,7 @@ fuzz-smoke:
 	$(GO) test ./internal/fpc -run='^Fuzz' -fuzz='^FuzzRoundTrip$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/container -run='^Fuzz' -fuzz='^FuzzFromBytes$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wavelet -run='^Fuzz' -fuzz='^FuzzTransformIdentity$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/quant -run='^Fuzz' -fuzz='^FuzzChooseDivisions$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^Fuzz' -fuzz='^FuzzDecompress$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^Fuzz' -fuzz='^FuzzDecompressChunked$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^Fuzz' -fuzz='^FuzzDecompressChunkedParallel$$' -fuzztime=$(FUZZTIME)

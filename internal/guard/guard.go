@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 
 	"lossyckpt/internal/core"
 	"lossyckpt/internal/grid"
@@ -308,7 +309,8 @@ func Encode(name string, f *grid.Field, base core.Options, pol Policy) (*Outcome
 			return &Outcome{Payload: wrap(ann, res.Data), Annotation: ann, RawBytes: res.RawBytes}, nil
 		}
 		o.Counter(MetricViolations).Inc()
-		escalate(o, name, r.name, "bound violated")
+		escalate(o, name, r.name, "bound violated", "divisions", res.EffectiveDivisions,
+			"coeff_err", formatFloat(res.MaxCoeffError), "target", formatFloat(coeffTarget))
 		ann.Escalations++
 	}
 
@@ -500,10 +502,14 @@ func scan(data []float64) (rng, maxMag float64, finite bool) {
 	return hi - lo, maxMag, finite
 }
 
-func escalate(o *obs.Registry, name, step, why string) {
+// escalate counts a rung given up on and notes why, with attrs after.
+func escalate(o *obs.Registry, name, step, why string, attrs ...any) {
 	o.Counter(MetricEscalations, "step", step).Inc()
-	journal.Note(o, "guard.escalate", "var", name, "step", step, "why", why)
+	journal.Note(o, "guard.escalate", append([]any{"var", name, "step", step, "why", why}, attrs...)...)
 }
+
+// formatFloat renders a figure for a journal attribute, which takes strings.
+func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 func record(o *obs.Registry, name string, ann Annotation) {
 	o.Counter(MetricEncodes, "mode", ann.Mode.String()).Inc()

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -378,8 +379,17 @@ func testGuardMetricsAnalyticLadder(t *testing.T) {
 	}
 	var steps []string
 	for _, r := range recs {
-		if r.Op == "guard.escalate" && r.Attrs["var"] == "rho" {
-			steps = append(steps, r.Attrs["step"]+": "+r.Attrs["why"])
+		if r.Op != "guard.escalate" || r.Attrs["var"] != "rho" {
+			continue
+		}
+		steps = append(steps, r.Attrs["step"]+": "+r.Attrs["why"])
+		// A violated rung says how far it got: the walk ran to the cap and
+		// the error it shipped there is over the coefficient target.
+		coeffErr, err1 := strconv.ParseFloat(r.Attrs["coeff_err"], 64)
+		target, err2 := strconv.ParseFloat(r.Attrs["target"], 64)
+		if r.Attrs["divisions"] != strconv.Itoa(quant.MaxDivisions) || err1 != nil || err2 != nil || !(target > 0 && coeffErr > target) {
+			t.Errorf("%s: divisions %q, coeff_err %q, target %q: want the cap and an error over a positive target",
+				r.Attrs["step"], r.Attrs["divisions"], r.Attrs["coeff_err"], r.Attrs["target"])
 		}
 	}
 	if want := []string{"choose_divisions: bound violated", "simple_method: bound violated"}; !slices.Equal(steps, want) {

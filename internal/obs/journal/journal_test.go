@@ -386,6 +386,8 @@ func TestSummarize(t *testing.T) {
 	q.End(nil)
 	j.Note(nil, "store.read_repair", "replica", "1", "reason", "corrupt")
 	j.Note(nil, "tune.decision", "codec", "lz4", "shuffle", "true")
+	j.Note(nil, "guard.escalate", "var", "wind_u", "step", "choose_divisions", "why", "bound violated",
+		"divisions", 255, "coeff_err", "3.5e-05", "target", "1.25e-05")
 	root.End(nil)
 	j.Begin(nil, "ckpt.restore") // left incomplete
 
@@ -413,7 +415,8 @@ func TestSummarize(t *testing.T) {
 	if err := sum.WriteMarkdown(&b); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"ckpt.checkpoint", "lz4+shuffle", "Slowest"} {
+	for _, want := range []string{"ckpt.checkpoint", "lz4+shuffle", "Slowest",
+		"| wind_u | choose_divisions | bound violated | 255 | 3.5e-05 | 1.25e-05 |"} {
 		if !strings.Contains(b.String(), want) {
 			t.Errorf("markdown missing %q", want)
 		}

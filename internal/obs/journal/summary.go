@@ -50,6 +50,8 @@ type Summary struct {
 	// DeadlineExceeded counts daemon requests that ran out of deadline
 	// (also present in Rejected under "deadline").
 	DeadlineExceeded int
+	// escalated holds the attributes of each guard.escalate note, in order.
+	escalated []map[string]string
 }
 
 // Summarize builds a Summary over a record stream. topN bounds the
@@ -124,6 +126,7 @@ func Summarize(recs []Record, torn bool, topN int) *Summary {
 			switch r.Op {
 			case "guard.escalate":
 				noteEsc++
+				s.escalated = append(s.escalated, r.Attrs)
 			case "store.read_repair", "store.scrub_repair":
 				s.Repairs++
 			case "tune.decision":
@@ -190,6 +193,12 @@ func (s *Summary) WriteMarkdown(w io.Writer) error {
 		b.WriteString("\n## Incomplete operations\n\n| id | op |\n|---|---|\n")
 		for _, o := range s.Incomplete {
 			fmt.Fprintf(&b, "| %s | %s |\n", o.ID, o.Op)
+		}
+	}
+	if len(s.escalated) > 0 {
+		b.WriteString("\n## Guard escalations\n\n| var | step | why | divisions | coeff err | target |\n|---|---|---|---:|---:|---:|\n")
+		for _, a := range s.escalated {
+			fmt.Fprintf(&b, "| %s | %s | %s | %s | %s | %s |\n", a["var"], a["step"], a["why"], a["divisions"], a["coeff_err"], a["target"])
 		}
 	}
 	if s.ServerRequests > 0 || len(s.Rejected) > 0 {

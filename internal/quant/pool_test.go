@@ -1,7 +1,9 @@
 package quant
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -102,7 +104,8 @@ func TestCandidateEvaluationMatchesScan(t *testing.T) {
 
 // TestChooseDivisionsMatchesReference: same n, same error and the same
 // Quantization as the per-candidate full scan, for both methods and bounds
-// from exactness to anything-goes.
+// from exactness to anything-goes, and at every bound where a candidate's
+// verdict flips.
 func TestChooseDivisionsMatchesReference(t *testing.T) {
 	bounds := []float64{0, 1e-300, 1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1}
 	calls := 0
@@ -111,22 +114,14 @@ func TestChooseDivisionsMatchesReference(t *testing.T) {
 		for name, values := range propertyPools(rand.New(rand.NewSource(seed))) {
 			rng := finiteRange(values)
 			for _, method := range bothMethods {
+				tries := flipBounds(values, method)
 				for _, b := range bounds {
-					for _, bound := range []float64{b, b * rng} {
-						calls++
-						wantN, wantQ, wantErr := refChooseDivisions(values, bound, method, DefaultSpikeDivisions)
-						gotN, gotQ, gotE, gotErr := ChooseDivisionsMeasured(values, bound, method, DefaultSpikeDivisions, scratch)
-						if d := diffQuantization(values, gotQ, wantQ); gotN != wantN || !errors.Is(gotErr, wantErr) || d != "" {
-							t.Fatalf("seed %d %s/%v bound %g: got n=%d err=%v, want n=%d err=%v (quantization: %s)",
-								seed, name, method, bound, gotN, gotErr, wantN, wantErr, d)
-						}
-						if scan := refMaxError(values, wantQ); math.Float64bits(gotE) != math.Float64bits(scan) {
-							t.Fatalf("seed %d %s/%v bound %g: reported error %g, scan %g", seed, name, method, bound, gotE, scan)
-						}
-						n, q, err := ChooseDivisions(values, bound, method, DefaultSpikeDivisions)
-						if n != wantN || !errors.Is(err, wantErr) || diffQuantization(values, q, wantQ) != "" {
-							t.Fatalf("seed %d %s/%v bound %g: ChooseDivisions differs from its measured form", seed, name, method, bound)
-						}
+					tries = append(tries, b, b*rng)
+				}
+				for _, bound := range tries {
+					calls++
+					if d := diffChoose(values, bound, method, scratch); d != "" {
+						t.Fatalf("seed %d %s/%v bound %g: %s", seed, name, method, bound, d)
 					}
 				}
 			}
@@ -139,6 +134,78 @@ func TestChooseDivisionsMatchesReference(t *testing.T) {
 	if _, _, err := ChooseDivisions([]float64{1, 2}, 0.1, Proposed, -1); !errors.Is(err, ErrConfig) {
 		t.Errorf("negative spike divisions: err = %v, want ErrConfig", err)
 	}
+}
+
+// FuzzChooseDivisions holds the walk to the reference on fuzzed pools, at the
+// fuzzed bound and at every bound where a candidate's verdict flips.
+func FuzzChooseDivisions(f *testing.F) {
+	for _, values := range propertyPools(rand.New(rand.NewSource(1))) {
+		data := make([]byte, 0, 8*64)
+		for _, v := range values[:min(len(values), 64)] {
+			data = binary.LittleEndian.AppendUint64(data, math.Float64bits(v))
+		}
+		f.Add(data, 1e-3, true)
+		f.Add(data, 0.0, false)
+	}
+	sc := new(Scratch)
+	f.Fuzz(func(t *testing.T, data []byte, bound float64, proposed bool) {
+		values := make([]float64, min(len(data)/8, 512))
+		for i := range values {
+			values[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		method := Simple
+		if proposed {
+			method = Proposed
+		}
+		bounds := flipBounds(values, method)
+		if bound >= 0 {
+			bounds = append(bounds, bound)
+		}
+		for _, b := range bounds {
+			if d := diffChoose(values, b, method, sc); d != "" {
+				t.Fatalf("%v bound %g over %v: %s", method, b, values, d)
+			}
+		}
+	})
+}
+
+// flipBounds are the bounds at which the walk's verdict on a candidate
+// flips: each candidate's own error and both its float neighbours. They are
+// what separates a verdict from merged figures from the exact one.
+func flipBounds(values []float64, method Method) []float64 {
+	var out []float64
+	for _, n := range []int{1, 2, 4, 8, 16, 32, 64, 128, MaxDivisions} {
+		q, err := refQuantize(values, Config{Method: method, Divisions: n})
+		if err != nil {
+			panic(err)
+		}
+		e := refMaxError(values, q)
+		for _, b := range []float64{math.Nextafter(e, math.Inf(-1)), e, math.Nextafter(e, math.Inf(1))} {
+			if b >= 0 {
+				out = append(out, b)
+			}
+		}
+	}
+	return out
+}
+
+// diffChoose names the first way ChooseDivisionsMeasured, in sc, or
+// ChooseDivisions departs from the reference over values — n, error value,
+// reported error, the Quantization bit for bit — or returns "".
+func diffChoose(values []float64, bound float64, method Method, sc *Scratch) string {
+	wantN, wantQ, wantErr := refChooseDivisions(values, bound, method, DefaultSpikeDivisions)
+	gotN, gotQ, gotE, gotErr := ChooseDivisionsMeasured(values, bound, method, DefaultSpikeDivisions, sc)
+	if d := diffQuantization(values, gotQ, wantQ); gotN != wantN || !errors.Is(gotErr, wantErr) || d != "" {
+		return fmt.Sprintf("got n=%d err=%v, want n=%d err=%v (quantization: %s)", gotN, gotErr, wantN, wantErr, d)
+	}
+	if scan := refMaxError(values, wantQ); math.Float64bits(gotE) != math.Float64bits(scan) {
+		return fmt.Sprintf("reported error %g, scan %g", gotE, scan)
+	}
+	n, q, err := ChooseDivisions(values, bound, method, DefaultSpikeDivisions)
+	if n != wantN || !errors.Is(err, wantErr) || diffQuantization(values, q, wantQ) != "" {
+		return "ChooseDivisions differs from its measured form"
+	}
+	return ""
 }
 
 // finiteRange is the range of the finite values (0 when there are none or
@@ -161,11 +228,12 @@ func TestCandidateEvaluationAllocatesNothing(t *testing.T) {
 	}
 }
 
-// BenchmarkChooseDivisions times the three ways a bounded quantization of
-// a checkpoint-sized high band (the paper's 1156×82×2 array has ~166k
+// BenchmarkChooseDivisions times the ways a bounded quantization of a
+// checkpoint-sized high band (the paper's 1156×82×2 array has ~166k
 // coefficients) can end: the walk reaches the bound at n = 128 (eight
-// candidates), never reaches it (nine, shipped at the cap), or n = 1
-// already meets it (one).
+// candidates), at n = 32 (six; where the guard workload's bounded variables
+// stop), never reaches it (nine, shipped at the cap), or n = 1 already meets
+// it (one).
 func BenchmarkChooseDivisions(b *testing.B) {
 	rng := rand.New(rand.NewSource(2015))
 	values := make([]float64, 165886)
@@ -176,23 +244,23 @@ func BenchmarkChooseDivisions(b *testing.B) {
 		}
 	}
 	scratch := new(Scratch)
-	// The bounds that n = 128 and n = 1 meet exactly: their own errors.
-	_, e128, err := QuantizeMeasured(values, Config{Method: Proposed, Divisions: 128}, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	_, e1, err := QuantizeMeasured(values, Config{Method: Proposed, Divisions: 1}, nil)
-	if err != nil {
-		b.Fatal(err)
+	// The bounds that n = 128, 32 and 1 meet exactly: their own errors.
+	own := func(n int) float64 {
+		_, e, err := QuantizeMeasured(values, Config{Method: Proposed, Divisions: n}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return e
 	}
 	for _, row := range []struct {
 		name  string
 		bound float64
 		wantN int
 	}{
-		{"reached_at_128", e128, 128},
+		{"reached_at_128", own(128), 128},
+		{"reached_at_32", own(32), 32},
 		{"unreachable", 1e-12, MaxDivisions},
-		{"n1_fast_path", e1, 1},
+		{"n1_fast_path", own(1), 1},
 	} {
 		b.Run(row.name, func(b *testing.B) {
 			b.SetBytes(int64(8 * len(values)))

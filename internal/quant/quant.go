@@ -32,12 +32,14 @@
 // split pass reads values and indexes, looks the index up in the spiked
 // table — no second division — and writes, 64 values to a word, the bitmap,
 // the passthrough values and the selected values packed dense; the selected
-// range is then read off the dense pool. Each division number tried after
-// that is one allocation-free pass over the dense pool that writes the
-// codes; ChooseDivisions tries at most nine. When every value is selected
-// the pool is the input and nothing is split; when none is, the passthrough
-// is. Every pass is O(len(values)), preserving the paper's O(n) overall
-// complexity claim (§III).
+// range is then read off the dense pool. A division number is then one
+// allocation-free pass over the dense pool that writes the codes, and
+// ChooseDivisions judges its nine candidates for about two: n = 1 is an
+// in-order sum, the powers of two up to 128 nest and are read off one pass
+// at 128, and only the cap takes a pass of its own. When every value is
+// selected the pool is the input and nothing is split; when none is, the
+// passthrough is. Every pass is O(len(values)), preserving the paper's O(n)
+// overall complexity claim (§III).
 package quant
 
 import (
@@ -383,12 +385,17 @@ type tally struct {
 }
 
 // evaluate partitions the pool into n divisions in one allocation-free
-// pass, the only place a value's code and a partition's mean are computed:
-// sc.codes[i] is the code of vals[i], t.sums[:n] the means (zero where empty).
-// It returns the largest |v − mean|: v − mean is monotone in v, so within a
-// partition it peaks at the minimum or the maximum, and the result equals
-// MaxQuantizationError of the quantization bit for bit.
-func (s *selection) evaluate(n int, logScale bool, t *tally) (maxErr float64) {
+// pass: sc.codes[i] is the code of vals[i], t.sums[:n] the means (zero where
+// empty). It returns the largest |v − mean| as finish does.
+func (s *selection) evaluate(n int, logScale bool, t *tally) float64 {
+	s.partition(n, logScale, t)
+	return t.finish(n)
+}
+
+// partition is the only place a value's code is computed: it writes
+// sc.codes and leaves in t each partition's in-order sum, count, minimum
+// and maximum.
+func (s *selection) partition(n int, logScale bool, t *tally) {
 	part := makePartitioner(s.lo, s.hi, n, logScale)
 	codes := s.sc.codes
 	for i := 0; i < n; i++ {
@@ -406,6 +413,13 @@ func (s *selection) evaluate(n int, logScale bool, t *tally) (maxErr float64) {
 			t.maxs[pi] = v
 		}
 	}
+}
+
+// finish turns the sums of t's n partitions into means and returns the
+// largest |v − mean|: v − mean is monotone in v, so within a partition it
+// peaks at the minimum or the maximum, and with in-order sums the result
+// equals MaxQuantizationError of the quantization bit for bit.
+func (t *tally) finish(n int) (maxErr float64) {
 	for i := 0; i < n; i++ {
 		if t.counts[i] == 0 {
 			continue
@@ -449,24 +463,35 @@ func (s *selection) quantization(n int, t *tally) *Quantization {
 // partitioner maps a value in [lo,hi] to one of n partitions — equal-width
 // in linear space (the paper's scheme) or in symmetric-log (asinh) space.
 type partitioner struct {
-	lo, width float64 // warped lower bound and range (0 when lo == hi)
+	lo, width float64 // warped lower bound and range, scaled by pre (+Inf when lo == hi)
+	pre       float64 // 1, or 2⁻¹⁷ where n·(hi − lo) would overflow
 	n         int
 	fn        float64 // float64(n)
 	log       bool
 	scale     float64
 }
 
+// makePartitioner scales a pool whose n·(hi − lo) overflows by 2⁻¹⁷, so that
+// no quotient is ±Inf or NaN, whose conversion to int Go leaves to the
+// platform. Such a pool holds a value near the float limit, scaled exactly,
+// and what a tiny value loses in scaling is far below that value's rounding:
+// every index is the one the same pool scaled into range gets. Other pools
+// are scaled by 1, their indexes the paper's quotient as they always were.
 func makePartitioner(lo, hi float64, n int, logScale bool) partitioner {
-	p := partitioner{n: n, fn: float64(n), log: logScale}
+	p := partitioner{pre: 1, n: n, fn: float64(n), log: logScale}
 	if logScale {
 		p.scale = math.Max(math.Abs(lo), math.Abs(hi)) / 1e4
 		if p.scale == 0 || math.IsNaN(p.scale) || math.IsInf(p.scale, 0) {
 			p.scale = 1
 		}
 	}
-	p.lo = p.warp(lo)
-	if hi := p.warp(hi); hi != p.lo {
-		p.width = hi - p.lo
+	p.lo, hi = p.warp(lo), p.warp(hi)
+	if !isFinite(p.fn * (hi - p.lo)) {
+		p.pre = 0x1p-17 // MaxSpikeDivisions · 2·MaxFloat64 · 2⁻¹⁷ < MaxFloat64
+		p.lo, hi = p.lo*p.pre, hi*p.pre
+	}
+	if p.width = hi - p.lo; p.width == 0 { // every quotient is 0/Inf = 0
+		p.width = math.Inf(1)
 	}
 	return p
 }
@@ -482,17 +507,10 @@ func (p *partitioner) warp(v float64) float64 {
 // index maps a warped value to its partition. It and warp are each small
 // enough to inline into the per-value passes; together they are not.
 func (p *partitioner) index(w float64) int {
-	if p.width == 0 {
-		return 0
+	if q := p.fn * (w*p.pre - p.lo) / p.width; q < p.fn { // q ≥ 0: w ≥ lo
+		return int(q)
 	}
-	i := int(p.fn * (w - p.lo) / p.width)
-	if i < 0 {
-		i = 0
-	}
-	if i >= p.n {
-		i = p.n - 1 // v == hi lands here
-	}
-	return i
+	return p.n - 1 // v == hi lands here
 }
 
 // PassthroughAll returns the quantization that selects nothing: every one
@@ -541,6 +559,11 @@ func MaxQuantizationError(values []float64, q *Quantization) (float64, error) {
 // all-non-finite and constant pools; a zero bound is met at the cap or not
 // at all, so only 1 and the cap are tried. If even the cap exceeds the
 // bound it is returned with its quantization and ErrBoundUnreachable.
+//
+// The walk is not a pass per candidate: n = 1 is an in-order sum, n = 2…128
+// are judged off one pass at 128 partitions (nested) and a cheaper one over
+// the codes of the n shipped, and the cap, which does not nest, is a pass of
+// its own; n, error and quantization are the walk's, bit for bit.
 func ChooseDivisions(values []float64, bound float64, method Method, spikeDivisions int) (int, *Quantization, error) {
 	n, q, _, err := ChooseDivisionsMeasured(values, bound, method, spikeDivisions, nil)
 	return n, q, err
@@ -558,16 +581,91 @@ func ChooseDivisionsMeasured(values []float64, bound float64, method Method, spi
 	}
 	sel := selectPool(values, cfg.Method, cfg.SpikeDivisions, sc)
 	var t tally
-	for n := 1; ; n *= 2 {
-		if n > 128 || (bound == 0 && n > 1) { // doubling again would overshoot the cap
+	nests := bound > 0 && sel.nests()
+	n, e := 1, math.Inf(1)
+	if !nests || (sel.hi-sel.lo)/4 <= bound { // else n = 1 is over: its error is at least half the range
+		e = sel.single(&t)
+	}
+	if e > bound && nests {
+		n, e = sel.nested(bound, &t)
+	}
+	for e > bound && n < MaxDivisions {
+		if n *= 2; n > 128 || bound == 0 { // doubling again would overshoot the cap
 			n = MaxDivisions
 		}
-		e := sel.evaluate(n, false, &t)
-		if e > bound && n == MaxDivisions {
-			err = ErrBoundUnreachable
+		e = sel.evaluate(n, false, &t)
+	}
+	if e > bound {
+		err = ErrBoundUnreachable
+	}
+	return n, sel.quantization(n, &t), e, err
+}
+
+// single is evaluate at one division, which partitions nothing: every code
+// is 0 and the partition is the pool, its extremes the pool's range.
+func (s *selection) single(t *tally) float64 {
+	sum := 0.0
+	for _, v := range s.vals {
+		sum += v
+	}
+	clear(s.sc.codes)
+	t.sums[0], t.counts[0], t.mins[0], t.maxs[0] = sum, len(s.vals), s.lo, s.hi
+	return t.finish(1)
+}
+
+// nests reports whether nested applies: 128·(hi − lo) is finite, so n·(v − lo)
+// is an exact scaling of v − lo and the correctly rounded quotient scales with
+// it (one too small to scale exactly indexes 0 at every n), and no sum of the
+// pool overflows in any order.
+func (s *selection) nests() bool {
+	return isFinite(128*(s.hi-s.lo)) && isFinite(2*float64(len(s.vals))*math.Max(-s.lo, s.hi))
+}
+
+// nested walks n = 2, 4, …, 128 off one pass at 128 partitions. A value's
+// partition at n = 128>>shift is its partition at 128 shifted right by shift,
+// so merging runs of the 128 gives a candidate's exact counts and extremes.
+// The merged sums add the walk's values in another order, which for c values
+// within ±m moves the error by under (2c + 8)·2⁻⁵³·m: a candidate whose merged
+// error exceeds the bound by twice that is over it, and any other is decided
+// on in-order sums over the shifted codes. It returns the first n within the
+// bound, or 128 and its error, leaving the codes and t evaluate(n) would.
+func (s *selection) nested(bound float64, t *tally) (n int, e float64) {
+	m, c := math.Max(-s.lo, s.hi), float64(len(s.vals)) // m = max(|lo|, |hi|)
+	margin := (4*c+16)*0x1p-53*m + 0x1p-1070
+	var fine tally
+	s.partition(128, false, &fine)
+	codes := s.sc.codes
+	for shift := 6; ; shift-- {
+		n = 128 >> shift
+		fine.merge(shift, t)
+		if e = t.finish(n); shift == 0 { // 128 itself: its sums are in order
+			return n, e
 		}
-		if e <= bound || n == MaxDivisions {
-			return n, sel.quantization(n, &t), e, err
+		if e-margin > bound {
+			continue
+		}
+		clear(t.sums[:n])
+		for i, v := range s.vals {
+			t.sums[codes[i]>>shift] += v
+		}
+		if e = t.finish(n); e <= bound {
+			for i, code := range codes {
+				codes[i] = code >> shift
+			}
+			return n, e
+		}
+	}
+}
+
+// merge leaves in m the partitions of t taken 1<<shift at a time, in order.
+func (t *tally) merge(shift int, m *tally) {
+	for j := range 128 >> shift {
+		m.sums[j], m.counts[j], m.mins[j], m.maxs[j] = 0, 0, math.Inf(1), math.Inf(-1)
+		for i := j << shift; i < (j+1)<<shift; i++ {
+			m.sums[j] += t.sums[i]
+			m.counts[j] += t.counts[i]
+			m.mins[j] = min(m.mins[j], t.mins[i])
+			m.maxs[j] = max(m.maxs[j], t.maxs[i])
 		}
 	}
 }

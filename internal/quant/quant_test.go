@@ -287,6 +287,35 @@ func TestMaxQuantizationError(t *testing.T) {
 	}
 }
 
+// TestIndexOverflowMatchesScaledPool: where n·(v − lo) or hi − lo
+// overflows, a value's partition is the one the same pool scaled into range
+// gets, not what the platform makes of ±Inf or NaN as an int (on amd64 the
+// first pool's codes were all 0 at every n).
+func TestIndexOverflowMatchesScaledPool(t *testing.T) {
+	for _, pool := range [][]float64{
+		{0, 1.5e308, 1.4e308, 1e308, 7e307},       // n·(v − lo) overflows
+		{-1e308, 1.5e308, 2e307, -7e307, 1.4e308}, // so does hi − lo
+	} {
+		scaled := make([]float64, len(pool))
+		for i, v := range pool {
+			scaled[i] = v * 0x1p-10
+		}
+		for _, n := range []int{2, 128, 255} {
+			got := mustQuantize(t, pool, Config{Method: Simple, Divisions: n}).Codes
+			want := mustQuantize(t, scaled, Config{Method: Simple, Divisions: n}).Codes
+			if string(got) != string(want) {
+				t.Errorf("%g at n=%d: codes %v, the pool scaled by 2⁻¹⁰ gets %v", pool, n, got, want)
+			}
+		}
+	}
+	want := map[int][]uint8{2: {0, 1, 1, 1, 0}, 128: {0, 127, 119, 85, 59}, 255: {0, 254, 238, 170, 119}}
+	for n, codes := range want {
+		if got := mustQuantize(t, []float64{0, 1.5e308, 1.4e308, 1e308, 7e307}, Config{Method: Simple, Divisions: n}).Codes; string(got) != string(codes) {
+			t.Errorf("n=%d: codes %v, want %v", n, got, codes)
+		}
+	}
+}
+
 func TestChooseDivisionsMeetsBound(t *testing.T) {
 	vals := spikyData(5000, 7)
 	// Simple quantization's best-case max error is ~range/255, so only

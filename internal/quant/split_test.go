@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -166,18 +167,46 @@ func TestQuantizeMatchesOracle(t *testing.T) {
 
 // TestQuantizeDependsOnInputAlone: a quantization made in a recycled Scratch
 // is the one made in fresh memory, whatever the Scratch held before — A, B, A
-// in a row, and on four goroutines drawing from the pool at once.
+// in a row, and on four goroutines drawing from the pool at once. The division
+// walk runs here too: its pass at 128 partitions leaves 128-way codes behind
+// in the Scratch whatever n it ships.
 func TestQuantizeDependsOnInputAlone(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	a, b := big24Slab(t), propertyPools(rng)["non-finite holes"]
-	cfgs := []Config{{Method: Proposed, Divisions: 128}, {Method: Simple, Divisions: 7}, {Method: Proposed, Divisions: 255, SpikeDivisions: 2}}
+	type call func(values []float64, sc *Scratch) (*Quantization, float64, error)
+	var calls []call
+	for _, cfg := range []Config{{Method: Proposed, Divisions: 128}, {Method: Simple, Divisions: 7}, {Method: Proposed, Divisions: 255, SpikeDivisions: 2}} {
+		calls = append(calls, func(values []float64, sc *Scratch) (*Quantization, float64, error) {
+			return QuantizeMeasured(values, cfg, sc)
+		})
+	}
+	// Bounds at which the proposed walk over a ends at 32, at 128 and at the
+	// cap: the first two are those candidates' own errors.
+	own := func(n int) float64 {
+		q, err := refQuantize(a, Config{Method: Proposed, Divisions: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return refMaxError(a, q)
+	}
+	for _, bound := range []float64{own(32), own(128), 1e-12} {
+		for _, method := range bothMethods {
+			calls = append(calls, func(values []float64, sc *Scratch) (*Quantization, float64, error) {
+				_, q, e, err := ChooseDivisionsMeasured(values, bound, method, DefaultSpikeDivisions, sc)
+				if errors.Is(err, ErrBoundUnreachable) {
+					err = nil
+				}
+				return q, e, err
+			})
+		}
+	}
 	type shown struct { // a deep copy of everything a call returned
 		q     Quantization
 		words []uint64
 		err   float64
 	}
-	snapshot := func(values []float64, cfg Config, sc *Scratch) shown {
-		q, e, err := QuantizeMeasured(values, cfg, sc)
+	snapshot := func(values []float64, c call, sc *Scratch) shown {
+		q, e, err := c(values, sc)
 		if err != nil {
 			t.Error(err)
 			return shown{}
@@ -193,29 +222,29 @@ func TestQuantizeDependsOnInputAlone(t *testing.T) {
 			x.q.Bitmap.Len() == y.q.Bitmap.Len() && x.q.NumQuantized == y.q.NumQuantized &&
 			x.q.SpikePartitions == y.q.SpikePartitions && math.Float64bits(x.err) == math.Float64bits(y.err)
 	}
-	for _, cfg := range cfgs {
-		wantA, wantB := snapshot(a, cfg, nil), snapshot(b, cfg, nil)
+	for ci, c := range calls {
+		wantA, wantB := snapshot(a, c, nil), snapshot(b, c, nil)
 		sc := new(Scratch)
 		for i, in := range [][]float64{a, b, a, b[:100], a} {
 			want := map[int]shown{0: wantA, 1: wantB, 2: wantA, 4: wantA}
-			got := snapshot(in, cfg, sc)
+			got := snapshot(in, c, sc)
 			if w, ok := want[i]; ok && !same(got, w) {
-				t.Fatalf("%+v: call %d in a reused Scratch differs from fresh memory", cfg, i)
+				t.Fatalf("call %d: input %d in a reused Scratch differs from fresh memory", ci, i)
 			}
 		}
 		// A result made without a Scratch owns its memory: later calls,
 		// which work in what it left behind, do not reach it.
-		kept, err := Quantize(a, cfg)
+		kept, _, err := c(a, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, in := range [][]float64{b, a, b[:100]} {
-			if _, err := Quantize(in, cfg); err != nil {
+			if _, _, err := c(in, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if got := (shown{*kept, kept.Bitmap.Words(), wantA.err}); !same(got, wantA) {
-			t.Fatalf("%+v: a kept Quantization changed under later calls", cfg)
+			t.Fatalf("call %d: a kept Quantization changed under later calls", ci)
 		}
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
@@ -228,8 +257,8 @@ func TestQuantizeDependsOnInputAlone(t *testing.T) {
 						in, want = b, wantB
 					}
 					sc := GetScratch()
-					if got := snapshot(in, cfg, sc); !same(got, want) {
-						t.Errorf("%+v: goroutine %d call %d in a pooled Scratch differs from fresh memory", cfg, g, i)
+					if got := snapshot(in, c, sc); !same(got, want) {
+						t.Errorf("call %d: goroutine %d call %d in a pooled Scratch differs from fresh memory", ci, g, i)
 					}
 					sc.Put()
 				}
