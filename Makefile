@@ -42,14 +42,16 @@ test:
 
 # The later lines repeat the tests in which goroutines share one buffer —
 # the shards of a wavelet pass, and a dedup read hashing one chunk while it
-# reads the next into the same generation, a dedup commit hashing one batch of
-# chunk views while it cuts the next — or recycle one state, as DEFLATE
-# streams encoded side by side do: the race detector only sees interleavings
-# that happen. The quant line quantizes in Scratches recycled through one
-# pool by four goroutines; the core line runs the chunked engine's pool beside
-# its consumer, with a slab cache, a failing slab, a failing writer and a
-# writer that rewrites the slabs not yet started, and decodes side by side
-# through the pooled buffers their archives' codes are views of. The last line is the
+# reads the next into the same generation, a dedup commit hashing and landing
+# batches of chunk views while it cuts the next (cancelled mid-landing and as
+# an inline repair too) — or recycle one state, as DEFLATE streams encoded side
+# by side do: the race detector only sees interleavings that happen. The quant
+# line quantizes in Scratches recycled through one pool by four goroutines; the
+# core line runs the chunked engine's pool beside its consumer, with a slab
+# cache (two, fingerprinting one array under their own seeds), a failing slab,
+# a failing writer and a writer that rewrites the slabs not yet started, and
+# decodes side by side through the pooled buffers their archives' codes are
+# views of. The last line is the
 # replicated fan-out, one coordinator for both commit shapes: per-replica
 # chains, the producer's pipes, stragglers that outlive the quorum's answer, a
 # replica that dies mid-stream, and an inline repair beside them. The sink
@@ -61,7 +63,7 @@ race:
 	$(GO) test -race -count=10 -run 'DedupRead|DedupCommitHashesBeside' ./internal/store
 	$(GO) test -race -count=10 -run 'DeflateDependsOnInputAlone|ByteStableAcrossWorkers' ./internal/gzipio
 	$(GO) test -race -count=10 -run 'QuantizeDependsOnInputAlone' ./internal/quant
-	$(GO) test -race -count=10 -run 'Engine|ChunkedParallelByteIdentical|CompressChunkedDeltaByteIdentical|DecodeKeepsNoView' ./internal/core
+	$(GO) test -race -count=10 -run 'Engine|ChunkedParallelByteIdentical|CompressChunkedDeltaByteIdentical|DecodeKeepsNoView|SlabCacheFingerprint' ./internal/core
 	$(GO) test -race -count=10 -run 'InlineRepair|ReplicatedStreamCommit|ReplicatedSlowReplica|ReplicatedCommitSurvivesOneDeadReplica' ./internal/store
 	$(GO) test -race -count=10 -run 'SinkMatrix' ./internal/ckpt
 

@@ -15,10 +15,15 @@
 // deterministic), so restore, verification and the store layer are
 // untouched. Restore invalidates all caches: the live state jumped to a
 // checkpoint, and the next delta must re-baseline against it.
+//
+// Both caches tell a changed array from an unchanged one by a 128-bit
+// in-process fingerprint (grid.FingerprintKey), two maphash sums under seeds
+// drawn whenever a cache is built — on a reset too — so a change is missed
+// only if two independently seeded keyed hashes both collide (≈ 2⁻¹²⁸). The
+// fingerprint is never stored; stored bytes are named by SHA-256 (internal/cas).
 package ckpt
 
 import (
-	"crypto/sha256"
 	"io"
 
 	"lossyckpt/internal/core"
@@ -30,7 +35,8 @@ import (
 // cached encoding for everything else.
 type varDelta struct {
 	slabs core.SlabCache
-	sum   [sha256.Size]byte
+	key   grid.FingerprintKey
+	sum   [2]uint64
 	enc   *Encoded
 	have  bool
 }
@@ -68,7 +74,7 @@ func (m *Manager) primeDelta() {
 	}
 	for _, name := range m.names {
 		if m.delta[name] == nil {
-			m.delta[name] = &varDelta{}
+			m.delta[name] = &varDelta{key: grid.NewFingerprintKey()}
 		}
 	}
 }
@@ -86,11 +92,11 @@ func (m *Manager) primeDelta() {
 func (m *Manager) encodeEntry(w io.Writer, name string, f *grid.Field) (*Encoded, error) {
 	e := Entry{Name: name, Field: f, W: w}
 	vd := m.delta[name]
-	var sum [sha256.Size]byte
+	var sum [2]uint64
 	if vd != nil {
 		e.W, e.Slabs = nil, &vd.slabs
 		if vd.have {
-			if sum = sha256.Sum256(grid.FloatBytes(f.Data())); sum == vd.sum { // the array hashed where it lies
+			if sum = vd.key.Sum(f.Data()); sum == vd.sum {
 				// Unchanged variable: re-emit the cached encoding. The copy
 				// keeps callers from sharing Timings mutations with the cache.
 				enc := *vd.enc
@@ -110,7 +116,7 @@ func (m *Manager) encodeEntry(w io.Writer, name string, f *grid.Field) (*Encoded
 		return enc, err
 	}
 	if !vd.have {
-		sum = sha256.Sum256(grid.FloatBytes(f.Data()))
+		sum = vd.key.Sum(f.Data())
 	}
 	cached := *enc
 	cached.Timings = core.Timings{}

@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"testing"
 
@@ -275,4 +276,71 @@ func TestDeltaLosslessRoundTripAllCodecs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDeltaWholeArrayFingerprint: under a whole-array codec, a change the
+// fingerprint must see however small — one ULP at the last element, +0 to −0,
+// one NaN payload for another — re-encodes the variable instead of reusing it,
+// and the checkpoint is a delta-off manager's. A restore re-baselines with new
+// seeds, and the caches reuse again from the save after it.
+func TestDeltaWholeArrayFingerprint(t *testing.T) {
+	m, a, b := deltaManager(t, NewGzip())
+	plain, pa, pb := deltaManager(t, NewGzip())
+	m.SetDelta(true)
+	last := a.Len() - 1
+	for _, f := range []*grid.Field{a, pa} {
+		f.Data()[10], f.Data()[20] = 0, math.Float64frombits(0x7ff8_0000_0000_0001)
+	}
+	copy(pb.Data(), b.Data())
+	save := func(what string, wantReused bool) []byte {
+		t.Helper()
+		var got, want bytes.Buffer
+		rep, err := m.Checkpoint(&got, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if _, err := plain.Checkpoint(&want, 1); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: delta checkpoint differs from delta-off", what)
+		}
+		if e := rep.Entries[0]; e.Name != "temp" || e.Reused != wantReused || !rep.Entries[1].Reused {
+			t.Fatalf("%s: temp reused %v (want %v), vel reused %v", what, e.Reused, wantReused, rep.Entries[1].Reused)
+		}
+		return got.Bytes()
+	}
+	if _, err := m.Checkpoint(io.Discard, 1); err != nil { // cold: both variables encode
+		t.Fatal(err)
+	}
+	save("clean", true)
+	for _, change := range []struct {
+		what string
+		at   int
+		to   float64
+	}{
+		{"one ULP at the last element", last, math.Nextafter(a.Data()[last], math.Inf(1))},
+		{"+0 to -0", 10, math.Copysign(0, -1)},
+		{"another NaN payload", 20, math.Float64frombits(0x7ff8_0000_0000_0002)},
+	} {
+		if math.Float64bits(a.Data()[change.at]) == math.Float64bits(change.to) {
+			t.Fatalf("%s: the bits do not change", change.what)
+		}
+		a.Data()[change.at], pa.Data()[change.at] = change.to, change.to
+		save(change.what, false)
+		save(change.what+", again", true)
+	}
+
+	key := m.delta["temp"].key
+	stream := save("before the restore", true)
+	if _, err := m.Restore(bytes.NewReader(stream)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Checkpoint(io.Discard, 1); err != nil {
+		t.Fatal(err)
+	}
+	if m.delta["temp"].key == key {
+		t.Fatal("the restore kept the whole-array cache's seeds")
+	}
+	save("after the restore", true)
 }

@@ -157,3 +157,65 @@ func TestCompressChunkedDeltaNilCache(t *testing.T) {
 		t.Fatalf("timings not recorded: %v", time.Duration(res.Timings.Total))
 	}
 }
+
+// TestSlabCacheFingerprint: a change the fingerprint must see however small —
+// one ULP at a slab's last element, +0 to −0, one NaN payload for another —
+// recompresses exactly that slab, and the stream is the oracle's. Two caches
+// over the same array draw their own seeds and each reuses what it holds, save
+// after save; a rebuilt cache draws new ones.
+func TestSlabCacheFingerprint(t *testing.T) {
+	const planes, extent = 18, 4
+	opts := DefaultOptions()
+	opts.Workers = 2
+	f := deltaTestField(t, planes, 12, 10)
+	d := f.Data()
+	planeElems := f.Len() / planes
+	nChunks := (planes + extent - 1) / extent
+	slabEnd := func(c int) int { return min((c+1)*extent, planes)*planeElems - 1 }
+	d[slabEnd(2)-5] = 0
+	d[slabEnd(3)-5] = math.Float64frombits(0x7ff8_0000_0000_0001)
+
+	var a, b SlabCache
+	save := func(c *SlabCache, what string, wantReused int) {
+		t.Helper()
+		res, err := CompressChunkedDelta(f, opts, extent, c)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if res.SlabsReused != wantReused {
+			t.Fatalf("%s: reused %d of %d slabs, want %d", what, res.SlabsReused, nChunks, wantReused)
+		}
+		if !bytes.Equal(res.Data, refCompressChunked(t, f, opts, extent)) {
+			t.Fatalf("%s: stream differs from the oracle", what)
+		}
+	}
+	save(&a, "cold a", 0)
+	save(&b, "cold b", 0)
+	if a.key == b.key {
+		t.Fatal("two caches drew the same seeds")
+	}
+	for _, change := range []struct {
+		what string
+		at   int
+		to   float64
+	}{
+		{"one ULP at slab 1's last element", slabEnd(1), math.Nextafter(d[slabEnd(1)], math.Inf(1))},
+		{"+0 to -0 in slab 2", slabEnd(2) - 5, math.Copysign(0, -1)},
+		{"another NaN payload in slab 3", slabEnd(3) - 5, math.Float64frombits(0x7ff8_0000_0000_0002)},
+	} {
+		if math.Float64bits(d[change.at]) == math.Float64bits(change.to) {
+			t.Fatalf("%s: the bits do not change", change.what)
+		}
+		d[change.at] = change.to
+		save(&a, change.what+", cache a", nChunks-1)
+		save(&b, change.what+", cache b", nChunks-1)
+		save(&a, change.what+", cache a again", nChunks)
+		save(&b, change.what+", cache b again", nChunks)
+	}
+	key := a.key
+	a.Reset()
+	save(&a, "after Reset", 0)
+	if a.key == key {
+		t.Fatal("a rebuilt cache kept its seeds")
+	}
+}

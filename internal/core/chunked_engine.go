@@ -21,7 +21,6 @@
 package core
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -99,22 +98,26 @@ func (r *ChunkedResult) addChunk(cres *Result) {
 
 // slabEntry is one slab's cached fingerprint and compressed frame.
 type slabEntry struct {
-	sum [sha256.Size]byte
+	sum [2]uint64
 	// res is the cached per-slab Result with zeroed timings: reusing it
 	// contributes bytes and quality stats to the aggregate but no CPU.
 	res *Result
 }
 
-// SlabCache carries per-slab fingerprints (SHA-256 of the slab's raw bytes)
-// and compressed payloads between successive CompressChunkedDelta calls
-// over the same variable. A cache is valid for one (shape, chunkExtent,
-// options) combination; any change invalidates it wholesale and the next
-// call recompresses everything. The zero value is ready to use. A
-// SlabCache is not safe for concurrent use: one compression at a time.
+// SlabCache carries per-slab fingerprints and compressed payloads between
+// successive CompressChunkedDelta calls over the same variable. A fingerprint
+// is the 128-bit grid.FingerprintKey.Sum of the slab's raw bytes under seeds
+// the cache draws whenever it is built, so a changed slab is reused only if
+// two independently seeded keyed hashes both collide (≈ 2⁻¹²⁸). A cache is
+// valid for one (shape, chunkExtent, options) combination; any change
+// invalidates it wholesale and the next call recompresses everything. The
+// zero value is ready to use. A SlabCache is not safe for concurrent use: one
+// compression at a time.
 type SlabCache struct {
 	shape       []int
 	chunkExtent int
 	opts        Options
+	key         grid.FingerprintKey
 	slabs       []slabEntry
 }
 
@@ -132,16 +135,16 @@ func (c *SlabCache) prepare(shape []int, chunkExtent int, opts Options, nChunks 
 		return
 	}
 	c.shape, c.chunkExtent, c.opts = slices.Clone(shape), chunkExtent, opts
-	c.slabs = make([]slabEntry, nChunks)
+	c.key, c.slabs = grid.NewFingerprintKey(), make([]slabEntry, nChunks)
 }
 
 // chunkSlot is one finished chunk on its way from a worker to the consumer.
 type chunkSlot struct {
 	res    *Result
 	err    error
-	ext    int               // planes in the slab
-	sum    [sha256.Size]byte // the slab's fingerprint, when a cache wants it
-	reused bool              // res came out of the cache
+	ext    int       // planes in the slab
+	sum    [2]uint64 // the slab's fingerprint, when a cache wants it
+	reused bool      // res came out of the cache
 }
 
 // compressChunks splits the field into slabs of chunkExtent planes along
@@ -228,7 +231,7 @@ func compressChunks(f *grid.Field, opts Options, chunkExtent int, cache *SlabCac
 				s := chunkSlot{ext: min(chunkExtent, shape[0]-start)}
 				slab, err := slabAt(f, shape, planeElems, start, s.ext)
 				if err == nil && cache != nil {
-					s.sum = sha256.Sum256(grid.FloatBytes(slab.Data())) // the slab hashed where it lies
+					s.sum = cache.key.Sum(slab.Data())
 					if ent := cache.slabs[c]; ent.res != nil && ent.sum == s.sum {
 						// A cached frame is no new memory: its token goes back
 						// now, and a run of clean slabs does not wait for the

@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"math"
 	"slices"
@@ -308,6 +309,27 @@ func PutFloatBytes(dst []float64, b []byte) {
 	for i := range dst {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
+}
+
+// FingerprintKey is the pair of seeds a delta cache compares arrays under: its
+// Sum is two hash/maphash sums of the array's byte image (FloatBytes), read
+// where it lies. A changed array is taken for the one cached only if both
+// sums collide, and the two seeds are drawn independently of each other and
+// of the data (NewFingerprintKey, whenever a cache is built), so that is
+// about 2⁻⁶⁴ per seed and 2⁻¹²⁸ per comparison. A fingerprint never leaves
+// the process and is never stored, so it needs no collision resistance
+// against an adversary; what names bytes on disk is SHA-256 (internal/cas).
+type FingerprintKey [2]maphash.Seed
+
+// NewFingerprintKey draws two fresh seeds.
+func NewFingerprintKey() FingerprintKey {
+	return FingerprintKey{maphash.MakeSeed(), maphash.MakeSeed()}
+}
+
+// Sum is fs's 128-bit fingerprint under k.
+func (k FingerprintKey) Sum(fs []float64) [2]uint64 {
+	b := FloatBytes(fs)
+	return [2]uint64{maphash.Bytes(k[0], b), maphash.Bytes(k[1], b)}
 }
 
 // Scratch is a pooled float64 buffer for the field-sized temporaries of the

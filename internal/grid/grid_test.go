@@ -2,11 +2,11 @@ package grid
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -269,32 +269,21 @@ func TestQuickSerializeRoundTrip(t *testing.T) {
 	}
 }
 
-// stagedFingerprint is the fingerprint the delta caches took before they
-// hashed FloatBytes: the array copied element by element through a 4 KiB
-// block into a streaming SHA-256.
-func stagedFingerprint(data []float64) [sha256.Size]byte {
-	h := sha256.New()
-	var buf [4096]byte
-	for len(data) > 0 {
-		n := len(buf) / 8
-		if n > len(data) {
-			n = len(data)
-		}
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(data[i]))
-		}
-		h.Write(buf[:8*n])
-		data = data[n:]
+// stagedImage is the byte image the delta caches fingerprinted before they
+// read FloatBytes: the array copied element by element, little-endian.
+func stagedImage(data []float64) []byte {
+	out := make([]byte, 0, 8*len(data))
+	for _, v := range data {
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
 	}
-	var out [sha256.Size]byte
-	h.Sum(out[:0])
 	return out
 }
 
-// TestFloatBytesFingerprintUnchanged: SHA-256 of the byte view is the digest
-// the staged copy gave, at lengths around the old 512-element block and for a
-// slab — a slab cache filled by either recognizes the other's arrays.
-func TestFloatBytesFingerprintUnchanged(t *testing.T) {
+// TestFloatBytesMatchesStagedImage: the byte view is the staged image, byte
+// for byte, at lengths around the old 512-element block and for a slab, with
+// a NaN and an infinity in it — what the fingerprints and the lossless codecs
+// read of an array is what the stream format defines it by.
+func TestFloatBytesMatchesStagedImage(t *testing.T) {
 	for _, n := range []int{0, 1, 511, 512, 513, 1156 * 82 * 2} {
 		data := make([]float64, n)
 		for i := range data {
@@ -303,12 +292,34 @@ func TestFloatBytesFingerprintUnchanged(t *testing.T) {
 		if n > 2 {
 			data[1], data[2] = math.NaN(), math.Inf(-1)
 		}
-		if got, want := sha256.Sum256(FloatBytes(data)), stagedFingerprint(data); got != want {
-			t.Errorf("n=%d: digest of the view %x, staged %x", n, got[:4], want[:4])
+		if got := FloatBytes(data); len(got) != 8*n || !bytes.Equal(got, stagedImage(data)) {
+			t.Errorf("n=%d: view of %d bytes differs from the staged image", n, len(got))
 		}
-		if len(FloatBytes(data)) != 8*n {
-			t.Errorf("n=%d: view has %d bytes", n, len(FloatBytes(data)))
+	}
+}
+
+// TestFingerprintKey: a key's sum is a function of the bytes — equal arrays,
+// equal sums; one bit anywhere, another sum, under each of the two seeds — and
+// two keys are drawn independently.
+func TestFingerprintKey(t *testing.T) {
+	k := NewFingerprintKey()
+	data := make([]float64, 1000)
+	for i := range data {
+		data[i] = math.Cos(float64(i) / 7)
+	}
+	sum := k.Sum(data)
+	if k.Sum(slices.Clone(data)) != sum {
+		t.Fatal("equal arrays, different fingerprints")
+	}
+	for _, i := range []int{0, 499, 999} {
+		mut := slices.Clone(data)
+		mut[i] = math.Float64frombits(math.Float64bits(mut[i]) ^ 1)
+		if got := k.Sum(mut); got[0] == sum[0] || got[1] == sum[1] {
+			t.Errorf("one ULP at %d: fingerprint %x, unchanged %x", i, got, sum)
 		}
+	}
+	if other := NewFingerprintKey().Sum(data); other[0] == sum[0] || other[1] == sum[1] || sum[0] == sum[1] {
+		t.Errorf("seeds not independent: %x and %x", sum, other)
 	}
 }
 

@@ -19,14 +19,15 @@
 // unindexed recipe — garbage, never corruption — collected by the next
 // Open (orphan-chunk sweep) or GC pass.
 //
-// A commit cuts the stream where it lies and hashes beside the cutter
-// (dedupWriter): the chunker emits views of the bytes being written, they
-// are SHA-256'd on a second goroutine in batches of hashBatchBytes while
-// the committing goroutine cuts on, and every view is settled — hashed,
-// looked up, written if new — before the Write that lent it returns. What
-// stays on the committing goroutine, in stream order: the ledger lookup,
-// WriteChunk, the recipe, the manifest — every backend operation, so a
-// fault plan counts the operations it always counted.
+// A commit cuts, hashes and writes as a pipeline (dedupWriter): the chunker
+// emits views of the bytes being written, the committing goroutine collects
+// them in batches of hashBatchBytes and cuts on, and each batch's goroutine
+// SHA-256s it, waits for the batch before it, then lands it — the ledger
+// lookup and WriteChunk, with its fsyncs. Batches land strictly in stream
+// order, one at a time, and every view has landed before the Write that lent
+// it returns; the recipe and the manifest follow on the committing goroutine.
+// So every backend operation keeps its order, and a fault plan counts the
+// operations it always counted.
 //
 // Reference counts live in an in-memory ledger (cas.Index) rebuilt at
 // Open from the recipes of indexed and quarantined generations, kept
@@ -41,7 +42,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"lossyckpt/internal/cas"
@@ -150,26 +150,29 @@ func (s *Store) loadDedupLocked() {
 }
 
 // hashBatchBytes is how many chunk bytes the cutter collects before it hands
-// them to a hashing goroutine. The size is what makes the hand-off pay: at
-// one chunk per hand-off (16 KiB) waking the hasher costs what hashing
-// beside the cutter saves.
+// them to a goroutine of their own. The size is what makes the hand-off pay: at
+// one chunk per hand-off (16 KiB) waking a goroutine costs what hashing beside
+// the cutter saves.
 const hashBatchBytes = 256 << 10
 
-// chunkBatch is a run of consecutive chunks — views the chunker emitted —
-// whose addresses are computed together, off the committing goroutine.
-type chunkBatch struct {
-	chunks [][]byte
-	sums   []cas.Hash
-	bytes  int
-	hashed sync.WaitGroup
-}
+// batchesInFlight bounds the batches handed off and not yet landed, and with
+// them the goroutines one Write starts: 16 MiB of stream, more than a 9.4 MB
+// sparse16_delta_dedup save, so the cutter waits for a slow landing only in a
+// larger stream.
+const batchesInFlight = 64
 
 // dedupWriter is the front of a dedup generation's materialisation
-// (materializeLocked, its only maker): it cuts the stream into chunks, has
-// them hashed a batch at a time on a second goroutine while it cuts on, and
-// writes the chunks the ledger does not hold. The chunks are views of the
-// slice being written and of the chunker's carried buffer, both reused once
-// Write returns, so every Write ends by settling what it emitted.
+// (materializeLocked, its only maker): it cuts the stream into chunks and
+// hands them over a batch at a time to a goroutine that hashes them, waits for
+// the batch before it to land, and lands them — a reference each, and a
+// durable chunk file for those the ledger does not hold. The batches land one
+// after another in stream order, so every backend operation keeps its order,
+// while the cutter cuts on. The chunks are views of the slice being written
+// and of the chunker's carried buffer, both reused once Write returns, so
+// every Write ends by waiting until what it emitted has landed.
+//
+// Everything below err is the landing goroutines' and is read by the
+// committing goroutine only once the last batch has landed (settle).
 type dedupWriter struct {
 	s       *Store
 	chunker *cas.Chunker
@@ -178,10 +181,13 @@ type dedupWriter struct {
 	// precisely because some chunk it counts is missing or corrupt on disk,
 	// and a quarantined recipe keeps that hash referenced — so a ledger hit is
 	// checked against the durable copy, and what does not check out rewritten.
-	repair      bool
-	cur, flying *chunkBatch // being collected; being hashed
-	err         error       // the first failure; nothing is written after it
+	repair   bool
+	cur      [][]byte      // the chunks of the batch being collected
+	curBytes int           // and their size
+	landed   chan struct{} // closed once the batch launched last has landed; nil before the first
+	inFlight chan struct{} // a token per batch handed off and not yet landed
 
+	err       error // the first failure; nothing lands after it
 	refs      []cas.Ref
 	newChunks []cas.Hash
 	staged    map[cas.Hash]bool
@@ -191,46 +197,43 @@ type dedupWriter struct {
 
 func (w *dedupWriter) emit(chunk []byte) error {
 	if w.cur == nil {
-		w.cur = &chunkBatch{chunks: make([][]byte, 0, 32)} // a batch of 16 KiB chunks, with room
+		w.cur = make([][]byte, 0, 32) // a batch of 16 KiB chunks, with room
 	}
-	w.cur.chunks = append(w.cur.chunks, chunk)
-	if w.cur.bytes += len(chunk); w.cur.bytes >= hashBatchBytes {
+	w.cur = append(w.cur, chunk)
+	if w.curBytes += len(chunk); w.curBytes >= hashBatchBytes {
 		w.launch()
 	}
-	return w.err
+	return nil
 }
 
-// launch starts hashing the collected batch and, beside that, lands the
-// batch launched before it.
+// launch hands the collected batch to a goroutine that hashes it and lands it
+// after the batch launched before it.
 func (w *dedupWriter) launch() {
-	b := w.cur
-	w.cur = nil
-	b.sums = make([]cas.Hash, len(b.chunks))
-	b.hashed.Add(1)
+	chunks, prev, landed := w.cur, w.landed, make(chan struct{})
+	w.cur, w.curBytes, w.landed = nil, 0, landed
+	w.inFlight <- struct{}{}
 	go func() {
-		defer b.hashed.Done()
-		for i, chunk := range b.chunks {
-			b.sums[i] = cas.Sum(chunk)
+		defer func() { <-w.inFlight; close(landed) }()
+		sums := make([]cas.Hash, len(chunks))
+		for i, chunk := range chunks {
+			sums[i] = cas.Sum(chunk)
 		}
+		if prev != nil {
+			<-prev
+		}
+		w.land(chunks, sums)
 	}()
-	prev := w.flying
-	w.flying = b
-	w.land(prev)
 }
 
-// land waits for b's hashes and takes its chunks in stream order: a
-// reference each, and a durable chunk file for those neither the ledger nor
-// this commit holds yet. After a failure it only waits.
-func (w *dedupWriter) land(b *chunkBatch) {
-	if b == nil {
-		return
-	}
-	b.hashed.Wait()
-	for i, chunk := range b.chunks {
+// land takes a batch's chunks in stream order: a reference each, and a durable
+// chunk file for those neither the ledger nor this commit holds yet. After a
+// failure it does nothing.
+func (w *dedupWriter) land(chunks [][]byte, sums []cas.Hash) {
+	for i, chunk := range chunks {
 		if w.err != nil {
 			return
 		}
-		h := b.sums[i]
+		h := sums[i]
 		w.refs = append(w.refs, cas.Ref{Hash: h, Len: uint32(len(chunk))})
 		if w.held(h) {
 			w.reused++
@@ -260,19 +263,21 @@ func (w *dedupWriter) held(h cas.Hash) bool {
 	return true
 }
 
-// settle lands everything emitted so far.
+// settle launches what is still collected and waits until everything emitted
+// so far has landed.
 func (w *dedupWriter) settle() error {
-	if w.cur != nil {
+	if len(w.cur) > 0 {
 		w.launch()
 	}
-	w.land(w.flying)
-	w.flying = nil
+	if w.landed != nil {
+		<-w.landed
+	}
 	return w.err
 }
 
 // Write implements io.Writer.
 func (w *dedupWriter) Write(p []byte) (int, error) {
-	_, _ = w.chunker.Write(p) // fails only with emit's error, which settle returns
+	_, _ = w.chunker.Write(p) // emit never fails: a landing failure is settle's to return
 	if err := w.settle(); err != nil {
 		return 0, err
 	}

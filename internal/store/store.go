@@ -446,7 +446,7 @@ func (s *Store) materializeLocked(seq uint64, dedup, repair bool, feed func(io.W
 	}
 	what, durable := "stream", "payload_durable"
 	if dedup {
-		dw := &dedupWriter{s: s, repair: repair, staged: make(map[cas.Hash]bool)}
+		dw := &dedupWriter{s: s, repair: repair, staged: make(map[cas.Hash]bool), inFlight: make(chan struct{}, batchesInFlight)}
 		if dw.chunker, err = cas.NewChunker(s.dd.cfg, dw.emit); err != nil {
 			return mat, err
 		}
