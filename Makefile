@@ -21,11 +21,22 @@ vet:
 # telemetry-lint keeps the second door shut: outside internal/obs, non-test Go
 # opens a span with journal.Begin and records an event with journal.Note, which
 # feed the registry and the flight recorder alike. A direct Registry.StartSpan
-# or Registry.Event reaches one of the two and drifts from the other.
+# or Registry.Event reaches one of the two and drifts from the other. It also
+# keeps the sinks process-wide: outside internal/obs and internal/server (whose
+# Config carries the daemon's own pair), no struct holds a *obs.Registry or a
+# *journal.Journal and no type grows a SetObserver/SetJournal, so a layer
+# cannot record somewhere the rest of the run does not.
+TELEMETRY_LINT_GREP = grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=obs --exclude-dir=bench \
+	--exclude-dir=.bench_build --exclude-dir=.git
+
 telemetry-lint:
-	@if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=obs --exclude-dir=bench \
-		--exclude-dir=.bench_build --exclude-dir=.git '\.StartSpan\(|\.Event\(' .; then \
+	@if $(TELEMETRY_LINT_GREP) '\.StartSpan\(|\.Event\(' .; then \
 		echo "telemetry-lint: use journal.Begin / journal.Note (internal/obs/journal) instead"; exit 1; \
+	fi
+	@if $(TELEMETRY_LINT_GREP) --exclude-dir=server \
+		-e '^[[:space:]]+[A-Za-z_][A-Za-z0-9_]*(, *[A-Za-z_][A-Za-z0-9_]*)*[[:space:]]+\*(obs\.Registry|journal\.Journal)[[:space:]]*(//.*)?$$' \
+		-e '^func \([^)]*\) Set(Observer|Journal)\(' .; then \
+		echo "telemetry-lint: record on obs.Default() / journal.Default(), not on a per-layer sink"; exit 1; \
 	fi
 
 # experiments-lint keeps the experiment registry single: DESIGN.md §4's "Run

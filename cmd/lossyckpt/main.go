@@ -224,11 +224,11 @@ func cmdCompress(args []string) error {
 	if *in == "" || *out == "" {
 		return fmt.Errorf("compress: -in and -out are required")
 	}
-	sess, err := startObs(of)
+	finishObs, err := startObs(of)
 	if err != nil {
 		return err
 	}
-	defer sess.finish()
+	defer finishObs()
 	method, err := quant.ParseMethod(*methodStr)
 	if err != nil {
 		return err
@@ -306,11 +306,11 @@ func cmdDecompress(args []string) error {
 	if *in == "" || *out == "" {
 		return fmt.Errorf("decompress: -in and -out are required")
 	}
-	sess, err := startObs(of)
+	finishObs, err := startObs(of)
 	if err != nil {
 		return err
 	}
-	defer sess.finish()
+	defer finishObs()
 	data, err := os.ReadFile(*in)
 	if err != nil {
 		return err
@@ -473,11 +473,11 @@ func cmdSave(args []string) error {
 	if *dir == "" || *in == "" {
 		return fmt.Errorf("save: -dir and -in are required")
 	}
-	sess, err := startObs(of)
+	finishObs, err := startObs(of)
 	if err != nil {
 		return err
 	}
-	defer sess.finish()
+	defer finishObs()
 	var codec ckpt.Codec
 	if *bound > 0 || *relBound > 0 || *psnrFloor > 0 || *codecName == "guard" {
 		vm, err := guard.ParseVerifyMode(*guardMode)
@@ -571,11 +571,11 @@ func cmdRestore(args []string) error {
 	if *dir == "" || *out == "" {
 		return fmt.Errorf("restore: -dir and -out are required")
 	}
-	sess, err := startObs(of)
+	finishObs, err := startObs(of)
 	if err != nil {
 		return err
 	}
-	defer sess.finish()
+	defer finishObs()
 	st, err := sf.open(*dir, store.Options{})
 	if err != nil {
 		return err
@@ -626,11 +626,11 @@ func cmdFsck(args []string) error {
 	if *dir == "" {
 		return fmt.Errorf("fsck: -dir is required")
 	}
-	sess, err := startObs(of)
+	finishObs, err := startObs(of)
 	if err != nil {
 		return err
 	}
-	defer sess.finish()
+	defer finishObs()
 	st, err := sf.open(*dir, store.Options{Keep: -1})
 	if err != nil {
 		return err

@@ -43,93 +43,71 @@ func addObsFlags(fs *flag.FlagSet) *obsFlags {
 // -metrics listener. Tests use it to find an ephemeral ":0" port.
 var metricsAddrHook func(addr string)
 
-// obsSession is one subcommand's observability scope.
-type obsSession struct {
-	reg   *obs.Registry
-	prev  *obs.Registry
-	srv   *obs.Server
-	jrnl  *journal.Journal
-	jprev *journal.Journal
-	of    *obsFlags
-	done  bool
-}
-
-// startObs begins an observability session. With none of the flags set
-// it returns an inert session (no registry, no overhead beyond the nil
-// checks already on the hot paths).
-func startObs(of *obsFlags) (*obsSession, error) {
-	s := &obsSession{of: of}
+// startObs begins one subcommand's observability scope: it installs the
+// journal and the registry the flags ask for as the process defaults and
+// returns the function that ends the scope; defer it, so metrics also
+// surface when the command fails. With none of the flags set nothing is
+// installed (no overhead beyond the nil checks already on the hot paths).
+func startObs(of *obsFlags) (finish func(), err error) {
+	endJournal := func() {}
 	if *of.journalPath != "" {
 		j, err := journal.Open(*of.journalPath, journal.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("journal: %w", err)
 		}
-		s.jrnl = j
-		s.jprev = journal.SetDefault(j)
+		prev := journal.SetDefault(j)
+		endJournal = func() {
+			journal.SetDefault(prev)
+			if err := j.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "journal:", err)
+			} else {
+				fmt.Fprintf(os.Stderr, "journal: wide events appended to %s\n", j.Path())
+			}
+		}
 	}
 	if *of.metricsAddr == "" && *of.obsOut == "" && !*of.summary {
-		return s, nil
+		return endJournal, nil
 	}
-	s.reg = obs.NewRegistry()
-	s.prev = obs.SetDefault(s.reg)
+	reg := obs.NewRegistry()
+	prev := obs.SetDefault(reg)
+	var srv *obs.Server
 	if *of.metricsAddr != "" {
-		srv, err := obs.Serve(*of.metricsAddr, s.reg)
-		if err != nil {
-			obs.SetDefault(s.prev)
+		if srv, err = obs.Serve(*of.metricsAddr, reg); err != nil {
+			obs.SetDefault(prev)
+			endJournal()
 			return nil, fmt.Errorf("metrics listener: %w", err)
 		}
-		s.srv = srv
 		fmt.Fprintf(os.Stderr, "metrics: serving on http://%s/metrics\n", srv.Addr())
 		if metricsAddrHook != nil {
 			metricsAddrHook(srv.Addr())
 		}
 	}
-	return s, nil
-}
-
-// finish ends the session: optionally holds the listener open, prints
-// the summary table, persists the JSON snapshot, and restores the
-// previous default registry. Safe to call more than once; designed to be
-// deferred so metrics also surface when the command fails.
-func (s *obsSession) finish() {
-	if s == nil || s.done {
-		return
-	}
-	s.done = true
-	if s.jrnl != nil {
-		journal.SetDefault(s.jprev)
-		if err := s.jrnl.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "journal:", err)
-		} else {
-			fmt.Fprintf(os.Stderr, "journal: wide events appended to %s\n", s.jrnl.Path())
+	return func() {
+		endJournal()
+		if srv != nil && *of.hold > 0 {
+			time.Sleep(*of.hold)
 		}
-	}
-	if s.reg == nil {
-		return
-	}
-	if s.srv != nil && *s.of.hold > 0 {
-		time.Sleep(*s.of.hold)
-	}
-	if *s.of.summary {
-		fmt.Println("-- metrics summary --")
-		if err := s.reg.WriteSummary(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "metrics summary:", err)
+		if *of.summary {
+			fmt.Println("-- metrics summary --")
+			if err := reg.WriteSummary(os.Stdout); err != nil {
+				fmt.Fprintln(os.Stderr, "metrics summary:", err)
+			}
 		}
-	}
-	if *s.of.obsOut != "" {
-		var buf bytes.Buffer
-		err := s.reg.WriteJSON(&buf)
-		if err == nil {
-			err = store.WriteFileAtomicOS(*s.of.obsOut, buf.Bytes())
+		if *of.obsOut != "" {
+			var buf bytes.Buffer
+			err := reg.WriteJSON(&buf)
+			if err == nil {
+				err = store.WriteFileAtomicOS(*of.obsOut, buf.Bytes())
+			}
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "metrics snapshot:", err)
+			} else {
+				fmt.Fprintf(os.Stderr, "metrics: snapshot written to %s\n", *of.obsOut)
+			}
 		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "metrics snapshot:", err)
-		} else {
-			fmt.Fprintf(os.Stderr, "metrics: snapshot written to %s\n", *s.of.obsOut)
+		if srv != nil {
+			srv.Close()
 		}
-	}
-	if s.srv != nil {
-		s.srv.Close()
-	}
-	obs.SetDefault(s.prev)
+		obs.SetDefault(prev)
+	}, nil
 }

@@ -207,19 +207,17 @@ func run(args []string, sigs <-chan os.Signal, logw *os.File) error {
 		cfg.Workers = *workers
 	}
 
-	// The registry and the journal are also the process defaults while the
-	// daemon runs: the restore path (ckpt.LoadLatestCtx), the guard and the
-	// tuner record there, not on server.Config.
+	// The registry and the journal are the process defaults while the daemon
+	// runs: every layer records there, the server's own operations included,
+	// so server.Config's pair is left unset.
 	reg := obs.NewRegistry()
-	cfg.Observer = reg
 	defer obs.SetDefault(obs.SetDefault(reg))
 	if *journalPath != "" {
-		j, err := journal.Open(*journalPath, journal.Options{Observer: reg})
+		j, err := journal.Open(*journalPath, journal.Options{})
 		if err != nil {
 			return err
 		}
 		defer j.Close()
-		cfg.Journal = j
 		defer journal.SetDefault(journal.SetDefault(j))
 	}
 

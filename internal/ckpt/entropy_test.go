@@ -97,8 +97,9 @@ func TestGzipShuffleCodecRoundTrip(t *testing.T) {
 // per variable.
 func TestTunedLossyCheckpoint(t *testing.T) {
 	reg := obs.NewRegistry()
+	defer obs.SetDefault(obs.SetDefault(reg))
 	codec := NewLossy()
-	codec.Tuner = tune.New(tune.Config{Observer: reg})
+	codec.Tuner = tune.New(tune.Config{})
 	m := NewManager(codec, 2)
 	fields := registerSample(t, m)
 

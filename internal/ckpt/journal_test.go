@@ -32,7 +32,7 @@ func TestJournalReconstructsKilledCheckpoint(t *testing.T) {
 	lossy := NewLossy()
 	m := NewManager(lossy, 1)
 	registerSample(t, m)
-	m.SetJournal(j)
+	defer journal.SetDefault(journal.SetDefault(j))
 
 	// Two healthy-but-slow replicas and one that is already dead: the
 	// instant crash failure always reaches the quorum collector before
@@ -44,7 +44,7 @@ func TestJournalReconstructsKilledCheckpoint(t *testing.T) {
 	dead := store.NewFaultFS(store.OsFS{})
 	root := filepath.Join(dir, "store")
 	rst, err := store.OpenReplicated(root, store.ReplicaDirs(root, 3), 2,
-		store.Options{Journal: j, Sleep: func(time.Duration) {}},
+		store.Options{Sleep: func(time.Duration) {}},
 		slowA, slowB, dead)
 	if err != nil {
 		t.Fatalf("OpenReplicated: %v", err)
@@ -184,8 +184,8 @@ func TestJournalRecordsRestore(t *testing.T) {
 
 	m := NewManager(NewLossy(), 1)
 	fields := registerSample(t, m)
-	m.SetJournal(j)
-	st, err := store.Open(filepath.Join(dir, "store"), store.Options{Journal: j})
+	defer journal.SetDefault(journal.SetDefault(j))
+	st, err := store.Open(filepath.Join(dir, "store"), store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@ import (
 	"lossyckpt/internal/core"
 	"lossyckpt/internal/grid"
 	"lossyckpt/internal/guard"
-	"lossyckpt/internal/obs"
 	"lossyckpt/internal/obs/journal"
 )
 
@@ -58,16 +57,9 @@ type Manager struct {
 	workers int
 	names   []string
 	fields  map[string]*grid.Field
-	// obsr receives checkpoint/restore telemetry (see observe.go); nil
-	// falls back to the process default registry at record time.
-	obsr *obs.Registry
 	// quality enables per-variable reconstruction-quality gauges for
 	// lossy codecs (opt-in: it costs a decode round-trip per entry).
 	quality bool
-	// jrnl receives flight-recorder wide events (see observe.go); only
-	// consulted when jrnlSet, otherwise the process default applies.
-	jrnl    *journal.Journal
-	jrnlSet bool
 	// curOp is the operation a wrapping call (CheckpointTo,
 	// RestoreLatest) already opened: the inner Checkpoint/Restore call
 	// enriches it instead of opening its own. A Manager is documented

@@ -36,51 +36,12 @@ const (
 	MetricQualityMaxAbs  = "lossyckpt_quality_max_abs_error"
 )
 
-// SetObserver routes manager telemetry to r. nil (the default) falls back
-// to the process default registry at record time, itself a no-op unless
-// one was installed.
-func (m *Manager) SetObserver(r *obs.Registry) { m.obsr = r }
-
 // EnableQualityTelemetry turns on per-variable reconstruction-quality
 // gauges (PSNR, max relative and absolute error) for lossy codecs. Each
 // checkpoint then decodes every entry it just encoded to measure the
 // round-trip error — roughly doubling checkpoint CPU — so it is opt-in;
-// compression-rate gauges are always recorded when an observer is set.
+// compression-rate gauges are always recorded when a registry is installed.
 func (m *Manager) EnableQualityTelemetry(on bool) { m.quality = on }
-
-// observer resolves the manager's effective registry.
-func (m *Manager) observer() *obs.Registry {
-	if m.obsr != nil {
-		return m.obsr
-	}
-	return obs.Default()
-}
-
-// SetJournal routes the manager's flight-recorder events to j. Nil
-// disables recording for this manager; without a call the process
-// default journal applies (itself a no-op unless installed).
-func (m *Manager) SetJournal(j *journal.Journal) {
-	m.jrnl = j
-	m.jrnlSet = true
-}
-
-// journal resolves the manager's effective flight recorder.
-func (m *Manager) journal() *journal.Journal {
-	if m.jrnlSet {
-		return m.jrnl
-	}
-	return journal.Default()
-}
-
-// begin and note record an operation or a single-shot fact on the manager's
-// effective journal and registry, whichever are set.
-func (m *Manager) begin(op string, attrs ...any) *journal.Op {
-	return m.journal().Begin(m.observer(), op, attrs...)
-}
-
-func (m *Manager) note(op string, attrs ...any) {
-	m.journal().Note(m.observer(), op, attrs...)
-}
 
 // opFor returns the operation a call should fill: the one a wrapping
 // store-level call already opened (owned=false), or a fresh root op
@@ -89,7 +50,7 @@ func (m *Manager) opFor(name string, attrs ...any) (op *journal.Op, owned bool) 
 	if m.curOp != nil {
 		return m.curOp, false
 	}
-	return m.begin(name, attrs...), true
+	return journal.Begin(name, attrs...), true
 }
 
 // stagesOf flattens a timing breakdown into the journal's waterfall
@@ -128,7 +89,7 @@ func (m *Manager) closeCheckpoint(op *journal.Op, owned bool, rep *Report, encod
 	if op == nil || err != nil {
 		return
 	}
-	o := m.observer()
+	o := obs.Default()
 	o.Counter(MetricCkptRawBytes).Add(float64(rep.RawBytes))
 	o.Counter(MetricCkptFileBytes).Add(float64(rep.FileBytes))
 	o.Counter(MetricCkptEntries).Add(float64(len(rep.Entries)))
@@ -179,7 +140,7 @@ func (m *Manager) measureQuality(o *obs.Registry, name string, payload []byte) {
 	f := m.fields[name]
 	decoded, err := m.codec.Decode(payload, f.Shape(), nil)
 	if err != nil {
-		m.note("ckpt.quality_decode_failed", "var", name, "error", err.Error())
+		journal.Note("ckpt.quality_decode_failed", "var", name, "error", err.Error())
 		return
 	}
 	orig, approx := f.Data(), decoded.Data()
@@ -188,7 +149,7 @@ func (m *Manager) measureQuality(o *obs.Registry, name string, payload []byte) {
 	// shows it happened.
 	if psnr, err := stats.PSNR(orig, approx); err == nil {
 		if math.IsInf(psnr, 1) {
-			m.note("ckpt.quality_exact", "var", name)
+			journal.Note("ckpt.quality_exact", "var", name)
 		}
 		o.Gauge(MetricQualityPSNR, "var", name).Set(psnr)
 	}
@@ -223,9 +184,9 @@ func (m *Manager) closeRestore(op *journal.Op, owned bool, rep *Report, skipped 
 		op.Entry(journal.Entry{Var: name, Guard: "skipped"})
 	}
 	if partial {
-		o := m.observer()
+		o := obs.Default()
 		o.Counter(MetricPartialRestores).Inc()
 		o.Counter(MetricSkippedVars).Add(float64(len(skipped)))
-		m.note("ckpt.partial_restore", "restored", len(rep.Entries), "skipped", len(skipped), "step", rep.Step)
+		journal.Note("ckpt.partial_restore", "restored", len(rep.Entries), "skipped", len(skipped), "step", rep.Step)
 	}
 }

@@ -221,10 +221,10 @@ func TestSinkMatrix(t *testing.T) {
 	m := NewManager(NewLossy(), 1)
 	step, dir := 720, t.TempDir()
 	if allocs := testing.AllocsPerRun(100, func() {
-		op := m.begin("ckpt.checkpoint", "codec", m.codec.Name(), "mode", "stream")
+		op := journal.Begin("ckpt.checkpoint", "codec", m.codec.Name(), "mode", "stream")
 		op.SetStep(step)
 		op.Set("entries_reused", step)
-		m.note("ckpt.store_fallback", "gen", uint64(step), "reason", dir)
+		journal.Note("ckpt.store_fallback", "gen", uint64(step), "reason", dir)
 		op.End(nil)
 	}); allocs != 0 {
 		t.Errorf("with no sink set Begin/Note/End allocate %v times, want 0", allocs)

@@ -55,7 +55,7 @@ func (m *Manager) CheckpointToCtx(ctx context.Context, st store.Target, step int
 // enriches it (see observe.go) and its span covers encode and commit. The
 // function it returns closes it with the save's outcome; defer it.
 func (m *Manager) checkpointOp(mode string, step int) func(*store.Generation, *error) {
-	op := m.begin("ckpt.checkpoint", "codec", m.codec.Name(), "mode", mode)
+	op := journal.Begin("ckpt.checkpoint", "codec", m.codec.Name(), "mode", mode)
 	op.SetStep(step)
 	m.curOp = op
 	return func(gen *store.Generation, err *error) {
@@ -137,7 +137,7 @@ type StoreRestore struct {
 func (m *Manager) RestoreLatest(st store.Target) (sr *StoreRestore, err error) {
 	// One operation per call, however many generations the walk tries: the
 	// inner restores fill it, the ones it passes over are counted and noted.
-	op := m.begin("ckpt.restore", "codec", m.codec.Name(), "mode", "latest")
+	op := journal.Begin("ckpt.restore", "codec", m.codec.Name(), "mode", "latest")
 	m.curOp = op
 	defer func() {
 		m.curOp = nil
@@ -171,8 +171,8 @@ func (m *Manager) RestoreLatest(st store.Target) (sr *StoreRestore, err error) {
 // recordFallback counts one generation the restore walk had to skip,
 // labeled with why, and notes which.
 func (m *Manager) recordFallback(seq uint64, reason string) {
-	m.observer().Counter(MetricStoreFallbacks, "reason", reason).Inc()
-	m.note("ckpt.store_fallback", "gen", seq, "reason", reason)
+	obs.Default().Counter(MetricStoreFallbacks, "reason", reason).Inc()
+	journal.Note("ckpt.store_fallback", "gen", seq, "reason", reason)
 }
 
 func namesOf(rep *Report) []string {
@@ -219,7 +219,7 @@ func LoadLatest(st store.Target, workers int) (lc *LoadedCheckpoint, err error) 
 // is observed between generation attempts, so a restore walking a deep
 // retention ring of damaged generations stops when its request dies.
 func LoadLatestCtx(ctx context.Context, st store.Target, workers int) (lc *LoadedCheckpoint, err error) {
-	op := journal.Default().Begin(obs.Default(), "ckpt.restore", "mode", "load_latest")
+	op := journal.Begin("ckpt.restore", "mode", "load_latest")
 	defer func() {
 		if lc != nil {
 			op.SetStep(lc.Step)

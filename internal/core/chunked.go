@@ -12,7 +12,6 @@ import (
 
 	"lossyckpt/internal/entropy"
 	"lossyckpt/internal/grid"
-	"lossyckpt/internal/obs"
 )
 
 // chunked.go is the chunked stream: its layout, its parser and the one
@@ -220,7 +219,7 @@ func DecompressTo(data []byte, workers int, dest func(shape ...int) (*grid.Field
 	if len(data) < 4 || binary.LittleEndian.Uint32(data) != chunkedMagic {
 		f, err := decodeTo(data, workers, dest)
 		if err == nil {
-			recordDecompressOp(obs.Default(), "single", f.Bytes(), time.Since(start))
+			recordDecompressOp("single", f.Bytes(), time.Since(start))
 		}
 		return f, err
 	}
@@ -261,7 +260,7 @@ func DecompressTo(data []byte, workers int, dest func(shape ...int) (*grid.Field
 			return nil, err
 		}
 	}
-	recordDecompressOp(obs.Default(), "chunked", f.Bytes(), time.Since(start))
+	recordDecompressOp("chunked", f.Bytes(), time.Since(start))
 	return f, nil
 }
 

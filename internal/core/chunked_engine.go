@@ -32,6 +32,7 @@ import (
 
 	"lossyckpt/internal/entropy"
 	"lossyckpt/internal/grid"
+	"lossyckpt/internal/obs"
 )
 
 // ChunkedResult aggregates a chunked compression.
@@ -127,10 +128,10 @@ type SlabCache struct {
 func (c *SlabCache) Reset() { c.slabs = nil }
 
 // prepare empties the cache unless it was built for this exact compression
-// geometry and parameter set. Telemetry sinks and worker counts do not
-// affect the output bytes, so they are not part of the key.
+// geometry and parameter set. Worker counts do not affect the output bytes,
+// so they are not part of the key.
 func (c *SlabCache) prepare(shape []int, chunkExtent int, opts Options, nChunks int) {
-	opts.Observer, opts.Workers, opts.chunkInternal = nil, 0, false
+	opts.Workers, opts.chunkInternal = 0, false
 	if len(c.slabs) == nChunks && c.chunkExtent == chunkExtent && c.opts == opts && slices.Equal(c.shape, shape) {
 		return
 	}
@@ -257,7 +258,7 @@ func compressChunks(f *grid.Field, opts Options, chunkExtent int, cache *SlabCac
 		wg.Wait()
 	}()
 
-	obsr := opts.observer()
+	obsr := obs.Default()
 	res := &ChunkedResult{RawBytes: f.Bytes(), Workers: workers}
 	var stall, writeTime time.Duration
 	write := func(p []byte) error {
@@ -311,9 +312,9 @@ func compressChunks(f *grid.Field, opts Options, chunkExtent int, cache *SlabCac
 		obsr.Counter(MetricStreamStallSeconds).Add(stall.Seconds())
 		obsr.Counter(MetricStreamWriteSeconds).Add(writeTime.Seconds())
 		obsr.Gauge(MetricStreamInflight).Set(0)
-		recordCompressOp(obsr, "chunked", res.RawBytes, res.StreamBytes, res.Timings)
+		recordCompressOp("chunked", res.RawBytes, res.StreamBytes, res.Timings)
 		obsr.Counter(MetricCompressChunks).Add(float64(res.Chunks))
-		entropy.RecordSelection(obsr, opts.entropyParams().Label(), opts.VarName)
+		entropy.RecordSelection(opts.entropyParams(), opts.VarName)
 	}
 	return res, nil
 }

@@ -35,7 +35,6 @@ import (
 	"lossyckpt/internal/entropy"
 	"lossyckpt/internal/grid"
 	"lossyckpt/internal/gzipio"
-	"lossyckpt/internal/obs"
 	"lossyckpt/internal/quant"
 	"lossyckpt/internal/wavelet"
 )
@@ -133,12 +132,6 @@ type Options struct {
 	// without giving up the wavelet+gzip framing. Overrides Method,
 	// Divisions, ErrorBound and ZeroThreshold.
 	LosslessBands bool
-	// Observer receives pipeline metrics: per-stage CPU seconds, bytes
-	// in/out, operation counts and wall-clock histograms (see observe.go
-	// for the metric names). nil falls back to the process default
-	// registry (obs.Default()), which itself defaults to a no-op — the
-	// disabled path costs one branch per compression.
-	Observer *obs.Registry
 
 	// chunkInternal marks a per-chunk Compress issued by a chunked
 	// compression: stage seconds still record (that is how per-worker CPU
@@ -284,7 +277,6 @@ func (o Options) entropyParams() entropy.Params {
 		GzipBlock:  o.GzipBlock,
 		TmpDir:     o.TmpDir,
 		Workers:    o.Workers,
-		Observer:   o.observer(),
 	}
 }
 
@@ -328,7 +320,6 @@ type Stages struct {
 	opts    Options
 	high    []float64
 	low     []float64 // gathered by the first Encode
-	obs     *obs.Registry
 	start   time.Time
 	timings Timings // work not yet reported in a Result
 }
@@ -343,7 +334,7 @@ func (s *Stages) floats(n int) []float64 {
 
 // Transform is stage 1, out of place: callers keep their data.
 func Transform(f *grid.Field, opts Options) (*Stages, error) {
-	s := &Stages{obs: opts.observer(), start: time.Now()}
+	s := &Stages{start: time.Now()}
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
@@ -506,7 +497,6 @@ func (s *Stages) Encode() error {
 			gz, err = gzipio.CompressParallel(formatted, opts.GzipLevel, opts.GzipFormat, gzipio.ParallelOptions{
 				BlockSize: opts.GzipBlock,
 				Workers:   opts.Workers,
-				Observer:  s.obs,
 			})
 		} else {
 			gz, err = gzipio.CompressFormat(formatted, opts.GzipLevel, opts.GzipMode, opts.TmpDir, opts.GzipFormat)
@@ -530,12 +520,10 @@ func (s *Stages) Encode() error {
 	s.timings.CPUTotal = s.timings.Total
 	res.Timings, s.quants = s.timings, nil
 	s.timings, s.start = Timings{}, time.Now()
-	if s.obs != nil {
-		recordStageSeconds(s.obs, res.Timings)
-		if !opts.chunkInternal {
-			recordCompressOp(s.obs, "single", res.RawBytes, res.CompressedBytes, res.Timings)
-			entropy.RecordSelection(s.obs, opts.entropyParams().Label(), opts.VarName)
-		}
+	recordStageSeconds(res.Timings)
+	if !opts.chunkInternal {
+		recordCompressOp("single", res.RawBytes, res.CompressedBytes, res.Timings)
+		entropy.RecordSelection(opts.entropyParams(), opts.VarName)
 	}
 	return nil
 }
@@ -543,7 +531,7 @@ func (s *Stages) Encode() error {
 // Release returns the scratch to the pool and reports the planning that no
 // stream paid for (a ladder that abandoned every rung it quantized).
 func (s *Stages) Release() {
-	recordStageSeconds(s.obs, s.timings)
+	recordStageSeconds(s.timings)
 	for ; s.nbufs > 0; s.nbufs-- { // last taken first: the pool hands them back in the order the next array asks
 		s.bufs[s.nbufs-1].Put()
 	}
@@ -692,10 +680,8 @@ func CompressGzipOnly(f *grid.Field, level int, mode gzipio.Mode, tmpDir string)
 	res.CompressedBytes = len(gz.Compressed)
 	res.Timings.Total = time.Since(start)
 	res.Timings.CPUTotal = res.Timings.Total
-	if o := obs.Default(); o != nil {
-		recordStageSeconds(o, res.Timings)
-		recordCompressOp(o, "gzip_only", res.RawBytes, res.CompressedBytes, res.Timings)
-	}
+	recordStageSeconds(res.Timings)
+	recordCompressOp("gzip_only", res.RawBytes, res.CompressedBytes, res.Timings)
 	return res, nil
 }
 

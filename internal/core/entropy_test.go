@@ -171,11 +171,11 @@ func TestEntropyOptionValidation(t *testing.T) {
 func TestEntropySelectionMetric(t *testing.T) {
 	f := smooth3D(32, 16, 2, 3)
 	reg := obs.NewRegistry()
+	defer obs.SetDefault(obs.SetDefault(reg))
 	opts := DefaultOptions()
 	opts.EntropyCodec = entropy.LZ4
 	opts.Shuffle = true
 	opts.VarName = "temperature"
-	opts.Observer = reg
 	if _, err := Compress(f, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -191,6 +191,38 @@ func TestEntropySelectionMetric(t *testing.T) {
 	}
 	if got != 2 {
 		t.Fatalf("selection counter = %v, want 2 (one single + one chunked)", got)
+	}
+}
+
+// TestObserveRoundTrip: both halves of a chunked, GzipBlock-sharded round
+// trip record on the process registry: one operation each way, and one
+// sharded DEFLATE pass per chunk each way.
+func TestObserveRoundTrip(t *testing.T) {
+	f := smooth3D(64, 32, 8, 5)
+	reg := obs.NewRegistry()
+	defer obs.SetDefault(obs.SetDefault(reg))
+	opts := DefaultOptions()
+	opts.GzipBlock = 1024
+	res, err := CompressChunked(f, opts, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decompress(res.Data); err != nil {
+		t.Fatal(err)
+	}
+	chunks := float64(res.Chunks)
+	for _, c := range []struct {
+		name, label, value string
+		want               float64
+	}{
+		{MetricCompressOps, "kind", "chunked", 1},
+		{MetricDecompressOps, "kind", "chunked", 1},
+		{gzipio.MetricParallelOps, "op", "compress", chunks},
+		{gzipio.MetricParallelOps, "op", "decompress", chunks},
+	} {
+		if got := reg.Counter(c.name, c.label, c.value).Value(); got != c.want {
+			t.Errorf("%s{%s=%s} = %v, want %v", c.name, c.label, c.value, got, c.want)
+		}
 	}
 }
 

@@ -39,18 +39,10 @@ const (
 	MetricStreamInflight     = "lossyckpt_stream_inflight_chunks"
 )
 
-// observer resolves the effective observer for this options value: the
-// explicit one, else the process default (usually nil — a no-op).
-func (o Options) observer() *obs.Registry {
-	if o.Observer != nil {
-		return o.Observer
-	}
-	return obs.Default()
-}
-
 // recordStageSeconds folds one Timings breakdown into the per-stage CPU
 // counters, including the unattributed "other" remainder.
-func recordStageSeconds(r *obs.Registry, t Timings) {
+func recordStageSeconds(t Timings) {
+	r := obs.Default()
 	if r == nil {
 		return
 	}
@@ -69,7 +61,8 @@ func recordStageSeconds(r *obs.Registry, t Timings) {
 }
 
 // recordCompressOp records one completed top-level compression.
-func recordCompressOp(r *obs.Registry, kind string, rawBytes, outBytes int, t Timings) {
+func recordCompressOp(kind string, rawBytes, outBytes int, t Timings) {
+	r := obs.Default()
 	if r == nil {
 		return
 	}
@@ -82,7 +75,8 @@ func recordCompressOp(r *obs.Registry, kind string, rawBytes, outBytes int, t Ti
 
 // recordDecompressOp records one completed top-level decompression.
 // rawBytes is the reconstructed (uncompressed) size.
-func recordDecompressOp(r *obs.Registry, kind string, rawBytes int, wall time.Duration) {
+func recordDecompressOp(kind string, rawBytes int, wall time.Duration) {
+	r := obs.Default()
 	if r == nil {
 		return
 	}

@@ -108,9 +108,6 @@ type Params struct {
 	TmpDir     string
 	// Workers bounds parallel gzip workers; 0 means GOMAXPROCS.
 	Workers int
-	// Observer receives codec-selection counters; nil uses the process
-	// default registry.
-	Observer *obs.Registry
 }
 
 // Label is the metric/report label for the selection: the codec name,
@@ -170,7 +167,6 @@ func (gzipCodec) Compress(data []byte, p Params) ([]byte, error) {
 		res, err := gzipio.CompressParallel(data, p.GzipLevel, p.GzipFormat, gzipio.ParallelOptions{
 			BlockSize: p.GzipBlock,
 			Workers:   p.Workers,
-			Observer:  p.Observer,
 		})
 		if err != nil {
 			return nil, err
@@ -328,13 +324,15 @@ func Identify(data []byte) string {
 }
 
 // RecordSelection bumps the codec-selection counter for one entropy
-// encode. varName may be empty ("-" is recorded).
-func RecordSelection(reg *obs.Registry, label, varName string) {
+// encode on the process registry, labeled p.Label(). varName may be empty
+// ("-" is recorded).
+func RecordSelection(p Params, varName string) {
+	reg := obs.Default()
 	if reg == nil {
-		reg = obs.Default()
+		return
 	}
 	if varName == "" {
 		varName = "-"
 	}
-	reg.Counter(MetricCodecSelected, "codec", label, "var", varName).Inc()
+	reg.Counter(MetricCodecSelected, "codec", p.Label(), "var", varName).Inc()
 }

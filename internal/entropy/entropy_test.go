@@ -261,9 +261,10 @@ func TestParseID(t *testing.T) {
 
 func TestRecordSelection(t *testing.T) {
 	reg := obs.NewRegistry()
-	RecordSelection(reg, "lz4+shuffle", "temperature")
-	RecordSelection(reg, "lz4+shuffle", "temperature")
-	RecordSelection(reg, "gzip", "")
+	defer obs.SetDefault(obs.SetDefault(reg))
+	RecordSelection(Params{Codec: LZ4, Shuffle: true}, "temperature")
+	RecordSelection(Params{Codec: LZ4, Shuffle: true}, "temperature")
+	RecordSelection(Params{Codec: Gzip}, "")
 	snap := reg.Snapshot()
 	got := map[string]float64{}
 	for _, m := range snap.Metrics {

@@ -95,11 +95,6 @@ type Config struct {
 	// succeed through the surviving quorum, and read-repair (or an
 	// in-run scrub) re-materializes the lost copy.
 	ReplicaLossEvery int
-	// Observer receives simulation telemetry (failure/rollback counters,
-	// virtual-time gauges) and is handed to the checkpoint manager the run
-	// creates, so checkpoint/restore spans land in the same registry. nil
-	// falls back to the process default.
-	Observer *obs.Registry
 	// ScrubEvery, when positive (real-I/O mode only), runs a store scrub
 	// (framing and envelope CRCs) after every ScrubEvery-th checkpoint,
 	// modelling a background integrity auditor sharing the run.
@@ -176,11 +171,6 @@ func Run(app, reference App, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	mgr := ckpt.NewManager(cfg.Codec, 0)
-	obsr := cfg.Observer
-	if obsr == nil {
-		obsr = obs.Default()
-	}
-	mgr.SetObserver(obsr)
 	if err := mgr.RegisterAll(app.Fields()); err != nil {
 		return nil, err
 	}
@@ -292,7 +282,7 @@ func Run(app, reference App, cfg Config) (*Result, error) {
 					if g, ok := st.Latest(); ok {
 						if os.Remove(filepath.Join(st.Dir(), store.GenName(g.Seq))) == nil {
 							res.ReplicaLosses++
-							journal.Note(obsr, "faultsim.replica_loss", "replica", victim, "gen", g.Seq)
+							journal.Note("faultsim.replica_loss", "replica", victim, "gen", g.Seq)
 						}
 					}
 				}
@@ -305,10 +295,11 @@ func Run(app, reference App, cfg Config) (*Result, error) {
 			app.SetStepCount(step)
 			res.ReworkSteps += before - step
 			clock += cfg.RestartCost
-			obsr.Counter(MetricFailures).Inc()
-			obsr.Counter(MetricRollbacks).Inc()
-			obsr.Counter(MetricReworkSteps).Add(float64(before - step))
-			journal.Note(obsr, "faultsim.failure",
+			o := obs.Default()
+			o.Counter(MetricFailures).Inc()
+			o.Counter(MetricRollbacks).Inc()
+			o.Counter(MetricReworkSteps).Add(float64(before - step))
+			journal.Note("faultsim.failure",
 				"at_step", before, "rolled_back_to", step, "virtual_clock", clock.String())
 		}
 		app.Step()
@@ -335,9 +326,9 @@ func Run(app, reference App, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	res.FinalError = s
-	if obsr != nil {
-		obsr.Gauge(MetricVirtualSec).Set(res.VirtualTime.Seconds())
-		obsr.Gauge(MetricOverheadPct).Set(res.OverheadPct())
+	if o := obs.Default(); o != nil {
+		o.Gauge(MetricVirtualSec).Set(res.VirtualTime.Seconds())
+		o.Gauge(MetricOverheadPct).Set(res.OverheadPct())
 	}
 	return res, nil
 }

@@ -122,8 +122,6 @@ type Policy struct {
 	// name. A zero field inherits the base, so an override can tighten
 	// VerifyAnalytic to VerifyDecode, never the reverse.
 	PerVar map[string]Policy
-	// Observer receives guard metrics; nil falls back to obs.Default().
-	Observer *obs.Registry
 }
 
 // Enforced reports whether the policy demands any guarantee.
@@ -160,13 +158,6 @@ func (p Policy) validate() error {
 		}
 	}
 	return nil
-}
-
-func (p Policy) observer() *obs.Registry {
-	if p.Observer != nil {
-		return p.Observer
-	}
-	return obs.Default()
 }
 
 // Metric names recorded by the guard.
@@ -215,7 +206,7 @@ func Encode(name string, f *grid.Field, base core.Options, pol Policy) (*Outcome
 	if err := pol.validate(); err != nil {
 		return nil, err
 	}
-	o := pol.observer()
+	o := obs.Default()
 	base.LosslessBands = false
 
 	if !pol.Enforced() {
@@ -505,7 +496,7 @@ func scan(data []float64) (rng, maxMag float64, finite bool) {
 // escalate counts a rung given up on and notes why, with attrs after.
 func escalate(o *obs.Registry, name, step, why string, attrs ...any) {
 	o.Counter(MetricEscalations, "step", step).Inc()
-	journal.Note(o, "guard.escalate", append([]any{"var", name, "step", step, "why", why}, attrs...)...)
+	journal.Note("guard.escalate", append([]any{"var", name, "step", step, "why", why}, attrs...)...)
 }
 
 // formatFloat renders a figure for a journal attribute, which takes strings.

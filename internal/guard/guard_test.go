@@ -202,8 +202,9 @@ func TestGuardProperty(t *testing.T) {
 // the division rungs, and the escalation trail must land in the metrics.
 func TestGuardEscalationLadder(t *testing.T) {
 	reg := obs.NewRegistry()
+	defer obs.SetDefault(obs.SetDefault(reg))
 	f := makeField(t, "noise", 3)
-	pol := Policy{MaxAbs: 1e-12, Verify: VerifyDecode, Observer: reg}
+	pol := Policy{MaxAbs: 1e-12, Verify: VerifyDecode}
 	out, err := Encode("temp", f, core.DefaultOptions(), pol)
 	if err != nil {
 		t.Fatal(err)
@@ -289,8 +290,9 @@ func TestGuardPerVarOverride(t *testing.T) {
 // registry under the documented names.
 func TestGuardMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
+	defer obs.SetDefault(obs.SetDefault(reg))
 	f := makeField(t, "noise", 17)
-	pol := Policy{MaxAbs: 1e-13, Verify: VerifyDecode, Observer: reg}
+	pol := Policy{MaxAbs: 1e-13, Verify: VerifyDecode}
 	if _, err := Encode("rho", f, core.DefaultOptions(), pol); err != nil {
 		t.Fatal(err)
 	}
@@ -320,10 +322,9 @@ func testGuardMetricsAnalyticLadder(t *testing.T) {
 	defer journal.SetDefault(journal.SetDefault(j))
 
 	reg := obs.NewRegistry()
+	defer obs.SetDefault(obs.SetDefault(reg))
 	f := makeField(t, "noise", 17)
-	base := core.DefaultOptions()
-	base.Observer = reg
-	out, err := Encode("rho", f, base, Policy{MaxAbs: 1e-6, Observer: reg})
+	out, err := Encode("rho", f, core.DefaultOptions(), Policy{MaxAbs: 1e-6})
 	if err != nil {
 		t.Fatal(err)
 	}

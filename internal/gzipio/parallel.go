@@ -62,9 +62,6 @@ type ParallelOptions struct {
 	BlockSize int
 	// Workers bounds the compression pool; 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// Observer receives member counts and per-block DEFLATE seconds; nil
-	// falls back to the process default registry (usually a no-op).
-	Observer *obs.Registry
 }
 
 func (po ParallelOptions) withDefaults() ParallelOptions {
@@ -73,9 +70,6 @@ func (po ParallelOptions) withDefaults() ParallelOptions {
 	}
 	if po.Workers <= 0 {
 		po.Workers = runtime.GOMAXPROCS(0)
-	}
-	if po.Observer == nil {
-		po.Observer = obs.Default()
 	}
 	return po
 }
@@ -178,7 +172,7 @@ func CompressParallel(data []byte, level int, format Format, po ParallelOptions)
 		}
 	}
 
-	if o := po.Observer; o != nil {
+	if o := obs.Default(); o != nil {
 		o.Counter(MetricParallelOps, "op", "compress").Inc()
 		o.Counter(MetricMembers, "op", "compress").Add(float64(nBlocks))
 		o.Counter(MetricBlockSeconds, "op", "compress").Add(time.Duration(blockSeconds.Load()).Seconds())

@@ -10,7 +10,8 @@
 // flight recorder on".
 //
 // It is also the one front door for telemetry about operations: Begin
-// and Note take the caller's registry next to the journal, and what the
+// and Note record on the process journal and registry together (the
+// methods of the same names take an explicit pair), and what the
 // registry shows of an operation — its <SpanName>_seconds, _total and
 // _errors_total series and its event in the tail — is derived from the
 // Op and the Note, never recorded a second time by the call site.
@@ -27,7 +28,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
@@ -53,15 +53,12 @@ type Options struct {
 	// MaxFiles-1 rotated predecessors (path.1 newest … path.N oldest).
 	MaxFiles int
 	// MaxRecordBytes drops any single encoded record larger than this
-	// (counted on Observer) instead of letting one degenerate event
-	// blow the ring.
+	// (counted on the process registry) instead of letting one degenerate
+	// event blow the ring.
 	MaxRecordBytes int
-	// Observer receives journal health metrics (records written,
-	// rotations, drops). Nil means obs.Default().
-	Observer *obs.Registry
 }
 
-// Metric names the journal emits on its observer.
+// Metric names the journal emits on the process registry.
 const (
 	MetricRecords        = "lossyckpt_journal_records_total"
 	MetricBytes          = "lossyckpt_journal_bytes_total"
@@ -198,14 +195,6 @@ func (j *Journal) Close() error {
 	return err
 }
 
-// observer resolves the configured registry or the process default.
-func (j *Journal) observer() *obs.Registry {
-	if j.opt.Observer != nil {
-		return j.opt.Observer
-	}
-	return obs.Default()
-}
-
 // nextID mints a process-unique operation ID.
 func (j *Journal) nextID() string {
 	return fmt.Sprintf("op-%d-%d", os.Getpid(), j.seq.Add(1))
@@ -223,7 +212,7 @@ func (j *Journal) append(rec *Record) {
 	}
 	b, err := json.Marshal(rec)
 	if err != nil || len(b)+1 > j.opt.MaxRecordBytes {
-		j.observer().Counter(MetricDroppedRecords).Inc()
+		obs.Default().Counter(MetricDroppedRecords).Inc()
 		return
 	}
 	b = append(b, '\n')
@@ -232,7 +221,7 @@ func (j *Journal) append(rec *Record) {
 	if j.closed {
 		return
 	}
-	o := j.observer()
+	o := obs.Default()
 	if j.f != nil && j.size+int64(len(b)) > j.opt.MaxBytes && j.size > 0 {
 		j.rotateLocked()
 	}
@@ -274,7 +263,7 @@ func (j *Journal) rotateLocked() {
 		}
 		os.Rename(from, to)
 	}
-	j.observer().Counter(MetricRotations).Inc()
+	obs.Default().Counter(MetricRotations).Inc()
 }
 
 // RotatedSet lists the existing files of a rotation ring oldest-first
@@ -587,22 +576,9 @@ func Default() *Journal { return defaultJournal.Load() }
 // previous one. SetDefault(nil) disables default recording.
 func SetDefault(j *Journal) *Journal { return defaultJournal.Swap(j) }
 
-// OpenDefault opens a journal at path (creating parent directories)
-// and installs it as the process default. Convenience for CLIs.
-func OpenDefault(path string, opt Options) (*Journal, error) {
-	if dir := filepath.Dir(path); dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("journal: mkdir: %w", err)
-		}
-	}
-	j, err := Open(path, opt)
-	if err != nil {
-		return nil, err
-	}
-	SetDefault(j)
-	return j, nil
-}
+// Begin opens an operation on the process journal and registry, the one
+// route every layer records on.
+func Begin(op string, attrs ...any) *Op { return Default().Begin(obs.Default(), op, attrs...) }
 
-// Note records a single-shot fact on the process default journal and the
-// registry r, for callers that are handed a registry but no journal.
-func Note(r *obs.Registry, op string, attrs ...any) { Default().Note(r, op, attrs...) }
+// Note records a single-shot fact on the process journal and registry.
+func Note(op string, attrs ...any) { Default().Note(obs.Default(), op, attrs...) }

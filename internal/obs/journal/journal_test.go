@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"lossyckpt/internal/obs"
 )
 
 func openTest(t *testing.T, opt Options) (*Journal, string) {
@@ -63,8 +65,6 @@ func TestParentPropagation(t *testing.T) {
 	child.Vote("0", true, nil)
 	child.Vote("1", false, errors.New("disk gone"))
 	child.End(nil)
-	Note(nil, "tune.decision", "codec", "gzip")
-	_ = j // Note goes through Default; use the journal's own helper instead
 	j.Note(nil, "guard.escalate", "var", "temp", "why", "bound violated")
 	root.End(nil)
 
@@ -347,31 +347,37 @@ func TestConcurrentOps(t *testing.T) {
 	}
 }
 
-// TestDefaultJournal: OpenDefault installs the process default and
-// SetDefault(nil) uninstalls it; a nil default is a no-op for Note.
-func TestDefaultJournal(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "d", "run.jsonl")
-	j, err := OpenDefault(path, Options{})
-	if err != nil {
-		t.Fatal(err)
+// TestSetDefault: SetDefault installs the process journal and hands back the
+// one it replaced; the package-level Begin and Note record on it and on the
+// process registry, and with neither installed they are no-ops.
+func TestSetDefault(t *testing.T) {
+	j, path := openTest(t, Options{})
+	reg := obs.NewRegistry()
+	defer obs.SetDefault(obs.SetDefault(reg))
+	if prev := SetDefault(j); prev != nil {
+		t.Fatalf("a default was installed before the test: %v", prev.Path())
 	}
-	defer func() {
-		SetDefault(nil)
-		j.Close()
-	}()
 	if Default() != j {
-		t.Fatal("OpenDefault did not install the default")
+		t.Fatal("SetDefault did not install the default")
 	}
-	Note(nil, "tune.decision", "codec", "lz4")
+	Begin("store.commit", "seq", uint64(3)).End(nil)
+	Note("tune.decision", "codec", "lz4")
+	if prev := SetDefault(nil); prev != j {
+		t.Fatal("SetDefault(nil) did not hand back the installed journal")
+	}
 	recs, _, err := ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 || recs[0].Op != "tune.decision" {
+	if len(recs) != 3 || recs[1].Op != "store.commit" || recs[2].Op != "tune.decision" {
 		t.Fatalf("records: %+v", recs)
 	}
-	SetDefault(nil)
-	Note(nil, "dropped") // must not panic with no default installed
+	if n := reg.Counter(SpanName("store.commit") + "_total").Value(); n != 1 {
+		t.Fatalf("the process registry counted %v store.commit operations, want 1", n)
+	}
+	obs.SetDefault(nil)
+	Begin("dropped").End(nil) // must not panic with nothing installed
+	Note("dropped")
 }
 
 // TestSummarize: the journal summary counts ops, escalations, repairs,

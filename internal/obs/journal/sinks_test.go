@@ -29,7 +29,7 @@ func TestOpAndNoteFeedTheSinksThatAreSet(t *testing.T) {
 				reg = obs.NewRegistry()
 			}
 			if tc.jnl {
-				j, path = openTest(t, Options{Observer: obs.NewRegistry()})
+				j, path = openTest(t, Options{})
 			}
 			op := j.Begin(reg, "store.commit", "dir", "d", "bytes", 4096, "seq", uint64(7), "dedup", true)
 			if (op != nil) != (tc.reg || tc.jnl) {
@@ -119,7 +119,8 @@ func TestBrokenRotationRecovers(t *testing.T) {
 	}
 	path := filepath.Join(dir, "run.jsonl")
 	reg := obs.NewRegistry()
-	j, err := Open(path, Options{MaxBytes: 256, Observer: reg})
+	defer obs.SetDefault(obs.SetDefault(reg))
+	j, err := Open(path, Options{MaxBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

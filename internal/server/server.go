@@ -74,11 +74,12 @@ type Config struct {
 	// Workers bounds decode/encode parallelism per request (0 =
 	// GOMAXPROCS).
 	Workers int
-	// Observer receives daemon telemetry; nil falls back to the process
-	// default registry.
+	// Observer receives the daemon's own server.* telemetry (requests,
+	// rejections, tenant bytes); nil falls back to the process default
+	// registry. The layers under a request record on the process default.
 	Observer *obs.Registry
-	// Journal receives one wide event per request; nil falls back to
-	// the process default journal.
+	// Journal receives one server.* wide event per request; nil falls back
+	// to the process default journal, where the layers under it record.
 	Journal *journal.Journal
 	// StoreOptions is the base store configuration tenants inherit
 	// (dedup chunking, test seams); per-tenant fields (Keep, TTL, FS) override.
@@ -146,10 +147,7 @@ func New(cfg Config) (*Server, error) {
 			s.closeTenants()
 			return nil, fmt.Errorf("server: tenants %q and %q share dir %s", owner, tc.Name, tc.Dir)
 		}
-		base := cfg.StoreOptions
-		base.Observer = cfg.Observer
-		base.Journal = cfg.Journal
-		t, err := tc.open(base)
+		t, err := tc.open(cfg.StoreOptions)
 		if err != nil {
 			s.closeTenants()
 			return nil, err
@@ -441,8 +439,6 @@ func (s *Server) handleSave(ctx context.Context, t *tenant, w http.ResponseWrite
 	}
 
 	mgr := ckpt.NewManager(codec, s.cfg.Workers)
-	mgr.SetObserver(s.cfg.Observer)
-	mgr.SetJournal(s.cfg.Journal)
 	if err := mgr.RegisterAll(fields); err != nil {
 		return reject(http.StatusBadRequest, "bad_request", "save: %v", err)
 	}

@@ -152,7 +152,7 @@ func TestCommitPartsEqualsJoined(t *testing.T) {
 				return openTest(t, dir, opts), func() {}
 			}
 			reg := obs.NewRegistry()
-			opts.Observer = reg
+			defer obs.SetDefault(obs.SetDefault(reg))
 			refDir := t.TempDir()
 			ref, wait := open(refDir)
 			wantGen, err := ref.CommitCtx(ctx, 3, payload)

@@ -45,6 +45,8 @@ import (
 	"sync/atomic"
 
 	"lossyckpt/internal/cas"
+	"lossyckpt/internal/obs"
+	"lossyckpt/internal/obs/journal"
 )
 
 // dedupState is the in-memory side of the chunk store: the refcount
@@ -144,8 +146,8 @@ func (s *Store) loadDedupLocked() {
 	}
 	swept := s.sweepChunksLocked(chunkNames, s.dd.idx)
 	if swept > 0 {
-		s.observer().Counter(MetricGCSweptChunks).Add(float64(swept))
-		s.note("store.dedup_open_sweep", "dir", s.dir, "swept", swept)
+		obs.Default().Counter(MetricGCSweptChunks).Add(float64(swept))
+		journal.Note("store.dedup_open_sweep", "dir", s.dir, "swept", swept)
 	}
 }
 
@@ -429,7 +431,7 @@ func (s *Store) GC() (*GCReport, error) {
 
 func (s *Store) gcLocked() (rep *GCReport, err error) {
 	rep = &GCReport{}
-	jop := s.begin("store.gc", "dir", s.dir, "backend", s.b.Kind().String())
+	jop := journal.Begin("store.gc", "dir", s.dir, "backend", s.b.Kind().String())
 	defer func() {
 		jop.Set("live_chunks", rep.LiveChunks, "swept_chunks", rep.SweptChunks,
 			"quarantined_recipes", rep.QuarantinedRecipes)
@@ -453,7 +455,7 @@ func (s *Store) gcLocked() (rep *GCReport, err error) {
 	s.dd = dd
 	rep.LiveChunks = dd.idx.Chunks()
 	rep.LiveBytes = dd.idx.Bytes()
-	o := s.observer()
+	o := obs.Default()
 	o.Counter(MetricGCRuns).Inc()
 	o.Counter(MetricGCSweptChunks).Add(float64(rep.SweptChunks))
 	o.Gauge(MetricGCLiveChunks).Set(float64(rep.LiveChunks))

@@ -122,8 +122,8 @@ func TestDedupRoundTrip(t *testing.T) {
 func TestDedupReuse(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
+	defer obs.SetDefault(obs.SetDefault(reg))
 	opts := dedupOpts()
-	opts.Observer = reg
 	opts.Keep = -1
 	s := openTest(t, dir, opts)
 

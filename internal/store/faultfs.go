@@ -115,29 +115,11 @@ type FaultFS struct {
 	faults  map[int]Fault
 	crashed bool
 	journal []string
-	obsr    *obs.Registry
 	// opDelay stalls every counted operation — a blanket-slow replica.
 	opDelay time.Duration
 	// sleep is the latency clock, injectable so slow-replica tests can
 	// record delays instead of waiting them out; nil means time.Sleep.
 	sleep func(time.Duration)
-}
-
-// SetObserver routes injected-fault counts and notes to r (nil falls
-// back to the process default registry at fire time); the notes also go to
-// the process default journal.
-func (f *FaultFS) SetObserver(r *obs.Registry) {
-	f.mu.Lock()
-	f.obsr = r
-	f.mu.Unlock()
-}
-
-// observerLocked resolves the observer; callers hold f.mu.
-func (f *FaultFS) observerLocked() *obs.Registry {
-	if f.obsr != nil {
-		return f.obsr
-	}
-	return obs.Default()
 }
 
 // NewFaultFS wraps inner with an empty fault plan.
@@ -185,9 +167,8 @@ func (f *FaultFS) CrashNow() {
 // injectedLocked counts and notes one fault firing at the current operation;
 // callers hold f.mu.
 func (f *FaultFS) injectedLocked(kind FaultKind, desc string) {
-	o := f.observerLocked()
-	o.Counter(MetricInjectedFaults, "kind", kind.String()).Inc()
-	journal.Note(o, "faultfs.injected", "kind", kind.String(), "op", f.op, "desc", desc)
+	obs.Default().Counter(MetricInjectedFaults, "kind", kind.String()).Inc()
+	journal.Note("faultfs.injected", "kind", kind.String(), "op", f.op, "desc", desc)
 }
 
 // Ops returns the number of operations counted so far.
@@ -416,7 +397,6 @@ func (ff *faultFile) Close() error {
 func (f *FaultFS) CorruptAtRest(name string, fault Fault) error {
 	f.mu.Lock()
 	inner := f.inner
-	o := f.observerLocked()
 	f.mu.Unlock()
 
 	src, err := inner.Open(name)
@@ -470,7 +450,7 @@ func (f *FaultFS) CorruptAtRest(name string, fault Fault) error {
 	if err := dst.Close(); err != nil {
 		return err
 	}
-	o.Counter(MetricInjectedFaults, "kind", fault.Kind.String()).Inc()
-	journal.Note(o, "faultfs.corrupt_at_rest", "kind", fault.Kind.String(), "name", name)
+	obs.Default().Counter(MetricInjectedFaults, "kind", fault.Kind.String()).Inc()
+	journal.Note("faultfs.corrupt_at_rest", "kind", fault.Kind.String(), "name", name)
 	return nil
 }

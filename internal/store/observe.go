@@ -1,10 +1,5 @@
 package store
 
-import (
-	"lossyckpt/internal/obs"
-	"lossyckpt/internal/obs/journal"
-)
-
 // Metric names recorded by the store. Commit latency/count/errors are the
 // series of the store.commit operation (MetricCommitSpan is its
 // journal.SpanName, yielding _seconds, _total and _errors_total), as scrub, GC
@@ -54,31 +49,3 @@ const (
 	MetricGCSweptChunks      = "lossyckpt_store_gc_swept_chunks_total"
 	MetricGCLiveChunks       = "lossyckpt_store_gc_live_chunks"
 )
-
-// observer resolves the store's effective observer: the explicit one from
-// Options, else the process default (usually nil — a no-op).
-func (s *Store) observer() *obs.Registry {
-	if s.opts.Observer != nil {
-		return s.opts.Observer
-	}
-	return obs.Default()
-}
-
-// journal resolves the store's effective flight recorder: the
-// configured one, else the process default (a no-op unless installed).
-func (s *Store) journal() *journal.Journal {
-	if s.opts.Journal != nil {
-		return s.opts.Journal
-	}
-	return journal.Default()
-}
-
-// begin and note are the store's one way to record an operation or a
-// single-shot fact: on its effective journal and registry, whichever are set.
-func (s *Store) begin(op string, attrs ...any) *journal.Op {
-	return s.journal().Begin(s.observer(), op, attrs...)
-}
-
-func (s *Store) note(op string, attrs ...any) {
-	s.journal().Note(s.observer(), op, attrs...)
-}

@@ -209,31 +209,6 @@ func (r *ReplicatedStore) DedupStats() DedupStats {
 	return out
 }
 
-func (r *ReplicatedStore) observer() *obs.Registry {
-	if r.opts.Observer != nil {
-		return r.opts.Observer
-	}
-	return obs.Default()
-}
-
-// journal resolves the replicated store's effective flight recorder.
-func (r *ReplicatedStore) journal() *journal.Journal {
-	if r.opts.Journal != nil {
-		return r.opts.Journal
-	}
-	return journal.Default()
-}
-
-// begin and note record on the coordinator's effective journal and registry
-// (see Store.begin).
-func (r *ReplicatedStore) begin(op string, attrs ...any) *journal.Op {
-	return r.journal().Begin(r.observer(), op, attrs...)
-}
-
-func (r *ReplicatedStore) note(op string, attrs ...any) {
-	r.journal().Note(r.observer(), op, attrs...)
-}
-
 // NextSeq returns the sequence number the next replicated commit will
 // use: ahead of every live replica and of every commit this coordinator
 // has already quorum-acknowledged.
@@ -399,12 +374,12 @@ func (f *fanoutWriter) Write(p []byte) (int, error) {
 // drain in the background) or too many have failed for W agreement to
 // remain possible.
 func (r *ReplicatedStore) collectQuorumLocked(op string, seq uint64, results <-chan commitRes, total int) (Generation, error) {
-	o := r.observer()
+	o := obs.Default()
 	// The quorum operation: every replica's vote lands on it, including
 	// stragglers that finish after the at-quorum early return (their
 	// votes still count in metrics; votes after End are dropped from the
 	// journal record).
-	jop := r.begin("store.quorum_commit", "op", op, "quorum", r.w, "replicas", total)
+	jop := journal.Begin("store.quorum_commit", "op", op, "quorum", r.w, "replicas", total)
 	jop.SetSeq(seq)
 	counts := make(map[Generation]int)
 	received, failed := 0, 0
@@ -420,7 +395,7 @@ func (r *ReplicatedStore) collectQuorumLocked(op string, seq uint64, results <-c
 			if firstErr == nil {
 				firstErr = fmt.Errorf("replica %d: %w", res.idx, res.err)
 			}
-			r.note("store.replica_commit_failed", "replica", res.idx, "seq", seq, "err", res.err.Error())
+			journal.Note("store.replica_commit_failed", "replica", res.idx, "seq", seq, "err", res.err.Error())
 			return Generation{}, false
 		}
 		counts[res.gen]++
@@ -430,7 +405,7 @@ func (r *ReplicatedStore) collectQuorumLocked(op string, seq uint64, results <-c
 		gen, quorum := record(<-results)
 		if quorum {
 			if len(counts) > 1 {
-				r.note("store.replica_commit_divergent", "seq", seq, "records", len(counts))
+				journal.Note("store.replica_commit_divergent", "seq", seq, "records", len(counts))
 			}
 			r.lastSeq = seq
 			// Drain stragglers off-path so their metrics still land.
@@ -470,8 +445,8 @@ func (r *ReplicatedStore) collectQuorumLocked(op string, seq uint64, results <-c
 }
 
 func (r *ReplicatedStore) quorumFailure(op string, cause error) error {
-	r.observer().Counter(MetricQuorumFailures, "op", op).Inc()
-	r.note("store.quorum_failure", "op", op, "err", cause.Error())
+	obs.Default().Counter(MetricQuorumFailures, "op", op).Inc()
+	journal.Note("store.quorum_failure", "op", op, "err", cause.Error())
 	return fmt.Errorf("%w: %s: %v", ErrQuorum, op, cause)
 }
 
@@ -571,7 +546,7 @@ func (r *ReplicatedStore) ReadGeneration(seq uint64) ([]byte, error) {
 func (r *ReplicatedStore) ReadGenerationRaw(seq uint64) (data []byte, verified bool, err error) {
 	r.cmu.Lock()
 	defer r.cmu.Unlock()
-	o := r.observer()
+	o := obs.Default()
 	live := r.liveIdx()
 
 	holders := make(map[Generation][]int)
@@ -614,7 +589,7 @@ search:
 			if rerr != nil {
 				reason = rerr.Error()
 			}
-			r.note("store.replica_read_failed", "replica", idx, "seq", seq, "reason", reason)
+			journal.Note("store.replica_read_failed", "replica", idx, "seq", seq, "reason", reason)
 		}
 	}
 	if winner == nil {
@@ -655,11 +630,11 @@ search:
 			continue
 		}
 		if perr := r.replicas[idx].st.PutGeneration(*winner, winData); perr != nil {
-			r.note("store.read_repair_failed", "replica", idx, "seq", seq, "err", perr.Error())
+			journal.Note("store.read_repair_failed", "replica", idx, "seq", seq, "err", perr.Error())
 			continue
 		}
 		o.Counter(MetricReadRepairs, "replica", strconv.Itoa(idx), "reason", reason).Inc()
-		r.note("store.read_repair", "replica", idx, "seq", seq, "reason", reason)
+		journal.Note("store.read_repair", "replica", idx, "seq", seq, "reason", reason)
 	}
 	return winData, true, nil
 }
@@ -677,8 +652,8 @@ search:
 func (r *ReplicatedStore) Scrub(opts ScrubOptions) (rep *ScrubReport, err error) {
 	r.cmu.Lock()
 	defer r.cmu.Unlock()
-	o := r.observer()
-	jop := r.begin("store.scrub", "mode", "replicated")
+	o := obs.Default()
+	jop := journal.Begin("store.scrub", "mode", "replicated")
 	rep = &ScrubReport{Replicas: make([]ReplicaScrub, len(r.replicas))}
 	defer func() {
 		repaired := 0
@@ -741,16 +716,16 @@ func (r *ReplicatedStore) Scrub(opts ScrubOptions) (rep *ScrubReport, err error)
 				}
 				data := r.readAgreedLocked(want)
 				if data == nil {
-					r.note("store.scrub_repair_unreadable", "replica", idx, "seq", seq)
+					journal.Note("store.scrub_repair_unreadable", "replica", idx, "seq", seq)
 					continue
 				}
 				if perr := st.PutGeneration(want, data); perr != nil {
-					r.note("store.scrub_repair_failed", "replica", idx, "seq", seq, "err", perr.Error())
+					journal.Note("store.scrub_repair_failed", "replica", idx, "seq", seq, "err", perr.Error())
 					continue
 				}
 				rs.Repaired = append(rs.Repaired, seq)
 				o.Counter(MetricReadRepairs, "replica", strconv.Itoa(idx), "reason", reason).Inc()
-				r.note("store.scrub_repair", "replica", idx, "seq", seq, "reason", reason)
+				journal.Note("store.scrub_repair", "replica", idx, "seq", seq, "reason", reason)
 			}
 			// Converge: local generations outside the agreed set are
 			// retention lag (older than a full agreed ring, meaning the
@@ -772,7 +747,7 @@ func (r *ReplicatedStore) Scrub(opts ScrubOptions) (rep *ScrubReport, err error)
 				if qpath, qerr := st.Quarantine(seq); qerr == nil {
 					rep.Quarantined = append(rep.Quarantined, Quarantined{Seq: seq, Reason: "divergent", Path: qpath})
 					o.Counter(MetricScrubQuarantined, "reason", "divergent").Inc()
-					r.note("store.scrub_quarantined", "replica", idx, "seq", seq, "reason", "divergent")
+					journal.Note("store.scrub_quarantined", "replica", idx, "seq", seq, "reason", "divergent")
 				}
 			}
 			sort.Slice(rs.Repaired, func(a, b int) bool { return rs.Repaired[a] < rs.Repaired[b] })
@@ -844,7 +819,7 @@ func (r *ReplicatedStore) StartScrubber(interval time.Duration, opts ScrubOption
 func (r *ReplicatedStore) StartScrubberCtx(ctx context.Context, interval time.Duration, opts ScrubOptions) (stop func()) {
 	return startScrubLoop(ctx, interval, func() {
 		if _, err := r.Scrub(opts); err != nil {
-			r.note("store.scrub_error", "dir", r.root, "err", err.Error())
+			journal.Note("store.scrub_error", "dir", r.root, "err", err.Error())
 		}
 	})
 }

@@ -10,6 +10,8 @@ import (
 	"context"
 	"fmt"
 	"time"
+
+	"lossyckpt/internal/obs"
 )
 
 // retryCtx resolves the context governing the operation currently
@@ -50,7 +52,7 @@ func (s *Store) retry(op string, fn func() error) error {
 		}
 		half := backoff / 2
 		sleep := half + time.Duration(s.opts.Jitter()*float64(half))
-		if o := s.observer(); o != nil {
+		if o := obs.Default(); o != nil {
 			o.Counter(MetricRetries, "op", op).Inc()
 			o.Counter(MetricBackoffSeconds).Add(sleep.Seconds())
 		}

@@ -17,6 +17,9 @@ import (
 	"hash/crc32"
 	"sync"
 	"time"
+
+	"lossyckpt/internal/obs"
+	"lossyckpt/internal/obs/journal"
 )
 
 // QuarantineDir is the subdirectory (under the store root) that the
@@ -118,8 +121,8 @@ func (s *Store) Scrub(opts ScrubOptions) (rep *ScrubReport, err error) {
 	defer s.mu.Unlock()
 
 	rep = &ScrubReport{}
-	o := s.observer()
-	jop := s.begin("store.scrub", "dir", s.dir, "mode", "local")
+	o := obs.Default()
+	jop := journal.Begin("store.scrub", "dir", s.dir, "mode", "local")
 	defer func() {
 		jop.Set("checked", rep.Checked, "quarantined", len(rep.Quarantined), "missing", len(rep.Missing),
 			"expired", len(rep.Expired), "rebuilt", rep.ManifestRebuilt)
@@ -139,7 +142,7 @@ func (s *Store) Scrub(opts ScrubOptions) (rep *ScrubReport, err error) {
 			rep.Missing = append(rep.Missing, g.Seq)
 			s.detachRecipeLocked(g.Seq)
 			dropped = true
-			s.note("store.scrub_missing", "seq", g.Seq)
+			journal.Note("store.scrub_missing", "seq", g.Seq)
 			continue
 		}
 		if reason == "" {
@@ -151,7 +154,7 @@ func (s *Store) Scrub(opts ScrubOptions) (rep *ScrubReport, err error) {
 			case opts.Verify != nil:
 				if verr := opts.Verify(data); verr != nil {
 					reason = "verify"
-					s.note("store.scrub_verify_failed", "seq", g.Seq, "err", verr.Error())
+					journal.Note("store.scrub_verify_failed", "seq", g.Seq, "err", verr.Error())
 				}
 			}
 		}
@@ -169,7 +172,7 @@ func (s *Store) Scrub(opts ScrubOptions) (rep *ScrubReport, err error) {
 		dropped = true
 		rep.Quarantined = append(rep.Quarantined, Quarantined{Seq: g.Seq, Reason: reason, Path: qpath})
 		o.Counter(MetricScrubQuarantined, "reason", reason).Inc()
-		s.note("store.scrub_quarantined", "seq", g.Seq, "reason", reason, "path", qpath)
+		journal.Note("store.scrub_quarantined", "seq", g.Seq, "reason", reason, "path", qpath)
 	}
 
 	// TTL retention: prune expired survivors, destroying the payload (it
@@ -187,7 +190,7 @@ func (s *Store) Scrub(opts ScrubOptions) (rep *ScrubReport, err error) {
 				dropped = true
 				s.releaseGenLocked(g)
 				o.Counter(MetricExpiredGens).Inc()
-				s.note("store.scrub_expired", "seq", g.Seq, "expire_at", g.ExpireAt)
+				journal.Note("store.scrub_expired", "seq", g.Seq, "expire_at", g.ExpireAt)
 				continue
 			}
 			kept = append(kept, g)
@@ -206,7 +209,7 @@ func (s *Store) Scrub(opts ScrubOptions) (rep *ScrubReport, err error) {
 			}
 			rep.ManifestRebuilt = true
 			o.Counter(MetricManifestRebuilds).Inc()
-			s.note("store.scrub_rebuild", "dir", s.dir, "survivors", len(s.man.Gens))
+			journal.Note("store.scrub_rebuild", "dir", s.dir, "survivors", len(s.man.Gens))
 		} else if err := s.adoptLocked(manifest{NextSeq: s.man.NextSeq, Gens: survivors}); err != nil {
 			return rep, fmt.Errorf("store: persisting scrubbed manifest: %w", err)
 		}
@@ -220,7 +223,7 @@ func (s *Store) Scrub(opts ScrubOptions) (rep *ScrubReport, err error) {
 		gcRep, gcErr := s.gcLocked()
 		rep.GC = gcRep
 		if gcErr != nil {
-			s.note("store.gc_error", "dir", s.dir, "err", gcErr.Error())
+			journal.Note("store.gc_error", "dir", s.dir, "err", gcErr.Error())
 		}
 	}
 
@@ -269,7 +272,7 @@ func (s *Store) StartScrubber(interval time.Duration, opts ScrubOptions) (stop f
 func (s *Store) StartScrubberCtx(ctx context.Context, interval time.Duration, opts ScrubOptions) (stop func()) {
 	return startScrubLoop(ctx, interval, func() {
 		if _, err := s.Scrub(opts); err != nil {
-			s.note("store.scrub_error", "dir", s.dir, "err", err.Error())
+			journal.Note("store.scrub_error", "dir", s.dir, "err", err.Error())
 		}
 	})
 }

@@ -221,8 +221,9 @@ func TestScrubQuarantineNameCollision(t *testing.T) {
 func TestScrubMetrics(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
+	defer obs.SetDefault(obs.SetDefault(reg))
 	ffs := NewFaultFS(OsFS{})
-	s := openTest(t, dir, Options{Keep: -1, FS: ffs, Observer: reg})
+	s := openTest(t, dir, Options{Keep: -1, FS: ffs})
 	for i := 1; i <= 2; i++ {
 		if _, err := s.Commit(i, payload(i, 1024)); err != nil {
 			t.Fatal(err)

@@ -71,15 +71,6 @@ type Options struct {
 	// in lockstep. nil means a process-wide seeded source; inject a
 	// deterministic func for reproducible tests.
 	Jitter func() float64
-	// Observer receives store telemetry (commit spans, retry and backoff
-	// counters, rescan/sweep events — see observe.go for the names). nil
-	// falls back to the process default registry, itself a no-op unless
-	// installed.
-	Observer *obs.Registry
-	// Journal receives flight-recorder wide events (commit operations,
-	// quorum votes, read repairs, scrub outcomes). nil falls back to the
-	// process default journal, itself a no-op unless installed.
-	Journal *journal.Journal
 	// Dedup switches commits to the content-addressed path: payloads are
 	// cut into content-defined chunks stored once under their SHA-256
 	// name, and each generation becomes a small recipe of chunk
@@ -183,8 +174,8 @@ func Open(dir string, opts Options) (*Store, error) {
 			return nil, fmt.Errorf("store: open %s: rescan: %w", dir, rerr)
 		}
 		s.rebuilt = true
-		s.observer().Counter(MetricManifestRebuilds).Inc()
-		s.note("store.manifest_rebuilt", "dir", dir, "generations", len(s.man.Gens))
+		obs.Default().Counter(MetricManifestRebuilds).Inc()
+		journal.Note("store.manifest_rebuilt", "dir", dir, "generations", len(s.man.Gens))
 	}
 	s.sweep()
 	s.loadDedupLocked()
@@ -377,7 +368,7 @@ func (s *Store) commitAtLocked(seq uint64, step int, expireAt int64, size int, f
 	if size >= 0 {
 		handed = size
 	}
-	jop := s.begin("store.commit", "dir", s.dir, "backend", s.b.Kind().String(), "bytes", handed)
+	jop := journal.Begin("store.commit", "dir", s.dir, "backend", s.b.Kind().String(), "bytes", handed)
 	jop.SetSeq(seq)
 	jop.SetStep(step)
 	defer func() { jop.End(err) }()
@@ -395,7 +386,7 @@ func (s *Store) commitAtLocked(seq uint64, step int, expireAt int64, size int, f
 	physical := mat.objectBytes
 	if dw := mat.dw; dw != nil {
 		physical += dw.newBytes
-		if o := s.observer(); o != nil {
+		if o := obs.Default(); o != nil {
 			o.Counter(MetricDedupChunksNew).Add(float64(len(dw.newChunks)))
 			o.Counter(MetricDedupChunksReused).Add(float64(dw.reused))
 			o.Counter(MetricDedupLogicalBytes).Add(float64(mat.size))
@@ -407,7 +398,7 @@ func (s *Store) commitAtLocked(seq uint64, step int, expireAt int64, size int, f
 		jop.Set("dedup", "true", "chunks_new", len(dw.newChunks), "chunks_reused", dw.reused)
 	}
 	jop.SetBytes(int64(mat.size), physical)
-	s.observer().Counter(MetricCommitBytes).Add(float64(gen.Size))
+	obs.Default().Counter(MetricCommitBytes).Add(float64(gen.Size))
 	return gen, nil
 }
 
@@ -536,7 +527,7 @@ func (s *Store) indexLocked(gen Generation, mat materialized, ring bool) error {
 	for _, g := range dropped {
 		s.releaseGenLocked(g)
 	}
-	if o := s.observer(); o != nil && len(dropped) > 0 {
+	if o := obs.Default(); o != nil && len(dropped) > 0 {
 		o.Counter(MetricPrunedGens).Add(float64(len(dropped)))
 	}
 	return nil
@@ -660,9 +651,9 @@ func (s *Store) ReadGenerationRaw(seq uint64) (data []byte, verified bool, err e
 		}
 		verified = uint64(len(data)) == gen.Size && crc32.ChecksumIEEE(data) == gen.CRC
 	}
-	s.observer().Counter(MetricReads, "verified", strconv.FormatBool(verified)).Inc()
+	obs.Default().Counter(MetricReads, "verified", strconv.FormatBool(verified)).Inc()
 	if !verified {
-		s.note("store.read_unverified", "seq", seq, "bytes", len(data))
+		journal.Note("store.read_unverified", "seq", seq, "bytes", len(data))
 	}
 	return data, verified, nil
 }
@@ -753,7 +744,7 @@ func (s *Store) sweep() {
 	}
 	swept := s.b.Sweep(indexed)
 	if swept > 0 {
-		s.observer().Counter(MetricSweptFiles).Add(float64(swept))
-		s.note("store.sweep", "dir", s.dir, "removed", swept)
+		obs.Default().Counter(MetricSweptFiles).Add(float64(swept))
+		journal.Note("store.sweep", "dir", s.dir, "removed", swept)
 	}
 }

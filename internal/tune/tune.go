@@ -100,17 +100,11 @@ type Config struct {
 	// GzipLevel is the DEFLATE level probed for gzip candidates (default
 	// gzipio.Default).
 	GzipLevel int
-	// Observer receives probe/decision counters; nil uses the process
-	// default registry.
-	Observer *obs.Registry
 }
 
 func (c Config) withDefaults() Config {
 	if c.GzipLevel == 0 {
 		c.GzipLevel = gzipio.Default
-	}
-	if c.Observer == nil {
-		c.Observer = obs.Default()
 	}
 	return c
 }
@@ -186,7 +180,7 @@ func (t *Tuner) Decide(varName string, rawBytes int, sample []byte) Setting {
 		}
 		delete(t.byVar, varName)
 		t.mu.Unlock()
-		t.cfg.Observer.Counter(MetricReProbes, "reason", "refresh").Inc()
+		obs.Default().Counter(MetricReProbes, "reason", "refresh").Inc()
 	} else {
 		t.mu.Unlock()
 	}
@@ -227,8 +221,8 @@ func (t *Tuner) probe(varName string, rawBytes int, sample []byte) *decision {
 	if sel.Codec == entropy.Gzip && runtime.GOMAXPROCS(0) > 1 && rawBytes >= 2*gzipio.DefaultBlockSize {
 		sel.GzipBlock = gzipio.DefaultBlockSize
 	}
-	t.cfg.Observer.Counter(MetricDecisions, "codec", sel.Label()).Inc()
-	journal.Note(t.cfg.Observer, "tune.decision", "var", varName,
+	obs.Default().Counter(MetricDecisions, "codec", sel.Label()).Inc()
+	journal.Note("tune.decision", "var", varName,
 		"codec", sel.Codec.String(), "shuffle", sel.Shuffle)
 
 	bps := 0.0
@@ -248,7 +242,6 @@ func (t *Tuner) measure(sample []byte) []candidate {
 		p := entropy.Params{
 			Codec:     s.Codec,
 			GzipLevel: t.cfg.GzipLevel,
-			Observer:  t.cfg.Observer,
 		}
 		start := time.Now()
 		res, err := entropy.Compress(sample, p)
@@ -256,7 +249,7 @@ func (t *Tuner) measure(sample []byte) []candidate {
 			continue // a failing candidate is simply not selectable
 		}
 		secs := time.Since(start).Seconds()
-		t.cfg.Observer.Counter(MetricProbes, "codec", s.Label()).Inc()
+		obs.Default().Counter(MetricProbes, "codec", s.Label()).Inc()
 		ratio := float64(len(res.Compressed)) / float64(len(sample))
 		probed = append(probed, candidate{setting: s, seconds: secs, ratio: ratio})
 	}
@@ -307,7 +300,7 @@ func (t *Tuner) Observe(varName string, rawBytes int, codeSeconds float64) {
 	}
 	t.mu.Unlock()
 	if drifted {
-		t.cfg.Observer.Counter(MetricReProbes, "reason", "drift").Inc()
+		obs.Default().Counter(MetricReProbes, "reason", "drift").Inc()
 	}
 }
 

@@ -5,12 +5,14 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"lossyckpt/internal/core"
 	"lossyckpt/internal/entropy"
 	"lossyckpt/internal/grid"
 	"lossyckpt/internal/obs"
+	"lossyckpt/internal/obs/journal"
 )
 
 // floatSample packs a smooth float64 signal, the shape checkpoint
@@ -27,7 +29,7 @@ func floatSample(n int) []byte {
 }
 
 func TestDecideCachesPerVariable(t *testing.T) {
-	tn := New(Config{Observer: obs.NewRegistry()})
+	tn := New(Config{})
 	sample := floatSample(8192)
 	first := tn.Decide("temp", len(sample), sample)
 	for i := 0; i < 5; i++ {
@@ -71,7 +73,7 @@ func cheapest(tn *Tuner, cands []candidate, raw, n int) candidate {
 func TestThroughputObjectivePicksLZ4(t *testing.T) {
 	// With one lz4 candidate a single preempted probe would hand the pick to
 	// gzip, so the ranking is taken over each candidate's fastest probe.
-	tn := New(Config{Objective: Throughput, Observer: obs.NewRegistry()})
+	tn := New(Config{Objective: Throughput})
 	sample := bytes.Repeat(floatSample(4096), 4)
 	best := cheapest(tn, fastestOfFive(tn, sample), 64<<20, len(sample))
 	if best.setting.Codec != entropy.LZ4 {
@@ -97,7 +99,7 @@ func TestBalancedPickOnBig24IsLZ4(t *testing.T) {
 		v := 250 + 20*math.Sin(2*math.Pi*x) + 20*math.Sin(4*math.Pi*z) + 7.5*c + 0.05*rng.NormFloat64()
 		sample = binary.LittleEndian.AppendUint64(sample, math.Float64bits(v))
 	}
-	tn := New(Config{Observer: obs.NewRegistry()})
+	tn := New(Config{})
 	cands := fastestOfFive(tn, sample)
 	best := cheapest(tn, cands, raw, len(sample))
 	for _, c := range cands {
@@ -123,7 +125,7 @@ func TestBalancedPickOnBig24IsLZ4(t *testing.T) {
 }
 
 func TestRatioObjectivePicksGzip(t *testing.T) {
-	tn := New(Config{Objective: Ratio, Observer: obs.NewRegistry()})
+	tn := New(Config{Objective: Ratio})
 	sample := floatSample(32768)
 	s := tn.Decide("v", len(sample), sample)
 	if s.Codec != entropy.Gzip {
@@ -133,7 +135,8 @@ func TestRatioObjectivePicksGzip(t *testing.T) {
 
 func TestReProbeAfterUses(t *testing.T) {
 	reg := obs.NewRegistry()
-	tn := New(Config{Observer: reg})
+	defer obs.SetDefault(obs.SetDefault(reg))
+	tn := New(Config{})
 	sample := floatSample(4096)
 	refreshes := func() float64 {
 		return reg.Counter(MetricReProbes, "reason", "refresh").Value()
@@ -153,7 +156,8 @@ func TestReProbeAfterUses(t *testing.T) {
 
 func TestObserveDriftInvalidates(t *testing.T) {
 	reg := obs.NewRegistry()
-	tn := New(Config{Observer: reg})
+	defer obs.SetDefault(obs.SetDefault(reg))
+	tn := New(Config{})
 	sample := floatSample(8192)
 	tn.Decide("v", len(sample), sample)
 	if _, ok := tn.Cached("v"); !ok {
@@ -177,7 +181,8 @@ func TestObserveDriftInvalidates(t *testing.T) {
 
 func TestProbeAndDecisionCounters(t *testing.T) {
 	reg := obs.NewRegistry()
-	tn := New(Config{Observer: reg})
+	defer obs.SetDefault(obs.SetDefault(reg))
+	tn := New(Config{})
 	sample := floatSample(4096)
 	tn.Decide("v", len(sample), sample)
 	probes, decisions := 0.0, 0.0
@@ -197,6 +202,46 @@ func TestProbeAndDecisionCounters(t *testing.T) {
 	}
 }
 
+// TestSinksInstalledAfterNew: a tuner built before the process registry and
+// journal are installed records its decisions on both once they are, so the
+// decision counter and the tune.decision notes tell the same story.
+func TestSinksInstalledAfterNew(t *testing.T) {
+	tn := New(Config{})
+	reg := obs.NewRegistry()
+	defer obs.SetDefault(obs.SetDefault(reg))
+	path := filepath.Join(t.TempDir(), "flight.jsonl")
+	j, err := journal.Open(path, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	defer journal.SetDefault(journal.SetDefault(j))
+
+	sample := floatSample(4096)
+	for _, v := range []string{"u", "v", "w"} {
+		tn.Decide(v, len(sample), sample)
+	}
+	recs, _, err := journal.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	notes := 0
+	for _, r := range recs {
+		if r.Op == "tune.decision" {
+			notes++
+		}
+	}
+	decisions := 0.0
+	for _, m := range reg.Snapshot().Metrics {
+		if m.Name == MetricDecisions {
+			decisions += m.Value
+		}
+	}
+	if notes != 3 || decisions != float64(notes) {
+		t.Fatalf("%s = %v, the journal holds %d tune.decision notes; want 3 and 3", MetricDecisions, decisions, notes)
+	}
+}
+
 func TestSettingApplyRoundTrips(t *testing.T) {
 	// A tuner-applied setting must produce a stream core can decompress,
 	// identical to the untuned reconstruction.
@@ -207,7 +252,7 @@ func TestSettingApplyRoundTrips(t *testing.T) {
 			f.Set(100+10*math.Sin(float64(i)/9)+0.01*rng.NormFloat64(), i, j)
 		}
 	}
-	tn := New(Config{Observer: obs.NewRegistry()})
+	tn := New(Config{})
 	raw := floatSample(2048)
 	s := tn.Decide("x", f.Bytes(), raw)
 	opts := s.Apply(core.DefaultOptions())
@@ -236,7 +281,7 @@ func TestSettingApplyRoundTrips(t *testing.T) {
 }
 
 func TestEmptySampleFallsBack(t *testing.T) {
-	tn := New(Config{Observer: obs.NewRegistry()})
+	tn := New(Config{})
 	s := tn.Decide("v", 0, nil)
 	if s.Codec != entropy.Gzip || s.Shuffle {
 		t.Fatalf("empty sample decision = %v, want plain gzip default", s)

@@ -284,8 +284,8 @@ func MaxAbsError(orig, approx *Field) (float64, error) {
 // --- Observability ----------------------------------------------------------
 
 // Observer collects metrics (counters, gauges, histograms) and trace
-// events from every layer that is handed one: set Options.Observer for
-// the compression pipeline, Manager.SetObserver for checkpoint/restore.
+// events. Every layer — the compression pipeline, checkpoint/restore, the
+// store — records on the one installed with SetDefaultObserver.
 // A nil *Observer is a valid no-op, so instrumentation costs one branch
 // when disabled. Expose the collected state with WritePrometheus (text
 // exposition format), WriteJSON (snapshot) or WriteSummary (human table),
@@ -296,10 +296,9 @@ type Observer = obs.Registry
 // concurrent use.
 func NewObserver() *Observer { return obs.NewRegistry() }
 
-// SetDefaultObserver installs r as the process-wide fallback observer
-// used by every layer whose explicit observer is nil, and returns the
-// previous fallback (restore it when done). Passing nil disables the
-// fallback again.
+// SetDefaultObserver installs r as the process-wide observer every layer
+// records on, and returns the previous one (restore it when done).
+// Passing nil disables recording again.
 func SetDefaultObserver(r *Observer) *Observer { return obs.SetDefault(r) }
 
 // ObserverServer is a live HTTP listener exposing an observer; see

@@ -261,7 +261,7 @@ func BenchmarkGuardEncodeClimate(b *testing.B) {
 // BenchmarkChunkedParallelObs measures the observability tax on the
 // chunked-parallel hot path: /noop runs with no observer anywhere (the
 // default — instrumentation reduces to one nil check per record site),
-// /enabled hands the pipeline a live registry recording every stage timing
+// /enabled installs a live process registry recording every stage timing
 // and operation series. `make bench-obs` distills the pair into
 // BENCH_obs.json; the acceptance bar is noop within 5% of the
 // pre-instrumentation baseline.
@@ -270,7 +270,7 @@ func BenchmarkChunkedParallelObs(b *testing.B) {
 	run := func(b *testing.B, reg *obs.Registry) {
 		opts := core.DefaultOptions()
 		opts.Workers = 2
-		opts.Observer = reg
+		defer obs.SetDefault(obs.SetDefault(reg))
 		b.SetBytes(int64(f.Bytes()))
 		b.ReportAllocs()
 		b.ResetTimer()
