@@ -52,8 +52,9 @@ test:
 	$(GO) test ./...
 
 # The later lines repeat the tests in which goroutines share one buffer —
-# the shards of a wavelet pass, and a dedup read hashing one chunk while it
-# reads the next into the same generation, a dedup commit hashing and landing
+# the shards of a wavelet pass, and a dedup read (or the fsck audit) whose
+# readers each read and hash chunks into their own ranges of one generation, at
+# 1, 2 and 8 CPUs so the reader count varies, a dedup commit hashing and landing
 # batches of chunk views while it cuts the next (cancelled mid-landing and as
 # an inline repair too) — or recycle one state, as DEFLATE streams encoded side
 # by side do: the race detector only sees interleavings that happen. The quant
@@ -71,7 +72,8 @@ test:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'KernelsMatchLaneReference|WorkersBitIdentical' ./internal/wavelet
-	$(GO) test -race -count=10 -run 'DedupRead|DedupCommitHashesBeside' ./internal/store
+	$(GO) test -race -cpu 1,2,8 -count=10 -run 'DedupRead|FsckDedup' ./internal/store
+	$(GO) test -race -count=10 -run 'DedupCommitHashesBeside' ./internal/store
 	$(GO) test -race -count=10 -run 'DeflateDependsOnInputAlone|ByteStableAcrossWorkers' ./internal/gzipio
 	$(GO) test -race -count=10 -run 'QuantizeDependsOnInputAlone' ./internal/quant
 	$(GO) test -race -count=10 -run 'Engine|ChunkedParallelByteIdentical|CompressChunkedDeltaByteIdentical|DecodeKeepsNoView|SlabCacheFingerprint' ./internal/core

@@ -501,21 +501,11 @@ func (b *posixBackend) QuarantinedPayloads() ([][]byte, error) {
 	return out, nil
 }
 
-// fileRoom returns, as a dst for readFileFS, buf's end with the room that reads
-// a file of n bytes in place: the n bytes and the one more it takes to see that
-// the file ends there. A buffer made by fileRoom(nil, total) has that room for
-// files of total bytes read one behind the other; any other is regrown first.
-func fileRoom(buf []byte, n int) []byte {
-	if cap(buf)-len(buf) <= n {
-		buf = append(make([]byte, 0, len(buf)+n+1), buf...)
-	}
-	return buf[len(buf) : len(buf) : len(buf)+n+1]
-}
-
 // readFileFS appends one file, read through an FS, to dst. The bytes land in
 // dst's spare capacity, which grows only when bytes arrive that do not fit; a
-// caller that knows the size to expect passes fileRoom's dst and the file is
-// read in place, once.
+// caller that knows the size to expect passes a dst with exactly that room and
+// the file is read in place, once, writing nothing past the room — so windows
+// of one buffer side by side can be read into at the same time.
 func readFileFS(fsys FS, path string, dst []byte) ([]byte, error) {
 	f, err := fsys.Open(path)
 	if err != nil {
@@ -523,11 +513,23 @@ func readFileFS(fsys FS, path string, dst []byte) ([]byte, error) {
 	}
 	defer f.Close()
 	for {
-		if len(dst) == cap(dst) {
-			dst = slices.Grow(dst, 512)
+		var n int
+		if full := len(dst) == cap(dst); full && len(dst) > 0 {
+			// The file may end here: a one-byte read into dst's own last byte,
+			// put back after, tells without growing dst.
+			last := len(dst) - 1
+			kept := dst[last]
+			n, err = f.Read(dst[last:])
+			if dst[last], kept = kept, dst[last]; n > 0 {
+				dst = append(dst, kept) // more than was expected: a copy of its own
+			}
+		} else {
+			if full {
+				dst = slices.Grow(dst, 512)
+			}
+			n, err = f.Read(dst[len(dst):cap(dst)])
+			dst = dst[:len(dst)+n]
 		}
-		n, err := f.Read(dst[len(dst):cap(dst)])
-		dst = dst[:len(dst)+n]
 		if err == io.EOF {
 			return dst, nil
 		}

@@ -26,8 +26,14 @@
 // lookup and WriteChunk, with its fsyncs. Batches land strictly in stream
 // order, one at a time, and every view has landed before the Write that lent
 // it returns; the recipe and the manifest follow on the committing goroutine.
-// So every backend operation keeps its order, and a fault plan counts the
+// So every backend write keeps its order, and a fault plan counts the
 // operations it always counted.
+//
+// A read of a dedup generation (a restore, a read-repair's source, a scrub, the
+// fsck audit) reads its chunk files on every core (readChunks): each reader
+// claims the next chunk, reads it into its own range of the generation buffer
+// and hashes it. Those reads interleave — a FaultFS counts no reads — and what
+// comes back is still the verifying prefix in recipe order.
 //
 // Reference counts live in an in-memory ledger (cas.Index) rebuilt at
 // Open from the recipes of indexed and quarantined generations, kept
@@ -39,9 +45,10 @@ package store
 import (
 	"fmt"
 	"hash/crc32"
-	"math"
+	"runtime"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"lossyckpt/internal/cas"
@@ -314,66 +321,82 @@ func (s *Store) abortLocked(dw *dedupWriter) {
 // verifying prefix of the payload, so frame-level partial recovery can
 // still mine it — and err is reserved for a missing payload object.
 func (s *Store) readDedupLocked(gen Generation) (data []byte, verified bool, err error) {
-	raw, err := s.b.ReadPayload(gen.Seq, fileRoom(nil, int(s.dd.recipeBytes[gen.Seq])))
+	out, reason, err := s.assembleLocked(gen.Seq)
 	if err != nil {
 		return nil, false, fmt.Errorf("store: read gen %d: %w", gen.Seq, err)
 	}
-	out, reason := s.assembleLocked(raw)
 	verified = reason == "" &&
 		uint64(len(out)) == gen.Size &&
 		crc32.ChecksumIEEE(out) == gen.CRC
 	return out, verified, nil
 }
 
-// assembleLocked resolves a recipe image into the payload it describes: one
-// buffer of the size the recipe declares, every chunk file read straight
-// into its range of it. It returns the chunks that verify ahead of the first
-// that does not — unreadable, of the wrong length, or not hashing to its
-// address — and which layer failed: "recipe", "chunk", or "" for none.
+// assembleLocked resolves generation seq's recipe into the payload it
+// describes: the recipe read at the size the ledger booked for it, then one
+// buffer of the size the recipe declares, every chunk file read straight into
+// its range of it. It returns the chunks that verify ahead of the first that
+// does not — unreadable, of the wrong length, or not hashing to its address —
+// and which layer failed: "recipe", "chunk", or "" for none; err only when the
+// recipe object cannot be read.
 //
-// Chunk i is hashed on a second goroutine while chunk i+1 is read. Every
-// file operation stays on this one, in recipe order; after a chunk that
-// fails its hash, at most the next one has been read as well.
-func (s *Store) assembleLocked(raw []byte) (data []byte, reason string) {
+// The chunks are read and SHA-256-checked by readChunks' readers, so the file
+// reads of one generation interleave; reads are not operations a FaultFS
+// counts, and none of them writes outside its chunk's range. What comes back is
+// still the verifying prefix in recipe order, whatever the reader count.
+func (s *Store) assembleLocked(seq uint64) (data []byte, reason string, err error) {
+	raw, err := s.b.ReadPayload(seq, make([]byte, 0, s.dd.recipeBytes[seq]))
+	if err != nil {
+		return nil, "", err
+	}
 	rec, derr := cas.DecodeRecipe(raw)
 	if derr != nil {
-		return nil, "recipe"
+		return nil, "recipe", nil
 	}
-	out := fileRoom(nil, int(rec.Size)) // the chunks' lengths add up to it (DecodeRecipe)
-	type read struct {
-		chunk []byte
-		want  cas.Hash
-		off   int64
+	out := make([]byte, rec.Size) // the chunks' lengths add up to it (DecodeRecipe)
+	offs := make([]int, len(rec.Chunks)+1)
+	for i, ref := range rec.Chunks {
+		offs[i+1] = offs[i] + int(ref.Len)
 	}
-	reads := make(chan read) // unbuffered: the hasher is at most one chunk behind
-	var bad atomic.Int64     // where the first chunk whose hash failed starts
-	bad.Store(math.MaxInt64)
-	hashed := make(chan struct{})
-	go func() {
-		defer close(hashed)
-		for r := range reads {
-			if cas.Sum(r.chunk) != r.want {
-				bad.CompareAndSwap(math.MaxInt64, r.off)
-			}
-		}
-	}()
-	for _, ref := range rec.Chunks {
-		if bad.Load() != math.MaxInt64 {
-			break
-		}
-		chunk, cerr := s.b.ReadChunk(ref.Hash.String(), fileRoom(out, int(ref.Len)))
-		if cerr != nil || uint32(len(chunk)) != ref.Len {
-			break
-		}
-		reads <- read{chunk, ref.Hash, int64(len(out))}
-		out = out[:len(out)+len(chunk)]
-	}
-	close(reads)
-	<-hashed
-	if out = out[:min(int64(len(out)), bad.Load())]; uint64(len(out)) < rec.Size {
+	bad := readChunks(len(rec.Chunks), func(i int) bool {
+		ref := rec.Chunks[i]
+		chunk, cerr := s.b.ReadChunk(ref.Hash.String(), out[offs[i]:offs[i]:offs[i+1]])
+		return cerr == nil && uint32(len(chunk)) == ref.Len && cas.Sum(chunk) == ref.Hash
+	})
+	if bad < len(rec.Chunks) {
 		reason = "chunk"
 	}
-	return out, reason
+	return out[:offs[bad]], reason, nil
+}
+
+// readChunks runs read(i) for every i in [0, n) on min(n, max(2, GOMAXPROCS))
+// readers: the calling goroutine and the others it starts, all of them gone
+// when it returns. A reader claims the next i in turn, and none claims past an
+// i whose read has returned false. So every i below the lowest failure has
+// been read, and that lowest failure (n if there is none) is what it returns,
+// whatever the number of readers and however they interleave.
+func readChunks(n int, read func(i int) bool) int {
+	var next, bad atomic.Int64
+	bad.Store(int64(n))
+	work := func() {
+		for i := next.Add(1) - 1; i < bad.Load(); i = next.Add(1) - 1 {
+			if read(int(i)) {
+				continue
+			}
+			for b := bad.Load(); i < b && !bad.CompareAndSwap(b, i); b = bad.Load() {
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(n, max(2, runtime.GOMAXPROCS(0))) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	return int(bad.Load())
 }
 
 // releaseGenLocked removes a generation's payload and, for dedup
@@ -482,17 +505,15 @@ func (s *Store) dedupActiveLocked() bool {
 // damage through its own reasons ("recipe", "chunk") so the quarantine
 // record names the failing layer.
 func (s *Store) scrubResolveLocked(g Generation) (data []byte, reason string, missing bool) {
-	raw, err := s.b.ReadPayload(g.Seq, nil)
-	if err != nil {
-		return nil, "", true
-	}
 	if !g.Dedup() {
-		return raw, "", false
+		data, err := s.b.ReadPayload(g.Seq, nil)
+		return data, "", err != nil
 	}
-	if data, reason = s.assembleLocked(raw); reason != "" {
+	data, reason, err := s.assembleLocked(g.Seq)
+	if reason != "" {
 		data = nil
 	}
-	return data, reason, false
+	return data, reason, err != nil
 }
 
 // DedupStats is the store's dedup accounting surface (CLI inspect,
@@ -598,6 +619,13 @@ func (s *Store) FsckDedup() (*DedupFsckReport, error) {
 		return nil
 	})
 	truth := dd.idx
+	// Each chunk is read once, for the first generation that names it, on
+	// readChunks' readers; the issues are listed in that order.
+	type audit struct {
+		seq uint64
+		ref cas.Ref
+	}
+	var audits []audit
 	checked := make(map[cas.Hash]bool)
 	for _, g := range s.man.Gens {
 		if !g.Dedup() {
@@ -605,19 +633,29 @@ func (s *Store) FsckDedup() (*DedupFsckReport, error) {
 		}
 		rep.DedupGens++
 		for _, ref := range dd.recipes[g.Seq] {
-			if checked[ref.Hash] {
-				continue
+			if !checked[ref.Hash] {
+				checked[ref.Hash] = true
+				audits = append(audits, audit{g.Seq, ref})
 			}
-			checked[ref.Hash] = true
-			rep.ChunksChecked++
-			cdata, cerr := s.b.ReadChunk(ref.Hash.String(), nil)
-			switch {
-			case cerr != nil:
-				rep.Issues = append(rep.Issues, DedupFsckIssue{Kind: "missing", Seq: g.Seq, Hash: ref.Hash.String(), Detail: cerr.Error()})
-			case cas.Sum(cdata) != ref.Hash || uint32(len(cdata)) != ref.Len:
-				rep.Issues = append(rep.Issues, DedupFsckIssue{Kind: "corrupt", Seq: g.Seq, Hash: ref.Hash.String(),
-					Detail: fmt.Sprintf("%d bytes, content does not match address", len(cdata))})
-			}
+		}
+	}
+	rep.ChunksChecked = len(audits)
+	found := make([]DedupFsckIssue, len(audits)) // Kind "" for a chunk that checks out
+	readChunks(len(audits), func(i int) bool {
+		a := audits[i]
+		cdata, cerr := s.b.ReadChunk(a.ref.Hash.String(), make([]byte, 0, a.ref.Len))
+		switch {
+		case cerr != nil:
+			found[i] = DedupFsckIssue{Kind: "missing", Seq: a.seq, Hash: a.ref.Hash.String(), Detail: cerr.Error()}
+		case uint32(len(cdata)) != a.ref.Len || cas.Sum(cdata) != a.ref.Hash:
+			found[i] = DedupFsckIssue{Kind: "corrupt", Seq: a.seq, Hash: a.ref.Hash.String(),
+				Detail: fmt.Sprintf("%d bytes, content does not match address", len(cdata))}
+		}
+		return true
+	})
+	for _, issue := range found {
+		if issue.Kind != "" {
+			rep.Issues = append(rep.Issues, issue)
 		}
 	}
 	// Ledger vs recomputed truth, both directions.

@@ -1,5 +1,6 @@
-// retry.go is the store's transient-error ladder: capped exponential
-// backoff with jitter, bound to the context of the operation in flight.
+// retry.go is the store's transient-error ladder: four retries with
+// exponential backoff and jitter, bound to the context of the operation in
+// flight.
 // Backend primitives (create/write/sync/rename/...) run through retry;
 // a request whose context is cancelled mid-ladder aborts before the
 // next attempt instead of sleeping out the full backoff budget — the
@@ -25,19 +26,18 @@ func (s *Store) retryCtx() context.Context {
 	return context.Background()
 }
 
-// The ladder's shape: at most maxRetries retries per operation, sleeping
-// backoffBase doubled per retry up to backoffCap.
+// The ladder's shape: at most maxRetries retries per operation, retry k
+// (from 0) after a sleep of backoffBase<<k jittered into its upper half:
+// [0.5, 1), [1, 2), [2, 4) and [4, 8) ms, under 15 ms in all.
 const (
 	maxRetries  = 4
 	backoffBase = time.Millisecond
-	backoffCap  = 100 * time.Millisecond
 )
 
-// retry runs fn, retrying transient errors with capped exponential
-// backoff; permanent errors, exhausted budgets and a cancelled
-// operation context return immediately. Each sleep is jittered into
-// [backoff/2, backoff) so replicas retrying a shared fault
-// de-synchronize instead of thundering.
+// retry runs fn, retrying transient errors with exponential backoff;
+// permanent errors, exhausted budgets and a cancelled operation context
+// return immediately. Each sleep is jittered into [backoff/2, backoff) so
+// replicas retrying a shared fault de-synchronize instead of thundering.
 func (s *Store) retry(op string, fn func() error) error {
 	ctx := s.retryCtx()
 	backoff := backoffBase
@@ -60,9 +60,6 @@ func (s *Store) retry(op string, fn func() error) error {
 			return fmt.Errorf("store: %s retry abandoned: %w (last attempt: %v)", op, cerr, err)
 		}
 		backoff *= 2
-		if backoff > backoffCap {
-			backoff = backoffCap
-		}
 	}
 }
 

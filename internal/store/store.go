@@ -645,7 +645,7 @@ func (s *Store) ReadGenerationRaw(seq uint64) (data []byte, verified bool, err e
 		// The manifest says how long the file should be: read it in place,
 		// trusting the figure for no more than a first allocation of bounded
 		// size.
-		data, err = s.b.ReadPayload(seq, fileRoom(nil, int(min(gen.Size, 64<<20))))
+		data, err = s.b.ReadPayload(seq, make([]byte, 0, min(gen.Size, 64<<20)))
 		if err != nil {
 			return nil, false, fmt.Errorf("store: read gen %d: %w", seq, err)
 		}
