@@ -258,9 +258,9 @@ func cmdCompress(args []string) error {
 	}
 	opts.EntropyCodec = eid
 	opts.Shuffle = *shuffle
-	opts.VarName = varNameFromPath(*in)
 	if *autotune {
-		setting := tune.New(tune.Config{}).Decide(opts.VarName, fld.Bytes(), tune.Sample(fld.Data()))
+		name := varNameFromPath(*in)
+		setting := tune.New(tune.Config{}).Decide(name, fld.Bytes(), tune.Sample(fld.Data()))
 		opts = setting.Apply(opts)
 		fmt.Printf("autotune: selected %s\n", setting.Label())
 	}

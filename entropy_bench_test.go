@@ -102,7 +102,6 @@ func BenchmarkEntropyShuffle(b *testing.B) {
 func BenchmarkEntropyAutotuned(b *testing.B) {
 	f := syntheticClimate(b, 16*1156, 82, 2)
 	base := core.DefaultOptions()
-	base.VarName = "temperature"
 
 	b.Run("gzip-only", func(b *testing.B) {
 		b.SetBytes(int64(f.Bytes()))

@@ -175,10 +175,6 @@ func (None) Decode(payload []byte, shape []int, into *grid.Field) (*grid.Field, 
 type Gzip struct {
 	// Level is a gzipio level (-2…9); use gzipio.Default normally.
 	Level int
-	// Mode selects in-memory or temp-file operation.
-	Mode gzipio.Mode
-	// TmpDir is the temp-file directory ("" = system default).
-	TmpDir string
 	// Entropy selects the coder (entropy.Gzip — the zero value — keeps
 	// the legacy byte stream; entropy.LZ4 trades ratio for throughput).
 	Entropy entropy.ID
@@ -188,13 +184,13 @@ type Gzip struct {
 }
 
 // NewGzip returns a Gzip codec with default settings.
-func NewGzip() *Gzip { return &Gzip{Level: gzipio.Default, Mode: gzipio.InMemory} }
+func NewGzip() *Gzip { return &Gzip{Level: gzipio.Default} }
 
 // NewLZ4 returns the codec CodecByName("lz4") constructs: the LZ4-class
 // entropy coder with the byte-shuffle pre-pass, the throughput-first
 // lossless configuration.
 func NewLZ4() *Gzip {
-	return &Gzip{Level: gzipio.Default, Mode: gzipio.InMemory, Entropy: entropy.LZ4, Shuffle: true}
+	return &Gzip{Level: gzipio.Default, Entropy: entropy.LZ4, Shuffle: true}
 }
 
 // Name implements Codec. The name keys restore-side codec construction
@@ -219,9 +215,9 @@ func (g *Gzip) legacy() bool { return g.Entropy == entropy.Gzip && !g.Shuffle }
 func (g *Gzip) Encode(f *grid.Field) (*Encoded, error) { return g.EncodeEntry(Entry{Field: f}) }
 
 // EncodeEntry implements EntryEncoder. Every configuration reads the float
-// image where it lies. In-memory legacy mode compresses it straight onto a
-// writer, a few DEFLATE blocks at a time — the bytes a buffered encode
-// returns, never held whole; temp-file mode and the enveloped entropy
+// image where it lies. The legacy stream goes straight onto a writer, when
+// there is one, a few DEFLATE blocks at a time — the bytes a buffered encode
+// returns, never held whole; a buffered encode and the enveloped entropy
 // configurations build the payload in memory and return it.
 func (g *Gzip) EncodeEntry(e Entry) (*Encoded, error) {
 	f := e.Field
@@ -239,14 +235,14 @@ func (g *Gzip) EncodeEntry(e Entry) (*Encoded, error) {
 		}
 		el := time.Since(start)
 		enc.Payload, enc.Timings = res.Compressed, core.Timings{Gzip: res.CodeTime, Total: el, CPUTotal: el}
-	case e.W != nil && g.Mode == gzipio.InMemory:
+	case e.W != nil:
 		if err := gzipio.CompressTo(e.W, grid.FloatBytes(f.Data()), g.Level, gzipio.FormatGzip); err != nil {
 			return nil, err
 		}
 		el := time.Since(start)
 		enc.Timings = core.Timings{Gzip: el, Total: el, CPUTotal: el}
 	default:
-		res, err := core.CompressGzipOnly(f, g.Level, g.Mode, g.TmpDir)
+		res, err := core.CompressGzipOnly(f, g.Level, gzipio.InMemory, "")
 		if err != nil {
 			return nil, err
 		}
@@ -325,12 +321,11 @@ type Lossy struct {
 
 // tunedOptions resolves the effective pipeline options for one variable:
 // the tuner's entropy setting, when there is a tuner, overlaid on the base
-// options, labeled for telemetry.
+// options.
 func tunedOptions(opts core.Options, t *tune.Tuner, name string, f *grid.Field) core.Options {
 	if t != nil {
 		opts = t.Decide(name, f.Bytes(), tune.Sample(f.Data())).Apply(opts)
 	}
-	opts.VarName = name
 	return opts
 }
 

@@ -60,11 +60,6 @@ type Manager struct {
 	// quality enables per-variable reconstruction-quality gauges for
 	// lossy codecs (opt-in: it costs a decode round-trip per entry).
 	quality bool
-	// curOp is the operation a wrapping call (CheckpointTo,
-	// RestoreLatest) already opened: the inner Checkpoint/Restore call
-	// enriches it instead of opening its own. A Manager is documented
-	// as not safe for concurrent use, so a plain field suffices.
-	curOp *journal.Op
 	// delta, when non-nil, carries per-variable fingerprints and cached
 	// encodings between checkpoints (see delta.go). nil = delta off.
 	delta map[string]*varDelta
@@ -182,7 +177,9 @@ func (r *Report) AggregateTimings() core.Timings {
 // (the paper restarts NICAM at step 720; the counter lets restore resume
 // time-dependent forcing).
 func (m *Manager) Checkpoint(w io.Writer, step int) (rep *Report, err error) {
-	rep, parts, err := m.checkpointParts(step)
+	op := m.beginCheckpoint("buffered", step)
+	defer func() { op.End(err) }()
+	rep, parts, err := m.checkpointParts(op, step)
 	if err != nil {
 		return nil, err
 	}
@@ -199,8 +196,9 @@ func (m *Manager) Checkpoint(w io.Writer, step int) (rep *Report, err error) {
 // its framing — CRC, length, prologue, payload length — and its payload, the
 // codec's own slice. Nothing is joined; a writer or a store takes the parts
 // one after the other. The CRC leads the frame, so every entry is encoded
-// before the first part exists, and an encode error returns none.
-func (m *Manager) checkpointParts(step int) (rep *Report, parts [][]byte, err error) {
+// before the first part exists, and an encode error returns none. op is the
+// caller's operation, filled here and ended there.
+func (m *Manager) checkpointParts(op *journal.Op, step int) (rep *Report, parts [][]byte, err error) {
 	start := time.Now()
 	if len(m.names) == 0 {
 		return nil, nil, fmt.Errorf("%w: no fields registered", ErrRegistered)
@@ -210,9 +208,7 @@ func (m *Manager) checkpointParts(step int) (rep *Report, parts [][]byte, err er
 	}
 
 	encoded := make([]*Encoded, len(m.names))
-	op, owned := m.opFor("ckpt.checkpoint", "codec", m.codec.Name(), "mode", "buffered")
-	op.SetStep(step)
-	defer func() { m.closeCheckpoint(op, owned, rep, encoded, err) }()
+	defer func() { m.closeCheckpoint(op, rep, encoded, err) }()
 
 	parts = append(make([][]byte, 0, 1+2*len(m.names)), m.streamHeader(fileVersion, step))
 	rep = &Report{Codec: m.codec.Name(), Step: step, FileBytes: len(parts[0])}
@@ -506,8 +502,10 @@ func (m *Manager) restoreScan(rep *Report, lenient bool) *entryScan {
 // around a slab that does not decode: then the other slabs' planes hold the
 // restored values and that slab's are untouched. RestorePartial is the call
 // for state that must stay whole or untouched per array.
-func (m *Manager) Restore(r io.Reader) (*Report, error) {
-	rep, _, err := m.restore(newByteReader(r), false)
+func (m *Manager) Restore(r io.Reader) (rep *Report, err error) {
+	op := m.beginRestore("full")
+	defer func() { op.End(err) }()
+	rep, _, err = m.restore(op, newByteReader(r), false)
 	return rep, err
 }
 
@@ -523,21 +521,20 @@ func (m *Manager) Restore(r io.Reader) (*Report, error) {
 // it was before the call: every entry decodes apart from the registered
 // field and is copied over it only whole (one array-sized allocation and
 // copy per entry that Restore does not pay).
-func (m *Manager) RestorePartial(r io.Reader) (*Report, []string, error) {
-	return m.restore(newByteReader(r), true)
+func (m *Manager) RestorePartial(r io.Reader) (rep *Report, skipped []string, err error) {
+	op := m.beginRestore("partial")
+	defer func() { op.End(err) }()
+	return m.restore(op, newByteReader(r), true)
 }
 
-func (m *Manager) restore(br *byteReader, partial bool) (rep *Report, skipped []string, err error) {
+// restore decodes one stream into the registered arrays, filling the caller's
+// operation op.
+func (m *Manager) restore(op *journal.Op, br *byteReader, partial bool) (rep *Report, skipped []string, err error) {
 	start := time.Now()
 	// Even a failed restore may have overwritten some arrays; the delta
 	// baseline no longer describes the live state either way.
 	m.resetDelta()
-	mode := "full"
-	if partial {
-		mode = "partial"
-	}
-	op, owned := m.opFor("ckpt.restore", "codec", m.codec.Name(), "mode", mode)
-	defer func() { m.closeRestore(op, owned, rep, skipped, partial, err) }()
+	defer func() { m.closeRestore(op, rep, skipped, partial, err) }()
 	hdr, err := readStreamHeader(br)
 	if err != nil {
 		return nil, nil, err

@@ -43,16 +43,6 @@ const (
 // compression-rate gauges are always recorded when a registry is installed.
 func (m *Manager) EnableQualityTelemetry(on bool) { m.quality = on }
 
-// opFor returns the operation a call should fill: the one a wrapping
-// store-level call already opened (owned=false), or a fresh root op
-// (owned=true — the caller must End it).
-func (m *Manager) opFor(name string, attrs ...any) (op *journal.Op, owned bool) {
-	if m.curOp != nil {
-		return m.curOp, false
-	}
-	return journal.Begin(name, attrs...), true
-}
-
 // stagesOf flattens a timing breakdown into the journal's waterfall
 // map, skipping zero-valued phases.
 func stagesOf(t core.Timings) map[string]float64 {
@@ -75,17 +65,21 @@ func stagesOf(t core.Timings) map[string]float64 {
 	return out
 }
 
-// closeCheckpoint is the one close of a checkpoint call. A checkpoint that
+// beginCheckpoint opens the operation of one checkpoint call. The call that
+// opens it ends it; the encode body fills it (closeCheckpoint).
+func (m *Manager) beginCheckpoint(mode string, step int) *journal.Op {
+	op := journal.Begin("ckpt.checkpoint", "codec", m.codec.Name(), "mode", mode)
+	op.SetStep(step)
+	return op
+}
+
+// closeCheckpoint is the one close of a checkpoint's encode. One that
 // succeeded is folded into its operation — aggregate waterfall, byte totals,
 // and one entry per variable with its own stage breakdown, per-chunk timings
 // and codec decisions — and into the registry: byte and entry counters, the
-// rate gauge and, when enabled, the quality gauges per variable. The
-// operation ends here unless a wrapping call owns it. op is nil when neither
-// sink is set, and nothing is computed.
-func (m *Manager) closeCheckpoint(op *journal.Op, owned bool, rep *Report, encoded []*Encoded, err error) {
-	if owned {
-		defer op.End(err)
-	}
+// rate gauge and, when enabled, the quality gauges per variable. op is nil
+// when neither sink is set, and nothing is computed.
+func (m *Manager) closeCheckpoint(op *journal.Op, rep *Report, encoded []*Encoded, err error) {
 	if op == nil || err != nil {
 		return
 	}
@@ -161,13 +155,16 @@ func (m *Manager) measureQuality(o *obs.Registry, name string, payload []byte) {
 	}
 }
 
-// closeRestore is the one close of a restore call: a restore that succeeded
-// is folded into its operation, a lenient one is counted and noted as a
-// partial restore, and the operation ends here unless a wrapping call owns it.
-func (m *Manager) closeRestore(op *journal.Op, owned bool, rep *Report, skipped []string, partial bool, err error) {
-	if owned {
-		defer op.End(err)
-	}
+// beginRestore opens the operation of one restore call, which ends it; each
+// stream it decodes fills it (closeRestore).
+func (m *Manager) beginRestore(mode string) *journal.Op {
+	return journal.Begin("ckpt.restore", "codec", m.codec.Name(), "mode", mode)
+}
+
+// closeRestore is the one close of a stream's decode: one that succeeded is
+// folded into its operation, and a lenient one is counted and noted as a
+// partial restore.
+func (m *Manager) closeRestore(op *journal.Op, rep *Report, skipped []string, partial bool, err error) {
 	if op == nil || err != nil {
 		return
 	}

@@ -420,7 +420,7 @@ func readEveryWay(t *testing.T, codec Codec, data []byte, workers int, inMemory 
 	}
 
 	m, fields := fresh()
-	rep, _, err := m.restore(source(), false)
+	rep, _, err := m.restore(nil, source(), false)
 	settle()
 	out.Strict, out.StrictErr = strip(rep), errString(err)
 	if err == nil {
@@ -429,7 +429,7 @@ func readEveryWay(t *testing.T, codec Codec, data []byte, workers int, inMemory 
 	}
 
 	m, fields = fresh()
-	rep, out.Skipped, err = m.restore(source(), true)
+	rep, out.Skipped, err = m.restore(nil, source(), true)
 	settle()
 	out.Partial, out.PartialErr, out.PartialFields = strip(rep), errString(err), snapshot(fields)
 

@@ -1,15 +1,17 @@
-// sinks_test.go holds the one-front-door property: every operation and every
-// single-shot fact reaches the journal and the registry through one Begin/End
-// pair or one Note, so the two sinks cannot tell different stories — whichever
-// of them is set.
+// sinks_test.go holds the one-front-door property: every operation reaches the
+// journal and the registry through one Begin/End pair, and every single-shot
+// fact the journal through one Note, so the two sinks cannot tell different
+// stories — whichever of them is set.
 package ckpt
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,16 +22,15 @@ import (
 	"lossyckpt/internal/store"
 )
 
-// sinkRun is what one pass of the scenario left in each sink: the names in the
-// registry's tail, and the journal's records.
+// sinkRun is what one pass of the scenario left in each sink: the registry,
+// and the journal's records.
 type sinkRun struct {
 	reg  *obs.Registry
-	tail []string
 	recs []journal.Record
 }
 
-// journalNames lists what the journal says should be in the tail: an op by its
-// span name once per end record, a note by its own name.
+// journalNames lists the journal's end records, an op by its span name, and
+// its notes by their own names.
 func (r *sinkRun) journalNames() (names []string) {
 	for _, rec := range r.recs {
 		switch rec.Phase {
@@ -41,6 +42,29 @@ func (r *sinkRun) journalNames() (names []string) {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// spans lists what the registry shows of each operation, sorted: the span
+// name, its _seconds count, _total and _errors_total.
+func (r *sinkRun) spans() (out []string) {
+	vals := map[string]float64{}
+	for _, m := range r.reg.Snapshot().Metrics {
+		switch {
+		case len(m.Labels) > 0:
+		case m.Kind == "histogram":
+			vals[m.Name] = float64(m.Count)
+		default:
+			vals[m.Name] = m.Value
+		}
+	}
+	for name, n := range vals {
+		span, ok := strings.CutSuffix(name, "_seconds")
+		if total, isSpan := vals[span+"_total"]; ok && isSpan {
+			out = append(out, fmt.Sprintf("%s %v %v %v", span, n, total, vals[span+"_errors_total"]))
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // runSinkScenario drives save → silent chunk damage on one replica → restore
@@ -127,16 +151,6 @@ func runSinkScenario(t *testing.T, withReg, withJournal bool) *sinkRun {
 		t.Fatalf("lenient restore around a damaged frame: skipped %v, %v", skipped, err)
 	}
 
-	if withReg {
-		events, dropped := run.reg.Events()
-		if dropped != 0 {
-			t.Fatalf("the tail dropped %d events: the scenario outgrew the ring", dropped)
-		}
-		for _, ev := range events {
-			run.tail = append(run.tail, ev.Name)
-		}
-		sort.Strings(run.tail)
-	}
 	if withJournal {
 		journal.Default().Close()
 		var torn bool
@@ -151,13 +165,8 @@ func runSinkScenario(t *testing.T, withReg, withJournal bool) *sinkRun {
 func TestSinkMatrix(t *testing.T) {
 	both := runSinkScenario(t, true, true)
 
-	// Same facts in both sinks: every op that ended and every note is in
-	// the tail under the name the journal gives it, and nothing else is.
-	names := both.journalNames()
-	if !slices.Equal(both.tail, names) {
-		t.Fatalf("the registry's tail and the journal disagree:\ntail    %v\njournal %v", both.tail, names)
-	}
-	// The span series are the journal's end records, counted.
+	// The span series are the journal's end records, counted, and the
+	// registry shows no operation the journal does not.
 	ended, failed := map[string]float64{}, map[string]float64{}
 	noted := map[string]journal.Record{}
 	for _, rec := range both.recs {
@@ -188,13 +197,16 @@ func TestSinkMatrix(t *testing.T) {
 			t.Errorf("%s_seconds counts %v, want %v", span, got, n)
 		}
 	}
+	if spans := both.spans(); len(spans) != len(ended) {
+		t.Errorf("the registry shows %d operations, the journal ended %d:\n%v", len(spans), len(ended), spans)
+	}
 	// One call, one operation: the save into the store and the restore
 	// that walked it each count once, whatever they wrapped.
 	if ended["ckpt.checkpoint"] != 2 || ended["ckpt.restore"] != 2 {
 		t.Errorf("ckpt.checkpoint ended %v times and ckpt.restore %v, want 2 and 2", ended["ckpt.checkpoint"], ended["ckpt.restore"])
 	}
-	// What only the in-memory ring used to hold is on record now, with
-	// the attributes a post-mortem asks for.
+	// The single-shot facts are on record, with the attributes a
+	// post-mortem asks for.
 	for _, fact := range []string{"store.manifest_rebuilt", "faultfs.injected", "store.replica_read_failed",
 		"store.read_repair", "store.scrub_quarantined", "store.scrub_repair", "ckpt.partial_restore", "ckpt.quality_exact"} {
 		if _, ok := noted[fact]; !ok {
@@ -209,10 +221,10 @@ func TestSinkMatrix(t *testing.T) {
 	}
 
 	// Either sink alone shows what it showed beside the other.
-	if tail := runSinkScenario(t, true, false).tail; !slices.Equal(tail, both.tail) {
-		t.Errorf("registry alone:\ntail %v\nwant %v", tail, both.tail)
+	if alone, want := runSinkScenario(t, true, false).spans(), both.spans(); !slices.Equal(alone, want) {
+		t.Errorf("registry alone:\nspans %v\nwant  %v", alone, want)
 	}
-	if alone := runSinkScenario(t, false, true).journalNames(); !slices.Equal(alone, names) {
+	if alone, names := runSinkScenario(t, false, true).journalNames(), both.journalNames(); !slices.Equal(alone, names) {
 		t.Errorf("journal alone:\nrecords %v\nwant    %v", alone, names)
 	}
 

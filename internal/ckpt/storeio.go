@@ -35,12 +35,16 @@ func (m *Manager) CheckpointTo(st store.Target, step int) (rep *Report, gen stor
 // CheckpointToCtx is CheckpointTo bound to a request context: the
 // context reaches the store's commit and retry path, so a cancelled
 // request aborts the commit instead of sleeping out backoff ladders.
+//
+// One operation spans the save, encode and commit, so the store's commit and
+// vote records become its children; it ends with the generation committed.
 func (m *Manager) CheckpointToCtx(ctx context.Context, st store.Target, step int) (rep *Report, gen store.Generation, err error) {
-	defer m.checkpointOp("buffered", step)(&gen, &err)
+	op := m.beginCheckpoint("buffered", step)
+	defer func() { op.SetSeq(gen.Seq); op.End(err) }()
 	// Every entry is encoded before the store sees a byte — an encode error
 	// touches no store — and the stream is committed as the slices it
 	// consists of, the payloads the codecs' own.
-	rep, parts, err := m.checkpointParts(step)
+	rep, parts, err := m.checkpointParts(op, step)
 	if err != nil {
 		return nil, store.Generation{}, err
 	}
@@ -48,21 +52,6 @@ func (m *Manager) CheckpointToCtx(ctx context.Context, st store.Target, step int
 		return nil, store.Generation{}, err
 	}
 	return rep, gen, nil
-}
-
-// checkpointOp opens the operation of a save into a store, so the store's
-// commit and vote records become its children, the inner Checkpoint call
-// enriches it (see observe.go) and its span covers encode and commit. The
-// function it returns closes it with the save's outcome; defer it.
-func (m *Manager) checkpointOp(mode string, step int) func(*store.Generation, *error) {
-	op := journal.Begin("ckpt.checkpoint", "codec", m.codec.Name(), "mode", mode)
-	op.SetStep(step)
-	m.curOp = op
-	return func(gen *store.Generation, err *error) {
-		m.curOp = nil
-		op.SetSeq(gen.Seq)
-		op.End(*err)
-	}
 }
 
 // newestFirst is the walk every restore from a store makes: try on each
@@ -137,10 +126,8 @@ type StoreRestore struct {
 func (m *Manager) RestoreLatest(st store.Target) (sr *StoreRestore, err error) {
 	// One operation per call, however many generations the walk tries: the
 	// inner restores fill it, the ones it passes over are counted and noted.
-	op := journal.Begin("ckpt.restore", "codec", m.codec.Name(), "mode", "latest")
-	m.curOp = op
+	op := m.beginRestore("latest")
 	defer func() {
-		m.curOp = nil
 		if sr != nil {
 			op.SetSeq(sr.Generation)
 			if sr.Partial {
@@ -151,7 +138,7 @@ func (m *Manager) RestoreLatest(st store.Target) (sr *StoreRestore, err error) {
 	}()
 	err = newestFirst(context.Background(), st, m.recordFallback,
 		func(g store.Generation, data []byte, lenient bool) error {
-			rep, skipped, err := m.restore(&byteReader{b: data}, lenient)
+			rep, skipped, err := m.restore(op, &byteReader{b: data}, lenient)
 			if err != nil {
 				return err
 			}

@@ -34,6 +34,7 @@ import (
 	"sync"
 	"time"
 
+	"lossyckpt/internal/obs/journal"
 	"lossyckpt/internal/store"
 )
 
@@ -126,6 +127,14 @@ func (m *Manager) CheckpointStream(w io.Writer, step int) (rep *Report, err erro
 // producing bytes promptly — the store side then aborts its payload
 // cleanly.
 func (m *Manager) CheckpointStreamCtx(ctx context.Context, w io.Writer, step int) (rep *Report, err error) {
+	op := m.beginCheckpoint("stream", step)
+	defer func() { op.End(err) }()
+	return m.checkpointStream(ctx, op, w, step)
+}
+
+// checkpointStream is the body of CheckpointStreamCtx, filling the caller's
+// operation op.
+func (m *Manager) checkpointStream(ctx context.Context, op *journal.Op, w io.Writer, step int) (rep *Report, err error) {
 	start := time.Now()
 	if w = ctxWriter(ctx, w); ctx.Done() != nil {
 		if err := ctx.Err(); err != nil {
@@ -139,9 +148,7 @@ func (m *Manager) CheckpointStreamCtx(ctx context.Context, w io.Writer, step int
 		return nil, fmt.Errorf("%w: negative step %d", ErrRegistered, step)
 	}
 	encoded := make([]*Encoded, len(m.names))
-	jop, jowned := m.opFor("ckpt.checkpoint", "codec", m.codec.Name(), "mode", "stream")
-	jop.SetStep(step)
-	defer func() { m.closeCheckpoint(jop, jowned, rep, encoded, err) }()
+	defer func() { m.closeCheckpoint(op, rep, encoded, err) }()
 
 	cw := &countingWriter{w: w}
 	if _, err := cw.Write(m.streamHeader(fileVersionStream, step)); err != nil {
@@ -202,7 +209,7 @@ func (m *Manager) CheckpointStreamCtx(ctx context.Context, w io.Writer, step int
 			rep.addEntry(name, encoded[i], int(sw.n))
 			// Breadcrumb for kill-mid-checkpoint replay: the furthest entry
 			// written and the stream bytes produced so far.
-			jop.Progress("entry:"+name, int64(cw.n))
+			op.Progress("entry:"+name, int64(cw.n))
 			return nil
 		})
 		if err != nil {
@@ -231,10 +238,11 @@ func (m *Manager) CheckpointStreamTo(st store.Target, step int) (rep *Report, ge
 // the whole pipeline down cleanly — partial payload removed, previous
 // latest generation still indexed.
 func (m *Manager) CheckpointStreamToCtx(ctx context.Context, st store.Target, step int) (rep *Report, gen store.Generation, err error) {
-	defer m.checkpointOp("stream", step)(&gen, &err)
+	op := m.beginCheckpoint("stream", step)
+	defer func() { op.SetSeq(gen.Seq); op.End(err) }()
 	gen, err = st.CommitStreamCtx(ctx, step, func(w io.Writer) error {
 		var cerr error
-		rep, cerr = m.CheckpointStreamCtx(ctx, w, step)
+		rep, cerr = m.checkpointStream(ctx, op, w, step)
 		return cerr
 	})
 	if err != nil {

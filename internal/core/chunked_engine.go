@@ -314,7 +314,7 @@ func compressChunks(f *grid.Field, opts Options, chunkExtent int, cache *SlabCac
 		obsr.Gauge(MetricStreamInflight).Set(0)
 		recordCompressOp("chunked", res.RawBytes, res.StreamBytes, res.Timings)
 		obsr.Counter(MetricCompressChunks).Add(float64(res.Chunks))
-		entropy.RecordSelection(opts.entropyParams(), opts.VarName)
+		entropy.RecordSelection(opts.entropyParams())
 	}
 	return res, nil
 }

@@ -90,10 +90,6 @@ type Options struct {
 	// predates container format 2, whose float sections are lanes already:
 	// it still does what it did, but the tuner no longer selects it.
 	Shuffle bool
-	// VarName labels entropy-stage telemetry (the
-	// entropy_codec_selected{codec,var} counter); it does not affect the
-	// output stream. Empty records "-".
-	VarName string
 	// PerBandQuant quantizes each wavelet sub-band separately instead of
 	// pooling all high-frequency values as the paper does (ablation; see
 	// DESIGN.md experiment X8). Each band gets its own average table,
@@ -523,7 +519,7 @@ func (s *Stages) Encode() error {
 	recordStageSeconds(res.Timings)
 	if !opts.chunkInternal {
 		recordCompressOp("single", res.RawBytes, res.CompressedBytes, res.Timings)
-		entropy.RecordSelection(opts.entropyParams(), opts.VarName)
+		entropy.RecordSelection(opts.entropyParams())
 	}
 	return nil
 }

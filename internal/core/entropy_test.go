@@ -167,7 +167,7 @@ func TestEntropyOptionValidation(t *testing.T) {
 }
 
 // TestEntropySelectionMetric checks the codec-selection counter fires
-// once per top-level compression, labeled with codec and variable.
+// once per top-level compression, labeled with the codec.
 func TestEntropySelectionMetric(t *testing.T) {
 	f := smooth3D(32, 16, 2, 3)
 	reg := obs.NewRegistry()
@@ -175,7 +175,6 @@ func TestEntropySelectionMetric(t *testing.T) {
 	opts := DefaultOptions()
 	opts.EntropyCodec = entropy.LZ4
 	opts.Shuffle = true
-	opts.VarName = "temperature"
 	if _, err := Compress(f, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +184,7 @@ func TestEntropySelectionMetric(t *testing.T) {
 	var got float64
 	for _, m := range reg.Snapshot().Metrics {
 		if m.Name == entropy.MetricCodecSelected &&
-			m.Labels["codec"] == "lz4+shuffle" && m.Labels["var"] == "temperature" {
+			m.Labels["codec"] == "lz4+shuffle" {
 			got = m.Value
 		}
 	}

@@ -86,7 +86,8 @@ const (
 const DefaultStride = 8
 
 // MetricCodecSelected counts entropy-stage encodes, labeled
-// codec=gzip|gzip+shuffle|lz4|lz4+shuffle and var=<variable name or "-">.
+// codec=gzip|gzip+shuffle|lz4|lz4+shuffle. Which variable got which is on
+// the journal: the ckpt.checkpoint entries and the tune.decision notes.
 const MetricCodecSelected = "lossyckpt_entropy_codec_selected_total"
 
 // Params configures one entropy-stage encode.
@@ -324,15 +325,9 @@ func Identify(data []byte) string {
 }
 
 // RecordSelection bumps the codec-selection counter for one entropy
-// encode on the process registry, labeled p.Label(). varName may be empty
-// ("-" is recorded).
-func RecordSelection(p Params, varName string) {
-	reg := obs.Default()
-	if reg == nil {
-		return
+// encode on the process registry, labeled p.Label().
+func RecordSelection(p Params) {
+	if reg := obs.Default(); reg != nil {
+		reg.Counter(MetricCodecSelected, "codec", p.Label()).Inc()
 	}
-	if varName == "" {
-		varName = "-"
-	}
-	reg.Counter(MetricCodecSelected, "codec", p.Label(), "var", varName).Inc()
 }

@@ -262,17 +262,20 @@ func TestParseID(t *testing.T) {
 func TestRecordSelection(t *testing.T) {
 	reg := obs.NewRegistry()
 	defer obs.SetDefault(obs.SetDefault(reg))
-	RecordSelection(Params{Codec: LZ4, Shuffle: true}, "temperature")
-	RecordSelection(Params{Codec: LZ4, Shuffle: true}, "temperature")
-	RecordSelection(Params{Codec: Gzip}, "")
+	RecordSelection(Params{Codec: LZ4, Shuffle: true})
+	RecordSelection(Params{Codec: LZ4, Shuffle: true})
+	RecordSelection(Params{Codec: Gzip})
 	snap := reg.Snapshot()
 	got := map[string]float64{}
 	for _, m := range snap.Metrics {
 		if m.Name == MetricCodecSelected {
-			got[m.Labels["codec"]+"/"+m.Labels["var"]] = m.Value
+			if len(m.Labels) != 1 {
+				t.Errorf("selection counter labelled %v, want codec alone", m.Labels)
+			}
+			got[m.Labels["codec"]] = m.Value
 		}
 	}
-	if got["lz4+shuffle/temperature"] != 2 || got["gzip/-"] != 1 {
+	if got["lz4+shuffle"] != 2 || got["gzip"] != 1 {
 		t.Fatalf("unexpected selection counters: %v", got)
 	}
 }

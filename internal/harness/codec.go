@@ -428,7 +428,6 @@ func entropyStage(cfg Config, t *Table) error {
 		return err
 	}
 	base := cfg.options(quant.Proposed, 128)
-	base.VarName = "temperature"
 
 	// measure adds the row of one configuration: the run of median total.
 	measure := func(name string, opts core.Options) error {

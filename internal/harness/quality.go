@@ -78,9 +78,8 @@ func (c Config) QualityReport(workload string, steps int, divisions []int) (*qa.
 		Codec:    "lossy (wavelet+quantize)",
 		Created:  time.Now().UTC(),
 	}
+	opts := c.options(quant.Proposed, 128)
 	for _, nf := range fields {
-		opts := c.options(quant.Proposed, 128)
-		opts.VarName = nf.Name
 		g, _, err := core.RoundTrip(nf.Field, opts)
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s: %w", workload, nf.Name, err)

@@ -42,21 +42,12 @@ func (b BucketSnapshot) MarshalJSON() ([]byte, error) {
 	return []byte(fmt.Sprintf(`{"le":%s,"count":%d}`, le, b.Count)), nil
 }
 
-// EventSnapshot is one trace event in a snapshot.
-type EventSnapshot struct {
-	Time  time.Time         `json:"time"`
-	Name  string            `json:"name"`
-	Attrs map[string]string `json:"attrs,omitempty"`
-}
-
 // Snapshot is a point-in-time copy of the registry, the unit both the
 // JSON exposition and the summary table render.
 type Snapshot struct {
-	Start         time.Time        `json:"start"`
-	Taken         time.Time        `json:"taken"`
-	Metrics       []MetricSnapshot `json:"metrics"`
-	Events        []EventSnapshot  `json:"events,omitempty"`
-	DroppedEvents uint64           `json:"dropped_events,omitempty"`
+	Start   time.Time        `json:"start"`
+	Taken   time.Time        `json:"taken"`
+	Metrics []MetricSnapshot `json:"metrics"`
 }
 
 // Snapshot freezes the registry. Metrics are sorted by name then label
@@ -107,19 +98,6 @@ func (r *Registry) Snapshot() *Snapshot {
 			}
 		}
 		snap.Metrics = append(snap.Metrics, s)
-	}
-
-	events, dropped := r.events.snapshot()
-	snap.DroppedEvents = dropped
-	for _, ev := range events {
-		es := EventSnapshot{Time: ev.Time, Name: ev.Name}
-		if len(ev.Attrs) > 0 {
-			es.Attrs = make(map[string]string, len(ev.Attrs)/2)
-			for i := 0; i+1 < len(ev.Attrs); i += 2 {
-				es.Attrs[ev.Attrs[i]] = ev.Attrs[i+1]
-			}
-		}
-		snap.Events = append(snap.Events, es)
 	}
 	return snap
 }
@@ -249,9 +227,6 @@ func (r *Registry) WriteSummary(w io.Writer) error {
 			}
 			fmt.Fprintf(tw, "%s\tcount=%d sum=%s mean=%s\n", id, m.Count, formatValue(m.Sum), formatValue(mean))
 		}
-	}
-	if n := len(snap.Events); n > 0 {
-		fmt.Fprintf(tw, "events\t%d retained (%d dropped)\n", n, snap.DroppedEvents)
 	}
 	return tw.Flush()
 }

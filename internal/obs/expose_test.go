@@ -21,7 +21,6 @@ func populated() *Registry {
 	h := r.Histogram("lossyckpt_compress_wall_seconds", DurationBuckets)
 	h.Observe(0.002)
 	h.Observe(0.2)
-	r.Event("store.commit", "gen", "1", "bytes", "4096")
 	return r
 }
 
@@ -80,8 +79,11 @@ func TestJSONSnapshotRoundTrips(t *testing.T) {
 	if !ok || len(metrics) == 0 {
 		t.Fatal("snapshot has no metrics array")
 	}
-	if _, ok := snap["events"].([]any); !ok {
-		t.Error("snapshot has no events array")
+	// The registry holds numbers; what happened is the journal's.
+	for _, k := range []string{"events", "dropped_events"} {
+		if _, ok := snap[k]; ok {
+			t.Errorf("snapshot has an %q key", k)
+		}
 	}
 }
 
@@ -91,7 +93,7 @@ func TestWriteSummaryTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"metric", "lossyckpt_demo_total", "count=2", "events"} {
+	for _, want := range []string{"metric", "lossyckpt_demo_total", "count=2"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("summary missing %q:\n%s", want, out)
 		}

@@ -17,13 +17,14 @@ import (
 // Handler returns the registry's HTTP surface:
 //
 //	/metrics        Prometheus text exposition
-//	/metrics.json   full JSON snapshot (metrics + trace events)
+//	/metrics.json   full JSON snapshot of the metrics
 //	/summary        the human end-of-run table
 //	/debug/pprof/…  net/http/pprof profiles
 //	/               a plain-text index of the above
 //
 // Safe to serve while recording continues; every page renders a fresh
-// snapshot.
+// snapshot. The registry holds numbers only: what each operation did is in
+// the journal (-journal, lossyckpt report -journal), not on a page here.
 func (r *Registry) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
@@ -59,7 +60,7 @@ func (r *Registry) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "lossyckpt observability endpoints:")
 		fmt.Fprintln(w, "  /metrics       Prometheus text format")
-		fmt.Fprintln(w, "  /metrics.json  JSON snapshot (metrics + events)")
+		fmt.Fprintln(w, "  /metrics.json  JSON snapshot of the metrics")
 		fmt.Fprintln(w, "  /summary       human summary table")
 		fmt.Fprintln(w, "  /healthz       liveness probe")
 		fmt.Fprintln(w, "  /readyz        readiness probe (503 while draining)")

@@ -10,11 +10,11 @@
 // flight recorder on".
 //
 // It is also the one front door for telemetry about operations: Begin
-// and Note record on the process journal and registry together (the
-// methods of the same names take an explicit pair), and what the
-// registry shows of an operation — its <SpanName>_seconds, _total and
-// _errors_total series and its event in the tail — is derived from the
-// Op and the Note, never recorded a second time by the call site.
+// opens an operation on the process journal and registry together (the
+// method of the same name takes an explicit pair), and what the registry
+// shows of it — its <SpanName>_seconds, _total and _errors_total series —
+// is recorded by End, never a second time by the call site. A Note is a
+// journal record only: the registry holds numbers, the journal events.
 //
 // Records carry an operation ID and the ID of the operation that was
 // active when they began, so a checkpoint's store commit, its replica
@@ -292,14 +292,30 @@ func SpanName(op string) string {
 	return "lossyckpt_" + strings.ReplaceAll(op, ".", "_")
 }
 
+// series holds each op name's three registry series — _seconds, _total,
+// _errors_total — named once, so an End on a registry alone costs no more
+// than the Op. Op names are the call sites' own, a set fixed by the code.
+var series sync.Map // op name → *[3]string
+
+func seriesOf(op string) *[3]string {
+	if n, ok := series.Load(op); ok {
+		return n.(*[3]string)
+	}
+	name := SpanName(op)
+	n, _ := series.LoadOrStore(op, &[3]string{name + "_seconds", name + "_total", name + "_errors_total"})
+	return n.(*[3]string)
+}
+
 // Op is an in-flight operation: the one span a call site opens. It
-// accumulates one wide event for the journal and closes one obs.Span on the
-// registry; either sink may be absent. Created by Begin, finished by End.
-// Safe on a nil receiver and for concurrent mutation (replica vote outcomes
-// arrive from worker goroutines); mutations after End are dropped.
+// accumulates one wide event for the journal and, on End, records the
+// operation's duration and count series on the registry; either sink may be
+// absent. Created by Begin, finished by End. Safe on a nil receiver and for
+// concurrent mutation (replica vote outcomes arrive from worker goroutines);
+// mutations after End are dropped, and so is every one on an Op without a
+// journal: the record they fill is the journal's.
 type Op struct {
-	j     *Journal  // nil: no flight recorder, the span alone
-	span  *obs.Span // nil: no registry
+	j     *Journal      // nil: no flight recorder
+	r     *obs.Registry // nil: no registry
 	mu    sync.Mutex
 	rec   Record
 	start time.Time
@@ -310,22 +326,18 @@ type Op struct {
 // Begin opens an operation on the sinks that are set — the journal, the
 // registry r, or both — and returns nil, at no cost, when neither is. On the
 // journal a slim begin record is written immediately (the evidence a kill
-// leaves behind) and the returned Op accumulates the waterfall until End; on
-// the registry a span named SpanName(op) starts. attrs are alternating keys
-// and values (see attrString for the value types).
+// leaves behind) and the returned Op accumulates the waterfall until End; a
+// registry alone gets the Op and its clock, nothing rendered. attrs are
+// alternating keys and values (see attrString for the value types).
 func (j *Journal) Begin(r *obs.Registry, op string, attrs ...any) *Op {
 	if j == nil && r == nil {
 		return nil
 	}
-	strs := attrStrings(attrs)
-	o := &Op{j: j, start: time.Now(), rec: Record{Op: op}}
-	if r != nil {
-		o.span = r.StartSpan(SpanName(op), anys(strs)...)
-	}
+	o := &Op{j: j, r: r, start: time.Now(), rec: Record{Op: op}}
 	if j == nil {
 		return o
 	}
-	o.rec.ID, o.rec.Attrs = j.nextID(), attrMap(strs)
+	o.rec.ID, o.rec.Attrs = j.nextID(), attrMap(attrs)
 	if o.root = j.active.CompareAndSwap(nil, &o.rec.ID); !o.root {
 		if p := j.active.Load(); p != nil {
 			o.rec.Parent = *p
@@ -349,12 +361,25 @@ func (o *Op) ID() string {
 	return o.rec.ID
 }
 
-// Set adds or overwrites attributes on the final record.
-func (o *Op) Set(attrs ...any) {
-	if o == nil {
-		return
+// lock takes the Op to fill its record, or reports that there is nothing to
+// fill: no Op, no journal, or the operation has ended.
+func (o *Op) lock() bool {
+	if o == nil || o.j == nil {
+		return false
 	}
 	o.mu.Lock()
+	if o.done {
+		o.mu.Unlock()
+		return false
+	}
+	return true
+}
+
+// Set adds or overwrites attributes on the final record.
+func (o *Op) Set(attrs ...any) {
+	if !o.lock() {
+		return
+	}
 	defer o.mu.Unlock()
 	if o.rec.Attrs == nil {
 		o.rec.Attrs = map[string]string{}
@@ -366,41 +391,33 @@ func (o *Op) Set(attrs ...any) {
 
 // SetStep records the application step the operation acts on.
 func (o *Op) SetStep(step int) {
-	if o == nil {
-		return
+	if o.lock() {
+		o.rec.Step = step
+		o.mu.Unlock()
 	}
-	o.mu.Lock()
-	o.rec.Step = step
-	o.mu.Unlock()
 }
 
 // SetSeq records the store generation sequence.
 func (o *Op) SetSeq(seq uint64) {
-	if o == nil {
-		return
+	if o.lock() {
+		o.rec.Seq = seq
+		o.mu.Unlock()
 	}
-	o.mu.Lock()
-	o.rec.Seq = seq
-	o.mu.Unlock()
 }
 
 // SetBytes records the operation's input/output byte totals.
 func (o *Op) SetBytes(in, out int64) {
-	if o == nil {
-		return
+	if o.lock() {
+		o.rec.BytesIn, o.rec.BytesOut = in, out
+		o.mu.Unlock()
 	}
-	o.mu.Lock()
-	o.rec.BytesIn = in
-	o.rec.BytesOut = out
-	o.mu.Unlock()
 }
 
 // Stage records one stage's duration in the operation waterfall.
 func (o *Op) Stage(name string, d time.Duration) {
-	if o == nil {
+	if !o.lock() {
 		return
 	}
-	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.rec.Stages == nil {
 		o.rec.Stages = map[string]float64{}
@@ -410,33 +427,29 @@ func (o *Op) Stage(name string, d time.Duration) {
 
 // Entry appends one per-variable entry to the wide event.
 func (o *Op) Entry(e Entry) {
-	if o == nil {
-		return
+	if o.lock() {
+		o.rec.Entries = append(o.rec.Entries, e)
+		o.mu.Unlock()
 	}
-	o.mu.Lock()
-	o.rec.Entries = append(o.rec.Entries, e)
-	o.mu.Unlock()
 }
 
 // Vote appends one replica vote outcome to the wide event.
 func (o *Op) Vote(replica string, ok bool, err error) {
-	if o == nil {
-		return
-	}
 	v := Vote{Replica: replica, OK: ok}
 	if err != nil {
 		v.Err = err.Error()
 	}
-	o.mu.Lock()
-	o.rec.Votes = append(o.rec.Votes, v)
-	o.mu.Unlock()
+	if o.lock() {
+		o.rec.Votes = append(o.rec.Votes, v)
+		o.mu.Unlock()
+	}
 }
 
 // Progress writes an immediate slim record marking the furthest stage
 // reached and bytes handled so far — the breadcrumb trail a
 // kill-mid-operation replay walks.
 func (o *Op) Progress(stage string, bytes int64) {
-	if o == nil {
+	if o == nil || o.j == nil {
 		return
 	}
 	o.j.append(&Record{
@@ -449,10 +462,12 @@ func (o *Op) Progress(stage string, bytes int64) {
 	})
 }
 
-// End finishes the operation: the span closes — one observation of the
-// duration, one count, one error count if err is set, one event in the tail —
-// the full wide event is written with total duration and the error, if any,
-// and the active-operation register is released if this Op held it.
+// End finishes the operation: the registry gets one observation of the
+// duration under SpanName(op)_seconds, one count under _total and, if err is
+// set, one under _errors_total; the full wide event is written with total
+// duration and the error, if any; and the active-operation register is
+// released if this Op held it. From here on the record is End's alone: every
+// later mutation is dropped.
 func (o *Op) End(err error) {
 	if o == nil {
 		return
@@ -463,16 +478,23 @@ func (o *Op) End(err error) {
 		return
 	}
 	o.done = true
-	rec := o.rec
 	o.mu.Unlock()
-	o.span.EndErr(err)
+	d := time.Since(o.start)
+	if o.r != nil {
+		n := seriesOf(o.rec.Op)
+		o.r.Histogram(n[0], obs.DurationBuckets).ObserveDuration(d)
+		o.r.Counter(n[1]).Inc()
+		if err != nil {
+			o.r.Counter(n[2]).Inc()
+		}
+	}
 	if o.j == nil {
 		return
 	}
-	rec.Phase = "end"
-	rec.Seconds = time.Since(o.start).Seconds()
+	o.rec.Phase = "end"
+	o.rec.Seconds = d.Seconds()
 	if err != nil {
-		rec.Err = err.Error()
+		o.rec.Err = err.Error()
 	}
 	if o.root {
 		// While this Op held the register no other Begin could replace
@@ -480,21 +502,14 @@ func (o *Op) End(err error) {
 		// safe.
 		o.j.active.Store(nil)
 	}
-	o.j.append(&rec)
+	o.j.append(&o.rec)
 }
 
 // Note records one single-shot fact — a guard escalation, a tune decision,
-// a read repair — on the sinks that are set: an event in the registry's tail
-// and one self-contained wide event (begin+end collapsed) in the journal,
-// where it inherits the active operation as parent.
-func (j *Journal) Note(r *obs.Registry, op string, attrs ...any) {
-	if j == nil && r == nil {
-		return
-	}
-	strs := attrStrings(attrs)
-	if r != nil {
-		r.Event(op, anys(strs)...)
-	}
+// a read repair — as one self-contained wide event (begin+end collapsed) in
+// the journal, where it inherits the active operation as parent. Without a
+// journal it does nothing: what a layer counts of the fact, it counts itself.
+func (j *Journal) Note(op string, attrs ...any) {
 	if j == nil {
 		return
 	}
@@ -507,7 +522,7 @@ func (j *Journal) Note(r *obs.Registry, op string, attrs ...any) {
 		Parent: parent,
 		Op:     op,
 		Phase:  "note",
-		Attrs:  attrMap(strs),
+		Attrs:  attrMap(attrs),
 	})
 }
 
@@ -515,7 +530,7 @@ func (j *Journal) Note(r *obs.Registry, op string, attrs ...any) {
 // sites pass — strings, integers, booleans; an error goes in as its Error()
 // — and the switch is closed on purpose: handing a value to fmt would make
 // every caller's arguments escape, and Begin and Note must cost nothing when
-// no sink is set. Anything else records as its type name.
+// no journal is set. Anything else records as its type name.
 func attrString(v any) string {
 	switch v := v.(type) {
 	case nil:
@@ -534,32 +549,14 @@ func attrString(v any) string {
 	return "!" + reflect.TypeOf(v).String()
 }
 
-func attrStrings(attrs []any) []string {
-	strs := make([]string, len(attrs))
-	for i, a := range attrs {
-		strs[i] = attrString(a)
-	}
-	return strs
-}
-
-// anys hands rendered attributes to the registry, whose span and event calls
-// take ...any.
-func anys(strs []string) []any {
-	out := make([]any, len(strs))
-	for i, s := range strs {
-		out[i] = s
-	}
-	return out
-}
-
-// attrMap folds alternating key/value strings into a map.
-func attrMap(attrs []string) map[string]string {
+// attrMap renders alternating keys and values into a map.
+func attrMap(attrs []any) map[string]string {
 	if len(attrs) == 0 {
 		return nil
 	}
 	m := make(map[string]string, len(attrs)/2)
 	for i := 0; i+1 < len(attrs); i += 2 {
-		m[attrs[i]] = attrs[i+1]
+		m[attrString(attrs[i])] = attrString(attrs[i+1])
 	}
 	return m
 }
@@ -580,5 +577,5 @@ func SetDefault(j *Journal) *Journal { return defaultJournal.Swap(j) }
 // route every layer records on.
 func Begin(op string, attrs ...any) *Op { return Default().Begin(obs.Default(), op, attrs...) }
 
-// Note records a single-shot fact on the process journal and registry.
-func Note(op string, attrs ...any) { Default().Note(obs.Default(), op, attrs...) }
+// Note records a single-shot fact on the process journal.
+func Note(op string, attrs ...any) { Default().Note(op, attrs...) }

@@ -65,7 +65,7 @@ func TestParentPropagation(t *testing.T) {
 	child.Vote("0", true, nil)
 	child.Vote("1", false, errors.New("disk gone"))
 	child.End(nil)
-	j.Note(nil, "guard.escalate", "var", "temp", "why", "bound violated")
+	j.Note("guard.escalate", "var", "temp", "why", "bound violated")
 	root.End(nil)
 
 	recs, _, err := ReadFile(path)
@@ -269,7 +269,7 @@ func TestNilSafety(t *testing.T) {
 	op.Vote("0", true, nil)
 	op.Progress("p", 3)
 	op.End(errors.New("ignored"))
-	j.Note(nil, "note")
+	j.Note("note")
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -390,9 +390,9 @@ func TestSummarize(t *testing.T) {
 	q.Vote("0", true, nil)
 	q.Vote("1", false, errors.New("x"))
 	q.End(nil)
-	j.Note(nil, "store.read_repair", "replica", "1", "reason", "corrupt")
-	j.Note(nil, "tune.decision", "codec", "lz4", "shuffle", "true")
-	j.Note(nil, "guard.escalate", "var", "wind_u", "step", "choose_divisions", "why", "bound violated",
+	j.Note("store.read_repair", "replica", "1", "reason", "corrupt")
+	j.Note("tune.decision", "codec", "lz4", "shuffle", "true")
+	j.Note("guard.escalate", "var", "wind_u", "step", "choose_divisions", "why", "bound violated",
 		"divisions", 255, "coeff_err", "3.5e-05", "target", "1.25e-05")
 	root.End(nil)
 	j.Begin(nil, "ckpt.restore") // left incomplete

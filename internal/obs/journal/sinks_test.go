@@ -4,8 +4,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,8 +13,8 @@ import (
 )
 
 // TestOpAndNoteFeedTheSinksThatAreSet: one Begin/End pair and one Note reach
-// the journal as records and the registry as the span's series and two events
-// in the tail, with one rendering of the attributes — under both sinks, under
+// the journal as two records and the registry as the operation's three series
+// (the Note as nothing: the registry holds numbers) — under both sinks, under
 // either alone, and under neither (a nil Op).
 func TestOpAndNoteFeedTheSinksThatAreSet(t *testing.T) {
 	for _, tc := range []struct {
@@ -38,7 +38,7 @@ func TestOpAndNoteFeedTheSinksThatAreSet(t *testing.T) {
 			op.Set("chunks_new", 3)
 			op.End(errors.New("disk gone"))
 			op.End(nil) // a second End records nothing
-			j.Note(reg, "store.sweep", "removed", int64(2))
+			j.Note("store.sweep", "removed", int64(2))
 
 			if tc.reg {
 				if n := reg.Counter("lossyckpt_store_commit_total").Value(); n != 1 {
@@ -50,16 +50,8 @@ func TestOpAndNoteFeedTheSinksThatAreSet(t *testing.T) {
 				if n := reg.Histogram("lossyckpt_store_commit_seconds", obs.DurationBuckets).Count(); n != 1 {
 					t.Errorf("_seconds count = %v, want 1", n)
 				}
-				events, _ := reg.Events()
-				if len(events) != 2 || events[0].Name != SpanName("store.commit") || events[1].Name != "store.sweep" {
-					t.Fatalf("tail: %+v", events)
-				}
-				want := []string{"dir", "d", "bytes", "4096", "seq", "7", "dedup", "true"}
-				if got := events[0].Attrs; !slices.Equal(got[:len(want)], want) || !slices.Contains(got, "disk gone") {
-					t.Errorf("span event attrs %v, want %v and the error", got, want)
-				}
-				if got := events[1].Attrs; !slices.Equal(got, []string{"removed", "2"}) {
-					t.Errorf("note event attrs %v", got)
+				if n := len(reg.Snapshot().Metrics); n != 3 {
+					t.Errorf("the registry holds %d series, want the operation's 3", n)
 				}
 			}
 			if tc.jnl {
@@ -101,10 +93,85 @@ func TestNoSinkCostsNothing(t *testing.T) {
 		op.Set("chunks_new", allocBytes, "dir", allocDir)
 		op.SetSeq(allocSeq)
 		op.End(nil)
-		j.Note(nil, "store.sweep", "dir", allocDir, "removed", allocBytes)
+		j.Note("store.sweep", "dir", allocDir, "removed", allocBytes)
 	})
 	if allocs != 0 {
 		t.Fatalf("Begin/Set/End/Note with no sink allocate %v times per run, want 0", allocs)
+	}
+}
+
+// TestRegistryAloneCostsTheOp: with a registry and no journal, an operation
+// costs the Op and nothing else — no attribute is rendered, no record filled,
+// the series are named once — and a Note, a journal record only, costs
+// nothing.
+func TestRegistryAloneCostsTheOp(t *testing.T) {
+	var j *Journal
+	reg := obs.NewRegistry()
+	begin := func() *Op {
+		return j.Begin(reg, "store.commit", "dir", allocDir, "bytes", allocBytes, "seq", allocSeq, "dedup", allocBytes > 0)
+	}
+	begin().End(nil) // registers the series
+	if allocs := testing.AllocsPerRun(200, func() {
+		op := begin()
+		op.Set("chunks_new", allocBytes, "dir", allocDir)
+		op.SetSeq(allocSeq)
+		op.Progress("durable", int64(allocBytes))
+		op.End(nil)
+	}); allocs != 1 {
+		t.Errorf("Begin/End on a registry alone allocate %v times per run, want 1: the Op", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		j.Note("store.sweep", "dir", allocDir, "removed", allocBytes)
+	}); allocs != 0 {
+		t.Errorf("Note on a registry alone allocates %v times per run, want 0", allocs)
+	}
+	if n := reg.Counter("lossyckpt_store_commit_total").Value(); n != 202 {
+		t.Errorf("_total = %v after 202 operations", n)
+	}
+}
+
+// TestConcurrentSpans: operations ended from many goroutines count exactly —
+// one observation, one count, and an error count for each failure — and
+// each leaves one end record. Run under -race.
+func TestConcurrentSpans(t *testing.T) {
+	reg := obs.NewRegistry()
+	j, path := openTest(t, Options{})
+	const n = 64
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			op := j.Begin(reg, "store.commit", "worker", i)
+			if i%4 == 0 {
+				op.End(errors.New("boom"))
+			} else {
+				op.End(nil)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if got := reg.Counter("lossyckpt_store_commit_total").Value(); got != n {
+		t.Fatalf("_total = %v, want %d", got, n)
+	}
+	if got := reg.Counter("lossyckpt_store_commit_errors_total").Value(); got != n/4 {
+		t.Fatalf("_errors_total = %v, want %d", got, n/4)
+	}
+	if got := reg.Histogram("lossyckpt_store_commit_seconds", obs.DurationBuckets).Count(); got != n {
+		t.Fatalf("_seconds count = %d, want %d", got, n)
+	}
+	recs, _, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends := 0
+	for _, r := range recs {
+		if r.Phase == "end" {
+			ends++
+		}
+	}
+	if ends != n {
+		t.Fatalf("%d end records, want %d", ends, n)
 	}
 }
 
@@ -125,19 +192,19 @@ func TestBrokenRotationRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	j.Note(nil, "before", "pad", strings.Repeat("x", 200))
+	j.Note("before", "pad", strings.Repeat("x", 200))
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	j.Note(nil, "lost.rotating") // over MaxBytes: rotates, cannot reopen
-	j.Note(nil, "lost.retrying")
+	j.Note("lost.rotating") // over MaxBytes: rotates, cannot reopen
+	j.Note("lost.retrying")
 	if n := reg.Counter(MetricDroppedRecords).Value(); n != 2 {
 		t.Fatalf("%s = %v after two appends with no directory, want 2", MetricDroppedRecords, n)
 	}
 	if err := os.Mkdir(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	j.Note(nil, "after")
+	j.Note("after")
 	recs, _, err := ReadFile(path)
 	if err != nil || len(recs) != 1 || recs[0].Op != "after" {
 		t.Fatalf("after the directory came back the journal holds %+v (err %v), want the one record appended since", recs, err)
@@ -148,7 +215,7 @@ func TestBrokenRotationRecovers(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	j.Note(nil, "closed") // closed is not broken: no retry, no count
+	j.Note("closed") // closed is not broken: no retry, no count
 	if recs, _, _ = ReadFile(path); len(recs) != 1 || reg.Counter(MetricDroppedRecords).Value() != 2 {
 		t.Fatalf("an append after Close wrote or counted: %+v", recs)
 	}

@@ -1,6 +1,8 @@
 // Package obs is the repository's zero-dependency observability layer:
-// counters, gauges and bounded histograms with atomic fast paths, plus a
-// bounded ring of lightweight span events for store/restore tracing.
+// counters, gauges and bounded histograms with atomic fast paths. It holds
+// numbers only: what happened, operation by operation, is the flight
+// recorder's (package journal), which also feeds each operation's duration
+// and count series here.
 //
 // The paper's whole evaluation is a measurement story — per-stage cost
 // breakdown (Fig. 9), compression rate (Figs. 6–7) and error against the
@@ -28,10 +30,9 @@ import (
 	"time"
 )
 
-// Registry holds a set of named metrics and an event ring. The zero value
-// is not usable; call NewRegistry. A nil *Registry is a valid no-op
-// observer: every method on it (and on the instruments it returns) does
-// nothing.
+// Registry holds a set of named metrics. The zero value is not usable; call
+// NewRegistry. A nil *Registry is a valid no-op observer: every method on it
+// (and on the instruments it returns) does nothing.
 type Registry struct {
 	mu      sync.RWMutex
 	metrics map[string]*metric
@@ -40,8 +41,7 @@ type Registry struct {
 	// cannot grow the registry past DefaultSeriesCap of them.
 	perName map[string]int
 
-	events eventRing
-	start  time.Time
+	start time.Time
 }
 
 // NewRegistry returns an empty registry.
@@ -49,7 +49,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		metrics: make(map[string]*metric),
 		perName: make(map[string]int),
-		events:  eventRing{cap: DefaultEventCap},
 		start:   time.Now(),
 	}
 }

@@ -1,12 +1,10 @@
 package obs
 
 import (
-	"errors"
 	"math"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -94,11 +92,6 @@ func TestNilRegistryIsNoop(t *testing.T) {
 	r.Counter("x").Inc()
 	r.Gauge("y").Set(3)
 	r.Histogram("z", DurationBuckets).Observe(1)
-	r.Event("e", "k", "v")
-	r.StartSpan("op").EndErr(errors.New("boom"))
-	if evs, dropped := r.Events(); len(evs) != 0 || dropped != 0 {
-		t.Error("nil registry retained events")
-	}
 	snap := r.Snapshot()
 	if len(snap.Metrics) != 0 {
 		t.Error("nil registry snapshot has metrics")
@@ -130,56 +123,6 @@ func TestDefaultRegistryInstallRestore(t *testing.T) {
 	}
 }
 
-func TestEventRingBounded(t *testing.T) {
-	r := NewRegistry()
-	for i := 0; i < DefaultEventCap+10; i++ {
-		r.Event("tick", "i", i)
-	}
-	evs, dropped := r.Events()
-	if len(evs) != DefaultEventCap {
-		t.Errorf("retained %d events, want %d", len(evs), DefaultEventCap)
-	}
-	if dropped != 10 {
-		t.Errorf("dropped = %d, want 10", dropped)
-	}
-	// Oldest-first: the first retained event is i=10.
-	if evs[0].Attrs[1] != "10" {
-		t.Errorf("oldest retained event i=%s, want 10", evs[0].Attrs[1])
-	}
-}
-
-func TestSpanRecordsMetricsAndEvent(t *testing.T) {
-	r := NewRegistry()
-	sp := r.StartSpan("store_commit", "gen", "3")
-	time.Sleep(time.Millisecond)
-	sp.End()
-	r.StartSpan("store_commit").EndErr(errors.New("disk on fire"))
-
-	if got := r.Counter("store_commit_total").Value(); got != 2 {
-		t.Errorf("span total = %v, want 2", got)
-	}
-	if got := r.Counter("store_commit_errors_total").Value(); got != 1 {
-		t.Errorf("span errors = %v, want 1", got)
-	}
-	h := r.Histogram("store_commit_seconds", DurationBuckets)
-	if h.Count() != 2 || h.Sum() <= 0 {
-		t.Errorf("span histogram count=%d sum=%v", h.Count(), h.Sum())
-	}
-	evs, _ := r.Events()
-	if len(evs) != 2 {
-		t.Fatalf("events = %d, want 2", len(evs))
-	}
-	found := false
-	for i := 0; i+1 < len(evs[1].Attrs); i += 2 {
-		if evs[1].Attrs[i] == "error" && strings.Contains(evs[1].Attrs[i+1], "disk") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("error attr missing from span event: %v", evs[1].Attrs)
-	}
-}
-
 // TestConcurrentRecording is the obs half of the ISSUE's race-coverage
 // satellite: many goroutines hammer the same histogram and counter while
 // others register fresh series and take snapshots, all under -race.
@@ -200,7 +143,6 @@ func TestConcurrentRecording(t *testing.T) {
 				if i%100 == 0 {
 					// Concurrent registration of per-goroutine series.
 					r.Counter("per_g_total", "g", string(rune('a'+g))).Inc()
-					r.Event("tick", "g", g)
 				}
 			}
 		}(g)

@@ -266,7 +266,7 @@ func (s *Server) wrap(opName string, heavy bool, h func(ctx context.Context, t *
 		code, err := s.serve(opName, heavy, h, w, r)
 		o.Counter(MetricRequests, "op", opName, "code", strconv.Itoa(code)).Inc()
 		if err != nil && code >= http.StatusInternalServerError {
-			s.journal().Note(o, "server.error", "op", opName, "code", code, "err", err.Error())
+			s.journal().Note("server.error", "op", opName, "code", code, "err", err.Error())
 		}
 	}
 }

@@ -8,13 +8,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"lossyckpt/internal/cas"
-	"lossyckpt/internal/obs"
+	"lossyckpt/internal/obs/journal"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/commit_journal.golden from the current commit path")
@@ -151,8 +150,13 @@ func TestCommitPartsEqualsJoined(t *testing.T) {
 				}
 				return openTest(t, dir, opts), func() {}
 			}
-			reg := obs.NewRegistry()
-			defer obs.SetDefault(obs.SetDefault(reg))
+			jpath := filepath.Join(t.TempDir(), "flight.jsonl")
+			j, err := journal.Open(jpath, journal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			defer journal.SetDefault(journal.SetDefault(j))
 			refDir := t.TempDir()
 			ref, wait := open(refDir)
 			wantGen, err := ref.CommitCtx(ctx, 3, payload)
@@ -160,21 +164,24 @@ func TestCommitPartsEqualsJoined(t *testing.T) {
 				t.Fatal(err)
 			}
 			wait()
-			// A buffered commit's span says how many bytes it was handed, on
+			// A buffered commit's record says how many bytes it was handed, on
 			// one store and on every replica of three alike.
-			spans := 0
-			events, _ := reg.Events()
-			for _, ev := range events {
-				if ev.Name != MetricCommitSpan {
+			recs, _, err := journal.ReadFile(jpath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			commits := 0
+			for _, rec := range recs {
+				if rec.Op != "store.commit" || rec.Phase != "end" {
 					continue
 				}
-				spans++
-				if i := slices.Index(ev.Attrs, "bytes"); i < 0 || ev.Attrs[i+1] != fmt.Sprint(len(payload)) {
-					t.Fatalf("commit span labelled %v, want bytes=%d", ev.Attrs, len(payload))
+				commits++
+				if got := rec.Attrs["bytes"]; got != fmt.Sprint(len(payload)) {
+					t.Fatalf("commit record says bytes=%q, want %d", got, len(payload))
 				}
 			}
-			if spans == 0 {
-				t.Fatal("the commit recorded no span")
+			if commits == 0 {
+				t.Fatal("the commit left no end record")
 			}
 			want := storeImage(t, refDir)
 			for _, at := range splits {

@@ -1,12 +1,11 @@
 package store
 
 // Metric names recorded by the store. Commit latency/count/errors are the
-// series of the store.commit operation (MetricCommitSpan is its
-// journal.SpanName, yielding _seconds, _total and _errors_total), as scrub, GC
-// and quorum commit have theirs; retries are labeled with the low-level op
-// that needed them (create/write/sync/close/rename/syncdir/mkdir).
+// series of the store.commit operation (lossyckpt_store_commit_seconds,
+// _total and _errors_total, by journal.SpanName), as scrub, GC and quorum
+// commit have theirs; retries are labeled with the low-level op that needed
+// them (create/write/sync/close/rename/syncdir/mkdir).
 const (
-	MetricCommitSpan       = "lossyckpt_store_commit"
 	MetricCommitBytes      = "lossyckpt_store_commit_bytes_total"
 	MetricRetries          = "lossyckpt_store_retries_total"
 	MetricBackoffSeconds   = "lossyckpt_store_backoff_seconds_total"

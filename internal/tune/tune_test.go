@@ -256,7 +256,6 @@ func TestSettingApplyRoundTrips(t *testing.T) {
 	raw := floatSample(2048)
 	s := tn.Decide("x", f.Bytes(), raw)
 	opts := s.Apply(core.DefaultOptions())
-	opts.VarName = "x"
 	res, err := core.Compress(f, opts)
 	if err != nil {
 		t.Fatal(err)

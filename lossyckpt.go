@@ -283,9 +283,11 @@ func MaxAbsError(orig, approx *Field) (float64, error) {
 
 // --- Observability ----------------------------------------------------------
 
-// Observer collects metrics (counters, gauges, histograms) and trace
-// events. Every layer — the compression pipeline, checkpoint/restore, the
-// store — records on the one installed with SetDefaultObserver.
+// Observer collects metrics: counters, gauges and histograms, among them
+// every operation's duration and count series. What each operation did is
+// the flight recorder's (the -journal flag), not the Observer's. Every
+// layer — the compression pipeline, checkpoint/restore, the store — records
+// on the one installed with SetDefaultObserver.
 // A nil *Observer is a valid no-op, so instrumentation costs one branch
 // when disabled. Expose the collected state with WritePrometheus (text
 // exposition format), WriteJSON (snapshot) or WriteSummary (human table),
