@@ -45,16 +45,12 @@ func main() {
 
 	// Error-bound-driven selection: "give me the smallest n that keeps the
 	// max quantization error below the bound".
-	work := temp.Clone()
-	plan, err := wavelet.NewPlan(work.Shape(), 1, wavelet.Haar)
+	plan, err := wavelet.NewPlan(temp.Shape(), 1, wavelet.Haar)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := plan.Transform(work); err != nil {
-		log.Fatal(err)
-	}
-	high, err := plan.GatherHigh(work, nil)
-	if err != nil {
+	high := make([]float64, plan.HighCount())
+	if err := plan.Analyze(temp, make([]float64, plan.LowCount()), high, 0); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nerror-bound-driven division selection (proposed method)")

@@ -306,16 +306,16 @@ func Compress(f *grid.Field, opts Options) (*Result, error) {
 // decides its ladder on it; Release hands the scratch back.
 type Stages struct {
 	plan    *wavelet.Plan
-	work    *grid.Field      // the transformed copy
-	bufs    [3]*grid.Scratch // work copy, high pool, low band
+	bufs    [3]*grid.Scratch // low band, high pool, the copy ZeroThreshold clips
 	nbufs   int
 	groups  [][]float64 // high-frequency pools of the latest Quantize: one, or one per band
 	quants  []*quant.Quantization
 	qbufs   []*quant.Scratch // what each group's quantization lives in, until Release
 	res     *Result
 	opts    Options
-	high    []float64
-	low     []float64 // gathered by the first Encode
+	low     []float64
+	high    []float64 // as Transform left it: no Quantize writes it
+	clipped []float64
 	start   time.Time
 	timings Timings // work not yet reported in a Result
 }
@@ -341,44 +341,44 @@ func Transform(f *grid.Field, opts Options) (*Stages, error) {
 	if s.plan, err = wavelet.NewPlan(f.Shape(), opts.Levels, opts.Scheme); err != nil {
 		return nil, err
 	}
-	if s.work, err = grid.FromSlice(s.floats(f.Len()), f.Shape()...); err != nil {
-		return nil, err
-	}
-	if err := s.plan.TransformTo(s.work, f, opts.Workers); err != nil {
+	s.low, s.high = s.floats(s.plan.LowCount()), s.floats(s.plan.HighCount())
+	if err := s.plan.Analyze(f, s.low, s.high, opts.Workers); err != nil {
 		return nil, err
 	}
 	s.timings.Wavelet = time.Since(s.start)
 	return s, nil
 }
 
-// Quantize is stage 2 under opts: it gathers the high-frequency
-// coefficients afresh — pooled across all bands (the paper's method) or per
-// sub-band — and quantizes them. The Result holds what the quantizer decided
-// and its error (MaxCoeffError) but no stream: enough for an analytic verdict.
+// Quantize is stage 2 under opts: it quantizes the high-frequency
+// coefficients — pooled across all bands (the paper's method) or per
+// sub-band — reading the pool Transform filled, or a copy of it where
+// ZeroThreshold clips. The Result holds what the quantizer decided and its
+// error (MaxCoeffError) but no stream: enough for an analytic verdict.
 func (s *Stages) Quantize(opts Options) (*Result, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
 	t0 := time.Now()
 	defer func() { s.timings.Quantize += time.Since(t0) }()
-	if opts.PerBandQuant {
-		all, err := s.plan.GatherBands(s.work)
+	clip := opts.ZeroThreshold > 0 && !opts.LosslessBands
+	switch {
+	case opts.PerBandQuant:
+		all, err := s.bands()
 		if err != nil {
 			return nil, err
 		}
 		// Bands() lists high bands first, the low band last; drop the low.
 		s.groups = all[:len(all)-1]
-	} else {
-		if s.high == nil {
-			s.high = s.floats(s.plan.HighCount())
+	case clip:
+		if s.clipped == nil {
+			s.clipped = s.floats(len(s.high))
 		}
-		high, err := s.plan.GatherHigh(s.work, s.high)
-		if err != nil {
-			return nil, err
-		}
-		s.groups = [][]float64{high}
+		copy(s.clipped, s.high)
+		s.groups = [][]float64{s.clipped}
+	default:
+		s.groups = [][]float64{s.high}
 	}
-	if opts.ZeroThreshold > 0 && !opts.LosslessBands {
+	if clip {
 		for _, g := range s.groups {
 			for i, v := range g {
 				if v <= opts.ZeroThreshold && v >= -opts.ZeroThreshold {
@@ -387,7 +387,7 @@ func (s *Stages) Quantize(opts Options) (*Result, error) {
 			}
 		}
 	}
-	res := &Result{RawBytes: s.work.Bytes()}
+	res := &Result{RawBytes: 8 * (len(s.low) + len(s.high))}
 	s.res, s.opts, s.quants = nil, opts, make([]*quant.Quantization, len(s.groups))
 	qcfg := quant.Config{
 		Method:         opts.Method,
@@ -429,6 +429,24 @@ func (s *Stages) Quantize(opts Options) (*Result, error) {
 	return res, nil
 }
 
+// bands splits the coefficients per sub-band (experiment X8) through the
+// Mallat layout, rebuilt in scratch from the pools.
+func (s *Stages) bands() ([][]float64, error) {
+	buf := grid.GetScratch(len(s.low) + len(s.high))
+	defer buf.Put()
+	coef, err := grid.FromSlice(buf.S, s.plan.Shape()...)
+	if err == nil {
+		err = s.plan.ScatterLow(coef, s.low)
+	}
+	if err == nil {
+		err = s.plan.ScatterHigh(coef, s.high)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return s.plan.GatherBands(coef)
+}
+
 // Encode is stages 3–4 for the latest Quantize, filling in the Result that
 // call returned. It reports every stage since the last Encode, abandoned
 // quantizations included, as one compression. Encoding twice is a no-op.
@@ -454,12 +472,6 @@ func (s *Stages) Encode() error {
 
 	// Stage 4a: format.
 	t0 = time.Now()
-	if s.low == nil {
-		var err error
-		if s.low, err = s.plan.GatherLow(s.work, s.floats(s.plan.LowCount())); err != nil {
-			return err
-		}
-	}
 	arch := &container.Archive{
 		Params: container.Params{
 			Scheme:         opts.Scheme,
@@ -469,7 +481,7 @@ func (s *Stages) Encode() error {
 			SpikeDivisions: opts.SpikeDivisions,
 			PerBand:        opts.PerBandQuant,
 		},
-		Shape: s.work.Shape(),
+		Shape: s.plan.Shape(),
 		Low:   s.low,
 		Bands: bands,
 	}
@@ -552,7 +564,7 @@ var formattedBufs = sync.Pool{New: func() any { return new([]byte) }}
 // one, on a restore), on up to workers goroutines (0 = GOMAXPROCS, 1 = serial;
 // same result for every count). dest is asked once the coefficients have
 // decoded cleanly, so refusing the shape, or any failure before that, leaves
-// nothing written: the inverse's last pass alone fills the field, and nothing
+// nothing written: the synthesis alone writes the field, and nothing
 // after it can fail. That is the whole of the restore path's atomicity — per
 // entry for a plain stream, per chunk for a chunked one.
 func decodeTo(data []byte, workers int, dest func(shape ...int) (*grid.Field, error)) (*grid.Field, error) {
@@ -580,13 +592,6 @@ func decodeTo(data []byte, workers int, dest func(shape ...int) (*grid.Field, er
 	if len(arch.Low) != plan.LowCount() {
 		return nil, fmt.Errorf("%w: low band has %d values, plan needs %d", container.ErrFormat, len(arch.Low), plan.LowCount())
 	}
-	// The coefficients are assembled in scratch and dropped once inverted.
-	coefBuf := grid.GetScratch(plan.LowCount() + plan.HighCount())
-	defer coefBuf.Put()
-	coef, err := grid.FromSlice(coefBuf.S, arch.Shape...)
-	if err != nil {
-		return nil, err
-	}
 	if arch.Params.PerBand {
 		meta := plan.Bands()
 		if len(arch.Bands) != len(meta)-1 {
@@ -606,38 +611,40 @@ func decodeTo(data []byte, workers int, dest func(shape ...int) (*grid.Field, er
 			groups[i] = decoded
 		}
 		groups[len(meta)-1] = arch.Low
-		if err := plan.ScatterBands(coef, groups); err != nil {
-			return nil, err
-		}
-	} else {
-		if len(arch.Bands) != 1 {
-			return nil, fmt.Errorf("%w: pooled archive with %d band sections", container.ErrFormat, len(arch.Bands))
-		}
-		band := arch.Band()
-		if band.N != plan.HighCount() {
-			return nil, fmt.Errorf("%w: high band has %d values, plan needs %d", container.ErrFormat, band.N, plan.HighCount())
-		}
-		highBuf := grid.GetScratch(band.N)
-		defer highBuf.Put()
-		high, err := band.Decode(highBuf.S[:0])
+		// Per band, the coefficients are assembled in the layout and inverted from it.
+		coefBuf := grid.GetScratch(plan.LowCount() + plan.HighCount())
+		defer coefBuf.Put()
+		coef, err := grid.FromSlice(coefBuf.S, arch.Shape...)
 		if err != nil {
 			return nil, err
 		}
-		if err := plan.ScatterLow(coef, arch.Low); err != nil {
+		if err := plan.ScatterBands(coef, groups); err != nil {
 			return nil, err
 		}
-		if err := plan.ScatterHigh(coef, high); err != nil {
+		f, err := dest(arch.Shape...)
+		if err != nil {
 			return nil, err
 		}
+		return f, plan.InverseTo(f, coef, workers)
+	}
+	if len(arch.Bands) != 1 {
+		return nil, fmt.Errorf("%w: pooled archive with %d band sections", container.ErrFormat, len(arch.Bands))
+	}
+	band := arch.Band()
+	if band.N != plan.HighCount() {
+		return nil, fmt.Errorf("%w: high band has %d values, plan needs %d", container.ErrFormat, band.N, plan.HighCount())
+	}
+	highBuf := grid.GetScratch(band.N)
+	defer highBuf.Put()
+	high, err := band.Decode(highBuf.S[:0])
+	if err != nil {
+		return nil, err
 	}
 	f, err := dest(arch.Shape...)
 	if err != nil {
 		return nil, err
 	}
-	if err := plan.InverseTo(f, coef, workers); err != nil {
-		return nil, err
-	}
-	return f, nil
+	return f, plan.Synthesize(f, arch.Low, high, workers)
 }
 
 // RoundTrip compresses and immediately decompresses the field, returning

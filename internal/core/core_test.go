@@ -294,3 +294,40 @@ func Test1DAnd2DArrays(t *testing.T) {
 		}
 	}
 }
+
+// TestStagesRungsShareOnePristinePool transforms once and then quantizes and
+// encodes under several stage-2 option sets in a row, as the guard's ladder
+// does, thresholded and not, pooled and per band: every stream must be the
+// one a fresh Compress writes under the same options, so no rung sees values
+// an earlier one changed.
+func TestStagesRungsShareOnePristinePool(t *testing.T) {
+	f := smooth3D(64, 20, 2, 7)
+	base := DefaultOptions()
+	clip, bounded, coarse, perBand := base, base, base, base
+	clip.ZeroThreshold = 0.05
+	bounded.ErrorBound = 0.01
+	coarse.Divisions, coarse.ZeroThreshold = 8, 0.2
+	perBand.PerBandQuant, perBand.ZeroThreshold = true, 0.05
+	rungs := []Options{clip, base, coarse, bounded, perBand, clip, base}
+	s, err := Transform(f, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Release()
+	for i, opts := range rungs {
+		res, err := s.Quantize(opts)
+		if err == nil {
+			err = s.Encode()
+		}
+		if err != nil {
+			t.Fatalf("rung %d: %v", i, err)
+		}
+		want, err := Compress(f, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(res.Data) != string(want.Data) {
+			t.Fatalf("rung %d (%+v): stream differs from a fresh Compress", i, opts)
+		}
+	}
+}

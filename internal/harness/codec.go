@@ -63,11 +63,8 @@ func errBound(cfg Config, t *Table) error {
 	if err != nil {
 		return err
 	}
-	if err := plan.Transform(temp); err != nil {
-		return err
-	}
-	high, err := plan.GatherHigh(temp, nil)
-	if err != nil {
+	high := make([]float64, plan.HighCount())
+	if err := plan.Analyze(temp, make([]float64, plan.LowCount()), high, 0); err != nil {
 		return err
 	}
 	for _, bound := range []float64{1.0, 0.1, 0.01, 0.001} {

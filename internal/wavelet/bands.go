@@ -177,6 +177,52 @@ func (p *Plan) scatter(f *grid.Field, src []float64, class int, name string, n i
 	return p.move(f, pools[:], true, true)
 }
 
+// Analyze is TransformTo into a layout followed by GatherLow and GatherHigh
+// out of it: it writes the forward transform of src, which it only reads,
+// into low and high, LowCount and HighCount long. For a one-level Haar plan
+// it is the block pass alone, each coefficient written straight to its place
+// in the pools; other plans go through the layout in scratch.
+func (p *Plan) Analyze(src *grid.Field, low, high []float64, workers int) error {
+	return p.pooled(src, low, high, workers, false)
+}
+
+// Synthesize takes what ScatterLow, ScatterHigh and InverseTo take and writes
+// what they would into dst: the field whose transform is low and high. It
+// checks every length before it writes anything.
+func (p *Plan) Synthesize(dst *grid.Field, low, high []float64, workers int) error {
+	return p.pooled(dst, low, high, workers, true)
+}
+
+func (p *Plan) pooled(f *grid.Field, low, high []float64, workers int, inverse bool) error {
+	if err := p.matches(f); err != nil {
+		return err
+	}
+	if len(low) != p.LowCount() || len(high) != p.HighCount() {
+		return fmt.Errorf("wavelet: pools of %d and %d values, plan needs %d and %d", len(low), len(high), p.LowCount(), p.HighCount())
+	}
+	if p.scheme == Haar && p.levels == 1 {
+		t := p.target(0, low, high, true)
+		p.haar(f.Data(), &t, p.shape, workers, inverse)
+		return nil
+	}
+	buf := grid.GetScratch(f.Len())
+	defer buf.Put()
+	coef, err := grid.FromSlice(buf.S, p.shape...)
+	pools := [][]float64{pooledHigh: high, pooledLow: low}
+	switch {
+	case err != nil:
+	case inverse:
+		if err = p.move(coef, pools, true, true); err == nil {
+			err = p.InverseTo(f, coef, workers)
+		}
+	default:
+		if err = p.TransformTo(coef, f, workers); err == nil {
+			err = p.move(coef, pools, true, false)
+		}
+	}
+	return err
+}
+
 // GatherBands splits the transformed field's coefficients into per-band
 // slices, ordered exactly like Bands() (all high bands level by level,
 // then the final low band). Within each band, values appear in flat

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"lossyckpt/internal/grid"
@@ -266,13 +267,16 @@ func refScatterBands(p *Plan, data []float64, bands [][]float64) {
 }
 
 // kernelShapes crosses every layout the kernels special-case nothing for:
-// 1-D to 4-D, odd extents, extents of 1 and 2 in every position, a last axis
-// of 2, and boxes that shrink unevenly over the levels.
+// 1-D to 5-D, odd extents (on every axis at once too), extents of 1 and 2 in
+// every position, a last axis of 2, and boxes that shrink unevenly over the
+// levels. A 5-D block holds 32 values; {24, 2, 2} is one run of blocks,
+// which the sharded block pass splits between workers.
 var kernelShapes = [][]int{
 	{2}, {3}, {7}, {33}, {64},
 	{1, 6}, {5, 1}, {2, 2}, {7, 5}, {9, 2}, {16, 3},
-	{2, 2, 2}, {3, 4, 2}, {5, 7, 2}, {6, 1, 5}, {9, 6, 3}, {11, 4, 2}, {1, 1, 9},
+	{2, 2, 2}, {3, 4, 2}, {5, 7, 2}, {6, 1, 5}, {9, 6, 3}, {11, 4, 2}, {1, 1, 9}, {5, 7, 3}, {24, 2, 2},
 	{3, 2, 5, 2}, {4, 3, 1, 6}, {5, 5, 3, 3},
+	{3, 2, 2, 3, 2},
 }
 
 // specials are the payloads a checkpoint can hold that arithmetic treats
@@ -317,8 +321,9 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 
 // checkAgainstReference holds every entry point of the package to the lane
 // walk on one field: the transform in place and out of place, its inverse
-// likewise, and the six band walks, at the given worker count with sharding
-// forced on.
+// likewise, the six band walks, and Analyze and Synthesize, at the given worker
+// count with sharding forced on (and for the last two also left to the
+// cutoff).
 func checkAgainstReference(t *testing.T, f *grid.Field, levels int, scheme Scheme, workers int) {
 	t.Helper()
 	p, err := NewPlan(f.Shape(), levels, scheme)
@@ -404,6 +409,35 @@ func checkAgainstReference(t *testing.T, f *grid.Field, levels int, scheme Schem
 		t.Fatal(err)
 	}
 	sameBits(t, what("InverseTo"), out.Data(), back.Data())
+
+	for _, plan := range []*Plan{p, p.withCutoff(parallelCutoff)} {
+		what := func(op string) string { return what(fmt.Sprintf("%s (cutoff %d)", op, plan.cutoff)) }
+		src := f.Clone()
+		gotLow, gotHigh := make([]float64, len(low)), make([]float64, len(high))
+		if err := plan.Analyze(src, gotLow, gotHigh, workers); err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, what("Analyze low"), gotLow, low)
+		sameBits(t, what("Analyze high"), gotHigh, high)
+		sameBits(t, what("Analyze's source"), src.Data(), f.Data())
+		synth, refSynth := mark(), mark()
+		refScatter(p, refSynth.Data(), low, true)
+		refScatter(p, refSynth.Data(), high, false)
+		refInverse(p, refSynth)
+		if err := plan.Synthesize(synth, gotLow, gotHigh, workers); err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, what("Synthesize"), synth.Data(), refSynth.Data())
+		sameBits(t, what("Synthesize's pools"), slices.Concat(gotLow, gotHigh), slices.Concat(low, high))
+	}
+}
+
+// withCutoff returns a copy of the plan that shards passes of n elements or
+// more.
+func (p *Plan) withCutoff(n int) *Plan {
+	q := *p
+	q.cutoff = n
+	return &q
 }
 
 // TestKernelsMatchLaneReference is the bit-identity proof: the row kernels
@@ -472,8 +506,9 @@ func TestRunsPartitionTheFieldByBand(t *testing.T) {
 
 // FuzzTransformIdentity drives the kernels with fuzzed shapes (up to 4-D),
 // level counts, schemes and seeds: they must match the lane reference bit for
-// bit, and inverse∘forward must return the input to within an ulp of the
-// largest magnitude per level and axis.
+// bit, the pooled round trip (Analyze, Synthesize) must equal the layout one
+// bit for bit, and inverse∘forward must return the input to within an ulp of
+// the largest magnitude per level and axis.
 func FuzzTransformIdentity(f *testing.F) {
 	f.Add(uint8(7), uint8(0), uint8(0), uint8(0), uint8(1), false, int64(1))
 	f.Add(uint8(9), uint8(2), uint8(0), uint8(0), uint8(2), true, int64(2))
@@ -507,6 +542,13 @@ func FuzzTransformIdentity(f *testing.F) {
 		if p.Transform(rt) != nil || p.Inverse(rt) != nil {
 			t.Fatal("round trip failed")
 		}
+		// The pooled round trip is the layout one, bit for bit.
+		low, high := make([]float64, p.LowCount()), make([]float64, p.HighCount())
+		pooled := grid.MustNew(shape...)
+		if p.Analyze(fld, low, high, 1) != nil || p.Synthesize(pooled, low, high, 1) != nil {
+			t.Fatal("pooled round trip failed")
+		}
+		sameBits(t, fmt.Sprintf("%v levels=%d %v: pooled round trip", shape, levels, scheme), pooled.Data(), rt.Data())
 		// One rounding per pass, each at most half an ulp of the intermediate
 		// it rounds; CDF53's lifting steps can grow an intermediate to 3× the
 		// input's largest magnitude per pass.

@@ -17,8 +17,10 @@
 // one), odd extents (the trailing unpaired element is carried into the low
 // band verbatim), and pluggable kernels (the paper's Haar plus a
 // CDF(5/3)-style lifting kernel as an "improved algorithm" extension,
-// cf. the paper's future work in §VI). kernels.go holds the axis passes,
-// bands.go the walks between the transformed layout and the band pools.
+// cf. the paper's future work in §VI). kernels.go holds the passes — one
+// over the blocks of a Haar level, or CDF53's lifting passes per axis —,
+// bands.go the walks between the transformed layout and the band pools and
+// Analyze / Synthesize, the transform straight into and out of those pools.
 //
 // Floating-point caveat: with IEEE doubles the Haar round trip
 // a = L+H, b = L−H is exact only when a+b and a−b round without error; in
@@ -205,7 +207,8 @@ func (p *Plan) matches(f *grid.Field) error {
 
 // Transform applies the planned forward transform to f in place. Passes of
 // parallelCutoff elements or more are sharded across GOMAXPROCS goroutines
-// (lanes along one axis are independent); TransformWorkers bounds that.
+// (the blocks of a Haar level, or the lanes of a lifting pass, are
+// independent); TransformWorkers bounds that.
 func (p *Plan) Transform(f *grid.Field) error { return p.TransformTo(f, f, 0) }
 
 // TransformWorkers is Transform with an explicit parallelism bound:
