@@ -67,7 +67,9 @@ test:
 # and stragglers open, fill and end operations and drop notes side by side. The
 # journal line ends operations on many goroutines at once, with votes landing
 # after End: a record is filled under the Op's lock, and is End's alone once
-# it has ended.
+# it has ended. The ckpt line before it is every save's entry pipeline: encoders
+# spilling behind the head while it writes, promoted under the spill's lock,
+# and stopped mid-write when the writer fails or the context is cancelled.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'KernelsMatchLaneReference|WorkersBitIdentical' ./internal/wavelet
@@ -78,6 +80,7 @@ race:
 	$(GO) test -race -count=10 -run 'Engine|ChunkedParallelByteIdentical|CompressChunkedDeltaByteIdentical|DecodeKeepsNoView|SlabCacheFingerprint' ./internal/core
 	$(GO) test -race -count=10 -run 'InlineRepair|ReplicatedStreamCommit|ReplicatedSlowReplica|ReplicatedCommitSurvivesOneDeadReplica' ./internal/store
 	$(GO) test -race -count=10 -run 'SinkMatrix' ./internal/ckpt
+	$(GO) test -race -count=5 -run 'StreamBytesIndependentOfWorkers|CheckpointFailurePaths' ./internal/ckpt
 	$(GO) test -race -count=10 -run 'ConcurrentSpans|ConcurrentOps|ConcurrentVotesAfterEnd' ./internal/obs/journal
 
 # results regenerates the tables EXPERIMENTS.md quotes, at paper scale, into

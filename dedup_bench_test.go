@@ -151,7 +151,7 @@ func sparse16(b *testing.B) (*faultsim.SparseApp, *ckpt.Manager, *store.Store) {
 // BenchmarkSaveDedupSparse16 is the write side of the benchmark's
 // sparse16_delta_dedup workload: each iteration mutates 1 % of the array and
 // saves it with CheckpointTo — 64 slabs fingerprinted, the few dirty ones
-// compressed, a ~10 MB v1 stream cut into some five hundred chunks, hashed,
+// compressed, a ~10 MB stream cut into some five hundred chunks, hashed,
 // and the handful the ledger does not hold written with the recipe and the
 // manifest. The codec is nearly idle; this is the save path's byte traffic.
 func BenchmarkSaveDedupSparse16(b *testing.B) {
@@ -172,7 +172,7 @@ func BenchmarkSaveDedupSparse16(b *testing.B) {
 // BenchmarkRestoreDedupSparse16 is the read side of the benchmark's
 // sparse16_delta_dedup workload: a 16 MiB array in 64 delta slabs, saved once
 // into a dedup store of 4/16/64 KiB chunks, then restored from it over and
-// over — recipe, some five hundred chunk files read and hashed, one v1 frame,
+// over — recipe, some five hundred chunk files read and hashed, one entry,
 // 64 slabs inflated and inverted.
 func BenchmarkRestoreDedupSparse16(b *testing.B) {
 	_, mgr, st := sparse16(b)

@@ -1,7 +1,8 @@
 // Benchmarks for the block-parallel DEFLATE engine and the streaming
 // checkpoint pipeline (ISSUE PR 5): serial CompressFormat vs pigz-style
 // CompressParallel over worker and block-size sweeps, both decoders, and
-// buffered Checkpoint vs CheckpointStream on the 24 MB nicam16x array —
+// a checkpoint holding the payload whole vs streaming it on the 24 MB
+// nicam16x array —
 // and, since PRs 15 and 16, the slice-to-slice inflater and encoder beside
 // the compress/gzip reader and writer they replaced. `make bench-gzip`
 // distills these into BENCH_gzip.json.
@@ -241,11 +242,13 @@ func BenchmarkDeflate(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamingCheckpoint compares the buffered checkpoint (whole
-// framed stream assembled in memory) against the v2 streaming pipeline
-// on the 24 MB nicam16x array with the chunked lossy codec: identical
-// compression work, but the streaming path's bytes_per_op drops by the
-// payload size because finished frames flow straight to the writer.
+// BenchmarkStreamingCheckpoint compares the two ways Checkpoint writes an
+// entry on the 24 MB nicam16x array with the chunked lossy codec: buffered —
+// delta on with cold caches, so the payload is encoded whole and framed as
+// one segment — against the codec streaming its frames through the segment
+// framing. Identical compression work, but the streaming path's bytes_per_op
+// drops by the payload size because finished frames flow straight to the
+// writer.
 func BenchmarkStreamingCheckpoint(b *testing.B) {
 	f := syntheticClimate(b, 16*1156, 82, 2)
 	newMgr := func() *ckpt.Manager {
@@ -257,26 +260,24 @@ func BenchmarkStreamingCheckpoint(b *testing.B) {
 		}
 		return m
 	}
-	b.Run("buffered", func(b *testing.B) {
-		m := newMgr()
-		b.SetBytes(int64(f.Bytes()))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := m.Checkpoint(io.Discard, 1); err != nil {
-				b.Fatal(err)
-			}
+	for _, buffered := range []bool{true, false} {
+		name := "stream"
+		if buffered {
+			name = "buffered"
 		}
-	})
-	b.Run("stream", func(b *testing.B) {
-		m := newMgr()
-		b.SetBytes(int64(f.Bytes()))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := m.CheckpointStream(io.Discard, 1); err != nil {
-				b.Fatal(err)
+		b.Run(name, func(b *testing.B) {
+			m := newMgr()
+			b.SetBytes(int64(f.Bytes()))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// Off and on again empties the delta caches.
+				m.SetDelta(false)
+				m.SetDelta(buffered)
+				if _, err := m.Checkpoint(io.Discard, 1); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 }

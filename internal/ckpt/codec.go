@@ -95,12 +95,13 @@ type Entry struct {
 	Field *grid.Field
 	// W, when non-nil, is where a codec that produces its payload piece by
 	// piece writes it — the exact bytes a buffered encode returns — leaving
-	// Encoded.Payload nil. At the head of a stream CheckpointStream pipes the
+	// Encoded.Payload nil. At the head of a stream Checkpoint pipes the
 	// writes into its segment framing, so the payload is never buffered
 	// whole; behind the head W is a spill the framing drains later. Writes
 	// must come from one goroutine at a time. A codec whose format has it
 	// build the payload in memory anyway returns it as Payload instead and
-	// leaves W alone; never both.
+	// leaves W alone; never both. A payload returned whole goes out as one
+	// segment.
 	W io.Writer
 	// Slabs, when non-nil, is this variable's slab cache from the previous
 	// checkpoint, for a buffered encode (W nil) by a codec that compresses

@@ -6,18 +6,26 @@ import (
 	"testing"
 )
 
-// checkpointStream builds one valid multi-array stream for corruption
-// sweeps.
-func checkpointStream(t *testing.T, codec Codec) ([]byte, *Manager) {
+// checkpointStream builds one valid multi-array stream in the given layout
+// version for corruption sweeps: v2 as Checkpoint writes it, v1 off the
+// reference writer.
+func checkpointStream(t *testing.T, codec Codec, version int) ([]byte, *Manager) {
 	t.Helper()
 	mgr := NewManager(codec, 1)
 	registerSample(t, mgr)
+	if version == fileVersion {
+		return v1Stream(t, mgr, 11), mgr
+	}
 	var buf bytes.Buffer
 	if _, err := mgr.Checkpoint(&buf, 11); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes(), mgr
 }
+
+// streamVersions are the layouts the sweeps run over: the one read only and
+// the one written.
+var streamVersions = []int{fileVersion, fileVersionStream}
 
 // restoreMustFailCleanly asserts Restore rejects data with one of the
 // package's typed errors — and, above all, does not panic.
@@ -37,35 +45,44 @@ func restoreMustFailCleanly(t *testing.T, mgr *Manager, data []byte, what string
 	}
 }
 
-// TestRestoreTruncationSweep feeds every prefix of a valid stream (in
-// byte steps near boundaries, coarser inside payloads) into Restore.
+// TestRestoreTruncationSweep feeds every prefix of a valid stream of
+// either version (in byte steps near boundaries, coarser inside payloads)
+// into Restore.
 func TestRestoreTruncationSweep(t *testing.T) {
 	for _, codecName := range []string{"none", "gzip"} {
 		codec, err := CodecByName(codecName)
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, mgr := checkpointStream(t, codec)
-		step := 1
-		if len(data) > 4096 {
-			step = len(data) / 4096
-		}
-		for cut := 0; cut < len(data); cut += step {
-			restoreMustFailCleanly(t, mgr, data[:cut], codecName)
-		}
-		// And the exact stream still restores (sweep sanity).
-		if _, err := mgr.Restore(bytes.NewReader(data)); err != nil {
-			t.Fatalf("%s: intact stream failed: %v", codecName, err)
+		for _, version := range streamVersions {
+			data, mgr := checkpointStream(t, codec, version)
+			step := 1
+			if len(data) > 4096 {
+				step = len(data) / 4096
+			}
+			for cut := 0; cut < len(data); cut += step {
+				restoreMustFailCleanly(t, mgr, data[:cut], codecName)
+			}
+			// And the exact stream still restores (sweep sanity).
+			if _, err := mgr.Restore(bytes.NewReader(data)); err != nil {
+				t.Fatalf("%s v%d: intact stream failed: %v", codecName, version, err)
+			}
 		}
 	}
 }
 
-// TestRestoreBitFlipSweep flips single bits across the stream — dense
-// over the header and frame metadata, sampled inside payloads — and
-// requires a typed error (or, for payload bits, either an error or a
-// detected CRC mismatch; silence is the only failure).
+// TestRestoreBitFlipSweep flips single bits across a stream of either
+// version — dense over the header and frame metadata, sampled inside
+// payloads — and requires a typed error (or, for payload bits, either an
+// error or a detected CRC mismatch; silence is the only failure).
 func TestRestoreBitFlipSweep(t *testing.T) {
-	data, mgr := checkpointStream(t, None{})
+	for _, version := range streamVersions {
+		data, mgr := checkpointStream(t, None{}, version)
+		bitFlipSweep(t, data, mgr)
+	}
+}
+
+func bitFlipSweep(t *testing.T, data []byte, mgr *Manager) {
 	// The header's step counter is plain data with no stream-level CRC
 	// (the store's whole-file CRC covers it); a flip there is accepted
 	// by Restore, so the sweep skips those eight bytes.
@@ -106,7 +123,13 @@ func TestRestoreBitFlipSweep(t *testing.T) {
 // lenient path: RestorePartial may succeed or fail, but must not panic
 // and must never report arrays it did not verify.
 func TestRestorePartialNeverPanics(t *testing.T) {
-	data, mgr := checkpointStream(t, None{})
+	for _, version := range streamVersions {
+		data, mgr := checkpointStream(t, None{}, version)
+		partialSweep(t, data, mgr)
+	}
+}
+
+func partialSweep(t *testing.T, data []byte, mgr *Manager) {
 	step := len(data)/512 + 1
 	for cut := 0; cut < len(data); cut += step {
 		func() {
@@ -135,11 +158,11 @@ func TestRestorePartialNeverPanics(t *testing.T) {
 	}
 }
 
-// TestHeaderDeclaredSizeCaps forges headers that declare absurd sizes
+// TestHeaderDeclaredSizeCaps forges v1 headers that declare absurd sizes
 // and checks they are rejected before any large allocation could
 // happen (the test would OOM otherwise).
 func TestHeaderDeclaredSizeCaps(t *testing.T) {
-	data, mgr := checkpointStream(t, None{})
+	data, mgr := checkpointStream(t, None{}, fileVersion)
 
 	// Variable count beyond cap.
 	mut := append([]byte(nil), data...)

@@ -19,8 +19,8 @@ func TestCheckpointStreamToCtxCancelled(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := mgr.CheckpointStreamToCtx(ctx, st, 1); !errors.Is(err, context.Canceled) {
-		t.Fatalf("CheckpointStreamToCtx on cancelled ctx = %v, want context.Canceled", err)
+	if _, _, err := mgr.CheckpointToCtx(ctx, st, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("CheckpointToCtx on cancelled ctx = %v, want context.Canceled", err)
 	}
 	if gens := st.Generations(); len(gens) != 0 {
 		t.Fatalf("cancelled checkpoint committed %d generations", len(gens))
@@ -50,7 +50,7 @@ func TestCheckpointStreamCtxCancelledMidStream(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	sink := &cancelAfterWriter{w: io.Discard, cancel: cancel, left: 2}
-	rep, err := mgr.CheckpointStreamCtx(ctx, sink, 1)
+	rep, err := mgr.checkpoint(ctx, sink, 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-stream cancel = %v, want context.Canceled", err)
 	}
@@ -66,7 +66,7 @@ func TestCheckpointStreamToCtxMidStreamNoLitter(t *testing.T) {
 	st := openStore(t, dir, 3)
 	mgr := NewManager(None{}, 1)
 	registerSample(t, mgr)
-	if _, _, err := mgr.CheckpointStreamTo(st, 1); err != nil {
+	if _, _, err := mgr.CheckpointTo(st, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -77,7 +77,7 @@ func TestCheckpointStreamToCtxMidStreamNoLitter(t *testing.T) {
 		cancel()
 	}()
 	<-done
-	_, _, err := mgr.CheckpointStreamToCtx(ctx, st, 2)
+	_, _, err := mgr.CheckpointToCtx(ctx, st, 2)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled commit = %v, want context.Canceled", err)
 	}

@@ -83,6 +83,7 @@ func (m *Manager) primeDelta() {
 // non-nil and the codec can, else buffered into Encoded.Payload; under delta
 // rules when delta is on. Delta mode trades the zero-buffer streaming encode
 // for payload reuse: the entry is encoded, or served from cache, buffered.
+// So does quality telemetry, which decodes the payload once it is written.
 //
 // The whole-array fingerprint is taken only where a whole-array encoding is
 // held to compare it with, or has just been made to keep: a codec that
@@ -91,6 +92,9 @@ func (m *Manager) primeDelta() {
 // locking.
 func (m *Manager) encodeEntry(w io.Writer, name string, f *grid.Field) (*Encoded, error) {
 	e := Entry{Name: name, Field: f, W: w}
+	if m.measuresQuality() {
+		e.W = nil
+	}
 	vd := m.delta[name]
 	var sum [2]uint64
 	if vd != nil {

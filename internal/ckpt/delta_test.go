@@ -34,10 +34,9 @@ func deltaManager(t *testing.T, codec Codec) (*Manager, *grid.Field, *grid.Field
 	return m, a, b
 }
 
-// TestDeltaCheckpointByteIdentical: with delta on, both the buffered and
-// streaming checkpoints must produce byte-identical output to a delta-off
-// manager over the same state — cold, clean re-checkpoint, and after a
-// sparse mutation.
+// TestDeltaCheckpointByteIdentical: with delta on, checkpoints must produce
+// byte-identical output to a delta-off manager over the same state — cold,
+// clean re-checkpoint, and after a sparse mutation — and restore.
 func TestDeltaCheckpointByteIdentical(t *testing.T) {
 	lossy := func() *Lossy {
 		c := NewLossy()
@@ -94,14 +93,14 @@ func TestDeltaCheckpointByteIdentical(t *testing.T) {
 		t.Fatalf("one dirty slab but %d compressed (%d reused)", mrep.DeltaSlabsCompressed, mrep.DeltaSlabsReused)
 	}
 
-	// Streaming path: identical stream content too.
+	// A later step reuses everything and restores.
 	var sbuf bytes.Buffer
-	srep, err := mDelta.CheckpointStream(&sbuf, 3)
+	srep, err := mDelta.Checkpoint(&sbuf, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if srep.DeltaSlabsReused == 0 {
-		t.Fatal("streaming delta checkpoint reused nothing")
+		t.Fatal("the later delta checkpoint reused nothing")
 	}
 	// Restore the stream into a fresh manager: byte-correct state.
 	mR, ra, rb := deltaManager(t, lossy())

@@ -31,27 +31,23 @@ func TestLZ4CodecCheckpointRestore(t *testing.T) {
 		originals[n] = append([]float64(nil), f.Data()...)
 	}
 
-	for _, streaming := range []bool{false, true} {
+	for _, version := range streamVersions {
 		var buf bytes.Buffer
-		var cerr error
-		if streaming {
-			_, cerr = m.CheckpointStream(&buf, 7)
-		} else {
-			_, cerr = m.Checkpoint(&buf, 7)
-		}
-		if cerr != nil {
-			t.Fatalf("streaming=%v: %v", streaming, cerr)
+		if version == fileVersion {
+			buf.Write(v1Stream(t, m, 7))
+		} else if _, err := m.Checkpoint(&buf, 7); err != nil {
+			t.Fatalf("v%d: %v", version, err)
 		}
 		for _, f := range fields {
 			f.Fill(-99)
 		}
 		if _, err := m.Restore(&buf); err != nil {
-			t.Fatalf("streaming=%v: restore: %v", streaming, err)
+			t.Fatalf("v%d: restore: %v", version, err)
 		}
 		for n, f := range fields {
 			for i, v := range originals[n] {
 				if f.Data()[i] != v {
-					t.Fatalf("streaming=%v: %q not bit-exact at %d", streaming, n, i)
+					t.Fatalf("v%d: %q not bit-exact at %d", version, n, i)
 				}
 			}
 		}
@@ -128,7 +124,7 @@ func TestTunedLossyCheckpoint(t *testing.T) {
 	}
 
 	var sbuf bytes.Buffer
-	if _, err := m.CheckpointStream(&sbuf, 4); err != nil {
+	if _, err := m.Checkpoint(&sbuf, 4); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Restore(&sbuf); err != nil {

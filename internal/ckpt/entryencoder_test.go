@@ -143,19 +143,9 @@ func TestBaseCodecNeedsNoExtension(t *testing.T) {
 	if _, err := ref.Checkpoint(&want, 1); err != nil {
 		t.Fatal(err)
 	}
+	// The double encodes buffered, the wrapped codec streams: one stream.
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatal("buffered checkpoint differs from the wrapped codec's")
-	}
-	got.Reset()
-	want.Reset()
-	if _, err := m.CheckpointStream(&got, 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ref.CheckpointStream(&want, 2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatal("streamed checkpoint differs from the wrapped codec's")
+		t.Fatal("checkpoint differs from the wrapped codec's")
 	}
 
 	m.SetDelta(true)
@@ -169,11 +159,11 @@ func TestBaseCodecNeedsNoExtension(t *testing.T) {
 		encodes.Store(0)
 		got.Reset()
 		want.Reset()
-		rep, err := m.CheckpointStream(&got, 10+step)
+		rep, err := m.Checkpoint(&got, 10+step)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ref.CheckpointStream(&want, 10+step); err != nil {
+		if _, err := ref.Checkpoint(&want, 10+step); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {

@@ -39,42 +39,91 @@ func writeString(buf *bytes.Buffer, s string) {
 	buf.WriteString(s)
 }
 
-// referenceCheckpoint is the v1 writer Checkpoint replaced: each entry
-// staged whole in a buffer — prologue, payload length, payload — to take its
-// CRC, then copied behind CRC and length into the stream buffer. The entries
-// are encoded one after the other, no delta cache in sight.
-func referenceCheckpoint(t *testing.T, codec Codec, names []string, fields []*grid.Field, step int) []byte {
+// referenceCheckpoint is the v1 writer: each entry staged whole in a buffer
+// — prologue, payload length, payload — to take its CRC, then copied behind
+// CRC and length into the stream buffer. The entries are encoded one after
+// the other, no delta cache in sight. Nothing else writes v1 any more; the
+// tests that need a v1 stream of their own arrays build it here.
+func referenceCheckpoint(t testing.TB, codec Codec, names []string, fields []*grid.Field, step int) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	writeU32(&buf, fileMagic)
-	writeU16(&buf, fileVersion)
-	writeString(&buf, codec.Name())
-	writeU64(&buf, uint64(step))
-	writeU32(&buf, uint32(len(names)))
+	buf := referenceHeader(codec, fileVersion, step, len(names))
 	for i, name := range names {
-		var enc *Encoded
-		var err error
-		if ee, ok := codec.(EntryEncoder); ok {
-			enc, err = ee.EncodeEntry(Entry{Name: name, Field: fields[i]})
-		} else {
-			enc, err = codec.Encode(fields[i])
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+		payload := referencePayload(t, codec, name, fields[i])
 		var entry bytes.Buffer
-		writeString(&entry, name)
-		writeU16(&entry, uint16(fields[i].Dims()))
-		for _, e := range fields[i].Shape() {
-			writeU64(&entry, uint64(e))
-		}
-		writeU64(&entry, uint64(len(enc.Payload)))
-		entry.Write(enc.Payload)
-		writeU32(&buf, crc32.ChecksumIEEE(entry.Bytes()))
-		writeU64(&buf, uint64(entry.Len()))
+		referencePrologue(&entry, name, fields[i].Shape())
+		writeU64(&entry, uint64(len(payload)))
+		entry.Write(payload)
+		writeU32(buf, crc32.ChecksumIEEE(entry.Bytes()))
+		writeU64(buf, uint64(entry.Len()))
 		buf.Write(entry.Bytes())
 	}
 	return buf.Bytes()
+}
+
+// v1Stream is the v1 stream of m's registered arrays under its codec.
+func v1Stream(t testing.TB, m *Manager, step int) []byte {
+	t.Helper()
+	fields := make([]*grid.Field, len(m.names))
+	for i, name := range m.names {
+		fields[i] = m.fields[name]
+	}
+	return referenceCheckpoint(t, m.codec, m.names, fields, step)
+}
+
+// referenceCheckpointV2 is the v2 stream of buffered encodes, each payload
+// (under 4 GiB) one segment: prologue, segment length, payload, terminator,
+// payload length, CRC of prologue and payload.
+func referenceCheckpointV2(t testing.TB, codec Codec, names []string, fields []*grid.Field, step int) []byte {
+	t.Helper()
+	buf := referenceHeader(codec, fileVersionStream, step, len(names))
+	for i, name := range names {
+		payload := referencePayload(t, codec, name, fields[i])
+		var pro bytes.Buffer
+		referencePrologue(&pro, name, fields[i].Shape())
+		buf.Write(pro.Bytes())
+		if len(payload) > 0 {
+			writeU32(buf, uint32(len(payload)))
+			buf.Write(payload)
+		}
+		writeU32(buf, 0)
+		writeU64(buf, uint64(len(payload)))
+		writeU32(buf, crc32.Update(crc32.ChecksumIEEE(pro.Bytes()), crc32.IEEETable, payload))
+	}
+	return buf.Bytes()
+}
+
+func referenceHeader(codec Codec, version, step, count int) *bytes.Buffer {
+	var buf bytes.Buffer
+	writeU32(&buf, fileMagic)
+	writeU16(&buf, uint16(version))
+	writeString(&buf, codec.Name())
+	writeU64(&buf, uint64(step))
+	writeU32(&buf, uint32(count))
+	return &buf
+}
+
+func referencePrologue(buf *bytes.Buffer, name string, shape []int) {
+	writeString(buf, name)
+	writeU16(buf, uint16(len(shape)))
+	for _, e := range shape {
+		writeU64(buf, uint64(e))
+	}
+}
+
+// referencePayload is one entry's payload encoded buffered.
+func referencePayload(t testing.TB, codec Codec, name string, f *grid.Field) []byte {
+	t.Helper()
+	var enc *Encoded
+	var err error
+	if ee, ok := codec.(EntryEncoder); ok {
+		enc, err = ee.EncodeEntry(Entry{Name: name, Field: f})
+	} else {
+		enc, err = codec.Encode(f)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc.Payload
 }
 
 // partsWriter records each Write it is handed.
@@ -86,10 +135,9 @@ func (p *partsWriter) Write(q []byte) (int, error) {
 }
 
 // TestCheckpointMatchesBufferedFraming: the stream Checkpoint writes part by
-// part is, joined, the stream the staging writer built — for every codec
-// family, one variable and five, with delta on across a mutation — and no
-// payload passes through a copy on the way: it reaches the writer as the
-// codec's slice, one Write.
+// part is, joined, the v2 stream of buffered encodes with every payload one
+// segment — for every codec family, one variable and five, with delta on
+// across a mutation — and every payload reaches the writer in one Write.
 func TestCheckpointMatchesBufferedFraming(t *testing.T) {
 	chunked := func() Codec {
 		c := NewLossy()
@@ -127,18 +175,19 @@ func TestCheckpointMatchesBufferedFraming(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want := referenceCheckpoint(t, tc.codec(), names, fields, step)
+					want := referenceCheckpointV2(t, tc.codec(), names, fields, step)
 					if !bytes.Equal(got.Bytes(), want) {
 						t.Fatalf("step %d: stream differs from the staged framing (%d vs %d bytes)", step, got.Len(), len(want))
 					}
 					if rep.FileBytes != len(want) {
 						t.Fatalf("step %d: FileBytes %d, stream has %d", step, rep.FileBytes, len(want))
 					}
-					if len(pw.parts) != 1+2*nvars {
-						t.Fatalf("step %d: %d writes, want header + 2 per entry = %d", step, len(pw.parts), 1+2*nvars)
+					// Per entry: prologue, segment length, payload, trailer.
+					if len(pw.parts) != 1+4*nvars {
+						t.Fatalf("step %d: %d writes, want header + 4 per entry = %d", step, len(pw.parts), 1+4*nvars)
 					}
 					for i, e := range rep.Entries {
-						if n := len(pw.parts[2+2*i]); n != e.CompressedBytes {
+						if n := len(pw.parts[3+4*i]); n != e.CompressedBytes {
 							t.Fatalf("step %d: entry %d written as %d bytes, payload is %d", step, i, n, e.CompressedBytes)
 						}
 					}

@@ -2,6 +2,8 @@ package ckpt
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"lossyckpt/internal/grid"
@@ -14,17 +16,12 @@ func FuzzRestore(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("CKPT"))
 
-	// Seed with a real stream and systematic corruptions.
-	seedMgr := NewManager(NewGzip(), 1)
-	fld := smoothField(64, 8)
-	if err := seedMgr.Register("x", fld); err != nil {
+	// Seed with a real v1 stream (the corpus's, of the array the target
+	// registers) and systematic corruptions.
+	raw, err := os.ReadFile(filepath.Join(streamV1Dir, "gzip.ckpt"))
+	if err != nil {
 		f.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := seedMgr.Checkpoint(&buf, 3); err != nil {
-		f.Fatal(err)
-	}
-	raw := buf.Bytes()
 	f.Add(raw)
 	f.Add(raw[:len(raw)/2])
 	for _, pos := range []int{0, 6, len(raw) / 3, len(raw) - 1} {
@@ -33,9 +30,13 @@ func FuzzRestore(f *testing.F) {
 		f.Add(mut)
 	}
 
-	// Same corruptions over the v2 segmented layout.
+	// Same corruptions over the v2 segmented layout Checkpoint writes.
+	seedMgr := NewManager(NewGzip(), 1)
+	if err := seedMgr.Register("x", smoothField(64, 8)); err != nil {
+		f.Fatal(err)
+	}
 	var sbuf bytes.Buffer
-	if _, err := seedMgr.CheckpointStream(&sbuf, 3); err != nil {
+	if _, err := seedMgr.Checkpoint(&sbuf, 3); err != nil {
 		f.Fatal(err)
 	}
 	sraw := sbuf.Bytes()

@@ -174,7 +174,8 @@ func TestLoadLatestCarriesGuarantee(t *testing.T) {
 }
 
 // TestInspectAndVerifyStream covers the registration-free auditors the
-// store scrubber plugs in.
+// store scrubber plugs in, over the stream Checkpoint writes and over the
+// same arrays in the v1 layout.
 func TestInspectAndVerifyStream(t *testing.T) {
 	mgr := guardManager(guard.Policy{MaxAbs: 1e-2}, 1)
 	registerSample(t, mgr)
@@ -182,32 +183,32 @@ func TestInspectAndVerifyStream(t *testing.T) {
 	if _, err := mgr.Checkpoint(&buf, 9); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
-
-	info, err := InspectStream(data)
-	if err != nil {
-		t.Fatalf("InspectStream: %v", err)
-	}
-	if info.Codec != "guard" || info.Step != 9 || len(info.Entries) != 3 {
-		t.Fatalf("info %+v", info)
-	}
-	for _, e := range info.Entries {
-		if e.Guarantee == nil || !e.Guarantee.Guaranteed() {
-			t.Fatalf("inspected entry %q guarantee %+v", e.Name, e.Guarantee)
+	for _, data := range [][]byte{buf.Bytes(), v1Stream(t, mgr, 9)} {
+		info, err := InspectStream(data)
+		if err != nil {
+			t.Fatalf("InspectStream: %v", err)
 		}
-	}
-	if err := VerifyStream(data, false, 1); err != nil {
-		t.Fatalf("VerifyStream(frame-level): %v", err)
-	}
-	if err := VerifyStream(data, true, 1); err != nil {
-		t.Fatalf("VerifyStream(decode): %v", err)
-	}
+		if info.Codec != "guard" || info.Step != 9 || len(info.Entries) != 3 {
+			t.Fatalf("info %+v", info)
+		}
+		for _, e := range info.Entries {
+			if e.Guarantee == nil || !e.Guarantee.Guaranteed() {
+				t.Fatalf("inspected entry %q guarantee %+v", e.Name, e.Guarantee)
+			}
+		}
+		if err := VerifyStream(data, false, 1); err != nil {
+			t.Fatalf("VerifyStream(frame-level): %v", err)
+		}
+		if err := VerifyStream(data, true, 1); err != nil {
+			t.Fatalf("VerifyStream(decode): %v", err)
+		}
 
-	// Any flipped byte in the stream must be caught by frame CRCs.
-	corrupt := append([]byte(nil), data...)
-	corrupt[len(corrupt)/2] ^= 0x40
-	if err := VerifyStream(corrupt, false, 1); err == nil {
-		t.Fatal("VerifyStream accepted a flipped byte")
+		// Any flipped byte in the stream must be caught by frame CRCs.
+		corrupt := append([]byte(nil), data...)
+		corrupt[len(corrupt)/2] ^= 0x40
+		if err := VerifyStream(corrupt, false, 1); err == nil {
+			t.Fatal("VerifyStream accepted a flipped byte")
+		}
 	}
 	if err := VerifyStream(nil, false, 1); err == nil {
 		t.Fatal("VerifyStream accepted an empty stream")

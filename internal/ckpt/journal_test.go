@@ -53,7 +53,7 @@ func TestJournalReconstructsKilledCheckpoint(t *testing.T) {
 	slowB.SetOpDelay(2 * time.Millisecond)
 	dead.CrashNow()
 
-	if _, _, err := m.CheckpointStreamTo(rst, 42); err != nil {
+	if _, _, err := m.CheckpointTo(rst, 42); err != nil {
 		t.Fatalf("checkpoint with one dead replica: %v", err)
 	}
 	rst.Wait()
@@ -189,7 +189,7 @@ func TestJournalRecordsRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := m.CheckpointStreamTo(st, 7); err != nil {
+	if _, _, err := m.CheckpointTo(st, 7); err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range fields {

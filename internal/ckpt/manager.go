@@ -30,13 +30,14 @@ var (
 
 const (
 	fileMagic = 0x54504B43 // "CKPT"
-	// fileVersion is the buffered stream layout Checkpoint writes: every
-	// entry is one length-prefixed frame with its CRC up front.
+	// fileVersion is the first stream layout: every entry is one
+	// length-prefixed frame with its CRC up front. It is read, no longer
+	// written.
 	fileVersion = 1
-	// fileVersionStream is the streaming layout CheckpointStream writes:
-	// entries carry their payload in bounded segments with length and CRC
-	// trailing, so the writer never buffers a whole payload. Readers
-	// accept both versions.
+	// fileVersionStream is the layout every checkpoint writes (stream.go):
+	// entries carry their payload in segments with length and CRC trailing,
+	// so the writer never has to hold a payload to frame it. Readers accept
+	// both versions.
 	fileVersionStream = 2
 	maxNameLen        = 4096
 	// maxVars bounds the header-declared variable count so a corrupt
@@ -169,84 +170,6 @@ func (r *Report) AggregateTimings() core.Timings {
 		t.Total += e.Timings.Total
 	}
 	return t
-}
-
-// Checkpoint compresses every registered array (up to the worker count at
-// once, through the entry pipeline) and writes one framed checkpoint
-// stream to w. step is an application-defined counter stored in the header
-// (the paper restarts NICAM at step 720; the counter lets restore resume
-// time-dependent forcing).
-func (m *Manager) Checkpoint(w io.Writer, step int) (rep *Report, err error) {
-	op := m.beginCheckpoint("buffered", step)
-	defer func() { op.End(err) }()
-	rep, parts, err := m.checkpointParts(op, step)
-	if err != nil {
-		return nil, err
-	}
-	for _, part := range parts {
-		if _, err := w.Write(part); err != nil {
-			return nil, fmt.Errorf("ckpt: write: %w", err)
-		}
-	}
-	return rep, nil
-}
-
-// checkpointParts encodes every registered array and returns the v1 stream
-// as the slices it consists of, in order: the stream header, then per entry
-// its framing — CRC, length, prologue, payload length — and its payload, the
-// codec's own slice. Nothing is joined; a writer or a store takes the parts
-// one after the other. The CRC leads the frame, so every entry is encoded
-// before the first part exists, and an encode error returns none. op is the
-// caller's operation, filled here and ended there.
-func (m *Manager) checkpointParts(op *journal.Op, step int) (rep *Report, parts [][]byte, err error) {
-	start := time.Now()
-	if len(m.names) == 0 {
-		return nil, nil, fmt.Errorf("%w: no fields registered", ErrRegistered)
-	}
-	if step < 0 {
-		return nil, nil, fmt.Errorf("%w: negative step %d", ErrRegistered, step)
-	}
-
-	encoded := make([]*Encoded, len(m.names))
-	defer func() { m.closeCheckpoint(op, rep, encoded, err) }()
-
-	parts = append(make([][]byte, 0, 1+2*len(m.names)), m.streamHeader(fileVersion, step))
-	rep = &Report{Codec: m.codec.Name(), Step: step, FileBytes: len(parts[0])}
-	m.primeDelta()
-	pipe := newEntryPipe(m.workers)
-	defer pipe.wait()
-	for i, name := range m.names {
-		f := m.fields[name]
-		err := pipe.start(func() (err error) {
-			encoded[i], err = m.encodeEntry(nil, name, f)
-			return err
-		}, nil, func(err error) error {
-			if err != nil {
-				return fmt.Errorf("ckpt: encoding %q: %w", name, err)
-			}
-			payload := encoded[i].Payload
-			// The frame is CRC ‖ length ‖ body, the body prologue ‖ payload
-			// length ‖ payload: everything but the payload is laid out here,
-			// behind 12 bytes left for the CRC and length that cover it.
-			head := entryPrologue(make([]byte, 12, 64), name, f.Shape())
-			head = binary.LittleEndian.AppendUint64(head, uint64(len(payload)))
-			crc := crc32.Update(crc32.ChecksumIEEE(head[12:]), crc32.IEEETable, payload)
-			binary.LittleEndian.PutUint32(head[0:], crc)
-			binary.LittleEndian.PutUint64(head[4:], uint64(len(head)-12+len(payload)))
-			parts = append(parts, head, payload)
-			rep.FileBytes += len(head) + len(payload)
-			rep.addEntry(name, encoded[i], len(payload))
-			return nil
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	if err := pipe.flush(); err != nil {
-		return nil, nil, err
-	}
-	rep.Wall = time.Since(start)
-	return rep, parts, nil
 }
 
 // streamHeader is the parsed fixed prefix of a checkpoint stream.
@@ -405,10 +328,10 @@ func parseEntryBody(body []byte, i int) (*rawEntry, error) {
 	return &rawEntry{Name: name, Shape: shape, Payload: payload}, nil
 }
 
-// streamHeader serializes the fixed prefix readStreamHeader parses.
-func (m *Manager) streamHeader(version, step int) []byte {
+// streamHeader serializes the fixed prefix readStreamHeader parses (v2).
+func (m *Manager) streamHeader(step int) []byte {
 	buf := binary.LittleEndian.AppendUint32(nil, fileMagic)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(version))
+	buf = binary.LittleEndian.AppendUint16(buf, fileVersionStream)
 	buf = appendString(buf, m.codec.Name())
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(step))
 	return binary.LittleEndian.AppendUint32(buf, uint32(len(m.names)))

@@ -43,6 +43,10 @@ const (
 // compression-rate gauges are always recorded when a registry is installed.
 func (m *Manager) EnableQualityTelemetry(on bool) { m.quality = on }
 
+// measuresQuality reports whether a checkpoint measures the round-trip error
+// of each entry, which it then encodes buffered to have the payload to decode.
+func (m *Manager) measuresQuality() bool { return m.quality && !m.codec.Lossless() }
+
 // stagesOf flattens a timing breakdown into the journal's waterfall
 // map, skipping zero-valued phases.
 func stagesOf(t core.Timings) map[string]float64 {
@@ -67,8 +71,8 @@ func stagesOf(t core.Timings) map[string]float64 {
 
 // beginCheckpoint opens the operation of one checkpoint call. The call that
 // opens it ends it; the encode body fills it (closeCheckpoint).
-func (m *Manager) beginCheckpoint(mode string, step int) *journal.Op {
-	op := journal.Begin("ckpt.checkpoint", "codec", m.codec.Name(), "mode", mode)
+func (m *Manager) beginCheckpoint(step int) *journal.Op {
+	op := journal.Begin("ckpt.checkpoint", "codec", m.codec.Name())
 	op.SetStep(step)
 	return op
 }
@@ -98,7 +102,7 @@ func (m *Manager) closeCheckpoint(op *journal.Op, rep *Report, encoded []*Encode
 		op.Set("delta", "true", "entries_reused", rep.ReusedEntries,
 			"slabs_reused", rep.DeltaSlabsReused, "slabs_compressed", rep.DeltaSlabsCompressed)
 	}
-	measure := m.quality && !m.codec.Lossless()
+	measure := m.measuresQuality()
 	for i, e := range rep.Entries {
 		je := journal.Entry{
 			Var:      e.Name,
@@ -120,9 +124,8 @@ func (m *Manager) closeCheckpoint(op *journal.Op, rep *Report, encoded []*Encode
 		if e.RawBytes > 0 {
 			o.Gauge(MetricQualityRatePct, "var", e.Name).Set(stats.CompressionRate(e.CompressedBytes, e.RawBytes))
 		}
-		// Streaming checkpoints never buffer payloads, so there is nothing
-		// to decode for quality measurement.
-		if measure && enc.Payload != nil {
+		// encodeEntry held every payload whole for this.
+		if measure {
 			m.measureQuality(o, e.Name, enc.Payload)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"flag"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -122,7 +123,7 @@ func TestStreamGoldenClimate5(t *testing.T) {
 	written := filepath.Join("testdata", "golden", "climate5_lossy_v2_deflate.ckpt")
 	if *updateGolden {
 		var buf bytes.Buffer
-		if _, err := managerOver(t, NewLossy(), 1, names, fields).CheckpointStream(&buf, 720); err != nil {
+		if _, err := managerOver(t, NewLossy(), 1, names, fields).Checkpoint(&buf, 720); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(written, buf.Bytes(), 0o644); err != nil {
@@ -169,7 +170,7 @@ func TestStreamGoldenClimate5(t *testing.T) {
 	}
 	for _, workers := range pipelineWorkers {
 		var buf bytes.Buffer
-		if _, err := managerOver(t, NewLossy(), workers, names, fields).CheckpointStream(&buf, 720); err != nil {
+		if _, err := managerOver(t, NewLossy(), workers, names, fields).Checkpoint(&buf, 720); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(buf.Bytes(), streams[1]) {
@@ -296,7 +297,7 @@ func TestStreamBytesIndependentOfWorkers(t *testing.T) {
 							}
 						}
 						var buf bytes.Buffer
-						rep, err := m.CheckpointStream(&buf, step)
+						rep, err := m.Checkpoint(&buf, step)
 						if err != nil {
 							t.Fatalf("workers=%d step %d: %v", workers, step, err)
 						}
@@ -340,8 +341,8 @@ func frameV2(codec string, step int, ents []*rawEntry) []byte {
 		crc := crc32.NewIEEE()
 		crc.Write(pro)
 		buf.Write(pro)
-		sw := newSegmentWriter(&buf, crc)
-		sw.Write(ent.Payload)
+		sw := &segmentWriter{w: &buf, crc: crc}
+		sw.whole(ent.Payload)
 		sw.finish()
 	}
 	return buf.Bytes()
@@ -512,26 +513,23 @@ func TestRestoreIndependentOfWorkers(t *testing.T) {
 		saver := NewManager(codec, 1)
 		saver.SetDelta(cfg.delta)
 		saved := registerSample(t, saver)
-		var v1, v2 bytes.Buffer
+		var v2 bytes.Buffer
 		if cfg.delta {
 			// Warm the slab caches, dirty one slab, and read what the
 			// second checkpoint assembles out of cached and fresh frames.
-			if _, err := saver.Checkpoint(&v1, 10); err != nil {
+			if _, err := saver.Checkpoint(io.Discard, 10); err != nil {
 				t.Fatal(err)
 			}
-			v1.Reset()
 			saved["pressure"].Data()[5] += 0.5
 		}
-		rep, err := saver.Checkpoint(&v1, 11)
+		rep, err := saver.Checkpoint(&v2, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if cfg.delta && rep.DeltaSlabsReused == 0 {
 			t.Fatalf("%s: the warm checkpoint reused no slab: %+v", cfg.label, rep)
 		}
-		if _, err := saver.CheckpointStream(&v2, 11); err != nil {
-			t.Fatal(err)
-		}
+		v1 := bytes.NewBuffer(v1Stream(t, saver, 11))
 		ents := scanEntries(t, v2.Bytes())
 		garbage := &rawEntry{Name: ents[1].Name, Shape: ents[1].Shape, Payload: []byte("not a payload")}
 		garbage0 := &rawEntry{Name: ents[0].Name, Shape: ents[0].Shape, Payload: garbage.Payload}
@@ -660,11 +658,11 @@ func settledGoroutines(want int) int {
 	return n
 }
 
-// TestCheckpointStreamFailurePaths fails the writer, and cancels the
+// TestCheckpointFailurePaths fails the writer, and cancels the
 // context, at every write of the stream in turn: whatever the worker
 // count, the error is the serial loop's, no goroutine outlives the call
 // and no write arrives after it.
-func TestCheckpointStreamFailurePaths(t *testing.T) {
+func TestCheckpointFailurePaths(t *testing.T) {
 	boom := errors.New("boom")
 	// One codec that streams, one that streams from its own goroutines,
 	// one that encodes buffered.
@@ -672,7 +670,7 @@ func TestCheckpointStreamFailurePaths(t *testing.T) {
 	for _, label := range []string{"none", "lossy-chunked", "guard"} {
 		codec := streamCodecs()[label]
 		var count faultWriter
-		if _, err := managerOver(t, codec, 1, names, fields).CheckpointStream(&count, 1); err != nil {
+		if _, err := managerOver(t, codec, 1, names, fields).Checkpoint(&count, 1); err != nil {
 			t.Fatal(err)
 		}
 		for _, cancelling := range []bool{false, true} {
@@ -686,7 +684,7 @@ func TestCheckpointStreamFailurePaths(t *testing.T) {
 					if cancelling {
 						w.cancel, sentinel = cancel, context.Canceled
 					}
-					rep, err := managerOver(t, codec, workers, names, fields).CheckpointStreamCtx(ctx, w, 1)
+					rep, err := managerOver(t, codec, workers, names, fields).checkpoint(ctx, w, 1)
 					w.returned = true
 					cancel()
 
@@ -752,7 +750,7 @@ func TestCheckpointStreamPeakHeapFiveEntries(t *testing.T) {
 	payload := uint64(fields[0].Bytes())
 	peak := func(workers int) uint64 {
 		var w liveHeapWriter
-		if _, err := managerOver(t, None{}, workers, names, fields).CheckpointStream(&w, 1); err != nil {
+		if _, err := managerOver(t, None{}, workers, names, fields).Checkpoint(&w, 1); err != nil {
 			t.Fatal(err)
 		}
 		return w.peak

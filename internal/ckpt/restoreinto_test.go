@@ -87,7 +87,7 @@ func TestRestoreChunkedBadSlab(t *testing.T) {
 	saver := NewManager(codec, 1)
 	registerSample(t, saver)
 	var buf bytes.Buffer
-	if _, err := saver.CheckpointStream(&buf, 11); err != nil {
+	if _, err := saver.Checkpoint(&buf, 11); err != nil {
 		t.Fatal(err)
 	}
 	ents := scanEntries(t, buf.Bytes())
@@ -149,7 +149,7 @@ func TestRestorePlainFailureTouchesNothing(t *testing.T) {
 		saver := NewManager(codec, 1)
 		registerSample(t, saver)
 		var buf bytes.Buffer
-		if _, err := saver.CheckpointStream(&buf, 11); err != nil {
+		if _, err := saver.Checkpoint(&buf, 11); err != nil {
 			t.Fatal(err)
 		}
 		ents := scanEntries(t, buf.Bytes())
@@ -293,27 +293,30 @@ func TestRestoreAllocatesNoArray(t *testing.T) {
 		if _, err := m.Checkpoint(&buf, 1); err != nil {
 			t.Fatal(err)
 		}
-		restore := func() {
-			if _, err := m.Restore(bytes.NewReader(buf.Bytes())); err != nil {
-				t.Fatalf("%s: %v", c.label, err)
+		// Both layouts a restore reads: the one written, and v1.
+		for _, stream := range [][]byte{buf.Bytes(), v1Stream(t, m, 1)} {
+			restore := func() {
+				if _, err := m.Restore(bytes.NewReader(stream)); err != nil {
+					t.Fatalf("%s: %v", c.label, err)
+				}
 			}
-		}
-		// Warm-up: the pools now hold this restore's buffers. The collector
-		// is held off from here on, or a cycle between two restores would
-		// empty them again. The least of a few readings counts: a buffer
-		// put back on one P's private slot is out of reach of a decode job
-		// that lands on another.
-		got := uint64(math.MaxUint64)
-		allocatedBy(func() {
-			restore()
-			restore()
-			for i := 0; i < 5; i++ {
-				got = min(got, allocatedBy(restore))
+			// Warm-up: the pools now hold this restore's buffers. The
+			// collector is held off from here on, or a cycle between two
+			// restores would empty them again. The least of a few readings
+			// counts: a buffer put back on one P's private slot is out of
+			// reach of a decode job that lands on another.
+			got := uint64(math.MaxUint64)
+			allocatedBy(func() {
+				restore()
+				restore()
+				for i := 0; i < 5; i++ {
+					got = min(got, allocatedBy(restore))
+				}
+			})
+			t.Logf("%s: a restore of %d KiB allocates %d KiB", c.label, live.Bytes()>>10, got>>10)
+			if limit := uint64(live.Bytes() / c.ceiling); got > limit {
+				t.Errorf("%s: a restore of a %d KiB array allocates %d KiB, want under %d", c.label, live.Bytes()>>10, got>>10, limit>>10)
 			}
-		})
-		t.Logf("%s: a restore of %d KiB allocates %d KiB", c.label, live.Bytes()>>10, got>>10)
-		if limit := uint64(live.Bytes() / c.ceiling); got > limit {
-			t.Errorf("%s: a restore of a %d KiB array allocates %d KiB, want under %d", c.label, live.Bytes()>>10, got>>10, limit>>10)
 		}
 	}
 }

@@ -233,7 +233,7 @@ func TestSinkMatrix(t *testing.T) {
 	m := NewManager(NewLossy(), 1)
 	step, dir := 720, t.TempDir()
 	if allocs := testing.AllocsPerRun(100, func() {
-		op := journal.Begin("ckpt.checkpoint", "codec", m.codec.Name(), "mode", "stream")
+		op := journal.Begin("ckpt.checkpoint", "codec", m.codec.Name())
 		op.SetStep(step)
 		op.Set("entries_reused", step)
 		journal.Note("ckpt.store_fallback", "gen", uint64(step), "reason", dir)

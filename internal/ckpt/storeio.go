@@ -1,5 +1,5 @@
 // storeio.go connects the checkpoint manager to the crash-safe on-disk
-// store: CheckpointTo commits one framed stream as a new generation,
+// store: CheckpointTo streams one checkpoint into a new generation,
 // RestoreLatest walks the retention ring newest-to-oldest and falls
 // back across generations — and, as a last resort, to frame-level
 // partial recovery — until it finds restorable state. LoadLatest is the
@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 
 	"lossyckpt/internal/grid"
 	"lossyckpt/internal/guard"
@@ -23,32 +24,42 @@ import (
 // even partially.
 var ErrStoreEmpty = errors.New("ckpt: no restorable generation in store")
 
-// CheckpointTo compresses the registered arrays and commits the framed
-// stream atomically as the store's next generation. st may be a plain
-// *store.Store or a *store.ReplicatedStore — the pipeline is
-// replication-agnostic. The returned Generation records the committed
-// sequence number, size and CRC.
+// CheckpointTo compresses the registered arrays and commits the checkpoint
+// stream atomically as the store's next generation, writing it into the
+// store as it is produced: compression, entropy coding and store I/O
+// overlap, and neither the manager nor the store holds the stream. st may be
+// a plain *store.Store or a *store.ReplicatedStore — the pipeline is
+// replication-agnostic; a replicated commit is paced by its slowest live
+// replica. The returned Generation records the committed sequence number,
+// size and CRC.
 func (m *Manager) CheckpointTo(st store.Target, step int) (rep *Report, gen store.Generation, err error) {
 	return m.CheckpointToCtx(context.Background(), st, step)
 }
 
-// CheckpointToCtx is CheckpointTo bound to a request context: the
-// context reaches the store's commit and retry path, so a cancelled
-// request aborts the commit instead of sleeping out backoff ladders.
+// CheckpointStreamTo is CheckpointTo.
+//
+// Deprecated: use CheckpointTo, which commits the same stream the same way.
+func (m *Manager) CheckpointStreamTo(st store.Target, step int) (*Report, store.Generation, error) {
+	return m.CheckpointTo(st, step)
+}
+
+// CheckpointToCtx is CheckpointTo bound to a request context: the context
+// reaches both the producer (entry boundaries and writes) and the store's
+// commit and retry path, so one cancellation tears the whole pipeline down.
+// A cancellation or an encode error aborts the commit: the partial payload is
+// removed and the previous latest generation stays indexed.
 //
 // One operation spans the save, encode and commit, so the store's commit and
 // vote records become its children; it ends with the generation committed.
 func (m *Manager) CheckpointToCtx(ctx context.Context, st store.Target, step int) (rep *Report, gen store.Generation, err error) {
-	op := m.beginCheckpoint("buffered", step)
+	op := m.beginCheckpoint(step)
 	defer func() { op.SetSeq(gen.Seq); op.End(err) }()
-	// Every entry is encoded before the store sees a byte — an encode error
-	// touches no store — and the stream is committed as the slices it
-	// consists of, the payloads the codecs' own.
-	rep, parts, err := m.checkpointParts(op, step)
+	gen, err = st.CommitStreamCtx(ctx, step, func(w io.Writer) error {
+		var cerr error
+		rep, cerr = m.writeCheckpoint(ctx, op, w, step)
+		return cerr
+	})
 	if err != nil {
-		return nil, store.Generation{}, err
-	}
-	if gen, err = st.CommitCtx(ctx, step, parts...); err != nil {
 		return nil, store.Generation{}, err
 	}
 	return rep, gen, nil

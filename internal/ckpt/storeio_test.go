@@ -152,10 +152,7 @@ func TestRestoreLatestPartialFromTornTail(t *testing.T) {
 	fields := registerSample(t, mgr)
 	want := snapshot(fields)
 
-	var buf bytes.Buffer
-	if _, err := mgr.Checkpoint(&buf, 9); err != nil {
-		t.Fatal(err)
-	}
+	buf := bytes.NewBuffer(v1Stream(t, mgr, 9)) // tearAfterEntry and readEntryFrame walk v1 frames
 	// Commit a single generation whose tail is torn after the first
 	// entry: only "temperature" survives.
 	torn := tearAfterEntry(t, buf.Bytes(), 0)
@@ -196,10 +193,7 @@ func TestRestorePartialSkipsFlippedFrame(t *testing.T) {
 	mgr := NewManager(None{}, 1)
 	fields := registerSample(t, mgr)
 	want := snapshot(fields)
-	var buf bytes.Buffer
-	if _, err := mgr.Checkpoint(&buf, 5); err != nil {
-		t.Fatal(err)
-	}
+	buf := bytes.NewBuffer(v1Stream(t, mgr, 5)) // tearAfterEntry and readEntryFrame walk v1 frames
 	data := append([]byte(nil), buf.Bytes()...)
 
 	// Locate entry 1's body and flip a bit inside it: its CRC fails but

@@ -1,19 +1,21 @@
-// stream.go adds the v2 streaming checkpoint format. The buffered
-// Checkpoint assembles the whole framed stream in memory before the
-// writer sees its first byte — peak memory is O(total payload). v2
-// frames each entry's payload in bounded segments with the length and
-// CRC trailing instead of leading, so CheckpointStream can pipe the head
-// entry's codec output straight through to the writer: peak memory drops
-// to the codec's own working set (O(workers × chunk) for the chunked
-// lossy pipeline) plus what entries encoding behind the head have spilled
-// (pipeline.go). Readers accept both versions through readEntry.
+// stream.go is the checkpoint writer. Every checkpoint is one v2 stream:
+// each entry's payload goes out in segments with the length and CRC
+// trailing instead of leading, so the writer never has to hold a payload to
+// frame it. A codec that writes an entry out as it produces it (Entry.W) at
+// the head of the stream pipes its output straight through the segment
+// framing in streamSegment pieces, and peak memory is the codec's own working
+// set (O(workers × chunk) for the chunked lossy pipeline) plus what entries
+// encoding behind the head have spilled (pipeline.go). A payload the codec
+// returns whole (Encoded.Payload) is framed as one segment, so where its
+// headers fall depends on its length alone. Readers accept this and the v1
+// layout through readEntry.
 //
 // v2 entry layout (all integers little-endian):
 //
 //	u16 nameLen + name            — prologue, same serialization as v1
 //	u16 dims
 //	u64 extent × dims
-//	{ u32 segLen (>0), payload[segLen] }*   — payload in bounded segments
+//	{ u32 segLen (>0), payload[segLen] }*   — payload in segments
 //	u32 0                         — segment terminator
 //	u64 payloadLen                — trailer: total payload bytes
 //	u32 crc32(prologue ++ payload)
@@ -35,13 +37,13 @@ import (
 	"time"
 
 	"lossyckpt/internal/obs/journal"
-	"lossyckpt/internal/store"
 )
 
 // readEntryV2 reads one v2 segmented entry. The prologue is re-serialized
-// to feed the CRC exactly as the writer hashed it. The payload is assembled
-// in a recycled buffer: whoever gets the entry releases it once nothing reads
-// the payload any more.
+// to feed the CRC exactly as the writer hashed it. A payload in one segment
+// of a stream in memory is a view of the stream, as a v1 frame is; otherwise
+// the segments are joined in a recycled buffer, which whoever gets the entry
+// releases once nothing reads the payload any more.
 func readEntryV2(br *byteReader, i int) (*rawEntry, error) {
 	name, shape, err := readPrologue(br, i)
 	if err != nil {
@@ -50,10 +52,12 @@ func readEntryV2(br *byteReader, i int) (*rawEntry, error) {
 	crc := crc32.NewIEEE()
 	crc.Write(entryPrologue(nil, name, shape))
 
-	ent := &rawEntry{Name: name, Shape: shape, buf: payloadBufs.Get().(*[]byte)}
-	payload := (*ent.buf)[:0]
+	ent := &rawEntry{Name: name, Shape: shape}
+	var payload []byte
 	fail := func(err error) (*rawEntry, error) {
-		*ent.buf = payload[:0]
+		if ent.buf != nil {
+			*ent.buf = payload[:0]
+		}
 		ent.release()
 		return nil, err
 	}
@@ -67,6 +71,17 @@ func readEntryV2(br *byteReader, i int) (*rawEntry, error) {
 		}
 		if uint64(len(payload))+uint64(segLen) > maxPayloadLen {
 			return fail(fmt.Errorf("%w: entry %d payload exceeds cap", ErrFormat, i))
+		}
+		if payload == nil {
+			if payload = br.view(uint64(segLen)); payload != nil {
+				crc.Write(payload)
+				continue
+			}
+		}
+		if ent.buf == nil {
+			// A second segment, or a stream off a reader: join from here on.
+			ent.buf = payloadBufs.Get().(*[]byte)
+			payload = append((*ent.buf)[:0], payload...)
 		}
 		seg := len(payload)
 		if payload, err = appendExactly(payload, br, uint64(segLen)); err != nil {
@@ -82,12 +97,14 @@ func readEntryV2(br *byteReader, i int) (*rawEntry, error) {
 	if wantLen != uint64(len(payload)) || wantCRC != crc.Sum32() {
 		return fail(fmt.Errorf("%w: entry %d trailer mismatch", errEntryDamaged, i))
 	}
-	ent.Payload, *ent.buf = payload, payload[:0]
+	if ent.Payload = payload; ent.buf != nil {
+		*ent.buf = payload[:0]
+	}
 	return ent, nil
 }
 
-// payloadBufs recycles the buffers entries are read into — v2 payloads,
-// whose segments have to be joined, and v1 frames that come off a reader —
+// payloadBufs recycles the buffers entries are read into — entries that come
+// off a reader, and v2 payloads whose segments have to be joined —
 // across the entries of a restore and across restores: a restore reads the
 // same few sizes every time, and growing a fresh slice to each of them by
 // bounded appends copied every payload about twice.
@@ -103,38 +120,51 @@ func (e *rawEntry) release() {
 	}
 }
 
-// streamSegment bounds the segment size CheckpointStream frames payload
-// bytes into — the only buffer the head entry's framing keeps, and the
-// block size entries behind it spill in.
+// streamSegment bounds the segments a codec's piecewise output (Entry.W) is
+// framed into — the only buffer the head entry's framing keeps, and the block
+// size entries behind it spill in.
 const streamSegment = 256 << 10
 
-// CheckpointStream compresses every registered array and writes one v2
-// checkpoint stream to w without the writer side ever buffering a whole
-// payload: codecs that write an entry out as they produce it (Entry.W) pipe
-// their output straight into the segment framing (the chunked lossy pipeline
-// overlaps compression with the write), others encode buffered per entry. Up to
-// the manager's worker count of entries encode at once (pipeline.go): the
-// head of the stream writes through, the ones behind it spill at most
-// workers-1 compressed payloads, and the bytes written do not depend on
-// the worker count.
-func (m *Manager) CheckpointStream(w io.Writer, step int) (rep *Report, err error) {
-	return m.CheckpointStreamCtx(context.Background(), w, step)
+// maxSegment is the longest segment the u32 length field can carry: a payload
+// held whole is split only past it.
+const maxSegment = 1<<32 - 1
+
+// Checkpoint compresses every registered array and writes one checkpoint
+// stream to w. step is an application-defined counter stored in the header
+// (the paper restarts NICAM at step 720; the counter lets restore resume
+// time-dependent forcing). Codecs that write an entry out as they produce it
+// (Entry.W) pipe their output straight into the segment framing — the chunked
+// lossy pipeline overlaps compression with the write — and the others, and
+// every entry under delta or quality telemetry, encode buffered and go out
+// as one segment. Up to the manager's worker count of entries encode at once
+// (pipeline.go): the head of the stream writes through, the ones behind it
+// spill at most workers-1 compressed payloads, and the bytes written do not
+// depend on the worker count.
+func (m *Manager) Checkpoint(w io.Writer, step int) (rep *Report, err error) {
+	return m.checkpoint(context.Background(), w, step)
 }
 
-// CheckpointStreamCtx is CheckpointStream bound to a request context:
-// cancellation is observed before each entry reaches the stream and at
-// every write inside one, so a deadline expiring mid-checkpoint stops
-// producing bytes promptly — the store side then aborts its payload
-// cleanly.
-func (m *Manager) CheckpointStreamCtx(ctx context.Context, w io.Writer, step int) (rep *Report, err error) {
-	op := m.beginCheckpoint("stream", step)
+// CheckpointStream is Checkpoint.
+//
+// Deprecated: use Checkpoint, which writes the same stream.
+func (m *Manager) CheckpointStream(w io.Writer, step int) (*Report, error) {
+	return m.Checkpoint(w, step)
+}
+
+// checkpoint is Checkpoint bound to a request context, in an operation of
+// its own: cancellation is observed before each entry reaches the stream and
+// at every write inside one, so a deadline expiring mid-checkpoint stops
+// producing bytes promptly.
+func (m *Manager) checkpoint(ctx context.Context, w io.Writer, step int) (rep *Report, err error) {
+	op := m.beginCheckpoint(step)
 	defer func() { op.End(err) }()
-	return m.checkpointStream(ctx, op, w, step)
+	return m.writeCheckpoint(ctx, op, w, step)
 }
 
-// checkpointStream is the body of CheckpointStreamCtx, filling the caller's
+// writeCheckpoint is the one body that writes checkpoint entries, for
+// Checkpoint and for a commit into a store alike, filling the caller's
 // operation op.
-func (m *Manager) checkpointStream(ctx context.Context, op *journal.Op, w io.Writer, step int) (rep *Report, err error) {
+func (m *Manager) writeCheckpoint(ctx context.Context, op *journal.Op, w io.Writer, step int) (rep *Report, err error) {
 	start := time.Now()
 	if w = ctxWriter(ctx, w); ctx.Done() != nil {
 		if err := ctx.Err(); err != nil {
@@ -151,7 +181,7 @@ func (m *Manager) checkpointStream(ctx context.Context, op *journal.Op, w io.Wri
 	defer func() { m.closeCheckpoint(op, rep, encoded, err) }()
 
 	cw := &countingWriter{w: w}
-	if _, err := cw.Write(m.streamHeader(fileVersionStream, step)); err != nil {
+	if _, err := cw.Write(m.streamHeader(step)); err != nil {
 		return nil, fmt.Errorf("ckpt: write: %w", err)
 	}
 
@@ -185,7 +215,7 @@ func (m *Manager) checkpointStream(ctx context.Context, op *journal.Op, w io.Wri
 			if _, err := cw.Write(pro); err != nil {
 				return fmt.Errorf("ckpt: write: %w", err)
 			}
-			sw = newSegmentWriter(cw, crc)
+			sw = &segmentWriter{w: cw, crc: crc}
 			if err := out.promote(sw); err != nil {
 				// Spilled bytes are the encoder's writes, deferred: they
 				// fail as those would have.
@@ -197,9 +227,7 @@ func (m *Manager) checkpointStream(ctx context.Context, op *journal.Op, w io.Wri
 				return fmt.Errorf("ckpt: encoding %q: %w", name, err)
 			}
 			if payload := encoded[i].Payload; payload != nil {
-				// Buffered encode (delta, or a codec that cannot stream):
-				// the payload exists in memory; frame it from there.
-				if _, err := sw.Write(payload); err != nil {
+				if err := sw.whole(payload); err != nil {
 					return fmt.Errorf("ckpt: write: %w", err)
 				}
 			}
@@ -224,33 +252,6 @@ func (m *Manager) checkpointStream(ctx context.Context, op *journal.Op, w io.Wri
 	return rep, nil
 }
 
-// CheckpointStreamTo streams a v2 checkpoint straight into the store's
-// next generation via CommitStream: compression, entropy coding and
-// store I/O overlap, and neither the manager nor the store buffers the
-// stream. The durability protocol is identical to CheckpointTo.
-func (m *Manager) CheckpointStreamTo(st store.Target, step int) (rep *Report, gen store.Generation, err error) {
-	return m.CheckpointStreamToCtx(context.Background(), st, step)
-}
-
-// CheckpointStreamToCtx is CheckpointStreamTo bound to a request
-// context: the context reaches both the producer (entry boundaries and
-// writes) and the store's commit/retry path, so one cancellation tears
-// the whole pipeline down cleanly — partial payload removed, previous
-// latest generation still indexed.
-func (m *Manager) CheckpointStreamToCtx(ctx context.Context, st store.Target, step int) (rep *Report, gen store.Generation, err error) {
-	op := m.beginCheckpoint("stream", step)
-	defer func() { op.SetSeq(gen.Seq); op.End(err) }()
-	gen, err = st.CommitStreamCtx(ctx, step, func(w io.Writer) error {
-		var cerr error
-		rep, cerr = m.checkpointStream(ctx, op, w, step)
-		return cerr
-	})
-	if err != nil {
-		return nil, store.Generation{}, err
-	}
-	return rep, gen, nil
-}
-
 // ctxWriter wraps w so every write observes ctx first — the bound that
 // stops a streaming codec mid-entry once its request is cancelled. A
 // background context (Done() == nil) passes w through untouched.
@@ -273,27 +274,23 @@ func (c *ctxCheckedWriter) Write(p []byte) (int, error) {
 	return c.w.Write(p)
 }
 
-// segmentWriter frames payload bytes into streamSegment-sized v2
-// segments on its way to the underlying writer, accumulating the total
-// length and the running CRC (seeded with the entry prologue by the
-// caller). finish writes the terminator and trailer; after it the
-// writer is poisoned so a codec retaining the handle cannot corrupt the
-// stream.
+// segmentWriter frames one entry's payload into v2 segments on its way to
+// the underlying writer, accumulating the total length and the running CRC
+// (seeded with the entry prologue by the caller). finish writes the
+// terminator and trailer; after it the writer is poisoned so a codec
+// retaining the handle cannot corrupt the stream.
 type segmentWriter struct {
 	w   io.Writer
 	crc hash.Hash32
-	buf []byte
+	buf []byte // staged Write bytes short of a segment; allocated on first use
 	n   uint64
 	err error
 }
 
-func newSegmentWriter(w io.Writer, crc hash.Hash32) *segmentWriter {
-	return &segmentWriter{w: w, crc: crc, buf: make([]byte, 0, streamSegment)}
-}
-
-// Write implements io.Writer. Segment boundaries fall every streamSegment
-// payload bytes however the bytes arrive; a full segment that lies in p goes
-// out from there, only what does not fill one is staged.
+// Write implements io.Writer for a codec's piecewise output. Segment
+// boundaries fall every streamSegment payload bytes however the bytes arrive;
+// a full segment that lies in p goes out from there, only what does not fill
+// one is staged.
 func (s *segmentWriter) Write(p []byte) (int, error) {
 	if s.err != nil {
 		return 0, s.err
@@ -308,6 +305,9 @@ func (s *segmentWriter) Write(p []byte) (int, error) {
 			rest = rest[streamSegment:]
 			continue
 		}
+		if s.buf == nil {
+			s.buf = make([]byte, 0, streamSegment)
+		}
 		take := min(streamSegment-len(s.buf), len(rest))
 		s.buf = append(s.buf, rest[:take]...)
 		rest = rest[take:]
@@ -318,6 +318,27 @@ func (s *segmentWriter) Write(p []byte) (int, error) {
 		}
 	}
 	return len(p), nil
+}
+
+// whole frames a payload the codec returned in one piece as one segment,
+// written from where it lies, split only past maxSegment. Where its headers
+// fall then depends on the payload's length alone: a payload that changed in
+// one place keeps the bytes around every other place as they were, and a
+// dedup store's chunks cut from them stay the same.
+func (s *segmentWriter) whole(p []byte) error {
+	if err := s.flush(); err != nil {
+		return err
+	}
+	s.crc.Write(p)
+	s.n += uint64(len(p))
+	for len(p) > 0 {
+		seg := p[:min(uint64(len(p)), maxSegment)]
+		if err := s.segment(seg); err != nil {
+			return err
+		}
+		p = p[len(seg):]
+	}
+	return nil
 }
 
 // segment emits seg as one length-prefixed segment.
@@ -332,8 +353,8 @@ func (s *segmentWriter) segment(seg []byte) error {
 
 // flush emits the staged bytes, if any, as one segment.
 func (s *segmentWriter) flush() error {
-	if len(s.buf) == 0 {
-		return nil
+	if s.err != nil || len(s.buf) == 0 {
+		return s.err
 	}
 	err := s.segment(s.buf)
 	s.buf = s.buf[:0]
@@ -361,7 +382,7 @@ func (s *segmentWriter) finish() error {
 }
 
 // countingWriter counts bytes through to the underlying writer
-// (Report.FileBytes for the streaming path).
+// (Report.FileBytes).
 type countingWriter struct {
 	w io.Writer
 	n int

@@ -38,7 +38,7 @@ func mustCodec(name string) Codec {
 	return c
 }
 
-// TestCheckpointStreamRoundTrip writes a v2 stream with every codec and
+// TestCheckpointStreamRoundTrip writes a stream with every codec and
 // restores it through the version-aware reader.
 func TestCheckpointStreamRoundTrip(t *testing.T) {
 	for label, codec := range streamCodecs() {
@@ -50,7 +50,7 @@ func TestCheckpointStreamRoundTrip(t *testing.T) {
 		}
 
 		var buf bytes.Buffer
-		rep, err := m.CheckpointStream(&buf, 720)
+		rep, err := m.Checkpoint(&buf, 720)
 		if err != nil {
 			t.Fatalf("%s: stream checkpoint: %v", label, err)
 		}
@@ -91,21 +91,18 @@ func TestCheckpointStreamRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointStreamPayloadMatchesBuffered pins that streaming changes
-// the framing, not the codec bytes: a v2 entry payload decoded back must
+// TestCheckpointStreamPayloadMatchesBuffered pins that the two layouts
+// differ in framing, not in codec bytes: a v2 entry payload read back must
 // equal the v1 payload for a deterministic codec.
 func TestCheckpointStreamPayloadMatchesBuffered(t *testing.T) {
 	m := NewManager(None{}, 1)
 	registerSample(t, m)
 
-	var v1, v2 bytes.Buffer
-	if _, err := m.Checkpoint(&v1, 7); err != nil {
+	var v2 bytes.Buffer
+	if _, err := m.Checkpoint(&v2, 7); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.CheckpointStream(&v2, 7); err != nil {
-		t.Fatal(err)
-	}
-	ents1 := scanEntries(t, v1.Bytes())
+	ents1 := scanEntries(t, v1Stream(t, m, 7))
 	ents2 := scanEntries(t, v2.Bytes())
 	if len(ents1) != len(ents2) {
 		t.Fatalf("entry counts %d vs %d", len(ents1), len(ents2))
@@ -167,7 +164,7 @@ func TestStreamPartialRestore(t *testing.T) {
 		originals[n] = f.Clone()
 	}
 	var buf bytes.Buffer
-	if _, err := m.CheckpointStream(&buf, 9); err != nil {
+	if _, err := m.Checkpoint(&buf, 9); err != nil {
 		t.Fatal(err)
 	}
 	offs := entryOffsets(t, buf.Bytes())
@@ -218,7 +215,7 @@ func TestStreamTornTail(t *testing.T) {
 	m := NewManager(None{}, 1)
 	fields := registerSample(t, m)
 	var buf bytes.Buffer
-	if _, err := m.CheckpointStream(&buf, 4); err != nil {
+	if _, err := m.Checkpoint(&buf, 4); err != nil {
 		t.Fatal(err)
 	}
 	offs := entryOffsets(t, buf.Bytes())
@@ -245,7 +242,7 @@ func TestStreamInspectAndVerify(t *testing.T) {
 	m := NewManager(lossy, 1)
 	fields := registerSample(t, m)
 	var buf bytes.Buffer
-	if _, err := m.CheckpointStream(&buf, 12); err != nil {
+	if _, err := m.Checkpoint(&buf, 12); err != nil {
 		t.Fatal(err)
 	}
 
@@ -291,7 +288,7 @@ func TestCheckpointStreamToStore(t *testing.T) {
 	}
 
 	st := openStore(t, t.TempDir(), 3)
-	rep, gen, err := m.CheckpointStreamTo(st, 720)
+	rep, gen, err := m.CheckpointTo(st, 720)
 	if err != nil {
 		t.Fatalf("stream checkpoint to store: %v", err)
 	}
@@ -342,59 +339,54 @@ func (h *heapPeakWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestCheckpointStreamPeakHeap is the acceptance check for both writers'
-// memory bounds, in absolute terms: on the paper's 24 MB nicam16x array
+// TestCheckpointStreamPeakHeap is the acceptance check for both ways an
+// entry is written, in absolute terms: on the paper's 24 MB nicam16x array
 // (18496×82×2 float64, stored verbatim so the payload is the array's size),
-// buffered Checkpoint holds the field and the payload once — no staged entry,
-// no assembled stream — while CheckpointStream stays within a few bounded
-// segment buffers above the registered field itself.
+// a codec writing through Entry.W stays within a few bounded segment buffers
+// above the registered field itself, and a payload held whole — delta on —
+// is framed from where it lies: the field and the payload once, no staged
+// entry, no assembled stream.
 func TestCheckpointStreamPeakHeap(t *testing.T) {
 	f := smoothField(18496, 82, 2)
 	raw := uint64(f.Bytes())
-	newMgr := func() *Manager {
+	peak := func(delta bool) uint64 {
 		m := NewManager(None{}, 1)
 		if err := m.Register("q", f); err != nil {
 			t.Fatal(err)
 		}
-		return m
+		m.SetDelta(delta)
+		runtime.GC()
+		w := &heapPeakWriter{}
+		if _, err := m.Checkpoint(w, 1); err != nil {
+			t.Fatal(err)
+		}
+		return w.peak
 	}
+	streamed, whole := peak(false), peak(true)
 
-	runtime.GC()
-	bw := &heapPeakWriter{}
-	if _, err := newMgr().Checkpoint(bw, 1); err != nil {
-		t.Fatal(err)
-	}
-	runtime.GC()
-	sw := &heapPeakWriter{}
-	if _, err := newMgr().CheckpointStream(sw, 1); err != nil {
-		t.Fatal(err)
-	}
-
-	t.Logf("raw %d MiB, buffered peak %d MiB, streamed peak %d MiB",
-		raw>>20, bw.peak>>20, sw.peak>>20)
+	t.Logf("raw %d MiB, streamed peak %d MiB, held-whole peak %d MiB",
+		raw>>20, streamed>>20, whole>>20)
 	// The streaming bound: the live field plus O(segment) buffers. 8 MiB
 	// of slack covers the runtime's floating garbage between GCs.
-	if sw.peak > raw+(8<<20) {
-		t.Errorf("streamed peak %d MiB exceeds field + 8 MiB (field %d MiB)", sw.peak>>20, raw>>20)
+	if streamed > raw+(8<<20) {
+		t.Errorf("streamed peak %d MiB exceeds field + 8 MiB (field %d MiB)", streamed>>20, raw>>20)
 	}
-	// The buffered bound: the field and its payload, each once. A copy of
-	// the payload made to frame it (there were two) lands a field's size
-	// above this.
-	if payload := raw; bw.peak > raw+payload+(8<<20) {
-		t.Errorf("buffered peak %d MiB exceeds field + payload + 8 MiB (%d MiB each)", bw.peak>>20, raw>>20)
+	// The held-whole bound: the field and its payload, each once. A copy of
+	// the payload made to frame it lands a field's size above this.
+	if payload := raw; whole > raw+payload+(8<<20) {
+		t.Errorf("held-whole peak %d MiB exceeds field + payload + 8 MiB (%d MiB each)", whole>>20, raw>>20)
 	}
 }
 
-// TestCheckpointStreamValidation covers the argument checks shared with
-// the buffered path.
+// TestCheckpointStreamValidation covers the writer's argument checks.
 func TestCheckpointStreamValidation(t *testing.T) {
 	m := NewManager(None{}, 1)
 	var buf bytes.Buffer
-	if _, err := m.CheckpointStream(&buf, 0); !errors.Is(err, ErrRegistered) {
+	if _, err := m.Checkpoint(&buf, 0); !errors.Is(err, ErrRegistered) {
 		t.Errorf("empty manager: %v", err)
 	}
 	registerSample(t, m)
-	if _, err := m.CheckpointStream(&buf, -1); !errors.Is(err, ErrRegistered) {
+	if _, err := m.Checkpoint(&buf, -1); !errors.Is(err, ErrRegistered) {
 		t.Errorf("negative step: %v", err)
 	}
 }

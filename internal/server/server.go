@@ -442,7 +442,7 @@ func (s *Server) handleSave(ctx context.Context, t *tenant, w http.ResponseWrite
 	if err := mgr.RegisterAll(fields); err != nil {
 		return reject(http.StatusBadRequest, "bad_request", "save: %v", err)
 	}
-	_, gen, err := mgr.CheckpointStreamToCtx(ctx, t.st, step)
+	_, gen, err := mgr.CheckpointToCtx(ctx, t.st, step)
 	if err != nil {
 		if errors.Is(err, store.ErrSeqConflict) {
 			return reject(http.StatusConflict, "conflict", "save: %v", err)

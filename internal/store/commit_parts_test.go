@@ -110,6 +110,13 @@ func storeImage(t *testing.T, root string) map[string]string {
 	return img
 }
 
+// partsTarget is a Target that also commits a payload held in parts, as
+// both store types do.
+type partsTarget interface {
+	Target
+	CommitCtx(ctx context.Context, step int, parts ...[]byte) (Generation, error)
+}
+
 // TestCommitPartsEqualsJoined: a payload committed as several slices yields
 // the generation record, and the files — payload or recipe, chunk set,
 // manifest — that the same bytes committed as one slice do, on a plain, a
@@ -140,7 +147,7 @@ func TestCommitPartsEqualsJoined(t *testing.T) {
 			if strings.HasSuffix(mode, "dedup") {
 				opts = dedupOpts()
 			}
-			open := func(dir string) (Target, func()) {
+			open := func(dir string) (partsTarget, func()) {
 				if strings.HasPrefix(mode, "replicated") {
 					r, err := OpenReplicated(dir, ReplicaDirs(dir, 3), 2, opts)
 					if err != nil {

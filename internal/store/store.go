@@ -260,9 +260,7 @@ func (s *Store) Commit(step int, payload []byte) (gen Generation, err error) {
 // CommitCtx is Commit bound to a request context: cancellation aborts
 // the commit between retry attempts and backoff sleeps. The previous
 // latest generation stays indexed on abort. The payload is the parts in
-// order, fed to the backend as they are, never joined — a writer that has
-// framing and bodies in separate slices (ckpt.Manager.CheckpointTo) commits
-// them so.
+// order, fed to the backend as they are, never joined.
 func (s *Store) CommitCtx(ctx context.Context, step int, parts ...[]byte) (gen Generation, err error) {
 	return s.commit(ctx, autoSeq, step, 0, partsLen(parts), feedParts(parts))
 }

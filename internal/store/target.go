@@ -26,14 +26,9 @@ type Target interface {
 	Latest() (Generation, bool)
 	// NextSeq returns the next sequence number a commit would use.
 	NextSeq() uint64
-	// CommitCtx adds a payload as the next generation; cancelling ctx
-	// aborts between retry attempts and backoff sleeps. The payload is the
-	// parts in order; they are read where they lie, possibly after the
-	// call returns (a replicated target's stragglers), so the caller must
-	// not modify them afterwards.
-	CommitCtx(ctx context.Context, step int, parts ...[]byte) (Generation, error)
-	// CommitStreamCtx commits the bytes write produces without buffering
-	// them, under the same context rule.
+	// CommitStreamCtx commits the bytes write produces as the next
+	// generation without buffering them; cancelling ctx aborts between retry
+	// attempts and backoff sleeps, and an error from write aborts the commit.
 	CommitStreamCtx(ctx context.Context, step int, write func(io.Writer) error) (Generation, error)
 	// ReadGeneration returns generation seq's payload, verified.
 	ReadGeneration(seq uint64) ([]byte, error)

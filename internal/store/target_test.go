@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -52,7 +53,10 @@ func TestOpenTargetTopologies(t *testing.T) {
 				t.Errorf("replicas %d quorum %d: got %d-way, write quorum %d", tc.replicas, tc.quorum, s.Replicas(), s.Quorum())
 			}
 		}
-		if _, err := st.CommitCtx(context.Background(), 1, []byte("payload")); err != nil {
+		if _, err := st.CommitStreamCtx(context.Background(), 1, func(w io.Writer) error {
+			_, err := w.Write([]byte("payload"))
+			return err
+		}); err != nil {
 			t.Errorf("replicas %d quorum %d: commit: %v", tc.replicas, tc.quorum, err)
 		}
 		st.Wait()

@@ -30,6 +30,12 @@
 //	// after a failure:
 //	rep, _ := mgr.Restore(r)
 //
+// Checkpoint writes one stream; CheckpointTo writes the same stream straight
+// into a crash-safe store generation (internal/store). Every save
+// writes stream version 2 — a codec's piecewise output in bounded segments
+// as it is produced, a payload returned whole as one segment, each entry's
+// length and CRC behind it — and Restore reads version 1 streams too.
+//
 // The subpackages under internal/ hold the individual pipeline stages, the
 // application substrates used by the paper-reproduction experiments, and
 // the experiment harness; this package re-exports the surface a downstream

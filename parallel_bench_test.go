@@ -158,14 +158,14 @@ func BenchmarkCheckpointStreamClimate5(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					stream.Reset()
-					if _, err := m.CheckpointStream(&stream, i); err != nil {
+					if _, err := m.Checkpoint(&stream, i); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
 			b.Run(fmt.Sprintf("%s/restore/workers=%d", c.name, workers), func(b *testing.B) {
 				if stream.Len() == 0 {
-					if _, err := m.CheckpointStream(&stream, 0); err != nil {
+					if _, err := m.Checkpoint(&stream, 0); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -199,7 +199,7 @@ func BenchmarkCheckpointStreamBig24(b *testing.B) {
 	var stream bytes.Buffer
 	save := func(step int) {
 		stream.Reset()
-		if _, err := m.CheckpointStream(&stream, step); err != nil {
+		if _, err := m.Checkpoint(&stream, step); err != nil {
 			b.Fatal(err)
 		}
 	}
