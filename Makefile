@@ -130,6 +130,7 @@ fuzz-smoke:
 	$(GO) test ./internal/entropy -run='^Fuzz' -fuzz='^FuzzLZ4Decompress$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/entropy -run='^Fuzz' -fuzz='^FuzzDecompressAny$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/entropy -run='^Fuzz' -fuzz='^FuzzShuffle$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/grid -run='^Fuzz' -fuzz='^FuzzLanes$$' -fuzztime=$(FUZZTIME)
 
 # serve-smoke exercises the checkpoint daemon end to end with real
 # binaries: concurrent multi-tenant client saves, SIGTERM drain,

@@ -320,3 +320,135 @@ func TestRestoreAllocatesNoArray(t *testing.T) {
 		}
 	}
 }
+
+// TestLZ4RefusalLeavesArray: the lz4 codec decodes a payload's lanes straight
+// into the registered array, but only once the payload has decoded whole and
+// its length has been held against the shape. A payload cut short, one with a
+// bit flipped where the coder must notice it (the envelope magic, the declared
+// length), one of another array's length, and any flip that fails at all leave
+// the array bit for bit as it was.
+func TestLZ4RefusalLeavesArray(t *testing.T) {
+	codec := NewLZ4()
+	shape := []int{64, 20, 2}
+	enc, err := codec.Encode(smoothField(shape...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := enc.Payload
+	longer, err := codec.Encode(smoothField(64, 20, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	into := grid.MustNew(shape...)
+	for i := range into.Data() {
+		into.Data()[i] = math.Float64frombits(0x7ff8_dead_beef_0000 + uint64(i)) // NaNs: compared by bits
+	}
+	before := bytes.Clone(grid.FloatBytes(into.Data()))
+	// refused decodes p into into and reports whether Decode failed; a failure
+	// must leave into untouched, a success is undone for the next case.
+	refused := func(what string, p []byte, shape []int, into *grid.Field) bool {
+		t.Helper()
+		if _, err := codec.Decode(p, shape, into); err == nil {
+			grid.PutFloatBytes(into.Data(), before)
+			return false
+		}
+		if !bytes.Equal(grid.FloatBytes(into.Data()), before) {
+			t.Fatalf("%s: Decode failed and left the array changed", what)
+		}
+		return true
+	}
+
+	for cut := 0; cut < len(payload); cut++ {
+		if !refused(fmt.Sprintf("cut at %d of %d", cut, len(payload)), payload[:cut], shape, into) {
+			t.Errorf("a payload cut at %d of %d bytes decoded", cut, len(payload))
+		}
+	}
+	_, lenBytes := binary.Uvarint(payload[8:])
+	mustFail := func(at int) bool { return at < 4 || (at >= 8 && at < 8+lenBytes) }
+	failures := 0
+	for at := 0; at < len(payload); at++ {
+		for bit := 0; bit < 8; bit++ {
+			if at >= 64 && bit > 0 && at%61 != 0 {
+				continue // past the headers, one bit of most bytes and all of some
+			}
+			flipped := bytes.Clone(payload)
+			flipped[at] ^= 1 << bit
+			if refused(fmt.Sprintf("bit %d of byte %d flipped", bit, at), flipped, shape, into) {
+				failures++
+			} else if mustFail(at) {
+				t.Errorf("a payload with bit %d of byte %d flipped decoded", bit, at)
+			}
+		}
+	}
+	if headerFlips := 8 * (4 + lenBytes); failures <= headerFlips {
+		t.Errorf("%d flips failed, no more than the %d in the headers: the sweep lost its cases", failures, headerFlips)
+	}
+	if !refused("another array's payload", longer.Payload, shape, into) {
+		t.Error("a payload of 64×20×3 values decoded into a 64×20×2 array")
+	}
+	wider := grid.MustNew(64, 20, 3)
+	grid.PutFloatBytes(wider.Data()[:len(into.Data())], before)
+	if _, err := codec.Decode(payload, []int{64, 20, 3}, wider); err == nil {
+		t.Error("a payload of 64×20×2 values decoded into a 64×20×3 array")
+	} else if !bytes.Equal(grid.FloatBytes(wider.Data()[:len(into.Data())]), before) || countNonZero(wider.Data()[len(into.Data()):]) != 0 {
+		t.Error("a payload refused for a 64×20×3 array left the array changed")
+	}
+}
+
+func countNonZero(vals []float64) (n int) {
+	for _, v := range vals {
+		if v != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// TestLZ4AllocatesOnlyThePayload: once the pools are warm, the lz4 codec moves
+// each byte of a 4 MiB array once. Encoding it allocates the payload it
+// returns and nothing array-sized besides — the lanes are pooled and the coder
+// writes behind the envelope header — and decoding it into a registered array
+// allocates nothing array-sized: the lanes go from a pooled buffer into the
+// array. Skipped under -race, where sync.Pool drops entries.
+func TestLZ4AllocatesOnlyThePayload(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries at random under the race detector")
+	}
+	live := smoothField(128, 64, 64)
+	codec := NewLZ4()
+	into := grid.MustNew(128, 64, 64)
+	var enc *Encoded
+	encode := func() {
+		var err error
+		if enc, err = codec.EncodeEntry(Entry{Field: live}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode := func() {
+		if _, err := codec.Decode(enc.Payload, live.Shape(), into); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The least of a few readings counts, as in TestRestoreAllocatesNoArray.
+	encAlloc, decAlloc := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	allocatedBy(func() {
+		encode()
+		decode()
+		for i := 0; i < 5; i++ {
+			encAlloc = min(encAlloc, allocatedBy(encode))
+			decAlloc = min(decAlloc, allocatedBy(decode))
+		}
+	})
+	if !into.Equal(live) {
+		t.Fatal("the decoded array differs from the encoded one")
+	}
+	slack := uint64(live.Bytes() / 16)
+	t.Logf("a %d KiB array: encode allocates %d KiB (payload capacity %d KiB), decode %d KiB",
+		live.Bytes()>>10, encAlloc>>10, cap(enc.Payload)>>10, decAlloc>>10)
+	if encAlloc > uint64(cap(enc.Payload))+slack {
+		t.Errorf("encode allocates %d KiB for a payload of capacity %d KiB", encAlloc>>10, cap(enc.Payload)>>10)
+	}
+	if decAlloc > slack {
+		t.Errorf("decode into a registered array allocates %d KiB, want under %d", decAlloc>>10, slack>>10)
+	}
+}

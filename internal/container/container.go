@@ -165,16 +165,9 @@ func (a *Archive) AppendTo(dst []byte) ([]byte, error) {
 // as PackedWidth lanes of count bytes each, least significant byte first.
 func appendFloats(dst []byte, fs []float64) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(fs)))
-	at, n := len(dst), len(fs)
-	dst = slices.Grow(dst, 8*n)[:at+8*n]
-	out := dst[at:]
-	l0, l1, l2, l3 := out[:n], out[n:2*n], out[2*n:3*n], out[3*n:4*n]
-	l4, l5, l6, l7 := out[4*n:5*n], out[5*n:6*n], out[6*n:7*n], out[7*n:8*n]
-	for i, f := range fs {
-		u := math.Float64bits(f)
-		l0[i], l1[i], l2[i], l3[i] = byte(u), byte(u>>8), byte(u>>16), byte(u>>24)
-		l4[i], l5[i], l6[i], l7[i] = byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56)
-	}
+	at := len(dst)
+	dst = slices.Grow(dst, 8*len(fs))[:at+8*len(fs)]
+	grid.Lanes(dst[at:], grid.FloatBytes(fs), 8)
 	return dst
 }
 
@@ -369,19 +362,10 @@ func (r *sliceReader) floats() []float64 {
 	}
 	b := r.take(int(n) * 8)
 	out := make([]float64, n)
-	if !r.lanes {
-		for i := range out {
-			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b))
-			b = b[8:]
-		}
-		return out
-	}
-	m := int(n)
-	l0, l1, l2, l3 := b[:m], b[m:2*m], b[2*m:3*m], b[3*m:4*m]
-	l4, l5, l6, l7 := b[4*m:5*m], b[5*m:6*m], b[6*m:7*m], b[7*m:8*m]
-	for i := range out {
-		out[i] = math.Float64frombits(uint64(l0[i]) | uint64(l1[i])<<8 | uint64(l2[i])<<16 | uint64(l3[i])<<24 |
-			uint64(l4[i])<<32 | uint64(l5[i])<<40 | uint64(l6[i])<<48 | uint64(l7[i])<<56)
+	if r.lanes {
+		grid.PutLanes(out, b)
+	} else {
+		grid.PutFloatBytes(out, b)
 	}
 	return out
 }

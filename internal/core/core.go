@@ -688,36 +688,30 @@ func CompressGzipOnly(f *grid.Field, level int, mode gzipio.Mode, tmpDir string)
 	return res, nil
 }
 
-// rawBufs recycles the inflated image of DecompressGzipOnly. Array-sized, so
-// a pool of its own: a slab-sized request that drew one of these from
-// formattedBufs or grid's scratch would pin it.
-var rawBufs = sync.Pool{New: func() any { return new([]byte) }}
-
 // DecompressGzipOnly inverts CompressGzipOnly given the original shape, into
 // the caller's field of that shape or, into nil, a new one. It also accepts
 // entropy-enveloped payloads so callers that stored a lossless rung through
-// a non-default codec still restore. The payload is inflated whole and its
+// a non-default codec still restore. The payload is decoded whole and its
 // length held against the shape before anything is allocated by that shape or
-// written to into: an error leaves into untouched.
+// written to into: an error leaves into untouched. A shuffled payload's lanes
+// then go straight into the field.
 func DecompressGzipOnly(data []byte, into *grid.Field, shape ...int) (*grid.Field, error) {
-	buf := rawBufs.Get().(*[]byte)
-	defer rawBufs.Put(buf)
-	raw, err := entropy.DecompressTo(*buf, data, 0)
+	var f *grid.Field
+	err := entropy.DecompressFloats(data, func(size int) ([]float64, error) {
+		n, err := grid.Elems(shape...)
+		if err != nil {
+			return nil, err
+		}
+		if size%8 != 0 || size/8 != n {
+			return nil, fmt.Errorf("core: gzip payload is %d bytes, shape %v needs %d", size, shape, 8*n)
+		}
+		if f, err = grid.Dest(into, shape...); err != nil {
+			return nil, err
+		}
+		return f.Data(), nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	*buf = raw
-	n, err := grid.Elems(shape...)
-	if err != nil {
-		return nil, err
-	}
-	if len(raw)%8 != 0 || len(raw)/8 != n {
-		return nil, fmt.Errorf("core: gzip payload is %d bytes, shape %v needs %d", len(raw), shape, 8*n)
-	}
-	f, err := grid.Dest(into, shape...)
-	if err != nil {
-		return nil, err
-	}
-	grid.PutFloatBytes(f.Data(), raw)
 	return f, nil
 }

@@ -213,51 +213,67 @@ func TestDecompressToFailureWritesWholeChunksOnly(t *testing.T) {
 // TestDecompressGzipOnlyInto: the lossless rung lands in the caller's field,
 // refuses one of another shape or a payload of another length without
 // touching it, and a field it allocates itself shares nothing with the
-// buffers it recycles.
+// buffers it recycles — for a bare gzip payload and for an lz4+shuffle one,
+// whose lanes go straight into the field.
 func TestDecompressGzipOnlyInto(t *testing.T) {
 	f := smooth3D(32, 16, 2, 5)
-	res, err := CompressGzipOnly(f, gzipio.Default, gzipio.InMemory, "")
+	other := smooth3D(32, 16, 2, 6)
+	gz, err := CompressGzipOnly(f, gzipio.Default, gzipio.InMemory, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	into := grid.MustNew(32, 16, 2)
-	got, err := DecompressGzipOnly(res.Data, into, 32, 16, 2)
-	if err != nil || got != into || !into.Equal(f) {
-		t.Fatalf("into the caller's field: %v (its field: %v)", err, got == into)
+	gzOther, err := CompressGzipOnly(other, gzipio.Default, gzipio.InMemory, "")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		what  string
-		into  *grid.Field
-		shape []int
+	lz4 := func(f *grid.Field) []byte {
+		res, err := entropy.Compress(grid.FloatBytes(f.Data()), entropy.Params{Codec: entropy.LZ4, Shuffle: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Compressed
+	}
+	for _, c := range []struct {
+		label          string
+		payload, other []byte
 	}{
-		{"a field of another shape", grid.MustNew(16, 32, 2), []int{32, 16, 2}},
-		{"a shape the payload does not fill", grid.MustNew(32, 16, 3), []int{32, 16, 3}},
+		{"gzip", gz.Data, gzOther.Data},
+		{"lz4+shuffle", lz4(f), lz4(other)},
 	} {
-		tc.into.Fill(marker)
-		if _, err := DecompressGzipOnly(res.Data, tc.into, tc.shape...); err == nil {
-			t.Errorf("%s: accepted", tc.what)
+		into := grid.MustNew(32, 16, 2)
+		got, err := DecompressGzipOnly(c.payload, into, 32, 16, 2)
+		if err != nil || got != into || !into.Equal(f) {
+			t.Fatalf("%s: into the caller's field: %v (its field: %v)", c.label, err, got == into)
 		}
-		if n := countWritten(tc.into.Data()); n != 0 {
-			t.Errorf("%s: refused with %d values written", tc.what, n)
+		for _, tc := range []struct {
+			what  string
+			into  *grid.Field
+			shape []int
+		}{
+			{"a field of another shape", grid.MustNew(16, 32, 2), []int{32, 16, 2}},
+			{"a shape the payload does not fill", grid.MustNew(32, 16, 3), []int{32, 16, 3}},
+		} {
+			tc.into.Fill(marker)
+			if _, err := DecompressGzipOnly(c.payload, tc.into, tc.shape...); err == nil {
+				t.Errorf("%s: %s: accepted", c.label, tc.what)
+			}
+			if n := countWritten(tc.into.Data()); n != 0 {
+				t.Errorf("%s: %s: refused with %d values written", c.label, tc.what, n)
+			}
 		}
-	}
 
-	fresh, err := DecompressGzipOnly(res.Data, nil, 32, 16, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var held []*[]byte
-	for i := 0; i < 16; i++ {
-		b := rawBufs.Get().(*[]byte)
-		for j := range (*b)[:cap(*b)] {
-			(*b)[:cap(*b)][j] = 0xA5
+		fresh, err := DecompressGzipOnly(c.payload, nil, 32, 16, 2)
+		if err != nil {
+			t.Fatal(err)
 		}
-		held = append(held, b)
-	}
-	for _, b := range held {
-		rawBufs.Put(b)
-	}
-	if !fresh.Equal(f) {
-		t.Error("a field DecompressGzipOnly allocated changed when its recycled buffers were overwritten")
+		// Later decodes of another array draw the buffers this one recycled.
+		for i := 0; i < 16; i++ {
+			if _, err := DecompressGzipOnly(c.other, nil, 32, 16, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !fresh.Equal(f) {
+			t.Errorf("%s: a field DecompressGzipOnly allocated changed when its recycled buffers were reused", c.label)
+		}
 	}
 }

@@ -30,6 +30,7 @@ import (
 	"sync"
 	"time"
 
+	"lossyckpt/internal/grid"
 	"lossyckpt/internal/gzipio"
 	"lossyckpt/internal/obs"
 )
@@ -130,15 +131,11 @@ func (p Params) stride() int {
 	return p.Stride
 }
 
-// Codec is the pluggable entropy-stage coder. Compress returns the raw
-// codec payload (no envelope); Decompress inverts it.
+// Codec is the pluggable entropy-stage coder. Compress appends the raw
+// codec payload (no envelope) to dst; Decompress inverts it.
 type Codec interface {
-	// ID is the envelope codec-ID byte value.
-	ID() ID
-	// Name is the stable CLI/report name.
-	Name() string
 	// Compress encodes data using the codec-relevant fields of p.
-	Compress(data []byte, p Params) ([]byte, error)
+	Compress(dst, data []byte, p Params) ([]byte, error)
 	// Decompress decodes a payload produced by Compress into dst's
 	// capacity where it can, growing it where it must. workers bounds
 	// parallel decode where the format supports it.
@@ -160,25 +157,21 @@ func ByID(id ID) (Codec, error) {
 // gzipCodec adapts the gzipio engine to the Codec interface.
 type gzipCodec struct{}
 
-func (gzipCodec) ID() ID       { return Gzip }
-func (gzipCodec) Name() string { return "gzip" }
-
-func (gzipCodec) Compress(data []byte, p Params) ([]byte, error) {
+func (gzipCodec) Compress(dst, data []byte, p Params) ([]byte, error) {
+	var res gzipio.Result
+	var err error
 	if p.GzipBlock > 0 {
-		res, err := gzipio.CompressParallel(data, p.GzipLevel, p.GzipFormat, gzipio.ParallelOptions{
+		res, err = gzipio.CompressParallel(data, p.GzipLevel, p.GzipFormat, gzipio.ParallelOptions{
 			BlockSize: p.GzipBlock,
 			Workers:   p.Workers,
 		})
-		if err != nil {
-			return nil, err
-		}
-		return res.Compressed, nil
+	} else {
+		res, err = gzipio.CompressFormat(data, p.GzipLevel, p.GzipMode, p.TmpDir, p.GzipFormat)
 	}
-	res, err := gzipio.CompressFormat(data, p.GzipLevel, p.GzipMode, p.TmpDir, p.GzipFormat)
 	if err != nil {
 		return nil, err
 	}
-	return res.Compressed, nil
+	return append(dst, res.Compressed...), nil
 }
 
 func (gzipCodec) Decompress(dst, data []byte, workers int) ([]byte, error) {
@@ -188,11 +181,8 @@ func (gzipCodec) Decompress(dst, data []byte, workers int) ([]byte, error) {
 // lz4Codec adapts the LZ4-class block coder to the Codec interface.
 type lz4Codec struct{}
 
-func (lz4Codec) ID() ID       { return LZ4 }
-func (lz4Codec) Name() string { return "lz4" }
-
-func (lz4Codec) Compress(data []byte, p Params) ([]byte, error) {
-	return lz4Compress(data), nil
+func (lz4Codec) Compress(dst, data []byte, p Params) ([]byte, error) {
+	return lz4Compress(dst, data), nil
 }
 
 func (lz4Codec) Decompress(dst, data []byte, workers int) ([]byte, error) {
@@ -209,7 +199,8 @@ type Result struct {
 // Compress runs the entropy stage per p and wraps the payload in the
 // self-describing envelope. Callers wanting legacy byte-identity for the
 // default configuration (gzip, no shuffle) should call gzipio directly
-// instead — core does.
+// instead — core does. Shuffled lanes are pooled; the coder appends its
+// payload to the envelope header.
 func Compress(data []byte, p Params) (Result, error) {
 	c, err := ByID(p.Codec)
 	if err != nil {
@@ -219,13 +210,12 @@ func Compress(data []byte, p Params) (Result, error) {
 	src := data
 	stride := p.stride()
 	if p.Shuffle {
-		src = ShuffleBytes(data, stride)
+		lanes := laneBufs.Get().(*[]byte)
+		defer laneBufs.Put(lanes)
+		*lanes = shuffleTo(*lanes, data, stride, true)
+		src = *lanes
 	}
-	payload, err := c.Compress(src, p)
-	if err != nil {
-		return Result{}, fmt.Errorf("entropy: %s: %w", c.Name(), err)
-	}
-	out := make([]byte, envelopeLen, envelopeLen+len(payload))
+	out := make([]byte, envelopeLen)
 	copy(out, envelopeMagic)
 	out[4] = envelopeVer
 	out[5] = byte(p.Codec)
@@ -233,26 +223,28 @@ func Compress(data []byte, p Params) (Result, error) {
 		out[6] = flagShuffled
 		out[7] = byte(stride)
 	}
-	out = append(out, payload...)
+	if out, err = c.Compress(out, src, p); err != nil {
+		return Result{}, fmt.Errorf("entropy: %s: %w", p.Codec, err)
+	}
 	return Result{Compressed: out, CodeTime: time.Since(start)}, nil
 }
 
-// parseEnvelope splits an enveloped stream; ok is false when data does
+// parseEnvelope splits an enveloped stream, stride 0 when it is not
+// shuffled; ok is false when data does
 // not start with the magic (legacy payload).
-func parseEnvelope(data []byte) (id ID, shuffled bool, stride int, payload []byte, ok bool, err error) {
+func parseEnvelope(data []byte) (id ID, stride int, payload []byte, ok bool, err error) {
 	if len(data) < envelopeLen || string(data[:4]) != envelopeMagic {
-		return 0, false, 0, nil, false, nil
+		return 0, 0, nil, false, nil
 	}
 	if data[4] != envelopeVer {
-		return 0, false, 0, nil, true, fmt.Errorf("entropy: unsupported envelope version %d", data[4])
+		return 0, 0, nil, true, fmt.Errorf("entropy: unsupported envelope version %d", data[4])
 	}
-	id = ID(data[5])
-	shuffled = data[6]&flagShuffled != 0
-	stride = int(data[7])
-	if shuffled && stride < 2 {
-		return 0, false, 0, nil, true, fmt.Errorf("entropy: shuffled envelope with stride %d", stride)
+	if data[6]&flagShuffled != 0 {
+		if stride = int(data[7]); stride < 2 {
+			return 0, 0, nil, true, fmt.Errorf("entropy: shuffled envelope with stride %d", stride)
+		}
 	}
-	return id, shuffled, stride, data[envelopeLen:], true, nil
+	return ID(data[5]), stride, data[envelopeLen:], true, nil
 }
 
 // Decompress inverts Compress. Streams without the envelope are legacy
@@ -267,37 +259,72 @@ func Decompress(data []byte, workers int) ([]byte, error) {
 // a caller decoding payload after payload hands back what it got last time.
 // The result may or may not share dst's array.
 func DecompressTo(dst, data []byte, workers int) ([]byte, error) {
-	id, shuffled, stride, payload, ok, err := parseEnvelope(data)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return gzipCodec{}.Decompress(dst, data, workers)
-	}
-	c, err := ByID(id)
-	if err != nil {
-		return nil, err
-	}
-	if !shuffled {
-		if dst, err = c.Decompress(dst, payload, workers); err != nil {
-			return nil, fmt.Errorf("entropy: %s: %w", c.Name(), err)
-		}
-		return dst, nil
+	if len(data) < envelopeLen || string(data[:4]) != envelopeMagic || data[6]&flagShuffled == 0 {
+		out, _, err := decode(dst, data, workers)
+		return out, err
 	}
 	// The coder's output is an intermediate here: it goes into a buffer of
 	// this package's own and the caller's receives the unshuffled bytes.
 	lanes := laneBufs.Get().(*[]byte)
 	defer laneBufs.Put(lanes)
-	out, err := c.Decompress(*lanes, payload, workers)
+	out, stride, err := decode(*lanes, data, workers)
 	if err != nil {
-		return nil, fmt.Errorf("entropy: %s: %w", c.Name(), err)
+		return nil, err
 	}
 	*lanes = out
-	return unshuffleTo(dst, out, stride), nil
+	return shuffleTo(dst, out, stride, false), nil
 }
 
-// laneBufs recycles the byte lanes a shuffled stream decodes to before
-// DecompressTo transposes them back.
+// DecompressFloats decodes a stream of a float64 array's byte image into the
+// size/8 values dest returns for the decoded size in bytes. dest is asked once
+// the stream has decoded whole into a pooled buffer, so it can refuse the size
+// and leave its array unwritten. Lanes of the float width go straight in.
+func DecompressFloats(data []byte, dest func(size int) ([]float64, error)) error {
+	buf := laneBufs.Get().(*[]byte)
+	defer laneBufs.Put(buf)
+	raw, stride, err := decode(*buf, data, 0)
+	if err != nil {
+		return err
+	}
+	*buf = raw
+	fs, err := dest(len(raw))
+	if err != nil {
+		return err
+	}
+	switch stride {
+	case 0:
+		grid.PutFloatBytes(fs, raw)
+	case 8:
+		grid.PutLanes(fs, raw)
+	default:
+		grid.PutFloatBytes(fs, UnshuffleBytes(raw, stride))
+	}
+	return nil
+}
+
+// decode runs the stream's coder over dst (from its start, growing it) and
+// returns what it wrote and the stride of the shuffle still to undo (0: none).
+func decode(dst, data []byte, workers int) (out []byte, stride int, err error) {
+	id, stride, payload, ok, err := parseEnvelope(data)
+	if err != nil {
+		return nil, 0, err
+	}
+	if !ok {
+		out, err = gzipCodec{}.Decompress(dst, data, workers)
+		return out, 0, err
+	}
+	c, err := ByID(id)
+	if err != nil {
+		return nil, 0, err
+	}
+	if out, err = c.Decompress(dst, payload, workers); err != nil {
+		return nil, 0, fmt.Errorf("entropy: %s: %w", id, err)
+	}
+	return out, stride, nil
+}
+
+// laneBufs recycles the byte lanes a shuffled stream is coded from and
+// decodes to, and what DecompressFloats decodes before the array gets it.
 var laneBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // Identify names the entropy coding of a stream without decoding it:
@@ -305,12 +332,12 @@ var laneBufs = sync.Pool{New: func() any { return new([]byte) }}
 // "gzip+shuffle", …) for enveloped ones, "unknown" otherwise. Used by
 // the inspect/fsck reporting paths.
 func Identify(data []byte) string {
-	if id, shuffled, _, _, ok, err := parseEnvelope(data); ok {
+	if id, stride, _, ok, err := parseEnvelope(data); ok {
 		if err != nil {
 			return "unknown"
 		}
 		label := id.String()
-		if shuffled {
+		if stride != 0 {
 			label += "+shuffle"
 		}
 		return label

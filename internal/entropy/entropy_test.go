@@ -42,7 +42,7 @@ func corpus() map[string][]byte {
 
 func TestLZ4RoundTrip(t *testing.T) {
 	for name, data := range corpus() {
-		comp := lz4Compress(data)
+		comp := lz4Compress(nil, data)
 		back, err := lz4Decompress(nil, comp)
 		if err != nil {
 			t.Fatalf("%s: decompress: %v", name, err)
@@ -55,7 +55,7 @@ func TestLZ4RoundTrip(t *testing.T) {
 
 func TestLZ4CompressesRedundantData(t *testing.T) {
 	data := bytes.Repeat([]byte("checkpoint"), 10000)
-	comp := lz4Compress(data)
+	comp := lz4Compress(nil, data)
 	if len(comp) >= len(data)/10 {
 		t.Fatalf("repetitive input barely compressed: %d -> %d", len(data), len(comp))
 	}
@@ -65,7 +65,7 @@ func TestLZ4IncompressibleBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	data := make([]byte, 256*1024)
 	rng.Read(data)
-	comp := lz4Compress(data)
+	comp := lz4Compress(nil, data)
 	if len(comp) > lz4CompressBound(len(data)) {
 		t.Fatalf("output %d exceeds bound %d", len(comp), lz4CompressBound(len(data)))
 	}
@@ -76,7 +76,7 @@ func TestLZ4DecompressRejectsCorrupt(t *testing.T) {
 		"empty":           {},
 		"bad header":      {0xff},
 		"huge declared":   {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
-		"trailing":        append(lz4Compress(nil), 1, 2, 3),
+		"trailing":        append(lz4Compress(nil, nil), 1, 2, 3),
 		"truncated token": {4, 0x40, 'a'},
 		"zero offset":     {8, 0x41, 'a', 0, 0},
 		"far offset":      {8, 0x41, 'a', 0xff, 0xff},
@@ -90,7 +90,7 @@ func TestLZ4DecompressRejectsCorrupt(t *testing.T) {
 
 func TestLZ4TruncationAlwaysErrors(t *testing.T) {
 	data := bytes.Repeat([]byte("abcdefgh123"), 2000)
-	comp := lz4Compress(data)
+	comp := lz4Compress(nil, data)
 	for cut := 1; cut < len(comp); cut += 37 {
 		if back, err := lz4Decompress(nil, comp[:cut]); err == nil && bytes.Equal(back, data) {
 			t.Fatalf("truncation at %d/%d still produced the full output", cut, len(comp))
@@ -135,8 +135,8 @@ func TestShuffleLaneLayout(t *testing.T) {
 
 func TestShuffleImprovesLZ4OnFloats(t *testing.T) {
 	data := corpus()["smooth"]
-	plain := lz4Compress(data)
-	shuf := lz4Compress(ShuffleBytes(data, 8))
+	plain := lz4Compress(nil, data)
+	shuf := lz4Compress(nil, ShuffleBytes(data, 8))
 	if len(shuf) >= len(plain) {
 		t.Fatalf("shuffle did not help smooth float64 data: plain %d, shuffled %d", len(plain), len(shuf))
 	}

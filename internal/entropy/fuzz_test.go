@@ -12,7 +12,7 @@ func FuzzLZ4RoundTrip(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0}, 300))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		comp := lz4Compress(data)
+		comp := lz4Compress(nil, data)
 		if len(comp) > lz4CompressBound(len(data)) {
 			t.Fatalf("output %d exceeds bound %d", len(comp), lz4CompressBound(len(data)))
 		}
@@ -31,7 +31,7 @@ func FuzzLZ4RoundTrip(f *testing.F) {
 // the expansion cap relative to the input size.
 func FuzzLZ4Decompress(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(lz4Compress([]byte("seed corpus entry with some repetition repetition")))
+	f.Add(lz4Compress(nil, []byte("seed corpus entry with some repetition repetition")))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Add([]byte{8, 0x41, 'a', 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -72,10 +72,13 @@ func FuzzDecompressAny(f *testing.F) {
 }
 
 // FuzzShuffle asserts the pre-pass is a bijection for every stride and
-// length combination the envelope can express.
+// length combination the envelope can express, and that the float width,
+// which goes through grid's transpose kernel, lays the bytes out as a
+// byte-at-a-time loop does.
 func FuzzShuffle(f *testing.F) {
 	f.Add([]byte("0123456789abcdef"), 8)
 	f.Add([]byte{}, 4)
+	f.Add([]byte("0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef0123456789abc"), 8)
 	f.Fuzz(func(t *testing.T, data []byte, stride int) {
 		if stride < 0 || stride > 255 {
 			return
@@ -84,5 +87,22 @@ func FuzzShuffle(f *testing.F) {
 		if !bytes.Equal(back, data) {
 			t.Fatalf("stride %d len %d: not a bijection", stride, len(data))
 		}
+		if got, want := ShuffleBytes(data, 8), byteLanes8(data); !bytes.Equal(got, want) {
+			t.Fatalf("len %d: stride-8 shuffle %x, byte at a time %x", len(data), got, want)
+		}
 	})
+}
+
+// byteLanes8 is the stride-8 shuffle one byte at a time: byte k of word i
+// goes to k*n+i, and the tail past the last whole word follows verbatim.
+func byteLanes8(src []byte) []byte {
+	n := len(src) / 8
+	out := make([]byte, len(src))
+	for i := 0; i < n; i++ {
+		for k := 0; k < 8; k++ {
+			out[k*n+i] = src[8*i+k]
+		}
+	}
+	copy(out[8*n:], src[8*n:])
+	return out
 }

@@ -62,11 +62,12 @@ func lz4Hash(u uint32) uint32 { return (u * 2654435761) >> (32 - lz4HashLog) }
 // token and the uvarint length header.
 func lz4CompressBound(n int) int { return n + n/255 + 24 }
 
-// lz4Compress encodes src. The output always begins with the uvarint
-// uncompressed length; an empty input encodes to just that header.
-func lz4Compress(src []byte) []byte {
+// lz4Compress encodes src and appends it to dst, grown once to hold the
+// worst case. The encoding always begins with the uvarint uncompressed
+// length; an empty input encodes to just that header.
+func lz4Compress(dst, src []byte) []byte {
 	n := len(src)
-	out := make([]byte, 0, lz4CompressBound(n))
+	out := slices.Grow(dst, lz4CompressBound(n))
 	out = binary.AppendUvarint(out, uint64(n))
 	if n == 0 {
 		return out

@@ -9,53 +9,36 @@
 // doubles, and the decode side of every stream flagged as shuffled. A
 // pipeline stream no longer needs it: container format 2 stores each float
 // section in these lanes and leaves the code and bitmap sections alone.
+// The transpose is grid.Lanes, the kernel the container's float sections
+// use too.
 package entropy
+
+import "lossyckpt/internal/grid"
 
 // ShuffleBytes transposes src into stride byte lanes: output lane k
 // holds byte k of each stride-sized element, in element order. The tail
 // (len(src) % stride) is appended verbatim, so the transform is a
 // bijection for every input length and alignment. stride < 2 returns
 // src unchanged.
-func ShuffleBytes(src []byte, stride int) []byte {
-	if stride < 2 || len(src) < 2*stride {
-		out := make([]byte, len(src))
-		copy(out, src)
-		return out
-	}
-	n := len(src) / stride * stride
-	out := make([]byte, len(src))
-	elems := n / stride
-	for k := 0; k < stride; k++ {
-		lane := out[k*elems : (k+1)*elems]
-		for i := 0; i < elems; i++ {
-			lane[i] = src[i*stride+k]
-		}
-	}
-	copy(out[n:], src[n:])
-	return out
-}
+func ShuffleBytes(src []byte, stride int) []byte { return shuffleTo(nil, src, stride, true) }
 
 // UnshuffleBytes inverts ShuffleBytes for the same stride, into a new slice.
-func UnshuffleBytes(src []byte, stride int) []byte { return unshuffleTo(nil, src, stride) }
+func UnshuffleBytes(src []byte, stride int) []byte { return shuffleTo(nil, src, stride, false) }
 
-// unshuffleTo is UnshuffleBytes into a buffer the caller keeps: it writes
-// over dst from its start, growing it if it is short, and returns the
-// len(src) bytes written. dst and src must not overlap.
-func unshuffleTo(dst, src []byte, stride int) []byte {
+// shuffleTo is ShuffleBytes (toLanes) or UnshuffleBytes into a buffer the
+// caller keeps: it writes over dst from its start, growing it if it is short,
+// and returns the len(src) bytes written. dst and src must not overlap.
+func shuffleTo(dst, src []byte, stride int, toLanes bool) []byte {
 	if cap(dst) < len(src) {
 		dst = make([]byte, len(src)) // not slices.Grow: append clears what make already gets zeroed
 	}
-	out := dst[:len(src)]
-	if stride < 2 || len(src) < 2*stride {
-		copy(out, src)
-		return out
-	}
-	n := len(src) / stride * stride
-	elems := n / stride
-	for k := 0; k < stride; k++ {
-		lane := src[k*elems : (k+1)*elems]
-		for i := 0; i < elems; i++ {
-			out[i*stride+k] = lane[i]
+	out, n := dst[:len(src)], 0
+	if stride >= 2 {
+		n = len(src) / stride * stride
+		if toLanes {
+			grid.Lanes(out[:n], src[:n], stride)
+		} else {
+			grid.Unlanes(out[:n], src[:n], stride)
 		}
 	}
 	copy(out[n:], src[n:])

@@ -311,6 +311,80 @@ func PutFloatBytes(dst []float64, b []byte) {
 	}
 }
 
+// Lanes transposes the n = len(src)/stride words of src into stride byte lanes
+// in dst, len(src) long: lane k, dst[k*n:(k+1)*n], holds byte k of every word.
+// Stride 8 (a float64 image: the raw-array codecs' shuffle and container format
+// 2's float sections) moves eight words per step, others go byte by byte.
+func Lanes(dst, src []byte, stride int) { transposeLanes(dst, src, stride, true) }
+
+// Unlanes inverts Lanes.
+func Unlanes(dst, src []byte, stride int) { transposeLanes(dst, src, stride, false) }
+
+// PutLanes fills dst from lanes, the stride-8 Lanes of its little-endian
+// byte image, which must hold 8*len(dst) bytes.
+func PutLanes(dst []float64, lanes []byte) {
+	b := FloatBytes(dst) // dst's own memory on a little-endian host
+	Unlanes(b, lanes[:len(b)], 8)
+	if !littleEndian {
+		PutFloatBytes(dst, b)
+	}
+}
+
+// transposeLanes moves words between the two layouts. At stride 8 a block's
+// words are reached by pointer, inside the slices by the loop bound: indexing
+// cost sixteen bounds checks per 64 bytes and half the speed.
+func transposeLanes(dst, src []byte, stride int, toLanes bool) {
+	if stride < 1 || len(src)%stride != 0 || len(dst) != len(src) {
+		panic(fmt.Sprintf("grid: lanes of %d bytes at stride %d into %d", len(src), stride, len(dst)))
+	}
+	n, i := len(src)/stride, 0
+	if stride == 8 && n >= 8 {
+		// Word r of the block at value i is at src[i*sa+r*sr], lane word k at dst[i*da+k*dr].
+		sa, sr, da, dr := 8, 8, 1, n
+		if !toLanes {
+			sa, sr, da, dr = 1, n, 8, 8
+		}
+		sp, dp := unsafe.Pointer(&src[0]), unsafe.Pointer(&dst[0])
+		at := func(p unsafe.Pointer, off int) []byte { return (*[8]byte)(unsafe.Add(p, off))[:] }
+		le := binary.LittleEndian
+		for ; i+8 <= n; i += 8 {
+			s, d := i*sa, i*da
+			w0, w1, w2, w3, w4, w5, w6, w7 := transpose8(le.Uint64(at(sp, s)), le.Uint64(at(sp, s+sr)), le.Uint64(at(sp, s+2*sr)),
+				le.Uint64(at(sp, s+3*sr)), le.Uint64(at(sp, s+4*sr)), le.Uint64(at(sp, s+5*sr)), le.Uint64(at(sp, s+6*sr)), le.Uint64(at(sp, s+7*sr)))
+			le.PutUint64(at(dp, d), w0)
+			le.PutUint64(at(dp, d+dr), w1)
+			le.PutUint64(at(dp, d+2*dr), w2)
+			le.PutUint64(at(dp, d+3*dr), w3)
+			le.PutUint64(at(dp, d+4*dr), w4)
+			le.PutUint64(at(dp, d+5*dr), w5)
+			le.PutUint64(at(dp, d+6*dr), w6)
+			le.PutUint64(at(dp, d+7*dr), w7)
+		}
+	}
+	for ; i < n; i++ {
+		for k := 0; k < stride; k++ {
+			if word, lane := i*stride+k, k*n+i; toLanes {
+				dst[lane] = src[word]
+			} else {
+				dst[word] = src[lane]
+			}
+		}
+	}
+}
+
+// transpose8 transposes the 8×8 byte matrix whose rows are w0…w7 (byte 0 the
+// least significant) in three mask-and-shift stages: swap bytes between row
+// pairs, then 16-bit pairs, then 32-bit halves. Inlined, it ran slower.
+func transpose8(w0, w1, w2, w3, w4, w5, w6, w7 uint64) (uint64, uint64, uint64, uint64, uint64, uint64, uint64, uint64) {
+	const m1, m2, m3 = 0x00ff00ff00ff00ff, 0x0000ffff0000ffff, 0x00000000ffffffff
+	t0, t1, t2, t3 := (w0>>8^w1)&m1, (w2>>8^w3)&m1, (w4>>8^w5)&m1, (w6>>8^w7)&m1
+	w0, w1, w2, w3, w4, w5, w6, w7 = w0^t0<<8, w1^t0, w2^t1<<8, w3^t1, w4^t2<<8, w5^t2, w6^t3<<8, w7^t3
+	t0, t1, t2, t3 = (w0>>16^w2)&m2, (w1>>16^w3)&m2, (w4>>16^w6)&m2, (w5>>16^w7)&m2
+	w0, w2, w1, w3, w4, w6, w5, w7 = w0^t0<<16, w2^t0, w1^t1<<16, w3^t1, w4^t2<<16, w6^t2, w5^t3<<16, w7^t3
+	t0, t1, t2, t3 = (w0>>32^w4)&m3, (w1>>32^w5)&m3, (w2>>32^w6)&m3, (w3>>32^w7)&m3
+	return w0 ^ t0<<32, w1 ^ t1<<32, w2 ^ t2<<32, w3 ^ t3<<32, w4 ^ t0, w5 ^ t1, w6 ^ t2, w7 ^ t3
+}
+
 // FingerprintKey is the pair of seeds a delta cache compares arrays under: its
 // Sum is two hash/maphash sums of the array's byte image (FloatBytes), read
 // where it lies. A changed array is taken for the one cached only if both
