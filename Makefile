@@ -5,9 +5,9 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check fmt-check vet telemetry-lint experiments-lint results build test race loc bench-test fuzz-smoke serve-smoke crash-matrix-replicated crash-matrix-dedup bench-parallel bench-obs bench-gzip bench-entropy bench-dedup bench-qa bench-smoke bench-compare bench-compare-smoke
+.PHONY: check fmt-check vet telemetry-lint stage4-lint experiments-lint results build test race loc bench-test fuzz-smoke serve-smoke crash-matrix-replicated crash-matrix-dedup bench-parallel bench-obs bench-gzip bench-entropy bench-dedup bench-qa bench-smoke bench-compare bench-compare-smoke
 
-check: fmt-check vet telemetry-lint experiments-lint build race bench-test fuzz-smoke serve-smoke bench-compare-smoke
+check: fmt-check vet telemetry-lint stage4-lint experiments-lint build race bench-test fuzz-smoke serve-smoke bench-compare-smoke
 
 fmt-check:
 	@out="$$(gofmt -l .)"; \
@@ -33,6 +33,22 @@ telemetry-lint:
 		-e '^[[:space:]]+[A-Za-z_][A-Za-z0-9_]*(, *[A-Za-z_][A-Za-z0-9_]*)*[[:space:]]+\*(obs\.Registry|journal\.Journal)[[:space:]]*(//.*)?$$' \
 		-e '^func \([^)]*\) Set(Observer|Journal)\(' .; then \
 		echo "telemetry-lint: record on obs.Default() / journal.Default(), not on a per-layer sink"; exit 1; \
+	fi
+
+# stage4-lint keeps stage 4 behind one front door: outside internal/entropy
+# and internal/gzipio no non-test code calls gzipio's whole-stream coders, so
+# which bytes a selection writes (bare or enveloped, one member or sharded)
+# and which selections are refused is decided by entropy.Compress alone, and
+# every decode goes through entropy's sniffing. gzipio.CompressTo, the bare
+# stream written onto a writer a few blocks at a time, is ckpt's streamed gzip
+# encode and stays allowed.
+STAGE4_LINT_GREP = grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=entropy --exclude-dir=gzipio \
+	--exclude-dir=bench --exclude-dir=.bench_build --exclude-dir=.git
+
+stage4-lint:
+	@if $(STAGE4_LINT_GREP) \
+		-e 'gzipio\.(Compress|CompressFormat|CompressParallel|Decompress|DecompressAuto|DecompressMembersParallel|DecompressTo)\(' .; then \
+		echo "stage4-lint: code and decode stage 4 through entropy.Compress / entropy.Decompress"; exit 1; \
 	fi
 
 # experiments-lint keeps the experiment registry single: DESIGN.md §4's "Run

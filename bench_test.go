@@ -13,6 +13,7 @@ import (
 	"lossyckpt/internal/ckpt"
 	"lossyckpt/internal/climate"
 	"lossyckpt/internal/core"
+	"lossyckpt/internal/entropy"
 	"lossyckpt/internal/fpc"
 	"lossyckpt/internal/grid"
 	"lossyckpt/internal/gzipio"
@@ -182,7 +183,7 @@ func BenchmarkBaselineGzip(b *testing.B) {
 	b.SetBytes(int64(f.Bytes()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.CompressGzipOnly(f, gzipio.Default, gzipio.InMemory, ""); err != nil {
+		if _, err := core.CompressGzipOnly(f, entropy.Params{GzipLevel: gzipio.Default}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -177,7 +177,7 @@ type Gzip struct {
 	// Level is a gzipio level (-2…9); use gzipio.Default normally.
 	Level int
 	// Entropy selects the coder (entropy.Gzip — the zero value — keeps
-	// the legacy byte stream; entropy.LZ4 trades ratio for throughput).
+	// the bare gzip stream; entropy.LZ4 trades ratio for throughput).
 	Entropy entropy.ID
 	// Shuffle applies the byte-lane transpose pre-pass, using the packed
 	// float64 width as the stride (raw array bytes are exactly that).
@@ -208,48 +208,31 @@ func (g *Gzip) Name() string {
 // Lossless implements Codec.
 func (*Gzip) Lossless() bool { return true }
 
-// legacy reports whether the codec writes the pre-PR-6 bare DEFLATE
-// stream.
-func (g *Gzip) legacy() bool { return g.Entropy == entropy.Gzip && !g.Shuffle }
-
 // Encode implements Codec.
 func (g *Gzip) Encode(f *grid.Field) (*Encoded, error) { return g.EncodeEntry(Entry{Field: f}) }
 
 // EncodeEntry implements EntryEncoder. Every configuration reads the float
-// image where it lies. The legacy stream goes straight onto a writer, when
+// image where it lies. The bare gzip stream goes straight onto a writer, when
 // there is one, a few DEFLATE blocks at a time — the bytes a buffered encode
-// returns, never held whole; a buffered encode and the enveloped entropy
-// configurations build the payload in memory and return it.
+// returns, never held whole; a buffered encode and the enveloped
+// configurations build the payload in memory (core.CompressGzipOnly) and
+// return it.
 func (g *Gzip) EncodeEntry(e Entry) (*Encoded, error) {
 	f := e.Field
-	enc := &Encoded{RawBytes: f.Bytes()}
-	start := time.Now()
-	switch {
-	case !g.legacy():
-		res, err := entropy.Compress(grid.FloatBytes(f.Data()), entropy.Params{
-			Codec:     g.Entropy,
-			Shuffle:   g.Shuffle,
-			GzipLevel: g.Level,
-		})
+	p := entropy.Params{Codec: g.Entropy, Shuffle: g.Shuffle, GzipLevel: g.Level}
+	if e.W == nil || !p.Bare() {
+		res, err := core.CompressGzipOnly(f, p)
 		if err != nil {
 			return nil, err
 		}
-		el := time.Since(start)
-		enc.Payload, enc.Timings = res.Compressed, core.Timings{Gzip: res.CodeTime, Total: el, CPUTotal: el}
-	case e.W != nil:
-		if err := gzipio.CompressTo(e.W, grid.FloatBytes(f.Data()), g.Level, gzipio.FormatGzip); err != nil {
-			return nil, err
-		}
-		el := time.Since(start)
-		enc.Timings = core.Timings{Gzip: el, Total: el, CPUTotal: el}
-	default:
-		res, err := core.CompressGzipOnly(f, g.Level, gzipio.InMemory, "")
-		if err != nil {
-			return nil, err
-		}
-		enc.Payload, enc.Timings = res.Data, res.Timings
+		return &Encoded{Payload: res.Data, RawBytes: res.RawBytes, Timings: res.Timings}, nil
 	}
-	return enc, nil
+	start := time.Now()
+	if err := gzipio.CompressTo(e.W, grid.FloatBytes(f.Data()), g.Level, gzipio.FormatGzip); err != nil {
+		return nil, err
+	}
+	el := time.Since(start)
+	return &Encoded{RawBytes: f.Bytes(), Timings: core.Timings{Gzip: el, Total: el, CPUTotal: el}}, nil
 }
 
 // Decode implements Codec.

@@ -5,8 +5,11 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"lossyckpt/internal/core"
+	"lossyckpt/internal/entropy"
 	"lossyckpt/internal/grid"
 	"lossyckpt/internal/guard"
+	"lossyckpt/internal/gzipio"
 )
 
 // Every codec that needs more than Encode(f) gets it through the one
@@ -21,22 +24,25 @@ var (
 // TestEntryEncodeModesSamePayload: however the manager asks for an entry —
 // returned, written to a writer, or under delta rules on a cold cache, a warm
 // one and a changed array — the payload is Encode(f)'s, and it arrives
-// exactly once: in the writer or as Payload.
+// exactly once: in the writer or as Payload. A lossless entropy codec's
+// payload is also its stage-4 selection's over the raw array, through
+// core.CompressGzipOnly and through entropy.Compress.
 func TestEntryEncodeModesSamePayload(t *testing.T) {
 	chunked := NewLossy()
 	chunked.ChunkExtent = 8
 	for _, tc := range []struct {
-		name  string
-		codec Codec
-		slabs bool // the codec reuses slabs, not whole entries
+		name   string
+		codec  Codec
+		slabs  bool            // the codec reuses slabs, not whole entries
+		stage4 *entropy.Params // the raw array's stage-4 selection, if that is the codec
 	}{
-		{"none", None{}, false},
-		{"gzip", NewGzip(), false},
-		{"lz4", NewLZ4(), false},
-		{"fpc", &FPC{}, false},
-		{"lossy-whole", NewLossy(), false},
-		{"lossy-chunked", chunked, true},
-		{"guard", NewGuard(guard.Policy{MaxAbs: 1e-2}), false},
+		{"none", None{}, false, nil},
+		{"gzip", NewGzip(), false, &entropy.Params{GzipLevel: gzipio.Default}},
+		{"lz4", NewLZ4(), false, &entropy.Params{Codec: entropy.LZ4, Shuffle: true}},
+		{"fpc", &FPC{}, false, nil},
+		{"lossy-whole", NewLossy(), false, nil},
+		{"lossy-chunked", chunked, true, nil},
+		{"guard", NewGuard(guard.Policy{MaxAbs: 1e-2}), false, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := smoothField(44, 12, 2) // 5 slabs of 8 and one of 4
@@ -48,6 +54,21 @@ func TestEntryEncodeModesSamePayload(t *testing.T) {
 					t.Fatal(err)
 				}
 				return enc.Payload
+			}
+
+			if tc.stage4 != nil {
+				viaCore, err := core.CompressGzipOnly(f, *tc.stage4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				viaEntropy, err := entropy.Compress(grid.FloatBytes(f.Data()), *tc.stage4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(viaCore.Data, want()) || !bytes.Equal(viaEntropy.Compressed, want()) {
+					t.Fatalf("stage 4 over the raw array: core %d, entropy %d, codec %d bytes, not the same bytes",
+						len(viaCore.Data), len(viaEntropy.Compressed), len(want()))
+				}
 			}
 
 			enc, err := m.encodeEntry(nil, "v", f)
@@ -67,6 +88,9 @@ func TestEntryEncodeModesSamePayload(t *testing.T) {
 			}
 			if got := append(w.Bytes(), enc.Payload...); !bytes.Equal(got, want()) {
 				t.Fatalf("streamed: payload differs from Encode's (%d vs %d bytes)", len(got), len(want()))
+			}
+			if tc.stage4 != nil && tc.stage4.Bare() != (w.Len() > 0) {
+				t.Fatalf("streamed: %d bytes written by a codec whose stream is bare: %v", w.Len(), tc.stage4.Bare())
 			}
 
 			m.SetDelta(true)

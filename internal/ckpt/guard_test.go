@@ -117,38 +117,6 @@ func TestGuardLosslessFallbackRestoresBitExact(t *testing.T) {
 	}
 }
 
-// TestGuardPerVarOverrideThroughManager: the manager threads variable
-// names to the codec, so per-variable policy overrides land on the right
-// entries.
-func TestGuardPerVarOverrideThroughManager(t *testing.T) {
-	pol := guard.Policy{
-		PerVar: map[string]guard.Policy{
-			"temperature": {MaxAbs: 1e-4, Verify: guard.VerifyDecode},
-		},
-	}
-	mgr := guardManager(pol, 2)
-	registerSample(t, mgr)
-
-	var buf bytes.Buffer
-	rep, err := mgr.Checkpoint(&buf, 5)
-	if err != nil {
-		t.Fatalf("Checkpoint: %v", err)
-	}
-	for _, e := range rep.Entries {
-		g := e.Guarantee
-		if g == nil {
-			t.Fatalf("entry %q missing guarantee", e.Name)
-		}
-		if e.Name == "temperature" {
-			if !g.Guaranteed() || g.MaxAbs != 1e-4 {
-				t.Fatalf("temperature guarantee %+v, want enforced 1e-4", g)
-			}
-		} else if g.Mode != guard.Unbounded {
-			t.Fatalf("%q guarantee %+v, want unbounded (no override)", e.Name, g)
-		}
-	}
-}
-
 // TestLoadLatestCarriesGuarantee: the registration-free loader surfaces
 // annotations too.
 func TestLoadLatestCarriesGuarantee(t *testing.T) {

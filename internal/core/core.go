@@ -11,9 +11,9 @@
 //     method over the pooled high-frequency coefficients.
 //  3. Encoding (package encode) — 1-byte codes into the average table,
 //     with a bitmap separating codes from lossless passthrough values.
-//  4. Formatting + gzip (packages container, gzipio) — the serialized
-//     archive is DEFLATE-compressed, either in memory or via a temporary
-//     file as in the paper's prototype.
+//  4. Formatting + gzip (packages container, entropy) — the serialized
+//     archive is DEFLATE-compressed by entropy.Compress, either in memory
+//     or via a temporary file as in the paper's prototype.
 //
 // Decompress inverts all four stages. Only stage 2 is lossy; the overall
 // reconstruction error is the quantization error plus ≤ a few ulps of
@@ -77,12 +77,13 @@ type Options struct {
 	GzipBlock int
 	// TmpDir is where TempFile mode puts its temporary ("" = system temp).
 	TmpDir string
-	// EntropyCodec selects the stage-4c coder (see internal/entropy). The
-	// zero value, entropy.Gzip, keeps the paper's DEFLATE stage and — with
-	// Shuffle off — produces the exact legacy byte stream, no envelope.
-	// Any other selection wraps the payload in the self-describing entropy
-	// envelope, which Decompress consumes transparently.
-	// entropy.LZ4 trades compression ratio for >4× stage-4 throughput.
+	// EntropyCodec selects the stage-4c coder: with the gzip knobs, Shuffle
+	// and Workers it is the entropy.Params that entropy.Compress codes the
+	// formatted container under and validates. The zero value, entropy.Gzip,
+	// keeps the paper's DEFLATE stage and — with Shuffle off — writes the bare
+	// gzip/zlib stream; any other selection is wrapped in the entropy
+	// envelope, which Decompress consumes transparently. entropy.LZ4 trades
+	// compression ratio for >4× stage-4 throughput.
 	EntropyCodec entropy.ID
 	// Shuffle runs the byte-lane transpose pre-pass over the whole formatted
 	// container before the entropy coder, at the container's packed float
@@ -243,20 +244,8 @@ func (o Options) validate() error {
 	if o.Workers < 0 {
 		return fmt.Errorf("%w: workers %d", ErrOptions, o.Workers)
 	}
-	if o.GzipBlock < 0 {
-		return fmt.Errorf("%w: gzip block %d", ErrOptions, o.GzipBlock)
-	}
-	if o.GzipBlock > 0 && o.GzipMode != gzipio.InMemory {
-		return fmt.Errorf("%w: gzip block %d requires in-memory gzip mode", ErrOptions, o.GzipBlock)
-	}
-	if _, err := entropy.ByID(o.EntropyCodec); err != nil {
+	if err := o.entropyParams().Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrOptions, err)
-	}
-	if o.EntropyCodec != entropy.Gzip && o.GzipBlock > 0 {
-		return fmt.Errorf("%w: gzip block size applies only to the gzip codec", ErrOptions)
-	}
-	if (o.EntropyCodec != entropy.Gzip || o.Shuffle) && o.GzipMode != gzipio.InMemory {
-		return fmt.Errorf("%w: codec %s/shuffle requires in-memory gzip mode", ErrOptions, o.EntropyCodec)
 	}
 	return nil
 }
@@ -274,12 +263,6 @@ func (o Options) entropyParams() entropy.Params {
 		TmpDir:     o.TmpDir,
 		Workers:    o.Workers,
 	}
-}
-
-// legacyEntropy reports whether stage 4c writes the pre-PR-6 raw DEFLATE
-// stream (no envelope): the default codec with no pre-pass.
-func (o Options) legacyEntropy() bool {
-	return o.EntropyCodec == entropy.Gzip && !o.Shuffle
 }
 
 // Compress runs the full pipeline over the field: the three steps below in
@@ -495,34 +478,13 @@ func (s *Stages) Encode() error {
 	res.FormattedBytes = len(formatted)
 	s.timings.Format = time.Since(t0)
 
-	// Stage 4b/4c: the entropy coder. The default configuration (gzip, no
-	// shuffle) goes straight through gzipio and stays byte-identical to
-	// pre-PR-6 streams; any other selection is wrapped in the entropy
-	// envelope so decode paths stay self-describing.
-	if opts.legacyEntropy() {
-		var gz gzipio.Result
-		if opts.GzipBlock > 0 {
-			gz, err = gzipio.CompressParallel(formatted, opts.GzipLevel, opts.GzipFormat, gzipio.ParallelOptions{
-				BlockSize: opts.GzipBlock,
-				Workers:   opts.Workers,
-			})
-		} else {
-			gz, err = gzipio.CompressFormat(formatted, opts.GzipLevel, opts.GzipMode, opts.TmpDir, opts.GzipFormat)
-		}
-		if err != nil {
-			return err
-		}
-		s.timings.TempWrite = gz.TempWrite
-		s.timings.Gzip = gz.Gzip
-		res.Data = gz.Compressed
-	} else {
-		ent, err := entropy.Compress(formatted, opts.entropyParams())
-		if err != nil {
-			return err
-		}
-		s.timings.Gzip = ent.CodeTime
-		res.Data = ent.Compressed
+	// Stage 4b/4c: the entropy coder.
+	ent, err := entropy.Compress(formatted, opts.entropyParams())
+	if err != nil {
+		return err
 	}
+	s.timings.TempWrite, s.timings.Gzip = ent.TempWrite, ent.CodeTime
+	res.Data = ent.Compressed
 	res.CompressedBytes = len(res.Data)
 	s.timings.Total = time.Since(s.start)
 	s.timings.CPUTotal = s.timings.Total
@@ -662,25 +624,26 @@ func RoundTrip(f *grid.Field, opts Options) (*grid.Field, *Result, error) {
 	return g, res, nil
 }
 
-// CompressGzipOnly is the paper's lossless baseline (Fig. 6's "gzip" bar):
-// the raw array bytes straight through DEFLATE, no lossy stages. It reuses
-// the same Result bookkeeping so harness code can treat baselines
-// uniformly.
-func CompressGzipOnly(f *grid.Field, level int, mode gzipio.Mode, tmpDir string) (*Result, error) {
+// CompressGzipOnly is the paper's lossless baseline (Fig. 6's "gzip" bar)
+// and every lossless encode of raw array bytes: the array straight through
+// stage 4 as p selects (entropy.Params{GzipLevel: gzipio.Default} is the
+// bare gzip stream), no lossy stages. It reuses the same Result bookkeeping
+// so harness code can treat baselines uniformly.
+func CompressGzipOnly(f *grid.Field, p entropy.Params) (*Result, error) {
 	start := time.Now()
 	res := &Result{RawBytes: f.Bytes()}
 
-	raw := grid.FloatBytes(f.Data()) // read where it lies: DEFLATE only reads it
+	raw := grid.FloatBytes(f.Data()) // read where it lies: the coder only reads it
 	res.FormattedBytes = len(raw)
 
-	gz, err := gzipio.Compress(raw, level, mode, tmpDir)
+	ent, err := entropy.Compress(raw, p)
 	if err != nil {
 		return nil, err
 	}
-	res.Timings.TempWrite = gz.TempWrite
-	res.Timings.Gzip = gz.Gzip
-	res.Data = gz.Compressed
-	res.CompressedBytes = len(gz.Compressed)
+	res.Timings.TempWrite = ent.TempWrite
+	res.Timings.Gzip = ent.CodeTime
+	res.Data = ent.Compressed
+	res.CompressedBytes = len(ent.Compressed)
 	res.Timings.Total = time.Since(start)
 	res.Timings.CPUTotal = res.Timings.Total
 	recordStageSeconds(res.Timings)

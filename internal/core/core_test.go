@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"lossyckpt/internal/entropy"
 	"lossyckpt/internal/grid"
 	"lossyckpt/internal/gzipio"
 	"lossyckpt/internal/quant"
@@ -61,7 +62,7 @@ func TestRoundTripSmallError(t *testing.T) {
 func TestLossyBeatsGzipOnSmoothData(t *testing.T) {
 	// The paper's Fig. 6: gzip ≈ 87%, lossy ≈ 12-17%.
 	f := smooth3D(256, 41, 2, 2)
-	gz, err := CompressGzipOnly(f, gzipio.Default, gzipio.InMemory, "")
+	gz, err := CompressGzipOnly(f, entropy.Params{GzipLevel: gzipio.Default})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestLossyBeatsGzipOnSmoothData(t *testing.T) {
 
 func TestGzipOnlyRoundTripExact(t *testing.T) {
 	f := smooth3D(32, 16, 2, 3)
-	res, err := CompressGzipOnly(f, gzipio.Default, gzipio.InMemory, "")
+	res, err := CompressGzipOnly(f, entropy.Params{GzipLevel: gzipio.Default})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,6 +168,28 @@ func TestOptionValidation(t *testing.T) {
 	for i, o := range bad {
 		if _, err := Compress(f, o); !errors.Is(err, ErrOptions) {
 			t.Errorf("bad options %d: err = %v, want ErrOptions", i, err)
+		}
+	}
+	// The stage-4 selections entropy refuses: core wraps entropy's verdict
+	// in ErrOptions, and entropy.Compress refuses them on its own.
+	for _, c := range []struct {
+		what string
+		set  func(*Options)
+	}{
+		{"unknown codec", func(o *Options) { o.EntropyCodec = entropy.ID(77) }},
+		{"negative gzip block", func(o *Options) { o.GzipBlock = -1 }},
+		{"gzip block on lz4", func(o *Options) { o.EntropyCodec, o.GzipBlock = entropy.LZ4, 1024 }},
+		{"temp file with shuffle", func(o *Options) { o.Shuffle, o.GzipMode = true, gzipio.TempFile }},
+		{"temp file with lz4", func(o *Options) { o.EntropyCodec, o.GzipMode = entropy.LZ4, gzipio.TempFile }},
+		{"temp file with gzip blocks", func(o *Options) { o.GzipBlock, o.GzipMode = 1024, gzipio.TempFile }},
+	} {
+		o := DefaultOptions()
+		c.set(&o)
+		if _, err := Compress(f, o); !errors.Is(err, ErrOptions) {
+			t.Errorf("%s: core.Compress err = %v, want ErrOptions", c.what, err)
+		}
+		if _, err := entropy.Compress(grid.FloatBytes(f.Data()), o.entropyParams()); err == nil {
+			t.Errorf("%s: entropy.Compress accepted it", c.what)
 		}
 	}
 	// The cap itself is usable and survives the 16-bit header field.

@@ -218,11 +218,11 @@ func TestDecompressToFailureWritesWholeChunksOnly(t *testing.T) {
 func TestDecompressGzipOnlyInto(t *testing.T) {
 	f := smooth3D(32, 16, 2, 5)
 	other := smooth3D(32, 16, 2, 6)
-	gz, err := CompressGzipOnly(f, gzipio.Default, gzipio.InMemory, "")
+	gz, err := CompressGzipOnly(f, entropy.Params{GzipLevel: gzipio.Default})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gzOther, err := CompressGzipOnly(other, gzipio.Default, gzipio.InMemory, "")
+	gzOther, err := CompressGzipOnly(other, entropy.Params{GzipLevel: gzipio.Default})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -229,7 +229,7 @@ func TestObserveRoundTrip(t *testing.T) {
 // the entropy-aware DecompressGzipOnly.
 func TestGzipOnlyEntropyAware(t *testing.T) {
 	f := smooth3D(16, 8, 4, 7)
-	res, err := CompressGzipOnly(f, gzipio.Default, gzipio.InMemory, "")
+	res, err := CompressGzipOnly(f, entropy.Params{GzipLevel: gzipio.Default})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,19 @@
-// Package entropy makes the pipeline's final stage pluggable. The paper
-// hard-wires gzip (§III-D), the largest single stage of its compression time
-// (Fig. 9-10) and of this repository's until gzipio got its own encoder;
-// this package fronts that stage with a Codec interface — the gzipio
-// DEFLATE engine and a pure-Go LZ4-class coder (lz4.go) — plus an optional
-// byte-shuffle pre-pass (shuffle.go), so the autotuner (internal/tune) can
-// trade ratio for throughput per variable.
+// Package entropy is the pipeline's final stage, and the only place that
+// decides which bytes it writes. The paper hard-wires gzip (§III-D), the
+// largest single stage of its compression time (Fig. 9-10) and of this
+// repository's until gzipio got its own encoder; Compress fronts that stage
+// with two coders — the gzipio DEFLATE engine and a pure-Go LZ4-class coder
+// (lz4.go) — plus an optional byte-shuffle pre-pass (shuffle.go), so the
+// autotuner (internal/tune) can trade ratio for throughput per variable.
+// Params.Validate holds the selections it refuses.
 //
 // # Envelope
 //
-// A non-default selection is recorded in a self-describing envelope so
-// every decode path stays format-blind:
+// The default selection (gzip, no shuffle: Params.Bare) writes the bare
+// gzip or zlib stream, one member or GzipBlock-sharded, byte-identical to
+// what the repository wrote before there was a choice. Any other selection
+// is recorded in a self-describing envelope so every decode path stays
+// format-blind:
 //
 //	offset 0: magic "LKE1" (4 bytes)
 //	offset 4: version (1)
@@ -18,11 +22,9 @@
 //	offset 7: shuffle stride byte
 //	offset 8: codec payload
 //
-// Streams produced before this PR carry no envelope; Decompress sniffs
-// the gzip (0x1f 0x8b) and zlib (0x78) magics and maps them to the gzip
-// codec, so pre-PR-6 payloads decode bit-exactly. Conversely the default
-// configuration (gzip, no shuffle) still writes raw DEFLATE streams with
-// no envelope, so default-path output remains byte-identical too.
+// Decompress sniffs the magic: a stream without it is read as bare gzip or
+// zlib, and an envelope naming gzip without the shuffle flag, which nothing
+// writes any more, still decodes.
 package entropy
 
 import (
@@ -69,9 +71,6 @@ func ParseID(name string) (ID, error) {
 		return Gzip, fmt.Errorf("entropy: unknown codec %q (want gzip or lz4)", name)
 	}
 }
-
-// Names lists the selectable codec names for CLI help strings.
-func Names() []string { return []string{"gzip", "lz4"} }
 
 // Envelope layout.
 const (
@@ -131,80 +130,70 @@ func (p Params) stride() int {
 	return p.Stride
 }
 
-// Codec is the pluggable entropy-stage coder. Compress appends the raw
-// codec payload (no envelope) to dst; Decompress inverts it.
-type Codec interface {
-	// Compress encodes data using the codec-relevant fields of p.
-	Compress(dst, data []byte, p Params) ([]byte, error)
-	// Decompress decodes a payload produced by Compress into dst's
-	// capacity where it can, growing it where it must. workers bounds
-	// parallel decode where the format supports it.
-	Decompress(dst, data []byte, workers int) ([]byte, error)
-}
+// Bare reports whether p is the default selection, gzip with no shuffle,
+// which Compress writes as the bare gzip/zlib stream: no envelope.
+func (p Params) Bare() bool { return p.Codec == Gzip && !p.Shuffle }
 
-// ByID returns the codec registered for id.
-func ByID(id ID) (Codec, error) {
-	switch id {
-	case Gzip:
-		return gzipCodec{}, nil
-	case LZ4:
-		return lz4Codec{}, nil
-	default:
-		return nil, fmt.Errorf("entropy: unknown codec ID %d", byte(id))
+// Validate refuses the selections Compress cannot honour: an unknown codec,
+// a negative block size, a block size on a codec other than gzip, and the
+// temp-file mode anywhere but on the bare single-member stream (the paper
+// prototype's path exists to measure its serial cost).
+func (p Params) Validate() error {
+	if p.Codec != Gzip && p.Codec != LZ4 {
+		return fmt.Errorf("entropy: unknown codec ID %d", byte(p.Codec))
 	}
+	if p.GzipBlock < 0 {
+		return fmt.Errorf("entropy: gzip block %d", p.GzipBlock)
+	}
+	if p.GzipBlock > 0 && p.Codec != Gzip {
+		return fmt.Errorf("entropy: gzip block size applies only to the gzip codec")
+	}
+	if p.GzipMode != gzipio.InMemory && !p.Bare() {
+		return fmt.Errorf("entropy: codec %s requires in-memory gzip mode", p.Label())
+	}
+	if p.GzipMode != gzipio.InMemory && p.GzipBlock > 0 {
+		return fmt.Errorf("entropy: gzip block %d requires in-memory gzip mode", p.GzipBlock)
+	}
+	return nil
 }
 
-// gzipCodec adapts the gzipio engine to the Codec interface.
-type gzipCodec struct{}
-
-func (gzipCodec) Compress(dst, data []byte, p Params) ([]byte, error) {
-	var res gzipio.Result
-	var err error
+// deflate is the gzip codec: GzipBlock-byte members coded side by side when
+// GzipBlock is set, one member otherwise.
+func (p Params) deflate(data []byte) (gzipio.Result, error) {
 	if p.GzipBlock > 0 {
-		res, err = gzipio.CompressParallel(data, p.GzipLevel, p.GzipFormat, gzipio.ParallelOptions{
+		return gzipio.CompressParallel(data, p.GzipLevel, p.GzipFormat, gzipio.ParallelOptions{
 			BlockSize: p.GzipBlock,
 			Workers:   p.Workers,
 		})
-	} else {
-		res, err = gzipio.CompressFormat(data, p.GzipLevel, p.GzipMode, p.TmpDir, p.GzipFormat)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return append(dst, res.Compressed...), nil
+	return gzipio.CompressFormat(data, p.GzipLevel, p.GzipMode, p.TmpDir, p.GzipFormat)
 }
 
-func (gzipCodec) Decompress(dst, data []byte, workers int) ([]byte, error) {
-	return gzipio.DecompressTo(dst[:0], data, workers)
-}
-
-// lz4Codec adapts the LZ4-class block coder to the Codec interface.
-type lz4Codec struct{}
-
-func (lz4Codec) Compress(dst, data []byte, p Params) ([]byte, error) {
-	return lz4Compress(dst, data), nil
-}
-
-func (lz4Codec) Decompress(dst, data []byte, workers int) ([]byte, error) {
-	return lz4Decompress(dst, data)
-}
-
-// Result carries the envelope-wrapped stream and the coding time, the
-// figure core's Timings.Gzip (stage-4 seconds) accumulates.
+// Result carries the coded stream and the stage's time: CodeTime is what
+// core's Timings.Gzip (stage-4c seconds) accumulates, TempWrite the
+// temporary-file round trip of the paper prototype's mode (Timings.TempWrite,
+// zero otherwise).
 type Result struct {
 	Compressed []byte
 	CodeTime   time.Duration
+	TempWrite  time.Duration
 }
 
-// Compress runs the entropy stage per p and wraps the payload in the
-// self-describing envelope. Callers wanting legacy byte-identity for the
-// default configuration (gzip, no shuffle) should call gzipio directly
-// instead — core does. Shuffled lanes are pooled; the coder appends its
-// payload to the envelope header.
+// Compress runs the entropy stage over data per p, which it validates
+// first. The bare selection returns the gzip/zlib stream itself, one member
+// or GzipBlock-sharded; every other selection is wrapped in the envelope,
+// its shuffled lanes pooled and the coder's payload appended to the
+// envelope header.
 func Compress(data []byte, p Params) (Result, error) {
-	c, err := ByID(p.Codec)
-	if err != nil {
+	if err := p.Validate(); err != nil {
 		return Result{}, err
+	}
+	if p.Bare() {
+		gz, err := p.deflate(data)
+		if err != nil {
+			return Result{}, err
+		}
+		return Result{Compressed: gz.Compressed, CodeTime: gz.Gzip, TempWrite: gz.TempWrite}, nil
 	}
 	start := time.Now()
 	src := data
@@ -223,8 +212,14 @@ func Compress(data []byte, p Params) (Result, error) {
 		out[6] = flagShuffled
 		out[7] = byte(stride)
 	}
-	if out, err = c.Compress(out, src, p); err != nil {
-		return Result{}, fmt.Errorf("entropy: %s: %w", p.Codec, err)
+	if p.Codec == LZ4 {
+		out = lz4Compress(out, src)
+	} else {
+		gz, err := p.deflate(src)
+		if err != nil {
+			return Result{}, fmt.Errorf("entropy: %s: %w", p.Codec, err)
+		}
+		out = append(out, gz.Compressed...)
 	}
 	return Result{Compressed: out, CodeTime: time.Since(start)}, nil
 }
@@ -247,9 +242,8 @@ func parseEnvelope(data []byte) (id ID, stride int, payload []byte, ok bool, err
 	return ID(data[5]), stride, data[envelopeLen:], true, nil
 }
 
-// Decompress inverts Compress. Streams without the envelope are legacy
-// pre-PR-6 payloads: raw gzip or zlib, decoded through the gzip codec
-// bit-exactly as before. workers bounds parallel member decode.
+// Decompress inverts Compress. A stream without the envelope is bare gzip
+// or zlib, one member or many. workers bounds parallel member decode.
 func Decompress(data []byte, workers int) ([]byte, error) {
 	return DecompressTo(nil, data, workers)
 }
@@ -309,15 +303,18 @@ func decode(dst, data []byte, workers int) (out []byte, stride int, err error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	if !ok {
-		out, err = gzipCodec{}.Decompress(dst, data, workers)
+	switch {
+	case !ok:
+		out, err = gzipio.DecompressTo(dst[:0], data, workers)
 		return out, 0, err
+	case id == Gzip:
+		out, err = gzipio.DecompressTo(dst[:0], payload, workers)
+	case id == LZ4:
+		out, err = lz4Decompress(dst, payload)
+	default:
+		return nil, 0, fmt.Errorf("entropy: unknown codec ID %d", byte(id))
 	}
-	c, err := ByID(id)
 	if err != nil {
-		return nil, 0, err
-	}
-	if out, err = c.Decompress(dst, payload, workers); err != nil {
 		return nil, 0, fmt.Errorf("entropy: %s: %w", id, err)
 	}
 	return out, stride, nil

@@ -142,12 +142,18 @@ func TestShuffleImprovesLZ4OnFloats(t *testing.T) {
 	}
 }
 
+// TestCompressDecompressAllParams: the bare selection (gzip, no shuffle) is
+// exactly gzipio's stream — one member, or CompressParallel's members when
+// GzipBlock is set — and every other selection is enveloped; all of them
+// decode back, into any buffer.
 func TestCompressDecompressAllParams(t *testing.T) {
 	for name, data := range corpus() {
 		for _, p := range []Params{
 			{Codec: Gzip, GzipLevel: gzipio.Default},
+			{Codec: Gzip, GzipLevel: gzipio.Default, GzipFormat: gzipio.FormatZlib},
 			{Codec: Gzip, Shuffle: true, GzipLevel: gzipio.Default},
 			{Codec: Gzip, GzipLevel: gzipio.Default, GzipBlock: 8 * 1024},
+			{Codec: Gzip, GzipLevel: gzipio.Default, GzipMode: gzipio.TempFile, TmpDir: t.TempDir()},
 			{Codec: LZ4},
 			{Codec: LZ4, Shuffle: true},
 			{Codec: LZ4, Shuffle: true, Stride: 4},
@@ -156,7 +162,17 @@ func TestCompressDecompressAllParams(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s: compress: %v", name, p.Label(), err)
 			}
-			if string(res.Compressed[:4]) != envelopeMagic {
+			if p.Bare() {
+				var want gzipio.Result
+				if p.GzipBlock > 0 {
+					want, err = gzipio.CompressParallel(data, p.GzipLevel, p.GzipFormat, gzipio.ParallelOptions{BlockSize: p.GzipBlock})
+				} else {
+					want, err = gzipio.CompressFormat(data, p.GzipLevel, gzipio.InMemory, "", p.GzipFormat)
+				}
+				if err != nil || !bytes.Equal(res.Compressed, want.Compressed) {
+					t.Fatalf("%s %s block %d %v: not gzipio's bare stream (err %v)", name, p.Label(), p.GzipBlock, p.GzipMode, err)
+				}
+			} else if string(res.Compressed[:4]) != envelopeMagic {
 				t.Fatalf("%s %s: missing envelope", name, p.Label())
 			}
 			for _, workers := range []int{0, 1, 4} {
@@ -194,12 +210,17 @@ func TestDecompressLegacyGzipAndZlib(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := Decompress(res.Compressed, 2)
-		if err != nil {
-			t.Fatalf("%v: legacy decode: %v", format, err)
-		}
-		if !bytes.Equal(back, data) {
-			t.Fatalf("%v: legacy round trip mismatch", format)
+		// Bare, and inside an envelope naming gzip without the shuffle flag,
+		// which Compress wrote for that selection once and writes no more.
+		enveloped := append([]byte{'L', 'K', 'E', '1', envelopeVer, byte(Gzip), 0, 0}, res.Compressed...)
+		for _, stream := range [][]byte{res.Compressed, enveloped} {
+			back, err := Decompress(stream, 2)
+			if err != nil {
+				t.Fatalf("%v: legacy decode: %v", format, err)
+			}
+			if !bytes.Equal(back, data) {
+				t.Fatalf("%v: legacy round trip mismatch", format)
+			}
 		}
 	}
 }

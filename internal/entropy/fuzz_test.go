@@ -3,6 +3,8 @@ package entropy
 import (
 	"bytes"
 	"testing"
+
+	"lossyckpt/internal/gzipio"
 )
 
 // FuzzLZ4RoundTrip asserts the codec is lossless for arbitrary input.
@@ -55,6 +57,11 @@ func FuzzDecompressAny(f *testing.F) {
 		if res, err := Compress(seed, p); err == nil {
 			f.Add(res.Compressed)
 		}
+	}
+	// An envelope naming gzip without the shuffle flag: Compress writes the
+	// bare stream for that selection now, but decode still takes it.
+	if gz, err := gzipio.CompressFormat(seed, gzipio.Default, gzipio.InMemory, "", gzipio.FormatGzip); err == nil {
+		f.Add(append([]byte{'L', 'K', 'E', '1', envelopeVer, byte(Gzip), 0, 0}, gz.Compressed...))
 	}
 	f.Add([]byte("LKE1garbage that is not a valid envelope payload"))
 	f.Add([]byte{0x1f, 0x8b, 0x08, 0x00})

@@ -30,6 +30,7 @@ import (
 	"strconv"
 
 	"lossyckpt/internal/core"
+	"lossyckpt/internal/entropy"
 	"lossyckpt/internal/grid"
 	"lossyckpt/internal/obs"
 	"lossyckpt/internal/obs/journal"
@@ -118,38 +119,10 @@ type Policy struct {
 	PSNRFloor float64
 	// Verify selects analytic (default) or decode-and-check verification.
 	Verify VerifyMode
-	// PerVar overrides MaxAbs, MaxRel, PSNRFloor and Verify by variable
-	// name. A zero field inherits the base, so an override can tighten
-	// VerifyAnalytic to VerifyDecode, never the reverse.
-	PerVar map[string]Policy
 }
 
 // Enforced reports whether the policy demands any guarantee.
 func (p Policy) Enforced() bool { return p.MaxAbs > 0 || p.MaxRel > 0 || p.PSNRFloor > 0 }
-
-// ForVar resolves the effective policy for a named variable: the base
-// with the non-zero overridable fields of its PerVar entry applied.
-func (p Policy) ForVar(name string) Policy {
-	o, ok := p.PerVar[name]
-	if !ok {
-		return p
-	}
-	eff := p
-	eff.PerVar = nil
-	if o.MaxAbs != 0 {
-		eff.MaxAbs = o.MaxAbs
-	}
-	if o.MaxRel != 0 {
-		eff.MaxRel = o.MaxRel
-	}
-	if o.PSNRFloor != 0 {
-		eff.PSNRFloor = o.PSNRFloor
-	}
-	if o.Verify != 0 {
-		eff.Verify = o.Verify
-	}
-	return eff
-}
 
 func (p Policy) validate() error {
 	for _, v := range []float64{p.MaxAbs, p.MaxRel, p.PSNRFloor} {
@@ -194,15 +167,14 @@ type rung struct {
 	ok   bool
 }
 
-// Encode compresses one variable under the policy. The name selects
-// per-variable overrides and labels the telemetry; it may be empty.
+// Encode compresses one variable under the policy. The name labels the
+// telemetry; it may be empty.
 //
 // The returned payload is always a guard envelope (see envelope.go);
 // Decode or ckpt's "guard" codec reverses it. Encode never returns a
 // stream that silently violates an enforced bound: every failure path
 // lands on the bit-exact lossless rung instead.
 func Encode(name string, f *grid.Field, base core.Options, pol Policy) (*Outcome, error) {
-	pol = pol.ForVar(name)
 	if err := pol.validate(); err != nil {
 		return nil, err
 	}
@@ -309,7 +281,7 @@ func Encode(name string, f *grid.Field, base core.Options, pol Policy) (*Outcome
 	// it needs no verification — this is what makes a silent violation
 	// impossible.
 	ann.Attempts++
-	res, err := core.CompressGzipOnly(f, base.GzipLevel, base.GzipMode, base.TmpDir)
+	res, err := core.CompressGzipOnly(f, entropy.Params{GzipLevel: base.GzipLevel, GzipMode: base.GzipMode, TmpDir: base.TmpDir})
 	if err != nil {
 		return nil, fmt.Errorf("guard: lossless rung: %w", err)
 	}

@@ -257,35 +257,6 @@ func TestBudgetExhaustedEnvelopeStillReads(t *testing.T) {
 	}
 }
 
-// TestGuardPerVarOverride: PerVar bounds override the base policy.
-func TestGuardPerVarOverride(t *testing.T) {
-	pol := Policy{MaxAbs: 1, PerVar: map[string]Policy{
-		"strict": {MaxAbs: 1e-15, Verify: VerifyDecode},
-	}}
-	eff := pol.ForVar("strict")
-	if eff.MaxAbs != 1e-15 || eff.Verify != VerifyDecode {
-		t.Fatalf("override not applied: %+v", eff)
-	}
-	if other := pol.ForVar("relaxed"); other.MaxAbs != 1 {
-		t.Fatalf("base policy mutated: %+v", other)
-	}
-	f := makeField(t, "noise", 9)
-	outStrict, err := Encode("strict", f, core.DefaultOptions(), pol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outRelaxed, err := Encode("relaxed", f, core.DefaultOptions(), pol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if outStrict.Annotation.Mode != Lossless {
-		t.Errorf("strict var mode %v, want lossless", outStrict.Annotation.Mode)
-	}
-	if outRelaxed.Annotation.Mode == Lossless {
-		t.Errorf("relaxed var escalated to lossless; ladder too eager")
-	}
-}
-
 // TestGuardMetrics: escalations, violations and final mode land in the
 // registry under the documented names.
 func TestGuardMetrics(t *testing.T) {
@@ -395,39 +366,6 @@ func testGuardMetricsAnalyticLadder(t *testing.T) {
 	}
 	if want := []string{"choose_divisions: bound violated", "simple_method: bound violated"}; !slices.Equal(steps, want) {
 		t.Errorf("journal notes %q, want %q", steps, want)
-	}
-}
-
-// TestGuardPerVarZeroValueRule: every overridable field of a PerVar entry
-// applies when non-zero and inherits the base when zero — which is why an
-// override cannot turn a base VerifyDecode back into VerifyAnalytic.
-func TestGuardPerVarZeroValueRule(t *testing.T) {
-	base := Policy{MaxAbs: 1, MaxRel: 0.5, PSNRFloor: 40, Verify: VerifyDecode}
-	for _, tc := range []struct {
-		name     string
-		override Policy
-		want     Policy
-	}{
-		{"empty override inherits everything", Policy{}, base},
-		{"max-abs", Policy{MaxAbs: 1e-3}, func() Policy { p := base; p.MaxAbs = 1e-3; return p }()},
-		{"max-rel", Policy{MaxRel: 1e-4}, func() Policy { p := base; p.MaxRel = 1e-4; return p }()},
-		{"psnr floor", Policy{PSNRFloor: 90}, func() Policy { p := base; p.PSNRFloor = 90; return p }()},
-		{"analytic is the zero value and cannot override decode", Policy{Verify: VerifyAnalytic}, base},
-	} {
-		pol := base
-		pol.PerVar = map[string]Policy{"v": tc.override}
-		got := pol.ForVar("v")
-		if got.PerVar != nil {
-			t.Errorf("%s: resolved policy still carries overrides", tc.name)
-		}
-		if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", tc.want) {
-			t.Errorf("%s:\n got  %+v\n want %+v", tc.name, got, tc.want)
-		}
-	}
-	// The direction that does work: an analytic base, a paranoid variable.
-	pol := Policy{MaxAbs: 1, PerVar: map[string]Policy{"v": {Verify: VerifyDecode}}}
-	if pol.ForVar("v").Verify != VerifyDecode || pol.ForVar("w").Verify != VerifyAnalytic {
-		t.Errorf("analytic base with a decode override resolved to %v / %v", pol.ForVar("v").Verify, pol.ForVar("w").Verify)
 	}
 }
 

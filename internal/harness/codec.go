@@ -274,7 +274,7 @@ func sections(cfg Config, t *Table) error {
 	}
 	deflated := func(b []byte) int {
 		// In memory at a valid level and format: there is no error to have.
-		res, _ := gzipio.CompressFormat(b, gzipio.Default, gzipio.InMemory, "", gzipio.FormatZlib)
+		res, _ := entropy.Compress(b, entropy.Params{GzipLevel: gzipio.Default, GzipFormat: gzipio.FormatZlib})
 		return len(res.Compressed)
 	}
 	for _, ds := range sets {

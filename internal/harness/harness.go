@@ -22,6 +22,7 @@ import (
 
 	"lossyckpt/internal/climate"
 	"lossyckpt/internal/core"
+	"lossyckpt/internal/entropy"
 	"lossyckpt/internal/grid"
 	"lossyckpt/internal/gzipio"
 	"lossyckpt/internal/quant"
@@ -238,7 +239,7 @@ func (c Config) options(method quant.Method, divisions int) core.Options {
 
 // gzipOnly is the lossless baseline: f's raw bytes through DEFLATE.
 func (c Config) gzipOnly(f *grid.Field) (*core.Result, error) {
-	return core.CompressGzipOnly(f, gzipio.Default, gzipio.InMemory, c.TmpDir)
+	return core.CompressGzipOnly(f, entropy.Params{GzipLevel: gzipio.Default})
 }
 
 // roundTrip compresses f, decompresses the stream and compares the two: the

@@ -23,8 +23,8 @@ import (
 	"fmt"
 	"math"
 
+	"lossyckpt/internal/entropy"
 	"lossyckpt/internal/grid"
-	"lossyckpt/internal/gzipio"
 )
 
 // Errors returned by this package.
@@ -106,7 +106,7 @@ func (t *Tracker) EncodeDiff(name string, f *grid.Field) ([]byte, error) {
 		binary.LittleEndian.PutUint64(xored[8*i:], bits^base[i])
 		base[i] = bits
 	}
-	gz, err := gzipio.Compress(xored, t.level, gzipio.InMemory, "")
+	gz, err := entropy.Compress(xored, entropy.Params{GzipLevel: t.level})
 	if err != nil {
 		return nil, err
 	}
@@ -175,7 +175,7 @@ func (r *Restorer) ApplyDiff(name string, diff []byte) error {
 	if count != uint64(len(state)) {
 		return fmt.Errorf("%w: %q diff covers %d elements, state has %d", ErrFormat, name, count, len(state))
 	}
-	xored, err := gzipio.Decompress(diff[diffHeader:])
+	xored, err := entropy.Decompress(diff[diffHeader:], 1)
 	if err != nil {
 		return err
 	}

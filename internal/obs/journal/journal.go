@@ -82,7 +82,6 @@ type Entry struct {
 	BytesIn     int                `json:"bytes_in,omitempty"`
 	BytesOut    int                `json:"bytes_out,omitempty"`
 	Codec       string             `json:"codec,omitempty"`
-	Shuffle     bool               `json:"shuffle,omitempty"`
 	Divisions   int                `json:"divisions,omitempty"`
 	Guard       string             `json:"guard,omitempty"`
 	Escalations int                `json:"escalations,omitempty"`

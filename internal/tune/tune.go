@@ -68,24 +68,21 @@ func (o Objective) String() string {
 
 // Setting is one entropy-stage configuration the tuner can select.
 type Setting struct {
-	Codec entropy.ID
-	// Shuffle predates container format 2; the tuner no longer selects it.
-	Shuffle   bool
+	Codec     entropy.ID
 	GzipBlock int
 	Workers   int
 }
 
-// Label is the codec label ("lz4+shuffle", …) for metrics and reports.
-func (s Setting) Label() string {
-	return entropy.Params{Codec: s.Codec, Shuffle: s.Shuffle}.Label()
-}
+// Label is the codec label ("gzip", "lz4") for metrics and reports.
+func (s Setting) Label() string { return s.Codec.String() }
 
 // Apply overlays the setting on compressor options, leaving the lossy
 // stages untouched — the tuner only ever steers lossless entropy
-// framing.
+// framing. It turns the whole-stream shuffle off: format 2's float
+// sections are lanes already.
 func (s Setting) Apply(o core.Options) core.Options {
 	o.EntropyCodec = s.Codec
-	o.Shuffle = s.Shuffle
+	o.Shuffle = false
 	o.GzipBlock = s.GzipBlock
 	if s.Workers > 0 {
 		o.Workers = s.Workers
@@ -222,8 +219,7 @@ func (t *Tuner) probe(varName string, rawBytes int, sample []byte) *decision {
 		sel.GzipBlock = gzipio.DefaultBlockSize
 	}
 	obs.Default().Counter(MetricDecisions, "codec", sel.Label()).Inc()
-	journal.Note("tune.decision", "var", varName,
-		"codec", sel.Codec.String(), "shuffle", sel.Shuffle)
+	journal.Note("tune.decision", "var", varName, "codec", sel.Codec.String())
 
 	bps := 0.0
 	if best.seconds > 0 {

@@ -17,6 +17,7 @@ import (
 	"lossyckpt/internal/ckpt"
 	"lossyckpt/internal/climate"
 	"lossyckpt/internal/core"
+	"lossyckpt/internal/entropy"
 	"lossyckpt/internal/grid"
 	"lossyckpt/internal/guard"
 	"lossyckpt/internal/gzipio"
@@ -367,7 +368,7 @@ func BenchmarkAllocGzipOnly(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.CompressGzipOnly(f, gzipio.Default, gzipio.InMemory, ""); err != nil {
+		if _, err := core.CompressGzipOnly(f, entropy.Params{GzipLevel: gzipio.Default}); err != nil {
 			b.Fatal(err)
 		}
 	}
